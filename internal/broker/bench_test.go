@@ -3,6 +3,7 @@ package broker
 import (
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"treesim/internal/core"
 	"treesim/internal/dtd"
@@ -163,4 +164,52 @@ func BenchmarkBrokerSubscribeChurn(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(e.Stats().Rebuilds)/float64(b.N), "rebuilds/op")
+}
+
+// BenchmarkBrokerSubscribeBesideStream is the churn case the benchmark
+// above misses: 1000 live subscriptions and a synopsis that moves — one
+// document published and ingested — between any two subscribes, as it
+// does in a serving broker. Each op is publish + flush + subscribe +
+// unsubscribe-oldest; subscribe-ns/op is the subscribe alone and
+// evals/op the SEL evaluations it ran on the similarity view (1 on a
+// standing view; the registry's worth on the first after a refresh).
+func BenchmarkBrokerSubscribeBesideStream(b *testing.B) {
+	docs, subs := benchWorkload(200, 1000)
+	churn := querygen.New(dtd.NITFLike(), querygen.Defaults(97)).GenerateDistinct(512)
+	e := benchEngine(b, docs, subs)
+	var ids []uint64
+	e.mu.RLock()
+	for _, s := range e.subs {
+		ids = append(ids, s.id)
+	}
+	e.mu.RUnlock()
+
+	var subscribeNS, evals int64
+	view := currentView(e)
+	seen := view.Evals()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := e.Publish(docs[i%len(docs)]); err != nil {
+			b.Fatal(err)
+		}
+		e.Flush()
+		start := time.Now()
+		id, err := e.SubscribePattern(churn[i%len(churn)], "")
+		subscribeNS += time.Since(start).Nanoseconds()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if v := currentView(e); v != view {
+			view, seen = v, 0
+		}
+		evals += view.Evals() - seen
+		seen = view.Evals()
+		ids = append(ids, id)
+		e.Unsubscribe(ids[0])
+		ids = ids[1:]
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(subscribeNS)/float64(b.N), "subscribe-ns/op")
+	b.ReportMetric(float64(evals)/float64(b.N), "evals/op")
 }

@@ -9,15 +9,26 @@
 // What makes it live rather than a simulation:
 //
 //   - Subscription churn. Subscribe computes only the new pattern's
-//     similarity row against the existing registry (core.SimilarityRow,
-//     an O(n) incremental step) and places it into the best existing
-//     community (cluster.Assign); Unsubscribe drops the member in O(n).
-//     No O(n²) matrix rebuild happens on the churn path.
+//     similarity row against the existing registry and places it into
+//     the best existing community (cluster.Assign); Unsubscribe drops
+//     the member in O(n). The row is computed on the engine's
+//     similarity view (core.View): a frozen copy of the synopsis that
+//     remembers every registry pattern's SEL evaluation, so a subscribe
+//     costs one evaluation — the new pattern — plus O(n) matching-set
+//     intersections, however many documents were published since the
+//     last one. Similarity is a property of the stream's distribution,
+//     estimated from bounded samples, so the view is re-taken only when
+//     the stream has doubled since it was taken (or on a forced
+//     Rebuild): O(log N) cold passes over a stream of N documents, a
+//     frame that always covers more than half of it, and the new pattern
+//     and the old ones always evaluated in the same frame. A stream
+//     whose distribution drifts wants core.WindowEstimator, not a
+//     fresher view.
 //   - Staleness-bounded re-clustering. Incremental placement drifts
 //     from what a fresh greedy clustering would produce; a pluggable
 //     RebuildPolicy watches the mutation count and triggers a full
-//     SimilarityMatrix + greedy rebuild when enough of the registry has
-//     churned.
+//     similarity matrix (on the same view) + greedy rebuild when enough
+//     of the registry has churned.
 //   - A sharded matching plane. Communities are pinned to
 //     GOMAXPROCS-scaled shards (whole communities together — placement
 //     is community-aware), each shard owning its own matching forest
@@ -37,10 +48,12 @@
 // Concurrency: Publish and Drain scale across goroutines (publishes
 // synchronize per shard, drains per queue); Subscribe, Unsubscribe and
 // policy rebuilds are exclusive on the registry but hold it only for
-// the commit — the O(n) similarity row and the O(n²) rebuild matrix
-// are computed from snapshots outside all locks. The estimator
-// underneath has its own reader/writer discipline, so routing reads
-// never block on ingest writes except at the synopsis itself.
+// the commit — the O(n) similarity row, the O(n²) rebuild matrix and
+// view refreshes happen from snapshots outside the registry lock. Rows
+// and matrices run on the view, never on the live estimator: churn
+// takes the estimator's read lock only to read the stream length and,
+// at a refresh, to copy the synopsis structure (no SEL work), so the
+// ingester is never stalled behind a similarity computation.
 package broker
 
 import (
@@ -314,6 +327,13 @@ type Engine struct {
 	// lock-free) similarity-matrix phase of a policy rebuild at a time.
 	rebuildBusy atomic.Bool
 
+	// view is the similarity frame every subscribe row and rebuild matrix
+	// is computed in (similarityView); viewMu guards the pointer and
+	// serializes refreshes. A leaf lock: never held with the registry
+	// lock.
+	viewMu sync.Mutex
+	view   *core.View
+
 	// shedLogNS is the unix-nano timestamp of the last shed event
 	// record, the CAS gate rate-limiting shed logging to ~1/s — a
 	// saturated pipeline sheds thousands of times per second and must
@@ -371,10 +391,11 @@ type Engine struct {
 	counters counters
 	// tel is the metrics registry (cfg.Telemetry or a private one);
 	// pubLat/ingestWait are the publish-path latency histograms, read
-	// back by Stats for p50/p99.
+	// back by Stats for p50/p99; subLat is the subscribe latency.
 	tel        *telemetry.Registry
 	pubLat     *telemetry.Histogram
 	ingestWait *telemetry.Histogram
+	subLat     *telemetry.Histogram
 	docs       *docRing
 }
 
@@ -410,6 +431,7 @@ func newEngine(cfg Config, est *core.Estimator) *Engine {
 	lb := telemetry.DefaultLatencyBuckets()
 	e.pubLat = tel.Histogram("treesim_broker_publish_ns", "End-to-end publish latency (ingest enqueue + shard routing), nanoseconds.", lb)
 	e.ingestWait = tel.Histogram("treesim_broker_ingest_wait_ns", "Time a publish spent blocked on the synopsis ingest pipeline, nanoseconds.", lb)
+	e.subLat = tel.Histogram("treesim_broker_subscribe_ns", "Subscribe latency from entry to commit (similarity row, community assignment, journal), nanoseconds.", lb)
 	for i := range e.shards {
 		e.shards[i] = &shard{
 			forest: matching.NewForestShared(e.tbl),
@@ -618,12 +640,15 @@ func (e *Engine) SubscribePattern(p *pattern.Pattern, expr string) (uint64, erro
 
 // SubscribePatternOpts is the full subscribe entry point.
 //
-// The O(n) similarity row — the dominant cost — is computed from a
-// registry snapshot without holding the registry lock, so concurrent
-// publishes and drains keep flowing; the result commits only if the
-// registry has not churned meanwhile. After bounded retries under
-// sustained churn it falls back to computing under the exclusive lock,
-// guaranteeing progress.
+// The O(n) similarity row — the dominant cost — is computed on the
+// engine's similarity view from a registry snapshot without holding the
+// registry lock, so concurrent publishes and drains keep flowing; the
+// result commits only if the registry has not churned meanwhile. After
+// bounded retries under sustained churn it falls back to computing
+// under the exclusive lock, guaranteeing progress — on the same view,
+// which the earlier attempts left warm for all but the patterns that
+// churned in, so the lock is never held across a view refresh or a cold
+// pass over the registry.
 func (e *Engine) SubscribePatternOpts(p *pattern.Pattern, expr string, opt SubscribeOptions) (uint64, error) {
 	if opt.Mode == AtLeastOnce && e.degraded.Load() {
 		// The redelivery contract is backed by the journal; without it a
@@ -632,6 +657,7 @@ func (e *Engine) SubscribePatternOpts(p *pattern.Pattern, expr string, opt Subsc
 		// but new contracts are refused.
 		return 0, ErrDegraded
 	}
+	start := time.Now()
 	pats, _ := e.patsPool.Get().(*[]*pattern.Pattern)
 	if pats == nil {
 		pats = new([]*pattern.Pattern)
@@ -645,6 +671,18 @@ func (e *Engine) SubscribePatternOpts(p *pattern.Pattern, expr string, opt Subsc
 		e.patsPool.Put(pats)
 		e.rowPool.Put(rowBuf)
 	}()
+	view := e.similarityView(false)
+	// finish commits the row in *rowBuf under the registry lock (held by
+	// the caller) and releases it.
+	finish := func() (uint64, error) {
+		id := e.commitSubscribeLocked(p, expr, *rowBuf, opt)
+		ev := ChurnEvent{Stale: e.stale, Live: len(e.subs)}
+		e.mu.Unlock()
+		e.subLat.ObserveDuration(time.Since(start).Nanoseconds())
+		e.notifyChurn(ev)
+		e.maybeRebuild(false)
+		return id, nil
+	}
 	for attempt := 0; attempt < 3; attempt++ {
 		e.mu.RLock()
 		if e.closed {
@@ -655,8 +693,7 @@ func (e *Engine) SubscribePatternOpts(p *pattern.Pattern, expr string, opt Subsc
 		*pats = e.patternsLocked((*pats)[:0])
 		e.mu.RUnlock()
 
-		row := e.est.SimilarityRowInto(*rowBuf, e.cfg.Metric, p, *pats)
-		*rowBuf = row
+		*rowBuf = view.SimilarityRowInto(*rowBuf, e.cfg.Metric, p, *pats)
 
 		e.mu.Lock()
 		if e.closed {
@@ -664,12 +701,7 @@ func (e *Engine) SubscribePatternOpts(p *pattern.Pattern, expr string, opt Subsc
 			return 0, ErrClosed
 		}
 		if e.regVer == ver {
-			id := e.commitSubscribeLocked(p, expr, row, opt)
-			ev := ChurnEvent{Stale: e.stale, Live: len(e.subs)}
-			e.mu.Unlock()
-			e.notifyChurn(ev)
-			e.maybeRebuild(false)
-			return id, nil
+			return finish()
 		}
 		e.mu.Unlock() // registry churned mid-compute; re-snapshot
 	}
@@ -680,14 +712,28 @@ func (e *Engine) SubscribePatternOpts(p *pattern.Pattern, expr string, opt Subsc
 		return 0, ErrClosed
 	}
 	*pats = e.patternsLocked((*pats)[:0])
-	row := e.est.SimilarityRowInto(*rowBuf, e.cfg.Metric, p, *pats)
-	*rowBuf = row
-	id := e.commitSubscribeLocked(p, expr, row, opt)
-	ev := ChurnEvent{Stale: e.stale, Live: len(e.subs)}
-	e.mu.Unlock()
-	e.notifyChurn(ev)
-	e.maybeRebuild(false)
-	return id, nil
+	*rowBuf = view.SimilarityRowInto(*rowBuf, e.cfg.Metric, p, *pats)
+	return finish()
+}
+
+// similarityView returns the frame subscribe rows and rebuild matrices
+// are computed in, re-taking it from the estimator first when one is
+// due: there is none yet, the stream has doubled since it was taken, or
+// force (an explicit Rebuild). A stream of N documents therefore pays
+// O(log N) refreshes — each followed by one cold SEL pass over the
+// registry on the next row or matrix — instead of one per subscribe,
+// and the view always covers more than half the stream. Callers hold no
+// engine lock: the refresh copies the synopsis under the estimator's
+// read lock, and between refreshes the estimator's lock is held only to
+// read the stream length.
+func (e *Engine) similarityView(force bool) *core.View {
+	e.viewMu.Lock()
+	defer e.viewMu.Unlock()
+	if docs := e.est.DocsObserved(); e.view == nil || force || (docs > 0 && docs >= 2*e.view.Docs()) {
+		e.view = e.est.View()
+		e.counters.viewRefreshes.Add(1)
+	}
+	return e.view
 }
 
 // commitSubscribeLocked installs a new subscription given its
@@ -827,18 +873,20 @@ func (e *Engine) removeSubLocked(id uint64) bool {
 }
 
 // maybeRebuild performs a full greedy re-clustering when the policy
-// (or force) asks for one. The O(n²) similarity matrix is computed
-// from a registry snapshot WITHOUT holding the registry lock — only
-// the estimator's shared read lock — so publishes and drains keep
-// flowing during a rebuild; the result is swapped in only if the
-// registry has not churned in the meantime (a bounded number of
-// retries otherwise; persistent churn leaves stale set, so the next
-// mutation tries again).
+// (or force) asks for one. The O(n²) similarity matrix is computed on
+// the similarity view from a registry snapshot WITHOUT holding the
+// registry lock, so publishes and drains keep flowing during a
+// rebuild; the result is swapped in only if the registry has not
+// churned in the meantime (a bounded number of retries otherwise;
+// persistent churn leaves stale set, so the next mutation tries again).
+// A forced rebuild re-takes the view first, so it clusters on the
+// stream as of now.
 func (e *Engine) maybeRebuild(force bool) {
 	if !e.rebuildBusy.CompareAndSwap(false, true) {
 		return // another goroutine is already rebuilding
 	}
 	defer e.rebuildBusy.Store(false)
+	var view *core.View
 	for attempt := 0; attempt < 3; attempt++ {
 		e.mu.RLock()
 		if e.closed || (!force && !e.cfg.Rebuild.ShouldRebuild(e.stale, len(e.subs))) {
@@ -849,7 +897,10 @@ func (e *Engine) maybeRebuild(force bool) {
 		pats := e.patternsLocked(nil)
 		e.mu.RUnlock()
 
-		sim := e.est.SimilarityMatrix(e.cfg.Metric, pats)
+		if view == nil {
+			view = e.similarityView(force)
+		}
+		sim := view.SimilarityMatrix(e.cfg.Metric, pats)
 
 		e.mu.Lock()
 		if e.regVer == ver {
@@ -875,9 +926,9 @@ func (e *Engine) maybeRebuild(force bool) {
 	}
 }
 
-// Rebuild forces a full re-clustering immediately (ops escape hatch).
-// If a policy rebuild is already in flight, that rebuild serves the
-// request.
+// Rebuild forces a full re-clustering on a fresh similarity view
+// immediately (ops escape hatch). If a policy rebuild is already in
+// flight, that rebuild serves the request.
 func (e *Engine) Rebuild() {
 	e.maybeRebuild(true)
 }

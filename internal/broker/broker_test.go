@@ -306,7 +306,9 @@ func TestClosedEngineErrors(t *testing.T) {
 
 // TestHammerChurnPublish is the race-detector workout: concurrent
 // subscribers, unsubscribers, publishers and drainers against one
-// engine, with policy rebuilds enabled.
+// engine, with policy rebuilds enabled — and with them similarity-view
+// refreshes, by the doubling rule (the stream grows from nothing to
+// some 240 documents under the subscribers' feet) and forced.
 func TestHammerChurnPublish(t *testing.T) {
 	e := newTestEngine(t, Config{
 		Estimator:     core.Config{Representation: core.Hashes, HashCapacity: 64, Seed: 7},
@@ -345,6 +347,8 @@ func TestHammerChurnPublish(t *testing.T) {
 						t.Error(err)
 						return
 					}
+				case r < 0.93:
+					e.Rebuild()
 				default:
 					if len(mine) > 0 {
 						e.Drain(mine[rng.Intn(len(mine))], 8, 0)
@@ -358,6 +362,19 @@ func TestHammerChurnPublish(t *testing.T) {
 	}
 	wg.Wait()
 	e.Flush()
+	// Whatever the interleaving, a subscribe runs on a view of more than
+	// half the stream.
+	id, err := e.Subscribe(exprs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Unsubscribe(id)
+	if v, docs := currentView(e).Docs(), e.Estimator().DocsObserved(); 2*v <= docs {
+		t.Fatalf("similarity view covers %d of %d documents", v, docs)
+	}
+	if n := e.counters.viewRefreshes.Load(); n < 4 {
+		t.Fatalf("%d view refreshes: the hammer raced none against churn", n)
+	}
 	st := e.Stats()
 	if st.Live != 0 {
 		t.Fatalf("Live = %d after full unsubscribe, want 0", st.Live)

@@ -43,15 +43,6 @@ func (e *Engine) Publish(t *xmltree.Tree) (PublishResult, error) {
 	return e.publish(t, false)
 }
 
-// InjectRemote routes a document that arrived from a peer broker in the
-// overlay. It behaves like Publish — the document feeds the synopsis
-// (remote traffic is part of the stream the estimator models), enters
-// the retention ring, and is delivered to matching local communities —
-// but is counted separately (Stats.RemoteInjected), and it never blocks
-// on a full ingest pipeline: a remote injection rides a peer's
-// forwarding goroutine, and stalling it would propagate one slow
-// broker's backlog through the overlay. When the pipeline is full the
-// document is shed (counted in Stats.RemoteShed) and ErrBusy returned,
 // logShed emits a remote-ingest shed event record, at most about one
 // per second (a CAS on the last-emit timestamp elects the logging
 // goroutine; losers drop silently — the running total carries the
@@ -66,6 +57,15 @@ func (e *Engine) logShed() {
 		"shed_total", e.counters.remoteShed.Load())
 }
 
+// InjectRemote routes a document that arrived from a peer broker in the
+// overlay. It behaves like Publish — the document feeds the synopsis
+// (remote traffic is part of the stream the estimator models), enters
+// the retention ring, and is delivered to matching local communities —
+// but is counted separately (Stats.RemoteInjected), and it never blocks
+// on a full ingest pipeline: a remote injection rides a peer's
+// forwarding goroutine, and stalling it would propagate one slow
+// broker's backlog through the overlay. When the pipeline is full the
+// document is shed (counted in Stats.RemoteShed) and ErrBusy returned,
 // so the transport can answer 503 + Retry-After and the upstream peer
 // backs off.
 func (e *Engine) InjectRemote(t *xmltree.Tree) (PublishResult, error) {

@@ -32,6 +32,7 @@ type counters struct {
 	redeliveries   *telemetry.Counter
 	leaseExpiries  *telemetry.Counter
 	ackShed        *telemetry.Counter
+	viewRefreshes  *telemetry.Counter
 }
 
 func newCounters(reg *telemetry.Registry) counters {
@@ -55,6 +56,7 @@ func newCounters(reg *telemetry.Registry) counters {
 		redeliveries:   reg.Counter("treesim_broker_redeliveries_total", "At-least-once deliveries handed out more than once (lease lapse or crash recovery)."),
 		leaseExpiries:  reg.Counter("treesim_broker_lease_expiries_total", "Consumer lease lapses returning in-flight deliveries to redeliverable."),
 		ackShed:        reg.Counter("treesim_broker_ack_shed_total", "At-least-once deliveries shed by cursor-log capacity overflow (oldest first; counted loss)."),
+		viewRefreshes:  reg.Counter("treesim_broker_similarity_view_refreshes_total", "Similarity views taken from the estimator (first use, stream doubled, forced rebuild); each is followed by one cold SEL pass over the registry."),
 	}
 }
 
@@ -80,6 +82,14 @@ func (e *Engine) registerGauges() {
 			total += s.q.len()
 		}
 		return float64(total)
+	})
+	e.tel.GaugeFunc("treesim_broker_similarity_view_docs", "Stream length the current similarity view covers (0 before the first subscribe); docs observed minus this is its staleness.", func() float64 {
+		e.viewMu.Lock()
+		defer e.viewMu.Unlock()
+		if e.view == nil {
+			return 0
+		}
+		return float64(e.view.Docs())
 	})
 	e.tel.GaugeFunc("treesim_broker_pinned_docs", "Documents pinned in retention by unacked at-least-once deliveries.", func() float64 {
 		return float64(e.docs.pinnedCount())

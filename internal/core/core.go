@@ -63,29 +63,54 @@ type Config struct {
 
 // Estimator is a streaming tree-pattern selectivity and similarity
 // estimator. It is safe for concurrent use: queries (Selectivity,
-// Joint, Similarity, SimilarityMatrix, Stats, Save) take a shared read
-// lock and run concurrently with each other, while stream updates
-// (ObserveTree, ObserveXML, Compress) take the exclusive lock.
-// Query-time materialization caches synchronize internally in the
-// synopsis, so the read path never mutates unguarded shared state.
+// Joint, Similarity, Stats, Save, View) take a shared read lock and run
+// concurrently with each other, while stream updates (ObserveTree,
+// ObserveXML, Compress) take the exclusive lock. Query-time
+// materialization caches synchronize internally in the synopsis, so the
+// read path never mutates unguarded shared state. SimilarityRow and
+// SimilarityMatrix hold the lock only to take a View and compute on it
+// unlocked.
 type Estimator struct {
 	mu  sync.RWMutex
 	cfg Config
 	syn *synopsis.Synopsis
 	sel *selectivity.Estimator
 
-	// vals caches one SEL evaluation per pattern pointer for the current
-	// synopsis version. Live brokers re-evaluate the same registry
-	// patterns on every incremental similarity row and every matrix
-	// rebuild; between synopsis mutations those evaluations are
-	// identical, so the cache turns the O(n) SEL passes of a subscribe
-	// into O(n) cache hits plus one evaluation of the new pattern.
-	// Guarded by valMu (a leaf lock under mu); reset wholesale whenever
-	// the synopsis version moves on (every entry is stale then, and the
-	// reset also drops entries for unsubscribed patterns).
-	valMu   sync.Mutex
-	valsVer int64
-	vals    map[*pattern.Pattern]evalEntry
+	// view is the View of the newest synopsis version any caller asked
+	// for, kept so repeated similarity queries on a quiet estimator share
+	// one frozen copy and its SEL cache. Guarded by viewMu, a leaf lock
+	// under mu.
+	viewMu sync.Mutex
+	view   *View
+}
+
+// View is an immutable similarity frame: a frozen copy of the synopsis
+// (synopsis.Freeze — structure copied, matching-set snapshots shared)
+// together with the SEL evaluation of every pattern asked about so far.
+// Rows and matrices computed on one View are mutually consistent — the
+// new pattern and the cached ones are evaluated against the same
+// stream prefix — and cost one SEL evaluation per pattern not seen
+// before plus one matching-set intersection per pair, however far the
+// live estimator has streamed on meanwhile. Nothing on a View touches
+// the Estimator's lock; all methods are safe for concurrent use.
+//
+// Long-lived consumers (the broker) keep a View across many queries and
+// re-take it when it covers too little of the stream; the matching sets
+// are bounded samples of the stream's distribution, so on a stationary
+// stream an older frame loses no accuracy. A stream whose distribution
+// drifts is WindowEstimator's job, not a reason to re-take views faster.
+type View struct {
+	dtd *dtd.DTD
+	syn *synopsis.Synopsis
+	sel *selectivity.Estimator
+
+	// vals holds one SEL evaluation per pattern pointer. Entries are
+	// independent and correctness never depends on a hit, so exceeding
+	// evalCacheCap (dead pointers of unsubscribed patterns pile up under
+	// churn) simply clears the map.
+	mu    sync.Mutex
+	vals  map[*pattern.Pattern]evalEntry
+	evals atomic.Int64
 }
 
 // evalEntry is one cached SEL evaluation: the (immutable) matching-set
@@ -95,11 +120,7 @@ type evalEntry struct {
 	card float64
 }
 
-// evalCacheCap bounds the eval cache between synopsis mutations: a
-// static synopsis under heavy subscription churn would otherwise grow
-// the map with dead pattern pointers. Exceeding the cap clears the
-// whole cache (entries are independent; correctness never depends on a
-// hit).
+// evalCacheCap bounds a View's SEL cache (see View.vals).
 const evalCacheCap = 8192
 
 // NewEstimator returns an estimator with the given configuration.
@@ -285,36 +306,84 @@ func (e *Estimator) SetStreamConfig(opts xmltree.ParseOptions, d *dtd.DTD) {
 	defer e.mu.Unlock()
 	e.cfg.ParseOptions = opts
 	e.cfg.DTD = d
+	e.view = nil // taken under the old schema filter
 }
 
-// cachedEval returns the SEL evaluation of p (value + normalized
-// cardinality), consulting the per-version cache. The caller must hold
-// at least the shared read lock, so the synopsis version is stable for
-// the duration of the call. Concurrent misses may evaluate the same
-// pattern twice; both arrive at the same immutable value.
-func (e *Estimator) cachedEval(p *pattern.Pattern) (matchset.Value, float64) {
-	ver := e.syn.Version()
-	e.valMu.Lock()
-	if e.vals == nil || e.valsVer != ver || len(e.vals) >= evalCacheCap {
-		e.valsVer = ver
-		if e.vals == nil {
-			e.vals = make(map[*pattern.Pattern]evalEntry)
-		} else {
-			clear(e.vals)
+// View returns the similarity frame of the estimator's current state.
+// Taking one copies the synopsis structure under the shared read lock
+// (no SEL work); a View of the current synopsis version is reused.
+func (e *Estimator) View() *View {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	e.viewMu.Lock()
+	defer e.viewMu.Unlock()
+	if e.view == nil || e.view.syn.Version() != e.syn.Version() {
+		syn := e.syn.Freeze()
+		e.view = &View{
+			dtd:  e.cfg.DTD,
+			syn:  syn,
+			sel:  selectivity.New(syn),
+			vals: make(map[*pattern.Pattern]evalEntry),
 		}
-	} else if ent, ok := e.vals[p]; ok {
-		e.valMu.Unlock()
+	}
+	return e.view
+}
+
+// SimilarityMatrix is View().SimilarityMatrix: the full pairwise
+// similarity matrix of a subscription set over the stream so far.
+func (e *Estimator) SimilarityMatrix(m metrics.Metric, subs []*pattern.Pattern) [][]float64 {
+	return e.View().SimilarityMatrix(m, subs)
+}
+
+// SimilarityRow is View().SimilarityRowInto with a fresh row: the
+// similarities of subs against one new subscription p over the stream
+// so far.
+func (e *Estimator) SimilarityRow(m metrics.Metric, p *pattern.Pattern, subs []*pattern.Pattern) []float64 {
+	return e.View().SimilarityRowInto(nil, m, p, subs)
+}
+
+// SimilarityRowInto is View().SimilarityRowInto over the stream so far.
+func (e *Estimator) SimilarityRowInto(dst []float64, m metrics.Metric, p *pattern.Pattern, subs []*pattern.Pattern) []float64 {
+	return e.View().SimilarityRowInto(dst, m, p, subs)
+}
+
+// Docs returns the stream length |H| the view covers.
+func (v *View) Docs() int { return v.syn.DocsObserved() }
+
+// Evals returns how many SEL evaluations the view has run so far (cache
+// misses): the cold work a consumer paid on this frame.
+func (v *View) Evals() int64 { return v.evals.Load() }
+
+// feasible reports whether the schema filter (if any) admits p, and
+// feasibleAnd whether it admits the conjunction p ∧ q.
+func (v *View) feasible(p *pattern.Pattern) bool {
+	return v.dtd == nil || dtd.Feasible(v.dtd, p)
+}
+
+func (v *View) feasibleAnd(p, q *pattern.Pattern) bool {
+	return v.dtd == nil || dtd.Feasible(v.dtd, pattern.MergeRoots(p, q))
+}
+
+// eval returns the SEL evaluation of p (value + normalized
+// cardinality), consulting the cache. Concurrent misses may evaluate
+// the same pattern twice; both arrive at the same immutable value.
+func (v *View) eval(p *pattern.Pattern) (matchset.Value, float64) {
+	v.mu.Lock()
+	ent, ok := v.vals[p]
+	v.mu.Unlock()
+	if ok {
 		return ent.val, ent.card
 	}
-	e.valMu.Unlock()
-	v := e.sel.Evaluate(p)
-	c := e.sel.EvaluateCard(v)
-	e.valMu.Lock()
-	if e.valsVer == ver && len(e.vals) < evalCacheCap {
-		e.vals[p] = evalEntry{val: v, card: c}
+	v.evals.Add(1)
+	val := v.sel.Evaluate(p)
+	ent = evalEntry{val: val, card: v.sel.EvaluateCard(val)}
+	v.mu.Lock()
+	if len(v.vals) >= evalCacheCap {
+		clear(v.vals)
 	}
-	e.valMu.Unlock()
-	return v, c
+	v.vals[p] = ent
+	v.mu.Unlock()
+	return ent.val, ent.card
 }
 
 // SimilarityMatrix computes the full pairwise similarity matrix of a
@@ -322,16 +391,13 @@ func (e *Estimator) cachedEval(p *pattern.Pattern) (matchset.Value, float64) {
 // = m(subs[i], subs[j]).
 //
 // Conjunctions factorize over SEL — SEL(p ∧ q) = SEL(p) ∩ SEL(q) — so
-// the matrix needs only one SEL evaluation per subscription plus one
-// matching-set intersection per pair, instead of one SEL evaluation of
-// a merged pattern per pair. Both phases fan out across GOMAXPROCS
-// workers: SEL evaluations are independent per subscription, and the
-// pairwise phase shards by row (a dynamic counter balances the
-// triangular row lengths). The whole computation holds only the shared
-// read lock, so it runs concurrently with other queries.
-func (e *Estimator) SimilarityMatrix(m metrics.Metric, subs []*pattern.Pattern) [][]float64 {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
+// the matrix needs only one SEL evaluation per subscription (cached on
+// the view) plus one matching-set intersection per pair, instead of one
+// SEL evaluation of a merged pattern per pair. Both phases fan out
+// across GOMAXPROCS workers: SEL evaluations are independent per
+// subscription, and the pairwise phase shards by row (a dynamic counter
+// balances the triangular row lengths).
+func (v *View) SimilarityMatrix(m metrics.Metric, subs []*pattern.Pattern) [][]float64 {
 	n := len(subs)
 	out := make([][]float64, n)
 	for i := range out {
@@ -340,10 +406,10 @@ func (e *Estimator) SimilarityMatrix(m metrics.Metric, subs []*pattern.Pattern) 
 	if n == 0 {
 		return out
 	}
-	// Materialize the per-version Full cache up front (one traversal
-	// from the root covers every node), so the parallel evaluations
-	// below hit the cache instead of racing to rebuild the same values.
-	e.syn.Full(e.syn.Root())
+	// Materialize the Full cache up front (one traversal from the root
+	// covers every node; a hit ever after), so the parallel evaluations
+	// below do not race to rebuild the same values.
+	v.syn.Full(v.syn.Root())
 
 	// Phase 1: one SEL evaluation per subscription; infeasible patterns
 	// (DTD mode) evaluate to nil and contribute zero everywhere.
@@ -357,11 +423,9 @@ func (e *Estimator) SimilarityMatrix(m metrics.Metric, subs []*pattern.Pattern) 
 			if i >= n {
 				return
 			}
-			p := subs[i]
-			if e.cfg.DTD != nil && !dtd.Feasible(e.cfg.DTD, p) {
-				continue
+			if v.feasible(subs[i]) {
+				vals[i], ps[i] = v.eval(subs[i])
 			}
-			vals[i], ps[i] = e.cachedEval(p)
 		}
 	})
 
@@ -375,36 +439,30 @@ func (e *Estimator) SimilarityMatrix(m metrics.Metric, subs []*pattern.Pattern) 
 			if i >= n {
 				return
 			}
-			e.matrixRow(m, subs, vals, ps, out, i)
+			v.matrixRow(m, subs, vals, ps, out, i)
 		}
 	})
 	return out
 }
 
-// SimilarityRow computes the similarities of an existing subscription
-// set against one new subscription p: out[i] = m(subs[i], p) — the new
-// column of the similarity matrix. That orientation matters for the
-// asymmetric M1: greedy community absorption tests sim[existing][new],
-// so incremental assignment must consume the same direction or
-// incremental placement and policy rebuilds would disagree. (For M2/M3
-// the two orientations coincide.)
+// SimilarityRowInto computes the similarities of an existing
+// subscription set against one new subscription p: out[i] = m(subs[i],
+// p) — the new column of the similarity matrix. That orientation
+// matters for the asymmetric M1: greedy community absorption tests
+// sim[existing][new], so incremental assignment must consume the same
+// direction or incremental placement and policy rebuilds would
+// disagree. (For M2/M3 the two orientations coincide.)
 //
 // This is the incremental path live brokers use on subscribe — instead
-// of rebuilding the full O(n²) matrix, only the new column is evaluated
-// (one SEL pass per pattern plus one matching-set intersection per
-// existing subscription), fanned out across the same GOMAXPROCS worker
-// pool as SimilarityMatrix and holding only the shared read lock.
-func (e *Estimator) SimilarityRow(m metrics.Metric, p *pattern.Pattern, subs []*pattern.Pattern) []float64 {
-	return e.SimilarityRowInto(nil, m, p, subs)
-}
-
-// SimilarityRowInto is SimilarityRow writing into dst (grown or
-// truncated to len(subs); a fresh slice is allocated only when dst's
-// capacity is short). Churn-heavy callers keep a pooled buffer and
-// avoid one row allocation per subscribe.
-func (e *Estimator) SimilarityRowInto(dst []float64, m metrics.Metric, p *pattern.Pattern, subs []*pattern.Pattern) []float64 {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
+// of rebuilding the full O(n²) matrix, only the new column is computed
+// (one SEL evaluation of p, cache hits for every pattern the view has
+// seen, one matching-set intersection per existing subscription),
+// fanned out across the same worker pool as SimilarityMatrix.
+//
+// The row is written into dst, grown or truncated to len(subs); a fresh
+// slice is allocated only when dst's capacity is short, so churn-heavy
+// callers keep a pooled buffer.
+func (v *View) SimilarityRowInto(dst []float64, m metrics.Metric, p *pattern.Pattern, subs []*pattern.Pattern) []float64 {
 	n := len(subs)
 	if cap(dst) < n {
 		dst = make([]float64, n)
@@ -413,13 +471,13 @@ func (e *Estimator) SimilarityRowInto(dst []float64, m metrics.Metric, p *patter
 	if n == 0 {
 		return out
 	}
-	e.syn.Full(e.syn.Root())
+	v.syn.Full(v.syn.Root())
 
-	pFeasible := e.cfg.DTD == nil || dtd.Feasible(e.cfg.DTD, p)
+	pFeasible := v.feasible(p)
 	var pv matchset.Value
 	var pp float64
 	if pFeasible {
-		pv, pp = e.cachedEval(p)
+		pv, pp = v.eval(p)
 	}
 
 	workers := min(runtime.GOMAXPROCS(0), n)
@@ -431,17 +489,14 @@ func (e *Estimator) SimilarityRowInto(dst []float64, m metrics.Metric, p *patter
 				return
 			}
 			q := subs[i]
-			if e.cfg.DTD != nil && !dtd.Feasible(e.cfg.DTD, q) {
+			if !v.feasible(q) {
 				out[i] = m.Eval(metrics.Probs{Q: pp})
 				continue
 			}
-			qv, qp := e.cachedEval(q)
+			qv, qp := v.eval(q)
 			var and float64
-			switch {
-			case !pFeasible:
-			case e.cfg.DTD != nil && !dtd.Feasible(e.cfg.DTD, pattern.MergeRoots(p, q)):
-			default:
-				and = e.sel.IntersectP(pv, qv)
+			if pFeasible && v.feasibleAnd(p, q) {
+				and = v.sel.IntersectP(pv, qv)
 			}
 			out[i] = m.Eval(metrics.Probs{P: qp, Q: pp, And: and})
 		}
@@ -450,9 +505,8 @@ func (e *Estimator) SimilarityRowInto(dst []float64, m metrics.Metric, p *patter
 }
 
 // matrixRow fills row i of the similarity matrix (diagonal, upper cells
-// (i,j) and their mirrors (j,i) for j > i). The caller must hold at
-// least the read lock.
-func (e *Estimator) matrixRow(m metrics.Metric, subs []*pattern.Pattern, vals []matchset.Value, ps []float64, out [][]float64, i int) {
+// (i,j) and their mirrors (j,i) for j > i).
+func (v *View) matrixRow(m metrics.Metric, subs []*pattern.Pattern, vals []matchset.Value, ps []float64, out [][]float64, i int) {
 	n := len(subs)
 	// The diagonal uses P(p∧p) = P(p), which is exact. (Pairwise
 	// Similarity under Counters instead reports P(p)² for the
@@ -461,13 +515,8 @@ func (e *Estimator) matrixRow(m metrics.Metric, subs []*pattern.Pattern, vals []
 	out[i][i] = m.Eval(metrics.Probs{P: ps[i], Q: ps[i], And: ps[i]})
 	for j := i + 1; j < n; j++ {
 		var and float64
-		switch {
-		case vals[i] == nil || vals[j] == nil:
-			and = 0
-		case e.cfg.DTD != nil && !dtd.Feasible(e.cfg.DTD, pattern.MergeRoots(subs[i], subs[j])):
-			and = 0
-		default:
-			and = e.sel.IntersectP(vals[i], vals[j])
+		if vals[i] != nil && vals[j] != nil && v.feasibleAnd(subs[i], subs[j]) {
+			and = v.sel.IntersectP(vals[i], vals[j])
 		}
 		out[i][j] = m.Eval(metrics.Probs{P: ps[i], Q: ps[j], And: and})
 		if m.Symmetric() {

@@ -12,13 +12,16 @@
 //
 // A Store is the mutable per-synopsis-node representation; a Value is an
 // immutable query-time snapshot with set algebra, consumed by the SEL
-// selectivity algorithm. Values alias store internals for efficiency and
-// are invalidated by any synopsis mutation (the synopsis tracks a
-// version stamp for exactly this reason).
+// selectivity algorithm. A Value never changes after Store.Value
+// returned it — a mutated store hands out a fresh snapshot — which is
+// what lets a frozen synopsis (Factory.Freeze) share snapshots with the
+// live one; it merely stops describing the store once that mutates (the
+// synopsis tracks a version stamp for exactly this reason).
 package matchset
 
 import (
 	"fmt"
+	"slices"
 
 	"treesim/internal/sampling"
 )
@@ -202,6 +205,42 @@ func (f *Factory) Restore(d Dump) Store {
 		hs.s.ForceLevel(d.Level)
 		return hs
 	}
+}
+
+// Freeze returns a read-only store fixed at s's current contents: its
+// Value is s's immutable snapshot (shared, not copied) forever, and
+// mutating it panics. Counter values are re-bound to f's stream length,
+// so a frozen synopsis keeps normalizing by its own |H| while the
+// synopsis it was copied from streams on.
+func (f *Factory) Freeze(s Store) Store {
+	v := s.Value()
+	if f.kind == KindCounters {
+		v = &countValue{c: v.Card(), n: f.totalDocs}
+	}
+	return frozenStore{v: v, entries: s.Entries()}
+}
+
+// frozenStore is the Store of a frozen synopsis node (Factory.Freeze).
+type frozenStore struct {
+	v       Value
+	entries int
+}
+
+func (s frozenStore) Kind() Kind    { return s.v.Kind() }
+func (s frozenStore) Value() Value  { return s.v }
+func (s frozenStore) Entries() int  { return s.entries }
+func (s frozenStore) Add(uint64)    { panic("matchset: store is frozen") }
+func (s frozenStore) Remove(uint64) { panic("matchset: store is frozen") }
+func (s frozenStore) SetTo(Value)   { panic("matchset: store is frozen") }
+
+func (s frozenStore) Dump() Dump {
+	switch v := s.v.(type) {
+	case *setValue:
+		return Dump{Kind: KindSets, IDs: slices.Clone(v.ids)}
+	case *hashValue:
+		return Dump{Kind: KindHashes, Level: v.level, IDs: slices.Clone(v.ids)}
+	}
+	return Dump{Kind: KindCounters, Counter: s.v.Card()}
 }
 
 // EmptyValue returns the empty query value of this representation. The

@@ -44,6 +44,7 @@ func (e *Estimator) Evaluate(p *pattern.Pattern) matchset.Value {
 	}
 	ev.reset(e.syn, p)
 	res := ev.sel(e.syn.Root(), 0)
+	ev.release()
 	e.pool.Put(ev)
 	return res
 }
@@ -126,13 +127,17 @@ type pnode struct {
 // maps. The memo is indexed [v.Slot()·stride + u-index] — slots are
 // dense and recycled, so the table scales with the live synopsis, not
 // with how many nodes ever existed; nil marks an uncomputed entry (SEL
-// never returns a nil value).
+// never returns a nil value). written lists the entries the running
+// evaluation filled: a pattern touches a small part of the table, so
+// release nils exactly those instead of clearing SlotBound × stride
+// pointers per evaluation — and a pooled evaluator pins no values.
 type evaluator struct {
-	syn    *synopsis.Synopsis
-	empty  matchset.Value
-	pnodes []pnode
-	stride int
-	memo   []matchset.Value
+	syn     *synopsis.Synopsis
+	empty   matchset.Value
+	pnodes  []pnode
+	stride  int
+	memo    []matchset.Value
+	written []int
 }
 
 func (ev *evaluator) reset(syn *synopsis.Synopsis, p *pattern.Pattern) {
@@ -145,9 +150,17 @@ func (ev *evaluator) reset(syn *synopsis.Synopsis, p *pattern.Pattern) {
 	if cap(ev.memo) < need {
 		ev.memo = make([]matchset.Value, need)
 	} else {
-		ev.memo = ev.memo[:need]
-		clear(ev.memo)
+		ev.memo = ev.memo[:need] // all nil: release undid the previous evaluation
 	}
+}
+
+// release returns the memo to all-nil and drops the synopsis reference.
+func (ev *evaluator) release() {
+	for _, idx := range ev.written {
+		ev.memo[idx] = nil
+	}
+	ev.written = ev.written[:0]
+	ev.syn, ev.empty = nil, nil
 }
 
 func (ev *evaluator) number(n *pattern.Node) int {
@@ -175,6 +188,7 @@ func (ev *evaluator) sel(v *synopsis.Node, ui int) matchset.Value {
 	}
 	res := ev.selCompute(v, ui)
 	ev.memo[idx] = res
+	ev.written = append(ev.written, idx)
 	return res
 }
 

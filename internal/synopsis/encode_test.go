@@ -132,3 +132,62 @@ func TestEncodeDeterministic(t *testing.T) {
 		t.Error("identical synopses encode differently")
 	}
 }
+
+// TestFreezeIsAnImmutableCopy checks Freeze at the synopsis level, on a
+// pruned DAG: the copy serializes byte for byte like the original (same
+// ids, links, labels and store dumps), answers RootCard alike, keeps
+// doing so after the original streams on and is pruned again — and
+// refuses to be mutated.
+func TestFreezeIsAnImmutableCopy(t *testing.T) {
+	encode := func(s *Synopsis) string {
+		var buf bytes.Buffer
+		if err := s.Encode(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+	for _, kind := range []matchset.Kind{matchset.KindCounters, matchset.KindSets, matchset.KindHashes} {
+		t.Run(kind.String(), func(t *testing.T) {
+			// NoReservoir: a frozen Sets copy carries no reservoir to encode.
+			s := New(Options{Kind: kind, NoReservoir: true, HashCapacity: 100, Seed: 9})
+			buildCorpus(t, s, corpus6)
+			s.Compress(CompressOptions{TargetRatio: 0.8})
+			f := s.Freeze()
+			if err := f.Validate(); err != nil {
+				t.Fatal(err)
+			}
+			want, card := encode(s), s.RootCard()
+			if got := encode(f); got != want {
+				t.Fatal("frozen copy encodes differently from the synopsis it was taken of")
+			}
+			buildCorpus(t, s, corpus6)
+			s.Compress(CompressOptions{TargetRatio: 0.5})
+			if encode(s) == want {
+				t.Fatal("the original did not change: nothing tested")
+			}
+			if got := encode(f); got != want || f.RootCard() != card || f.Version() == s.Version() {
+				t.Error("frozen copy moved with the original")
+			}
+			defer func() {
+				if recover() == nil {
+					t.Error("Insert into a frozen copy did not panic")
+				}
+			}()
+			tr, _ := xmltree.ParseCompact(corpus6[0])
+			f.Insert(tr)
+		})
+	}
+}
+
+// TestFreezeSetsReservoirRootCard covers the one field Freeze rewrites:
+// with a reservoir, RootCard is the sample size, which the copy keeps
+// while the original's reservoir fills further.
+func TestFreezeSetsReservoirRootCard(t *testing.T) {
+	s := newSets(3, 8)
+	buildCorpus(t, s, corpus6[:3])
+	f := s.Freeze()
+	buildCorpus(t, s, corpus6)
+	if f.RootCard() != 3 || s.RootCard() != 8 {
+		t.Errorf("RootCard frozen/live = %v/%v, want 3/8", f.RootCard(), s.RootCard())
+	}
+}

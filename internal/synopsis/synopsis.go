@@ -144,23 +144,70 @@ func (c *fullCache) put(id int, v matchset.Value) {
 // New returns an empty synopsis.
 func New(opts Options) *Synopsis {
 	opts = opts.withDefaults()
-	s := &Synopsis{opts: opts}
-	s.hasher = sampling.NewHasher(uint64(opts.Seed))
-	switch opts.Kind {
+	s := &Synopsis{opts: opts, hasher: sampling.NewHasher(uint64(opts.Seed))}
+	s.initFactory()
+	if opts.Kind == matchset.KindSets && !opts.NoReservoir {
+		s.reservoir = sampling.NewReservoir(opts.Seed, opts.SetCapacity)
+	}
+	s.root = s.newNode(NewLabel(rootTag))
+	return s
+}
+
+// initFactory builds the matching-set factory for s.opts, s.hasher and
+// (Counters) s's own stream length.
+func (s *Synopsis) initFactory() {
+	switch s.opts.Kind {
 	case matchset.KindCounters:
 		s.factory = matchset.NewFactory(matchset.KindCounters, 0, nil, func() float64 { return float64(s.docs) })
 	case matchset.KindSets:
 		s.factory = matchset.NewFactory(matchset.KindSets, 0, nil, nil)
-		if !opts.NoReservoir {
-			s.reservoir = sampling.NewReservoir(opts.Seed, opts.SetCapacity)
-		}
 	case matchset.KindHashes:
-		s.factory = matchset.NewFactory(matchset.KindHashes, opts.HashCapacity, s.hasher, nil)
+		s.factory = matchset.NewFactory(matchset.KindHashes, s.opts.HashCapacity, s.hasher, nil)
 	default:
-		panic(fmt.Sprintf("synopsis: unknown matchset kind %d", int(opts.Kind)))
+		panic(fmt.Sprintf("synopsis: unknown matchset kind %d", int(s.opts.Kind)))
 	}
-	s.root = s.newNode(NewLabel(rootTag))
-	return s
+}
+
+// Freeze returns an immutable copy of the synopsis as of now: the DAG
+// structure is copied (same node ids and slots), labels and the
+// per-node Store.Value() snapshots are shared — both are never modified
+// in place — and the copy keeps s's version, so its Full cache, once
+// filled, stays valid for good. Every query (Full, RootCard, Stats,
+// selectivity evaluation) answers on the copy exactly as it did on s at
+// the call, however s changes afterwards; the copy itself must never be
+// mutated (its stores panic). Freeze is a read-only query on s.
+func (s *Synopsis) Freeze() *Synopsis {
+	f := &Synopsis{
+		opts: s.opts, hasher: s.hasher, nextID: s.nextID, slotBound: s.slotBound,
+		docs: s.docs, liveDocs: s.liveDocs, nextDocID: s.nextDocID, version: s.version,
+	}
+	f.initFactory()
+	if s.reservoir != nil {
+		// RootCard reads the sample size off the reservoir; without one it
+		// falls back to liveDocs, which on a frozen copy has no other use.
+		f.liveDocs = s.reservoir.Size()
+	}
+	nodes := s.Nodes()
+	bySlot := make([]*Node, s.slotBound)
+	for _, n := range nodes {
+		bySlot[n.slot] = &Node{id: n.id, slot: n.slot, label: n.label, store: f.factory.Freeze(n.store)}
+	}
+	relink := func(src []*Node) []*Node {
+		if len(src) == 0 {
+			return nil
+		}
+		out := make([]*Node, len(src))
+		for i, x := range src {
+			out[i] = bySlot[x.slot]
+		}
+		return out
+	}
+	for _, n := range nodes {
+		c := bySlot[n.slot]
+		c.children, c.parents = relink(n.children), relink(n.parents)
+	}
+	f.root = bySlot[s.root.slot]
+	return f
 }
 
 // rootTag is the special root label "/." of the synopsis (and of tree
