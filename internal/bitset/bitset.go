@@ -76,20 +76,8 @@ func (s *Set) Grow(n int) {
 	}
 }
 
-// UnionWith adds every member of t to s in place. Panics if the
-// universes differ.
-func (s *Set) UnionWith(t *Set) {
-	s.sameUniverse(t)
-	for i := range s.words {
-		s.words[i] |= t.words[i]
-	}
-}
-
-// WordsLen returns the number of 64-bit words backing the set.
-func (s *Set) WordsLen() int { return len(s.words) }
-
 // Word returns the i-th backing word — read access for hot loops that
-// iterate set bits (e.g. of an intersection) without closure overhead.
+// intersect a sparse vector with a dense mask word by word.
 func (s *Set) Word(i int) uint64 { return s.words[i] }
 
 // Count returns the number of elements in the set.

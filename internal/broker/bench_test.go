@@ -1,6 +1,7 @@
 package broker
 
 import (
+	"flag"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -22,13 +23,24 @@ func benchWorkload(nDocs, nSubs int) ([]*xmltree.Tree, []*pattern.Pattern) {
 	return docs, subs
 }
 
+// benchShards is Config.Shards for every benchmark engine, so the
+// sharded fan-out and the single-forest layout can be compared at one
+// -cpu setting (-broker.shards=-1).
+var benchShards = flag.Int("broker.shards", 0, "Config.Shards for benchmark engines (0 auto, <0 single forest)")
+
 // benchEngine returns an engine with nSubs live subscriptions and the
 // history stream already ingested.
 func benchEngine(b *testing.B, docs []*xmltree.Tree, subs []*pattern.Pattern) *Engine {
+	return benchEngineSampling(b, docs, subs, 0)
+}
+
+func benchEngineSampling(b *testing.B, docs []*xmltree.Tree, subs []*pattern.Pattern, precisionSample int) *Engine {
 	b.Helper()
 	e := New(Config{
-		Estimator: core.Config{Representation: core.Hashes, HashCapacity: 256, Seed: 5},
-		Rebuild:   DirtyFraction{Fraction: 0.25, MinStale: 64},
+		Estimator:       core.Config{Representation: core.Hashes, HashCapacity: 256, Seed: 5},
+		Rebuild:         DirtyFraction{Fraction: 0.25, MinStale: 64},
+		Shards:          *benchShards,
+		PrecisionSample: precisionSample,
 	})
 	b.Cleanup(func() { e.Close() })
 	e.est.ObserveTrees(docs)
@@ -78,6 +90,45 @@ func BenchmarkBrokerPublish(b *testing.B) {
 	st := e.Stats()
 	b.ReportMetric(float64(st.FilterEvals)/float64(b.N), "filterevals/op")
 	b.ReportMetric(float64(st.Deliveries)/float64(b.N), "deliveries/op")
+}
+
+// BenchmarkBrokerPublishPrecisionSample prices the precision sample:
+// 1000 subscriptions in ~380 communities, every 16th delivery checked
+// against the receiving member's own pattern (the default) versus no
+// sampling. The forests hold representatives only either way, so the
+// difference in ns/op is what samples/op verdicts cost: one document
+// load per publish that samples, plus one pattern evaluation each.
+func BenchmarkBrokerPublishPrecisionSample(b *testing.B) {
+	docs, subs := benchWorkload(200, 1000)
+	for _, tc := range []struct {
+		name   string
+		sample int
+	}{{"sample=16", 16}, {"sample=off", -1}} {
+		b.Run(tc.name, func(b *testing.B) {
+			e := benchEngineSampling(b, docs, subs, tc.sample)
+			ids := make([]uint64, 0, e.Live())
+			for _, s := range e.IntrospectSubscriptions() {
+				ids = append(ids, s.ID)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := e.Publish(docs[i%len(docs)]); err != nil {
+					b.Fatal(err)
+				}
+				if i%128 == 127 {
+					b.StopTimer()
+					e.Flush()
+					drainAll(e, ids)
+					b.StartTimer()
+				}
+			}
+			b.StopTimer()
+			st := e.Stats()
+			b.ReportMetric(float64(st.PrecisionSamples)/float64(b.N), "samples/op")
+			b.ReportMetric(float64(st.Communities), "communities")
+		})
+	}
 }
 
 // BenchmarkBrokerPublishParallel measures multi-publisher throughput:

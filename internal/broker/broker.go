@@ -31,11 +31,14 @@
 //     of the registry has churned.
 //   - A sharded matching plane. Communities are pinned to
 //     GOMAXPROCS-scaled shards (whole communities together — placement
-//     is community-aware), each shard owning its own matching forest
-//     and routing table; a publish flattens the document once and all
-//     shards match and deliver in parallel with no shared mutable
-//     state, so routing throughput scales with cores while churn on
-//     one shard never stalls matching on the others.
+//     is community-aware), each shard owning a routing table and a
+//     matching forest of exactly its communities' representatives (the
+//     handle is the community's: joiners never touch a forest, a
+//     leaving representative hands it to its successor); a publish
+//     flattens the document once and all shards match and deliver in
+//     parallel with no shared mutable state, so routing throughput
+//     scales with cores while churn on one shard never stalls matching
+//     on the others.
 //   - A batched ingest pipeline. Published documents are handed to a
 //     background ingester that feeds the estimator's synopsis in
 //     batches (one lock acquisition per batch); publishing waits on
@@ -276,9 +279,8 @@ type subscriber struct {
 	// mode is the delivery contract, fixed at subscribe time.
 	mode DeliveryMode
 	// shard is the index of the shard holding the subscription's
-	// community; fh is its handle in that shard's forest.
+	// community.
 	shard int
-	fh    int
 	q     *queue
 }
 
@@ -293,10 +295,13 @@ type Engine struct {
 	subs []*subscriber
 	byID map[uint64]int
 	// comms is the global clustering; commShard pins each community
-	// group to a shard (index-aligned with comms.Groups) and shardLive
-	// tracks per-shard subscription counts for placement.
+	// group to a shard and commFH is the handle of the community's one
+	// pattern in that shard's forest — its representative's (both
+	// index-aligned with comms.Groups); shardLive tracks per-shard
+	// subscription counts for placement.
 	comms     *cluster.Communities
 	commShard []int
+	commFH    []int
 	shardLive []int
 	nextID    uint64
 	stale     int // registry mutations since the last full rebuild
@@ -741,38 +746,10 @@ func (e *Engine) similarityView(force bool) *core.View {
 // lock and has validated the row's registry version.
 func (e *Engine) commitSubscribeLocked(p *pattern.Pattern, expr string, row []float64, opt SubscribeOptions) uint64 {
 	g := e.comms.Assign(row)
-	if g == len(e.commShard) {
-		// A freshly founded community: pin it to the least-loaded shard.
-		e.commShard = append(e.commShard, e.placeCommunityLocked())
-	}
-	si := e.commShard[g]
-	sh := e.shards[si]
-	// Forest mutation and routing-table rebuild share one shard
-	// critical section: Add may reuse a freed handle, and a publish
-	// matching between the two would consult a table that maps that
-	// handle to the wrong community.
-	sh.mu.Lock()
-	fh := sh.forest.Add(p)
 	e.nextID++
 	id := e.nextID
-	e.byID[id] = len(e.subs)
-	e.subs = append(e.subs, &subscriber{
-		id:    id,
-		pat:   p,
-		expr:  expr,
-		mode:  opt.Mode,
-		shard: si,
-		fh:    fh,
-		q:     e.newSubQueue(opt.Mode),
-	})
-	e.shardLive[si]++
+	e.installSubLocked(id, p, expr, g, opt.Mode)
 	e.counters.subscribes.Add(1)
-	e.stale++
-	e.regVer++
-	// Assign only appends (community indices are stable), so only the
-	// receiving shard's routing table changes.
-	e.rebuildShardRoutingInner(si)
-	sh.mu.Unlock()
 	// Journal inside the registry critical section so the WAL order is
 	// the commit order (a µs-scale write syscall; fsync policy lives in
 	// the journal implementation).
@@ -784,6 +761,45 @@ func (e *Engine) commitSubscribeLocked(p *pattern.Pattern, expr string, row []fl
 		}
 	}
 	return id
+}
+
+// installSubLocked enters a subscription the clustering has just placed
+// in community g (by Assign, or PlaceAt on replay) into the registry
+// and its shard. g == len(e.commShard) means it founded the community:
+// the community is pinned to the least-loaded shard and the founder's
+// pattern — it is the representative — enters that shard's forest. A
+// joiner edits no forest. Caller holds the registry lock exclusively.
+func (e *Engine) installSubLocked(id uint64, p *pattern.Pattern, expr string, g int, mode DeliveryMode) {
+	founded := g == len(e.commShard)
+	if founded {
+		e.commShard = append(e.commShard, e.placeCommunityLocked())
+	}
+	si := e.commShard[g]
+	sh := e.shards[si]
+	// Forest mutation and routing-table rebuild share one shard
+	// critical section: Add may reuse a freed handle, and a publish
+	// matching between the two would consult a table that maps that
+	// handle to the wrong community.
+	sh.mu.Lock()
+	if founded {
+		e.commFH = append(e.commFH, sh.forest.Add(p))
+	}
+	e.byID[id] = len(e.subs)
+	e.subs = append(e.subs, &subscriber{
+		id:    id,
+		pat:   p,
+		expr:  expr,
+		mode:  mode,
+		shard: si,
+		q:     e.newSubQueue(mode),
+	})
+	e.shardLive[si]++
+	e.stale++
+	e.regVer++
+	// Assign only appends (community indices are stable), so only the
+	// receiving shard's routing table changes.
+	e.rebuildShardRoutingInner(si)
+	sh.mu.Unlock()
 }
 
 // Unsubscribe removes a subscription and closes its delivery queue.
@@ -810,7 +826,8 @@ func (e *Engine) Unsubscribe(id uint64) bool {
 }
 
 // removeSubLocked is the unsubscribe commit: it drops the subscription
-// from the registry, clustering, and its shard's forest/routing table.
+// from the registry, clustering, and its shard's routing table, and
+// hands the community's forest handle over if it was the representative.
 // Caller holds the registry lock exclusively. Reports whether the id
 // was live.
 func (e *Engine) removeSubLocked(id uint64) bool {
@@ -827,11 +844,14 @@ func (e *Engine) removeSubLocked(id uint64) bool {
 	}
 	delete(e.byID, id)
 	g := e.comms.Find(idx)
+	wasRep := e.comms.Reps[g] == idx
+	fh := e.commFH[g]
 	groupsBefore := len(e.comms.Groups)
 	e.comms.Remove(idx)
 	dissolved := len(e.comms.Groups) < groupsBefore
-	if dissolved && g >= 0 {
+	if dissolved {
 		e.commShard = append(e.commShard[:g], e.commShard[g+1:]...)
+		e.commFH = append(e.commFH[:g], e.commFH[g+1:]...)
 	}
 	e.subs = append(e.subs[:idx], e.subs[idx+1:]...)
 	for i := idx; i < len(e.subs); i++ {
@@ -840,32 +860,30 @@ func (e *Engine) removeSubLocked(id uint64) bool {
 	e.shardLive[s.shard]--
 	e.stale++
 	e.regVer++
-	// Remove the pattern and rebuild routing in ONE critical section:
-	// once the handle is freed, a stale table would silently skip this
-	// community (dead rep handle) for any publish slipping between the
-	// two steps. When the community dissolved, every later community's
-	// index shifted down, so ALL shard tables must swap atomically with
-	// respect to routing — under routeMu held exclusively, because a
-	// publish reads the shards one at a time across its fan-out and
-	// would otherwise stamp deliveries with pre-shift community ids
-	// from shards it visited before the swap.
+	sh := e.shards[s.shard]
+	// handOver keeps the forest at one pattern per community: a member
+	// leaving edits nothing; a representative leaving takes its pattern
+	// out and, unless the community dissolved with it, puts in the
+	// successor's (the handle the Remove freed is the one the Add gets).
+	handOver := func() {
+		if !wasRep {
+			return
+		}
+		sh.forest.Remove(fh)
+		if !dissolved {
+			e.commFH[g] = sh.forest.Add(e.subs[e.comms.Reps[g]].pat)
+		}
+	}
+	// Edit the forest and rebuild routing in ONE critical section:
+	// once a handle is freed or re-issued, a stale table would skip or
+	// misroute this community for any publish slipping between the two
+	// steps. When the community dissolved, every later community's
+	// index shifted down, so ALL shard tables must swap at once.
 	if dissolved {
-		e.routeMu.Lock()
-		for _, sh := range e.shards {
-			sh.mu.Lock()
-		}
-		e.shards[s.shard].forest.Remove(s.fh)
-		for si := range e.shards {
-			e.rebuildShardRoutingInner(si)
-		}
-		for _, sh := range e.shards {
-			sh.mu.Unlock()
-		}
-		e.routeMu.Unlock()
+		e.swapAllRoutingLocked(handOver)
 	} else {
-		sh := e.shards[s.shard]
 		sh.mu.Lock()
-		sh.forest.Remove(s.fh)
+		handOver()
 		e.rebuildShardRoutingInner(s.shard)
 		sh.mu.Unlock()
 	}

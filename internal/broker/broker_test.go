@@ -338,10 +338,12 @@ func TestHammerChurnPublish(t *testing.T) {
 						return
 					}
 					mine = append(mine, id)
+					checkForests(t, e, docs...)
 				case r < 0.5 && len(mine) > 0:
 					i := rng.Intn(len(mine))
 					e.Unsubscribe(mine[i])
 					mine = append(mine[:i], mine[i+1:]...)
+					checkForests(t, e, docs...)
 				case r < 0.9:
 					if _, err := e.Publish(docs[rng.Intn(len(docs))]); err != nil {
 						t.Error(err)
@@ -349,6 +351,7 @@ func TestHammerChurnPublish(t *testing.T) {
 					}
 				case r < 0.93:
 					e.Rebuild()
+					checkForests(t, e, docs...)
 				default:
 					if len(mine) > 0 {
 						e.Drain(mine[rng.Intn(len(mine))], 8, 0)
@@ -357,6 +360,7 @@ func TestHammerChurnPublish(t *testing.T) {
 			}
 			for _, id := range mine {
 				e.Unsubscribe(id)
+				checkForests(t, e, docs...)
 			}
 		}(int64(w + 1))
 	}

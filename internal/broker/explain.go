@@ -3,6 +3,7 @@ package broker
 import (
 	"sort"
 
+	"treesim/internal/pattern"
 	"treesim/internal/xmltree"
 )
 
@@ -47,12 +48,13 @@ type ShardExplainStats struct {
 	// Communities is how many communities live on the shard (each costs
 	// one representative verdict — the shard's share of filter evals).
 	Communities int `json:"communities"`
-	// LivePatterns and ForestNodes size the shard's forest; shared
-	// subtrees make ForestNodes smaller than the summed pattern sizes.
+	// LivePatterns and ForestNodes size the shard's forest: one pattern
+	// per community, its representative's (LivePatterns == Communities);
+	// shared subtrees make ForestNodes smaller than the summed sizes.
 	LivePatterns int `json:"live_patterns"`
 	ForestNodes  int `json:"forest_nodes"`
-	// MatchedPatterns counts registered patterns (representatives and
-	// members alike) the document matched on this shard.
+	// MatchedPatterns counts subscriptions on this shard (representatives
+	// and members alike) whose own pattern the document matched.
 	MatchedPatterns int `json:"matched_patterns"`
 }
 
@@ -80,11 +82,13 @@ type Explanation struct {
 
 // Explain runs the real sharded forest match for a document without
 // publishing it: no sequence number, no synopsis ingest, no deliveries,
-// no counter moves. The registry read lock is held across the whole
-// match so the verdicts describe one consistent clustering; that lock
-// is never taken by the publish path, so explaining under load stalls
-// only registry churn (subscribe/unsubscribe), and only for about a
-// publish's worth of matching.
+// no counter moves. Member verdicts (ExactIDs) come from the precision
+// sample's evaluator, applied to every member. The registry read lock
+// is held across the whole match so the verdicts describe one
+// consistent clustering; that lock is never taken by the publish path,
+// so explaining under load stalls only registry churn
+// (subscribe/unsubscribe), and only for about a publish's worth of
+// matching.
 func (e *Engine) Explain(t *xmltree.Tree) (*Explanation, error) {
 	flat, _ := e.flatPool.Get().(*xmltree.Flat)
 	if flat == nil {
@@ -92,6 +96,9 @@ func (e *Engine) Explain(t *xmltree.Tree) (*Explanation, error) {
 	}
 	defer e.flatPool.Put(flat)
 	flat.Load(t, e.tbl)
+	fm := memberMatchers.Get().(*pattern.FlatMatcher)
+	defer memberMatchers.Put(fm)
+	fm.LoadFlat(flat)
 
 	e.mu.RLock()
 	defer e.mu.RUnlock()
@@ -132,13 +139,13 @@ func (e *Engine) Explain(t *xmltree.Tree) (*Explanation, error) {
 				Community: g,
 				Shard:     si,
 				RepExpr:   e.subs[e.comms.Reps[g]].expr,
-				Matched:   ms.Has(e.subs[e.comms.Reps[g]].fh),
+				Matched:   ms.Has(e.commFH[g]),
 				MemberIDs: make([]uint64, 0, len(members)),
 			}
 			for _, idx := range members {
 				s := e.subs[idx]
 				v.MemberIDs = append(v.MemberIDs, s.id)
-				if ms.Has(s.fh) {
+				if memberMatches(fm, s.pat) {
 					v.ExactIDs = append(v.ExactIDs, s.id)
 					stats.MatchedPatterns++
 				}

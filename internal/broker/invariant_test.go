@@ -1,0 +1,220 @@
+package broker
+
+import (
+	"testing"
+
+	"treesim/internal/core"
+	"treesim/internal/matching"
+	"treesim/internal/pattern"
+	"treesim/internal/xmltree"
+)
+
+// checkForests asserts the forest layout invariant: the shard forests
+// hold exactly one pattern per community (Σ Live() == communities), and
+// every community's handle is live on its shard and IS its
+// representative's pattern — its verdict on each probe equals the
+// oracle's, which FuzzEngineVsMatches pins to a fresh Add's. Besides
+// the caller's probes, every representative is probed with a document
+// built to match it, so a dead, stale or swapped handle cannot hide
+// behind probes nobody matches. The routing tables must mirror the
+// same handles. Safe beside concurrent traffic (it holds the registry
+// read lock), so it reports with Errorf only.
+func checkForests(t testing.TB, e *Engine, probes ...*xmltree.Tree) {
+	t.Helper()
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	n := len(e.comms.Groups)
+	if len(e.commShard) != n || len(e.commFH) != n {
+		t.Errorf("%d communities, %d shard pins, %d forest handles", n, len(e.commShard), len(e.commFH))
+		return
+	}
+	live := 0
+	for _, sh := range e.shards {
+		live += sh.forest.Live()
+	}
+	if live != n {
+		t.Errorf("shard forests hold %d patterns for %d communities", live, n)
+	}
+	owner := map[[2]int]int{}
+	for g, rep := range e.comms.Reps {
+		key := [2]int{e.commShard[g], e.commFH[g]}
+		if og, dup := owner[key]; dup {
+			t.Errorf("communities %d and %d share handle %d on shard %d", og, g, key[1], key[0])
+		}
+		owner[key] = g
+		if w := witness(e.subs[rep].pat); w != nil {
+			probes = append(probes, w)
+		}
+	}
+	for _, probe := range probes {
+		sets := make([]*matching.MatchSet, len(e.shards))
+		for si, sh := range e.shards {
+			sets[si] = sh.forest.Match(probe)
+		}
+		for g, rep := range e.comms.Reps {
+			p := e.subs[rep].pat
+			if got, want := sets[e.commShard[g]].Has(e.commFH[g]), pattern.Matches(probe, p); got != want {
+				t.Errorf("community %d (rep %s) on %s: handle %d on shard %d says %v, the pattern %v",
+					g, p, probe, e.commFH[g], e.commShard[g], got, want)
+			}
+		}
+		for _, ms := range sets {
+			ms.Release()
+		}
+	}
+	for si, sh := range e.shards {
+		sh.mu.RLock()
+		for _, sg := range sh.groups {
+			if e.commShard[sg.comm] != si || sg.repFH != e.commFH[sg.comm] {
+				t.Errorf("shard %d routes community %d by handle %d; registry says shard %d handle %d",
+					si, sg.comm, sg.repFH, e.commShard[sg.comm], e.commFH[sg.comm])
+			}
+		}
+		sh.mu.RUnlock()
+	}
+}
+
+// witness builds a document that matches p, for the patterns it knows
+// how to (a single root child): every "*" becomes an element w, every
+// "//" is satisfied at the context itself. nil otherwise.
+func witness(p *pattern.Pattern) *xmltree.Tree {
+	if p == nil || p.Root == nil || len(p.Root.Children) != 1 || p.Validate() != nil {
+		return nil
+	}
+	// Under a holder node, the single root child materializes as the
+	// holder's only child — or, for a root "//", as its child's witness.
+	holder := &xmltree.Node{}
+	witnessInto(holder, p.Root.Children[0])
+	return &xmltree.Tree{Root: holder.Children[0]}
+}
+
+func witnessInto(ctx *xmltree.Node, v *pattern.Node) {
+	if v.Label == pattern.Descendant {
+		witnessInto(ctx, v.Children[0])
+		return
+	}
+	n := &xmltree.Node{Label: v.Label}
+	if v.Label == pattern.Wildcard {
+		n.Label = "w"
+	}
+	for _, c := range v.Children {
+		witnessInto(n, c)
+	}
+	ctx.Children = append(ctx.Children, n)
+}
+
+// TestRepresentativeUnsubscribeHandsOver unsubscribes representatives
+// specifically: the community's forest handle must pass to the
+// successor's pattern (routing follows the new representative at once),
+// disappear with a community that dissolves, and be reused by the next
+// founder — with the invariant holding after every step.
+func TestRepresentativeUnsubscribeHandsOver(t *testing.T) {
+	e := newTestEngine(t, Config{
+		Shards:    -1, // one forest: handle reuse is observable
+		Rebuild:   Never{},
+		Estimator: core.Config{Representation: core.Sets, Seed: 1},
+	})
+	both, onlyB := doc(t, "a(b(x),c)"), doc(t, "a(b)")
+	for i := 0; i < 8; i++ {
+		if _, err := e.Publish(both); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e.Flush()
+	sub := func(expr string) uint64 {
+		t.Helper()
+		id, err := e.Subscribe(expr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkForests(t, e, both, onlyB)
+		return id
+	}
+	unsub := func(id uint64) {
+		t.Helper()
+		if !e.Unsubscribe(id) {
+			t.Fatalf("Unsubscribe(%d) = false", id)
+		}
+		checkForests(t, e, both, onlyB)
+	}
+	repOf := func(id uint64) uint64 {
+		t.Helper()
+		for _, c := range e.IntrospectCommunities() {
+			for _, m := range c.MemberIDs {
+				if m == id {
+					return c.RepID
+				}
+			}
+		}
+		t.Fatalf("subscription %d in no community", id)
+		return 0
+	}
+
+	// One community of three (equal on the stream so far), one singleton.
+	rep := sub("/a/b")
+	heir := sub("/a/b[x]")
+	third := sub("/a[c]/b")
+	lone := sub("//zzz")
+	if st := e.Stats(); st.Communities != 2 {
+		t.Fatalf("communities = %d, want 2 (%v)", st.Communities, e.CommunityIDs())
+	}
+	if got := repOf(heir); got != rep {
+		t.Fatalf("representative of %d is %d, want the founder %d", heir, got, rep)
+	}
+	// While /a/b represents, a(b) reaches all three members.
+	if res, _ := e.Publish(onlyB); res.Matched != 1 || res.Deliveries != 3 {
+		t.Fatalf("under /a/b: a(b) matched %d communities, %d deliveries; want 1, 3", res.Matched, res.Deliveries)
+	}
+
+	// The representative leaves: the smallest survivor, /a/b[x], takes
+	// the handle, and a(b) — which it does not match — stops routing.
+	unsub(rep)
+	if got := repOf(third); got != heir {
+		t.Fatalf("representative after hand-over is %d, want %d", got, heir)
+	}
+	if res, _ := e.Publish(onlyB); res.Matched != 0 || res.Deliveries != 0 {
+		t.Fatalf("under /a/b[x]: a(b) matched %d communities, %d deliveries; want none", res.Matched, res.Deliveries)
+	}
+	if res, _ := e.Publish(both); res.Matched != 1 || res.Deliveries != 2 {
+		t.Fatalf("under /a/b[x]: a(b(x),c) matched %d communities, %d deliveries; want 1, 2", res.Matched, res.Deliveries)
+	}
+	ex, err := e.Explain(onlyB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ex.Shards) != 1 || ex.Shards[0].LivePatterns != ex.Shards[0].Communities || ex.Shards[0].LivePatterns != 2 {
+		t.Fatalf("explain shard stats %+v: live patterns must equal the 2 communities", ex.Shards)
+	}
+
+	// A member (not the representative) leaves: no forest edit.
+	nodes := e.shards[0].forest.NodeCount()
+	unsub(third)
+	if got := e.shards[0].forest.NodeCount(); got != nodes {
+		t.Fatalf("a member's unsubscribe changed the forest: %d -> %d nodes", nodes, got)
+	}
+
+	// Communities dissolve with their last member, handle and all; the
+	// next founder's Add gets a freed handle back.
+	e.mu.RLock()
+	freed := e.commFH[e.comms.Find(e.byID[lone])]
+	e.mu.RUnlock()
+	unsub(lone)
+	unsub(heir)
+	if st := e.Stats(); st.Communities != 0 || e.shards[0].forest.Live() != 0 || e.shards[0].forest.NodeCount() != 0 {
+		t.Fatalf("after dissolving everything: %d communities, forest live=%d nodes=%d",
+			st.Communities, e.shards[0].forest.Live(), e.shards[0].forest.NodeCount())
+	}
+	again := sub("//c")
+	e.mu.RLock()
+	reused := e.commFH[0]
+	e.mu.RUnlock()
+	if reused > freed {
+		t.Fatalf("founder after a full dissolve got handle %d; freed handles (<= %d) were not reused", reused, freed)
+	}
+	if res, _ := e.Publish(both); res.Matched != 1 || res.Deliveries != 1 {
+		t.Fatalf("on the reused handle: matched %d communities, %d deliveries; want 1, 1", res.Matched, res.Deliveries)
+	}
+	if ds, err := e.Drain(again, 0, 0); err != nil || len(ds) != 1 {
+		t.Fatalf("drain on the reused handle: %v, %v", ds, err)
+	}
+}

@@ -293,14 +293,14 @@ func Restore(cfg Config, st *State) (*Engine, error) {
 	}
 	e.comms = comms
 	e.commShard = commShard
+	e.commFH = make([]int, len(comms.Groups))
 	for g, members := range comms.Groups {
 		si := commShard[g]
 		e.shardLive[si] += len(members)
 		for _, idx := range members {
-			s := e.subs[idx]
-			s.shard = si
-			s.fh = e.shards[si].forest.Add(s.pat)
+			e.subs[idx].shard = si
 		}
+		e.commFH[g] = e.shards[si].forest.Add(e.subs[comms.Reps[g]].pat)
 	}
 	// The engine is not yet shared with any other goroutine (the
 	// ingester never touches routing state), so no shard locks needed.
@@ -392,31 +392,10 @@ func (e *Engine) ApplySubscribed(id uint64, expr string, group int, mode Deliver
 	if err := e.comms.PlaceAt(group); err != nil {
 		return fmt.Errorf("broker: replay subscribe %d: %w", id, err)
 	}
-	if group == len(e.commShard) {
-		e.commShard = append(e.commShard, e.placeCommunityLocked())
-	}
-	si := e.commShard[group]
-	sh := e.shards[si]
-	sh.mu.Lock()
-	fh := sh.forest.Add(p)
 	if id > e.nextID {
 		e.nextID = id
 	}
-	e.byID[id] = len(e.subs)
-	e.subs = append(e.subs, &subscriber{
-		id:    id,
-		pat:   p,
-		expr:  expr,
-		mode:  mode,
-		shard: si,
-		fh:    fh,
-		q:     e.newSubQueue(mode),
-	})
-	e.shardLive[si]++
-	e.stale++
-	e.regVer++
-	e.rebuildShardRoutingInner(si)
-	sh.mu.Unlock()
+	e.installSubLocked(id, p, expr, group, mode)
 	return nil
 }
 

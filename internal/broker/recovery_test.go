@@ -34,10 +34,12 @@ func (j storeJournal) Drained(id uint64, upto uint64) (uint64, error) {
 }
 
 // replayStore drives a Store's WAL tail through the engine's Apply*
-// entry points — the recovery dispatch loop.
+// entry points — the recovery dispatch loop — checking the forest
+// layout after every record.
 func replayStore(t *testing.T, s *persist.Store, e *Engine) {
 	t.Helper()
 	if err := s.Replay(func(rec persist.Record) error {
+		defer checkForests(t, e)
 		switch rec.Op {
 		case persist.OpSubscribe:
 			return e.ApplySubscribed(rec.ID, rec.Expr, rec.Group, DeliveryMode(rec.Mode))
@@ -221,6 +223,7 @@ func TestRecoveryEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		ids = append(ids, id)
+		checkForests(t, e)
 	}
 
 	// Snapshot mid-life.
@@ -250,13 +253,16 @@ func TestRecoveryEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		ids = append(ids, id)
+		checkForests(t, e)
 	}
 	if !e.Unsubscribe(ids[1]) || !e.Unsubscribe(ids[4]) {
 		t.Fatal("unsubscribe failed")
 	}
+	checkForests(t, e)
 	live := append(append([]uint64(nil), ids[:1]...), ids[2], ids[3])
 	live = append(live, ids[5:]...)
 	e.Rebuild() // forces a journaled OpRebuild
+	checkForests(t, e)
 
 	// "Crash" and recover: snapshot + WAL tail.
 	snap, ok, err := store.LoadSnapshot()
@@ -276,6 +282,7 @@ func TestRecoveryEquivalence(t *testing.T) {
 		t.Fatalf("Restore: %v", err)
 	}
 	t.Cleanup(func() { rec.Close() })
+	checkForests(t, rec)
 	replayStore(t, store, rec)
 
 	if rec.Live() != e.Live() {
@@ -307,8 +314,10 @@ func TestRecoveryWALOnly(t *testing.T) {
 			t.Fatal(err)
 		}
 		ids = append(ids, id)
+		checkForests(t, e)
 	}
 	e.Unsubscribe(ids[0])
+	checkForests(t, e)
 
 	rec := newTestEngine(t, cfg)
 	replayStore(t, store, rec)
@@ -463,6 +472,7 @@ func TestRestoreShardSkew(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Restore into %d shards: %v", shards, err)
 		}
+		checkForests(t, rec)
 		if !partitionsEqual(e.CommunityIDs(), rec.CommunityIDs()) {
 			t.Fatalf("shards=%d: partitions differ", shards)
 		}

@@ -8,6 +8,7 @@ import (
 
 	"treesim/internal/cluster"
 	"treesim/internal/matching"
+	"treesim/internal/pattern"
 	"treesim/internal/telemetry"
 	"treesim/internal/xmltree"
 )
@@ -16,10 +17,16 @@ import (
 // community is pinned to exactly one shard (community-aware placement:
 // co-clustered subscribers land together, so a community that matches
 // fans out entirely behind one shard lock), and each shard owns a
-// matching.Forest holding just its communities' patterns. A publish
-// loads the document into one pooled Flat arena and matches it against
-// all shards in parallel; shards share no mutable state on that path,
-// so the fan-out scales with cores.
+// matching.Forest holding exactly one pattern per resident community —
+// its representative's — so a publish evaluates what routes and nothing
+// else. The handle belongs to the community (Engine.commFH), not to a
+// subscription: Added when the community is founded, re-pointed at the
+// successor's pattern when the representative leaves, moved when a
+// rebuild re-pins or re-seeds the community, Removed when it dissolves
+// — always in the critical section that swaps the routing table. A
+// publish loads the document into one pooled Flat arena and matches it
+// against all shards in parallel; shards share no mutable state on that
+// path, so the fan-out scales with cores.
 //
 // Locking: sh.mu is held shared by the publish fan-out (forest Match +
 // group iteration) and exclusively by forest/routing maintenance. The
@@ -58,14 +65,32 @@ type shardGroup struct {
 	start, end int
 }
 
-// shardMember is one receiving subscription: its forest handle (for
-// the precision sample), stable id and delivery mode (for the
-// at-least-once journal), and delivery queue.
+// shardMember is one receiving subscription: its own pattern (for the
+// precision sample), stable id and delivery mode (for the at-least-once
+// journal), and delivery queue.
 type shardMember struct {
-	fh   int
+	pat  *pattern.Pattern
 	id   uint64
 	mode DeliveryMode
 	q    *queue
+}
+
+// memberMatchers pools the evaluators behind member verdicts (a
+// subscription's own pattern, which no forest holds): the precision
+// sample and Explain. They read the publish's own flattened document,
+// and one is taken only when a verdict is wanted.
+var memberMatchers = sync.Pool{New: func() any { return new(pattern.FlatMatcher) }}
+
+// memberMatches is fm.Matches with an oracle panic (a hand-built
+// pattern that fails pattern.Validate) mapped to no-match, as the
+// forest maps it for representatives.
+func memberMatches(fm *pattern.FlatMatcher, p *pattern.Pattern) (ok bool) {
+	defer func() {
+		if recover() != nil {
+			ok = false
+		}
+	}()
+	return fm.Matches(p)
 }
 
 // ackedDelivery is one at-least-once enqueue the fan-out committed —
@@ -86,7 +111,8 @@ type ackedDelivery struct {
 // retention until acked, the assigned cursor is collected into acked
 // (appended to the passed slice, typically a pooled scratch) for the
 // publish's OpDeliver journal record, and a full log sheds its oldest
-// entry — counted, and its pin released.
+// entry — counted, and its pin released. Every sample-th delivery is
+// checked exactly, against the receiving member's own pattern.
 func (sh *shard) route(t *xmltree.Tree, flat *xmltree.Flat, seq uint64, sample int, c *counters, ring *docRing, acked []ackedDelivery) (matched, deliveries, dropped int, outAcked []ackedDelivery) {
 	outAcked = acked
 	sh.mu.RLock()
@@ -97,6 +123,7 @@ func (sh *shard) route(t *xmltree.Tree, flat *xmltree.Flat, seq uint64, sample i
 	matchStart := time.Now()
 	ms := sh.forest.MatchFlat(t, flat)
 	c.filterEvals.Add(uint64(len(sh.groups)))
+	var fm *pattern.FlatMatcher
 	for _, g := range sh.groups {
 		if !ms.Has(g.repFH) {
 			continue
@@ -130,12 +157,19 @@ func (sh *shard) route(t *xmltree.Tree, flat *xmltree.Flat, seq uint64, sample i
 			deliveries++
 			n := c.delivered.Add(1)
 			if sample > 0 && n%uint64(sample) == 0 {
+				if fm == nil {
+					fm = memberMatchers.Get().(*pattern.FlatMatcher)
+					fm.LoadFlat(flat)
+				}
 				c.sampled.Add(1)
-				if ms.Has(m.fh) {
+				if memberMatches(fm, m.pat) {
 					c.sampledHits.Add(1)
 				}
 			}
 		}
+	}
+	if fm != nil {
+		memberMatchers.Put(fm)
 	}
 	ms.Release()
 	sh.matchNS.ObserveDuration(time.Since(matchStart).Nanoseconds())
@@ -254,13 +288,13 @@ func (e *Engine) placeCommunityLocked() int {
 }
 
 // rebuildShardRoutingInner rebuilds one shard's routing table from the
-// global clustering into the shard's reused backing arrays. The caller
-// holds the registry lock exclusively AND the shard's lock exclusively
-// — forest mutations and the table swap must share one critical
-// section, or a concurrent publish could match a stale table whose
-// forest handles have been freed (silently skipping a community) or
-// reused by a different pattern (misdelivering to the old community's
-// members).
+// global clustering (and its handles, commFH) into the shard's reused
+// backing arrays. The caller holds the registry lock exclusively AND
+// the shard's lock exclusively — forest mutations and the table swap
+// must share one critical section, or a concurrent publish could match
+// a stale table whose forest handles have been freed (silently skipping
+// a community) or reused by a different pattern (misdelivering to the
+// old community's members).
 func (e *Engine) rebuildShardRoutingInner(si int) {
 	sh := e.shards[si]
 	sh.groups = sh.groups[:0]
@@ -272,11 +306,11 @@ func (e *Engine) rebuildShardRoutingInner(si int) {
 		start := len(sh.members)
 		for _, idx := range members {
 			s := e.subs[idx]
-			sh.members = append(sh.members, shardMember{fh: s.fh, id: s.id, mode: s.mode, q: s.q})
+			sh.members = append(sh.members, shardMember{pat: s.pat, id: s.id, mode: s.mode, q: s.q})
 		}
 		sh.groups = append(sh.groups, shardGroup{
 			comm:  g,
-			repFH: e.subs[e.comms.Reps[g]].fh,
+			repFH: e.commFH[g],
 			start: start,
 			end:   len(sh.members),
 		})
@@ -284,47 +318,67 @@ func (e *Engine) rebuildShardRoutingInner(si int) {
 	sh.nGroups.Store(int64(len(sh.groups)))
 }
 
-// replaceClusteringLocked installs a freshly built clustering: it
-// re-balances communities across shards (largest first onto the least
-// loaded), moves subscriptions whose shard changed between forests, and
-// rebuilds every routing table. Caller holds the registry lock
-// exclusively. The swap holds routeMu exclusively — a publish keeps
-// routeMu shared across its WHOLE multi-shard fan-out, so without it a
-// publish could route shard A before a community moved off it and
-// shard B after it arrived (double delivery), or miss the community on
-// both (lost delivery). The shard locks are then taken too (ordering:
-// registry → routeMu → shard) so the tables' writer invariant stays
-// uniform with the single-shard churn paths. Rebuilds are
-// policy-amortized, so the global stall is rare and bounded by the
-// move work.
-func (e *Engine) replaceClusteringLocked(comms *cluster.Communities) {
+// swapAllRoutingLocked runs edit and rebuilds every shard's routing
+// table in one critical section no publish can straddle: routeMu
+// exclusively — a publish keeps it shared across its WHOLE multi-shard
+// fan-out, so without it a publish could route shard A before a
+// community moved off it (or its index shifted) and shard B after:
+// double delivery, lost delivery, or a stale community id — then every
+// shard lock (ordering: registry → routeMu → shard), so the tables'
+// writer invariant stays uniform with the single-shard churn paths.
+// Caller holds the registry lock exclusively.
+func (e *Engine) swapAllRoutingLocked(edit func()) {
 	e.routeMu.Lock()
 	defer e.routeMu.Unlock()
 	for _, sh := range e.shards {
 		sh.mu.Lock()
 	}
-	e.comms = comms
-	e.commShard = cluster.BalanceShards(comms.Groups, len(e.shards))
-	for i := range e.shardLive {
-		e.shardLive[i] = 0
-	}
-	for g, members := range comms.Groups {
-		si := e.commShard[g]
-		e.shardLive[si] += len(members)
-		for _, idx := range members {
-			s := e.subs[idx]
-			if s.shard == si {
-				continue
-			}
-			e.shards[s.shard].forest.Remove(s.fh)
-			s.fh = e.shards[si].forest.Add(s.pat)
-			s.shard = si
-		}
-	}
+	edit()
 	for si := range e.shards {
 		e.rebuildShardRoutingInner(si)
 	}
 	for _, sh := range e.shards {
 		sh.mu.Unlock()
 	}
+}
+
+// replaceClusteringLocked installs a freshly built clustering: it
+// re-balances communities across shards (largest first onto the least
+// loaded) and moves the representatives' patterns to match — a
+// community whose representative already stood for one on the same
+// shard keeps that handle; every other old handle is removed and every
+// other new representative added. Caller holds the registry lock
+// exclusively. Rebuilds are policy-amortized, so the global stall is
+// rare and bounded by the move work.
+func (e *Engine) replaceClusteringLocked(comms *cluster.Communities) {
+	e.swapAllRoutingLocked(func() {
+		commShard := cluster.BalanceShards(comms.Groups, len(e.shards))
+		commFH := make([]int, len(comms.Groups))
+		newComm := make(map[int]int, len(comms.Reps)) // representative -> new community
+		for g, rep := range comms.Reps {
+			newComm[rep] = g
+			commFH[g] = -1
+		}
+		for og, rep := range e.comms.Reps {
+			if g, ok := newComm[rep]; ok && commShard[g] == e.commShard[og] {
+				commFH[g] = e.commFH[og]
+			} else {
+				e.shards[e.commShard[og]].forest.Remove(e.commFH[og])
+			}
+		}
+		for i := range e.shardLive {
+			e.shardLive[i] = 0
+		}
+		for g, members := range comms.Groups {
+			si := commShard[g]
+			e.shardLive[si] += len(members)
+			for _, idx := range members {
+				e.subs[idx].shard = si
+			}
+			if commFH[g] < 0 {
+				commFH[g] = e.shards[si].forest.Add(e.subs[comms.Reps[g]].pat)
+			}
+		}
+		e.comms, e.commShard, e.commFH = comms, commShard, commFH
+	})
 }

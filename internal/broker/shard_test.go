@@ -103,6 +103,7 @@ func TestShardedPublishChurnDrain(t *testing.T) {
 					liveMu.Lock()
 					liveIDs = append(liveIDs, id)
 					liveMu.Unlock()
+					checkForests(t, e, docs...)
 				} else {
 					k := rng.Intn(len(mine))
 					id := mine[k]
@@ -121,6 +122,7 @@ func TestShardedPublishChurnDrain(t *testing.T) {
 					if e.Unsubscribe(id) {
 						unsubs.Add(1)
 					}
+					checkForests(t, e, docs...)
 				}
 			}
 		}(int64(200 + w))
@@ -145,6 +147,7 @@ func TestShardedPublishChurnDrain(t *testing.T) {
 	}
 	wg.Wait()
 	e.Flush()
+	checkForests(t, e, docs...)
 
 	st := e.Stats()
 	// Publish results and the delivered counter are two independent

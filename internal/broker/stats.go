@@ -41,7 +41,7 @@ func newCounters(reg *telemetry.Registry) counters {
 		delivered:      reg.Counter("treesim_broker_deliveries_total", "Deliveries enqueued onto consumer queues."),
 		dropped:        reg.Counter("treesim_broker_dropped_total", "Deliveries evicted from full consumer queues (drop-oldest) or lost to closed queues."),
 		drained:        reg.Counter("treesim_broker_drained_total", "Deliveries handed to consumers by Drain."),
-		filterEvals:    reg.Counter("treesim_broker_filter_evals_total", "Community-representative match tests (the clustered routing cost)."),
+		filterEvals:    reg.Counter("treesim_broker_filter_evals_total", "Community-representative match tests (the clustered routing cost): per publish, exactly the patterns the shard forests hold and evaluate."),
 		subscribes:     reg.Counter("treesim_broker_subscribes_total", "Committed subscriptions."),
 		unsubscribes:   reg.Counter("treesim_broker_unsubscribes_total", "Committed unsubscriptions."),
 		rebuilds:       reg.Counter("treesim_broker_rebuilds_total", "Full community re-clusterings."),

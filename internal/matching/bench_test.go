@@ -24,29 +24,53 @@ var benchSubTiers = []int{64, 1024, 8192}
 
 // BenchmarkEngineMatch measures the single-pass forest engine: one
 // document against the whole registered pattern set, reporting the
-// matches decided per operation.
+// matches decided per operation, the forest's size, and the answer the
+// kernel's work should follow — NS and SAT bits raised per document
+// node — rather than that size.
 func BenchmarkEngineMatch(b *testing.B) {
 	for _, n := range benchSubTiers {
 		b.Run(fmt.Sprintf("subs=%d", n), func(b *testing.B) {
 			docs, subs := benchWorkload(64, n)
-			f := NewForest()
-			hs := make([]int, len(subs))
-			for i, p := range subs {
-				hs[i] = f.Add(p)
-			}
-			b.ReportMetric(float64(f.NodeCount()), "forestnodes")
-			var matched uint64
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				ms := f.Match(docs[i%len(docs)])
-				matched += uint64(ms.Count())
-				ms.Release()
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(matched)/float64(b.N), "matches/op")
+			benchMatch(b, docs, subs)
 		})
 	}
+}
+
+// BenchmarkEngineMatchUnfired is the clock's view of
+// TestMatchWorkIgnoresUnfiredPatterns: 1000 NITF patterns alone, then
+// beside 8000 xCBL patterns NITF documents never fire. The second
+// ns/op should stay within 1.3x of the first (cache footprint, the
+// verdict loop); a dense kernel pays ~9x.
+func BenchmarkEngineMatchUnfired(b *testing.B) {
+	docs, fired, unfired := unfiredWorkload(b, 64, 1000, 8000)
+	b.Run("nitf=1000", func(b *testing.B) { benchMatch(b, docs, fired) })
+	b.Run("nitf=1000+xcbl=8000", func(b *testing.B) {
+		benchMatch(b, docs, append(fired[:len(fired):len(fired)], unfired...))
+	})
+}
+
+func benchMatch(b *testing.B, docs []*xmltree.Tree, subs []*pattern.Pattern) {
+	f := NewForest()
+	for _, p := range subs {
+		f.Add(p)
+	}
+	var matched uint64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ms := f.Match(docs[i%len(docs)])
+		matched += uint64(ms.Count())
+		ms.Release()
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(matched)/float64(b.N), "matches/op")
+	b.ReportMetric(float64(f.NodeCount()), "forest-nodes")
+	fired, nodes := 0, 0
+	for _, d := range docs[:8] {
+		fb, n := f.FiredBits(d)
+		fired, nodes = fired+fb, nodes+n
+	}
+	b.ReportMetric(float64(fired)/float64(nodes), "fired-bits/docnode")
 }
 
 // BenchmarkEngineMatchOracle is the pre-forest baseline at the same

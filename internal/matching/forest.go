@@ -15,11 +15,15 @@ import (
 // registered pattern is merged into one hash-consed forest (a DAG with
 // common-subtree sharing, in the spirit of the XFilter/YFilter/XTrie
 // engines the paper cites), and one bottom-up post-order traversal of a
-// document decides ALL patterns simultaneously. Per-document-node work
-// is a handful of word-parallel bitset operations over the forest's
-// node universe plus sparse iteration over the bits that actually
-// fired, with all scratch pooled — the steady-state match path
-// allocates nothing.
+// document decides ALL patterns simultaneously, with all scratch pooled
+// — the steady-state match path allocates nothing.
+//
+// Cost model: per document node, O(fired words), not O(universe). The
+// satisfaction vectors are sparse frames (word arrays that remember
+// which words are non-zero), so clearing, uniting and scanning them
+// visits only words in which some forest node fired at or below that
+// document node, and leaf constraints are raised by id. Registered
+// patterns a document fires no bit of cost it nothing, verdict included.
 //
 // Semantics are exactly pattern.Matches (the reference oracle, enforced
 // by differential fuzzing). Patterns that fail pattern.Validate — only
@@ -40,7 +44,7 @@ import (
 // Both are computed from the children's vectors with unions; nodes
 // with child constraints are found through inverse first-kid indexes
 // (only constraints whose kids fired are examined), leaf constraints
-// through precomputed per-label bitsets. A pattern matches iff all its
+// by id from the document node's label. A pattern matches iff all its
 // root children's bits are set in the root's vectors ("//" root
 // children re-root and use a separate node kind, kindRootDesc).
 //
@@ -59,40 +63,52 @@ type Forest struct {
 	// slices — symbols and node ids are dense, and the match loop
 	// consults these once per fired bit per document node, so a map
 	// lookup (hash + probe) there costs more than the whole word-scan
-	// around it. Masks share the node-id universe (grown under Add's
-	// exclusivity, never from Match, which runs concurrently with
-	// itself):
+	// around it. The masks are dense, read-only on the match path, and
+	// share the node-id universe (grown under Add's exclusivity, never
+	// from Match, which runs concurrently with itself):
 	//
-	//	leafTag[sym]: kindTag nodes with that label and no kids —
-	//	              node-satisfied by label alone. Indexed by interned
-	//	              symbol; with a shared table, symbols interned by
-	//	              OTHER forests may exceed this forest's slice, so
-	//	              readers bounds-check (absent == nil == no leaves).
-	//	wildLeaf:     kindWild nodes with no kids — satisfied anywhere.
+	//	leafTag[sym]: the kindTag node with that label and no kids (one
+	//	              at most: they hash-cons to one key) — node-satisfied
+	//	              by label alone; noNode when absent. Indexed by
+	//	              interned symbol; with a shared table, symbols
+	//	              interned by OTHER forests may exceed this forest's
+	//	              slice, so readers bounds-check.
+	//	wildLeaf:     the childless kindWild node — satisfied anywhere.
 	//	byFirstKid:   tag/wild nodes with kids, indexed by their lowest
 	//	              kid id; consulted only when that kid's bit fires.
-	//	byDescKid / descMask: kindDesc nodes by kid / by own id.
-	//	byRdKid / rdMask: kindRootDesc nodes by kid / by own id.
-	leafTag      []*bitset.Set
-	wildLeaf     *bitset.Set
+	//	byDescKid / byRdKid: kindDesc / kindRootDesc nodes by kid.
+	//	slashMask:    "//" nodes of both kinds by own id — the bits a
+	//	              document node inherits from its children's SAT.
+	//	byRootKid:    pattern handles by their first root child's id;
+	//	              a verdict is examined only when that bit fires at
+	//	              the document root.
+	leafTag      []uint32
+	wildLeaf     uint32
 	byFirstKid   [][]uint32
 	firstKidMask *bitset.Set
 	byDescKid    [][]uint32
 	descKidMask  *bitset.Set
-	descMask     *bitset.Set
 	byRdKid      [][]uint32
 	rdKidMask    *bitset.Set
-	rdMask       *bitset.Set
+	slashMask    *bitset.Set
+	byRootKid    [][]uint32
+	rootKidMask  *bitset.Set
 
 	pats     []patEntry
 	freePats []int
-	grownTo  int // universe size the masks were last grown to
+	// unindexed holds the handles byRootKid cannot: empty patterns
+	// (nothing to fire) and oracle-path patterns. Decided per document.
+	unindexed []uint32
+	grownTo   int // universe size the masks were last grown to
 
 	frames  sync.Pool // *frameStack
 	msPool  sync.Pool // *MatchSet
 	docPool sync.Pool // *xmltree.Flat
 	keyBuf  []byte
 }
+
+// noNode marks an absent leafTag/wildLeaf entry.
+const noNode = ^uint32(0)
 
 type nodeKind uint8
 
@@ -115,13 +131,30 @@ type forestNode struct {
 	key  string
 }
 
-// patEntry is one registered pattern: the forest ids of its root
-// children, or the oracle fallback for non-validating patterns.
+// patEntry is one registered pattern: its root children, or the oracle
+// fallback for non-validating patterns. A root kid is its forest id
+// shifted left once, the low bit saying whether it is a root "//"
+// (decided by the document root's SAT) or not (by its NS).
 type patEntry struct {
 	live     bool
 	isOracle bool
 	rootKids []uint32
 	oracle   *pattern.Pattern // may be nil even on the oracle path (nil pattern)
+}
+
+// holdsAt reports whether every root child's bit is set in the document
+// root's vectors.
+func (e *patEntry) holdsAt(root *frameSlot) bool {
+	for _, k := range e.rootKids {
+		bits := &root.ns
+		if k&1 != 0 {
+			bits = &root.sat
+		}
+		if !bits.has(k >> 1) {
+			return false
+		}
+	}
+	return true
 }
 
 // NewForest returns an empty forest with its own label table.
@@ -136,12 +169,13 @@ func NewForestShared(tbl *intern.Table) *Forest {
 	return &Forest{
 		tbl:          tbl,
 		index:        make(map[string]uint32),
-		wildLeaf:     bitset.New(0),
+		wildLeaf:     noNode,
 		firstKidMask: bitset.New(0),
 		descKidMask:  bitset.New(0),
-		descMask:     bitset.New(0),
 		rdKidMask:    bitset.New(0),
-		rdMask:       bitset.New(0),
+		slashMask:    bitset.New(0),
+		rootKidMask:  bitset.New(0),
+		frames:       sync.Pool{New: func() any { return new(frameStack) }},
 	}
 }
 
@@ -162,11 +196,20 @@ func (f *Forest) Add(p *pattern.Pattern) int {
 	if p == nil || p.Root == nil || p.Validate() != nil {
 		e.isOracle = true
 		e.oracle = p
+		f.unindexed = append(f.unindexed, uint32(h))
 		return h
 	}
 	e.rootKids = make([]uint32, len(p.Root.Children))
 	for i, c := range p.Root.Children {
-		e.rootKids[i] = f.compile(c, true)
+		e.rootKids[i] = f.compile(c, true) << 1
+		if c.Label == pattern.Descendant {
+			e.rootKids[i] |= 1
+		}
+	}
+	if len(e.rootKids) == 0 {
+		f.unindexed = append(f.unindexed, uint32(h))
+	} else {
+		addKidIndex(f.byRootKid, f.rootKidMask, e.rootKids[0]>>1, uint32(h))
 	}
 	return h
 }
@@ -178,8 +221,13 @@ func (f *Forest) Remove(h int) {
 		return
 	}
 	e := &f.pats[h]
-	for _, id := range e.rootKids {
-		f.release(id)
+	if len(e.rootKids) == 0 {
+		f.unindexed = removeU32(f.unindexed, uint32(h))
+	} else {
+		dropKidIndex(f.byRootKid, f.rootKidMask, e.rootKids[0]>>1, uint32(h))
+	}
+	for _, k := range e.rootKids {
+		f.release(k >> 1)
 	}
 	*e = patEntry{}
 	f.freePats = append(f.freePats, h)
@@ -262,25 +310,16 @@ func (f *Forest) growUniverse() {
 		return
 	}
 	f.grownTo = n
-	f.wildLeaf.Grow(n)
 	f.firstKidMask.Grow(n)
 	f.descKidMask.Grow(n)
-	f.descMask.Grow(n)
 	f.rdKidMask.Grow(n)
-	f.rdMask.Grow(n)
-	for _, s := range f.leafTag {
-		if s != nil {
-			s.Grow(n)
-		}
-	}
+	f.slashMask.Grow(n)
+	f.rootKidMask.Grow(n)
 	for len(f.byFirstKid) < n {
 		f.byFirstKid = append(f.byFirstKid, nil)
-	}
-	for len(f.byDescKid) < n {
 		f.byDescKid = append(f.byDescKid, nil)
-	}
-	for len(f.byRdKid) < n {
 		f.byRdKid = append(f.byRdKid, nil)
+		f.byRootKid = append(f.byRootKid, nil)
 	}
 }
 
@@ -291,26 +330,21 @@ func (f *Forest) register(id uint32) {
 	case kindTag, kindWild:
 		if len(n.kids) == 0 {
 			if n.kind == kindWild {
-				f.wildLeaf.Add(int(id))
+				f.wildLeaf = id
 				return
 			}
 			for len(f.leafTag) <= int(n.sym) {
-				f.leafTag = append(f.leafTag, nil)
+				f.leafTag = append(f.leafTag, noNode)
 			}
-			lt := f.leafTag[n.sym]
-			if lt == nil {
-				lt = bitset.New(len(f.nodes))
-				f.leafTag[n.sym] = lt
-			}
-			lt.Add(int(id))
+			f.leafTag[n.sym] = id
 			return
 		}
 		addKidIndex(f.byFirstKid, f.firstKidMask, n.kids[0], id)
 	case kindDesc:
-		f.descMask.Add(int(id))
+		f.slashMask.Add(int(id))
 		addKidIndex(f.byDescKid, f.descKidMask, n.kids[0], id)
 	case kindRootDesc:
-		f.rdMask.Add(int(id))
+		f.slashMask.Add(int(id))
 		addKidIndex(f.byRdKid, f.rdKidMask, n.kids[0], id)
 	}
 }
@@ -322,32 +356,26 @@ func (f *Forest) unregister(id uint32) {
 	case kindTag, kindWild:
 		if len(n.kids) == 0 {
 			if n.kind == kindWild {
-				f.wildLeaf.Remove(int(id))
-			} else if lt := f.leafTag[n.sym]; lt != nil {
-				lt.Remove(int(id))
-				// Drop emptied label sets: growUniverse touches every
-				// retained set, so dead vocabulary must not accumulate
-				// in a long-lived forest under churn (register
-				// re-creates the set on demand).
-				if lt.Count() == 0 {
-					f.leafTag[n.sym] = nil
-				}
+				f.wildLeaf = noNode
+			} else {
+				f.leafTag[n.sym] = noNode
 			}
 			return
 		}
 		dropKidIndex(f.byFirstKid, f.firstKidMask, n.kids[0], id)
 	case kindDesc:
-		f.descMask.Remove(int(id))
+		f.slashMask.Remove(int(id))
 		dropKidIndex(f.byDescKid, f.descKidMask, n.kids[0], id)
 	case kindRootDesc:
-		f.rdMask.Remove(int(id))
+		f.slashMask.Remove(int(id))
 		dropKidIndex(f.byRdKid, f.rdKidMask, n.kids[0], id)
 	}
 }
 
 // addKidIndex/dropKidIndex maintain a dense inverse-kid index (entries
-// indexed by kid node id — growUniverse has already sized the slice —
-// with the mask mirroring which entries are non-empty).
+// — node ids, or pattern handles in byRootKid — indexed by kid node id;
+// growUniverse has already sized the slice; the mask mirrors which
+// entries are non-empty).
 func addKidIndex(m [][]uint32, mask *bitset.Set, kid, id uint32) {
 	m[kid] = append(m[kid], id)
 	mask.Add(int(kid))
@@ -396,6 +424,76 @@ func (m *MatchSet) Count() int { return m.bits.Count() }
 // Release recycles the set. The caller must not use m afterwards.
 func (m *MatchSet) Release() { m.f.msPool.Put(m) }
 
+// frame is one sparse satisfaction vector over the forest's node-id
+// universe: a word array plus the list of its non-zero words. Bits are
+// only added between resets, so "non-zero" and "listed in dirty"
+// coincide, and reset, union and the masked scan visit dirty words
+// only. touched counts the words those three visited — the kernel's
+// unit of work, read by tests.
+type frame struct {
+	words   []uint64
+	dirty   []int32
+	touched int
+}
+
+// grow extends the frame to a universe of n ids, keeping its contents
+// (a pooled frame may carry the previous match's bits until its next
+// reset). dirty gets capacity for every word so add never allocates.
+func (s *frame) grow(n int) {
+	w := (n + 63) >> 6
+	if w <= len(s.words) {
+		return
+	}
+	s.words = append(s.words, make([]uint64, w-len(s.words))...)
+	s.dirty = append(make([]int32, 0, w), s.dirty...)
+}
+
+func (s *frame) reset() {
+	for _, wi := range s.dirty {
+		s.words[wi] = 0
+	}
+	s.touched += len(s.dirty)
+	s.dirty = s.dirty[:0]
+}
+
+func (s *frame) add(id uint32) {
+	wi := id >> 6
+	if s.words[wi] == 0 {
+		s.dirty = append(s.dirty, int32(wi))
+	}
+	s.words[wi] |= 1 << (id & 63)
+}
+
+func (s *frame) has(id uint32) bool { return s.words[id>>6]&(1<<(id&63)) != 0 }
+
+func (s *frame) unionWith(t *frame) {
+	for _, wi := range t.dirty {
+		if s.words[wi] == 0 {
+			s.dirty = append(s.dirty, wi)
+		}
+		s.words[wi] |= t.words[wi]
+	}
+	s.touched += len(t.dirty)
+}
+
+// and iterates the members of s ∩ mask. The loop body may add to s
+// (words it dirties are visited in turn) but must not add members that
+// are themselves in mask — callers add "//" ids, which the kid masks
+// never contain.
+func (s *frame) and(mask *bitset.Set) func(yield func(uint32) bool) {
+	return func(yield func(uint32) bool) {
+		for i := 0; i < len(s.dirty); i++ {
+			wi := s.dirty[i]
+			for w := s.words[wi] & mask.Word(int(wi)); w != 0; w &= w - 1 {
+				if !yield(uint32(wi)<<6 | uint32(bits.TrailingZeros64(w))) {
+					return
+				}
+			}
+		}
+		s.touched += len(s.dirty)
+	}
+}
+
 // frameStack is the pooled per-Match scratch: one slot per document
 // depth, each holding the child accumulators (ns, sat) plus the
 // node-satisfaction scratch vector for that depth.
@@ -404,7 +502,21 @@ type frameStack struct {
 }
 
 type frameSlot struct {
-	ns, sat, nsOut *bitset.Set
+	ns, sat, nsOut frame
+}
+
+// fit sizes the stack for a document of the given depth over a
+// universe of n forest ids.
+func (fr *frameStack) fit(depth, n int) {
+	for len(fr.slots) < depth+2 {
+		fr.slots = append(fr.slots, frameSlot{})
+	}
+	for i := range fr.slots {
+		s := &fr.slots[i]
+		s.ns.grow(n)
+		s.sat.grow(n)
+		s.nsOut.grow(n)
+	}
 }
 
 // Table returns the forest's label table (shared across forests built
@@ -433,6 +545,16 @@ func (f *Forest) Match(t *xmltree.Tree) *MatchSet {
 // oracle fallback for non-compiled patterns. A nil or empty doc matches
 // nothing.
 func (f *Forest) MatchFlat(t *xmltree.Tree, doc *xmltree.Flat) *MatchSet {
+	fr := f.frames.Get().(*frameStack)
+	ms := f.matchFlat(t, doc, fr)
+	f.frames.Put(fr)
+	return ms
+}
+
+// matchFlat is MatchFlat on the caller's frame stack, which may hold
+// any earlier match's leftovers: every frame is reset before it is
+// read, and grow keeps stale dirty lists valid.
+func (f *Forest) matchFlat(t *xmltree.Tree, doc *xmltree.Flat, fr *frameStack) *MatchSet {
 	ms, _ := f.msPool.Get().(*MatchSet)
 	if ms == nil {
 		ms = &MatchSet{f: f, bits: bitset.New(0)}
@@ -445,135 +567,101 @@ func (f *Forest) MatchFlat(t *xmltree.Tree, doc *xmltree.Flat) *MatchSet {
 		return ms
 	}
 
-	fr, _ := f.frames.Get().(*frameStack)
-	if fr == nil {
-		fr = &frameStack{}
-	}
-	universe := len(f.nodes)
-	for len(fr.slots) < doc.MaxDepth+2 {
-		fr.slots = append(fr.slots, frameSlot{ns: bitset.New(0), sat: bitset.New(0), nsOut: bitset.New(0)})
-	}
-	for i := range fr.slots {
-		s := &fr.slots[i]
-		s.ns.Grow(universe)
-		s.sat.Grow(universe)
-		s.nsOut.Grow(universe)
-	}
-
+	fr.fit(doc.MaxDepth, len(f.nodes))
 	root := &fr.slots[0]
-	root.ns.Reset()
-	root.sat.Reset()
+	root.ns.reset()
+	root.sat.reset()
 	f.eval(doc, fr, 0, 0)
-	rootNS, rootSAT := root.ns, root.sat
 
-	for h := range f.pats {
-		e := &f.pats[h]
-		if !e.live {
-			continue
-		}
-		if e.isOracle {
-			if oracleMatches(t, e.oracle) {
-				ms.bits.Add(h)
-			}
-			continue
-		}
-		ok := true
-		for _, id := range e.rootKids {
-			bits := rootNS
-			if f.nodes[id].kind == kindRootDesc {
-				bits = rootSAT
-			}
-			if !bits.Contains(int(id)) {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			ms.bits.Add(h)
+	// Verdicts, found like every other constraint: through the root
+	// kids that fired at the document root.
+	for _, h := range f.unindexed {
+		if e := &f.pats[h]; !e.isOracle || oracleMatches(t, e.oracle) {
+			ms.bits.Add(int(h))
 		}
 	}
-	f.frames.Put(fr)
+	for _, v := range [...]*frame{&root.ns, &root.sat} {
+		for k := range v.and(f.rootKidMask) {
+			for _, h := range f.byRootKid[k] {
+				if f.pats[h].holdsAt(root) {
+					ms.bits.Add(int(h))
+				}
+			}
+		}
+	}
 	return ms
 }
 
 // eval computes NS and SAT for document node i (at depth d) and ORs
 // them into the parent's accumulators at fr.slots[d].
 func (f *Forest) eval(doc *xmltree.Flat, fr *frameStack, i int32, d int) {
-	child := &fr.slots[d+1]
-	child.ns.Reset()
-	child.sat.Reset()
-	s, c := doc.ChildStart[i], doc.ChildCount[i]
-	for k := s; k < s+c; k++ {
-		f.eval(doc, fr, k, d+1)
+	up := &fr.slots[d]
+
+	// NS(i), leaf constraints first: raised by id from the node's label.
+	N := &up.nsOut
+	N.reset()
+	if f.wildLeaf != noNode {
+		N.add(f.wildLeaf)
 	}
-
-	// SAT(i), built in place over the children's NS union: a tag/"*"
-	// node holds at context i iff some child is node-satisfied. Then
-	// "//" nodes: v holds iff its child constraint is satisfiable at
-	// some descendant-or-self — the kid's bit here (self, via the
-	// inverse kid index) or v's own bit at some child (descendants,
-	// via the children's SAT union). Sparse iteration: only fired bits
-	// are visited, and bits added mid-iteration are "//" ids, which
-	// never occur in the kid masks.
-	S := child.ns
-	forEachAnd(S, f.descKidMask, func(k uint32) {
-		for _, v := range f.byDescKid[k] {
-			S.Add(int(v))
-		}
-	})
-	forEachAnd(child.sat, f.descMask, func(v uint32) {
-		S.Add(int(v))
-	})
-
-	// NS(i): leaf constraints come from the precomputed label/wildcard
-	// bitsets; constraints with kids are examined only when their
-	// lowest kid fired, then label and remaining kids are checked.
-	N := fr.slots[d].nsOut
-	N.Reset()
-	N.UnionWith(f.wildLeaf)
 	sym := doc.Syms[i]
 	if sym != intern.NoSym && int(sym) < len(f.leafTag) {
 		// The bounds check matters under shared tables: another forest
 		// may have interned symbols this one never saw.
-		if lt := f.leafTag[sym]; lt != nil {
-			N.UnionWith(lt)
+		if id := f.leafTag[sym]; id != noNode {
+			N.add(id)
 		}
 	}
-	forEachAnd(S, f.firstKidMask, func(k uint32) {
-		for _, v := range f.byFirstKid[k] {
-			n := &f.nodes[v]
-			if (n.kind == kindWild || n.sym == sym) && f.kidsIn(v, S) {
-				N.Add(int(v))
+
+	// A childless document node satisfies nothing else: every other
+	// constraint needs some child's vector.
+	if s, c := doc.ChildStart[i], doc.ChildCount[i]; c > 0 {
+		child := &fr.slots[d+1]
+		child.ns.reset()
+		child.sat.reset()
+		for k := s; k < s+c; k++ {
+			f.eval(doc, fr, k, d+1)
+		}
+
+		// SAT(i), built in place over the children's NS union: a
+		// tag/"*" node holds at context i iff some child is
+		// node-satisfied. Then "//" nodes: v holds iff its child
+		// constraint is satisfiable at some descendant-or-self — the
+		// kid's bit here (self, via the inverse kid index) or v's own
+		// bit at some child (descendants, via the children's SAT union;
+		// root "//" bits ride along, they are nobody's kid). Only fired
+		// bits are visited, and bits added mid-iteration are "//" ids,
+		// which never occur in the kid masks.
+		S := &child.ns
+		for k := range S.and(f.descKidMask) {
+			for _, v := range f.byDescKid[k] {
+				S.add(v)
 			}
 		}
-	})
+		for v := range child.sat.and(f.slashMask) {
+			S.add(v)
+		}
+
+		// Constraints with kids are examined only when their lowest kid
+		// fired, then label and remaining kids are checked.
+		for k := range S.and(f.firstKidMask) {
+			for _, v := range f.byFirstKid[k] {
+				n := &f.nodes[v]
+				if (n.kind == kindWild || n.sym == sym) && f.kidsIn(v, S) {
+					N.add(v)
+				}
+			}
+		}
+		up.sat.unionWith(S)
+	}
 
 	// Root "//" re-roots at some descendant-or-self: node-satisfaction
-	// of its kid here, or the bit already raised somewhere below.
-	forEachAnd(N, f.rdKidMask, func(k uint32) {
+	// of its kid here (or, above, the bit already raised below).
+	for k := range N.and(f.rdKidMask) {
 		for _, v := range f.byRdKid[k] {
-			S.Add(int(v))
-		}
-	})
-	forEachAnd(child.sat, f.rdMask, func(v uint32) {
-		S.Add(int(v))
-	})
-
-	fr.slots[d].ns.UnionWith(N)
-	fr.slots[d].sat.UnionWith(S)
-}
-
-// forEachAnd calls fn for every member of a ∩ mask. fn must not add
-// members that are themselves in mask (callers add "//" ids, which the
-// kid masks never contain).
-func forEachAnd(a, mask *bitset.Set, fn func(uint32)) {
-	for wi, n := 0, mask.WordsLen(); wi < n; wi++ {
-		w := a.Word(wi) & mask.Word(wi)
-		for w != 0 {
-			fn(uint32(wi*64 + bits.TrailingZeros64(w)))
-			w &= w - 1
+			up.sat.add(v)
 		}
 	}
+	up.ns.unionWith(N)
 }
 
 // oracleMatches evaluates an oracle-path (non-validating) pattern,
@@ -591,9 +679,9 @@ func oracleMatches(t *xmltree.Tree, p *pattern.Pattern) (res bool) {
 }
 
 // kidsIn reports whether every child constraint of forest node v is in S.
-func (f *Forest) kidsIn(v uint32, S *bitset.Set) bool {
+func (f *Forest) kidsIn(v uint32, S *frame) bool {
 	for _, k := range f.nodes[v].kids {
-		if !S.Contains(int(k)) {
+		if !S.has(k) {
 			return false
 		}
 	}

@@ -171,14 +171,13 @@ func TestForestSharingAndChurn(t *testing.T) {
 	if f.NodeCount() != 0 || f.Live() != 0 {
 		t.Errorf("after removing all: nodes=%d live=%d", f.NodeCount(), f.Live())
 	}
-	liveLeafSets := 0
-	for _, s := range f.leafTag {
-		if s != nil {
-			liveLeafSets++
+	for sym, id := range f.leafTag {
+		if id != noNode {
+			t.Errorf("leafTag[%d] retains dead node %d", sym, id)
 		}
 	}
-	if liveLeafSets != 0 {
-		t.Errorf("leafTag retains %d dead label sets", liveLeafSets)
+	if f.wildLeaf != noNode {
+		t.Errorf("wildLeaf retains dead node %d", f.wildLeaf)
 	}
 
 	// Handle and node-id reuse after full churn.

@@ -1,6 +1,7 @@
 package matching
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -26,6 +27,10 @@ func FuzzEngineVsMatches(f *testing.F) {
 		{"a(*,//)", "/a/*\n/a[//b]\n/.[//a]\n//*"},
 		{"r(x(y(z)),w)", "//x//z\n/r[//z][w]\n/r/*/y\n/.[//y][//w]\n//w/*"},
 		{"a(b(c),b(d))", "/a//c\n/a/b[c][d]\n//b[c]\n//b/d"},
+		// Root-"//" whose kid is node-satisfied only at depth >= 3: the
+		// bit has to ride the children's SAT union up to the root.
+		{"r(x(y(z(w)),v),u)", "//z/w\n//w\n//z[w]\n//y//w\n//q\n//y/z[w]\n//x[v]//w\n//z/v"},
+		manyNodesOneLabel(),
 	}
 	for _, s := range seeds {
 		f.Add(s[0], s[1])
@@ -97,4 +102,29 @@ func FuzzEngineVsMatches(f *testing.F) {
 			t.Fatalf("doc %q: Engine.Match = %v, oracle = %v", docStr, got, oracle)
 		}
 	})
+}
+
+// manyNodesOneLabel is a seed whose forest carries the label b on 96
+// distinct nodes (b over 96 different kids) among ~200 in all, so one
+// document label fans out over candidates in several frame words, and
+// the matched ones are scattered among them.
+func manyNodesOneLabel() [2]string {
+	var doc, pats strings.Builder
+	doc.WriteString("a(")
+	for i := 0; i < 24; i++ {
+		if i > 0 {
+			pats.WriteByte('\n')
+		}
+		pats.WriteString("/a")
+		for j := 0; j < 4; j++ {
+			fmt.Fprintf(&pats, "[b/c%d]", 4*i+j)
+		}
+		if i%3 == 0 {
+			for j := 0; j < 4; j++ {
+				fmt.Fprintf(&doc, "b(c%d),", 4*i+j)
+			}
+		}
+	}
+	doc.WriteString("b)")
+	return [2]string{doc.String(), pats.String()}
 }

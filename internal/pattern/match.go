@@ -51,17 +51,21 @@ var matcherPool = sync.Pool{New: func() any { return new(FlatMatcher) }}
 // zero value is ready; a FlatMatcher is not safe for concurrent use
 // and its arenas are reused across Load calls.
 type FlatMatcher struct {
-	m        matcher
-	nonEmpty bool
+	m   matcher
+	own xmltree.Flat
 }
 
 // Load flattens the document the subsequent Matches calls run against.
 func (fm *FlatMatcher) Load(t *xmltree.Tree) {
-	fm.nonEmpty = t != nil && t.Root != nil
-	if fm.nonEmpty {
-		fm.m.doc.Load(t, nil)
-	}
+	fm.own.Load(t, nil)
+	fm.m.doc = &fm.own
 }
+
+// LoadFlat is Load for a document the caller has already flattened
+// (with any table, or none: only labels and child ranges are read). The
+// arena is shared, not copied — several matchers may read one — and
+// must stay as it is until the last Matches against it.
+func (fm *FlatMatcher) LoadFlat(doc *xmltree.Flat) { fm.m.doc = doc }
 
 // Matches reports whether the loaded document satisfies p, with the
 // exact Matches semantics.
@@ -69,13 +73,11 @@ func (fm *FlatMatcher) Matches(p *Pattern) bool {
 	if p == nil || p.Root == nil {
 		return false
 	}
-	if len(p.Root.Children) == 0 {
-		return fm.nonEmpty
-	}
-	if !fm.nonEmpty {
-		return false
-	}
 	m := &fm.m
+	nonEmpty := m.doc != nil && m.doc.Len() > 0
+	if len(p.Root.Children) == 0 || !nonEmpty {
+		return nonEmpty
+	}
 	m.loadPattern(p)
 	m.resetMemo(m.doc.Len())
 	// The pattern root is arena node 0; its children are the root
@@ -94,7 +96,7 @@ func (fm *FlatMatcher) Matches(p *Pattern) bool {
 // integer indices instead of pointers, and a flat slice memo instead of
 // a map.
 type matcher struct {
-	doc xmltree.Flat
+	doc *xmltree.Flat
 
 	// Pattern arena (BFS, node 0 = "/." root): labels and child ranges.
 	plabels        []string
