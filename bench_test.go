@@ -250,13 +250,24 @@ func BenchmarkSynopsisInsert(b *testing.B) {
 	}
 }
 
-// BenchmarkSkeleton measures skeleton-tree construction.
+// BenchmarkSkeleton measures skeleton-tree construction: over a fresh
+// scratch per document (xmltree.Skeleton) and over one reused scratch,
+// as synopsis.Insert builds it.
 func BenchmarkSkeleton(b *testing.B) {
 	w, _ := benchWorkloads()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_ = xmltree.Skeleton(w.Docs[i%len(w.Docs)])
-	}
+	b.Run("fresh", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			_ = xmltree.Skeleton(w.Docs[i%len(w.Docs)])
+		}
+	})
+	b.Run("scratch", func(b *testing.B) {
+		var s xmltree.SkeletonScratch
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			_ = s.Build(w.Docs[i%len(w.Docs)])
+		}
+	})
 }
 
 // BenchmarkExactMatch measures the formal matcher used for ground

@@ -22,8 +22,11 @@ func testHandler(t *testing.T) (http.Handler, *broker.Engine, *telemetry.EventRi
 	t.Cleanup(func() { eng.Close() })
 	events := telemetry.NewEventRing(16)
 	logger := slog.New(slog.DiscardHandler)
-	return newHandler(eng, nil, reg, events, 1<<20, time.Second, broker.AtMostOnce, logger), eng, events
+	return newHandler(eng, nil, reg, events, testMaxBody, time.Second, broker.AtMostOnce, logger), eng, events
 }
+
+// testMaxBody is the -max-body testHandler runs with.
+const testMaxBody = 1 << 20
 
 func do(t *testing.T, h http.Handler, method, path, contentType, body string) *httptest.ResponseRecorder {
 	t.Helper()
@@ -123,6 +126,42 @@ func TestHandlerErrorPaths(t *testing.T) {
 			msg := errorBody(t, w)
 			if tc.wantSubstr != "" && !strings.Contains(msg, tc.wantSubstr) {
 				t.Fatalf("error %q does not mention %q", msg, tc.wantSubstr)
+			}
+		})
+	}
+}
+
+// TestOversizeBodyIs413: a body of exactly -max-body bytes is served, one
+// byte more answers 413 with the uniform error shape, for raw XML on
+// /publish and /explain and for a JSON batch on /publish.
+func TestOversizeBodyIs413(t *testing.T) {
+	h, _, _ := testHandler(t)
+	xmlBody := func(size int) string {
+		const head, tail = "<a><b/><!--", "--></a>"
+		return head + strings.Repeat("x", size-len(head)-len(tail)) + tail
+	}
+	jsonBody := func(size int) string {
+		const head, tail = `["<a><b/></a>"`, `]`
+		return head + strings.Repeat(" ", size-len(head)-len(tail)) + tail
+	}
+	for _, tc := range []struct {
+		name, path, ctype string
+		body              func(size int) string
+	}{
+		{"publish xml", "/publish", "application/xml", xmlBody},
+		{"explain xml", "/explain", "application/xml", xmlBody},
+		{"publish json batch", "/publish", "application/json", jsonBody},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if w := do(t, h, "POST", tc.path, tc.ctype, tc.body(testMaxBody)); w.Code != http.StatusOK {
+				t.Fatalf("%d-byte body: status = %d, want 200 (%s)", testMaxBody, w.Code, w.Body.String())
+			}
+			w := do(t, h, "POST", tc.path, tc.ctype, tc.body(testMaxBody+1))
+			if w.Code != http.StatusRequestEntityTooLarge {
+				t.Fatalf("%d-byte body: status = %d, want 413 (%s)", testMaxBody+1, w.Code, w.Body.String())
+			}
+			if msg := errorBody(t, w); !strings.Contains(msg, "too large") {
+				t.Fatalf("error %q does not say the body was too large", msg)
 			}
 		})
 	}

@@ -117,7 +117,7 @@ func main() {
 		ingestQ   = flag.Int("ingest-queue", 1024, "publish ingest pipeline depth")
 		maxStale  = flag.Int("rebuild-stale", 0, "rebuild after N mutations (0: use -rebuild-fraction)")
 		fraction  = flag.Float64("rebuild-fraction", 0.25, "rebuild when churn exceeds this fraction of live subscriptions")
-		maxBody   = flag.Int64("max-body", 1<<20, "maximum request body bytes")
+		maxBody   = flag.Int64("max-body", 1<<20, "maximum request body bytes; a larger publish or explain body answers 413")
 
 		federate  = flag.Bool("federate", false, "serve overlay peer endpoints even with no -peers")
 		peers     = flag.String("peers", "", "comma-separated peer base URLs to federate with (implies -federate)")
@@ -494,7 +494,7 @@ func newHandler(eng *broker.Engine, node *overlay.Node, reg *telemetry.Registry,
 			var t *xmltree.Tree
 			t, err = xmltree.Parse(bodyReader(r, maxBody), eng.Estimator().Config().ParseOptions)
 			if err != nil {
-				httpError(w, http.StatusBadRequest, "treesimd: publish: %v", err)
+				httpError(w, bodyStatus(err), "treesimd: publish: %v", err)
 				return
 			}
 			resp.PublishResult, resp.Forwarded, resp.Trace, err = node.PublishTraced(t)
@@ -502,7 +502,7 @@ func newHandler(eng *broker.Engine, node *overlay.Node, reg *telemetry.Registry,
 			resp.PublishResult, err = eng.PublishXML(bodyReader(r, maxBody))
 		}
 		if err != nil {
-			status := http.StatusBadRequest
+			status := bodyStatus(err)
 			if err == broker.ErrClosed || err == overlay.ErrClosed {
 				status = http.StatusServiceUnavailable
 			}
@@ -634,7 +634,7 @@ func newHandler(eng *broker.Engine, node *overlay.Node, reg *telemetry.Registry,
 	mux.HandleFunc("POST /explain", func(w http.ResponseWriter, r *http.Request) {
 		t, err := xmltree.Parse(bodyReader(r, maxBody), eng.Estimator().Config().ParseOptions)
 		if err != nil {
-			httpError(w, http.StatusBadRequest, "treesimd: explain: %v", err)
+			httpError(w, bodyStatus(err), "treesimd: explain: %v", err)
 			return
 		}
 		if node != nil {
@@ -750,7 +750,7 @@ type batchResponse struct {
 func handlePublishBatch(w http.ResponseWriter, r *http.Request, eng *broker.Engine, node *overlay.Node, maxBody int64) {
 	var raw json.RawMessage
 	if err := json.NewDecoder(bodyReader(r, maxBody)).Decode(&raw); err != nil {
-		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
+		httpError(w, bodyStatus(err), "bad request body: %v", err)
 		return
 	}
 	var docs []string
@@ -779,7 +779,7 @@ func handlePublishBatch(w http.ResponseWriter, r *http.Request, eng *broker.Engi
 	go func() {
 		defer close(parsed)
 		for i, d := range docs {
-			t, err := xmltree.Parse(strings.NewReader(d), opts)
+			t, err := xmltree.ParseString(d, opts)
 			if err != nil {
 				parseErrs.Add(1)
 				msg := fmt.Sprintf("doc %d: %v", i, err)
@@ -855,6 +855,16 @@ func handlePublishBatch(w http.ResponseWriter, r *http.Request, eng *broker.Engi
 // bodyReader bounds a request body.
 func bodyReader(r *http.Request, maxBody int64) io.ReadCloser {
 	return http.MaxBytesReader(nil, r.Body, maxBody)
+}
+
+// bodyStatus is the status for a request body that failed to read or
+// parse: 413 when it ran past -max-body, 400 otherwise.
+func bodyStatus(err error) int {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

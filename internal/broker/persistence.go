@@ -239,7 +239,7 @@ func Restore(cfg Config, st *State) (*Engine, error) {
 	// that references it.
 	docTrees := make(map[uint64]*xmltree.Tree, len(st.Docs))
 	for seq, xml := range st.Docs {
-		t, err := xmltree.Parse(bytes.NewReader([]byte(xml)), cfg.Estimator.ParseOptions)
+		t, err := xmltree.ParseString(xml, cfg.Estimator.ParseOptions)
 		if err != nil {
 			return nil, fmt.Errorf("broker: restore pinned doc %d: %w", seq, err)
 		}
@@ -414,7 +414,7 @@ func (e *Engine) ApplyDelivered(seq uint64, xml string, subs, cursors []uint64, 
 	var t *xmltree.Tree
 	if xml != "" {
 		var err error
-		t, err = xmltree.Parse(bytes.NewReader([]byte(xml)), e.cfg.Estimator.ParseOptions)
+		t, err = xmltree.ParseString(xml, e.cfg.Estimator.ParseOptions)
 		if err != nil {
 			return fmt.Errorf("broker: replay deliver %d: %w", seq, err)
 		}

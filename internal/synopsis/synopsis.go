@@ -115,6 +115,11 @@ type Synopsis struct {
 
 	version int64
 	cache   atomic.Pointer[fullCache]
+
+	// skel is the storage Insert builds each skeleton in. Insert is the
+	// only user (mutators have exclusive access) and nothing it stores
+	// points into a skeleton: insertChild copies labels, never nodes.
+	skel xmltree.SkeletonScratch
 }
 
 // fullCache memoizes Full(v) per node for one synopsis version. A new
@@ -285,12 +290,12 @@ func (s *Synopsis) Insert(t *xmltree.Tree) uint64 {
 		}
 	}
 	s.liveDocs++
-	sk := xmltree.Skeleton(t)
+	sk := s.skel.Build(t)
 	counters := s.opts.Kind == matchset.KindCounters
 	if counters {
 		s.root.store.Add(id)
 	}
-	s.insertChild(s.root, sk.Root, id, counters)
+	s.insertChild(s.root, sk, id, counters)
 	return id
 }
 

@@ -1,9 +1,100 @@
 package xmltree
 
 import (
+	"encoding/xml"
 	"strings"
 	"testing"
 )
+
+// allParseOptions is the four ParseOptions combinations.
+var allParseOptions = []ParseOptions{
+	{},
+	{TextAsNodes: true},
+	{AttributesAsNodes: true},
+	{TextAsNodes: true, AttributesAsNodes: true},
+}
+
+// diffReference fails t unless Parse and the encoding/xml reference
+// agree on s under every ParseOptions combination: both accept or both
+// reject, and accepted trees are Equal.
+func diffReference(t *testing.T, s string) {
+	t.Helper()
+	for _, opts := range allParseOptions {
+		want, wantErr := referenceParse(strings.NewReader(s), opts)
+		got, err := ParseString(s, opts)
+		if (err == nil) != (wantErr == nil) {
+			t.Fatalf("Parse(%q, %+v): err = %v, reference err = %v", s, opts, err, wantErr)
+		}
+		if err == nil && !got.Root.Equal(want.Root) {
+			t.Fatalf("Parse(%q, %+v) = %s, reference %s", s, opts, got, want)
+		}
+		if viaReader, rerr := Parse(strings.NewReader(s), opts); (rerr == nil) != (err == nil) ||
+			err == nil && !viaReader.Root.Equal(got.Root) {
+			t.Fatalf("Parse(%q, %+v) over a reader = %v, %v; ParseString = %v, %v", s, opts, viaReader, rerr, got, err)
+		}
+	}
+}
+
+// referenceSeeds is what a hand-written scanner gets wrong first.
+var referenceSeeds = []string{
+	"<a>&lt;&amp;&#65;&#x41;</a>", "<a>&foo;</a>", "<a>&lt</a>", "<a>&#;&#x;</a>", "<a>&#X41;</a>",
+	"<a>&#0;</a>", "<a>&#xD800;</a>", "<a>&#xFFFE;</a>", "<a>&#x110000;</a>", "<a>&#99999999999999999999;</a>",
+	"<a>]]></a>", "<a>]]&gt;</a>", "<a>]&#93;></a>", "<a b=']]>'/>", "<a/>]]>",
+	"<a><!-- -- --></a>", "<a><!----></a>", "<a><!-----></a>", "<a><!---></a>", "<!-x--><a/>",
+	"<a><![CDATA[<x/>]]></a>", "<a>x<![CDATA[y]]>z</a>", "<a><![CDATA[]]]]><![CDATA[>]]></a>", "<a><![CDATA[&amp;\r\n]]></a>", "<a><![CDAT[]]></a>", "<![CDATA[x]]><a/>",
+	`<!DOCTYPE a [<!ENTITY e "v"><!-- > -->]><a/>`, `<!DOCTYPE a [<!ENTITY e ">'">]><a/>`, "<!><a/>", "<!>><a/>", "<!\"><a/>", "<!DOCTYPE a [<x]><a/>", "<!DOCTYPE a <!- ><a/>", "<!DOCTYPE a <!-- -- ><a/>", "<a><!DOCTYPE b></a>",
+	`<?xml version="1.0" encoding="ISO-8859-1"?><a/>`, `<?xml version="1.0" encoding="UTF-8"?><a/>`, `<?xml version='1.0' encoding='utf-8'?><a/>`,
+	`<?xml version="1.1"?><a/>`, `<?xml version=1.0 version="1.0"?><a/>`, `<?xml encoding="?><a/>`, `<a><?xml version="2"?></a>`, "<?xml?><a/>", "<?a:b:c d?><a/>", "<? a?><a/>", "<?a ?", "<?1?><a/>",
+	"<x:a></y:a>", "<x:a></x:a>", "<x:a></a>", "<a></a:>", "<A:0/>", "<a:/>", "<:a/>", "<:/>", "<a:b:c/>", "<:a:/>", "<a x:y:z='1'/>", "<a :b='1' c:='2' xmlns:p='u' xmlns='v'/>",
+	"</a >", "<a></a >", "<a></a b>", "<a></ab>", "<a b='1' b=\"2\"/>", "<a b=1/>", "<a b/>", "<a b='<'/>", "<a b='1'c='2'/>", "<a b = '&lt;&#10;\r\n' />", "<a b=''/>", "<a b=\"'\" c='\"'/>", "<a b='1/>", "<a / >", "<a/ >",
+	"<a>\r\n x\r\ry \r\n</a>", "<a>\r&#13;\n</a>", "<a>\u00a0x\u2003</a>", "<a>\x00</a>", "<a>\x1f</a>", "<a>\xff</a>", "<a>\ufffe</a>", "<a>\ufffd</a>", "<a>\xed\xa0\x80</a>",
+	"<\xff\xfe/>", "<a\xc3/>", "<\u00e9l\u00e9ment/>", "<a\u00b7\u0300/>", "<\u00b7a/>", "<\u00d7/>", "<a\U00010000/>", "<-a/>", "<a-.1/>", "<1a/>",
+	"\ufeff<a/>", "<a/>trailing text", "<a/>&bogus;", "leading<a/>", "<a/><b/>", "<a>", "<", "<a", "<a ", "<a b", "<a b=", "<a b='", "</", "<!", "<!-", "<![", "<?", "", " ", "not xml at all",
+	strings.Repeat("<a>", 100) + strings.Repeat("</a>", 100), strings.Repeat("<a>", 100),
+}
+
+// TestDeepNestingVsReference is the 10 000-deep case. It is a test, not
+// a fuzz seed: the fuzzer spends its whole budget minimizing the 70 KB
+// mutants such a seed breeds.
+func TestDeepNestingVsReference(t *testing.T) {
+	diffReference(t, strings.Repeat("<a>", 10000)+strings.Repeat("</a>", 10000))
+	diffReference(t, strings.Repeat("<a>", 10000)+strings.Repeat("</a>", 9999))
+	diffReference(t, strings.Repeat("<a b='1'>t", 10000)+strings.Repeat("</a>", 10000))
+}
+
+// FuzzParseVsReference holds the hand-written scanner to the
+// encoding/xml parser it replaced.
+func FuzzParseVsReference(f *testing.F) {
+	for _, seed := range referenceSeeds {
+		f.Add(seed)
+	}
+	f.Fuzz(diffReference)
+}
+
+// TestNameTablesMatchEncodingXML checks nameStart and nameRest against
+// encoding/xml's verdict on every code point, as the first and as a
+// later character of an element name.
+func TestNameTablesMatchEncodingXML(t *testing.T) {
+	accepts := func(doc string) bool {
+		tok, err := xml.NewDecoder(strings.NewReader(doc)).Token()
+		_, isElement := tok.(xml.StartElement)
+		return err == nil && isElement
+	}
+	for r := rune(0); r <= 0x10FFFF; r++ {
+		if r == 0xD800 {
+			r = 0xE000 // surrogates do not survive string(r)
+		}
+		first, later := "<"+string(r)+"/>", "<a"+string(r)+"/>"
+		if r == '/' || r == '>' || r == ' ' || r == '\t' || r == '\n' || r == '\r' {
+			continue // ends the name "a"
+		}
+		for _, doc := range []string{first, later} {
+			if _, err := ParseString(doc, ParseOptions{}); (err == nil) != accepts(doc) {
+				t.Fatalf("ParseString(%q): err = %v, encoding/xml accepts = %v", doc, err, accepts(doc))
+			}
+		}
+	}
+}
 
 // FuzzParseXMLString drives the XML-to-tree parser with arbitrary
 // documents — the broker daemon's publish endpoint feeds it untrusted

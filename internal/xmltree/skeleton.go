@@ -9,44 +9,86 @@ package xmltree
 // The skeleton preserves the set of root-to-node label paths of the
 // document, and it is the unit of insertion into the document synopsis.
 func Skeleton(t *Tree) *Tree {
+	var s SkeletonScratch
+	return &Tree{Root: s.Build(t)}
+}
+
+// SkeletonScratch is the reusable storage a skeleton is built in: once
+// it has seen a document of a given shape, building another allocates
+// nothing. The zero value is ready to use; it is not safe for
+// concurrent use.
+type SkeletonScratch struct {
+	chunks [][]Node // the node arena; chunks are never reallocated
+	used   int      // arena nodes handed out by the current build
+	links  []skeletonLink
+	groups []skeletonGroup
+}
+
+// The arena grows skeletonChunk nodes at a time, and a scratch whose
+// last build needed more than skeletonKeep nodes (some forty times a
+// workload skeleton) starts over empty, so one huge document does not
+// stay resident.
+const (
+	skeletonChunk = 64
+	skeletonKeep  = 4096
+)
+
+// skeletonLink is one document node in the list of nodes a skeleton
+// node coalesces; next indexes links, -1 ends the list.
+type skeletonLink struct {
+	src  *Node
+	next int
+}
+
+// skeletonGroup is such a list, in first-seen order; head is -1 while
+// it is empty.
+type skeletonGroup struct{ head, tail int }
+
+// Build returns the root of t's skeleton (nil for an empty tree). The
+// skeleton lives in s and is valid until the next Build.
+func (s *SkeletonScratch) Build(t *Tree) *Node {
+	if s.used > skeletonKeep {
+		*s = SkeletonScratch{}
+	}
+	s.used = 0
 	if t == nil || t.Root == nil {
-		return &Tree{}
+		return nil
 	}
-	var a nodeArena
-	root := a.new(t.Root.Label)
-	coalesce(&a, root, []*Node{t.Root})
-	return &Tree{Root: root}
+	root := s.newNode(t.Root.Label)
+	s.links = append(s.links[:0], skeletonLink{src: t.Root, next: -1})
+	s.coalesce(root, 0)
+	s.links[0] = skeletonLink{} // coalesce cleared the rest: do not pin the document
+	return root
 }
 
-// nodeArena chunk-allocates skeleton nodes: one allocation per 64
-// nodes instead of one each. Chunks are abandoned (never copied or
-// reallocated) when full, so node pointers taken from them stay valid.
-type nodeArena struct {
-	chunk []Node
-}
-
-func (a *nodeArena) new(label string) *Node {
-	if len(a.chunk) == cap(a.chunk) {
-		a.chunk = make([]Node, 0, 64)
+// newNode takes the next arena node. A reused node keeps its child
+// list's capacity, which is what makes a warm build allocation-free.
+func (s *SkeletonScratch) newNode(label string) *Node {
+	if s.used == len(s.chunks)*skeletonChunk {
+		s.chunks = append(s.chunks, make([]Node, skeletonChunk))
 	}
-	a.chunk = append(a.chunk, Node{Label: label})
-	return &a.chunk[len(a.chunk)-1]
+	n := &s.chunks[s.used/skeletonChunk][s.used%skeletonChunk]
+	s.used++
+	n.Label, n.Children = label, n.Children[:0]
+	return n
 }
 
-// coalesce populates dst.Children from the union of the children of all
-// src nodes, grouping by tag (first-seen order, for determinism). Each
-// group becomes one skeleton child whose own children are recursively
-// coalesced from the whole group. Groups are found by scanning the
-// skeleton children built so far — their count is bounded by the
-// distinct child labels, small in practice, and the scan beats a
-// per-node map on the ingest hot path (Skeleton runs per observed
-// document) — with a map fallback past a threshold so a hostile wide
-// document with thousands of distinct tags cannot make this quadratic.
-func coalesce(a *nodeArena, dst *Node, group []*Node) {
-	var buckets [][]*Node
+// coalesce populates dst.Children from the union of the children of the
+// document nodes in the list at links[head], grouping by tag (first-seen
+// order, for determinism). Each group becomes one skeleton child whose
+// own children are recursively coalesced from the whole group. Groups
+// are found by scanning the skeleton children built so far — their
+// count is bounded by the distinct child labels, small in practice, and
+// the scan beats a per-node map on the ingest hot path (Skeleton runs
+// per observed document) — with a map fallback past a threshold so a
+// hostile wide document with thousands of distinct tags cannot make
+// this quadratic. The lists live on two stacks shared by the whole
+// build, popped when dst is done.
+func (s *SkeletonScratch) coalesce(dst *Node, head int) {
+	linkBase, groupBase := len(s.links), len(s.groups)
 	var byLabel map[string]int
-	for _, src := range group {
-		for _, c := range src.Children {
+	for l := head; l >= 0; l = s.links[l].next {
+		for _, c := range s.links[l].src.Children {
 			idx := -1
 			if byLabel != nil {
 				if i, ok := byLabel[c.Label]; ok {
@@ -61,9 +103,9 @@ func coalesce(a *nodeArena, dst *Node, group []*Node) {
 				}
 			}
 			if idx < 0 {
-				dst.Children = append(dst.Children, a.new(c.Label))
-				buckets = append(buckets, nil)
-				idx = len(buckets) - 1
+				dst.Children = append(dst.Children, s.newNode(c.Label))
+				s.groups = append(s.groups, skeletonGroup{head: -1})
+				idx = len(dst.Children) - 1
 				if byLabel != nil {
 					byLabel[c.Label] = idx
 				} else if len(dst.Children) > 32 {
@@ -73,12 +115,26 @@ func coalesce(a *nodeArena, dst *Node, group []*Node) {
 					}
 				}
 			}
-			buckets[idx] = append(buckets[idx], c)
+			if len(c.Children) == 0 {
+				continue // a leaf adds nothing below its skeleton node
+			}
+			g := &s.groups[groupBase+idx]
+			if g.head < 0 {
+				g.head = len(s.links)
+			} else {
+				s.links[g.tail].next = len(s.links)
+			}
+			g.tail = len(s.links)
+			s.links = append(s.links, skeletonLink{src: c, next: -1})
 		}
 	}
 	for i, child := range dst.Children {
-		coalesce(a, child, buckets[i])
+		if head := s.groups[groupBase+i].head; head >= 0 {
+			s.coalesce(child, head)
+		}
 	}
+	clear(s.links[linkBase:])
+	s.links, s.groups = s.links[:linkBase], s.groups[:groupBase]
 }
 
 // IsSkeleton reports whether no node of the tree has two children with

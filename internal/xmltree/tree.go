@@ -1,5 +1,12 @@
 // Package xmltree provides node-labeled tree representations of XML
-// documents, an event-based parser, and skeleton-tree construction.
+// documents, a parser, and skeleton-tree construction.
+//
+// The parser (Parse, ParseString) is a hand-written single-pass scanner
+// over the whole document that accepts what encoding/xml's strict
+// decoder accepts and allocates per document, not per node: a parsed
+// tree is two exactly sized slabs (nodes, child pointers) whose labels
+// come from a bounded cache shared across documents. The skeleton is
+// likewise built into reusable storage (SkeletonScratch).
 //
 // Trees in this package are purely structural: each node carries a label
 // (an element tag name or, optionally, a text value promoted to a label)
