@@ -2,7 +2,6 @@ package broker
 
 import (
 	"bytes"
-	"flag"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -24,11 +23,6 @@ func benchWorkload(nDocs, nSubs int) ([]*xmltree.Tree, []*pattern.Pattern) {
 	return docs, subs
 }
 
-// benchShards is Config.Shards for every benchmark engine, so the
-// sharded fan-out and the single-forest layout can be compared at one
-// -cpu setting (-broker.shards=-1).
-var benchShards = flag.Int("broker.shards", 0, "Config.Shards for benchmark engines (0 auto, <0 single forest)")
-
 // benchEngine returns an engine with nSubs live subscriptions and the
 // history stream already ingested.
 func benchEngine(b *testing.B, docs []*xmltree.Tree, subs []*pattern.Pattern) *Engine {
@@ -40,7 +34,6 @@ func benchEngineSampling(b *testing.B, docs []*xmltree.Tree, subs []*pattern.Pat
 	e := New(Config{
 		Estimator:       core.Config{Representation: core.Hashes, HashCapacity: 256, Seed: 5},
 		Rebuild:         DirtyFraction{Fraction: 0.25, MinStale: 64},
-		Shards:          *benchShards,
 		PrecisionSample: precisionSample,
 	})
 	b.Cleanup(func() { e.Close() })
@@ -171,9 +164,10 @@ func BenchmarkBrokerPublishPrecisionSample(b *testing.B) {
 }
 
 // BenchmarkBrokerPublishParallel measures multi-publisher throughput:
-// GOMAXPROCS goroutines publish concurrently against the sharded
-// engine (Shards scales with -cpu). This is the scaling benchmark —
-// compare ns/op across -cpu 1,4 to see the sharded plane's speedup.
+// GOMAXPROCS goroutines publish concurrently, sharing the forest under
+// the routing read lock. This is the scaling benchmark — compare ns/op
+// across -cpu 1,4: publishers scale across cores, one publish does not
+// try to.
 func BenchmarkBrokerPublishParallel(b *testing.B) {
 	docs, subs := benchWorkload(200, 256)
 	e := benchEngine(b, docs, subs)

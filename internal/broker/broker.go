@@ -29,16 +29,12 @@
 //     RebuildPolicy watches the mutation count and triggers a full
 //     similarity matrix (on the same view) + greedy rebuild when enough
 //     of the registry has churned.
-//   - A sharded matching plane. Communities are pinned to
-//     GOMAXPROCS-scaled shards (whole communities together — placement
-//     is community-aware), each shard owning a routing table and a
-//     matching forest of exactly its communities' representatives (the
-//     handle is the community's: joiners never touch a forest, a
-//     leaving representative hands it to its successor); a publish
-//     flattens the document once and all shards match and deliver in
-//     parallel with no shared mutable state, so routing throughput
-//     scales with cores while churn on one shard never stalls matching
-//     on the others.
+//   - One matching forest. It holds exactly the communities'
+//     representatives (the handle is the community's: joiners never
+//     touch it, a leaving representative hands it to its successor); a
+//     publish flattens the document once and walks it once, on the
+//     publisher's own goroutine, and that one pass decides every
+//     community.
 //   - A batched ingest pipeline. Published documents are handed to a
 //     background ingester that feeds the estimator's synopsis in
 //     batches (one lock acquisition per batch); publishing waits on
@@ -48,11 +44,14 @@
 //     that drop the oldest delivery when a slow consumer falls behind,
 //     drained with long-poll semantics.
 //
-// Concurrency: Publish and Drain scale across goroutines (publishes
-// synchronize per shard, drains per queue); Subscribe, Unsubscribe and
-// policy rebuilds are exclusive on the registry but hold it only for
-// the commit — the O(n) similarity row, the O(n²) rebuild matrix and
-// view refreshes happen from snapshots outside the registry lock. Rows
+// Matching and concurrency: parallelism comes from concurrent
+// publishers, not from splitting one publish — they share the routing
+// read lock and Forest.Match is re-entrant, and drains synchronize per
+// queue. Churn takes the routing write lock for one forest edit plus
+// the table rebuild. Subscribe, Unsubscribe and policy rebuilds are
+// exclusive on the registry but hold it only for the commit — the O(n)
+// similarity row, the O(n²) rebuild matrix and view refreshes happen
+// from snapshots outside the registry lock. Rows
 // and matrices run on the view, never on the live estimator: churn
 // takes the estimator's read lock only to read the stream length and,
 // at a refresh, to copy the synopsis structure (no SEL work), so the
@@ -62,16 +61,13 @@ package broker
 import (
 	"fmt"
 	"log/slog"
-	"runtime"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"treesim/internal/cluster"
 	"treesim/internal/core"
-	"treesim/internal/intern"
 	"treesim/internal/matching"
 	"treesim/internal/metrics"
 	"treesim/internal/pattern"
@@ -88,11 +84,6 @@ type Config struct {
 	Metric metrics.Metric
 	// Threshold is the community similarity threshold (default 0.5).
 	Threshold float64
-	// Shards is the number of matching/delivery shards. 0 (the default)
-	// scales with GOMAXPROCS at engine creation; negative forces the
-	// unsharded single-forest layout. Each community lives entirely on
-	// one shard, and publishes match all shards in parallel.
-	Shards int
 	// QueueCapacity bounds each consumer's delivery queue (default 256).
 	// When a queue is full the oldest delivery is dropped and counted.
 	QueueCapacity int
@@ -278,10 +269,7 @@ type subscriber struct {
 	expr string
 	// mode is the delivery contract, fixed at subscribe time.
 	mode DeliveryMode
-	// shard is the index of the shard holding the subscription's
-	// community.
-	shard int
-	q     *queue
+	q    *queue
 }
 
 // Engine is the live broker. Create with New, stop with Close.
@@ -290,22 +278,18 @@ type Engine struct {
 	est *core.Estimator
 
 	// mu guards the subscription registry and clustering. Publishes do
-	// NOT take it: the routing state they need is maintained per shard.
+	// NOT take it: the routing state they need lives under routeMu.
 	mu   sync.RWMutex
 	subs []*subscriber
 	byID map[uint64]int
-	// comms is the global clustering; commShard pins each community
-	// group to a shard and commFH is the handle of the community's one
-	// pattern in that shard's forest — its representative's (both
-	// index-aligned with comms.Groups); shardLive tracks per-shard
-	// subscription counts for placement.
-	comms     *cluster.Communities
-	commShard []int
-	commFH    []int
-	shardLive []int
-	nextID    uint64
-	stale     int // registry mutations since the last full rebuild
-	regVer    uint64
+	// comms is the clustering; commFH[g] is the handle of community g's
+	// one pattern in the forest — its representative's (index-aligned
+	// with comms.Groups).
+	comms  *cluster.Communities
+	commFH []int
+	nextID uint64
+	stale  int // registry mutations since the last full rebuild
+	regVer uint64
 	// walLSN is the LSN of the newest successfully journaled mutation
 	// (see Journal). Updated inside the same registry critical sections
 	// that commit and journal, so a State cut under the registry lock
@@ -313,20 +297,17 @@ type Engine struct {
 	walLSN uint64
 	closed bool
 
-	// tbl is the label table shared by every shard forest, so one Flat
-	// document load serves the whole fan-out. procs caches GOMAXPROCS
-	// at creation: querying it per publish takes the runtime's global
-	// sched lock, a serialization point on the exact path sharding
-	// parallelizes.
-	tbl    *intern.Table
-	shards []*shard
-	procs  int
-
-	// routeMu orders publishes against Close (shared by routing,
-	// exclusive to close the delivery queues under). Registry mutations
-	// do not touch it.
+	// routeMu guards the matching plane (route.go): the forest, the
+	// routing table built from comms/commFH into reused arrays, and
+	// routeClosed. Publishes hold it shared; forest edits with their
+	// table rebuild, and Close, hold it exclusively. matchNS times one
+	// match + fan-out (observing is two atomics, no allocation).
 	routeMu     sync.RWMutex
 	routeClosed bool
+	forest      *matching.Forest
+	groups      []routeGroup
+	members     []routeMember
+	matchNS     *telemetry.Histogram
 
 	// rebuildBusy lets exactly one goroutine run the (expensive,
 	// lock-free) similarity-matrix phase of a policy rebuild at a time.
@@ -359,13 +340,12 @@ type Engine struct {
 	ingest     chan ingestItem
 	ingestWG   sync.WaitGroup
 
-	// flatPool recycles the per-publish document arenas, fanPool the
-	// parallel fan-out scratch, rowPool/patsPool the subscribe path's
-	// similarity-row and registry-snapshot buffers.
-	flatPool sync.Pool
-	fanPool  sync.Pool
-	rowPool  sync.Pool
-	patsPool sync.Pool
+	// scratchPool recycles the per-publish scratch (routeScratch),
+	// rowPool/patsPool the subscribe path's similarity-row and
+	// registry-snapshot buffers.
+	scratchPool sync.Pool
+	rowPool     sync.Pool
+	patsPool    sync.Pool
 
 	// journal, when set, records committed registry mutations for crash
 	// recovery (SetJournal). Append failures are counted and latch
@@ -414,7 +394,6 @@ func New(cfg Config) *Engine {
 // shared constructor of New (fresh estimator) and Restore (estimator
 // loaded from a snapshot). cfg already has defaults applied.
 func newEngine(cfg Config, est *core.Estimator) *Engine {
-	nsh := resolveShards(cfg.Shards)
 	tel := cfg.Telemetry
 	if tel == nil {
 		tel = telemetry.NewRegistry()
@@ -424,27 +403,21 @@ func newEngine(cfg Config, est *core.Estimator) *Engine {
 		est:       est,
 		byID:      make(map[uint64]int),
 		comms:     &cluster.Communities{Threshold: cfg.Threshold},
-		shardLive: make([]int, nsh),
-		tbl:       intern.NewTable(),
-		shards:    make([]*shard, nsh),
-		procs:     runtime.GOMAXPROCS(0),
+		forest:    matching.NewForest(),
 		ingest:    make(chan ingestItem, cfg.IngestQueue),
 		tel:       tel,
 		counters:  newCounters(tel),
 		sweepStop: make(chan struct{}),
 	}
 	lb := telemetry.DefaultLatencyBuckets()
-	e.pubLat = tel.Histogram("treesim_broker_publish_ns", "End-to-end publish latency (ingest enqueue + shard routing), nanoseconds.", lb)
+	e.pubLat = tel.Histogram("treesim_broker_publish_ns", "End-to-end publish latency (ingest enqueue + routing), nanoseconds.", lb)
 	e.ingestWait = tel.Histogram("treesim_broker_ingest_wait_ns", "Time a publish spent blocked on the synopsis ingest pipeline, nanoseconds.", lb)
 	e.subLat = tel.Histogram("treesim_broker_subscribe_ns", "Subscribe latency from entry to commit (similarity row, community assignment, journal), nanoseconds.", lb)
-	for i := range e.shards {
-		e.shards[i] = &shard{
-			forest: matching.NewForestShared(e.tbl),
-			matchNS: tel.Histogram("treesim_broker_shard_match_ns",
-				"Per-shard time to match one document and fan it out, nanoseconds.", lb,
-				"shard", strconv.Itoa(i)),
-		}
-	}
+	// The name and the shard label date from the sharded layout; one
+	// series remains (README's metric-name stability promise).
+	e.matchNS = tel.Histogram("treesim_broker_shard_match_ns",
+		"Time to match one document against the forest and fan it out, nanoseconds.", lb,
+		"shard", "0")
 	e.registerGauges()
 	if cfg.DocCache > 0 {
 		e.docs = &docRing{buf: make([]docEntry, cfg.DocCache), pinned: make(map[uint64]*pinnedDoc)}
@@ -504,10 +477,6 @@ func (e *Engine) Estimator() *core.Estimator { return e.est }
 // Telemetry returns the engine's metrics registry — the configured one
 // or the private registry created when Config.Telemetry was nil.
 func (e *Engine) Telemetry() *telemetry.Registry { return e.tel }
-
-// Shards returns the number of matching/delivery shards the engine
-// runs with.
-func (e *Engine) Shards() int { return len(e.shards) }
 
 // Close stops the ingest pipeline after draining it and closes every
 // delivery queue. Publish/Subscribe after Close return ErrClosed.
@@ -765,41 +734,20 @@ func (e *Engine) commitSubscribeLocked(p *pattern.Pattern, expr string, row []fl
 
 // installSubLocked enters a subscription the clustering has just placed
 // in community g (by Assign, or PlaceAt on replay) into the registry
-// and its shard. g == len(e.commShard) means it founded the community:
-// the community is pinned to the least-loaded shard and the founder's
-// pattern — it is the representative — enters that shard's forest. A
-// joiner edits no forest. Caller holds the registry lock exclusively.
+// and the routing table. g == len(e.commFH) means it founded the
+// community: its pattern — it is the representative — enters the
+// forest. A joiner edits no forest. Caller holds the registry lock
+// exclusively.
 func (e *Engine) installSubLocked(id uint64, p *pattern.Pattern, expr string, g int, mode DeliveryMode) {
-	founded := g == len(e.commShard)
-	if founded {
-		e.commShard = append(e.commShard, e.placeCommunityLocked())
-	}
-	si := e.commShard[g]
-	sh := e.shards[si]
-	// Forest mutation and routing-table rebuild share one shard
-	// critical section: Add may reuse a freed handle, and a publish
-	// matching between the two would consult a table that maps that
-	// handle to the wrong community.
-	sh.mu.Lock()
-	if founded {
-		e.commFH = append(e.commFH, sh.forest.Add(p))
-	}
 	e.byID[id] = len(e.subs)
-	e.subs = append(e.subs, &subscriber{
-		id:    id,
-		pat:   p,
-		expr:  expr,
-		mode:  mode,
-		shard: si,
-		q:     e.newSubQueue(mode),
-	})
-	e.shardLive[si]++
+	e.subs = append(e.subs, &subscriber{id: id, pat: p, expr: expr, mode: mode, q: e.newSubQueue(mode)})
 	e.stale++
 	e.regVer++
-	// Assign only appends (community indices are stable), so only the
-	// receiving shard's routing table changes.
-	e.rebuildShardRoutingInner(si)
-	sh.mu.Unlock()
+	e.editRoutingLocked(func() {
+		if g == len(e.commFH) {
+			e.commFH = append(e.commFH, e.forest.Add(p))
+		}
+	})
 }
 
 // Unsubscribe removes a subscription and closes its delivery queue.
@@ -826,8 +774,8 @@ func (e *Engine) Unsubscribe(id uint64) bool {
 }
 
 // removeSubLocked is the unsubscribe commit: it drops the subscription
-// from the registry, clustering, and its shard's routing table, and
-// hands the community's forest handle over if it was the representative.
+// from the registry, clustering and routing table, and hands the
+// community's forest handle over if it was the representative.
 // Caller holds the registry lock exclusively. Reports whether the id
 // was live.
 func (e *Engine) removeSubLocked(id uint64) bool {
@@ -850,43 +798,27 @@ func (e *Engine) removeSubLocked(id uint64) bool {
 	e.comms.Remove(idx)
 	dissolved := len(e.comms.Groups) < groupsBefore
 	if dissolved {
-		e.commShard = append(e.commShard[:g], e.commShard[g+1:]...)
 		e.commFH = append(e.commFH[:g], e.commFH[g+1:]...)
 	}
 	e.subs = append(e.subs[:idx], e.subs[idx+1:]...)
 	for i := idx; i < len(e.subs); i++ {
 		e.byID[e.subs[i].id] = i
 	}
-	e.shardLive[s.shard]--
 	e.stale++
 	e.regVer++
-	sh := e.shards[s.shard]
-	// handOver keeps the forest at one pattern per community: a member
-	// leaving edits nothing; a representative leaving takes its pattern
-	// out and, unless the community dissolved with it, puts in the
-	// successor's (the handle the Remove freed is the one the Add gets).
-	handOver := func() {
+	// The forest stays at one pattern per community: a member leaving
+	// edits nothing; a representative leaving takes its pattern out and,
+	// unless the community dissolved with it, puts in the successor's
+	// (the handle the Remove freed is the one the Add gets).
+	e.editRoutingLocked(func() {
 		if !wasRep {
 			return
 		}
-		sh.forest.Remove(fh)
+		e.forest.Remove(fh)
 		if !dissolved {
-			e.commFH[g] = sh.forest.Add(e.subs[e.comms.Reps[g]].pat)
+			e.commFH[g] = e.forest.Add(e.subs[e.comms.Reps[g]].pat)
 		}
-	}
-	// Edit the forest and rebuild routing in ONE critical section:
-	// once a handle is freed or re-issued, a stale table would skip or
-	// misroute this community for any publish slipping between the two
-	// steps. When the community dissolved, every later community's
-	// index shifted down, so ALL shard tables must swap at once.
-	if dissolved {
-		e.swapAllRoutingLocked(handOver)
-	} else {
-		sh.mu.Lock()
-		handOver()
-		e.rebuildShardRoutingInner(s.shard)
-		sh.mu.Unlock()
-	}
+	})
 	return true
 }
 

@@ -12,7 +12,7 @@ import (
 // a side-effect-free dry run of the real publish match (Explain). The
 // daemon's POST /explain and GET /introspect/* endpoints are thin JSON
 // shims over it. None of it touches the publish hot path: Explain runs
-// the same sharded forest match a publish would, but skips sequence
+// the same forest match a publish would, but skips sequence
 // assignment, synopsis ingest, delivery queues, and every counter.
 
 // CommunityVerdict is one community's share of an Explain decision:
@@ -22,7 +22,8 @@ import (
 // estimates).
 type CommunityVerdict struct {
 	// Community is the community index (as stamped into Delivery
-	// .Community) and Shard the matching shard it is pinned to.
+	// .Community). Shard is always 0: the field outlives the sharded
+	// layout for clients that read it.
 	Community int `json:"community"`
 	Shard     int `json:"shard"`
 	// RepExpr is the representative's subscription expression — the
@@ -41,20 +42,21 @@ type CommunityVerdict struct {
 	ExactIDs  []uint64 `json:"exact,omitempty"`
 }
 
-// ShardExplainStats describes one shard's matching work for the
-// explained document.
+// ShardExplainStats describes the forest's matching work for the
+// explained document. The name and the Shard index (always 0) date from
+// the sharded layout; the engine has one forest.
 type ShardExplainStats struct {
 	Shard int `json:"shard"`
-	// Communities is how many communities live on the shard (each costs
-	// one representative verdict — the shard's share of filter evals).
+	// Communities is the community count (each costs one representative
+	// verdict).
 	Communities int `json:"communities"`
-	// LivePatterns and ForestNodes size the shard's forest: one pattern
-	// per community, its representative's (LivePatterns == Communities);
+	// LivePatterns and ForestNodes size the forest: one pattern per
+	// community, its representative's (LivePatterns == Communities);
 	// shared subtrees make ForestNodes smaller than the summed sizes.
 	LivePatterns int `json:"live_patterns"`
 	ForestNodes  int `json:"forest_nodes"`
-	// MatchedPatterns counts subscriptions on this shard (representatives
-	// and members alike) whose own pattern the document matched.
+	// MatchedPatterns counts subscriptions (representatives and members
+	// alike) whose own pattern the document matched.
 	MatchedPatterns int `json:"matched_patterns"`
 }
 
@@ -75,27 +77,26 @@ type Explanation struct {
 	FilterEvals        int `json:"filter_evals"`
 	// DocNodes is the flattened document size.
 	DocNodes int `json:"doc_nodes"`
-	// Shards is the per-shard forest/matching breakdown (only shards
-	// hosting at least one community appear).
+	// Shards holds the forest's size and matching breakdown: one
+	// element, none while there are no communities.
 	Shards []ShardExplainStats `json:"shards"`
 }
 
-// Explain runs the real sharded forest match for a document without
-// publishing it: no sequence number, no synopsis ingest, no deliveries,
-// no counter moves. Member verdicts (ExactIDs) come from the precision
-// sample's evaluator, applied to every member. The registry read lock
-// is held across the whole match so the verdicts describe one
-// consistent clustering; that lock is never taken by the publish path,
-// so explaining under load stalls only registry churn
-// (subscribe/unsubscribe), and only for about a publish's worth of
-// matching.
+// Explain runs the real forest match for a document without publishing
+// it: no sequence number, no synopsis ingest, no deliveries, no counter
+// moves. Member verdicts (ExactIDs) come from the precision sample's
+// evaluator, applied to every member. The registry read lock is held
+// across the whole match so the verdicts describe one consistent
+// clustering — every forest edit happens under that lock held
+// exclusively, and matching beside concurrent publishes is safe by
+// design; publishes never take it, so explaining under load stalls only
+// registry churn (subscribe/unsubscribe), and only for about a
+// publish's worth of matching.
 func (e *Engine) Explain(t *xmltree.Tree) (*Explanation, error) {
-	flat, _ := e.flatPool.Get().(*xmltree.Flat)
-	if flat == nil {
-		flat = &xmltree.Flat{}
-	}
-	defer e.flatPool.Put(flat)
-	flat.Load(t, e.tbl)
+	sc := e.getScratch()
+	defer e.scratchPool.Put(sc)
+	flat := &sc.flat
+	flat.Load(t, e.forest.Table())
 	fm := memberMatchers.Get().(*pattern.FlatMatcher)
 	defer memberMatchers.Put(fm)
 	fm.LoadFlat(flat)
@@ -110,58 +111,40 @@ func (e *Engine) Explain(t *xmltree.Tree) (*Explanation, error) {
 		FilterEvals: len(e.comms.Groups),
 		DocNodes:    flat.Len(),
 	}
-	// One pass per shard that hosts communities, exactly like routeDoc —
-	// but verdicts are collected instead of queues pushed. Registry
-	// mutators hold e.mu exclusively for every forest mutation, so under
-	// the read lock each shard's forest is stable and sh.mu.RLock only
-	// orders us with concurrent publish matches (which is safe; matching
-	// is concurrent by design). Lock order e.mu → sh.mu matches the
-	// mutators'.
-	for si, sh := range e.shards {
-		stats := ShardExplainStats{Shard: si}
-		for g := range e.comms.Groups {
-			if e.commShard[g] == si {
-				stats.Communities++
-			}
-		}
-		if stats.Communities == 0 {
-			continue
-		}
-		sh.mu.RLock()
-		stats.LivePatterns = sh.forest.Live()
-		stats.ForestNodes = sh.forest.NodeCount()
-		ms := sh.forest.MatchFlat(t, flat)
-		for g, members := range e.comms.Groups {
-			if e.commShard[g] != si {
-				continue
-			}
-			v := CommunityVerdict{
-				Community: g,
-				Shard:     si,
-				RepExpr:   e.subs[e.comms.Reps[g]].expr,
-				Matched:   ms.Has(e.commFH[g]),
-				MemberIDs: make([]uint64, 0, len(members)),
-			}
-			for _, idx := range members {
-				s := e.subs[idx]
-				v.MemberIDs = append(v.MemberIDs, s.id)
-				if memberMatches(fm, s.pat) {
-					v.ExactIDs = append(v.ExactIDs, s.id)
-					stats.MatchedPatterns++
-				}
-			}
-			sortIDs(v.MemberIDs)
-			sortIDs(v.ExactIDs)
-			if v.Matched {
-				ex.MatchedCommunities++
-				ex.Deliveries = append(ex.Deliveries, v.MemberIDs...)
-			}
-			ex.Communities[g] = v
-		}
-		ms.Release()
-		sh.mu.RUnlock()
-		ex.Shards = append(ex.Shards, stats)
+	if len(e.comms.Groups) == 0 {
+		return ex, nil
 	}
+	stats := ShardExplainStats{
+		Communities:  len(e.comms.Groups),
+		LivePatterns: e.forest.Live(),
+		ForestNodes:  e.forest.NodeCount(),
+	}
+	ms := e.forest.MatchFlat(t, flat)
+	defer ms.Release()
+	for g, members := range e.comms.Groups {
+		v := CommunityVerdict{
+			Community: g,
+			RepExpr:   e.subs[e.comms.Reps[g]].expr,
+			Matched:   ms.Has(e.commFH[g]),
+			MemberIDs: make([]uint64, 0, len(members)),
+		}
+		for _, idx := range members {
+			s := e.subs[idx]
+			v.MemberIDs = append(v.MemberIDs, s.id)
+			if memberMatches(fm, s.pat) {
+				v.ExactIDs = append(v.ExactIDs, s.id)
+				stats.MatchedPatterns++
+			}
+		}
+		sortIDs(v.MemberIDs)
+		sortIDs(v.ExactIDs)
+		if v.Matched {
+			ex.MatchedCommunities++
+			ex.Deliveries = append(ex.Deliveries, v.MemberIDs...)
+		}
+		ex.Communities[g] = v
+	}
+	ex.Shards = []ShardExplainStats{stats}
 	sortIDs(ex.Deliveries)
 	return ex, nil
 }
@@ -172,17 +155,18 @@ func sortIDs(ids []uint64) {
 
 // CommunityInfo is one community row of IntrospectCommunities.
 type CommunityInfo struct {
-	Community int    `json:"community"`
-	Shard     int    `json:"shard"`
-	Size      int    `json:"size"`
-	RepID     uint64 `json:"rep_id"`
-	RepExpr   string `json:"rep"`
+	Community int `json:"community"`
+	// Shard is always 0 (see CommunityVerdict.Shard).
+	Shard   int    `json:"shard"`
+	Size    int    `json:"size"`
+	RepID   uint64 `json:"rep_id"`
+	RepExpr string `json:"rep"`
 	// MemberIDs are the member subscription ids, sorted ascending.
 	MemberIDs []uint64 `json:"members"`
 }
 
 // IntrospectCommunities snapshots the clustering: one row per
-// community with its shard pin, representative, and member ids. The
+// community with its representative and member ids. The
 // registry read lock is held only while copying.
 func (e *Engine) IntrospectCommunities() []CommunityInfo {
 	e.mu.RLock()
@@ -192,7 +176,6 @@ func (e *Engine) IntrospectCommunities() []CommunityInfo {
 		rep := e.subs[e.comms.Reps[g]]
 		ci := CommunityInfo{
 			Community: g,
-			Shard:     e.commShard[g],
 			Size:      len(members),
 			RepID:     rep.id,
 			RepExpr:   rep.expr,
@@ -212,7 +195,8 @@ type SubscriptionInfo struct {
 	ID        uint64 `json:"id"`
 	Pattern   string `json:"pattern"`
 	Community int    `json:"community"`
-	Shard     int    `json:"shard"`
+	// Shard is always 0 (see CommunityVerdict.Shard).
+	Shard int `json:"shard"`
 	// Mode is the delivery contract ("at-most-once" / "at-least-once").
 	Mode string `json:"mode"`
 	// Pending is the subscription's current delivery-queue depth:
@@ -238,7 +222,7 @@ type SubscriptionInfo struct {
 }
 
 // IntrospectSubscriptions snapshots every live subscription with its
-// community, shard, delivery mode, queue depth, and per-subscription
+// community, delivery mode, queue depth, and per-subscription
 // loss/redelivery ledger, sorted by id.
 func (e *Engine) IntrospectSubscriptions() []SubscriptionInfo {
 	e.mu.RLock()
@@ -250,7 +234,6 @@ func (e *Engine) IntrospectSubscriptions() []SubscriptionInfo {
 			ID:            s.id,
 			Pattern:       s.expr,
 			Community:     e.comms.Find(idx),
-			Shard:         s.shard,
 			Mode:          mode.String(),
 			Pending:       pending,
 			Dropped:       dropped,

@@ -9,18 +9,18 @@ import (
 	"treesim/internal/xmlgen"
 )
 
-// runExplainDifferential is the acceptance check for Explain: across a
+// TestExplainDifferentialSingleShard is the acceptance check for
+// Explain against the engine's one forest ("shard" 0): across a
 // random workload, the predicted delivery set must equal — exactly, id
 // for id — the deliveries a real publish of the same document produces,
 // and Explain itself must leave no trace in the engine's counters.
-func runExplainDifferential(t *testing.T, shards int) {
+func TestExplainDifferentialSingleShard(t *testing.T) {
 	d := dtd.Media()
 	docs := xmlgen.New(d, xmlgen.Calibrate(d, 100, 7)).GenerateN(140)
 	subs := querygen.New(d, querygen.Defaults(13)).GenerateDistinct(96)
 
 	e := New(Config{
 		Estimator:     core.Config{Representation: core.Hashes, HashCapacity: 256, Seed: 5},
-		Shards:        shards,
 		QueueCapacity: 4096, // no drop-oldest evictions to confound the diff
 	})
 	defer e.Close()
@@ -97,20 +97,12 @@ func runExplainDifferential(t *testing.T, shards int) {
 	}
 }
 
-func TestExplainDifferentialSingleShard(t *testing.T) {
-	runExplainDifferential(t, -1)
-}
-
-func TestExplainDifferentialMultiShard(t *testing.T) {
-	runExplainDifferential(t, 4)
-}
-
 // TestExplainStatsShape pins the decision-record bookkeeping: one
 // verdict per community, filter evals equal to the community count,
 // shard stats only for populated shards, and verdict internals
 // (members, exact subset, delivery union) mutually consistent.
 func TestExplainStatsShape(t *testing.T) {
-	e := New(Config{Shards: 2})
+	e := New(Config{})
 	defer e.Close()
 	for _, expr := range []string{"/a/b", "/a[b]", "/c/d", "//e"} {
 		if _, err := e.Subscribe(expr); err != nil {

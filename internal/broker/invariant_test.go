@@ -4,73 +4,70 @@ import (
 	"testing"
 
 	"treesim/internal/core"
-	"treesim/internal/matching"
 	"treesim/internal/pattern"
 	"treesim/internal/xmltree"
 )
 
-// checkForests asserts the forest layout invariant: the shard forests
-// hold exactly one pattern per community (Σ Live() == communities), and
-// every community's handle is live on its shard and IS its
+// checkForests asserts the forest layout invariant: the forest holds
+// exactly one pattern per community (Live() == communities), no two
+// communities share a handle, and every community's handle IS its
 // representative's pattern — its verdict on each probe equals the
 // oracle's, which FuzzEngineVsMatches pins to a fresh Add's. Besides
 // the caller's probes, every representative is probed with a document
-// built to match it, so a dead, stale or swapped handle cannot hide
-// behind probes nobody matches. The routing tables must mirror the
-// same handles. Safe beside concurrent traffic (it holds the registry
-// read lock), so it reports with Errorf only.
+// built to match it — its witness must fire the community's own handle
+// — so a dead, stale or swapped handle cannot hide behind probes nobody
+// matches. The routing table must mirror the same handles. Safe beside
+// concurrent traffic (it holds the registry read lock, under which the
+// forest does not change), so it reports with Errorf only.
 func checkForests(t testing.TB, e *Engine, probes ...*xmltree.Tree) {
 	t.Helper()
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	n := len(e.comms.Groups)
-	if len(e.commShard) != n || len(e.commFH) != n {
-		t.Errorf("%d communities, %d shard pins, %d forest handles", n, len(e.commShard), len(e.commFH))
+	if len(e.commFH) != n {
+		t.Errorf("%d communities, %d forest handles", n, len(e.commFH))
 		return
 	}
-	live := 0
-	for _, sh := range e.shards {
-		live += sh.forest.Live()
+	if live := e.forest.Live(); live != n {
+		t.Errorf("forest holds %d patterns for %d communities", live, n)
 	}
-	if live != n {
-		t.Errorf("shard forests hold %d patterns for %d communities", live, n)
-	}
-	owner := map[[2]int]int{}
+	owner := map[int]int{}
 	for g, rep := range e.comms.Reps {
-		key := [2]int{e.commShard[g], e.commFH[g]}
-		if og, dup := owner[key]; dup {
-			t.Errorf("communities %d and %d share handle %d on shard %d", og, g, key[1], key[0])
+		if og, dup := owner[e.commFH[g]]; dup {
+			t.Errorf("communities %d and %d share handle %d", og, g, e.commFH[g])
 		}
-		owner[key] = g
+		owner[e.commFH[g]] = g
 		if w := witness(e.subs[rep].pat); w != nil {
+			ms := e.forest.Match(w)
+			if !ms.Has(e.commFH[g]) {
+				t.Errorf("community %d (rep %s): its witness %s does not fire its handle %d", g, e.subs[rep].pat, w, e.commFH[g])
+			}
+			ms.Release()
 			probes = append(probes, w)
 		}
 	}
 	for _, probe := range probes {
-		sets := make([]*matching.MatchSet, len(e.shards))
-		for si, sh := range e.shards {
-			sets[si] = sh.forest.Match(probe)
-		}
+		ms := e.forest.Match(probe)
 		for g, rep := range e.comms.Reps {
 			p := e.subs[rep].pat
-			if got, want := sets[e.commShard[g]].Has(e.commFH[g]), pattern.Matches(probe, p); got != want {
-				t.Errorf("community %d (rep %s) on %s: handle %d on shard %d says %v, the pattern %v",
-					g, p, probe, e.commFH[g], e.commShard[g], got, want)
+			if got, want := ms.Has(e.commFH[g]), pattern.Matches(probe, p); got != want {
+				t.Errorf("community %d (rep %s) on %s: handle %d says %v, the pattern %v",
+					g, p, probe, e.commFH[g], got, want)
 			}
 		}
-		for _, ms := range sets {
-			ms.Release()
-		}
+		ms.Release()
 	}
-	for si, sh := range e.shards {
-		sh.mu.RLock()
-		for _, sg := range sh.groups {
-			if e.commShard[sg.comm] != si || sg.repFH != e.commFH[sg.comm] {
-				t.Errorf("shard %d routes community %d by handle %d; registry says shard %d handle %d",
-					si, sg.comm, sg.repFH, e.commShard[sg.comm], e.commFH[sg.comm])
-			}
+	e.routeMu.RLock()
+	defer e.routeMu.RUnlock()
+	if len(e.groups) != n {
+		t.Errorf("routing table has %d groups for %d communities", len(e.groups), n)
+		return
+	}
+	for g, rg := range e.groups {
+		if rg.repFH != e.commFH[g] || rg.end-rg.start != len(e.comms.Groups[g]) {
+			t.Errorf("routing table routes community %d by handle %d to %d members; registry says handle %d, %d members",
+				g, rg.repFH, rg.end-rg.start, e.commFH[g], len(e.comms.Groups[g]))
 		}
-		sh.mu.RUnlock()
 	}
 }
 
@@ -110,7 +107,6 @@ func witnessInto(ctx *xmltree.Node, v *pattern.Node) {
 // founder — with the invariant holding after every step.
 func TestRepresentativeUnsubscribeHandsOver(t *testing.T) {
 	e := newTestEngine(t, Config{
-		Shards:    -1, // one forest: handle reuse is observable
 		Rebuild:   Never{},
 		Estimator: core.Config{Representation: core.Sets, Seed: 1},
 	})
@@ -187,9 +183,9 @@ func TestRepresentativeUnsubscribeHandsOver(t *testing.T) {
 	}
 
 	// A member (not the representative) leaves: no forest edit.
-	nodes := e.shards[0].forest.NodeCount()
+	nodes := e.forest.NodeCount()
 	unsub(third)
-	if got := e.shards[0].forest.NodeCount(); got != nodes {
+	if got := e.forest.NodeCount(); got != nodes {
 		t.Fatalf("a member's unsubscribe changed the forest: %d -> %d nodes", nodes, got)
 	}
 
@@ -200,9 +196,9 @@ func TestRepresentativeUnsubscribeHandsOver(t *testing.T) {
 	e.mu.RUnlock()
 	unsub(lone)
 	unsub(heir)
-	if st := e.Stats(); st.Communities != 0 || e.shards[0].forest.Live() != 0 || e.shards[0].forest.NodeCount() != 0 {
+	if st := e.Stats(); st.Communities != 0 || e.forest.Live() != 0 || e.forest.NodeCount() != 0 {
 		t.Fatalf("after dissolving everything: %d communities, forest live=%d nodes=%d",
-			st.Communities, e.shards[0].forest.Live(), e.shards[0].forest.NodeCount())
+			st.Communities, e.forest.Live(), e.forest.NodeCount())
 	}
 	again := sub("//c")
 	e.mu.RLock()

@@ -12,10 +12,10 @@ import (
 )
 
 // This file is the crash-recovery surface: a snapshotable State, a
-// Restore constructor that rebuilds the matching plane from it without
-// re-running greedy clustering, a Journal hook that records committed
-// churn decisions, and the Apply* replay entry points that re-commit
-// journaled decisions deterministically.
+// Restore constructor that rebuilds the forest and routing table from
+// it without re-running greedy clustering, a Journal hook that records
+// committed churn decisions, and the Apply* replay entry points that
+// re-commit journaled decisions deterministically.
 //
 // The design principle is outcome logging. A subscribe's community
 // placement depends on the estimator's synopsis at decision time;
@@ -63,8 +63,11 @@ type QueuedDelivery struct {
 }
 
 // State is a point-in-time snapshot of the engine's durable state:
-// the subscription registry, the community partition with shard
-// placement, the id/sequence watermarks, and the estimator synopsis.
+// the subscription registry, the community partition, the id/sequence
+// watermarks, and the estimator synopsis. (Snapshots written by the
+// sharded layout also carry Shards and CommShard; gob drops fields the
+// struct no longer has, and that layout re-balances a snapshot without
+// them, so both directions recover.)
 // At-most-once delivery-ring contents are deliberately excluded —
 // queued-but-undrained best-effort deliveries die with the process
 // (documented loss window, surfaced to consumers as a gap marker).
@@ -73,16 +76,11 @@ type QueuedDelivery struct {
 type State struct {
 	// Format is the state format version (stateFormat).
 	Format int
-	// Shards is the shard count the placement in CommShard was made for;
-	// a restore into a different shard count re-balances instead.
-	Shards int
 	// Subs is the registry in index order.
 	Subs []SubEntry
 	// Groups/Reps are the community partition over registry indices.
 	Groups [][]int
 	Reps   []int
-	// CommShard pins each community to a shard, parallel to Groups.
-	CommShard []int
 	// NextID is the id watermark; Stale the churn count since the last
 	// rebuild; PubSeq the publish sequence watermark.
 	NextID uint64
@@ -148,15 +146,13 @@ func (e *Engine) State() (*State, error) {
 	dLSN := e.deliveryLSN.Load()
 	e.mu.RLock()
 	st := &State{
-		Format:    stateFormat,
-		Shards:    len(e.shards),
-		Subs:      make([]SubEntry, len(e.subs)),
-		Groups:    make([][]int, len(e.comms.Groups)),
-		Reps:      append([]int(nil), e.comms.Reps...),
-		CommShard: append([]int(nil), e.commShard...),
-		NextID:    e.nextID,
-		Stale:     e.stale,
-		WalLSN:    e.walLSN,
+		Format: stateFormat,
+		Subs:   make([]SubEntry, len(e.subs)),
+		Groups: make([][]int, len(e.comms.Groups)),
+		Reps:   append([]int(nil), e.comms.Reps...),
+		NextID: e.nextID,
+		Stale:  e.stale,
+		WalLSN: e.walLSN,
 	}
 	var docSeqs []uint64
 	for i, s := range e.subs {
@@ -206,11 +202,9 @@ func (e *Engine) State() (*State, error) {
 
 // Restore starts an engine from a snapshot: the estimator is loaded
 // from the saved synopsis, every subscription re-enters its snapshotted
-// community, and the shard forests/routing tables are rebuilt directly
-// from the saved partition — no similarity computation and no greedy
-// re-clustering on the recovery path. If the configured shard count
-// differs from the snapshot's, communities are re-balanced (placement
-// is routing-invariant; PR 5's shard tests prove delivery equality).
+// community, and the forest and routing table are rebuilt directly from
+// the saved partition — no similarity computation and no greedy
+// re-clustering on the recovery path.
 func Restore(cfg Config, st *State) (*Engine, error) {
 	cfg = cfg.withDefaults()
 	if st == nil {
@@ -277,36 +271,14 @@ func Restore(cfg Config, st *State) (*Engine, error) {
 	if st.NextID > e.nextID {
 		e.nextID = st.NextID
 	}
-	nsh := len(e.shards)
-	commShard := st.CommShard
-	reuse := st.Shards == nsh && len(commShard) == len(comms.Groups)
-	for _, si := range commShard {
-		if si < 0 || si >= nsh {
-			reuse = false
-			break
-		}
-	}
-	if reuse {
-		commShard = append([]int(nil), commShard...)
-	} else {
-		commShard = cluster.BalanceShards(comms.Groups, nsh)
-	}
-	e.comms = comms
-	e.commShard = commShard
-	e.commFH = make([]int, len(comms.Groups))
-	for g, members := range comms.Groups {
-		si := commShard[g]
-		e.shardLive[si] += len(members)
-		for _, idx := range members {
-			e.subs[idx].shard = si
-		}
-		e.commFH[g] = e.shards[si].forest.Add(e.subs[comms.Reps[g]].pat)
-	}
 	// The engine is not yet shared with any other goroutine (the
-	// ingester never touches routing state), so no shard locks needed.
-	for si := range e.shards {
-		e.rebuildShardRoutingInner(si)
+	// ingester never touches routing state), so no locks are needed.
+	e.comms = comms
+	e.commFH = make([]int, len(comms.Groups))
+	for g, rep := range comms.Reps {
+		e.commFH[g] = e.forest.Add(e.subs[rep].pat)
 	}
+	e.rebuildRoutingLocked()
 	e.stale = st.Stale
 	e.pubSeq.Store(st.PubSeq)
 	return e, nil

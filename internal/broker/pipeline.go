@@ -11,7 +11,7 @@ import (
 
 // This file is the document plane: the publish entry points, the
 // batched publish pipeline, the background synopsis ingester, and the
-// recent-document retention ring. Routing state lives in shard.go; the
+// recent-document retention ring. Routing state lives in route.go; the
 // subscription registry in broker.go.
 
 // ingestItem is one unit of the publish→synopsis pipeline: a document
@@ -34,9 +34,9 @@ var ErrBusy = fmt.Errorf("broker: ingest pipeline full")
 
 // Publish routes one document: it is queued for synopsis ingestion
 // (blocking only if the ingest pipeline is full — backpressure), loaded
-// once into a pooled flat arena, then matched by every shard in
-// parallel; communities that hit receive the document on every member's
-// delivery queue. Matching per representative rather than per consumer
+// once into a pooled flat arena, then matched against the forest in one
+// pass on this goroutine; communities that hit receive the document on
+// every member's delivery queue. Matching per representative rather than per consumer
 // is the whole point: filter evaluations scale with the number of
 // communities, not subscriptions.
 func (e *Engine) Publish(t *xmltree.Tree) (PublishResult, error) {
@@ -108,13 +108,11 @@ func (e *Engine) publish(t *xmltree.Tree, remote bool) (PublishResult, error) {
 // publish entry points: the document is already accepted into the
 // ingest pipeline. start is when the publish entered the engine,
 // enqueued when the pipeline accepted it — the gap is ingest-queue
-// wait, the remainder shard routing; both land in the result and the
-// latency histograms.
+// wait, the remainder routing; both land in the result and the latency
+// histograms.
 func (e *Engine) routeOne(t *xmltree.Tree, remote bool, start, enqueued time.Time) PublishResult {
-	// routeMu (shared) orders routing against Close, not against
-	// subscription churn: registry mutations commit under the registry
-	// and per-shard locks, so a publish contends with churn only on the
-	// one shard being maintained.
+	// routeMu (shared): publishers run beside each other and wait only
+	// for a forest edit or Close.
 	e.routeMu.RLock()
 	defer e.routeMu.RUnlock()
 	res := PublishResult{Seq: e.pubSeq.Add(1)}
@@ -139,8 +137,7 @@ func (e *Engine) routeOne(t *xmltree.Tree, remote bool, start, enqueued time.Tim
 
 // PublishBatch routes a batch of documents with amortized overhead: one
 // ingest-pipeline acquisition and one routing epoch for the whole
-// batch, with each document still fanned out to all shards in
-// parallel. Results are index-aligned with ts. An empty batch is a
+// batch. Results are index-aligned with ts. An empty batch is a
 // no-op. This is the engine half of the daemon's batched POST /publish;
 // load generators use it to amortize per-request costs the same way.
 func (e *Engine) PublishBatch(ts []*xmltree.Tree) ([]PublishResult, error) {

@@ -100,14 +100,22 @@ func (q *queue) push(d Delivery) (enqueued, evicted bool) {
 		q.mu.Unlock()
 		return false, false
 	}
+	// Ring indices wrap with a compare, not a division: this runs once
+	// per delivery, ~80 times per publish.
 	if q.n == len(q.buf) {
-		q.head = (q.head + 1) % len(q.buf)
+		if q.head++; q.head == len(q.buf) {
+			q.head = 0
+		}
 		q.n--
 		q.gap++
 		q.dropped++
 		evicted = true
 	}
-	q.buf[(q.head+q.n)%len(q.buf)] = d
+	tail := q.head + q.n
+	if tail >= len(q.buf) {
+		tail -= len(q.buf)
+	}
+	q.buf[tail] = d
 	q.n++
 	// Drainers only wait after observing an empty queue, so waking is
 	// needed solely on the empty→non-empty transition — pushes to an

@@ -1,6 +1,8 @@
 package broker
 
 import (
+	"bytes"
+	"encoding/gob"
 	"fmt"
 	"runtime"
 	"sort"
@@ -191,7 +193,6 @@ func assertSameRouting(t *testing.T, orig, rec *Engine, ids []uint64) {
 func recoveryConfig() Config {
 	return Config{
 		Estimator: core.Config{Representation: core.Sets, Seed: 7},
-		Shards:    2,
 		// Small thresholds so the churn below actually crosses the rebuild
 		// policy and exercises the OpRebuild journal path.
 		Rebuild: DirtyFraction{Fraction: 0.5, MinStale: 6},
@@ -444,9 +445,28 @@ func TestReplayIdempotent(t *testing.T) {
 	}
 }
 
-// TestRestoreShardSkew restores a snapshot into an engine with a
-// different shard count: placement re-balances and routing is
-// unchanged.
+// legacyState is State as the sharded layout wrote it: the same fields
+// plus the shard count and the per-community shard pins.
+type legacyState struct {
+	Format    int
+	Shards    int
+	Subs      []SubEntry
+	Groups    [][]int
+	Reps      []int
+	CommShard []int
+	NextID    uint64
+	Stale     int
+	PubSeq    uint64
+	WalLSN    uint64
+	Docs      map[uint64]string
+	Estimator []byte
+}
+
+// TestRestoreShardSkew restores a snapshot written by the sharded
+// layout (Shards: 2 and a CommShard, gob-encoded from a struct that
+// still has those fields) and one written without them: both must
+// recover the same partition and route like the engine that was built
+// by subscribing.
 func TestRestoreShardSkew(t *testing.T) {
 	cfg := recoveryConfig()
 	e := newTestEngine(t, cfg)
@@ -464,20 +484,41 @@ func TestRestoreShardSkew(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	current, err := EncodeState(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := legacyState{
+		Format: st.Format, Shards: 2, Subs: st.Subs, Groups: st.Groups, Reps: st.Reps,
+		CommShard: make([]int, len(st.Groups)),
+		NextID:    st.NextID, Stale: st.Stale, PubSeq: st.PubSeq, WalLSN: st.WalLSN,
+		Docs: st.Docs, Estimator: st.Estimator,
+	}
+	for g := range old.CommShard {
+		old.CommShard[g] = g % 2
+	}
+	var legacy bytes.Buffer
+	if err := gob.NewEncoder(&legacy).Encode(&old); err != nil {
+		t.Fatal(err)
+	}
 
-	for _, shards := range []int{-1, 1, 4} {
-		cfg2 := cfg
-		cfg2.Shards = shards
-		rec, err := Restore(cfg2, st)
-		if err != nil {
-			t.Fatalf("Restore into %d shards: %v", shards, err)
-		}
-		checkForests(t, rec)
-		if !partitionsEqual(e.CommunityIDs(), rec.CommunityIDs()) {
-			t.Fatalf("shards=%d: partitions differ", shards)
-		}
-		assertSameRouting(t, e, rec, ids)
-		rec.Close()
+	for name, data := range map[string][]byte{"sharded": legacy.Bytes(), "current": current} {
+		t.Run(name, func(t *testing.T) {
+			st2, err := DecodeState(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec, err := Restore(cfg, st2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer rec.Close()
+			checkForests(t, rec)
+			if !partitionsEqual(e.CommunityIDs(), rec.CommunityIDs()) {
+				t.Fatal("partitions differ")
+			}
+			assertSameRouting(t, e, rec, ids)
+		})
 	}
 }
 

@@ -41,7 +41,7 @@ func newCounters(reg *telemetry.Registry) counters {
 		delivered:      reg.Counter("treesim_broker_deliveries_total", "Deliveries enqueued onto consumer queues."),
 		dropped:        reg.Counter("treesim_broker_dropped_total", "Deliveries evicted from full consumer queues (drop-oldest) or lost to closed queues."),
 		drained:        reg.Counter("treesim_broker_drained_total", "Deliveries handed to consumers by Drain."),
-		filterEvals:    reg.Counter("treesim_broker_filter_evals_total", "Community-representative match tests (the clustered routing cost): per publish, exactly the patterns the shard forests hold and evaluate."),
+		filterEvals:    reg.Counter("treesim_broker_filter_evals_total", "Community-representative match tests (the clustered routing cost): per publish, exactly the patterns the forest holds and evaluates."),
 		subscribes:     reg.Counter("treesim_broker_subscribes_total", "Committed subscriptions."),
 		unsubscribes:   reg.Counter("treesim_broker_unsubscribes_total", "Committed unsubscriptions."),
 		rebuilds:       reg.Counter("treesim_broker_rebuilds_total", "Full community re-clusterings."),
@@ -123,10 +123,10 @@ type Stats struct {
 	StaleOps int    `json:"stale_ops"`
 	Rebuilds uint64 `json:"rebuilds"`
 
-	// Shards is the engine's matching/delivery shard count and CPUs the
-	// GOMAXPROCS it runs under — the parallelism context for every
-	// throughput figure below (load generators carry both into their
-	// benchmark reports).
+	// CPUs is the GOMAXPROCS the engine runs under — the parallelism
+	// context for every throughput figure below (load generators carry
+	// it into their benchmark reports). Shards is always 1: the engine
+	// has one forest, and the field stays for those same reports.
 	Shards int `json:"shards"`
 	CPUs   int `json:"cpus"`
 
@@ -207,7 +207,7 @@ func (e *Engine) Stats() Stats {
 		Communities:      groups,
 		Singletons:       singles,
 		StaleOps:         stale,
-		Shards:           len(e.shards),
+		Shards:           1,
 		CPUs:             runtime.GOMAXPROCS(0),
 		Rebuilds:         c.rebuilds.Load(),
 		Subscribes:       c.subscribes.Load(),

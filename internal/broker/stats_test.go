@@ -72,7 +72,7 @@ func TestStatsPercentilesMatchReservoirReference(t *testing.T) {
 
 	bounds := telemetry.DefaultLatencyBuckets()
 	for name, samples := range cases {
-		e := New(Config{Shards: 2})
+		e := New(Config{})
 		for _, ns := range samples {
 			e.pubLat.ObserveDuration(ns)
 		}
@@ -99,7 +99,7 @@ func TestStatsPercentilesMatchReservoirReference(t *testing.T) {
 // /stats reports, with matching values.
 func TestEngineMetricsExposition(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	e := New(Config{Shards: 2, Telemetry: reg})
+	e := New(Config{Telemetry: reg})
 	defer e.Close()
 	id, err := e.Subscribe("//a/b")
 	if err != nil {
@@ -151,8 +151,8 @@ func TestEngineMetricsExposition(t *testing.T) {
 			t.Errorf("%s = %g, /stats says %g", name, got, want)
 		}
 	}
-	// The shard match histogram carries per-shard labels and its total
-	// count matches publishes times populated shards (1 populated here).
+	// The match histogram (one series, shard="0") counts every publish
+	// routed while there were communities.
 	if got := sums["treesim_broker_shard_match_ns_count"]; got != float64(st.Published) {
 		t.Errorf("shard match count = %g, want %g", got, float64(st.Published))
 	}

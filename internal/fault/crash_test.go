@@ -331,7 +331,7 @@ func runCrashSchedule(t *testing.T, seed int64) {
 		// replays on reopen. Write-point faults leave nothing (fail,
 		// enospc) or a torn frame that scanWAL truncates (short).
 		model[id] = &subModel{expr: "/zz/trigger", mode: broker.AtMostOnce,
-			durable: point == fault.PointWALSync,
+			durable:   point == fault.PointWALSync,
 			delivered: map[string]bool{}, acked: map[string]bool{}}
 		faulted = true
 	}

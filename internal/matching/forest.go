@@ -2,6 +2,8 @@ package matching
 
 import (
 	"math/bits"
+	"slices"
+	"sort"
 	"strconv"
 	"sync"
 
@@ -41,16 +43,20 @@ import (
 //	       "//" nodes, some descendant-or-self of t satisfies the
 //	       operator's child constraint.
 //
-// Both are computed from the children's vectors with unions; nodes
-// with child constraints are found through inverse first-kid indexes
-// (only constraints whose kids fired are examined), leaf constraints
-// by id from the document node's label. A pattern matches iff all its
-// root children's bits are set in the root's vectors ("//" root
-// children re-root and use a separate node kind, kindRootDesc).
+// Both are computed from the children's vectors with unions; leaf
+// constraints are raised by id from the document node's label, and
+// nodes with child constraints are found through an inverse index keyed
+// by their lowest kid AND their label: when a kid's bit fires, only the
+// candidates labelled like the document node (and the "*" ones) are
+// visited, each carrying its remaining kids inline, so a label mismatch
+// costs nothing and a one-kid candidate is accepted without loading its
+// node. A pattern matches iff all its root children's bits are set in
+// the root's vectors ("//" root children re-root and use a separate
+// node kind, kindRootDesc).
 //
 // Concurrency: Match may run concurrently with Match (scratch is
 // pooled per call); Add and Remove require external exclusion against
-// both each other and Match — the callers (broker registry lock,
+// both each other and Match — the callers (broker routing lock,
 // overlay link-forest lock) already hold exactly that.
 type Forest struct {
 	tbl *intern.Table
@@ -70,12 +76,15 @@ type Forest struct {
 	//	leafTag[sym]: the kindTag node with that label and no kids (one
 	//	              at most: they hash-cons to one key) — node-satisfied
 	//	              by label alone; noNode when absent. Indexed by
-	//	              interned symbol; with a shared table, symbols
-	//	              interned by OTHER forests may exceed this forest's
-	//	              slice, so readers bounds-check.
+	//	              interned symbol; a caller's Flat may carry symbols
+	//	              interned after the slice last grew, so readers
+	//	              bounds-check.
 	//	wildLeaf:     the childless kindWild node — satisfied anywhere.
 	//	byFirstKid:   tag/wild nodes with kids, indexed by their lowest
 	//	              kid id; consulted only when that kid's bit fires.
+	//	              Each list is sorted by label symbol, the "*" run
+	//	              last (kidCand), so a document node reads only the
+	//	              run for its own label plus the "*" run.
 	//	byDescKid / byRdKid: kindDesc / kindRootDesc nodes by kid.
 	//	slashMask:    "//" nodes of both kinds by own id — the bits a
 	//	              document node inherits from its children's SAT.
@@ -84,7 +93,7 @@ type Forest struct {
 	//	              the document root.
 	leafTag      []uint32
 	wildLeaf     uint32
-	byFirstKid   [][]uint32
+	byFirstKid   [][]kidCand
 	firstKidMask *bitset.Set
 	byDescKid    [][]uint32
 	descKidMask  *bitset.Set
@@ -109,6 +118,26 @@ type Forest struct {
 
 // noNode marks an absent leafTag/wildLeaf entry.
 const noNode = ^uint32(0)
+
+// kidCand is one byFirstKid entry: a tag/"*" node whose lowest kid is
+// the list's key, with everything eval needs to decide it inline — its
+// label symbol (wildSym for "*") and its kids after the first (aliasing
+// the node's own kid slice).
+type kidCand struct {
+	sym  uint32
+	id   uint32
+	rest []uint32
+}
+
+// wildSym is the label key of "*" candidates: above every interned
+// symbol, so the "*" run sorts to the end of its list.
+const wildSym = ^uint32(0)
+
+// scanMax is the longest candidate list searched by linear scan rather
+// than binary search: eight 32-byte entries are four cache lines read
+// in order, which costs less than the three dependent, unpredictable
+// probes a binary search of the same list makes.
+const scanMax = 8
 
 type nodeKind uint8
 
@@ -158,16 +187,9 @@ func (e *patEntry) holdsAt(root *frameSlot) bool {
 }
 
 // NewForest returns an empty forest with its own label table.
-func NewForest() *Forest { return NewForestShared(intern.NewTable()) }
-
-// NewForestShared returns an empty forest interning its pattern labels
-// into the given shared table. Sharded engines give every shard's
-// forest one common table so a single Flat document load (symbols
-// resolved once) can be matched against all of them; the table itself
-// is safe for concurrent use.
-func NewForestShared(tbl *intern.Table) *Forest {
+func NewForest() *Forest {
 	return &Forest{
-		tbl:          tbl,
+		tbl:          intern.NewTable(),
 		index:        make(map[string]uint32),
 		wildLeaf:     noNode,
 		firstKidMask: bitset.New(0),
@@ -339,7 +361,7 @@ func (f *Forest) register(id uint32) {
 			f.leafTag[n.sym] = id
 			return
 		}
-		addKidIndex(f.byFirstKid, f.firstKidMask, n.kids[0], id)
+		f.addFirstKid(n, id)
 	case kindDesc:
 		f.slashMask.Add(int(id))
 		addKidIndex(f.byDescKid, f.descKidMask, n.kids[0], id)
@@ -362,7 +384,7 @@ func (f *Forest) unregister(id uint32) {
 			}
 			return
 		}
-		dropKidIndex(f.byFirstKid, f.firstKidMask, n.kids[0], id)
+		f.dropFirstKid(n.kids[0], id)
 	case kindDesc:
 		f.slashMask.Remove(int(id))
 		dropKidIndex(f.byDescKid, f.descKidMask, n.kids[0], id)
@@ -386,6 +408,32 @@ func dropKidIndex(m [][]uint32, mask *bitset.Set, kid, id uint32) {
 	m[kid] = l
 	if len(l) == 0 {
 		mask.Remove(int(kid))
+	}
+}
+
+// addFirstKid enters tag/"*" node n (id) into its lowest kid's
+// candidate list, keeping the list sorted by label symbol.
+func (f *Forest) addFirstKid(n *forestNode, id uint32) {
+	c := kidCand{sym: n.sym, id: id, rest: n.kids[1:]}
+	if n.kind == kindWild {
+		c.sym = wildSym
+	}
+	kid := n.kids[0]
+	l := f.byFirstKid[kid]
+	at := sort.Search(len(l), func(i int) bool { return l[i].sym > c.sym })
+	f.byFirstKid[kid] = slices.Insert(l, at, c)
+	f.firstKidMask.Add(int(kid))
+}
+
+// dropFirstKid removes node id from kid's candidate list, preserving
+// the order of the rest.
+func (f *Forest) dropFirstKid(kid, id uint32) {
+	l := f.byFirstKid[kid]
+	i := slices.IndexFunc(l, func(c kidCand) bool { return c.id == id })
+	l = slices.Delete(l, i, i+1)
+	f.byFirstKid[kid] = l
+	if len(l) == 0 {
+		f.firstKidMask.Remove(int(kid))
 	}
 }
 
@@ -499,6 +547,9 @@ func (s *frame) and(mask *bitset.Set) func(yield func(uint32) bool) {
 // node-satisfaction scratch vector for that depth.
 type frameStack struct {
 	slots []frameSlot
+	// examined counts the first-kid candidates eval ran the remaining-
+	// kids check on — like frame.touched, a unit of work read by tests.
+	examined int
 }
 
 type frameSlot struct {
@@ -519,8 +570,8 @@ func (fr *frameStack) fit(depth, n int) {
 	}
 }
 
-// Table returns the forest's label table (shared across forests built
-// with NewForestShared).
+// Table returns the forest's label table, for loading a Flat to pass to
+// MatchFlat.
 func (f *Forest) Table() *intern.Table { return f.tbl }
 
 // Match evaluates the document against every registered pattern in one
@@ -540,8 +591,8 @@ func (f *Forest) Match(t *xmltree.Tree) *MatchSet {
 }
 
 // MatchFlat is Match over a document already loaded into a Flat arena
-// with the forest's Table (one load can serve several shard forests
-// sharing a table). t is the original tree, consulted only by the
+// with the forest's Table (the caller keeps the arena, e.g. to evaluate
+// other patterns on it). t is the original tree, consulted only by the
 // oracle fallback for non-compiled patterns. A nil or empty doc matches
 // nothing.
 func (f *Forest) MatchFlat(t *xmltree.Tree, doc *xmltree.Flat) *MatchSet {
@@ -605,8 +656,8 @@ func (f *Forest) eval(doc *xmltree.Flat, fr *frameStack, i int32, d int) {
 	}
 	sym := doc.Syms[i]
 	if sym != intern.NoSym && int(sym) < len(f.leafTag) {
-		// The bounds check matters under shared tables: another forest
-		// may have interned symbols this one never saw.
+		// The bounds check matters: the table may hold symbols no leaf
+		// of this forest carries (interned for inner nodes).
 		if id := f.leafTag[sym]; id != noNode {
 			N.add(id)
 		}
@@ -642,13 +693,30 @@ func (f *Forest) eval(doc *xmltree.Flat, fr *frameStack, i int32, d int) {
 		}
 
 		// Constraints with kids are examined only when their lowest kid
-		// fired, then label and remaining kids are checked.
+		// fired, and of those only the ones this node's label admits. A
+		// long list is first cut down to its run for sym and its "*"
+		// run; the label test below then only filters short lists.
 		for k := range S.and(f.firstKidMask) {
-			for _, v := range f.byFirstKid[k] {
-				n := &f.nodes[v]
-				if (n.kind == kindWild || n.sym == sym) && f.kidsIn(v, S) {
-					N.add(v)
+			cands := f.byFirstKid[k]
+			var wild []kidCand
+			if len(cands) > scanMax {
+				cands, wild = labelRuns(cands, sym)
+			}
+			for {
+				for j := range cands {
+					c := &cands[j]
+					if c.sym != sym && c.sym != wildSym {
+						continue
+					}
+					fr.examined++
+					if allIn(c.rest, S) {
+						N.add(c.id)
+					}
 				}
+				if len(wild) == 0 {
+					break
+				}
+				cands, wild = wild, nil
 			}
 		}
 		up.sat.unionWith(S)
@@ -678,9 +746,31 @@ func oracleMatches(t *xmltree.Tree, p *pattern.Pattern) (res bool) {
 	return pattern.Matches(t, p)
 }
 
-// kidsIn reports whether every child constraint of forest node v is in S.
-func (f *Forest) kidsIn(v uint32, S *frame) bool {
-	for _, k := range f.nodes[v].kids {
+// labelRuns cuts a candidate list (sorted by symbol, "*" last) down to
+// the run labelled sym and the "*" run. A document label no pattern
+// uses is NoSym, below every candidate's symbol: an empty run.
+func labelRuns(cands []kidCand, sym uint32) (tagged, wild []kidCand) {
+	n := len(cands)
+	for n > 0 && cands[n-1].sym == wildSym {
+		n--
+	}
+	lo, hi := 0, n
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); cands[m].sym < sym {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	for hi < n && cands[hi].sym == sym {
+		hi++
+	}
+	return cands[lo:hi], cands[n:]
+}
+
+// allIn reports whether every listed child constraint is in S.
+func allIn(kids []uint32, S *frame) bool {
+	for _, k := range kids {
 		if !S.has(k) {
 			return false
 		}

@@ -66,6 +66,7 @@ func FuzzEngineVsMatches(f *testing.F) {
 			hs[i] = forest.Add(p)
 		}
 		check := func(stage string) {
+			checkIndex(t, forest)
 			ms := forest.Match(doc)
 			defer ms.Release()
 			for i := range pats {

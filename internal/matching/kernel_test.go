@@ -163,3 +163,67 @@ func TestPooledFramesAcrossGrowthAndReuse(t *testing.T) {
 		t.Fatalf("universe only reached %d nodes; the test never left two words", f.NodeCount())
 	}
 }
+
+// TestFirstKidLoopExaminesOnlyAdmissibleCandidates pins the label-keyed
+// index's cost model without a clock: on the NITF workload, every
+// candidate the kernel examines is one the document node's label admits
+// — accepted or rejected on its remaining kids, never on its label —
+// while a label-blind scan of the same lists would also load the
+// label-rejected ones (most of them).
+func TestFirstKidLoopExaminesOnlyAdmissibleCandidates(t *testing.T) {
+	docs, subs := benchWorkload(8, 1000)
+	f := NewForest()
+	for _, p := range subs {
+		f.Add(p)
+	}
+	checkIndex(t, f)
+	var examined, accepted, kidRejected, labelRejected int
+	for _, d := range docs {
+		fr := &FrameStack{}
+		f.MatchOn(fr, d).Release()
+		a, k, l := f.CandidateWork(d)
+		if fr.Examined() != a+k {
+			t.Errorf("examined %d candidates; %d accepted + %d kid-rejected are label-admissible", fr.Examined(), a, k)
+		}
+		examined, accepted, kidRejected, labelRejected = examined+fr.Examined(), accepted+a, kidRejected+k, labelRejected+l
+	}
+	if accepted == 0 || kidRejected == 0 || labelRejected < examined {
+		t.Fatalf("workload exercises too little: %d accepted, %d kid-rejected, %d label-rejected", accepted, kidRejected, labelRejected)
+	}
+	t.Logf("per document: %d examined (%d accepted, %d kid-rejected); a label-blind scan loads %d more",
+		examined/len(docs), accepted/len(docs), kidRejected/len(docs), labelRejected/len(docs))
+}
+
+// TestFirstKidIndexUnderChurn replays BenchmarkForestChurn's add/remove
+// pattern and checks the index after every step: sorted inserts and
+// order-preserving deletes, with node ids recycled throughout.
+func TestFirstKidIndexUnderChurn(t *testing.T) {
+	docs, subs := benchWorkload(2, 1024)
+	f := NewForest()
+	var hs []int
+	live := map[int]*pattern.Pattern{}
+	add := func(p *pattern.Pattern) {
+		h := f.Add(p)
+		hs, live[h] = append(hs, h), p
+		checkIndex(t, f)
+	}
+	for _, p := range subs[:512] {
+		add(p)
+	}
+	for i := 0; i < 600 && !t.Failed(); i++ {
+		add(subs[512+i%512])
+		f.Remove(hs[0])
+		delete(live, hs[0])
+		hs = hs[1:]
+		checkIndex(t, f)
+	}
+	for _, d := range docs {
+		ms := f.Match(d)
+		for h, p := range live {
+			if got, want := ms.Has(h), pattern.Matches(d, p); got != want {
+				t.Fatalf("after churn: pattern %s: forest = %v, oracle = %v", p, got, want)
+			}
+		}
+		ms.Release()
+	}
+}

@@ -267,7 +267,7 @@ type Node struct {
 	// forests holds one matching-engine instance per link: the shared
 	// forest of every aggregate routed via that link, consulted by the
 	// forwarding decision (outside the node lock — see linkForest).
-	forests  map[string]*linkForest
+	forests    map[string]*linkForest
 	seen       *seenSet
 	localVer   uint64
 	local      wire.Advert

@@ -210,6 +210,9 @@ func (lf *linkForest) matchAnyExcept(t *xmltree.Tree, exclude string) bool {
 	defer lf.mu.RUnlock()
 	ms := lf.forest.Match(t)
 	defer ms.Release()
+	if ms.Count() == 0 {
+		return false // the common case: no handle to probe for
+	}
 	for o, oh := range lf.byOrigin {
 		if o == exclude {
 			continue
