@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"io"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"treesim/internal/broker"
+	"treesim/internal/overlay"
 	"treesim/internal/telemetry"
 )
 
@@ -343,5 +345,110 @@ func TestIntrospectEndpointsStandalone(t *testing.T) {
 	}
 	if len(subs.Subscriptions) != 2 {
 		t.Fatalf("introspected %d subscriptions, want 2", len(subs.Subscriptions))
+	}
+}
+
+// federatedDaemon is the daemon's handler stack — gate, mux, overlay
+// node — behind a real loopback listener, as main assembles it.
+func federatedDaemon(t *testing.T, id string) (*overlay.Node, string) {
+	t.Helper()
+	reg := telemetry.NewRegistry()
+	eng := broker.New(broker.Config{Telemetry: reg, Threshold: 2})
+	t.Cleanup(func() { eng.Close() })
+	gate := newServerGate()
+	srv := httptest.NewServer(gate)
+	t.Cleanup(srv.Close)
+	node := overlay.New(eng, overlay.Config{
+		ID: id, Addr: srv.URL, Telemetry: reg,
+		AdvertPolicy: broker.Staleness{MaxStale: 1}, AdvertTTL: -1,
+	})
+	t.Cleanup(node.Close)
+	logger := slog.New(slog.DiscardHandler)
+	gate.setReady(newHandler(eng, node, reg, telemetry.NewEventRing(16), testMaxBody, time.Second, broker.AtMostOnce, logger))
+	return node, srv.URL
+}
+
+// TestPeerStreamThroughTheDaemon: two daemons federate over GET
+// /peer/stream through the real gate and mux (the upgrade must survive
+// both), the per-request peer endpoints of the old protocol are gone,
+// and the link's frame and byte counters show up where operators look.
+func TestPeerStreamThroughTheDaemon(t *testing.T) {
+	a, urlA := federatedDaemon(t, "A")
+	_, urlB := federatedDaemon(t, "B")
+	if err := overlay.DialPeer(a, urlB, time.Second); err != nil {
+		t.Fatal(err)
+	}
+	post := func(url, contentType, body string) (int, string) {
+		t.Helper()
+		resp, err := http.Post(url, contentType, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		data, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(data)
+	}
+	for _, path := range []string{"/peer/publish", "/peer/advert"} {
+		if code, _ := post(urlB+path, "application/json", `{"proto":1}`); code != http.StatusNotFound && code != http.StatusMethodNotAllowed {
+			t.Errorf("POST %s: HTTP %d, want 404 or 405 — the endpoint is deleted", path, code)
+		}
+	}
+	resp, err := http.Get(urlB + "/peer/stream")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusUpgradeRequired {
+		t.Errorf("GET /peer/stream without Upgrade: HTTP %d, want 426", resp.StatusCode)
+	}
+
+	if code, body := post(urlB+"/subscribe", "application/json", `{"pattern":"/x/y"}`); code != http.StatusOK {
+		t.Fatalf("subscribe at B: %d %s", code, body)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		code, body := post(urlA+"/publish", "", "<x><y/></x>")
+		if code != http.StatusOK {
+			t.Fatalf("publish at A: %d %s", code, body)
+		}
+		if strings.Contains(body, `"forwarded":1`) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("A never forwarded to B: %s", body)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	get := func(url string) string {
+		t.Helper()
+		resp, err := http.Get(url)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		data, _ := io.ReadAll(resp.Body)
+		return string(data)
+	}
+	if body := get(urlB + "/deliveries/1"); !strings.Contains(body, `"doc"`) {
+		t.Fatalf("B holds no delivery the moment A's publish returned: %s", body)
+	}
+	var links struct {
+		Links []overlay.LinkInfo `json:"links"`
+	}
+	if err := json.Unmarshal([]byte(get(urlA+"/introspect/links")), &links); err != nil {
+		t.Fatal(err)
+	}
+	if len(links.Links) != 1 || links.Links[0].PublishFrames != 1 || links.Links[0].PublishBytes == 0 ||
+		links.Links[0].AdvertFrames == 0 || links.Links[0].AdvertBytes == 0 {
+		t.Fatalf("/introspect/links at A: %+v, want one link with 1 publish frame and advert traffic", links.Links)
+	}
+	metrics := get(urlA + "/metrics")
+	for _, want := range []string{
+		`treesim_overlay_link_frames_total{kind="publish",peer="B"} 1`,
+		`treesim_overlay_link_bytes_total{kind="advert",peer="B"}`,
+	} {
+		if !strings.Contains(metrics, want) {
+			t.Errorf("/metrics at A lacks %s", want)
+		}
 	}
 }

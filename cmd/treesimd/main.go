@@ -35,8 +35,9 @@
 //	GET    /events                                        → recent WARN+ operational events (bounded ring)
 //	GET    /healthz                                       → {"status":"ok"} when ready;
 //	                                                        503 {"status":"starting"|"draining","reason":...}
-//	POST   /peer/advert        wire.AdvertBatch           → 204   (federation)
-//	POST   /peer/publish       wire.Publication           → 204   (federation)
+//	GET    /peer/stream        Upgrade: treesim-peer/1    → 101, then the peer link's frames (federation):
+//	                           publications and advert batches in, one ack per frame out
+//	                           (ok | busy | closed | bad)
 //	GET    /peer/info                                     → overlay node snapshot
 //
 // /deliveries long-polls: with wait set and an empty queue it blocks up
@@ -66,7 +67,8 @@
 //
 // Shutdown (SIGINT/SIGTERM) is ordered so a loaded daemon exits
 // cleanly: first new publishes, subscribes and peer traffic are
-// refused (503) and the overlay node detaches, then the engine closes —
+// refused (503) and the overlay node detaches (peer streams ack what
+// they are serving and close), then the engine closes —
 // draining the ingest pipeline and closing every delivery queue, which
 // wakes all long-polls — then the final snapshot is taken from the now-
 // quiescent engine and the data dir closes, and only then the HTTP
@@ -127,7 +129,7 @@ func main() {
 		advStale  = flag.Int("advert-stale", 0, "re-advertise after N subscription mutations (0: 10% churn, min 1)")
 		advMaxPat = flag.Int("advert-max-nodes", 0, "coarsen advertised patterns to at most N nodes (0: exact covers)")
 		advertTTL = flag.Duration("advert-ttl", time.Minute, "soft-state TTL for peer adverts (negative disables expiry and keepalive refresh)")
-		peerTO    = flag.Duration("peer-timeout", 5*time.Second, "per-request timeout for overlay peer HTTP calls")
+		peerTO    = flag.Duration("peer-timeout", 5*time.Second, "bound on a peer link's handshake, writes, and each frame's wait for its ack (on expiry the link is marked down and probed)")
 
 		dataDir   = flag.String("data-dir", "", "durable state directory (snapshot + WAL); empty runs in-memory only")
 		snapEvery = flag.Duration("snapshot-interval", time.Minute, "periodic snapshot period with -data-dir (0 disables; shutdown still snapshots)")
@@ -338,10 +340,9 @@ func main() {
 // dialPeer resolves a configured peer URL to its node id and links it,
 // retrying while the peer daemon comes up.
 func dialPeer(node *overlay.Node, base string, timeout time.Duration, stopping *atomic.Bool, logger *slog.Logger) {
-	client := overlay.NewPeerClient(timeout)
 	deadline := time.Now().Add(60 * time.Second)
 	for !stopping.Load() {
-		err := overlay.DialPeer(node, base, client)
+		err := overlay.DialPeer(node, base, timeout)
 		if err == nil {
 			logger.Info("federated with peer", "peer", base)
 			return
@@ -722,7 +723,7 @@ func newHandler(eng *broker.Engine, node *overlay.Node, reg *telemetry.Registry,
 	// mux exists; nothing to register here.
 
 	if node != nil {
-		overlay.RegisterHTTP(mux, node, maxBody, overlay.NewPeerClient(peerTimeout))
+		overlay.RegisterHTTP(mux, node, maxBody, peerTimeout)
 	}
 
 	return mux

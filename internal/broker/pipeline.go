@@ -27,8 +27,8 @@ type ingestItem struct {
 
 // ErrBusy is returned by InjectRemote when the ingest pipeline is full:
 // the overlay sheds remote traffic instead of blocking a peer's
-// forwarding goroutine, and the peer backs off (HTTP 503 + Retry-After
-// upstream). Local Publish keeps blocking semantics — backpressure on
+// forwarding goroutine, and the peer backs off (a busy ack on the peer
+// stream). Local Publish keeps blocking semantics — backpressure on
 // the local producer, load shedding across the federation boundary.
 var ErrBusy = fmt.Errorf("broker: ingest pipeline full")
 
@@ -66,8 +66,8 @@ func (e *Engine) logShed() {
 // forwarding goroutine, and stalling it would propagate one slow
 // broker's backlog through the overlay. When the pipeline is full the
 // document is shed (counted in Stats.RemoteShed) and ErrBusy returned,
-// so the transport can answer 503 + Retry-After and the upstream peer
-// backs off.
+// so the peer stream can ack the frame busy and the upstream peer backs
+// off.
 func (e *Engine) InjectRemote(t *xmltree.Tree) (PublishResult, error) {
 	start := time.Now()
 	e.pipeMu.RLock()

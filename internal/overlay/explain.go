@@ -240,6 +240,13 @@ type LinkInfo struct {
 	NextProbeMS int64 `json:"next_probe_ms,omitempty"`
 	// LastError is the most recent send failure, cleared on recovery.
 	LastError string `json:"last_error,omitempty"`
+	// Frames and payload bytes written to the link's stream, by kind
+	// (zero on in-process links): an advert refresh costs
+	// AdvertBytes/AdvertFrames bytes on this link.
+	PublishFrames uint64 `json:"publish_frames"`
+	PublishBytes  uint64 `json:"publish_bytes"`
+	AdvertFrames  uint64 `json:"advert_frames"`
+	AdvertBytes   uint64 `json:"advert_bytes"`
 }
 
 // IntrospectLinks snapshots per-link health, sorted by peer id.
@@ -255,6 +262,11 @@ func (n *Node) IntrospectLinks() []LinkInfo {
 			Errors:    l.errs.Load(),
 			Fails:     l.fails,
 			LastError: l.lastErr,
+
+			PublishFrames: l.pubs.frames.Load(),
+			PublishBytes:  l.pubs.bytes.Load(),
+			AdvertFrames:  l.adverts.frames.Load(),
+			AdvertBytes:   l.adverts.bytes.Load(),
 		}
 		if l.down {
 			li.BackoffMS = l.backoff.Milliseconds()

@@ -27,14 +27,17 @@ import (
 //     sync (the AddPeer exchange re-run), so a recovered link comes
 //     back with routing state already repaired — partition heal and
 //     resync are the same act.
-//   - Backpressure discrimination. A peer answering "busy" (HTTP 503 +
-//     Retry-After, or broker.ErrBusy in-process) is alive; busy answers
-//     never touch link health and are retried once after the hinted
-//     delay, then shed.
+//   - Backpressure discrimination. A peer answering "busy" (a busy ack
+//     on the link's stream, or broker.ErrBusy in-process) is alive; busy
+//     answers never touch link health and are retried once after a
+//     capped delay, then shed. Every other failed send — a "closed" or
+//     "bad" ack, no ack within the peer timeout (which closes the
+//     stream), a refused dial — marks the link down, and the probe's
+//     send is what redials the stream.
 
-// BusyError reports that a peer accepted the connection but shed the
-// message under ingest backpressure; retry after the hinted delay. The
-// HTTP transport produces it from 503 + Retry-After responses.
+// BusyError reports that a peer is up but shed the message under ingest
+// backpressure; retry after the hinted delay (zero: the maxBusyWait
+// default). The stream transport produces it from a busy ack.
 type BusyError struct {
 	After time.Duration
 }
@@ -231,6 +234,6 @@ func (n *Node) refreshAdvert(now time.Time) {
 	due := now.Sub(n.lastAdvert) >= n.cfg.AdvertRefresh
 	n.mu.Unlock()
 	if due {
-		n.Advertise()
+		n.advertiseAt(now)
 	}
 }

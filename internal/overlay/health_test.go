@@ -2,8 +2,6 @@ package overlay
 
 import (
 	"errors"
-	"net/http"
-	"net/http/httptest"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -149,25 +147,77 @@ func TestExpiredOriginRevivesAtNextVersion(t *testing.T) {
 	}
 }
 
+// steppedTransport is Inproc with the arrival instant supplied by the
+// test's clock instead of time.Now, so soft-state ages are exact.
+type steppedTransport struct {
+	peer *Node
+	now  *time.Time
+}
+
+func (s steppedTransport) SendAdvert(b wire.AdvertBatch) error {
+	data, err := wire.EncodeAdvertBatch(b)
+	if err != nil {
+		return err
+	}
+	dec, err := wire.DecodeAdvertBatch(data)
+	if err != nil {
+		return err
+	}
+	return s.peer.handleAdvertAt(dec, *s.now)
+}
+
+func (s steppedTransport) SendPublish(p wire.Publication) error {
+	return Inproc{Peer: s.peer}.SendPublish(p)
+}
+
 // TestRefreshKeepsEntriesAlive: two healthy nodes must keep each
 // other's table entries alive across several TTL periods via keepalive
-// re-advertisement.
+// re-advertisement. The maintenance ticker is parked and the test steps
+// expireAdverts/refreshAdvert itself, in the loop's order, on a clock
+// that starts an hour ahead of the wall clock: every arrival is stamped
+// from it, and the only wall-clock stamp left (lastAdvert, set by New
+// and the subscribe) is so far behind that the first step refreshes
+// whatever the machine's load.
 func TestRefreshKeepsEntriesAlive(t *testing.T) {
-	a := newNode(t, "a", fastHealth())
-	b := newNode(t, "b", fastHealth())
-	connect(t, a, b)
+	cfg := fastHealth()
+	cfg.Maintenance = time.Hour
+	a := newNode(t, "a", cfg)
+	b := newNode(t, "b", cfg)
+	now := time.Now().Add(time.Hour)
+	if err := ConnectTransports(a, b, steppedTransport{b, &now}, steppedTransport{a, &now}); err != nil {
+		t.Fatal(err)
+	}
 	mustSubscribe(t, b, "/x/y")
 
-	time.Sleep(3 * 150 * time.Millisecond) // 3 advert TTLs
+	ttl := cfg.AdvertTTL
+	ver := a.Info().Origins[0].Version
+	for end := now.Add(3 * ttl); !now.After(end); now = now.Add(10 * time.Millisecond) {
+		for _, n := range []*Node{a, b} {
+			n.expireAdverts(now)
+			n.refreshAdvert(now)
+		}
+	}
 	ai := a.Info()
 	if len(ai.Origins) != 1 || ai.Origins[0].Origin != "b" {
 		t.Fatalf("a's table after 3 TTLs: %+v, want b alive", ai.Origins)
 	}
-	if ai.AdvertsExpired != 0 {
-		t.Fatalf("AdvertsExpired = %d, want 0 while b refreshes", ai.AdvertsExpired)
+	// One refresh per AdvertRefresh (TTL/3), the first at step 0.
+	if got, want := ai.Origins[0].Version-ver, uint64(3*3+1); got != want {
+		t.Fatalf("b re-advertised %d times over 3 TTLs, want %d", got, want)
+	}
+	if ai.AdvertsExpired != 0 || b.Info().AdvertsExpired != 0 {
+		t.Fatalf("AdvertsExpired = %d / %d, want 0 while both refresh", ai.AdvertsExpired, b.Info().AdvertsExpired)
 	}
 	if _, sent, err := a.Publish(doc(t, "<x><y/></x>")); err != nil || sent != 1 {
 		t.Fatalf("publish after refresh window: sent=%d err=%v, want 1", sent, err)
+	}
+	// The same clock without b's refreshes expires b's entry: the steps
+	// above kept it alive, not a slack TTL.
+	for end := now.Add(2 * ttl); !now.After(end); now = now.Add(10 * time.Millisecond) {
+		a.expireAdverts(now)
+	}
+	if got := a.Info().AdvertsExpired; got != 1 {
+		t.Fatalf("AdvertsExpired = %d after 2 silent TTLs, want 1", got)
 	}
 }
 
@@ -302,38 +352,6 @@ func TestBusyAfterClassification(t *testing.T) {
 	wrapped := errors.Join(errors.New("overlay: inject"), broker.ErrBusy)
 	if _, busy := busyAfter(wrapped); !busy {
 		t.Fatal("wrapped broker.ErrBusy not classified busy")
-	}
-}
-
-// TestHTTP503MapsToBusy: a 503 + Retry-After response becomes a
-// BusyError; a bare 503 stays an ordinary (link-health) failure.
-func TestHTTP503MapsToBusy(t *testing.T) {
-	withHeader := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Retry-After", "2")
-		http.Error(w, "busy", http.StatusServiceUnavailable)
-	}))
-	defer withHeader.Close()
-	tr := NewHTTPTransport(withHeader.URL, nil)
-	err := tr.SendPublish(wire.Publication{From: "me", Origin: "o", Seq: 1, TTL: 2, XML: "<a/>"})
-	var be *BusyError
-	if !errors.As(err, &be) {
-		t.Fatalf("503+Retry-After = %v, want BusyError", err)
-	}
-	if be.After != 2*time.Second {
-		t.Fatalf("After = %v, want 2s", be.After)
-	}
-
-	bare := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		http.Error(w, "shutting down", http.StatusServiceUnavailable)
-	}))
-	defer bare.Close()
-	tr2 := NewHTTPTransport(bare.URL, nil)
-	err = tr2.SendPublish(wire.Publication{From: "me", Origin: "o", Seq: 1, TTL: 2, XML: "<a/>"})
-	if err == nil {
-		t.Fatal("bare 503 returned nil")
-	}
-	if errors.As(err, &be) {
-		t.Fatal("bare 503 classified busy; must stay an ordinary failure")
 	}
 }
 

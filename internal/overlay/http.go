@@ -1,161 +1,38 @@
 package overlay
 
 import (
-	"bytes"
-	"errors"
+	"bufio"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
-	"strconv"
+	"strings"
 	"time"
 
-	"treesim/internal/broker"
 	"treesim/internal/overlay/wire"
 )
 
-// HTTPTransport posts wire messages to a peer broker daemon's /peer/*
-// endpoints.
-type HTTPTransport struct {
-	base   string
-	client *http.Client
-}
-
-// NewPeerClient builds an HTTP client tuned for peer links: explicit
-// dial, TLS and response-header deadlines under an overall per-request
-// timeout, so a hung or blackholed peer surfaces as a link-health error
-// within seconds instead of pinning a forwarding goroutine for the OS
-// TCP timeout. timeout <= 0 defaults to 10s.
-func NewPeerClient(timeout time.Duration) *http.Client {
-	if timeout <= 0 {
-		timeout = 10 * time.Second
-	}
-	dial := timeout / 2
-	if dial > 3*time.Second {
-		dial = 3 * time.Second
-	}
-	return &http.Client{
-		Timeout: timeout,
-		Transport: &http.Transport{
-			DialContext:           (&net.Dialer{Timeout: dial, KeepAlive: 15 * time.Second}).DialContext,
-			TLSHandshakeTimeout:   dial,
-			ResponseHeaderTimeout: timeout,
-			MaxIdleConnsPerHost:   4,
-			IdleConnTimeout:       90 * time.Second,
-		},
-	}
-}
-
-// NewHTTPTransport returns a transport for the peer at the given base
-// URL (e.g. "http://127.0.0.1:8690"). A nil client gets the
-// NewPeerClient default (explicit dial/send deadlines).
-func NewHTTPTransport(base string, client *http.Client) *HTTPTransport {
-	if client == nil {
-		client = NewPeerClient(0)
-	}
-	return &HTTPTransport{base: base, client: client}
-}
-
-func (t *HTTPTransport) post(path string, body []byte) error {
-	resp, err := t.client.Post(t.base+path, "application/json", bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	defer func() {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-		resp.Body.Close()
-	}()
-	if resp.StatusCode < 200 || resp.StatusCode > 299 {
-		// 503 with Retry-After is the peer's backpressure signal — the
-		// peer is alive but shedding; surface it as BusyError so the
-		// sender backs off without charging link health. A 503 without
-		// the header (closed peer) stays an ordinary failure.
-		if resp.StatusCode == http.StatusServiceUnavailable {
-			if ra := resp.Header.Get("Retry-After"); ra != "" {
-				after := time.Second
-				if secs, err := strconv.Atoi(ra); err == nil && secs >= 0 {
-					after = time.Duration(secs) * time.Second
-				}
-				return &BusyError{After: after}
-			}
-		}
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return fmt.Errorf("overlay: POST %s%s: %s: %s", t.base, path, resp.Status, msg)
-	}
-	return nil
-}
-
-// SendAdvert implements Transport.
-func (t *HTTPTransport) SendAdvert(b wire.AdvertBatch) error {
-	data, err := wire.EncodeAdvertBatch(b)
-	if err != nil {
-		return err
-	}
-	return t.post("/peer/advert", data)
-}
-
-// SendPublish implements Transport.
-func (t *HTTPTransport) SendPublish(p wire.Publication) error {
-	data, err := wire.EncodePublication(p)
-	if err != nil {
-		return err
-	}
-	return t.post("/peer/publish", data)
-}
-
 // RegisterHTTP mounts the node's peer endpoints on mux:
 //
-//	POST /peer/advert   wire.AdvertBatch  → 204
-//	POST /peer/publish  wire.Publication  → 204
-//	GET  /peer/info     wire.Info
+//	GET /peer/stream  Upgrade: treesim-peer/1 → 101, then wire frames
+//	GET /peer/info    wire.Info
 //
-// A message whose sender is not yet a peer but carries a callback Addr
-// auto-establishes the reverse link, so one-directional -peers
-// configuration yields bidirectional federation.
-func RegisterHTTP(mux *http.ServeMux, n *Node, maxBody int64, client *http.Client) {
-	mux.HandleFunc("POST /peer/advert", func(w http.ResponseWriter, r *http.Request) {
-		data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody))
-		if err != nil {
-			peerError(w, http.StatusBadRequest, "read body: %v", err)
+// A frame over maxBody bytes ends its stream; timeout (<= 0: 10s)
+// bounds ack writes and the reverse links auto-established toward
+// senders that carry a callback Addr.
+func RegisterHTTP(mux *http.ServeMux, n *Node, maxBody int64, timeout time.Duration) {
+	timeout = peerTimeout(timeout)
+	mux.HandleFunc("GET /peer/stream", func(w http.ResponseWriter, r *http.Request) {
+		n.mu.Lock()
+		closed := n.closed
+		n.mu.Unlock()
+		if closed {
+			peerError(w, http.StatusServiceUnavailable, "%v", ErrClosed)
 			return
 		}
-		batch, err := wire.DecodeAdvertBatch(data)
-		if err != nil {
-			peerError(w, http.StatusBadRequest, "%v", err)
-			return
+		if conn, br, ok := acceptStream(w, r); ok {
+			n.serveStream(conn, br, maxBody, timeout)
 		}
-		autoPeer(n, batch.From, batch.Addr, client)
-		if err := n.HandleAdvert(batch); err != nil {
-			peerError(w, peerStatus(err), "%v", err)
-			return
-		}
-		w.WriteHeader(http.StatusNoContent)
-	})
-
-	mux.HandleFunc("POST /peer/publish", func(w http.ResponseWriter, r *http.Request) {
-		data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody))
-		if err != nil {
-			peerError(w, http.StatusBadRequest, "read body: %v", err)
-			return
-		}
-		pub, err := wire.DecodePublication(data)
-		if err != nil {
-			peerError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		autoPeer(n, pub.From, pub.Addr, client)
-		if err := n.HandlePublish(pub); err != nil {
-			if errors.Is(err, broker.ErrBusy) {
-				// Ingest backpressure: tell the peer to back off and
-				// retry instead of blocking its forwarding goroutine.
-				w.Header().Set("Retry-After", "1")
-				peerError(w, http.StatusServiceUnavailable, "%v", err)
-				return
-			}
-			peerError(w, peerStatus(err), "%v", err)
-			return
-		}
-		w.WriteHeader(http.StatusNoContent)
 	})
 
 	mux.HandleFunc("GET /peer/info", func(w http.ResponseWriter, r *http.Request) {
@@ -169,22 +46,44 @@ func RegisterHTTP(mux *http.ServeMux, n *Node, maxBody int64, client *http.Clien
 	})
 }
 
-// autoPeer establishes the reverse link to a not-yet-known sender that
-// supplied a callback address.
-func autoPeer(n *Node, from, addr string, client *http.Client) {
-	if from == "" || addr == "" || from == n.ID() || n.HasPeer(from) {
-		return
+// acceptStream answers a stream dial: it takes the connection over from
+// the HTTP server and confirms the upgrade, or answers the error and
+// reports false.
+func acceptStream(w http.ResponseWriter, r *http.Request) (net.Conn, *bufio.Reader, bool) {
+	if !strings.EqualFold(r.Header.Get("Upgrade"), streamProto) {
+		w.Header().Set("Upgrade", streamProto)
+		peerError(w, http.StatusUpgradeRequired, "want Upgrade: %s", streamProto)
+		return nil, nil, false
 	}
-	n.AddPeer(from, NewHTTPTransport(addr, client))
+	hj, ok := w.(http.Hijacker)
+	if !ok {
+		peerError(w, http.StatusInternalServerError, "connection cannot be upgraded")
+		return nil, nil, false
+	}
+	conn, brw, err := hj.Hijack()
+	if err != nil {
+		peerError(w, http.StatusInternalServerError, "%v", err)
+		return nil, nil, false
+	}
+	// The server's read and write deadlines were set for one request; a
+	// stream lives until either side closes it.
+	conn.SetDeadline(time.Time{})
+	if _, err := io.WriteString(conn, "HTTP/1.1 101 Switching Protocols\r\nConnection: Upgrade\r\nUpgrade: "+streamProto+"\r\n\r\n"); err != nil {
+		conn.Close()
+		return nil, nil, false
+	}
+	return conn, brw.Reader, true
 }
 
 // DialPeer fetches the peer's identity from base+"/peer/info" and adds
-// it as a peer over an HTTP transport. Callers retry: the peer daemon
-// may not be up yet.
-func DialPeer(n *Node, base string, client *http.Client) error {
-	if client == nil {
-		client = NewPeerClient(0)
-	}
+// it as a peer over a stream transport; the stream itself is dialed by
+// the first send (the state sync AddPeer pushes). timeout (<= 0: 10s)
+// bounds the fetch and, on the link, every write-to-ack. Callers retry:
+// the peer daemon may not be up yet.
+func DialPeer(n *Node, base string, timeout time.Duration) error {
+	timeout = peerTimeout(timeout)
+	client := &http.Client{Timeout: timeout}
+	defer client.CloseIdleConnections()
 	resp, err := client.Get(base + "/peer/info")
 	if err != nil {
 		return err
@@ -204,17 +103,7 @@ func DialPeer(n *Node, base string, client *http.Client) error {
 	if info.ID == n.ID() {
 		return fmt.Errorf("overlay: peer %s is this node (%s)", base, info.ID)
 	}
-	return n.AddPeer(info.ID, NewHTTPTransport(base, client))
-}
-
-// peerStatus classifies a handler error: a closed overlay node or a
-// closed broker engine is a transient server condition (503, the peer
-// should stop sending here), anything else a bad request.
-func peerStatus(err error) int {
-	if errors.Is(err, ErrClosed) || errors.Is(err, broker.ErrClosed) {
-		return http.StatusServiceUnavailable
-	}
-	return http.StatusBadRequest
+	return n.AddPeer(info.ID, newStreamTransport(n, info.ID, base, timeout))
 }
 
 func peerError(w http.ResponseWriter, status int, format string, args ...any) {

@@ -32,10 +32,11 @@
 // or behind an authenticating proxy. Transport sends are synchronous
 // and best-effort: an unreachable peer costs its transport timeout on
 // the goroutine that advertises or forwards (publication forwarding
-// chains block the upstream hop until the chain completes), and a
-// failed send is counted, not retried — the next advert version
-// resyncs routing state. Asynchronous per-link outbound queues are a
-// ROADMAP item.
+// chains block the upstream hop until the chain completes; between
+// daemons a send is a frame that returns with the peer's ack, see
+// stream.go), and a failed send is counted, not retried — the next
+// advert version resyncs routing state. Asynchronous per-link
+// coalescing is a ROADMAP item.
 package overlay
 
 import (
@@ -44,6 +45,8 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"maps"
+	"net"
 	"sort"
 	"strconv"
 	"sync"
@@ -67,7 +70,7 @@ type Config struct {
 	// federation; defaults to a random hex string).
 	ID string
 	// Addr, if set, is the callback base URL included in outgoing
-	// messages so HTTP peers can auto-establish the reverse link.
+	// messages so peer daemons can auto-establish the reverse link.
 	Addr string
 	// TTL is the hop budget stamped on locally published documents
 	// (default 16, capped at wire.MaxTTL).
@@ -194,9 +197,10 @@ type link struct {
 	// sends/errs count successful and failed transport sends on this
 	// link; up mirrors the damping state (1 healthy, 0 down) so a
 	// scrape sees which links are currently out of rotation.
-	sends *telemetry.Counter
-	errs  *telemetry.Counter
-	up    *telemetry.Gauge
+	sends         *telemetry.Counter
+	errs          *telemetry.Counter
+	up            *telemetry.Gauge
+	pubs, adverts linkTraffic // what the link's stream wrote
 
 	// down marks the link in the damping set: forwarding plans and
 	// advert gossip skip it, and only the maintenance loop's backoff-
@@ -233,6 +237,18 @@ type nodeCounters struct {
 	busyRejected   *telemetry.Counter
 }
 
+// linkTraffic counts the frames and payload bytes of one kind written
+// to one link's stream ("what does an advert refresh cost in bytes");
+// the link and its stream transport hold the same handles.
+type linkTraffic struct{ frames, bytes *telemetry.Counter }
+
+func (n *Node) linkTraffic(peer, kind string) linkTraffic {
+	return linkTraffic{
+		frames: n.tel.Counter("treesim_overlay_link_frames_total", "Frames written to the peer link's stream, by kind.", "peer", peer, "kind", kind),
+		bytes:  n.tel.Counter("treesim_overlay_link_bytes_total", "Payload bytes written to the peer link's stream, by kind.", "peer", peer, "kind", kind),
+	}
+}
+
 func newNodeCounters(reg *telemetry.Registry) nodeCounters {
 	return nodeCounters{
 		forwardsSent: reg.Counter("treesim_overlay_forwards_sent_total", "Publications forwarded to peers."),
@@ -267,7 +283,10 @@ type Node struct {
 	// forests holds one matching-engine instance per link: the shared
 	// forest of every aggregate routed via that link, consulted by the
 	// forwarding decision (outside the node lock — see linkForest).
-	forests    map[string]*linkForest
+	forests map[string]*linkForest
+	// inbound is every peer stream being served, with the channel
+	// serveStream closes on its way out.
+	inbound    map[net.Conn]chan struct{}
 	seen       *seenSet
 	localVer   uint64
 	local      wire.Advert
@@ -307,6 +326,7 @@ func New(eng *broker.Engine, cfg Config) *Node {
 		links:   make(map[string]*link),
 		table:   make(map[string]*originEntry),
 		forests: make(map[string]*linkForest),
+		inbound: make(map[net.Conn]chan struct{}),
 		stop:    make(chan struct{}),
 	}
 	n.tel = n.cfg.Telemetry
@@ -369,10 +389,12 @@ func (n *Node) Engine() *broker.Engine { return n.eng }
 
 // Close detaches the node: the churn hook is uninstalled, the
 // maintenance loop stops, and subsequent publishes, handles and peer
-// additions fail with ErrClosed. It does not close the engine (the
-// caller owns it) and does not notify peers — their soft-state advert
-// TTLs expire this node's routes and their link health marks the link
-// down until it answers again.
+// additions fail with ErrClosed. Inbound peer streams stop reading, ack
+// the frames they are serving and close; outbound ones close after
+// that, since those handlers may still be forwarding. It does not close
+// the engine (the caller owns it) and does not notify peers — their
+// soft-state advert TTLs expire this node's routes and their link
+// health marks the link down until it answers again.
 func (n *Node) Close() {
 	n.eng.SetChurnHook(nil)
 	n.mu.Lock()
@@ -380,8 +402,27 @@ func (n *Node) Close() {
 		n.closed = true
 		close(n.stop)
 	}
+	inbound := maps.Clone(n.inbound)
+	var outbound []Transport
+	for _, l := range n.links {
+		outbound = append(outbound, l.tr)
+	}
 	n.mu.Unlock()
 	n.maintWG.Wait()
+	for conn, done := range inbound {
+		conn.SetReadDeadline(time.Now()) // wakes the reader; serveStream winds down
+		<-done
+	}
+	for _, tr := range outbound {
+		closeTransport(tr)
+	}
+}
+
+// closeTransport releases a stream transport's connection.
+func closeTransport(tr Transport) {
+	if st, ok := tr.(*streamTransport); ok {
+		st.Close()
+	}
 }
 
 // onChurn is the engine hook: accumulate churn and re-advertise when
@@ -404,7 +445,10 @@ func (n *Node) onChurn(ev broker.ChurnEvent) {
 // pushes it to every peer. Called automatically per AdvertPolicy; also
 // an explicit hook for harnesses and operators ("flush my aggregate
 // now").
-func (n *Node) Advertise() error {
+func (n *Node) Advertise() error { return n.advertiseAt(time.Now()) }
+
+// advertiseAt is Advertise at a given instant (the keepalive clock).
+func (n *Node) advertiseAt(now time.Time) error {
 	n.mu.Lock()
 	if n.closed {
 		n.mu.Unlock()
@@ -417,7 +461,7 @@ func (n *Node) Advertise() error {
 	n.localVer++
 	n.local = n.buildAdvertLocked(n.localVer)
 	n.advStale = 0
-	n.lastAdvert = time.Now()
+	n.lastAdvert = now
 	adv := n.local
 	targets := n.linksLocked("")
 	n.mu.Unlock()
@@ -430,7 +474,7 @@ func (n *Node) Advertise() error {
 // over it, bringing the new neighbor up to date in one batch. Adding an
 // existing peer id replaces its transport and resyncs. The peer must
 // already know this node (or learn it from the sync batch's From/Addr,
-// as the HTTP auto-peering glue does) for the sync to be accepted; when
+// as the peer stream's auto-peering does) for the sync to be accepted; when
 // wiring two in-process nodes use Connect, which registers both links
 // before syncing either way.
 func (n *Node) AddPeer(id string, tr Transport) error {
@@ -445,19 +489,29 @@ func (n *Node) addPeerLink(id string, tr Transport) error {
 	if id == n.cfg.ID {
 		return fmt.Errorf("overlay: cannot peer with self (%q)", id)
 	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.closed {
-		return ErrClosed
-	}
 	l := &link{
 		id: id, tr: tr,
-		sends: n.tel.Counter("treesim_overlay_link_sends_total", "Successful transport sends, per peer link.", "peer", id),
-		errs:  n.tel.Counter("treesim_overlay_link_errors_total", "Failed transport sends, per peer link.", "peer", id),
-		up:    n.tel.Gauge("treesim_overlay_link_up", "Link health: 1 healthy, 0 in the down/damping set.", "peer", id),
+		sends:   n.tel.Counter("treesim_overlay_link_sends_total", "Successful transport sends, per peer link.", "peer", id),
+		errs:    n.tel.Counter("treesim_overlay_link_errors_total", "Failed transport sends, per peer link.", "peer", id),
+		up:      n.tel.Gauge("treesim_overlay_link_up", "Link health: 1 healthy, 0 in the down/damping set.", "peer", id),
+		pubs:    n.linkTraffic(id, "publish"),
+		adverts: n.linkTraffic(id, "advert"),
 	}
+	n.mu.Lock()
+	if n.closed {
+		n.mu.Unlock()
+		closeTransport(tr)
+		return ErrClosed
+	}
+	old := n.links[id]
 	l.up.Set(1)
 	n.links[id] = l
+	n.mu.Unlock()
+	if old != nil {
+		if st, ok := old.tr.(*streamTransport); ok && st != tr {
+			st.Close() // a replaced stream would keep its connection
+		}
+	}
 	return nil
 }
 
@@ -519,6 +573,12 @@ func (n *Node) HasPeer(id string) bool {
 // through it, and after half the advert TTL the freshest alternative
 // link wins the route well before the entry itself would expire.
 func (n *Node) HandleAdvert(batch wire.AdvertBatch) error {
+	return n.handleAdvertAt(batch, time.Now())
+}
+
+// handleAdvertAt is HandleAdvert at a given arrival instant, the stamp
+// expireAdverts later ages the entries against.
+func (n *Node) handleAdvertAt(batch wire.AdvertBatch, now time.Time) error {
 	n.mu.Lock()
 	if n.closed {
 		n.mu.Unlock()
@@ -532,7 +592,6 @@ func (n *Node) HandleAdvert(batch wire.AdvertBatch) error {
 	var accepted []wire.Advert
 	var updates []forestUpdate
 	var firstErr error
-	now := time.Now()
 	for _, a := range batch.Adverts {
 		if a.Origin == n.cfg.ID {
 			continue // our own advert reflected around a cycle
@@ -544,7 +603,7 @@ func (n *Node) HandleAdvert(batch wire.AdvertBatch) error {
 			}
 			continue // stale or already known
 		}
-		entry, err := newOriginEntry(a, batch.From)
+		entry, err := newOriginEntry(a, batch.From, now)
 		if err != nil {
 			if firstErr == nil {
 				firstErr = err

@@ -50,8 +50,7 @@ type originEntry struct {
 // newOriginEntry parses an advert into a table entry. Patterns arrive
 // codec-validated; a parse failure here (direct HandleAdvert callers)
 // rejects the advert.
-func newOriginEntry(a wire.Advert, via string) (*originEntry, error) {
-	now := time.Now()
+func newOriginEntry(a wire.Advert, via string, now time.Time) (*originEntry, error) {
 	e := &originEntry{version: a.Version, hops: a.Hops, via: via, advertised: a.Communities, lastSeen: now, viaSeen: now}
 	for i, c := range a.Communities {
 		for j, s := range c.Patterns {

@@ -16,8 +16,8 @@ type Transport interface {
 // Inproc is a Transport delivering to another Node in the same process.
 // Messages pass through the wire codec — encoded and re-decoded — so
 // in-process topologies (tests, cmd/treesim-net) exercise exactly the
-// bytes HTTP peers would exchange, including canonicalization and
-// validation.
+// payload bytes the frames between daemons carry, including
+// canonicalization and validation.
 type Inproc struct {
 	Peer *Node
 }

@@ -1,72 +1,87 @@
 package wire
 
 import (
-	"encoding/json"
+	"bytes"
+	"encoding/binary"
+	"os"
+	"reflect"
 	"strings"
 	"testing"
 )
 
-// The trace field is the first optional addition to the publication
-// frame since protocol version 1 shipped; these tests pin the
-// compatibility contract in both directions.
+// The publication payload is a binary layout peers of different builds
+// must agree on byte for byte; these tests pin it against a frame kept
+// under testdata/, in both directions.
 
-// TestPublicationDecodeOldFrame: a frame encoded by a pre-trace peer
-// (no "trace" key at all) must decode on a new node as an untraced
-// publication — same protocol version, no error, empty Trace.
-func TestPublicationDecodeOldFrame(t *testing.T) {
-	old := `{"proto":1,"from":"a","origin":"b","seq":7,"ttl":3,"xml":"<doc/>"}`
-	p, err := DecodePublication([]byte(old))
+var goldenPublication = Publication{
+	Proto: ProtocolVersion, From: "node-b", Addr: "http://127.0.0.1:8691",
+	Origin: "node-a", Seq: 0x0102030405060708, TTL: 15,
+	XML: "<media><CD title=\"K. 551\">Mozart &amp; sons</CD></media>", Trace: "0123456789abcdef",
+}
+
+// TestPublicationGoldenFrame: the committed publish frame decodes to
+// the value it was made from, and encoding that value reproduces the
+// frame — header, payload layout and the unescaped document.
+func TestPublicationGoldenFrame(t *testing.T) {
+	golden, err := os.ReadFile("testdata/publish.frame")
 	if err != nil {
-		t.Fatalf("old frame rejected: %v", err)
+		t.Fatal(err)
 	}
-	if p.Trace != "" {
-		t.Fatalf("old frame decoded with trace %q, want empty", p.Trace)
+	kind, id, payload, err := ReadFrame(bytes.NewReader(golden), MaxXMLLen)
+	if err != nil || kind != KindPublish || id != 42 || len(payload) != len(golden)-FrameHeaderLen {
+		t.Fatalf("golden frame: kind %d id %d payload %d of %d bytes, err %v", kind, id, len(payload), len(golden), err)
 	}
-	if p.Origin != "b" || p.Seq != 7 || p.TTL != 3 {
-		t.Fatalf("old frame fields mangled: %+v", p)
+	dec, err := DecodePublication(payload)
+	if err != nil {
+		t.Fatalf("golden frame rejected: %v", err)
+	}
+	if !reflect.DeepEqual(dec, goldenPublication) {
+		t.Fatalf("golden frame decoded to\n%+v, want\n%+v", dec, goldenPublication)
+	}
+	enc, err := EncodePublication(goldenPublication)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if frame := AppendFrame(nil, KindPublish, 42, enc); !bytes.Equal(frame, golden) {
+		t.Fatalf("encoding drifted from testdata/publish.frame:\n%q\n%q", frame, golden)
+	}
+	if !bytes.Contains(golden, []byte(goldenPublication.XML)) {
+		t.Fatal("the document does not ride the frame verbatim")
 	}
 }
 
-// TestPublicationEncodeOmitsEmptyTrace: an untraced publication must
-// serialize WITHOUT a trace key, so old peers (strict or not) see
-// byte-identical frames to what a pre-trace node would send.
+// TestPublicationEncodeOmitsEmptyTrace: an untraced publication spends
+// nothing on the trace but its zero length prefix, and decodes back to
+// an empty Trace.
 func TestPublicationEncodeOmitsEmptyTrace(t *testing.T) {
-	enc, err := EncodePublication(Publication{From: "a", Origin: "b", Seq: 1, TTL: 1, XML: "<x/>"})
+	p := goldenPublication
+	traced, err := EncodePublication(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if strings.Contains(string(enc), "trace") {
-		t.Fatalf("untraced frame leaks a trace key: %s", enc)
+	p.Trace = ""
+	enc, err := EncodePublication(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(enc) != len(traced)-len(goldenPublication.Trace) {
+		t.Fatalf("untraced frame is %d bytes, traced %d: the empty trace costs payload", len(enc), len(traced))
+	}
+	if dec, err := DecodePublication(enc); err != nil || dec.Trace != "" {
+		t.Fatalf("untraced frame decoded with trace %q, err %v", dec.Trace, err)
 	}
 }
 
-// TestPublicationNewFrameAcceptedByOldDecoder simulates the old
-// decoder: a struct without the Trace field unmarshalling a new frame.
-// Unknown JSON keys are ignored, so the traced frame must decode
-// cleanly — the trace is simply dropped at that hop.
-func TestPublicationNewFrameAcceptedByOldDecoder(t *testing.T) {
-	enc, err := EncodePublication(Publication{
-		From: "a", Origin: "b", Seq: 2, TTL: 4, XML: "<x/>", Trace: "abcdef0123456789",
-	})
-	if err != nil {
-		t.Fatal(err)
+// rawPublication lays a publication out without the codec's validation,
+// to craft frames no encoder would produce.
+func rawPublication(p Publication) []byte {
+	b := []byte{byte(p.Proto), byte(p.TTL)}
+	b = binary.BigEndian.AppendUint64(b, p.Seq)
+	for _, s := range []string{p.From, p.Addr, p.Origin, p.Trace} {
+		b = binary.BigEndian.AppendUint16(b, uint16(len(s)))
+		b = append(b, s...)
 	}
-	// The pre-trace Publication shape, field for field.
-	var oldShape struct {
-		Proto  int    `json:"proto"`
-		From   string `json:"from"`
-		Addr   string `json:"addr,omitempty"`
-		Origin string `json:"origin"`
-		Seq    uint64 `json:"seq"`
-		TTL    int    `json:"ttl"`
-		XML    string `json:"xml"`
-	}
-	if err := json.Unmarshal(enc, &oldShape); err != nil {
-		t.Fatalf("old decoder rejects traced frame: %v", err)
-	}
-	if oldShape.Origin != "b" || oldShape.Seq != 2 || oldShape.XML != "<x/>" {
-		t.Fatalf("old decoder mangles traced frame: %+v", oldShape)
-	}
+	return append(b, p.XML...)
 }
 
 // TestPublicationTraceRoundTripAndBounds: traced frames round-trip,
@@ -85,16 +100,87 @@ func TestPublicationTraceRoundTripAndBounds(t *testing.T) {
 		t.Fatalf("trace %q round-tripped to %q", p.Trace, dec.Trace)
 	}
 	huge := p
+	huge.Proto = ProtocolVersion
 	huge.Trace = strings.Repeat("x", MaxTraceLen+1)
 	if _, err := EncodePublication(huge); err == nil {
 		t.Error("encode accepted oversized trace")
 	}
-	frame, _ := json.Marshal(huge) // bypass encode validation
-	var raw map[string]any
-	_ = json.Unmarshal(frame, &raw)
-	raw["proto"] = ProtocolVersion
-	frame, _ = json.Marshal(raw)
-	if _, err := DecodePublication(frame); err == nil {
+	if _, err := DecodePublication(rawPublication(huge)); err == nil {
 		t.Error("decode accepted oversized trace")
+	}
+}
+
+// TestDecodePublicationRejects: every cap validatePublication enforces
+// holds on the decode path, as do the layout's own limits.
+func TestDecodePublicationRejects(t *testing.T) {
+	valid := Publication{Proto: ProtocolVersion, From: "a", Addr: "http://h:1", Origin: "b", Seq: 9, TTL: 3, XML: "<x/>", Trace: "t"}
+	if _, err := DecodePublication(rawPublication(valid)); err != nil {
+		t.Fatalf("valid raw frame rejected: %v", err)
+	}
+	long := strings.Repeat("x", MaxOriginLen+1)
+	for name, mutate := range map[string]func(*Publication){
+		"wrong proto": func(p *Publication) { p.Proto = ProtocolVersion + 1 },
+		"json frame":  func(p *Publication) { p.Proto = '{' },
+		"empty from":  func(p *Publication) { p.From = "" },
+		"long from":   func(p *Publication) { p.From = long },
+		"long addr":   func(p *Publication) { p.Addr = long },
+		"no origin":   func(p *Publication) { p.Origin = "" },
+		"long origin": func(p *Publication) { p.Origin = long },
+		"huge ttl":    func(p *Publication) { p.TTL = MaxTTL + 1 },
+		"long trace":  func(p *Publication) { p.Trace = strings.Repeat("x", MaxTraceLen+1) },
+		"empty doc":   func(p *Publication) { p.XML = "" },
+		"huge doc":    func(p *Publication) { p.XML = strings.Repeat("x", MaxXMLLen+1) },
+	} {
+		p := valid
+		mutate(&p)
+		if _, err := DecodePublication(rawPublication(p)); err == nil {
+			t.Errorf("%s: decode accepted the frame", name)
+		}
+	}
+	raw := rawPublication(valid)
+	for n := 0; n < len(raw)-len(valid.XML); n++ {
+		if _, err := DecodePublication(raw[:n]); err == nil {
+			t.Errorf("decode accepted the frame cut to %d of %d bytes", n, len(raw))
+		}
+	}
+	if _, err := DecodePublication([]byte(`{"proto":1,"from":"a","origin":"b","seq":7,"ttl":3,"xml":"<doc/>"}`)); err == nil {
+		t.Error("decode accepted the JSON frame of the old protocol")
+	}
+}
+
+// TestReadFrameBounds: a frame over the reader's cap is refused before
+// its payload is read, a short one is an unexpected EOF.
+func TestReadFrameBounds(t *testing.T) {
+	frame := AppendFrame(nil, KindAdvert, 7, []byte("0123456789"))
+	if kind, id, payload, err := ReadFrame(bytes.NewReader(frame), 10); err != nil || kind != KindAdvert || id != 7 || string(payload) != "0123456789" {
+		t.Fatalf("frame at the cap: kind %d id %d %q, err %v", kind, id, payload, err)
+	}
+	r := bytes.NewReader(frame)
+	if _, _, _, err := ReadFrame(r, 9); err == nil || r.Len() != 10 {
+		t.Fatalf("frame over the cap: err %v with %d payload bytes unread, want an error and 10", err, r.Len())
+	}
+	for n := 0; n < len(frame); n++ {
+		if _, _, _, err := ReadFrame(bytes.NewReader(frame[:n]), 10); err == nil {
+			t.Fatalf("frame cut to %d bytes accepted", n)
+		}
+	}
+}
+
+// TestAckRoundTrip: every status survives the ack payload, the message
+// is cut to the cap, and junk is rejected.
+func TestAckRoundTrip(t *testing.T) {
+	for st := StatusOK; st <= StatusBad; st++ {
+		got, msg, err := DecodeAck(EncodeAck(st, "why"))
+		if err != nil || got != st || msg != "why" {
+			t.Errorf("status %d round-tripped to %d %q, err %v", st, got, msg, err)
+		}
+	}
+	if p := EncodeAck(StatusBad, strings.Repeat("m", 4*MaxAckLen)); len(p) != MaxAckLen {
+		t.Errorf("oversized message encoded to %d bytes, cap is %d", len(p), MaxAckLen)
+	}
+	for _, junk := range [][]byte{nil, {byte(StatusBad) + 1}, make([]byte, MaxAckLen+1)} {
+		if _, _, err := DecodeAck(junk); err == nil {
+			t.Errorf("DecodeAck accepted %d junk bytes", len(junk))
+		}
 	}
 }

@@ -1,7 +1,10 @@
 package wire
 
 import (
+	"bytes"
+	"os"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -52,6 +55,60 @@ func FuzzDecodeAdvert(f *testing.F) {
 		}
 		if string(enc) != string(enc2) {
 			t.Fatalf("encode is not byte-stable on decoded batches:\n%s\n%s", enc, enc2)
+		}
+	})
+}
+
+// FuzzDecodePublication drives the publication codec with arbitrary
+// bytes, as a peer stream does. It must never panic; whatever it
+// accepts satisfies every cap validatePublication enforces; and the
+// layout is canonical, so an accepted payload is byte for byte its own
+// encoding and decode∘encode is the identity on decoded values.
+func FuzzDecodePublication(f *testing.F) {
+	valid := Publication{Proto: ProtocolVersion, From: "a", Addr: "http://h:1", Origin: "b", Seq: 9, TTL: 3, XML: "<x/>", Trace: "t"}
+	f.Add(rawPublication(valid))
+	if golden, err := os.ReadFile("testdata/publish.frame"); err == nil {
+		f.Add(golden[FrameHeaderLen:])
+	}
+	long := strings.Repeat("x", MaxOriginLen+1)
+	for _, mutate := range []func(*Publication){
+		func(p *Publication) { p.Proto = 2 },
+		func(p *Publication) { p.TTL = MaxTTL + 1 },
+		func(p *Publication) { p.From = long },
+		func(p *Publication) { p.Addr = long },
+		func(p *Publication) { p.Origin = "" },
+		func(p *Publication) { p.Trace = strings.Repeat("x", MaxTraceLen+1) },
+		func(p *Publication) { p.XML = "" },
+		func(p *Publication) { p.Addr, p.Trace = "", "" },
+		func(p *Publication) { p.XML = "\xff\x00<" },
+	} {
+		p := valid
+		mutate(&p)
+		f.Add(rawPublication(p))
+	}
+	f.Add(rawPublication(valid)[:19])
+	f.Add([]byte(`{"proto":1,"from":"a","origin":"b","seq":7,"ttl":3,"xml":"<doc/>"}`))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p, err := DecodePublication(data)
+		if err != nil {
+			return
+		}
+		if p.Proto != ProtocolVersion || p.TTL < 0 || p.TTL > MaxTTL ||
+			p.From == "" || len(p.From) > MaxOriginLen || p.Origin == "" || len(p.Origin) > MaxOriginLen ||
+			len(p.Addr) > MaxOriginLen || len(p.Trace) > MaxTraceLen || p.XML == "" || len(p.XML) > MaxXMLLen {
+			t.Fatalf("decode accepted a publication over a cap: %+v", p)
+		}
+		enc, err := EncodePublication(p)
+		if err != nil {
+			t.Fatalf("decoded publication does not re-encode: %v (%+v)", err, p)
+		}
+		if !bytes.Equal(enc, data) {
+			t.Fatalf("an accepted payload is not its own encoding:\n%q\n%q", data, enc)
+		}
+		p2, err := DecodePublication(enc)
+		if err != nil || !reflect.DeepEqual(p, p2) {
+			t.Fatalf("decode→encode→decode changed the publication (%v):\n%+v\n%+v", err, p, p2)
 		}
 	})
 }

@@ -1,18 +1,24 @@
-// Package wire is the codec for the overlay federation's HTTP/JSON
-// protocol. Brokers exchange three message kinds: advertisement batches
+// Package wire is the codec for the overlay federation's protocol.
+// Brokers exchange three message kinds: advertisement batches
 // (similarity-coarsened subscription aggregates, versioned per origin),
 // publications (documents forwarded hop-by-hop with a TTL), and a node
-// info snapshot (GET /peer/info).
+// info snapshot (GET /peer/info). Adverts and publications travel as
+// frames on one long-lived stream per link direction (frame.go), each
+// answered by an ack frame carrying the receiver's verdict. Adverts and
+// info are JSON; a publication is a small binary header followed by the
+// document's XML bytes, unescaped.
 //
 // The codec is strict on decode: every accepted message is validated
 // (protocol version, bounded sizes, parseable patterns, finite digests)
 // and pattern expressions are canonicalized through the pattern parser,
 // so a decoded value always re-encodes, and decode∘encode is the
-// identity on decoded values — the invariant FuzzDecodeAdvert enforces.
-// Unknown JSON fields are ignored for forward compatibility.
+// identity on decoded values — the invariant FuzzDecodeAdvert and
+// FuzzDecodePublication enforce. Unknown JSON fields are ignored for
+// forward compatibility.
 package wire
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -72,7 +78,7 @@ type Advert struct {
 	Communities []Community `json:"communities"`
 }
 
-// AdvertBatch is the body of POST /peer/advert: one or more origin
+// AdvertBatch is the payload of an advert frame: one or more origin
 // adverts pushed over a link.
 type AdvertBatch struct {
 	// Proto is the wire protocol version (ProtocolVersion).
@@ -81,14 +87,17 @@ type AdvertBatch struct {
 	// advert's origin).
 	From string `json:"from"`
 	// Addr, if set, is a callback base URL the receiver can dial to
-	// establish the reverse link (HTTP transport auto-peering).
+	// establish the reverse link (stream transport auto-peering).
 	Addr string `json:"addr,omitempty"`
 	// Adverts are the origin aggregates.
 	Adverts []Advert `json:"adverts"`
 }
 
-// Publication is the body of POST /peer/publish: one document forwarded
-// through the overlay.
+// Publication is the payload of a publish frame: one document forwarded
+// through the overlay. On the wire it is proto (1 byte) | ttl (1) | seq
+// (8) | from | addr | origin | trace | xml, where the four fields are
+// each a 2-byte big-endian length and that many bytes and xml is the
+// rest of the payload; the json tags serve diagnostics only.
 type Publication struct {
 	// Proto is the wire protocol version (ProtocolVersion).
 	Proto int `json:"proto"`
@@ -109,10 +118,8 @@ type Publication struct {
 	XML string `json:"xml"`
 	// Trace is an optional telemetry trace ID stamped at the origin;
 	// nodes handling a traced publication append hop spans retrievable
-	// via the daemon's GET /trace/{id}. Optional and opaque: old peers
-	// that predate the field drop it on re-encode (their Publication
-	// struct has no slot for it), which degrades the trace to the hops
-	// that understand it — never the routing. Empty means untraced.
+	// via the daemon's GET /trace/{id}. Optional and opaque; empty means
+	// untraced.
 	Trace string `json:"trace,omitempty"`
 }
 
@@ -265,21 +272,47 @@ func EncodePublication(p Publication) ([]byte, error) {
 	if err := validatePublication(&p); err != nil {
 		return nil, fmt.Errorf("wire: encode publication: %w", err)
 	}
-	return json.Marshal(p)
+	b := make([]byte, 0, 18+len(p.From)+len(p.Addr)+len(p.Origin)+len(p.Trace)+len(p.XML))
+	b = append(b, byte(p.Proto), byte(p.TTL))
+	b = binary.BigEndian.AppendUint64(b, p.Seq)
+	for _, s := range [...]string{p.From, p.Addr, p.Origin, p.Trace} {
+		b = binary.BigEndian.AppendUint16(b, uint16(len(s)))
+		b = append(b, s...)
+	}
+	return append(b, p.XML...), nil
 }
 
 // DecodePublication parses and validates a publication. The document
 // payload is bounded but not parsed here; the broker's XML parser is
-// the authority on its content.
+// the authority on its content. The result shares no memory with data.
 func DecodePublication(data []byte) (Publication, error) {
-	var p Publication
-	if err := json.Unmarshal(data, &p); err != nil {
-		return Publication{}, fmt.Errorf("wire: decode publication: %w", err)
+	if len(data) < 10 {
+		return Publication{}, fmt.Errorf("wire: decode publication: truncated (%d bytes)", len(data))
 	}
+	p := Publication{Proto: int(data[0]), TTL: int(data[1]), Seq: binary.BigEndian.Uint64(data[2:])}
+	rest, ok := data[10:], true
+	p.From, rest, ok = cutField(rest, ok)
+	p.Addr, rest, ok = cutField(rest, ok)
+	p.Origin, rest, ok = cutField(rest, ok)
+	p.Trace, rest, ok = cutField(rest, ok)
+	if !ok {
+		return Publication{}, fmt.Errorf("wire: decode publication: truncated (%d bytes)", len(data))
+	}
+	p.XML = string(rest)
 	if err := validatePublication(&p); err != nil {
 		return Publication{}, fmt.Errorf("wire: decode publication: %w", err)
 	}
 	return p, nil
+}
+
+// cutField reads one length-prefixed field off b; ok chains, so a run
+// of cuts is checked once at the end.
+func cutField(b []byte, ok bool) (string, []byte, bool) {
+	if !ok || len(b) < 2 || len(b)-2 < int(binary.BigEndian.Uint16(b)) {
+		return "", nil, false
+	}
+	n := 2 + int(binary.BigEndian.Uint16(b))
+	return string(b[2:n]), b[n:], true
 }
 
 func validatePublication(p *Publication) error {
