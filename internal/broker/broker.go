@@ -1056,8 +1056,11 @@ type CommunityView struct {
 
 // CommunityViews snapshots the current clustering with full member
 // patterns — the export the overlay layer aggregates into
-// advertisements (cluster.Cover over each view's members yields the
-// recall-preserving covering patterns).
+// advertisements: the views together are the live population, whose
+// containment antichain the node advertises, and a view's index and Rep
+// say which community owns a pattern. A subscription's *pattern.Pattern
+// is the same value in every snapshot for as long as it is live; the
+// overlay keys its cover on that.
 func (e *Engine) CommunityViews() []CommunityView {
 	e.mu.RLock()
 	defer e.mu.RUnlock()

@@ -7,6 +7,7 @@ import (
 	"treesim/internal/broker"
 	"treesim/internal/dtd"
 	"treesim/internal/overlay/wire"
+	"treesim/internal/pattern"
 	"treesim/internal/querygen"
 	"treesim/internal/xmlgen"
 )
@@ -77,3 +78,82 @@ type nopTransport struct{}
 
 func (nopTransport) SendAdvert(wire.AdvertBatch) error  { return nil }
 func (nopTransport) SendPublish(wire.Publication) error { return nil }
+
+// BenchmarkAdvertBuild measures buildAdvertLocked — which runs under
+// the node lock every publish's forward plan takes — on an exact-mode
+// broker holding the schema-filtered population fed-line3 gives C
+// (NITF-like patterns that match no xCBL-like document): from-scratch
+// is the first build after start or recovery, steady a build after one
+// subscribe and one unsubscribe, per-community the build this package
+// shipped before the broker-wide cover (cover_test.go), and kept the
+// patterns advertised.
+func BenchmarkAdvertBuild(b *testing.B) {
+	nitf := dtd.NITFLike()
+	foreign := genDocs(dtd.XCBLLike(), 60, 52)
+	var pats []*pattern.Pattern
+	for _, p := range genPatterns(nitf, 8192+8192/4, 51) {
+		if !matchesAnyDoc(p, foreign) {
+			pats = append(pats, p)
+		}
+	}
+	for _, subs := range []int{1000, 8192} {
+		if len(pats) < subs+64 {
+			b.Fatalf("%d patterns stay within their schema, want %d", len(pats), subs+64)
+		}
+		eng := broker.New(broker.Config{Threshold: 2, Rebuild: broker.Never{}})
+		defer eng.Close()
+		for i, p := range pats[:subs] { // the replay path: no similarity rows
+			if err := eng.ApplySubscribed(uint64(i+1), p.String(), i, broker.AtMostOnce); err != nil {
+				b.Fatal(err)
+			}
+		}
+		n := New(eng, Config{ID: "x", AdvertTTL: -1, AdvertPolicy: broker.Never{}})
+		defer n.Close()
+		build := func() {
+			n.mu.Lock()
+			n.localVer++
+			n.local = n.buildAdvertLocked(n.localVer)
+			n.mu.Unlock()
+		}
+		b.Run(fmt.Sprintf("subs=%d/from-scratch", subs), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				n.cover = advertCover{}
+				build()
+			}
+			b.ReportMetric(float64(len(n.cover.kept)), "kept")
+		})
+		ids := make([]uint64, subs) // live subscriptions, oldest first
+		for i := range ids {
+			ids[i] = uint64(i + 1)
+		}
+		reserve := pats[subs:]
+		b.Run(fmt.Sprintf("subs=%d/steady", subs), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				p := reserve[i%len(reserve)].Clone() // a pattern the cover has not seen
+				id, err := eng.SubscribePattern(p, p.String())
+				if err != nil {
+					b.Fatal(err)
+				}
+				eng.Unsubscribe(ids[0])
+				ids = append(ids[1:], id)
+				b.StartTimer()
+				build()
+			}
+			b.ReportMetric(float64(len(n.cover.kept)), "kept")
+		})
+		b.Run(fmt.Sprintf("subs=%d/per-community", subs), func(b *testing.B) {
+			b.ReportAllocs()
+			patterns := 0
+			for i := 0; i < b.N; i++ {
+				patterns = 0
+				for _, c := range perCommunityAdvert(n, 1).Communities {
+					patterns += len(c.Patterns)
+				}
+			}
+			b.ReportMetric(float64(patterns), "kept")
+		})
+	}
+}

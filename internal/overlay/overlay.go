@@ -1,10 +1,11 @@
 // Package overlay federates broker engines into a routed multi-broker
 // topology — the network layer of the paper's scalable content-based
 // routing story. Brokers do not exchange raw subscription tables:
-// each node aggregates its local subscriptions into per-community
-// advertisements (a covering subset of member patterns, extracted with
-// cluster.Cover, optionally coarsened by truncation, plus a selectivity
-// digest), and gossips versioned advertisement deltas to its peers.
+// each node advertises the containment antichain of its live
+// subscriptions (the patterns no other subscription's pattern contains,
+// optionally coarsened by truncation, grouped by owning community with
+// a selectivity digest; see advert.go), and gossips versioned
+// advertisements to its peers.
 // Every node keeps a per-link routing table mapping advertised
 // aggregates to next hops, and forwards a publication over a link only
 // when the document matches some aggregate reachable via that link —
@@ -290,6 +291,7 @@ type Node struct {
 	seen       *seenSet
 	localVer   uint64
 	local      wire.Advert
+	cover      advertCover // what local was built from, kept between builds
 	advStale   int
 	lastAdvert time.Time
 	closed     bool

@@ -279,9 +279,12 @@ func dialStream(base string, timeout time.Duration) (net.Conn, *bufio.Reader, er
 }
 
 // serveStream reads request frames off an upgraded connection until it
-// closes, serving each on its own goroutine — a publication's handler
-// returns only when its downstream forwards have, and the frames behind
-// it must not wait for that — and acking it with the handler's verdict.
+// closes, serving each off the reader's goroutine — a publication's
+// handler returns only when its downstream forwards have, and the frames
+// behind it must not wait for that — and acking it with the handler's
+// verdict. Frames go to workers started as the stream needs them and
+// kept until it ends: a worker's stack stays grown through parse and
+// forest recursion, where a goroutine per frame regrew it every time.
 // A truncated frame, one of unknown kind or one over maxBody ends the
 // stream: nothing after it can be trusted to be a frame.
 func (n *Node) serveStream(conn net.Conn, br *bufio.Reader, maxBody int64, timeout time.Duration) {
@@ -295,8 +298,15 @@ func (n *Node) serveStream(conn net.Conn, br *bufio.Reader, maxBody int64, timeo
 	}
 	n.inbound[conn] = done
 	n.mu.Unlock()
+	type frame struct {
+		kind    byte
+		id      uint32
+		payload []byte
+	}
+	work := make(chan frame) // unbuffered: a send succeeds only into an idle worker
 	var handlers sync.WaitGroup
 	defer func() {
+		close(work)
 		handlers.Wait()
 		conn.Close()
 		n.mu.Lock()
@@ -304,8 +314,7 @@ func (n *Node) serveStream(conn net.Conn, br *bufio.Reader, maxBody int64, timeo
 		n.mu.Unlock()
 		close(done)
 	}()
-	slots := make(chan struct{}, maxStreamHandlers)
-	for {
+	for workers := 0; ; {
 		kind, id, payload, err := wire.ReadFrame(br, maxBody)
 		if err == nil && kind != wire.KindPublish && kind != wire.KindAdvert {
 			err = fmt.Errorf("unexpected frame kind %d", kind)
@@ -319,12 +328,24 @@ func (n *Node) serveStream(conn net.Conn, br *bufio.Reader, maxBody int64, timeo
 			}
 			return
 		}
-		slots <- struct{}{}
+		f := frame{kind, id, payload}
+		select {
+		case work <- f:
+			continue
+		default:
+		}
+		if workers == maxStreamHandlers {
+			work <- f // every worker is busy: stop reading until one is not
+			continue
+		}
+		workers++
 		handlers.Add(1)
 		go func() {
-			defer func() { <-slots; handlers.Done() }()
-			ack := ackPayload(n.handleFrame(kind, payload, timeout))
-			w.send(wire.KindAck, id, ack) // a failed write closes the stream; the sender times out
+			defer handlers.Done()
+			for ok := true; ok; f, ok = <-work {
+				ack := ackPayload(n.handleFrame(f.kind, f.payload, timeout))
+				w.send(wire.KindAck, f.id, ack) // a failed write closes the stream; the sender times out
+			}
 		}()
 	}
 }

@@ -45,20 +45,26 @@ const (
 	MaxPatternLen = 1 << 16
 )
 
-// Community is one advertised subscription aggregate: the covering
-// patterns that stand for a community's members, plus a digest.
+// Community is one group of an advertised subscription aggregate. An
+// advert's patterns, over all its communities, are the containment
+// antichain of the origin's live subscriptions; the grouping says which
+// engine community owns each and is diagnostic — receivers match the
+// union.
 type Community struct {
 	// Patterns are canonical pattern expressions that jointly contain
-	// every member subscription of the community (a document matching
-	// any member matches some listed pattern), so matching against them
-	// is coarse but recall-preserving.
+	// every subscription the community is counted for (a document
+	// matching any of those matches some listed pattern), so matching
+	// against them is coarse but recall-preserving.
 	Patterns []string `json:"patterns"`
-	// Members is the number of subscriptions the aggregate stands for.
+	// Members is the number of subscriptions these patterns stand for —
+	// of whatever engine community, and of every community folded into
+	// this one when an advert is regrouped to fit the size caps. Over an
+	// advert they sum to the origin's live subscriptions.
 	Members int `json:"members"`
 	// Selectivity is the advertising broker's estimate of the fraction
-	// of stream documents matching the community representative, in
-	// [0,1]. Receivers use it to order match attempts (most selective
-	// aggregates are the likeliest hits).
+	// of stream documents matching the owning community's representative,
+	// in [0,1] (the largest such, for a folded community). Diagnostic:
+	// Info reports the minimum per origin.
 	Selectivity float64 `json:"selectivity"`
 }
 

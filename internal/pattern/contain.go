@@ -48,22 +48,50 @@ func toAxisForm(n *Node) *axisNode {
 	return out
 }
 
+// Prepared is a pattern in axis form, built once: a caller testing one
+// pattern against many (an advertisement cover tests every newcomer
+// against every kept pattern) prepares each pattern a single time
+// instead of having Contains rebuild both arguments per call. A
+// Prepared is immutable and safe for concurrent use.
+type Prepared struct {
+	root *axisNode
+	desc bool // some edge is a descendant edge
+}
+
+// Prepare converts p for repeated containment tests (nil for a nil or
+// rootless pattern). p is only read.
+func Prepare(p *Pattern) *Prepared {
+	if p == nil || p.Root == nil {
+		return nil
+	}
+	return &Prepared{root: toAxisForm(p.Root), desc: hasDescendant(p.Root)}
+}
+
+func hasDescendant(n *Node) bool {
+	for _, c := range n.Children {
+		if c.Label == Descendant || hasDescendant(c) {
+			return true
+		}
+	}
+	return false
+}
+
 // Contains reports whether p contains q (q ⊑ p): every document
 // matching q also matches p. Sound; see the completeness caveat above.
 func Contains(p, q *Pattern) bool {
-	if p == nil || q == nil || p.Root == nil || q.Root == nil {
+	return Prepare(p).Contains(Prepare(q))
+}
+
+// Contains is the package-level Contains on prepared patterns.
+func (p *Prepared) Contains(q *Prepared) bool {
+	if p == nil || q == nil {
 		return false
 	}
-	// The empty pattern contains everything.
-	if len(p.Root.Children) == 0 {
-		return true
-	}
-	ph := toAxisForm(p.Root)
-	qh := toAxisForm(q.Root)
-	m := &homMatcher{memo: make(map[[2]*axisNode]bool)}
-	// Every root constraint of p must be witnessed at q's root.
-	for _, pe := range ph.edges {
-		if !m.edgeMaps(pe, qh, true) {
+	// The empty pattern contains everything, and every root constraint
+	// of p must be witnessed at q's root.
+	m := homMatcher{memoize: p.desc}
+	for _, pe := range p.root.edges {
+		if !m.edgeMaps(pe, q.root) {
 			return false
 		}
 	}
@@ -75,8 +103,15 @@ func Equivalent(p, q *Pattern) bool {
 	return Contains(p, q) && Contains(q, p)
 }
 
+// homMatcher memoizes one containment test's hom results. Only a
+// descendant edge of p can bring the same (u, v) pair up twice — along
+// child edges each pair is reached from its parents' pair alone — so a
+// p without one runs unmemoized, and the map is made on the first
+// result worth keeping: the common quick refusal (labels differ near
+// the root) allocates nothing.
 type homMatcher struct {
-	memo map[[2]*axisNode]bool
+	memoize bool
+	memo    map[[2]*axisNode]bool
 }
 
 // hom reports whether the p-subtree rooted at u can be homomorphically
@@ -84,40 +119,44 @@ type homMatcher struct {
 // (whatever v matches, u accepts) and every edge of u maps to an
 // appropriate edge/path of v.
 func (m *homMatcher) hom(u, v *axisNode) bool {
+	if !labelOK(u, v) {
+		return false
+	}
+	if len(u.edges) == 0 {
+		return true
+	}
 	key := [2]*axisNode{u, v}
 	if r, ok := m.memo[key]; ok {
 		return r
 	}
-	m.memo[key] = false // cycle-safe default; the structures are acyclic
-	res := m.labelOK(u, v)
-	if res {
-		for _, pe := range u.edges {
-			if !m.edgeMaps(pe, v, false) {
-				res = false
-				break
-			}
+	res := true
+	for _, pe := range u.edges {
+		if !m.edgeMaps(pe, v) {
+			res = false
+			break
 		}
 	}
-	m.memo[key] = res
+	if m.memoize {
+		if m.memo == nil {
+			m.memo = make(map[[2]*axisNode]bool)
+		}
+		m.memo[key] = res
+	}
 	return res
 }
 
 // labelOK: any document node v matches also satisfies u's label test.
-func (m *homMatcher) labelOK(u, v *axisNode) bool {
-	if u.label == Wildcard {
-		return true
-	}
-	// u is a concrete tag: v must be the same tag (a wildcard v matches
+func labelOK(u, v *axisNode) bool {
+	// A concrete tag u needs the same tag at v (a wildcard v matches
 	// nodes of other tags too).
-	return u.label == v.label
+	return u.label == Wildcard || u.label == v.label
 }
 
 // edgeMaps reports whether p-edge pe, anchored at q-node v, is entailed
-// by q's structure. atRoot adapts the root semantics: p's root children
-// constrain the document root itself, so a child-axis edge at the root
-// maps onto q's root edges directly.
-func (m *homMatcher) edgeMaps(pe edge, v *axisNode, atRoot bool) bool {
-	_ = atRoot // root and inner anchoring share the same edge semantics
+// by q's structure. Root and inner anchoring share the same edge
+// semantics: p's root children constrain the document root itself, so a
+// child-axis edge at the root maps onto q's root edges directly.
+func (m *homMatcher) edgeMaps(pe edge, v *axisNode) bool {
 	if !pe.desc {
 		// Child axis: must be witnessed by a child-axis edge of v.
 		for _, qe := range v.edges {
@@ -150,7 +189,7 @@ func (m *homMatcher) descendantMaps(target *axisNode, v *axisNode) bool {
 // node (b ⊑ a as single-child constraint subtrees): whenever b holds, a
 // holds. Both a and b are tree-form children of the same parent.
 func subsumesConstraint(a, b *Node) bool {
-	m := &homMatcher{memo: make(map[[2]*axisNode]bool)}
+	m := homMatcher{memoize: true}
 	anchor := &axisNode{label: Root}
 	var ae, be edge
 	if a.Label == Descendant {
@@ -164,7 +203,7 @@ func subsumesConstraint(a, b *Node) bool {
 		be = edge{desc: false, to: toAxisForm(b)}
 	}
 	anchor.edges = []edge{be}
-	return m.edgeMaps(ae, anchor, false)
+	return m.edgeMaps(ae, anchor)
 }
 
 // Minimize returns an equivalent pattern with redundant branches
