@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
@@ -13,6 +14,7 @@ import (
 	"treesim/internal/broker"
 	"treesim/internal/overlay"
 	"treesim/internal/telemetry"
+	"treesim/internal/xmltree"
 )
 
 // testHandler builds the real daemon mux over a fresh standalone engine
@@ -449,6 +451,38 @@ func TestPeerStreamThroughTheDaemon(t *testing.T) {
 	} {
 		if !strings.Contains(metrics, want) {
 			t.Errorf("/metrics at A lacks %s", want)
+		}
+	}
+}
+
+// TestDocEndpointServesThePublishedTree pins GET /doc/{seq}'s body: the
+// compact serialization of the tree the publish parsed, byte for byte,
+// though the daemon keeps the document packed in between.
+func TestDocEndpointServesThePublishedTree(t *testing.T) {
+	h, _, _ := testHandler(t)
+	docs := []string{
+		`<a/>`,
+		`<?xml version="1.0"?><nitf id="7"><head><title>t &amp; u</title></head><body><p>one</p><p>two</p><p/></body></nitf>`,
+		"<r>\n  <ns:x xmlns:ns=\"u\"><y/><y/></ns:x>\n  <x><y><x/></y></x>\n</r>",
+	}
+	for i, doc := range docs {
+		if w := do(t, h, "POST", "/publish", "", doc); w.Code != http.StatusOK {
+			t.Fatalf("publish %d: status %d (%s)", i, w.Code, w.Body.String())
+		}
+		tr, err := xmltree.ParseString(doc, xmltree.ParseOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := xmltree.XMLString(tr, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := do(t, h, "GET", fmt.Sprintf("/doc/%d", i+1), "", "")
+		if w.Code != http.StatusOK || w.Header().Get("Content-Type") != "application/xml" {
+			t.Fatalf("GET /doc/%d: status %d, Content-Type %q", i+1, w.Code, w.Header().Get("Content-Type"))
+		}
+		if got := w.Body.String(); got != want {
+			t.Errorf("GET /doc/%d = %q, want %q", i+1, got, want)
 		}
 	}
 }

@@ -499,7 +499,7 @@ func (e *Engine) Close() error {
 	e.routeClosed = true
 	for _, s := range subs {
 		if seqs := s.q.close(); len(seqs) > 0 {
-			e.docs.unpin(seqs)
+			e.docs.unpin(seqs...)
 		}
 	}
 	e.routeMu.Unlock()
@@ -788,7 +788,7 @@ func (e *Engine) removeSubLocked(id uint64) bool {
 	// an unsubscribe is the consumer's explicit exit from the delivery
 	// contract, so the documents' retention pins drop with it.
 	if seqs := s.q.close(); len(seqs) > 0 {
-		e.docs.unpin(seqs)
+		e.docs.unpin(seqs...)
 	}
 	delete(e.byID, id)
 	g := e.comms.Find(idx)
@@ -1012,7 +1012,7 @@ func (e *Engine) Ack(id uint64, upto uint64) (int, error) {
 	if err != nil {
 		return 0, fmt.Errorf("%w (id %d, cursor %d)", err, id, upto)
 	}
-	e.docs.unpin(unpin)
+	e.docs.unpin(unpin...)
 	if acked > 0 {
 		e.counters.acked.Add(uint64(acked))
 	}
@@ -1087,7 +1087,11 @@ func (e *Engine) CommunityViews() []CommunityView {
 // .DocCache) or never existed. Consumers resolve a Delivery.Doc to
 // content through this (the daemon's GET /doc/{seq}).
 func (e *Engine) Document(seq uint64) *xmltree.Tree {
-	return e.docs.get(seq)
+	t, err := xmltree.Unpack(e.docs.get(seq))
+	if err != nil { // the ring holds only what Pack wrote
+		panic(fmt.Sprintf("broker: retained document %d: %v", seq, err))
+	}
+	return t
 }
 
 // Pending returns the queue depth of a subscription (0 for unknown ids).

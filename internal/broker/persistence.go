@@ -183,7 +183,7 @@ func (e *Engine) State() (*State, error) {
 			if _, ok := st.Docs[seq]; ok {
 				continue
 			}
-			if t := e.docs.get(seq); t != nil {
+			if t := e.Document(seq); t != nil {
 				xml, err := xmltree.XMLString(t, false)
 				if err != nil {
 					return nil, fmt.Errorf("broker: serialize pinned doc %d: %w", seq, err)
@@ -415,7 +415,7 @@ func (e *Engine) ApplyDelivered(seq uint64, xml string, subs, cursors []uint64, 
 		}
 		shedDoc, shed, inserted := s.q.restore(cursors[i], seq, comms[i], 1)
 		if shed {
-			e.docs.unpinOne(shedDoc)
+			e.docs.unpin(shedDoc)
 		}
 		if inserted && t != nil {
 			e.docs.pin(seq, t)
@@ -443,7 +443,7 @@ func (e *Engine) ApplyAcked(id uint64, upto uint64) error {
 		return nil
 	}
 	_, _, unpin, _ := s.q.ack(upto, false)
-	e.docs.unpin(unpin)
+	e.docs.unpin(unpin...)
 	return nil
 }
 

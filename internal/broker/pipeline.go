@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"treesim/internal/xmltree"
@@ -274,69 +275,96 @@ func (e *Engine) journalDelivered(seq uint64, t *xmltree.Tree, acked []ackedDeli
 }
 
 // docRing retains the most recent published documents keyed by publish
-// sequence, so a delivery's content is retrievable after routing. On
-// top of the fixed-size ring sits the pin map: documents referenced by
-// unacked at-least-once deliveries are pinned (refcounted, one
-// reference per queued entry) and stay retrievable however far the
-// ring advances — GET /doc/{seq} must not 404 a document a consumer
-// can still legally be redelivered. Pins are bounded by the cursor
-// logs' capacity, so the map cannot grow without bound.
+// sequence, so a delivery's content is retrievable after routing. A
+// document is held packed (xmltree.Pack: one pointer-free []byte), not
+// as its parse tree, which lives only until routing and the synopsis
+// are done with it. On top of the fixed-size ring sits the pin map:
+// documents referenced by unacked at-least-once deliveries are pinned
+// (refcounted, one reference per queued entry) and stay retrievable
+// however far the ring advances — GET /doc/{seq} must not 404 a
+// document a consumer can still legally be redelivered. Pins are
+// bounded by the cursor logs' capacity, so the map cannot grow without
+// bound.
 type docRing struct {
 	mu     sync.Mutex
 	buf    []docEntry
 	pinned map[uint64]*pinnedDoc
+	// bytes is the packed size of every document held, ring and pins
+	// (treesim_broker_docs_retained_bytes); one held by both counts once.
+	bytes atomic.Int64
 }
 
 type docEntry struct {
-	seq  uint64
-	tree *xmltree.Tree
+	seq uint64
+	doc []byte
 }
 
 type pinnedDoc struct {
-	tree *xmltree.Tree
+	doc  []byte
 	refs int
+}
+
+// slot is seq's place in the ring and whether seq occupies it. Caller
+// holds mu.
+func (r *docRing) slot(seq uint64) (*docEntry, bool) {
+	e := &r.buf[seq%uint64(len(r.buf))]
+	return e, e.seq == seq && seq != 0
 }
 
 func (r *docRing) put(seq uint64, t *xmltree.Tree) {
 	if r == nil {
 		return
 	}
+	doc := xmltree.Pack(t)
 	r.mu.Lock()
-	r.buf[seq%uint64(len(r.buf))] = docEntry{seq: seq, tree: t}
+	e, _ := r.slot(seq)
+	if _, kept := r.pinned[e.seq]; !kept {
+		r.bytes.Add(-int64(len(e.doc)))
+	}
+	*e = docEntry{seq: seq, doc: doc}
+	r.bytes.Add(int64(len(doc)))
 	r.mu.Unlock()
 }
 
-func (r *docRing) get(seq uint64) *xmltree.Tree {
-	if r == nil || seq == 0 {
+func (r *docRing) get(seq uint64) []byte {
+	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if e := r.buf[seq%uint64(len(r.buf))]; e.seq == seq {
-		return e.tree
+	if e, ok := r.slot(seq); ok {
+		return e.doc
 	}
 	if p, ok := r.pinned[seq]; ok {
-		return p.tree
+		return p.doc
 	}
 	return nil
 }
 
-// pin adds one reference to seq, retaining t past ring eviction.
+// pin adds one reference to seq, retaining it past ring eviction: the
+// ring's bytes when it still holds seq (a publish puts before it pins),
+// t packed otherwise (recovery).
 func (r *docRing) pin(seq uint64, t *xmltree.Tree) {
 	if r == nil {
 		return
 	}
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	if p, ok := r.pinned[seq]; ok {
 		p.refs++
-	} else {
-		r.pinned[seq] = &pinnedDoc{tree: t, refs: 1}
+		return
 	}
-	r.mu.Unlock()
+	e, ok := r.slot(seq)
+	doc := e.doc
+	if !ok {
+		doc = xmltree.Pack(t)
+		r.bytes.Add(int64(len(doc)))
+	}
+	r.pinned[seq] = &pinnedDoc{doc: doc, refs: 1}
 }
 
 // unpin drops one reference per listed sequence (ack, shed, close).
-func (r *docRing) unpin(seqs []uint64) {
+func (r *docRing) unpin(seqs ...uint64) {
 	if r == nil || len(seqs) == 0 {
 		return
 	}
@@ -345,20 +373,10 @@ func (r *docRing) unpin(seqs []uint64) {
 		if p, ok := r.pinned[seq]; ok {
 			if p.refs--; p.refs <= 0 {
 				delete(r.pinned, seq)
+				if _, kept := r.slot(seq); !kept {
+					r.bytes.Add(-int64(len(p.doc)))
+				}
 			}
-		}
-	}
-	r.mu.Unlock()
-}
-
-func (r *docRing) unpinOne(seq uint64) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	if p, ok := r.pinned[seq]; ok {
-		if p.refs--; p.refs <= 0 {
-			delete(r.pinned, seq)
 		}
 	}
 	r.mu.Unlock()

@@ -119,7 +119,7 @@ func (e *Engine) routeDoc(t *xmltree.Tree, res *PublishResult) {
 				cursor, shedDoc, evicted, enqueued = m.q.pushAcked(seq, comm)
 				if evicted {
 					c.ackShed.Add(1)
-					e.docs.unpinOne(shedDoc)
+					e.docs.unpin(shedDoc)
 				}
 				if enqueued {
 					e.docs.pin(seq, t)

@@ -94,6 +94,12 @@ func (e *Engine) registerGauges() {
 	e.tel.GaugeFunc("treesim_broker_pinned_docs", "Documents pinned in retention by unacked at-least-once deliveries.", func() float64 {
 		return float64(e.docs.pinnedCount())
 	})
+	e.tel.GaugeFunc("treesim_broker_docs_retained_bytes", "Packed bytes of the documents held in retention, ring and pins.", func() float64 {
+		if e.docs == nil {
+			return 0
+		}
+		return float64(e.docs.bytes.Load())
+	})
 	e.tel.GaugeFunc("treesim_broker_degraded", "1 after a journal append failure (durability lost, at-least-once subscribes refused), 0 while healthy.", func() float64 {
 		if e.Degraded() {
 			return 1

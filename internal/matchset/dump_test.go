@@ -1,6 +1,10 @@
 package matchset
 
 import (
+	"bytes"
+	"encoding/gob"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"treesim/internal/sampling"
@@ -171,4 +175,39 @@ func TestHashIsZeroAndDumpOfEmpty(t *testing.T) {
 		t.Error("restored empty store not empty")
 	}
 	_ = sampling.NewHasher(1) // keep import for potential extension
+}
+
+// TestRestoreHashFromUnsortedDump: a snapshot written when the sample was
+// a map lists its ids in map order. Restore accepts that shape — unsorted,
+// with duplicates, level above 0 — and dumps of equal state are equal
+// byte for byte whatever order the state was reached in.
+func TestRestoreHashFromUnsortedDump(t *testing.T) {
+	f := hashFactory(64, 7)
+	st := f.NewStore()
+	for i := 0; i < 2000; i++ {
+		st.Add(uint64(i))
+	}
+	want := st.Dump()
+	if want.Level == 0 || !slices.IsSorted(want.IDs) {
+		t.Fatalf("Dump = level %d, sorted %v; want a sampled, sorted dump", want.Level, slices.IsSorted(want.IDs))
+	}
+	old := Dump{Kind: KindHashes, Level: want.Level, IDs: slices.Clone(want.IDs)}
+	rand.New(rand.NewSource(5)).Shuffle(len(old.IDs), func(i, j int) { old.IDs[i], old.IDs[j] = old.IDs[j], old.IDs[i] })
+	old.IDs = append(old.IDs, old.IDs[:7]...)
+	shuffled := slices.Clone(old.IDs)
+
+	re := f.Restore(old)
+	if !slices.Equal(old.IDs, shuffled) {
+		t.Error("Restore reordered its argument")
+	}
+	var a, b bytes.Buffer
+	if err := gob.NewEncoder(&a).Encode(want); err != nil {
+		t.Fatal(err)
+	}
+	if err := gob.NewEncoder(&b).Encode(re.Dump()); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+		t.Errorf("dump of the restored store differs: %+v, want %+v", re.Dump(), want)
+	}
 }

@@ -8,8 +8,9 @@ import (
 
 // hashStore is the Hashes representation: a bounded per-node distinct
 // sample of the documents whose skeleton paths end at the node. Value
-// snapshots the sample into an immutable sorted-slice value, cached
-// until the next mutation (same discipline as setStore).
+// wraps the sample's own sorted slice — O(1), never copied, immutable by
+// the sample's no-rewrite rule (sampling.DistinctSample.Sorted) — and is
+// cached until the next mutation.
 type hashStore struct {
 	f *Factory
 	s *sampling.DistinctSample
@@ -34,7 +35,7 @@ func (s *hashStore) Remove(id uint64) {
 func (s *hashStore) Value() Value {
 	s.snapMu.Lock()
 	if s.dirty || s.val == nil {
-		s.val = &hashValue{level: s.s.Level(), ids: sortIDs(s.s.IDs()), hasher: s.f.hasher}
+		s.val = &hashValue{level: s.s.Level(), ids: s.s.Sorted(), hasher: s.f.hasher}
 		s.dirty = false
 	}
 	v := s.val
@@ -205,5 +206,5 @@ func NewHashValue(hasher *sampling.Hasher, level int, ids ...uint64) Value {
 }
 
 func (s *hashStore) Dump() Dump {
-	return Dump{Kind: KindHashes, Level: s.s.Level(), IDs: sortIDs(s.s.IDs())}
+	return Dump{Kind: KindHashes, Level: s.s.Level(), IDs: s.s.IDs()}
 }

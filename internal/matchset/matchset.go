@@ -198,8 +198,10 @@ func (f *Factory) Restore(d Dump) Store {
 		}
 		return s
 	default:
+		// A dump written by an older version lists ids in map order:
+		// sorted first, every Add below is an append.
 		hs := &hashStore{f: f, s: sampling.NewDistinctSample(f.hasher, f.capacity)}
-		for _, x := range d.IDs {
+		for _, x := range sortIDs(slices.Clone(d.IDs)) {
 			hs.s.Add(x)
 		}
 		hs.s.ForceLevel(d.Level)

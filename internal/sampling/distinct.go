@@ -1,5 +1,7 @@
 package sampling
 
+import "slices"
+
 // DistinctSample is a bounded-size sample of a set of uint64 identifiers
 // maintained with Gibbons' distinct-sampling scheme: the sample keeps
 // exactly the inserted elements whose hash level is ≥ the current level,
@@ -17,7 +19,12 @@ type DistinctSample struct {
 	h     *Hasher
 	cap   int
 	level int
-	ids   map[uint64]struct{}
+	// ids is sorted ascending and duplicate-free. Sorted hands it out
+	// without copying, so no index below the length of a slice ever
+	// handed out is written again: an in-order Add appends past that
+	// length, Remove of the smallest element reslices, and every other
+	// mutation builds a fresh slice.
+	ids []uint64
 }
 
 // NewDistinctSample returns an empty sample with the given capacity
@@ -26,17 +33,24 @@ func NewDistinctSample(h *Hasher, capacity int) *DistinctSample {
 	if capacity < 1 {
 		panic("sampling: distinct sample capacity must be >= 1")
 	}
-	return &DistinctSample{h: h, cap: capacity, ids: make(map[uint64]struct{})}
+	return &DistinctSample{h: h, cap: capacity}
 }
 
-// Add inserts x into the sampled set.
+// Add inserts x into the sampled set. Identifiers that arrive in
+// increasing order (document ids do) cost a level check and an append.
 func (s *DistinctSample) Add(x uint64) {
 	if s.h.Level(x) < s.level {
 		return
 	}
-	s.ids[x] = struct{}{}
+	if n := len(s.ids); n == 0 || x > s.ids[n-1] {
+		s.ids = append(s.ids, x)
+	} else if i, found := slices.BinarySearch(s.ids, x); found {
+		return
+	} else {
+		s.ids = slices.Concat(s.ids[:i], []uint64{x}, s.ids[i:])
+	}
 	for len(s.ids) > s.cap {
-		s.subsample()
+		s.raise(s.level + 1)
 	}
 }
 
@@ -44,18 +58,32 @@ func (s *DistinctSample) Add(x uint64) {
 // distinct sample is best-effort: if x was subsampled away earlier it is
 // simply absent.
 func (s *DistinctSample) Remove(x uint64) {
-	delete(s.ids, x)
+	switch i, found := slices.BinarySearch(s.ids, x); {
+	case !found:
+	case i == 0: // a sliding window expires the oldest id first
+		s.ids = s.ids[1:]
+	default:
+		s.ids = slices.Concat(s.ids[:i], s.ids[i+1:])
+	}
 }
 
-// subsample advances to the next level, dropping elements whose hash
-// level is below it.
-func (s *DistinctSample) subsample() {
-	s.level++
-	for x := range s.ids {
-		if s.h.Level(x) < s.level {
-			delete(s.ids, x)
+// raise moves to level l > s.level, dropping elements whose hash level
+// is below it. The fresh slice has room for the sample to fill up again,
+// so the appends until the next overflow never reallocate.
+func (s *DistinctSample) raise(l int) {
+	s.level = l
+	s.ids = s.appendAtLevel(make([]uint64, 0, s.cap+1), s.ids)
+}
+
+// appendAtLevel appends to dst the elements of src that survive at s's
+// current level.
+func (s *DistinctSample) appendAtLevel(dst, src []uint64) []uint64 {
+	for _, x := range src {
+		if s.h.Level(x) >= s.level {
+			dst = append(dst, x)
 		}
 	}
+	return dst
 }
 
 // Level returns the current sampling level (sampling probability 2^-level).
@@ -66,8 +94,8 @@ func (s *DistinctSample) Level() int { return s.level }
 // (discarded elements cannot be recovered); calls with l ≤ Level() are
 // no-ops.
 func (s *DistinctSample) ForceLevel(l int) {
-	for s.level < l {
-		s.subsample()
+	if l > s.level {
+		s.raise(l)
 	}
 }
 
@@ -85,26 +113,22 @@ func (s *DistinctSample) Estimate() float64 {
 
 // Contains reports whether x is currently retained in the sample.
 func (s *DistinctSample) Contains(x uint64) bool {
-	_, ok := s.ids[x]
-	return ok
+	_, found := slices.BinarySearch(s.ids, x)
+	return found
 }
 
-// IDs returns the retained identifiers in unspecified order.
-func (s *DistinctSample) IDs() []uint64 {
-	out := make([]uint64, 0, len(s.ids))
-	for x := range s.ids {
-		out = append(out, x)
-	}
-	return out
-}
+// Sorted returns the retained identifiers in ascending order without
+// copying them. The result stays valid — and unchanged — however the
+// sample is mutated afterwards; the caller must not write to it (its
+// capacity is clipped, so appending to it copies).
+func (s *DistinctSample) Sorted() []uint64 { return slices.Clip(s.ids) }
+
+// IDs returns a copy of the retained identifiers in ascending order.
+func (s *DistinctSample) IDs() []uint64 { return slices.Clone(s.ids) }
 
 // Clone returns a deep copy of the sample.
 func (s *DistinctSample) Clone() *DistinctSample {
-	out := &DistinctSample{h: s.h, cap: s.cap, level: s.level, ids: make(map[uint64]struct{}, len(s.ids))}
-	for x := range s.ids {
-		out.ids[x] = struct{}{}
-	}
-	return out
+	return &DistinctSample{h: s.h, cap: s.cap, level: s.level, ids: s.IDs()}
 }
 
 // UnionInto merges other into s (s ← sample of union): the level becomes
@@ -114,21 +138,13 @@ func (s *DistinctSample) UnionInto(other *DistinctSample) {
 	if s.h != other.h {
 		panic("sampling: union of samples with different hashers")
 	}
-	if other.level > s.level {
-		s.level = other.level
-		for x := range s.ids {
-			if s.h.Level(x) < s.level {
-				delete(s.ids, x)
-			}
-		}
-	}
-	for x := range other.ids {
-		if s.h.Level(x) >= s.level {
-			s.ids[x] = struct{}{}
-		}
-	}
+	s.level = max(s.level, other.level)
+	merged := s.appendAtLevel(make([]uint64, 0, len(s.ids)+len(other.ids)), s.ids)
+	merged = s.appendAtLevel(merged, other.ids)
+	slices.Sort(merged)
+	s.ids = slices.Compact(merged)
 	for len(s.ids) > s.cap {
-		s.subsample()
+		s.raise(s.level + 1)
 	}
 }
 
@@ -147,21 +163,19 @@ func (s *DistinctSample) Intersect(other *DistinctSample) *DistinctSample {
 	if s.h != other.h {
 		panic("sampling: intersection of samples with different hashers")
 	}
-	l := s.level
-	if other.level > l {
-		l = other.level
-	}
-	small, big := s, other
-	if len(big.ids) < len(small.ids) {
-		small, big = big, small
-	}
-	out := &DistinctSample{h: s.h, cap: s.cap, level: l, ids: make(map[uint64]struct{})}
-	for x := range small.ids {
-		if s.h.Level(x) < l {
-			continue
-		}
-		if _, ok := big.ids[x]; ok {
-			out.ids[x] = struct{}{}
+	out := &DistinctSample{h: s.h, cap: s.cap, level: max(s.level, other.level)}
+	a, b := s.ids, other.ids
+	for len(a) > 0 && len(b) > 0 {
+		switch {
+		case a[0] < b[0]:
+			a = a[1:]
+		case a[0] > b[0]:
+			b = b[1:]
+		default:
+			if s.h.Level(a[0]) >= out.level {
+				out.ids = append(out.ids, a[0])
+			}
+			a, b = a[1:], b[1:]
 		}
 	}
 	return out

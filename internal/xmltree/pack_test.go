@@ -1,0 +1,141 @@
+package xmltree_test
+
+import (
+	"bytes"
+	"fmt"
+	"runtime"
+	"strings"
+	"testing"
+
+	"treesim/internal/dtd"
+	"treesim/internal/xmlgen"
+	"treesim/internal/xmltree"
+)
+
+// roundTrip fails t unless Unpack(Pack(tr)) is tr again, node for node
+// with child order kept — stronger than equality of the canonical forms,
+// and what keeps the serialization byte-identical.
+func roundTrip(t *testing.T, tr *xmltree.Tree) {
+	t.Helper()
+	packed := xmltree.Pack(tr)
+	got, err := xmltree.Unpack(packed)
+	if err != nil {
+		t.Fatalf("Unpack(Pack(t)) failed: %v", err)
+	}
+	if !got.Root.Equal(tr.Root) {
+		t.Fatalf("Unpack(Pack(t)) differs from t (%d nodes, %d bytes packed)", tr.Size(), len(packed))
+	}
+	want, _ := xmltree.XMLString(tr, false)
+	if have, _ := xmltree.XMLString(got, false); have != want {
+		t.Fatal("serialization of the unpacked tree differs")
+	}
+	if again := xmltree.Pack(got); !bytes.Equal(again, packed) {
+		t.Fatal("Pack is not deterministic across a round trip")
+	}
+}
+
+// chain returns a tree that is one path of the given depth.
+func chain(depth int) *xmltree.Tree {
+	tr := xmltree.New("n0")
+	n := tr.Root
+	for i := 1; i < depth; i++ {
+		n = n.AddChild(fmt.Sprintf("n%d", i%7))
+	}
+	return tr
+}
+
+func TestPackRoundTrip(t *testing.T) {
+	for name, d := range map[string]*dtd.DTD{"nitf": dtd.NITFLike(), "xcbl": dtd.XCBLLike()} {
+		t.Run(name, func(t *testing.T) {
+			for _, tr := range xmlgen.New(d, xmlgen.Options{Seed: 21, EmitText: true}).GenerateN(200) {
+				roundTrip(t, tr)
+			}
+		})
+	}
+	wide := xmltree.New("root")
+	for i := 0; i < 300; i++ { // > 255 distinct labels: indices need two bytes
+		wide.Root.AddChild(fmt.Sprintf("label%d", i)).AddChild("leaf")
+	}
+	long := xmltree.New(strings.Repeat("x", 65)) // past the label cache's limit
+	long.Root.AddChild(strings.Repeat("y", 300)).AddChild("")
+	for name, tr := range map[string]*xmltree.Tree{
+		"single node":     xmltree.New("a"),
+		"many labels":     wide,
+		"long labels":     long,
+		"deep chain 10e3": chain(10000),
+	} {
+		t.Run(name, func(t *testing.T) { roundTrip(t, tr) })
+	}
+}
+
+func TestPackEmpty(t *testing.T) {
+	if b := xmltree.Pack(nil); b != nil {
+		t.Errorf("Pack(nil) = %v, want nil", b)
+	}
+	if b := xmltree.Pack(&xmltree.Tree{}); b != nil {
+		t.Errorf("Pack(empty tree) = %v, want nil", b)
+	}
+	if tr, err := xmltree.Unpack(nil); tr != nil || err != nil {
+		t.Errorf("Unpack(nil) = %v, %v; want the empty document", tr, err)
+	}
+}
+
+// TestUnpackRejects: every strict prefix of a packed document, trailing
+// bytes, and counts that the bytes cannot back are errors — never a
+// panic, and never an allocation sized by a forged count.
+func TestUnpackRejects(t *testing.T) {
+	tr, err := xmltree.ParseCompact("a(b(c,d),e,b(c))")
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := xmltree.Pack(tr)
+	for n := 1; n < len(good); n++ {
+		if got, err := xmltree.Unpack(good[:n]); err == nil {
+			t.Errorf("Unpack of the %d-byte prefix succeeded: %s", n, got)
+		}
+	}
+	huge := []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f} // uvarint 2^49-1
+	for name, b := range map[string][]byte{
+		"trailing byte":         append(bytes.Clone(good), 0),
+		"zero nodes":            {0, 0},
+		"forged node count":     append(bytes.Clone(huge), 1, 1, 'a', 0, 0),
+		"forged label count":    append(append([]byte{1}, huge...), 1, 'a', 0, 0),
+		"forged label length":   append(append([]byte{1, 1}, huge...), 'a', 0, 0),
+		"label index too large": {1, 1, 1, 'a', 1, 0},
+		"more children claimed": {2, 1, 1, 'a', 0, 2, 0, 0},
+		"second root":           {2, 1, 1, 'a', 0, 0, 0, 0},
+		"overlong uvarint":      bytes.Repeat([]byte{0x80}, 11),
+	} {
+		t.Run(name, func(t *testing.T) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			got, err := xmltree.Unpack(b)
+			runtime.ReadMemStats(&after)
+			if err == nil {
+				t.Errorf("Unpack succeeded: %s", got)
+			}
+			if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<16 {
+				t.Errorf("Unpack of %d bytes allocated %d", len(b), grew)
+			}
+		})
+	}
+}
+
+// FuzzPackRoundTrip reads its input twice: as an XML document, whose tree
+// must survive Pack and Unpack; and as packed bytes, which Unpack must
+// reject or turn into a tree that itself round-trips.
+func FuzzPackRoundTrip(f *testing.F) {
+	f.Add([]byte(`<a x="1"><b>t</b><c><b/></c></a>`))
+	f.Add(xmltree.Pack(chain(40)))
+	f.Add(xmltree.Pack(xmlgen.New(dtd.XCBLLike(), xmlgen.Options{Seed: 2}).Generate()))
+	f.Add([]byte{2, 1, 1, 'a', 0, 1, 0, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		opts := xmltree.ParseOptions{TextAsNodes: true, AttributesAsNodes: true}
+		if tr, err := xmltree.ParseString(string(data), opts); err == nil {
+			roundTrip(t, tr)
+		}
+		if tr, err := xmltree.Unpack(data); err == nil && tr != nil {
+			roundTrip(t, tr)
+		}
+	})
+}

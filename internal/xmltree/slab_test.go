@@ -137,7 +137,8 @@ func genDoc(n int) string {
 }
 
 // TestParseAllocatesPerDocument: two slabs and the Tree, whatever the
-// node count, once the label cache has seen the vocabulary.
+// node count, once the label cache has seen the vocabulary; nothing for a
+// skeleton and one []byte for Pack once their scratch is warm.
 func TestParseAllocatesPerDocument(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under -race")
@@ -170,6 +171,11 @@ func TestParseAllocatesPerDocument(t *testing.T) {
 		}
 		if got := s.Build(tr); !got.Equal(want.Root) {
 			t.Fatalf("reused scratch built %s, want %s", &Tree{Root: got}, want)
+		}
+
+		// Retention costs a publish exactly the packed bytes.
+		if allocs := testing.AllocsPerRun(100, func() { Pack(tr) }); allocs != 1 {
+			t.Errorf("warm Pack of a %d-node document: %.1f allocations, want 1", n, allocs)
 		}
 	}
 }
