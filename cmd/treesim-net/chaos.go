@@ -93,8 +93,8 @@ func (j chaosJournal) Rebuilt(groups [][]uint64, reps []uint64) (uint64, error) 
 	return j.s.Append(persist.Record{Op: persist.OpRebuild, Groups: groups, Reps: reps})
 }
 
-func (j chaosJournal) Delivered(seq uint64, xml string, subs, cursors []uint64, comms []int) (uint64, error) {
-	return j.s.Append(persist.Record{Op: persist.OpDeliver, Seq: seq, XML: xml, Subs: subs, Cursors: cursors, Comms: comms})
+func (j chaosJournal) Delivered(seq uint64, doc []byte, subs, cursors []uint64, comms []int) (uint64, error) {
+	return j.s.Append(persist.Record{Op: persist.OpDeliver, Seq: seq, Doc: doc, Subs: subs, Cursors: cursors, Comms: comms})
 }
 
 func (j chaosJournal) Acked(id uint64, upto uint64) (uint64, error) {
@@ -522,7 +522,7 @@ func runChaos(o options) error {
 		case persist.OpRebuild:
 			return eng2.ApplyRebuilt(rec.Groups, rec.Reps)
 		case persist.OpDeliver:
-			return eng2.ApplyDelivered(rec.Seq, rec.XML, rec.Subs, rec.Cursors, rec.Comms)
+			return eng2.ApplyDelivered(rec.Seq, rec.Doc, rec.Subs, rec.Cursors, rec.Comms)
 		case persist.OpAck:
 			return eng2.ApplyAcked(rec.ID, rec.Cursor)
 		case persist.OpDrained:

@@ -708,7 +708,7 @@ func runFaults(o options) error {
 			case persist.OpRebuild:
 				return eng2.ApplyRebuilt(rec.Groups, rec.Reps)
 			case persist.OpDeliver:
-				return eng2.ApplyDelivered(rec.Seq, rec.XML, rec.Subs, rec.Cursors, rec.Comms)
+				return eng2.ApplyDelivered(rec.Seq, rec.Doc, rec.Subs, rec.Cursors, rec.Comms)
 			case persist.OpAck:
 				return eng2.ApplyAcked(rec.ID, rec.Cursor)
 			case persist.OpDrained:

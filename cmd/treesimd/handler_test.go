@@ -7,6 +7,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -168,6 +169,42 @@ func TestOversizeBodyIs413(t *testing.T) {
 				t.Fatalf("error %q does not say the body was too large", msg)
 			}
 		})
+	}
+}
+
+// TestOverDeepBodyIs400: a body under -max-body whose elements nest
+// past xmltree.MaxDepth — 140 000 deep here, which once cost a
+// 1000-subscription daemon 3 s and 680 MB of match scratch sized per
+// level — is refused by the parser on both paths that take one: cheaply,
+// before anything is sized by its depth. A document at the bound routes.
+func TestOverDeepBodyIs400(t *testing.T) {
+	h, eng, _ := testHandler(t)
+	for i := 0; i < 100; i++ {
+		if _, err := eng.Subscribe(fmt.Sprintf("//a/a/a/n%d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	chain := func(depth int) string { return strings.Repeat("<a>", depth) + strings.Repeat("</a>", depth) }
+	if w := do(t, h, "POST", "/publish", "application/xml", chain(xmltree.MaxDepth-2)); w.Code != http.StatusOK {
+		t.Fatalf("a document at the depth bound: status %d (%s)", w.Code, w.Body.String())
+	}
+	deep := chain(140000)
+	for _, path := range []string{"/publish", "/explain"} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		start := time.Now()
+		w := do(t, h, "POST", path, "application/xml", deep)
+		took := time.Since(start)
+		runtime.ReadMemStats(&after)
+		if w.Code != http.StatusBadRequest || !strings.Contains(errorBody(t, w), "nested deeper") {
+			t.Fatalf("%s: status %d (%s), want 400 naming the depth", path, w.Code, w.Body.String())
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; took > 50*time.Millisecond && !raceEnabled || grew > 8<<20 {
+			t.Errorf("%s: refusing %d bytes took %v and allocated %.1f MB; want under 50ms and 8 MB", path, len(deep), took, float64(grew)/(1<<20))
+		}
+	}
+	if got := eng.Stats().Published; got != 1 {
+		t.Errorf("%d documents published, want only the one at the bound", got)
 	}
 }
 

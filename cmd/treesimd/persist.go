@@ -36,8 +36,8 @@ func (j walJournal) Rebuilt(groups [][]uint64, reps []uint64) (uint64, error) {
 	return j.s.Append(persist.Record{Op: persist.OpRebuild, Groups: groups, Reps: reps})
 }
 
-func (j walJournal) Delivered(seq uint64, xml string, subs, cursors []uint64, comms []int) (uint64, error) {
-	return j.s.Append(persist.Record{Op: persist.OpDeliver, Seq: seq, XML: xml, Subs: subs, Cursors: cursors, Comms: comms})
+func (j walJournal) Delivered(seq uint64, doc []byte, subs, cursors []uint64, comms []int) (uint64, error) {
+	return j.s.Append(persist.Record{Op: persist.OpDeliver, Seq: seq, Doc: doc, Subs: subs, Cursors: cursors, Comms: comms})
 }
 
 func (j walJournal) Acked(id uint64, upto uint64) (uint64, error) {
@@ -128,7 +128,10 @@ func openDataDir(dir string, cfg broker.Config, walSync bool, fsys persist.FS, r
 		case persist.OpRebuild:
 			return eng.ApplyRebuilt(rec.Groups, rec.Reps)
 		case persist.OpDeliver:
-			return eng.ApplyDelivered(rec.Seq, rec.XML, rec.Subs, rec.Cursors, rec.Comms)
+			if rec.XML != "" { // a log written before records carried the document packed
+				return eng.ApplyDeliveredXML(rec.Seq, rec.XML, rec.Subs, rec.Cursors, rec.Comms)
+			}
+			return eng.ApplyDelivered(rec.Seq, rec.Doc, rec.Subs, rec.Cursors, rec.Comms)
 		case persist.OpAck:
 			return eng.ApplyAcked(rec.ID, rec.Cursor)
 		case persist.OpDrained:

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -37,8 +38,9 @@ func (j *memJournal) Unsubscribed(id uint64) (uint64, error) {
 func (j *memJournal) Rebuilt(groups [][]uint64, reps []uint64) (uint64, error) {
 	return j.append(persist.Record{Op: persist.OpRebuild, Groups: groups, Reps: reps})
 }
-func (j *memJournal) Delivered(seq uint64, xml string, subs, cursors []uint64, comms []int) (uint64, error) {
-	return j.append(persist.Record{Op: persist.OpDeliver, Seq: seq, XML: xml, Subs: subs, Cursors: cursors, Comms: comms})
+func (j *memJournal) Delivered(seq uint64, doc []byte, subs, cursors []uint64, comms []int) (uint64, error) {
+	// The arrays are the publish's scratch; a record kept past the call owns copies.
+	return j.append(persist.Record{Op: persist.OpDeliver, Seq: seq, Doc: doc, Subs: slices.Clone(subs), Cursors: slices.Clone(cursors), Comms: slices.Clone(comms)})
 }
 func (j *memJournal) Acked(id uint64, upto uint64) (uint64, error) {
 	return j.append(persist.Record{Op: persist.OpAck, ID: id, Cursor: upto})
@@ -79,7 +81,7 @@ func applyRecords(t *testing.T, e *Engine, recs []persist.Record) {
 		case persist.OpRebuild:
 			err = e.ApplyRebuilt(rec.Groups, rec.Reps)
 		case persist.OpDeliver:
-			err = e.ApplyDelivered(rec.Seq, rec.XML, rec.Subs, rec.Cursors, rec.Comms)
+			err = e.ApplyDelivered(rec.Seq, rec.Doc, rec.Subs, rec.Cursors, rec.Comms)
 		case persist.OpAck:
 			err = e.ApplyAcked(rec.ID, rec.Cursor)
 		case persist.OpDrained:

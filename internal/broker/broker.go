@@ -1087,12 +1087,16 @@ func (e *Engine) CommunityViews() []CommunityView {
 // .DocCache) or never existed. Consumers resolve a Delivery.Doc to
 // content through this (the daemon's GET /doc/{seq}).
 func (e *Engine) Document(seq uint64) *xmltree.Tree {
-	t, err := xmltree.Unpack(e.docs.get(seq))
+	t, err := xmltree.Unpack(e.PackedDocument(seq))
 	if err != nil { // the ring holds only what Pack wrote
 		panic(fmt.Sprintf("broker: retained document %d: %v", seq, err))
 	}
 	return t
 }
+
+// PackedDocument is Document without the unpacking: the retained bytes
+// (xmltree.Pack's form; shared, not to be written), or nil.
+func (e *Engine) PackedDocument(seq uint64) []byte { return e.docs.get(seq) }
 
 // Pending returns the queue depth of a subscription (0 for unknown ids).
 func (e *Engine) Pending(id uint64) int {

@@ -72,7 +72,7 @@ type QueuedDelivery struct {
 // queued-but-undrained best-effort deliveries die with the process
 // (documented loss window, surfaced to consumers as a gap marker).
 // At-least-once cursor logs ARE included (SubEntry.Queued plus the
-// Docs content map): the acked contract survives the crash.
+// Packed content map): the acked contract survives the crash.
 type State struct {
 	// Format is the state format version (stateFormat).
 	Format int
@@ -95,12 +95,15 @@ type State struct {
 	// cut and everything above replays (idempotently — cursors dedupe).
 	// Pass it to persist.Store.WriteSnapshot.
 	WalLSN uint64
-	// Docs maps publish sequence → serialized XML for every document
-	// referenced by a Queued entry, so recovery can repin content the
-	// retention ring lost with the process. A referenced document
-	// missing here (retention disabled, or discharged between the cut
-	// and the serialization) restores as an entry without content.
-	Docs map[uint64]string
+	// Packed maps publish sequence → the document as retention holds it
+	// (xmltree.Pack bytes) for every document referenced by a Queued
+	// entry, so recovery can repin content the retention ring lost with
+	// the process. A referenced document missing here (retention
+	// disabled, or discharged between the cut and the copy) restores as
+	// an entry without content. Docs is the same map as XML text, in a
+	// snapshot written before Packed existed: read, never written.
+	Packed map[uint64][]byte
+	Docs   map[uint64]string
 	// Estimator is the synopsis serialization (core.Estimator.Save).
 	Estimator []byte
 }
@@ -173,22 +176,15 @@ func (e *Engine) State() (*State, error) {
 		st.WalLSN = dLSN
 	}
 	st.PubSeq = e.pubSeq.Load()
-	// Serialize the referenced documents (pins keep them retrievable; a
+	// Take the referenced documents (pins keep them retrievable; a
 	// concurrent ack can discharge one between the cut and here, but its
 	// OpAck record then post-dates the watermark and replays, removing
 	// the contentless entry again).
 	if len(docSeqs) > 0 {
-		st.Docs = make(map[uint64]string, len(docSeqs))
+		st.Packed = make(map[uint64][]byte, len(docSeqs))
 		for _, seq := range docSeqs {
-			if _, ok := st.Docs[seq]; ok {
-				continue
-			}
-			if t := e.Document(seq); t != nil {
-				xml, err := xmltree.XMLString(t, false)
-				if err != nil {
-					return nil, fmt.Errorf("broker: serialize pinned doc %d: %w", seq, err)
-				}
-				st.Docs[seq] = xml
+			if doc := e.docs.get(seq); doc != nil {
+				st.Packed[seq] = doc
 			}
 		}
 	}
@@ -229,15 +225,18 @@ func Restore(cfg Config, st *State) (*Engine, error) {
 		return nil, fmt.Errorf("broker: restore: partition covers %d items, registry has %d", comms.Len(), len(st.Subs))
 	}
 	e := newEngine(cfg, est)
-	// Parse each pinned document once, shared across every subscription
-	// that references it.
-	docTrees := make(map[uint64]*xmltree.Tree, len(st.Docs))
-	for seq, xml := range st.Docs {
-		t, err := xmltree.ParseString(xml, cfg.Estimator.ParseOptions)
-		if err != nil {
-			return nil, fmt.Errorf("broker: restore pinned doc %d: %w", seq, err)
+	// Pinned documents are pinned as the snapshot holds them; the text of
+	// an older snapshot is parsed and packed once per document first.
+	docs := st.Packed
+	if len(st.Docs) > 0 {
+		docs = make(map[uint64][]byte, len(st.Docs))
+		for seq, xml := range st.Docs {
+			doc, err := packXML(xml, cfg.Estimator.ParseOptions)
+			if err != nil {
+				return nil, fmt.Errorf("broker: restore pinned doc %d: %w", seq, err)
+			}
+			docs[seq] = doc
 		}
-		docTrees[seq] = t
 	}
 	for i, se := range st.Subs {
 		p, err := pattern.Parse(se.Expr)
@@ -257,9 +256,7 @@ func Restore(cfg Config, st *State) (*Engine, error) {
 			for _, qd := range se.Queued {
 				q.entries = append(q.entries, ackEntry{cursor: qd.Cursor, doc: qd.Doc, comm: qd.Community, attempts: qd.Attempts})
 				q.stats.delivered++
-				if t, ok := docTrees[qd.Doc]; ok {
-					e.docs.pin(qd.Doc, t)
-				}
+				e.docs.pin(qd.Doc, docs[qd.Doc])
 			}
 		}
 		e.byID[se.ID] = i
@@ -304,10 +301,12 @@ type Journal interface {
 	// keyed by subscription ids (reps parallel to groups).
 	Rebuilt(groups [][]uint64, reps []uint64) (lsn uint64, err error)
 	// Delivered records one published document's at-least-once fan-out:
-	// the document sequence and content plus the parallel per-delivery
-	// arrays (subscription id, assigned cursor, community). Called
-	// outside the registry lock, after the queue appends.
-	Delivered(seq uint64, xml string, subs, cursors []uint64, comms []int) (lsn uint64, err error)
+	// the document sequence and content (xmltree.Pack bytes; none when
+	// retention is off) plus the parallel per-delivery arrays
+	// (subscription id, assigned cursor, community). Called outside the
+	// registry lock, after the queue appends. The arrays are the
+	// publish's scratch: encode or copy them before returning.
+	Delivered(seq uint64, doc []byte, subs, cursors []uint64, comms []int) (lsn uint64, err error)
 	// Acked records a committed cursor advance for subscription id.
 	Acked(id uint64, upto uint64) (lsn uint64, err error)
 	// Drained records that deliveries up to upto were handed to a
@@ -377,19 +376,15 @@ func (e *Engine) ApplySubscribed(id uint64, expr string, group int, mode Deliver
 // reused, so an entry at or below the restored high-water mark (or the
 // committed cursor) is a snapshot/WAL overlap and is skipped, making
 // double replay exactly idempotent. Re-inserted entries repin the
-// document carried in the record; unknown or at-most-once subscription
-// ids are skipped (unsubscribed later in the WAL, or never durable).
-func (e *Engine) ApplyDelivered(seq uint64, xml string, subs, cursors []uint64, comms []int) error {
+// document carried in the record — doc, its packed bytes, checked here
+// and retained as they are; unknown or at-most-once subscription ids are
+// skipped (unsubscribed later in the WAL, or never durable).
+func (e *Engine) ApplyDelivered(seq uint64, doc []byte, subs, cursors []uint64, comms []int) error {
 	if len(subs) != len(cursors) || len(subs) != len(comms) {
 		return fmt.Errorf("broker: replay deliver %d: %d subs, %d cursors, %d comms", seq, len(subs), len(cursors), len(comms))
 	}
-	var t *xmltree.Tree
-	if xml != "" {
-		var err error
-		t, err = xmltree.ParseString(xml, e.cfg.Estimator.ParseOptions)
-		if err != nil {
-			return fmt.Errorf("broker: replay deliver %d: %w", seq, err)
-		}
+	if _, err := xmltree.Unpack(doc); err != nil {
+		return fmt.Errorf("broker: replay deliver %d: %w", seq, err)
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -417,11 +412,27 @@ func (e *Engine) ApplyDelivered(seq uint64, xml string, subs, cursors []uint64, 
 		if shed {
 			e.docs.unpin(shedDoc)
 		}
-		if inserted && t != nil {
-			e.docs.pin(seq, t)
+		if inserted {
+			e.docs.pin(seq, doc)
 		}
 	}
 	return nil
+}
+
+// ApplyDeliveredXML is ApplyDelivered for a record of a log written
+// before OpDeliver carried packed bytes: its document is XML text.
+func (e *Engine) ApplyDeliveredXML(seq uint64, xml string, subs, cursors []uint64, comms []int) error {
+	doc, err := packXML(xml, e.cfg.Estimator.ParseOptions)
+	if err != nil {
+		return fmt.Errorf("broker: replay deliver %d: %w", seq, err)
+	}
+	return e.ApplyDelivered(seq, doc, subs, cursors, comms)
+}
+
+// packXML is the packed form of a document persisted as text.
+func packXML(xml string, opts xmltree.ParseOptions) ([]byte, error) {
+	t, err := xmltree.ParseString(xml, opts)
+	return xmltree.Pack(t), err
 }
 
 // ApplyAcked replays a journaled cursor advance. Lenient by design: a

@@ -68,8 +68,9 @@ func (e *Engine) logShed() {
 // broker's backlog through the overlay. When the pipeline is full the
 // document is shed (counted in Stats.RemoteShed) and ErrBusy returned,
 // so the peer stream can ack the frame busy and the upstream peer backs
-// off.
-func (e *Engine) InjectRemote(t *xmltree.Tree) (PublishResult, error) {
+// off. doc is t as it arrived, packed (xmltree.Pack's form); retention
+// keeps that slice itself. nil has the engine pack t.
+func (e *Engine) InjectRemote(t *xmltree.Tree, doc []byte) (PublishResult, error) {
 	start := time.Now()
 	e.pipeMu.RLock()
 	if e.pipeClosed {
@@ -86,7 +87,7 @@ func (e *Engine) InjectRemote(t *xmltree.Tree) (PublishResult, error) {
 		e.logShed()
 		return PublishResult{}, ErrBusy
 	}
-	return e.routeOne(t, true, start, time.Now()), nil
+	return e.routeOne(t, doc, true, start, time.Now()), nil
 }
 
 func (e *Engine) publish(t *xmltree.Tree, remote bool) (PublishResult, error) {
@@ -102,7 +103,7 @@ func (e *Engine) publish(t *xmltree.Tree, remote bool) (PublishResult, error) {
 	e.ingest <- ingestItem{tree: t}
 	e.pipeMu.RUnlock()
 
-	return e.routeOne(t, remote, start, time.Now()), nil
+	return e.routeOne(t, nil, remote, start, time.Now()), nil
 }
 
 // routeOne is the routing half shared by the blocking and non-blocking
@@ -111,18 +112,18 @@ func (e *Engine) publish(t *xmltree.Tree, remote bool) (PublishResult, error) {
 // enqueued when the pipeline accepted it — the gap is ingest-queue
 // wait, the remainder routing; both land in the result and the latency
 // histograms.
-func (e *Engine) routeOne(t *xmltree.Tree, remote bool, start, enqueued time.Time) PublishResult {
+func (e *Engine) routeOne(t *xmltree.Tree, doc []byte, remote bool, start, enqueued time.Time) PublishResult {
 	// routeMu (shared): publishers run beside each other and wait only
 	// for a forest edit or Close.
 	e.routeMu.RLock()
 	defer e.routeMu.RUnlock()
 	res := PublishResult{Seq: e.pubSeq.Add(1)}
-	e.docs.put(res.Seq, t)
+	doc = e.docs.put(res.Seq, t, doc)
 	// A publish that raced Close past the pipeline check was already
 	// accepted into the synopsis; it simply routes to nobody, keeping
 	// Published == documents ingested.
 	if !e.routeClosed {
-		e.routeDoc(t, &res)
+		e.routeDoc(t, doc, &res)
 	}
 	e.counters.published.Add(1)
 	if remote {
@@ -166,9 +167,9 @@ func (e *Engine) PublishBatch(ts []*xmltree.Tree) ([]PublishResult, error) {
 	for i, t := range ts {
 		start := time.Now()
 		out[i].Seq = e.pubSeq.Add(1)
-		e.docs.put(out[i].Seq, t)
+		doc := e.docs.put(out[i].Seq, t, nil)
 		if !e.routeClosed {
-			e.routeDoc(t, &out[i])
+			e.routeDoc(t, doc, &out[i])
 		}
 		e.counters.published.Add(1)
 		ns := time.Since(start).Nanoseconds()
@@ -245,35 +246,6 @@ func (e *Engine) Flush() {
 	<-ch
 }
 
-// journalDelivered records one published document's at-least-once
-// fan-out as a single OpDeliver WAL record: the document content plus
-// every (subscription, cursor) pair the routing enqueued. The queue
-// appends already happened (effects precede appends — the invariant
-// the snapshot watermark proof rests on), so a crash between enqueue
-// and journal loses only publishes whose callers never saw success.
-func (e *Engine) journalDelivered(seq uint64, t *xmltree.Tree, acked []ackedDelivery) {
-	j := e.journal.Load()
-	if j == nil {
-		return
-	}
-	xml, err := xmltree.XMLString(t, false)
-	if err != nil {
-		e.noteJournalError()
-		return
-	}
-	subs := make([]uint64, len(acked))
-	cursors := make([]uint64, len(acked))
-	comms := make([]int, len(acked))
-	for i, a := range acked {
-		subs[i], cursors[i], comms[i] = a.sub, a.cursor, a.comm
-	}
-	if lsn, err := (*j).Delivered(seq, xml, subs, cursors, comms); err != nil {
-		e.noteJournalError()
-	} else {
-		e.bumpDeliveryLSN(lsn)
-	}
-}
-
 // docRing retains the most recent published documents keyed by publish
 // sequence, so a delivery's content is retrievable after routing. A
 // document is held packed (xmltree.Pack: one pointer-free []byte), not
@@ -311,11 +283,16 @@ func (r *docRing) slot(seq uint64) (*docEntry, bool) {
 	return e, e.seq == seq && seq != 0
 }
 
-func (r *docRing) put(seq uint64, t *xmltree.Tree) {
+// put retains the document published as seq and returns its packed
+// bytes: doc when the caller has them (a forwarded publication), t
+// packed otherwise. Without a ring nothing is packed or retained.
+func (r *docRing) put(seq uint64, t *xmltree.Tree, doc []byte) []byte {
 	if r == nil {
-		return
+		return nil
 	}
-	doc := xmltree.Pack(t)
+	if len(doc) == 0 {
+		doc = xmltree.Pack(t)
+	}
 	r.mu.Lock()
 	e, _ := r.slot(seq)
 	if _, kept := r.pinned[e.seq]; !kept {
@@ -324,6 +301,7 @@ func (r *docRing) put(seq uint64, t *xmltree.Tree) {
 	*e = docEntry{seq: seq, doc: doc}
 	r.bytes.Add(int64(len(doc)))
 	r.mu.Unlock()
+	return doc
 }
 
 func (r *docRing) get(seq uint64) []byte {
@@ -343,8 +321,9 @@ func (r *docRing) get(seq uint64) []byte {
 
 // pin adds one reference to seq, retaining it past ring eviction: the
 // ring's bytes when it still holds seq (a publish puts before it pins),
-// t packed otherwise (recovery).
-func (r *docRing) pin(seq uint64, t *xmltree.Tree) {
+// doc otherwise (recovery; a delivery journaled without content pins
+// nothing).
+func (r *docRing) pin(seq uint64, doc []byte) {
 	if r == nil {
 		return
 	}
@@ -354,10 +333,11 @@ func (r *docRing) pin(seq uint64, t *xmltree.Tree) {
 		p.refs++
 		return
 	}
-	e, ok := r.slot(seq)
-	doc := e.doc
-	if !ok {
-		doc = xmltree.Pack(t)
+	if e, ok := r.slot(seq); ok {
+		doc = e.doc
+	} else if len(doc) == 0 {
+		return
+	} else {
 		r.bytes.Add(int64(len(doc)))
 	}
 	r.pinned[seq] = &pinnedDoc{doc: doc, refs: 1}

@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"reflect"
 	"runtime"
 	"sort"
 	"testing"
 
 	"treesim/internal/core"
 	"treesim/internal/persist"
+	"treesim/internal/xmltree"
 )
 
 // storeJournal adapts a persist.Store to the broker Journal interface —
@@ -25,8 +27,8 @@ func (j storeJournal) Unsubscribed(id uint64) (uint64, error) {
 func (j storeJournal) Rebuilt(groups [][]uint64, reps []uint64) (uint64, error) {
 	return j.s.Append(persist.Record{Op: persist.OpRebuild, Groups: groups, Reps: reps})
 }
-func (j storeJournal) Delivered(seq uint64, xml string, subs, cursors []uint64, comms []int) (uint64, error) {
-	return j.s.Append(persist.Record{Op: persist.OpDeliver, Seq: seq, XML: xml, Subs: subs, Cursors: cursors, Comms: comms})
+func (j storeJournal) Delivered(seq uint64, doc []byte, subs, cursors []uint64, comms []int) (uint64, error) {
+	return j.s.Append(persist.Record{Op: persist.OpDeliver, Seq: seq, Doc: doc, Subs: subs, Cursors: cursors, Comms: comms})
 }
 func (j storeJournal) Acked(id uint64, upto uint64) (uint64, error) {
 	return j.s.Append(persist.Record{Op: persist.OpAck, ID: id, Cursor: upto})
@@ -50,7 +52,10 @@ func replayStore(t *testing.T, s *persist.Store, e *Engine) {
 		case persist.OpRebuild:
 			return e.ApplyRebuilt(rec.Groups, rec.Reps)
 		case persist.OpDeliver:
-			return e.ApplyDelivered(rec.Seq, rec.XML, rec.Subs, rec.Cursors, rec.Comms)
+			if rec.XML != "" {
+				return e.ApplyDeliveredXML(rec.Seq, rec.XML, rec.Subs, rec.Cursors, rec.Comms)
+			}
+			return e.ApplyDelivered(rec.Seq, rec.Doc, rec.Subs, rec.Cursors, rec.Comms)
 		case persist.OpAck:
 			return e.ApplyAcked(rec.ID, rec.Cursor)
 		case persist.OpDrained:
@@ -537,10 +542,10 @@ func TestInjectRemoteShedsWhenFull(t *testing.T) {
 	}
 
 	d := doc(t, "a(b)")
-	if _, err := e.InjectRemote(d); err != nil {
+	if _, err := e.InjectRemote(d, nil); err != nil {
 		t.Fatalf("InjectRemote into free slot: %v", err)
 	}
-	if _, err := e.InjectRemote(d); err != ErrBusy {
+	if _, err := e.InjectRemote(d, nil); err != ErrBusy {
 		t.Fatalf("InjectRemote into full pipeline = %v, want ErrBusy", err)
 	}
 	st := e.Stats()
@@ -607,4 +612,184 @@ func TestJournalRecordsDecisions(t *testing.T) {
 			}
 		}
 	}
+}
+
+// olderJournal is storeJournal as it wrote before OpDeliver carried the
+// document packed: every other delivery record goes out through the
+// still-supported text shape (persist.Record{XML: …}, a JSON record),
+// the rest as they are written now, so the log mixes both.
+type olderJournal struct {
+	storeJournal
+	t *testing.T
+}
+
+func (j olderJournal) Delivered(seq uint64, doc []byte, subs, cursors []uint64, comms []int) (uint64, error) {
+	if seq%2 == 0 {
+		return j.storeJournal.Delivered(seq, doc, subs, cursors, comms)
+	}
+	return j.s.Append(persist.Record{Op: persist.OpDeliver, Seq: seq, XML: textOf(j.t, doc), Subs: subs, Cursors: cursors, Comms: comms})
+}
+
+// textOf is the XML text of a packed document.
+func textOf(t *testing.T, doc []byte) string {
+	t.Helper()
+	tr, err := xmltree.Unpack(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	xml, err := xmltree.XMLString(tr, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return xml
+}
+
+// TestRecoveryFromOlderFormats runs one at-least-once history twice —
+// into a data directory as this build writes it, and into one as builds
+// before packed documents wrote it: a snapshot whose pinned documents
+// are the XML text map (State.Docs), and a WAL whose OpDeliver records
+// are half JSON with an xml field, half binary. Both must recover to the
+// same cursors, redelivery flags, pins and documents.
+func TestRecoveryFromOlderFormats(t *testing.T) {
+	cfg := Config{Estimator: core.Config{Representation: core.Sets, Seed: 7}, Threshold: 2, Rebuild: Never{}, DocCache: 4}
+	type outcome struct {
+		drains map[uint64]DrainResult
+		pinned int
+		docs   map[uint64]string // canonical text by sequence
+	}
+	run := func(older bool) outcome {
+		store, err := persist.Open(t.TempDir(), persist.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer store.Close()
+		e := newTestEngine(t, cfg)
+		if older {
+			e.SetJournal(olderJournal{storeJournal{store}, t})
+		} else {
+			e.SetJournal(storeJournal{store})
+		}
+		var ids []uint64
+		for _, p := range []string{"/site//item", "/site/people/person", "//price"} {
+			id, err := e.SubscribeOpts(p, SubscribeOptions{Mode: AtLeastOnce})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids = append(ids, id)
+		}
+		publishAll(t, e) // 8 documents through a ring of 4: the early ones live on pins alone
+		if r, err := e.DrainBatch(ids[0], 1, 0); err != nil || len(r.Deliveries) != 1 {
+			t.Fatalf("drain: %+v, %v", r, err)
+		} else if _, err := e.Ack(ids[0], r.Cursor); err != nil {
+			t.Fatal(err)
+		}
+		if r, err := e.DrainBatch(ids[1], 1, 0); err != nil || len(r.Deliveries) != 1 {
+			t.Fatalf("drain: %+v, %v", r, err) // handed out, never acked: snapshot carries Attempts
+		}
+		st, err := e.State()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(st.Packed) == 0 || st.Docs != nil {
+			t.Fatalf("a snapshot holds %d packed and %d text documents; want some and none", len(st.Packed), len(st.Docs))
+		}
+		if older {
+			st.Docs = make(map[uint64]string, len(st.Packed))
+			for seq, doc := range st.Packed {
+				st.Docs[seq] = textOf(t, doc)
+			}
+			st.Packed = nil
+		}
+		data, err := EncodeState(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		payload, err := (&persist.Snapshot{Broker: data}).Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := store.WriteSnapshot(payload, st.WalLSN); err != nil {
+			t.Fatal(err)
+		}
+		publishAll(t, e) // the WAL tail: sequences 9–16, odd ones as text when older
+		if r, err := e.DrainBatch(ids[2], 2, 0); err != nil || len(r.Deliveries) != 2 {
+			t.Fatalf("drain: %+v, %v", r, err)
+		} else if _, err := e.Ack(ids[2], r.Deliveries[0].Cursor); err != nil {
+			t.Fatal(err)
+		}
+
+		snap, ok, err := store.LoadSnapshot()
+		if err != nil || !ok {
+			t.Fatalf("LoadSnapshot: ok=%v err=%v", ok, err)
+		}
+		env, err := persist.DecodeSnapshot(snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st2, err := DecodeState(env.Broker)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if older != (st2.Packed == nil && len(st2.Docs) > 0) {
+			t.Fatalf("older=%v directory decoded %d packed and %d text documents", older, len(st2.Packed), len(st2.Docs))
+		}
+		rec, err := Restore(cfg, st2)
+		if err != nil {
+			t.Fatalf("Restore: %v", err)
+		}
+		t.Cleanup(func() { rec.Close() })
+		text, binary := 0, 0
+		if err := store.Replay(func(r persist.Record) error {
+			if r.Op == persist.OpDeliver && r.XML != "" {
+				text++
+			} else if r.Op == persist.OpDeliver {
+				binary++
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if older != (text > 0) || binary == 0 {
+			t.Fatalf("older=%v WAL tail holds %d text and %d binary deliver records", older, text, binary)
+		}
+		replayStore(t, store, rec)
+
+		out := outcome{drains: map[uint64]DrainResult{}, pinned: rec.Stats().PinnedDocs, docs: map[uint64]string{}}
+		for seq := uint64(1); seq <= 16; seq++ {
+			if tr := rec.Document(seq); tr != nil {
+				out.docs[seq] = tr.Canonicalize().String()
+				if want := doc(t, recoveryDocs[(seq-1)%8]).Canonicalize().String(); out.docs[seq] != want {
+					t.Errorf("older=%v: document %d recovered as %s, want %s", older, seq, out.docs[seq], want)
+				}
+			}
+		}
+		for _, id := range ids {
+			r, err := rec.DrainBatch(id, 100, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, d := range r.Deliveries {
+				if _, ok := out.docs[d.Doc]; !ok {
+					t.Errorf("older=%v: subscription %d is owed document %d, which is gone", older, id, d.Doc)
+				}
+			}
+			out.drains[id] = r
+		}
+		return out
+	}
+	now, older := run(false), run(true)
+	if !reflect.DeepEqual(now, older) {
+		t.Fatalf("recovery differs by format:\nnow   %+v\nolder %+v", now, older)
+	}
+	if now.pinned == 0 || len(now.docs) != now.pinned {
+		t.Fatalf("the history pins %d documents and recovers %d; the test lost its subject", now.pinned, len(now.docs))
+	}
+	redelivered := 0
+	for _, r := range now.drains {
+		redelivered += r.Redelivered
+	}
+	if redelivered == 0 {
+		t.Fatal("no recovered delivery is flagged redelivered")
+	}
+	t.Logf("%d pinned documents, %d retrievable, %d deliveries flagged redelivered, either way", now.pinned, len(now.docs), redelivered)
 }

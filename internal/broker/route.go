@@ -45,10 +45,14 @@ type routeMember struct {
 }
 
 // routeScratch is the pooled per-publish scratch: the flattened
-// document and the at-least-once deliveries to journal.
+// document and the at-least-once enqueues the fan-out committed —
+// receiving subscription, cursor assigned and community matched, in the
+// parallel arrays the publish journals (OpDeliver) so the deliveries
+// survive a crash.
 type routeScratch struct {
-	flat  xmltree.Flat
-	acked []ackedDelivery
+	flat          xmltree.Flat
+	subs, cursors []uint64
+	comms         []int
 }
 
 func (e *Engine) getScratch() *routeScratch {
@@ -76,15 +80,6 @@ func memberMatches(fm *pattern.FlatMatcher, p *pattern.Pattern) (ok bool) {
 	return fm.Matches(p)
 }
 
-// ackedDelivery is one at-least-once enqueue the fan-out committed —
-// the unit the publish journals (OpDeliver) so the delivery survives a
-// crash.
-type ackedDelivery struct {
-	sub    uint64
-	cursor uint64
-	comm   int
-}
-
 // routeDoc matches one document against the forest — once, on the
 // calling goroutine — and fans it out to the members of every community
 // whose representative matched, tallying into res. At-least-once members
@@ -92,9 +87,10 @@ type ackedDelivery struct {
 // in retention until acked, the assigned cursors are journaled as one
 // OpDeliver record before the publish returns, and a full log sheds its
 // oldest entry — counted, and its pin released. Every sample-th delivery
-// is checked exactly, against the receiving member's own pattern. Caller
-// holds routeMu shared.
-func (e *Engine) routeDoc(t *xmltree.Tree, res *PublishResult) {
+// is checked exactly, against the receiving member's own pattern. doc is
+// t packed, as retention just stored it (nil when retention is off).
+// Caller holds routeMu shared.
+func (e *Engine) routeDoc(t *xmltree.Tree, doc []byte, res *PublishResult) {
 	if len(e.groups) == 0 {
 		return
 	}
@@ -105,7 +101,7 @@ func (e *Engine) routeDoc(t *xmltree.Tree, res *PublishResult) {
 	ms := e.forest.MatchFlat(t, flat)
 	c, sample, seq := &e.counters, e.cfg.PrecisionSample, res.Seq
 	c.filterEvals.Add(uint64(len(e.groups)))
-	acked := sc.acked[:0]
+	sc.subs, sc.cursors, sc.comms = sc.subs[:0], sc.cursors[:0], sc.comms[:0]
 	var fm *pattern.FlatMatcher
 	for comm, g := range e.groups {
 		if !ms.Has(g.repFH) {
@@ -122,8 +118,8 @@ func (e *Engine) routeDoc(t *xmltree.Tree, res *PublishResult) {
 					e.docs.unpin(shedDoc)
 				}
 				if enqueued {
-					e.docs.pin(seq, t)
-					acked = append(acked, ackedDelivery{sub: m.id, cursor: cursor, comm: comm})
+					e.docs.pin(seq, doc)
+					sc.subs, sc.cursors, sc.comms = append(sc.subs, m.id), append(sc.cursors, cursor), append(sc.comms, comm)
 				}
 			} else {
 				enqueued, evicted = m.q.push(Delivery{Doc: seq, Community: comm})
@@ -156,14 +152,21 @@ func (e *Engine) routeDoc(t *xmltree.Tree, res *PublishResult) {
 	}
 	ms.Release()
 	e.matchNS.ObserveDuration(time.Since(matchStart).Nanoseconds())
-	// Journal the at-least-once deliveries before the publish returns:
-	// once the publisher sees success, the acked-mode fan-out is durable
-	// (the WAL record carries the document itself, so recovery can repin
-	// content the retention ring lost with the process).
-	if len(acked) > 0 {
-		e.journalDelivered(seq, t, acked)
+	// Journal the at-least-once deliveries, as one OpDeliver record,
+	// before the publish returns: once the publisher sees success, the
+	// acked-mode fan-out is durable (the record carries the document as
+	// retention holds it, so recovery can repin content the ring lost
+	// with the process). The queue appends already happened — effects
+	// precede appends, the invariant the snapshot watermark proof rests
+	// on — so a crash in between loses only publishes whose callers never
+	// saw success.
+	if j := e.journal.Load(); j != nil && len(sc.subs) > 0 {
+		if lsn, err := (*j).Delivered(seq, doc, sc.subs, sc.cursors, sc.comms); err != nil {
+			e.noteJournalError()
+		} else {
+			e.bumpDeliveryLSN(lsn)
+		}
 	}
-	sc.acked = acked[:0]
 	e.scratchPool.Put(sc)
 }
 

@@ -25,8 +25,8 @@ func (j journal) Unsubscribed(id uint64) (uint64, error) {
 func (j journal) Rebuilt(groups [][]uint64, reps []uint64) (uint64, error) {
 	return j.s.Append(persist.Record{Op: persist.OpRebuild, Groups: groups, Reps: reps})
 }
-func (j journal) Delivered(seq uint64, xml string, subs, cursors []uint64, comms []int) (uint64, error) {
-	return j.s.Append(persist.Record{Op: persist.OpDeliver, Seq: seq, XML: xml, Subs: subs, Cursors: cursors, Comms: comms})
+func (j journal) Delivered(seq uint64, doc []byte, subs, cursors []uint64, comms []int) (uint64, error) {
+	return j.s.Append(persist.Record{Op: persist.OpDeliver, Seq: seq, Doc: doc, Subs: subs, Cursors: cursors, Comms: comms})
 }
 func (j journal) Acked(id uint64, upto uint64) (uint64, error) {
 	return j.s.Append(persist.Record{Op: persist.OpAck, ID: id, Cursor: upto})
@@ -96,7 +96,7 @@ func recoverDir(t *testing.T, dir string, fsys persist.FS) (*broker.Engine, *per
 		case persist.OpRebuild:
 			return eng.ApplyRebuilt(rec.Groups, rec.Reps)
 		case persist.OpDeliver:
-			return eng.ApplyDelivered(rec.Seq, rec.XML, rec.Subs, rec.Cursors, rec.Comms)
+			return eng.ApplyDelivered(rec.Seq, rec.Doc, rec.Subs, rec.Cursors, rec.Comms)
 		case persist.OpAck:
 			return eng.ApplyAcked(rec.ID, rec.Cursor)
 		case persist.OpDrained:

@@ -739,7 +739,7 @@ func (n *Node) PublishTraced(t *xmltree.Tree) (broker.PublishResult, int, string
 		Seq:    seq,
 		TTL:    n.cfg.TTL,
 		Trace:  traceID,
-	}, t)
+	}, t, res.Seq)
 	if n.traces != nil {
 		n.traces.Add(telemetry.Span{
 			Trace:       traceID,
@@ -769,10 +769,12 @@ func (n *Node) TraceSpans(id string) []telemetry.Span {
 // suppression first (origin+seq needs no parsing — on cyclic
 // topologies suppressed duplicates are routine and must stay cheap),
 // then local delivery through the engine's remote-injection hook, then
-// TTL-decremented coarse forwarding to further links. A publication
-// whose payload turns out to be unparseable stays marked seen: its
-// origin assigned that sequence to a malformed document, and replaying
-// it cannot improve.
+// TTL-decremented coarse forwarding to further links. The document
+// arrives packed: it is unpacked once for matching, and the bytes
+// themselves go into the engine's retention and on to the next link. A
+// publication whose payload turns out not to unpack (or parse) stays
+// marked seen: its origin assigned that sequence to a malformed
+// document, and replaying it cannot improve.
 func (n *Node) HandlePublish(pub wire.Publication) error {
 	n.mu.Lock()
 	if n.closed {
@@ -794,7 +796,10 @@ func (n *Node) HandlePublish(pub wire.Publication) error {
 	ttl := pub.TTL - 1
 	n.mu.Unlock()
 	start := time.Now()
-	t, err := xmltree.ParseString(pub.XML, n.eng.Estimator().Config().ParseOptions)
+	t, err := xmltree.Unpack(pub.Doc)
+	if len(pub.Doc) == 0 { // a sender not yet upgraded: XML text
+		t, err = xmltree.ParseString(pub.XML, n.eng.Estimator().Config().ParseOptions)
+	}
 	if err != nil {
 		return fmt.Errorf("overlay: forwarded document from %q: %w", pub.From, err)
 	}
@@ -804,7 +809,7 @@ func (n *Node) HandlePublish(pub wire.Publication) error {
 	// suppressed as a duplicate and cannot leave a permanent local hole.
 	// No span is recorded for a shed publication — the upstream retry
 	// that eventually lands writes this node's single span.
-	res, err := n.eng.InjectRemote(t)
+	res, err := n.eng.InjectRemote(t, pub.Doc)
 	if err != nil {
 		if errors.Is(err, broker.ErrBusy) {
 			n.mu.Lock()
@@ -825,7 +830,7 @@ func (n *Node) HandlePublish(pub wire.Publication) error {
 	}
 	targets := matchTargets(t, plan)
 	pub.TTL = ttl
-	_, sentTo := n.sendPublication(targets, pub, t)
+	_, sentTo := n.sendPublication(targets, pub, t, res.Seq)
 	if n.traces != nil && pub.Trace != "" {
 		n.traces.Add(telemetry.Span{
 			Trace:       pub.Trace,
@@ -929,22 +934,23 @@ func (n *Node) sendAdverts(targets []*link, adverts []wire.Advert) {
 	}
 }
 
-// sendPublication forwards one document to the given links, serializing
-// it once. Returns the number of successful sends and, for traced
-// publications, the ids of the links that accepted one (nil when the
-// frame is untraced — the span is the only consumer, no need to
-// allocate on every forward).
-func (n *Node) sendPublication(targets []*link, pub wire.Publication, t *xmltree.Tree) (int, []string) {
+// sendPublication forwards one document to the given links, packed. A
+// publication that arrived packed goes on as it came; otherwise the
+// bytes are those the engine's retention holds for seq, the sequence
+// the engine just gave the document — or t packed, when retention is
+// off or already past seq. Returns the number of successful sends and,
+// for traced publications, the ids of the links that accepted one (nil
+// when the frame is untraced — the span is the only consumer, no need
+// to allocate on every forward).
+func (n *Node) sendPublication(targets []*link, pub wire.Publication, t *xmltree.Tree, seq uint64) (int, []string) {
 	if len(targets) == 0 {
 		return 0, nil
 	}
-	if pub.XML == "" {
-		xmlStr, err := xmltree.XMLString(t, false)
-		if err != nil {
-			n.counters.sendErrors.Add(1)
-			return 0, nil
+	if pub.Doc == nil {
+		pub.XML = ""
+		if pub.Doc = n.eng.PackedDocument(seq); pub.Doc == nil {
+			pub.Doc = xmltree.Pack(t)
 		}
-		pub.XML = xmlStr
 	}
 	pub.From = n.cfg.ID
 	pub.Addr = n.cfg.Addr

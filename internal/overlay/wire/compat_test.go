@@ -10,8 +10,10 @@ import (
 )
 
 // The publication payload is a binary layout peers of different builds
-// must agree on byte for byte; these tests pin it against a frame kept
-// under testdata/, in both directions.
+// must agree on byte for byte; these tests pin it against frames kept
+// under testdata/, in both directions: publish.frame is version 1 (XML
+// text, what brokers sent before the document travelled packed, still
+// decoded), publish.v2.frame is version 2 (what they send).
 
 var goldenPublication = Publication{
 	Proto: ProtocolVersion, From: "node-b", Addr: "http://127.0.0.1:8691",
@@ -19,34 +21,49 @@ var goldenPublication = Publication{
 	XML: "<media><CD title=\"K. 551\">Mozart &amp; sons</CD></media>", Trace: "0123456789abcdef",
 }
 
-// TestPublicationGoldenFrame: the committed publish frame decodes to
+// goldenPacked is goldenPublication carrying xmltree.Pack's bytes for
+// media(CD(title)) instead of text.
+var goldenPacked = func() Publication {
+	p := goldenPublication
+	p.Proto, p.XML = PackedVersion, ""
+	p.Doc = []byte("\x03\x03\x05media\x02CD\x05title\x00\x01\x01\x01\x02\x00")
+	return p
+}()
+
+// TestPublicationGoldenFrame: each committed publish frame decodes to
 // the value it was made from, and encoding that value reproduces the
-// frame — header, payload layout and the unescaped document.
+// frame — header, payload layout and the document, unescaped.
 func TestPublicationGoldenFrame(t *testing.T) {
-	golden, err := os.ReadFile("testdata/publish.frame")
-	if err != nil {
-		t.Fatal(err)
-	}
-	kind, id, payload, err := ReadFrame(bytes.NewReader(golden), MaxXMLLen)
-	if err != nil || kind != KindPublish || id != 42 || len(payload) != len(golden)-FrameHeaderLen {
-		t.Fatalf("golden frame: kind %d id %d payload %d of %d bytes, err %v", kind, id, len(payload), len(golden), err)
-	}
-	dec, err := DecodePublication(payload)
-	if err != nil {
-		t.Fatalf("golden frame rejected: %v", err)
-	}
-	if !reflect.DeepEqual(dec, goldenPublication) {
-		t.Fatalf("golden frame decoded to\n%+v, want\n%+v", dec, goldenPublication)
-	}
-	enc, err := EncodePublication(goldenPublication)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if frame := AppendFrame(nil, KindPublish, 42, enc); !bytes.Equal(frame, golden) {
-		t.Fatalf("encoding drifted from testdata/publish.frame:\n%q\n%q", frame, golden)
-	}
-	if !bytes.Contains(golden, []byte(goldenPublication.XML)) {
-		t.Fatal("the document does not ride the frame verbatim")
+	for file, want := range map[string]Publication{"testdata/publish.frame": goldenPublication, "testdata/publish.v2.frame": goldenPacked} {
+		golden, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantID := uint32(41 + want.Proto)
+		kind, id, payload, err := ReadFrame(bytes.NewReader(golden), MaxXMLLen)
+		if err != nil || kind != KindPublish || id != wantID || len(payload) != len(golden)-FrameHeaderLen {
+			t.Fatalf("%s: kind %d id %d payload %d of %d bytes, err %v", file, kind, id, len(payload), len(golden), err)
+		}
+		dec, err := DecodePublication(payload)
+		if err != nil {
+			t.Fatalf("%s rejected: %v", file, err)
+		}
+		if !reflect.DeepEqual(dec, want) {
+			t.Fatalf("%s decoded to\n%+v, want\n%+v", file, dec, want)
+		}
+		if len(dec.Doc) > 0 && &dec.Doc[0] != &payload[len(payload)-len(dec.Doc)] {
+			t.Errorf("%s: the decoded document is a copy of the payload's tail, not the tail", file)
+		}
+		enc, err := EncodePublication(want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if frame := AppendFrame(nil, KindPublish, wantID, enc); !bytes.Equal(frame, golden) {
+			t.Fatalf("encoding drifted from %s:\n%q\n%q", file, frame, golden)
+		}
+		if !bytes.HasSuffix(golden, append([]byte(want.XML), want.Doc...)) {
+			t.Fatalf("%s: the document does not ride the frame verbatim", file)
+		}
 	}
 }
 
@@ -81,7 +98,7 @@ func rawPublication(p Publication) []byte {
 		b = binary.BigEndian.AppendUint16(b, uint16(len(s)))
 		b = append(b, s...)
 	}
-	return append(b, p.XML...)
+	return append(append(b, p.XML...), p.Doc...)
 }
 
 // TestPublicationTraceRoundTripAndBounds: traced frames round-trip,
@@ -114,22 +131,29 @@ func TestPublicationTraceRoundTripAndBounds(t *testing.T) {
 // holds on the decode path, as do the layout's own limits.
 func TestDecodePublicationRejects(t *testing.T) {
 	valid := Publication{Proto: ProtocolVersion, From: "a", Addr: "http://h:1", Origin: "b", Seq: 9, TTL: 3, XML: "<x/>", Trace: "t"}
-	if _, err := DecodePublication(rawPublication(valid)); err != nil {
-		t.Fatalf("valid raw frame rejected: %v", err)
+	packed := valid
+	packed.Proto, packed.XML, packed.Doc = PackedVersion, "", []byte{1, 1, 1, 'x', 0, 0}
+	for _, p := range []Publication{valid, packed} {
+		if _, err := DecodePublication(rawPublication(p)); err != nil {
+			t.Fatalf("valid raw version-%d frame rejected: %v", p.Proto, err)
+		}
 	}
 	long := strings.Repeat("x", MaxOriginLen+1)
 	for name, mutate := range map[string]func(*Publication){
-		"wrong proto": func(p *Publication) { p.Proto = ProtocolVersion + 1 },
-		"json frame":  func(p *Publication) { p.Proto = '{' },
-		"empty from":  func(p *Publication) { p.From = "" },
-		"long from":   func(p *Publication) { p.From = long },
-		"long addr":   func(p *Publication) { p.Addr = long },
-		"no origin":   func(p *Publication) { p.Origin = "" },
-		"long origin": func(p *Publication) { p.Origin = long },
-		"huge ttl":    func(p *Publication) { p.TTL = MaxTTL + 1 },
-		"long trace":  func(p *Publication) { p.Trace = strings.Repeat("x", MaxTraceLen+1) },
-		"empty doc":   func(p *Publication) { p.XML = "" },
-		"huge doc":    func(p *Publication) { p.XML = strings.Repeat("x", MaxXMLLen+1) },
+		"version 0":    func(p *Publication) { p.Proto = 0 },
+		"version 3":    func(p *Publication) { p.Proto = PackedVersion + 1 },
+		"json frame":   func(p *Publication) { p.Proto = '{' },
+		"empty packed": func(p *Publication) { p.Proto, p.XML = PackedVersion, "" },
+		"huge packed":  func(p *Publication) { p.Proto, p.XML, p.Doc = PackedVersion, "", make([]byte, MaxXMLLen+1) },
+		"empty from":   func(p *Publication) { p.From = "" },
+		"long from":    func(p *Publication) { p.From = long },
+		"long addr":    func(p *Publication) { p.Addr = long },
+		"no origin":    func(p *Publication) { p.Origin = "" },
+		"long origin":  func(p *Publication) { p.Origin = long },
+		"huge ttl":     func(p *Publication) { p.TTL = MaxTTL + 1 },
+		"long trace":   func(p *Publication) { p.Trace = strings.Repeat("x", MaxTraceLen+1) },
+		"empty doc":    func(p *Publication) { p.XML = "" },
+		"huge doc":     func(p *Publication) { p.XML = strings.Repeat("x", MaxXMLLen+1) },
 	} {
 		p := valid
 		mutate(&p)

@@ -61,9 +61,11 @@ func FuzzDecodeAdvert(f *testing.F) {
 
 // FuzzDecodePublication drives the publication codec with arbitrary
 // bytes, as a peer stream does. It must never panic; whatever it
-// accepts satisfies every cap validatePublication enforces; and the
-// layout is canonical, so an accepted payload is byte for byte its own
-// encoding and decode∘encode is the identity on decoded values.
+// accepts satisfies every cap validatePublication enforces and carries
+// its document in the one form its version byte names; and the layout
+// is canonical, so an accepted payload of either version is byte for
+// byte its own encoding and decode∘encode is the identity on decoded
+// values.
 func FuzzDecodePublication(f *testing.F) {
 	valid := Publication{Proto: ProtocolVersion, From: "a", Addr: "http://h:1", Origin: "b", Seq: 9, TTL: 3, XML: "<x/>", Trace: "t"}
 	f.Add(rawPublication(valid))
@@ -89,15 +91,27 @@ func FuzzDecodePublication(f *testing.F) {
 	f.Add(rawPublication(valid)[:19])
 	f.Add([]byte(`{"proto":1,"from":"a","origin":"b","seq":7,"ttl":3,"xml":"<doc/>"}`))
 	f.Add([]byte{})
+	if golden, err := os.ReadFile("testdata/publish.v2.frame"); err == nil {
+		f.Add(golden[FrameHeaderLen:])
+		f.Add(golden[FrameHeaderLen : len(golden)-3]) // the codec does not look inside the document
+	}
+	for _, proto := range []int{0, PackedVersion + 1} {
+		p := valid
+		p.Proto = proto
+		f.Add(rawPublication(p))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, err := DecodePublication(data)
 		if err != nil {
 			return
 		}
-		if p.Proto != ProtocolVersion || p.TTL < 0 || p.TTL > MaxTTL ||
+		if p.TTL < 0 || p.TTL > MaxTTL ||
 			p.From == "" || len(p.From) > MaxOriginLen || p.Origin == "" || len(p.Origin) > MaxOriginLen ||
-			len(p.Addr) > MaxOriginLen || len(p.Trace) > MaxTraceLen || p.XML == "" || len(p.XML) > MaxXMLLen {
+			len(p.Addr) > MaxOriginLen || len(p.Trace) > MaxTraceLen || len(p.XML)+len(p.Doc) > MaxXMLLen {
 			t.Fatalf("decode accepted a publication over a cap: %+v", p)
+		}
+		if text, packed := p.Proto == ProtocolVersion && p.XML != "" && p.Doc == nil, p.Proto == PackedVersion && p.XML == "" && len(p.Doc) > 0; !text && !packed {
+			t.Fatalf("decode accepted version %d with %d bytes of text and %d packed", p.Proto, len(p.XML), len(p.Doc))
 		}
 		enc, err := EncodePublication(p)
 		if err != nil {

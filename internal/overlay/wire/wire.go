@@ -6,7 +6,10 @@
 // frames on one long-lived stream per link direction (frame.go), each
 // answered by an ack frame carrying the receiver's verdict. Adverts and
 // info are JSON; a publication is a small binary header followed by the
-// document's XML bytes, unescaped.
+// document: packed (xmltree.Pack bytes) under version byte 2, which is
+// what brokers send, or XML text under version byte 1, which brokers
+// before that sent and which is still decoded. A version-1 receiver
+// refuses a version-2 frame, so upgrade downstream brokers first.
 //
 // The codec is strict on decode: every accepted message is validated
 // (protocol version, bounded sizes, parseable patterns, finite digests)
@@ -27,8 +30,13 @@ import (
 )
 
 // ProtocolVersion is the overlay wire protocol version. Messages
-// carrying a different version are rejected on decode.
+// carrying a different version are rejected on decode, except that a
+// publication may also carry PackedVersion.
 const ProtocolVersion = 1
+
+// PackedVersion is the version byte of a publication whose document
+// travels packed (Publication.Doc) rather than as XML text.
+const PackedVersion = 2
 
 // Size caps enforced on decode. They bound the work a single message
 // can demand from a receiving broker, not legitimate use.
@@ -101,11 +109,13 @@ type AdvertBatch struct {
 
 // Publication is the payload of a publish frame: one document forwarded
 // through the overlay. On the wire it is proto (1 byte) | ttl (1) | seq
-// (8) | from | addr | origin | trace | xml, where the four fields are
-// each a 2-byte big-endian length and that many bytes and xml is the
-// rest of the payload; the json tags serve diagnostics only.
+// (8) | from | addr | origin | trace | document, where the four fields
+// are each a 2-byte big-endian length and that many bytes and the
+// document — Doc under PackedVersion, XML under ProtocolVersion — is
+// the rest of the payload; the json tags serve diagnostics only.
 type Publication struct {
-	// Proto is the wire protocol version (ProtocolVersion).
+	// Proto is the version byte, stamped by Encode from how the document
+	// travels: PackedVersion with Doc set, ProtocolVersion with XML set.
 	Proto int `json:"proto"`
 	// From is the sending node's id (the previous hop).
 	From string `json:"from"`
@@ -119,9 +129,12 @@ type Publication struct {
 	// TTL is the remaining hop budget; a node forwards with TTL-1 and
 	// drops at 0.
 	TTL int `json:"ttl"`
-	// XML is the document serialization. The codec treats it as opaque
-	// (the receiving broker parses it); only its size is bounded here.
-	XML string `json:"xml"`
+	// Doc is the document as xmltree.Pack bytes, XML as text; exactly one
+	// is set. The codec treats either as opaque (the receiving broker
+	// unpacks or parses it), bounding only its size; a decoded Doc is a
+	// slice of the payload.
+	Doc []byte `json:"-"`
+	XML string `json:"xml,omitempty"`
 	// Trace is an optional telemetry trace ID stamped at the origin;
 	// nodes handling a traced publication append hop spans retrievable
 	// via the daemon's GET /trace/{id}. Optional and opaque; empty means
@@ -129,8 +142,8 @@ type Publication struct {
 	Trace string `json:"trace,omitempty"`
 }
 
-// MaxTTL bounds Publication.TTL; MaxXMLLen bounds Publication.XML;
-// MaxTraceLen bounds Publication.Trace.
+// MaxTTL bounds Publication.TTL; MaxXMLLen bounds Publication.XML and
+// Publication.Doc; MaxTraceLen bounds Publication.Trace.
 const (
 	MaxTTL      = 64
 	MaxXMLLen   = 4 << 20
@@ -271,26 +284,29 @@ func validateAdvert(a *Advert, canonicalize bool) error {
 	return nil
 }
 
-// EncodePublication serializes a publication, stamping the protocol
-// version.
+// EncodePublication serializes a publication, stamping the version of
+// the form its document is in.
 func EncodePublication(p Publication) ([]byte, error) {
-	p.Proto = ProtocolVersion
+	p.Proto = PackedVersion
+	if p.XML != "" {
+		p.Proto = ProtocolVersion
+	}
 	if err := validatePublication(&p); err != nil {
 		return nil, fmt.Errorf("wire: encode publication: %w", err)
 	}
-	b := make([]byte, 0, 18+len(p.From)+len(p.Addr)+len(p.Origin)+len(p.Trace)+len(p.XML))
+	b := make([]byte, 0, 18+len(p.From)+len(p.Addr)+len(p.Origin)+len(p.Trace)+len(p.XML)+len(p.Doc))
 	b = append(b, byte(p.Proto), byte(p.TTL))
 	b = binary.BigEndian.AppendUint64(b, p.Seq)
 	for _, s := range [...]string{p.From, p.Addr, p.Origin, p.Trace} {
 		b = binary.BigEndian.AppendUint16(b, uint16(len(s)))
 		b = append(b, s...)
 	}
-	return append(b, p.XML...), nil
+	return append(append(b, p.XML...), p.Doc...), nil
 }
 
 // DecodePublication parses and validates a publication. The document
-// payload is bounded but not parsed here; the broker's XML parser is
-// the authority on its content. The result shares no memory with data.
+// payload is bounded but not parsed here; the broker's unpacker or XML
+// parser is the authority on its content. Only Doc shares data's memory.
 func DecodePublication(data []byte) (Publication, error) {
 	if len(data) < 10 {
 		return Publication{}, fmt.Errorf("wire: decode publication: truncated (%d bytes)", len(data))
@@ -304,7 +320,11 @@ func DecodePublication(data []byte) (Publication, error) {
 	if !ok {
 		return Publication{}, fmt.Errorf("wire: decode publication: truncated (%d bytes)", len(data))
 	}
-	p.XML = string(rest)
+	if p.Proto == PackedVersion {
+		p.Doc = rest
+	} else {
+		p.XML = string(rest)
+	}
 	if err := validatePublication(&p); err != nil {
 		return Publication{}, fmt.Errorf("wire: decode publication: %w", err)
 	}
@@ -322,8 +342,11 @@ func cutField(b []byte, ok bool) (string, []byte, bool) {
 }
 
 func validatePublication(p *Publication) error {
-	if p.Proto != ProtocolVersion {
-		return fmt.Errorf("protocol version %d, want %d", p.Proto, ProtocolVersion)
+	if p.Proto != ProtocolVersion && p.Proto != PackedVersion {
+		return fmt.Errorf("protocol version %d, want %d or %d", p.Proto, ProtocolVersion, PackedVersion)
+	}
+	if p.XML != "" && len(p.Doc) != 0 {
+		return fmt.Errorf("document both packed and as text")
 	}
 	if err := validateID(p.From, "from"); err != nil {
 		return err
@@ -337,10 +360,10 @@ func validatePublication(p *Publication) error {
 	if p.TTL < 0 || p.TTL > MaxTTL {
 		return fmt.Errorf("ttl %d outside [0,%d]", p.TTL, MaxTTL)
 	}
-	if len(p.XML) == 0 {
+	if len(p.XML)+len(p.Doc) == 0 {
 		return fmt.Errorf("empty document")
 	}
-	if len(p.XML) > MaxXMLLen {
+	if len(p.XML)+len(p.Doc) > MaxXMLLen {
 		return fmt.Errorf("document longer than %d bytes", MaxXMLLen)
 	}
 	if len(p.Trace) > MaxTraceLen {

@@ -39,10 +39,12 @@ const (
 	// partition keyed by stable subscription ids.
 	OpRebuild = "rebuild"
 	// OpDeliver records the at-least-once deliveries of one published
-	// document: the document's sequence number and serialized content,
-	// plus the (subscription id, cursor) pairs the routing fan-out
-	// enqueued. Only acked-mode subscriptions appear — at-most-once
-	// deliveries are ephemeral by contract and never journaled.
+	// document: the document's sequence number and content, plus the
+	// (subscription id, cursor) pairs the routing fan-out enqueued. Only
+	// acked-mode subscriptions appear — at-most-once deliveries are
+	// ephemeral by contract and never journaled. The content is packed
+	// (Doc; a binary record, see wal.go); logs from before that carry XML
+	// text in a JSON record, still read and, if XML is set, still written.
 	OpDeliver = "deliver"
 	// OpAck records a committed cursor advance: every delivery of the
 	// subscription with cursor ≤ Cursor is acknowledged and will never
@@ -92,11 +94,12 @@ type Record struct {
 	// Mode is the subscription's delivery mode (OpSubscribe): 0
 	// at-most-once (the default, omitted on the wire), 1 at-least-once.
 	Mode uint8 `json:"mode,omitempty"`
-	// Seq is the published document's sequence number and XML its
-	// serialized content (OpDeliver). The content rides in the record so
-	// recovery can repin documents the retention ring lost with the
-	// process.
+	// Seq is the published document's sequence number and Doc its
+	// content as xmltree.Pack bytes (OpDeliver; XML in a record of an
+	// older log). The content rides in the record so recovery can repin
+	// documents the retention ring lost with the process.
 	Seq uint64 `json:"seq,omitempty"`
+	Doc []byte `json:"-"`
 	XML string `json:"xml,omitempty"`
 	// Subs/Cursors/Comms are the parallel per-delivery arrays of an
 	// OpDeliver record: receiving subscription id, the cursor assigned,

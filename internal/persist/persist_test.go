@@ -3,9 +3,15 @@ package persist
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
+	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
+	"reflect"
+	"runtime"
 	"testing"
+	"time"
 )
 
 func openT(t *testing.T, dir string) *Store {
@@ -74,14 +80,68 @@ func TestWALRoundTrip(t *testing.T) {
 	}
 }
 
+// deliverRecord is an OpDeliver as the broker journals it: the document
+// packed, three deliveries.
+func deliverRecord(seq uint64) Record {
+	return Record{Op: OpDeliver, Seq: seq, Doc: []byte("\x03\x03\x05media\x02CD\x05title\x00\x01\x01\x01\x02\x00"),
+		Subs: []uint64{1, 11, 300}, Cursors: []uint64{seq, seq + 1<<40, 7}, Comms: []int{0, 3, 129}}
+}
+
+// TestWALDeliverForms: an OpDeliver carrying packed bytes is a binary
+// record a sixth the size of the text one, both forms append and read
+// back whole in one log, and a record whose arrays disagree is an
+// encode error with nothing written (fail-stop, as any encode error).
+func TestWALDeliverForms(t *testing.T) {
+	dir := t.TempDir()
+	s := openT(t, dir)
+	packed, text := deliverRecord(5), deliverRecord(6)
+	text.Doc, text.XML = nil, "<media><CD><title/></CD></media>"
+	empty := Record{Op: OpDeliver, Seq: 7, Subs: []uint64{}, Cursors: []uint64{}, Comms: []int{}}
+	for _, r := range []Record{packed, text, empty} {
+		if _, err := s.Append(r); err != nil {
+			t.Fatalf("Append: %v", err)
+		}
+	}
+	bad := deliverRecord(8)
+	bad.Comms = bad.Comms[:2]
+	if _, err := s.Append(bad); err == nil {
+		t.Fatal("Append of mismatched arrays succeeded")
+	}
+	s.Close()
+	data, err := os.ReadFile(filepath.Join(dir, walName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first := walHeaderLen + int(binary.LittleEndian.Uint32(data)); first != walHeaderLen+8+1+1+1+(1+1+1)+(1+6+1)+(2+1+2)+len(packed.Doc) {
+		t.Errorf("the binary record is %d bytes", first)
+	}
+	if bytes.Contains(data, []byte(`"doc"`)) || !bytes.Contains(data, []byte(`"xml":"\u003cmedia`)) {
+		t.Error("the text record is not the JSON it used to be")
+	}
+	s2 := openT(t, dir)
+	defer s2.Close()
+	got := replayAll(t, s2)
+	for i := range got {
+		got[i].LSN = 0
+	}
+	if want := []Record{packed, text, empty}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("replayed\n%+v\nwant\n%+v", got, want)
+	}
+}
+
 func TestWALTornTail(t *testing.T) {
 	dir := t.TempDir()
 	s := openT(t, dir)
-	for i := 1; i <= 3; i++ {
+	for i := 1; i <= 2; i++ {
 		if _, err := s.Append(Record{Op: OpSubscribe, ID: uint64(i), Expr: "/x"}); err != nil {
 			t.Fatalf("Append: %v", err)
 		}
 	}
+	before := s.met.appendBytes.Load()
+	if _, err := s.Append(deliverRecord(1)); err != nil {
+		t.Fatalf("Append: %v", err)
+	}
+	last := int(s.met.appendBytes.Load() - before)
 	s.Close()
 
 	walPath := filepath.Join(dir, walName)
@@ -89,12 +149,9 @@ func TestWALTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Chop bytes off the final frame at a few depths: mid-body, mid-header,
-	// and down to nothing of the last record.
-	for _, cut := range []int{1, len(data) / 10, walHeaderLen + 3} {
-		if cut >= len(data) {
-			continue
-		}
+	// Chop the final frame, a binary OpDeliver, at every byte: mid-document,
+	// mid-delivery, mid-varint, mid-header, and down to nothing of it.
+	for cut := 1; cut <= last; cut++ {
 		if err := os.WriteFile(walPath, data[:len(data)-cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -115,10 +172,127 @@ func TestWALTornTail(t *testing.T) {
 			t.Fatalf("cut %d: after repair+append got %d records (last %+v)", cut, len(recs), recs[len(recs)-1])
 		}
 		s3.Close()
-		if err := os.WriteFile(walPath, data, 0o644); err != nil {
-			t.Fatal(err)
+	}
+	if err := os.WriteFile(walPath, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s4 := openT(t, dir)
+	defer s4.Close()
+	if recs := replayAll(t, s4); len(recs) != 3 || !bytes.Equal(recs[2].Doc, deliverRecord(1).Doc) {
+		t.Fatalf("the whole log replayed %d records", len(recs))
+	}
+}
+
+// memFile is a WAL held in memory: what scanWAL and appendWAL use of a
+// File, the rest stubbed.
+type memFile struct {
+	data []byte
+	off  int64
+}
+
+func (f *memFile) Read(p []byte) (int, error) {
+	if f.off >= int64(len(f.data)) {
+		return 0, io.EOF
+	}
+	n := copy(p, f.data[f.off:])
+	f.off += int64(n)
+	return n, nil
+}
+func (f *memFile) Write(p []byte) (int, error) { f.data = append(f.data, p...); return len(p), nil }
+func (f *memFile) Seek(off int64, whence int) (int64, error) {
+	if whence != io.SeekStart {
+		return 0, fmt.Errorf("memFile: whence %d", whence)
+	}
+	f.off = off
+	return off, nil
+}
+func (f *memFile) Close() error               { return nil }
+func (f *memFile) Sync() error                { return nil }
+func (f *memFile) Truncate(int64) error       { return fmt.Errorf("memFile: truncate") }
+func (f *memFile) Stat() (os.FileInfo, error) { return memInfo{int64(len(f.data))}, nil }
+func (f *memFile) Name() string               { return "mem.wal" }
+
+type memInfo struct{ size int64 }
+
+func (i memInfo) Name() string       { return "mem.wal" }
+func (i memInfo) Size() int64        { return i.size }
+func (i memInfo) Mode() os.FileMode  { return 0o644 }
+func (i memInfo) ModTime() time.Time { return time.Time{} }
+func (i memInfo) IsDir() bool        { return false }
+func (i memInfo) Sys() any           { return nil }
+
+// FuzzScanWAL puts arbitrary bytes behind a good log — raw, as a crash
+// or a bad disk leaves them, or framed as one more record with a true
+// length and CRC, so the record decoders see them too. The scan must not
+// panic or fail, must report every record of the good log, must not
+// allocate beyond a multiple of what it was given (a length or a count
+// the bytes cannot back is a torn tail, not a request), and a binary
+// OpDeliver it accepts must survive being appended again.
+func FuzzScanWAL(f *testing.F) {
+	text := deliverRecord(2)
+	text.Doc, text.XML = nil, "<x><y/></x>"
+	good := []Record{{Op: OpSubscribe, ID: 1, Expr: "/x", Mode: 1}, deliverRecord(1), text}
+	var log memFile
+	for i, r := range good {
+		if _, err := appendWAL(&log, uint64(i+1), r); err != nil {
+			f.Fatal(err)
 		}
 	}
+	prefix := bytes.Clone(log.data)
+	huge := []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f} // uvarint 2^49-1
+	f.Add(prefix[walHeaderLen+8:walHeaderLen+8+40], false)
+	f.Add([]byte{0xff, 0xff, 0xff, 0x03, 0, 0, 0, 0, 1, 2, 3}, false) // a length the file cannot back
+	f.Add([]byte{deliverTag, 9, 1, 4, 5, 6, 1, 1, 1, 'a', 0, 0}, true)
+	f.Add([]byte{deliverTag, 9, 0}, true)
+	f.Add(append([]byte{deliverTag, 9}, huge...), true)                     // a count the body cannot back
+	f.Add(append(append([]byte{deliverTag}, huge...), 2, 1, 1, 1, 2), true) // second delivery cut short
+	f.Add([]byte{deliverTag, 0x80}, true)
+	f.Add([]byte(`{"op":"deliver","seq":3,"xml":"<a/>","subs":[1],"cursors":[2],"comms":[0]}`), true)
+	f.Add([]byte(`{"op":"rebuild","groups":[[1],[2]],"reps":[1,2]}`), true)
+	f.Add([]byte(`{"op":`), true)
+	f.Fuzz(func(t *testing.T, tail []byte, framed bool) {
+		file := &memFile{data: bytes.Clone(prefix)}
+		if framed {
+			frame := append(newFrame(uint64(len(good)+1), len(tail)), tail...)
+			binary.LittleEndian.PutUint32(frame[0:4], uint32(len(frame)-walHeaderLen))
+			binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(frame[walHeaderLen:]))
+			tail = frame
+		}
+		file.data = append(file.data, tail...)
+		var recs []Record
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		goodEnd, lastLSN, err := scanWAL(file, func(r Record) error { recs = append(recs, r); return nil })
+		runtime.ReadMemStats(&after)
+		if err != nil || goodEnd < int64(len(prefix)) || goodEnd > int64(len(file.data)) || lastLSN < uint64(len(good)) {
+			t.Fatalf("scan: good end %d of %d (prefix %d), last LSN %d, err %v", goodEnd, len(file.data), len(prefix), lastLSN, err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<16+64*uint64(len(file.data)) {
+			t.Fatalf("scanning %d bytes allocated %d", len(file.data), grew)
+		}
+		if len(recs) < len(good) {
+			t.Fatalf("scan reported %d of the %d good records", len(recs), len(good))
+		}
+		for i, want := range good {
+			if recs[i].LSN = 0; !reflect.DeepEqual(recs[i], want) {
+				t.Fatalf("good record %d read back as %+v", i, recs[i])
+			}
+		}
+		if len(recs) == len(good) && goodEnd != int64(len(prefix)) {
+			t.Fatalf("good end %d moved past the good log (%d) without a record", goodEnd, len(prefix))
+		}
+		if framed && len(recs) > len(good) && tail[walHeaderLen+8] == deliverTag {
+			var again memFile
+			if _, err := appendWAL(&again, 1, recs[len(good)]); err != nil {
+				t.Fatalf("an accepted binary record does not append: %v", err)
+			}
+			var back []Record
+			scanWAL(&again, func(r Record) error { back = append(back, r); return nil })
+			if recs[len(good)].LSN = 1; len(back) != 1 || !reflect.DeepEqual(back[0], recs[len(good)]) {
+				t.Fatalf("an accepted binary record re-read as %+v, was %+v", back, recs[len(good)])
+			}
+		}
+	})
 }
 
 func TestWALCorruptCRC(t *testing.T) {

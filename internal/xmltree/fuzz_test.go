@@ -2,6 +2,7 @@ package xmltree
 
 import (
 	"encoding/xml"
+	"errors"
 	"strings"
 	"testing"
 )
@@ -16,12 +17,26 @@ var allParseOptions = []ParseOptions{
 
 // diffReference fails t unless Parse and the encoding/xml reference
 // agree on s under every ParseOptions combination: both accept or both
-// reject, and accepted trees are Equal.
+// reject, and accepted trees are Equal. The one disagreement allowed is
+// depth: Parse refuses errTooDeep what the reference accepts, provided
+// the reference's tree really has more than MaxDepth-2 levels.
 func diffReference(t *testing.T, s string) {
 	t.Helper()
 	for _, opts := range allParseOptions {
 		want, wantErr := referenceParse(strings.NewReader(s), opts)
 		got, err := ParseString(s, opts)
+		if errors.Is(err, errTooDeep) {
+			if wantErr == nil && want.Depth() <= MaxDepth-2 {
+				t.Fatalf("Parse(%d bytes, %+v) refused as too deep a tree of depth %d", len(s), opts, want.Depth())
+			}
+			if _, rerr := Parse(strings.NewReader(s), opts); !errors.Is(rerr, errTooDeep) {
+				t.Fatalf("Parse(%d bytes, %+v) over a reader = %v; ParseString = %v", len(s), opts, rerr, err)
+			}
+			continue
+		}
+		if err == nil && got.Depth() > MaxDepth {
+			t.Fatalf("Parse(%d bytes, %+v) accepted a tree of depth %d", len(s), opts, got.Depth())
+		}
 		if (err == nil) != (wantErr == nil) {
 			t.Fatalf("Parse(%q, %+v): err = %v, reference err = %v", s, opts, err, wantErr)
 		}
@@ -53,13 +68,20 @@ var referenceSeeds = []string{
 	strings.Repeat("<a>", 100) + strings.Repeat("</a>", 100), strings.Repeat("<a>", 100),
 }
 
-// TestDeepNestingVsReference is the 10 000-deep case. It is a test, not
-// a fuzz seed: the fuzzer spends its whole budget minimizing the 70 KB
-// mutants such a seed breeds.
+// TestDeepNestingVsReference is the deep cases: at the depth bound,
+// where Parse and the reference must still agree, and past it, where
+// Parse alone refuses. They are tests, not fuzz seeds: the fuzzer spends
+// its whole budget minimizing the 70 KB mutants such seeds breed.
 func TestDeepNestingVsReference(t *testing.T) {
-	diffReference(t, strings.Repeat("<a>", 10000)+strings.Repeat("</a>", 10000))
-	diffReference(t, strings.Repeat("<a>", 10000)+strings.Repeat("</a>", 9999))
-	diffReference(t, strings.Repeat("<a b='1'>t", 10000)+strings.Repeat("</a>", 10000))
+	for _, depth := range []int{MaxDepth - 2, MaxDepth - 1, 10000} {
+		diffReference(t, strings.Repeat("<a>", depth)+strings.Repeat("</a>", depth))
+		diffReference(t, strings.Repeat("<a>", depth)+strings.Repeat("</a>", depth-1))
+		diffReference(t, strings.Repeat("<a b='1'>t", depth)+strings.Repeat("</a>", depth))
+		_, err := ParseString(strings.Repeat("<a b='1'>t", depth)+strings.Repeat("</a>", depth), ParseOptions{TextAsNodes: true, AttributesAsNodes: true})
+		if tooDeep := depth > MaxDepth-2; errors.Is(err, errTooDeep) != tooDeep || (err != nil) != tooDeep {
+			t.Errorf("%d elements deep: err = %v", depth, err)
+		}
+	}
 }
 
 // FuzzParseVsReference holds the hand-written scanner to the

@@ -67,8 +67,8 @@ var errPacked = errors.New("xmltree: unpack: truncated or corrupt document")
 // Unpack rebuilds the tree Pack encoded, into the same two exactly
 // sized slabs Parse builds (labels come from the shared label cache).
 // Empty input is the empty document: a nil tree. Input that Pack did
-// not produce is an error, and no count it claims is trusted beyond
-// what its own length could hold.
+// not produce is an error, as is a tree deeper than MaxDepth, and no
+// count it claims is trusted beyond what its own length could hold.
 func Unpack(b []byte) (*Tree, error) {
 	if len(b) == 0 {
 		return nil, nil
@@ -98,27 +98,32 @@ func Unpack(b []byte) (*Tree, error) {
 	nodes := make([]Node, nNodes)
 	ptrs := make([]*Node, nNodes-1)
 	// open holds, for each node still missing children, the range of
-	// ptrs they go to; pre-order puts the next node under the innermost.
-	type span struct{ next, end uint64 }
-	var open []span
-	used := uint64(0) // of ptrs
+	// ptrs they go to and their depth; pre-order puts the next node under
+	// the innermost.
+	type span struct{ next, end, depth uint64 }
+	open := make([]span, 0, 32) // on the stack unless the document is deeper
+	used := uint64(0)           // of ptrs
 	for i := range nodes {
 		li, kids := next(), next()
 		if !ok || li >= nLabels || kids > uint64(len(ptrs))-used || (i > 0 && len(open) == 0) {
 			return nil, errPacked
 		}
+		depth := uint64(1)
 		if i > 0 {
 			top := &open[len(open)-1]
-			ptrs[top.next] = &nodes[i]
+			ptrs[top.next], depth = &nodes[i], top.depth
 			if top.next++; top.next == top.end {
 				open = open[:len(open)-1]
 			}
 		}
 		nodes[i].Label = labels[li]
 		if kids > 0 {
+			if depth == MaxDepth {
+				return nil, errTooDeep
+			}
 			// cap == len, as in parse: AddChild must not grow into the next list.
 			nodes[i].Children = ptrs[used : used+kids : used+kids]
-			open = append(open, span{used, used + kids})
+			open = append(open, span{used, used + kids, depth + 1})
 			used += kids
 		}
 	}

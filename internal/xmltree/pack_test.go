@@ -59,10 +59,10 @@ func TestPackRoundTrip(t *testing.T) {
 	long := xmltree.New(strings.Repeat("x", 65)) // past the label cache's limit
 	long.Root.AddChild(strings.Repeat("y", 300)).AddChild("")
 	for name, tr := range map[string]*xmltree.Tree{
-		"single node":     xmltree.New("a"),
-		"many labels":     wide,
-		"long labels":     long,
-		"deep chain 10e3": chain(10000),
+		"single node":            xmltree.New("a"),
+		"many labels":            wide,
+		"long labels":            long,
+		"deep chain at MaxDepth": chain(xmltree.MaxDepth),
 	} {
 		t.Run(name, func(t *testing.T) { roundTrip(t, tr) })
 	}
@@ -118,6 +118,28 @@ func TestUnpackRejects(t *testing.T) {
 				t.Errorf("Unpack of %d bytes allocated %d", len(b), grew)
 			}
 		})
+	}
+}
+
+// TestUnpackDepthBound: a tree of MaxDepth levels unpacks, one level
+// more is refused, and a 140 000-deep chain costs what its bytes back
+// (the slabs, sized before the depth is known) and nothing per level.
+func TestUnpackDepthBound(t *testing.T) {
+	if _, err := xmltree.Unpack(xmltree.Pack(chain(xmltree.MaxDepth))); err != nil {
+		t.Errorf("a tree %d deep: %v", xmltree.MaxDepth, err)
+	}
+	for _, depth := range []int{xmltree.MaxDepth + 1, 140000} {
+		b := xmltree.Pack(chain(depth))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		got, err := xmltree.Unpack(b)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("a tree %d deep unpacked (%d nodes)", depth, got.Size())
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 32*uint64(len(b)) {
+			t.Errorf("Unpack of %d bytes, %d deep, allocated %d", len(b), depth, grew)
+		}
 	}
 }
 

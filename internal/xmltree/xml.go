@@ -27,10 +27,19 @@ type ParseOptions struct {
 	AttributesAsNodes bool
 }
 
+// MaxDepth bounds the depth of a tree made from bytes that entered the
+// process, because matching sizes scratch per level: Parse refuses
+// elements nested deeper than MaxDepth-2 (room for an attribute node and
+// its value under the innermost), Unpack a tree deeper than MaxDepth.
+// Generated NITF and xCBL documents are about 10 deep.
+const MaxDepth = 2048
+
+var errTooDeep = fmt.Errorf("xmltree: document nested deeper than %d", MaxDepth)
+
 // Parse reads the whole of r, which must hold one XML document, and
-// returns its tree. It accepts and rejects exactly what encoding/xml's
-// strict decoder does (FuzzParseVsReference): elements and attributes
-// with valid XML 1.0 names, character data with the five predefined
+// returns its tree. MaxDepth apart, it accepts and rejects exactly what
+// encoding/xml's strict decoder does (FuzzParseVsReference): elements
+// and attributes with valid XML 1.0 names, character data with the five predefined
 // entities and numeric character references, CDATA sections, comments,
 // processing instructions, an XML declaration naming version 1.0 and
 // UTF-8, and <!DOCTYPE …> with a nested internal subset; input must be
@@ -187,6 +196,9 @@ func (sc *scanner) startTag() error {
 	}
 	if len(sc.open) == 0 && len(sc.nodes) > 0 {
 		return sc.errorf("multiple root elements")
+	}
+	if len(sc.open) == MaxDepth-2 {
+		return errTooDeep
 	}
 	sc.open = append(sc.open, openElem{node: sc.add(cachedLabel(local)), base: len(sc.pending), nameOff: sc.pos + 1, nameEnd: nameEnd})
 	for i := nameEnd; ; {
