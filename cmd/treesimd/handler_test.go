@@ -362,6 +362,9 @@ func TestIntrospectEndpointsStandalone(t *testing.T) {
 			t.Fatalf("subscribe: %d", w.Code)
 		}
 	}
+	if w := do(t, h, "POST", "/publish", "application/xml", "<a><b><c/></b></a>"); w.Code != http.StatusOK {
+		t.Fatalf("publish: %d", w.Code)
+	}
 	w := do(t, h, "GET", "/introspect/communities", "", "")
 	if w.Code != http.StatusOK {
 		t.Fatalf("communities: %d", w.Code)
@@ -374,6 +377,16 @@ func TestIntrospectEndpointsStandalone(t *testing.T) {
 	}
 	if len(comms.Communities) == 0 {
 		t.Fatalf("no communities introspected: %s", w.Body.String())
+	}
+	// Nobody has drained the one publish: every community's log holds it,
+	// and its members are that one entry behind.
+	for _, c := range comms.Communities {
+		if c.LogEntries != 1 || c.SlowestLag != 1 {
+			t.Errorf("community %d: %d log entries, slowest lag %d; want 1 and 1", c.Community, c.LogEntries, c.SlowestLag)
+		}
+	}
+	if body := w.Body.String(); !strings.Contains(body, `"log_entries":1`) || !strings.Contains(body, `"slowest_lag":1`) {
+		t.Errorf("communities JSON lacks log_entries/slowest_lag: %s", body)
 	}
 	w = do(t, h, "GET", "/introspect/subscriptions", "", "")
 	var subs struct {

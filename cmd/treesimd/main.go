@@ -28,7 +28,7 @@
 //	GET    /metrics                                       → Prometheus text exposition
 //	GET    /trace/{id}                                    → this node's spans for a publication trace
 //	POST   /explain            raw XML document           → routing decision record (nothing published)
-//	GET    /introspect/communities                        → clustering snapshot (id, shard, rep, members)
+//	GET    /introspect/communities                        → clustering snapshot (id, shard, rep, members, log_entries, slowest_lag)
 //	GET    /introspect/subscriptions                      → live subscriptions with queue depth
 //	GET    /introspect/routes                             → per-origin advert routing table (federated)
 //	GET    /introspect/links                              → per-link health and backoff (federated)

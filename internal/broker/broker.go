@@ -40,15 +40,16 @@
 //     batches (one lock acquisition per batch); publishing waits on
 //     synopsis maintenance only when the bounded pipeline is full
 //     (backpressure), and even then never stalls drains or stats.
-//   - Per-consumer delivery queues with backpressure: bounded rings
-//     that drop the oldest delivery when a slow consumer falls behind,
-//     drained with long-poll semantics.
+//   - Delivery shared like routing: one bounded log per community,
+//     read by each at-most-once member through its own cursor (a slow
+//     consumer loses the oldest deliveries, counted), long-polled.
 //
 // Matching and concurrency: parallelism comes from concurrent
 // publishers, not from splitting one publish — they share the routing
 // read lock and Forest.Match is re-entrant, and drains synchronize per
-// queue. Churn takes the routing write lock for one forest edit plus
-// the table rebuild. Subscribe, Unsubscribe and policy rebuilds are
+// subscription and log. Churn takes the routing write lock for one
+// forest edit plus the table rebuild. Subscribe, Unsubscribe and policy
+// rebuilds are
 // exclusive on the registry but hold it only for the commit — the O(n)
 // similarity row, the O(n²) rebuild matrix and view refreshes happen
 // from snapshots outside the registry lock. Rows
@@ -84,8 +85,8 @@ type Config struct {
 	Metric metrics.Metric
 	// Threshold is the community similarity threshold (default 0.5).
 	Threshold float64
-	// QueueCapacity bounds each consumer's delivery queue (default 256).
-	// When a queue is full the oldest delivery is dropped and counted.
+	// QueueCapacity bounds what an at-most-once consumer can have pending
+	// (default 256): the next delivery drops its oldest, counted.
 	QueueCapacity int
 	// IngestQueue bounds the publish→synopsis pipeline (default 1024
 	// documents). A full pipeline applies backpressure to publishers.
@@ -196,7 +197,7 @@ func (c Config) withDefaults() Config {
 type DeliveryMode uint8
 
 const (
-	// AtMostOnce is the default: a bounded drop-oldest ring. A slow
+	// AtMostOnce is the default: a bounded drop-oldest window. A slow
 	// consumer loses the oldest deliveries first; the loss is counted
 	// and surfaces as the drain's gap marker, never silently.
 	AtMostOnce DeliveryMode = iota
@@ -247,7 +248,7 @@ type PublishResult struct {
 	Seq uint64 `json:"seq"`
 	// Matched is the number of communities whose representative matched.
 	Matched int `json:"matched"`
-	// Deliveries is the number of queues the document was delivered to.
+	// Deliveries is the number of subscriptions the document was delivered to.
 	Deliveries int `json:"deliveries"`
 	// Dropped counts older deliveries this document evicted from full
 	// consumer queues (plus deliveries lost to closed queues). The
@@ -267,9 +268,20 @@ type subscriber struct {
 	id   uint64
 	pat  *pattern.Pattern
 	expr string
-	// mode is the delivery contract, fixed at subscribe time.
+	// mode is the delivery contract, fixed at subscribe time: it has cur
+	// (at-most-once) or q.
 	mode DeliveryMode
+	cur  *cursor
 	q    *queue
+}
+
+// pending is the number of undischarged deliveries.
+func (s *subscriber) pending() int {
+	if s.q != nil {
+		return s.q.len()
+	}
+	n, _ := s.cur.info()
+	return n
 }
 
 // Engine is the live broker. Create with New, stop with Close.
@@ -283,13 +295,15 @@ type Engine struct {
 	subs []*subscriber
 	byID map[uint64]int
 	// comms is the clustering; commFH[g] is the handle of community g's
-	// one pattern in the forest — its representative's (index-aligned
-	// with comms.Groups).
-	comms  *cluster.Communities
-	commFH []int
-	nextID uint64
-	stale  int // registry mutations since the last full rebuild
-	regVer uint64
+	// one pattern in the forest — its representative's — and commLogs[g]
+	// its at-most-once delivery log (both index-aligned with
+	// comms.Groups).
+	comms    *cluster.Communities
+	commFH   []int
+	commLogs []*commLog
+	nextID   uint64
+	stale    int // registry mutations since the last full rebuild
+	regVer   uint64
 	// walLSN is the LSN of the newest successfully journaled mutation
 	// (see Journal). Updated inside the same registry critical sections
 	// that commit and journal, so a State cut under the registry lock
@@ -479,7 +493,8 @@ func (e *Engine) Estimator() *core.Estimator { return e.est }
 func (e *Engine) Telemetry() *telemetry.Registry { return e.tel }
 
 // Close stops the ingest pipeline after draining it and closes every
-// delivery queue. Publish/Subscribe after Close return ErrClosed.
+// delivery queue and log: what they hold still drains, and an empty drain
+// no longer waits. Publish/Subscribe after Close return ErrClosed.
 func (e *Engine) Close() error {
 	e.mu.Lock()
 	if e.closed {
@@ -498,9 +513,12 @@ func (e *Engine) Close() error {
 	e.routeMu.Lock()
 	e.routeClosed = true
 	for _, s := range subs {
-		if seqs := s.q.close(); len(seqs) > 0 {
-			e.docs.unpin(seqs...)
+		if s.q != nil {
+			e.docs.unpin(s.q.close()...)
 		}
+	}
+	for _, l := range e.commLogs {
+		l.close()
 	}
 	e.routeMu.Unlock()
 	close(e.sweepStop)
@@ -740,12 +758,13 @@ func (e *Engine) commitSubscribeLocked(p *pattern.Pattern, expr string, row []fl
 // exclusively.
 func (e *Engine) installSubLocked(id uint64, p *pattern.Pattern, expr string, g int, mode DeliveryMode) {
 	e.byID[id] = len(e.subs)
-	e.subs = append(e.subs, &subscriber{id: id, pat: p, expr: expr, mode: mode, q: e.newSubQueue(mode)})
+	e.subs = append(e.subs, e.newSubscriber(id, p, expr, mode))
 	e.stale++
 	e.regVer++
 	e.editRoutingLocked(func() {
 		if g == len(e.commFH) {
 			e.commFH = append(e.commFH, e.forest.Add(p))
+			e.commLogs = append(e.commLogs, e.newCommLog())
 		}
 	})
 }
@@ -787,8 +806,8 @@ func (e *Engine) removeSubLocked(id uint64) bool {
 	// Closing the queue discharges any remaining at-least-once entries:
 	// an unsubscribe is the consumer's explicit exit from the delivery
 	// contract, so the documents' retention pins drop with it.
-	if seqs := s.q.close(); len(seqs) > 0 {
-		e.docs.unpin(seqs...)
+	if s.q != nil {
+		e.docs.unpin(s.q.close()...)
 	}
 	delete(e.byID, id)
 	g := e.comms.Find(idx)
@@ -799,6 +818,7 @@ func (e *Engine) removeSubLocked(id uint64) bool {
 	dissolved := len(e.comms.Groups) < groupsBefore
 	if dissolved {
 		e.commFH = append(e.commFH[:g], e.commFH[g+1:]...)
+		e.commLogs = append(e.commLogs[:g], e.commLogs[g+1:]...)
 	}
 	e.subs = append(e.subs[:idx], e.subs[idx+1:]...)
 	for i := idx; i < len(e.subs); i++ {
@@ -811,6 +831,9 @@ func (e *Engine) removeSubLocked(id uint64) bool {
 	// unless the community dissolved with it, puts in the successor's
 	// (the handle the Remove freed is the one the Add gets).
 	e.editRoutingLocked(func() {
+		if s.cur != nil {
+			s.cur.move(nil) // here, so a publish's member count is the log's
+		}
 		if !wasRep {
 			return
 		}
@@ -890,13 +913,19 @@ func (e *Engine) patternsLocked(dst []*pattern.Pattern) []*pattern.Pattern {
 	return dst
 }
 
-// newSubQueue builds the delivery queue for a subscription's mode.
-func (e *Engine) newSubQueue(mode DeliveryMode) *queue {
+// newSubscriber builds a subscription with its mode's delivery state; the
+// routing rebuild puts a cursor on its community's log.
+func (e *Engine) newSubscriber(id uint64, p *pattern.Pattern, expr string, mode DeliveryMode) *subscriber {
+	s := &subscriber{id: id, pat: p, expr: expr, mode: mode}
 	if mode == AtLeastOnce {
-		return newAckQueue(e.cfg.AckQueueCapacity)
+		s.q = newAckQueue(e.cfg.AckQueueCapacity)
+	} else {
+		s.cur = new(cursor)
 	}
-	return newQueue(e.cfg.QueueCapacity)
+	return s
 }
+
+func (e *Engine) newCommLog() *commLog { return &commLog{capacity: e.cfg.QueueCapacity} }
 
 // DrainResult is one drain's batch plus the delivery-contract context
 // the plain []Delivery return never carried.
@@ -915,8 +944,8 @@ type DrainResult struct {
 	// Redelivered counts batch entries handed out before (lease lapse
 	// or crash recovery).
 	Redelivered int
-	// Gap counts at-most-once deliveries evicted (drop-oldest) since
-	// the previous drain observed them — the explicit marker that the
+	// Gap counts at-most-once deliveries lost (drop-oldest) since the
+	// previous drain reported them — the explicit marker that the
 	// consumer missed documents between polls.
 	Gap uint64
 }
@@ -950,6 +979,9 @@ func (e *Engine) DrainBatch(id uint64, max int, wait time.Duration) (DrainResult
 		return DrainResult{}, fmt.Errorf("%w %d", ErrNotFound, id)
 	}
 	r := DrainResult{Mode: s.mode}
+	if max <= 0 {
+		max = 1 << 30
+	}
 	if s.mode == AtLeastOnce {
 		ds, committed, redelivered := s.q.drainAcked(max, wait, e.cfg.AckLease, &e.counters)
 		r.Deliveries, r.Committed, r.Redelivered = ds, committed, redelivered
@@ -975,9 +1007,8 @@ func (e *Engine) DrainBatch(id uint64, max int, wait time.Duration) (DrainResult
 		}
 		return r, nil
 	}
-	ds, gap := s.q.drain(max, wait)
-	r.Deliveries, r.Gap = ds, gap
-	e.counters.drained.Add(uint64(len(ds)))
+	r.Deliveries, r.Gap = s.cur.drain(max, wait)
+	e.counters.drained.Add(uint64(len(r.Deliveries)))
 	return r, nil
 }
 
@@ -1103,7 +1134,7 @@ func (e *Engine) Pending(id uint64) int {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	if idx, ok := e.byID[id]; ok {
-		return e.subs[idx].q.len()
+		return e.subs[idx].pending()
 	}
 	return 0
 }

@@ -163,6 +163,11 @@ type CommunityInfo struct {
 	RepExpr string `json:"rep"`
 	// MemberIDs are the member subscription ids, sorted ascending.
 	MemberIDs []uint64 `json:"members"`
+	// LogEntries is what the community's at-most-once delivery log holds
+	// (at most the queue capacity), SlowestLag how many of them its
+	// furthest-behind member has yet to drain.
+	LogEntries int `json:"log_entries"`
+	SlowestLag int `json:"slowest_lag"`
 }
 
 // IntrospectCommunities snapshots the clustering: one row per
@@ -185,6 +190,7 @@ func (e *Engine) IntrospectCommunities() []CommunityInfo {
 			ci.MemberIDs = append(ci.MemberIDs, e.subs[idx].id)
 		}
 		sortIDs(ci.MemberIDs)
+		ci.LogEntries, ci.SlowestLag = e.commLogs[g].lag()
 		out = append(out, ci)
 	}
 	return out
@@ -199,8 +205,9 @@ type SubscriptionInfo struct {
 	Shard int `json:"shard"`
 	// Mode is the delivery contract ("at-most-once" / "at-least-once").
 	Mode string `json:"mode"`
-	// Pending is the subscription's current delivery-queue depth:
-	// ring occupancy, or redeliverable (unleased) cursor-log entries.
+	// Pending is the subscription's current delivery-queue depth: what
+	// its cursor has yet to read, or redeliverable (unleased) cursor-log
+	// entries.
 	Pending int `json:"pending"`
 	// Dropped is the subscription's lifetime drop-oldest evictions
 	// (at-most-once) — the per-consumer attribution of the aggregate
@@ -229,23 +236,15 @@ func (e *Engine) IntrospectSubscriptions() []SubscriptionInfo {
 	defer e.mu.RUnlock()
 	out := make([]SubscriptionInfo, 0, len(e.subs))
 	for idx, s := range e.subs {
-		mode, pending, inflight, committed, lastCursor, st, dropped := s.q.info()
-		out = append(out, SubscriptionInfo{
-			ID:            s.id,
-			Pattern:       s.expr,
-			Community:     e.comms.Find(idx),
-			Mode:          mode.String(),
-			Pending:       pending,
-			Dropped:       dropped,
-			InFlight:      inflight,
-			Committed:     committed,
-			LastCursor:    lastCursor,
-			Delivered:     st.delivered,
-			Acked:         st.acked,
-			Redelivered:   st.redelivered,
-			Shed:          st.shed,
-			LeaseExpiries: st.expired,
-		})
+		si := SubscriptionInfo{ID: s.id, Pattern: s.expr, Community: e.comms.Find(idx), Mode: s.mode.String()}
+		if s.q == nil {
+			si.Pending, si.Dropped = s.cur.info()
+		} else {
+			var st ackStats
+			si.Pending, si.InFlight, si.Committed, si.LastCursor, st = s.q.info()
+			si.Delivered, si.Acked, si.Redelivered, si.Shed, si.LeaseExpiries = st.delivered, st.acked, st.redelivered, st.shed, st.expired
+		}
+		out = append(out, si)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out

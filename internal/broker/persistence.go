@@ -246,9 +246,8 @@ func Restore(cfg Config, st *State) (*Engine, error) {
 		if _, dup := e.byID[se.ID]; dup {
 			return nil, fmt.Errorf("broker: restore: duplicate subscription id %d", se.ID)
 		}
-		mode := DeliveryMode(se.Mode)
-		q := e.newSubQueue(mode)
-		if mode == AtLeastOnce {
+		s := e.newSubscriber(se.ID, p, se.Expr, DeliveryMode(se.Mode))
+		if q := s.q; q != nil {
 			// The engine is not shared yet; fields are set directly. All
 			// recovered entries are redeliverable (no surviving leases).
 			q.committed = se.Committed
@@ -260,7 +259,7 @@ func Restore(cfg Config, st *State) (*Engine, error) {
 			}
 		}
 		e.byID[se.ID] = i
-		e.subs = append(e.subs, &subscriber{id: se.ID, pat: p, expr: se.Expr, mode: mode, q: q})
+		e.subs = append(e.subs, s)
 		if se.ID > e.nextID {
 			e.nextID = se.ID
 		}
@@ -272,8 +271,9 @@ func Restore(cfg Config, st *State) (*Engine, error) {
 	// ingester never touches routing state), so no locks are needed.
 	e.comms = comms
 	e.commFH = make([]int, len(comms.Groups))
+	e.commLogs = make([]*commLog, len(comms.Groups))
 	for g, rep := range comms.Reps {
-		e.commFH[g] = e.forest.Add(e.subs[rep].pat)
+		e.commFH[g], e.commLogs[g] = e.forest.Add(e.subs[rep].pat), e.newCommLog()
 	}
 	e.rebuildRoutingLocked()
 	e.stale = st.Stale

@@ -33,6 +33,28 @@ type ingestItem struct {
 // the local producer, load shedding across the federation boundary.
 var ErrBusy = fmt.Errorf("broker: ingest pipeline full")
 
+// ErrTooDeep is returned by the publish entry points for a tree with
+// more levels than xmltree.MaxDepth, which no parser hands out: Unpack
+// would not read it back from retention. It is refused whole — not
+// ingested, retained or routed.
+var ErrTooDeep = fmt.Errorf("broker: document nested deeper than %d", xmltree.MaxDepth)
+
+// tooDeep reports whether t has more levels than xmltree.MaxDepth.
+func tooDeep(t *xmltree.Tree) bool {
+	return t != nil && t.Root != nil && deeper(t.Root, xmltree.MaxDepth)
+}
+
+// deeper reports whether the subtree at n has more than room levels (at
+// least 1), descending no further; leaves, most nodes, cost no call.
+func deeper(n *xmltree.Node, room int) bool {
+	for _, c := range n.Children {
+		if room == 1 || (len(c.Children) > 0 && deeper(c, room-1)) {
+			return true
+		}
+	}
+	return false
+}
+
 // Publish routes one document: it is queued for synopsis ingestion
 // (blocking only if the ingest pipeline is full — backpressure), loaded
 // once into a pooled flat arena, then matched against the forest in one
@@ -71,6 +93,9 @@ func (e *Engine) logShed() {
 // off. doc is t as it arrived, packed (xmltree.Pack's form); retention
 // keeps that slice itself. nil has the engine pack t.
 func (e *Engine) InjectRemote(t *xmltree.Tree, doc []byte) (PublishResult, error) {
+	if tooDeep(t) {
+		return PublishResult{}, ErrTooDeep
+	}
 	start := time.Now()
 	e.pipeMu.RLock()
 	if e.pipeClosed {
@@ -91,6 +116,9 @@ func (e *Engine) InjectRemote(t *xmltree.Tree, doc []byte) (PublishResult, error
 }
 
 func (e *Engine) publish(t *xmltree.Tree, remote bool) (PublishResult, error) {
+	if tooDeep(t) {
+		return PublishResult{}, ErrTooDeep
+	}
 	start := time.Now()
 	// Enqueue for ingestion before taking any routing lock: a full
 	// pipeline blocks only publishers (and Close), never Drain/Stats.
@@ -146,6 +174,11 @@ func (e *Engine) PublishBatch(ts []*xmltree.Tree) ([]PublishResult, error) {
 	out := make([]PublishResult, len(ts))
 	if len(ts) == 0 {
 		return out, nil
+	}
+	for _, t := range ts {
+		if tooDeep(t) {
+			return nil, ErrTooDeep
+		}
 	}
 	e.pipeMu.RLock()
 	if e.pipeClosed {

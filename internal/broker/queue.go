@@ -5,43 +5,29 @@ import (
 	"time"
 )
 
-// queue is one consumer's delivery buffer, in one of two modes fixed at
-// subscribe time:
+// queue is one at-least-once subscription's delivery state and nothing
+// else (an at-most-once subscription is a cursor into its community's
+// log, commlog.go): a cursor-ordered log with explicit acknowledgment.
+// Every accepted delivery is assigned the next cursor; draining hands
+// out redeliverable entries in cursor order and puts them in flight
+// under a lease; ack(upto) discharges the prefix and advances the
+// committed cursor; a lapsed lease returns the entry to redeliverable.
+// Capacity overflow sheds the oldest entry — counted, never silent — so
+// one dead consumer cannot pin the broker's memory forever.
 //
-//   - At-most-once (the default): a bounded ring. Pushing to a full
-//     queue evicts the oldest delivery (live feeds prefer fresh
-//     documents; the eviction is counted by the engine as a drop and
-//     surfaces to the consumer as the drain's gap marker).
-//   - At-least-once: a cursor-ordered log with explicit acknowledgment.
-//     Every accepted delivery is assigned the next cursor; draining
-//     hands out redeliverable entries in cursor order and puts them
-//     in flight under a lease; ack(upto) discharges the prefix and
-//     advances the committed cursor; a lapsed lease returns the entry
-//     to redeliverable. Capacity overflow sheds the oldest entry —
-//     counted, never silent — so one dead consumer cannot pin the
-//     broker's memory forever.
-//
-// Draining long-polls in both modes: an empty drain waits for a push,
+// Draining long-polls: an empty drain waits for a redeliverable entry,
 // the queue closing, or the deadline. The wake channel implements the
 // wait: it is closed (waking every waiter) and replaced whenever a
 // redeliverable delivery appears or the queue closes.
 type queue struct {
-	mu      sync.Mutex
-	mode    DeliveryMode
-	buf     []Delivery
-	head, n int
-	closed  bool
-	wake    chan struct{}
+	mu     sync.Mutex
+	closed bool
+	wake   chan struct{}
 
-	// At-most-once loss accounting: gap counts evictions since the last
-	// drain observed them (reported and reset by drain — the "you
-	// missed N" marker); dropped is the lifetime total.
-	gap     uint64
-	dropped uint64
-
-	// At-least-once cursor log. entries is cursor-ordered; lastCursor
-	// the highest cursor assigned; committed the highest acked cursor;
-	// inflight the number of entries currently under a consumer lease.
+	// entries is cursor-ordered; lastCursor the highest cursor assigned;
+	// committed the highest acked cursor; inflight the number of entries
+	// currently under a consumer lease. The log starts empty and grows to
+	// capacity: a well-behaved consumer keeps it near-empty.
 	capacity   int
 	entries    []ackEntry
 	lastCursor uint64
@@ -72,59 +58,14 @@ type ackStats struct {
 	expired     uint64 // lease lapses (inflight → redeliverable flips)
 }
 
-func newQueue(capacity int) *queue {
-	return &queue{buf: make([]Delivery, capacity), wake: make(chan struct{})}
-}
-
-// newAckQueue builds an at-least-once queue. The log starts empty and
-// grows to capacity; unlike the ring there is no fixed backing array,
-// since a well-behaved consumer keeps it near-empty.
 func newAckQueue(capacity int) *queue {
-	return &queue{mode: AtLeastOnce, capacity: capacity, wake: make(chan struct{})}
+	return &queue{capacity: capacity, wake: make(chan struct{})}
 }
 
 // wakeLocked wakes every parked drainer. Caller holds q.mu.
 func (q *queue) wakeLocked() {
 	close(q.wake)
 	q.wake = make(chan struct{})
-}
-
-// push enqueues d (at-most-once mode), evicting the oldest entry when
-// full. enqueued is false only when the queue is closed; evicted
-// reports that an older delivery was dropped to make room (the engine
-// counts it — the loss belongs to an earlier document, the new
-// delivery lands).
-func (q *queue) push(d Delivery) (enqueued, evicted bool) {
-	q.mu.Lock()
-	if q.closed {
-		q.mu.Unlock()
-		return false, false
-	}
-	// Ring indices wrap with a compare, not a division: this runs once
-	// per delivery, ~80 times per publish.
-	if q.n == len(q.buf) {
-		if q.head++; q.head == len(q.buf) {
-			q.head = 0
-		}
-		q.n--
-		q.gap++
-		q.dropped++
-		evicted = true
-	}
-	tail := q.head + q.n
-	if tail >= len(q.buf) {
-		tail -= len(q.buf)
-	}
-	q.buf[tail] = d
-	q.n++
-	// Drainers only wait after observing an empty queue, so waking is
-	// needed solely on the empty→non-empty transition — pushes to an
-	// already non-empty queue skip the channel churn.
-	if q.n == 1 {
-		q.wakeLocked()
-	}
-	q.mu.Unlock()
-	return true, evicted
 }
 
 // pushAcked appends one at-least-once delivery and assigns its cursor.
@@ -204,64 +145,13 @@ func (q *queue) markDrained(upto uint64) {
 	q.mu.Unlock()
 }
 
-// drain removes up to max deliveries (at-most-once mode). If the queue
-// is empty and open it waits up to the given duration for the first
-// delivery. gap is the number of deliveries evicted since the last
-// drain observed them — the explicit "you missed N" marker the
-// drop-oldest policy owes the consumer.
-func (q *queue) drain(max int, wait time.Duration) (out []Delivery, gap uint64) {
-	if max <= 0 {
-		max = 1 << 30
-	}
-	deadline := time.Now().Add(wait)
-	for {
-		q.mu.Lock()
-		gap += q.gap
-		q.gap = 0
-		if q.n > 0 {
-			take := q.n
-			if take > max {
-				take = max
-			}
-			out = make([]Delivery, take)
-			for i := 0; i < take; i++ {
-				out[i] = q.buf[(q.head+i)%len(q.buf)]
-			}
-			q.head = (q.head + take) % len(q.buf)
-			q.n -= take
-			q.mu.Unlock()
-			return out, gap
-		}
-		if q.closed {
-			q.mu.Unlock()
-			return nil, gap
-		}
-		w := q.wake
-		q.mu.Unlock()
-		remain := time.Until(deadline)
-		if remain <= 0 {
-			return nil, gap
-		}
-		t := time.NewTimer(remain)
-		select {
-		case <-w:
-			t.Stop()
-		case <-t.C:
-			return nil, gap
-		}
-	}
-}
-
-// drainAcked hands out up to max redeliverable entries in cursor order,
-// putting each in flight under a lease expiring lease from now. Lapsed
-// leases are reclaimed inline first, so a reconnecting consumer resumes
-// its window without waiting for the sweeper. redelivered counts batch
-// entries handed out before (lease lapse, crash recovery, or an
-// earlier drain the consumer never acked).
+// drainAcked hands out up to max (at least 1) redeliverable entries in
+// cursor order, putting each in flight under a lease expiring lease from
+// now. Lapsed leases are reclaimed inline first, so a reconnecting
+// consumer resumes its window without waiting for the sweeper.
+// redelivered counts batch entries handed out before (lease lapse, crash
+// recovery, or an earlier drain the consumer never acked).
 func (q *queue) drainAcked(max int, wait, lease time.Duration, c *counters) (out []Delivery, committed uint64, redelivered int) {
-	if max <= 0 {
-		max = 1 << 30
-	}
 	deadline := time.Now().Add(wait)
 	for {
 		now := time.Now()
@@ -306,17 +196,26 @@ func (q *queue) drainAcked(max int, wait, lease time.Duration, c *counters) (out
 		}
 		w := q.wake
 		q.mu.Unlock()
-		remain := time.Until(deadline)
-		if remain <= 0 {
+		if !parkUntil(w, deadline) {
 			return nil, committed, 0
 		}
-		t := time.NewTimer(remain)
-		select {
-		case <-w:
-			t.Stop()
-		case <-t.C:
-			return nil, committed, 0
-		}
+	}
+}
+
+// parkUntil parks a long-polling drain until w is closed; false means
+// the deadline came first.
+func parkUntil(w <-chan struct{}, deadline time.Time) bool {
+	remain := time.Until(deadline)
+	if remain <= 0 {
+		return false
+	}
+	t := time.NewTimer(remain)
+	defer t.Stop()
+	select {
+	case <-w:
+		return true
+	case <-t.C:
+		return false
 	}
 }
 
@@ -386,30 +285,23 @@ func (q *queue) expire(now time.Time) int {
 	return q.expireLocked(now)
 }
 
-// len is the number of undischarged deliveries: ring occupancy
-// (at-most-once) or queued-plus-inflight log entries (at-least-once).
+// len is the number of undischarged deliveries, queued plus in flight.
 func (q *queue) len() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if q.mode == AtLeastOnce {
-		return len(q.entries)
-	}
-	return q.n
+	return len(q.entries)
 }
 
 // info snapshots the queue for introspection.
-func (q *queue) info() (mode DeliveryMode, pending, inflight int, committed, lastCursor uint64, st ackStats, dropped uint64) {
+func (q *queue) info() (pending, inflight int, committed, lastCursor uint64, st ackStats) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if q.mode == AtLeastOnce {
-		return q.mode, len(q.entries) - q.inflight, q.inflight, q.committed, q.lastCursor, q.stats, q.dropped
-	}
-	return q.mode, q.n, 0, 0, 0, q.stats, q.dropped
+	return len(q.entries) - q.inflight, q.inflight, q.committed, q.lastCursor, q.stats
 }
 
-// snapshotEntries copies the cursor log for a State cut (at-least-once
-// queues only; lease deadlines are deliberately excluded — leases do
-// not survive a restart, every recovered entry is redeliverable).
+// snapshotEntries copies the cursor log for a State cut (lease
+// deadlines are deliberately excluded — leases do not survive a
+// restart, every recovered entry is redeliverable).
 func (q *queue) snapshotEntries() (committed, lastCursor uint64, entries []QueuedDelivery) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -421,8 +313,8 @@ func (q *queue) snapshotEntries() (committed, lastCursor uint64, entries []Queue
 }
 
 // close wakes all waiters; queued deliveries remain drainable. It
-// returns the document sequences of remaining at-least-once entries so
-// the engine can release their retention pins — an unsubscribed or
+// returns the document sequences of the remaining entries so the
+// engine can release their retention pins — an unsubscribed or
 // closed consumer no longer holds the delivery contract.
 func (q *queue) close() (unpin []uint64) {
 	q.mu.Lock()

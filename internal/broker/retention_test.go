@@ -80,8 +80,9 @@ func TestDocRingHoldsPackedBytes(t *testing.T) {
 // TestLiveHeapBudget holds a daemon-shaped engine at rest to a live-heap
 // budget: 1000 subscriptions at the daemon's defaults, a 500-document
 // warm stream, then 6000 publishes parsed from text as the daemon parses
-// them, so the retention ring (4096) is full and wrapped. It reads 14 MB;
-// with parse trees in the ring and map-backed samples it read 32 MB.
+// them, so the retention ring (4096) is full and wrapped. It reads 6.5 MB;
+// with a 256-slot delivery ring per subscription it read 14 MB, with parse
+// trees in the retention ring and map-backed samples too, 32 MB.
 func TestLiveHeapBudget(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("builds a 1000-subscription engine and reads the heap; not under -short or -race")
@@ -113,7 +114,7 @@ func TestLiveHeapBudget(t *testing.T) {
 	runtime.GC()
 	var m runtime.MemStats
 	runtime.ReadMemStats(&m)
-	const budget = 20 << 20
+	const budget = 9 << 20
 	t.Logf("live heap %.1f MB, %d objects; %.1f MB of packed documents", float64(m.HeapAlloc)/(1<<20), m.HeapObjects, float64(e.docs.bytes.Load())/(1<<20))
 	if m.HeapAlloc > budget {
 		t.Errorf("live heap %.1f MB, budget %d MB", float64(m.HeapAlloc)/(1<<20), budget>>20)

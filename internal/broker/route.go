@@ -12,12 +12,14 @@ import (
 // This file is the matching plane: one forest, one routing table, one
 // lock. The forest holds exactly one pattern per community — its
 // representative's — so a publish evaluates what routes and nothing
-// else, and one walk of the document decides every community. The
-// handle belongs to the community (Engine.commFH), not to a
-// subscription: Added when the community is founded, re-pointed at the
-// successor's pattern when the representative leaves, Removed when it
-// dissolves or a rebuild re-seeds it — always in the critical section
-// that rebuilds the routing table.
+// else, and one walk of the document decides every community. What a
+// community shares is its own, not a subscription's: its forest handle
+// (Engine.commFH) and its at-most-once delivery log (Engine.commLogs,
+// commlog.go) are set up when it is founded, stay when the
+// representative leaves — the handle re-pointed at the successor's
+// pattern — and go when it dissolves or a rebuild re-seeds it, always in
+// the critical section that rebuilds the routing table, which is also
+// where a subscription's cursor is put on its community's log.
 //
 // Locking: Engine.routeMu is held shared by a publish across its match
 // and fan-out, on the publishing goroutine — concurrent publishers
@@ -28,20 +30,21 @@ import (
 
 // routeGroup is one community in the routing table, at its index in the
 // clustering (reported in deliveries): its representative's forest
-// handle and its member range in the member arena.
+// handle, its delivery log, and its member range in the member arena —
+// at-most-once members in [start, amo), at-least-once in [amo, end).
 type routeGroup struct {
-	repFH      int
-	start, end int
+	repFH           int
+	log             *commLog
+	start, amo, end int
 }
 
 // routeMember is one receiving subscription: its own pattern (for the
-// precision sample), stable id and delivery mode (for the at-least-once
-// journal), and delivery queue.
+// precision sample) and, for an at-least-once member, its stable id (for
+// the journal) and cursor log.
 type routeMember struct {
-	pat  *pattern.Pattern
-	id   uint64
-	mode DeliveryMode
-	q    *queue
+	pat *pattern.Pattern
+	id  uint64
+	q   *queue
 }
 
 // routeScratch is the pooled per-publish scratch: the flattened
@@ -81,12 +84,13 @@ func memberMatches(fm *pattern.FlatMatcher, p *pattern.Pattern) (ok bool) {
 }
 
 // routeDoc matches one document against the forest — once, on the
-// calling goroutine — and fans it out to the members of every community
-// whose representative matched, tallying into res. At-least-once members
-// get a cursor-log append instead of a ring push: the document is pinned
-// in retention until acked, the assigned cursors are journaled as one
+// calling goroutine — and delivers it to every community whose
+// representative matched, tallying into res: one append to the
+// community's log for all its at-most-once members, and for each
+// at-least-once member a cursor-log push — the document is pinned in
+// retention until acked, the assigned cursors are journaled as one
 // OpDeliver record before the publish returns, and a full log sheds its
-// oldest entry — counted, and its pin released. Every sample-th delivery
+// oldest entry, counted, and its pin released. Every sample-th delivery
 // is checked exactly, against the receiving member's own pattern. doc is
 // t packed, as retention just stored it (nil when retention is off).
 // Caller holds routeMu shared.
@@ -99,51 +103,59 @@ func (e *Engine) routeDoc(t *xmltree.Tree, doc []byte, res *PublishResult) {
 	flat.Load(t, e.forest.Table())
 	matchStart := time.Now()
 	ms := e.forest.MatchFlat(t, flat)
-	c, sample, seq := &e.counters, e.cfg.PrecisionSample, res.Seq
+	c, seq := &e.counters, res.Seq
 	c.filterEvals.Add(uint64(len(e.groups)))
 	sc.subs, sc.cursors, sc.comms = sc.subs[:0], sc.cursors[:0], sc.comms[:0]
 	var fm *pattern.FlatMatcher
-	for comm, g := range e.groups {
-		if !ms.Has(g.repFH) {
-			continue
-		}
-		res.Matched++
-		for _, m := range e.members[g.start:g.end] {
-			var enqueued, evicted bool
-			if m.mode == AtLeastOnce {
-				var cursor, shedDoc uint64
-				cursor, shedDoc, evicted, enqueued = m.q.pushAcked(seq, comm)
-				if evicted {
-					c.ackShed.Add(1)
-					e.docs.unpin(shedDoc)
-				}
-				if enqueued {
-					e.docs.pin(seq, doc)
-					sc.subs, sc.cursors, sc.comms = append(sc.subs, m.id), append(sc.cursors, cursor), append(sc.comms, comm)
-				}
-			} else {
-				enqueued, evicted = m.q.push(Delivery{Doc: seq, Community: comm})
-			}
-			if evicted || !enqueued {
-				// Evictions charge the publish that forced them; the
-				// lost delivery belongs to an older document.
-				res.Dropped++
-				c.dropped.Add(1)
-			}
-			if !enqueued {
-				continue
-			}
-			res.Deliveries++
-			n := c.delivered.Add(1)
-			if sample > 0 && n%uint64(sample) == 0 {
+	// delivered counts n deliveries, to members[at:at+n], and checks the
+	// ones the counter numbers with a multiple of the sample interval.
+	delivered := func(at, n int) {
+		res.Deliveries += n
+		last := c.delivered.Add(uint64(n))
+		if sample := uint64(e.cfg.PrecisionSample); e.cfg.PrecisionSample > 0 {
+			for i := n - 1 - int(last%sample); i >= 0; i -= int(sample) {
 				if fm == nil {
 					fm = memberMatchers.Get().(*pattern.FlatMatcher)
 					fm.LoadFlat(flat)
 				}
 				c.sampled.Add(1)
-				if memberMatches(fm, m.pat) {
+				if memberMatches(fm, e.members[at+i].pat) {
 					c.sampledHits.Add(1)
 				}
+			}
+		}
+	}
+	// Evictions charge the publish that forced them; the lost delivery
+	// belongs to an older document.
+	dropped := func(n int) {
+		if n > 0 {
+			res.Dropped += n
+			c.dropped.Add(uint64(n))
+		}
+	}
+	for comm, g := range e.groups {
+		if !ms.Has(g.repFH) {
+			continue
+		}
+		res.Matched++
+		if n := g.amo - g.start; n > 0 {
+			dropped(g.log.append(seq, comm))
+			delivered(g.start, n)
+		}
+		for i := g.amo; i < g.end; i++ {
+			m := &e.members[i]
+			cursor, shedDoc, shed, enqueued := m.q.pushAcked(seq, comm)
+			if shed {
+				c.ackShed.Add(1)
+				e.docs.unpin(shedDoc)
+			}
+			if shed || !enqueued {
+				dropped(1)
+			}
+			if enqueued {
+				e.docs.pin(seq, doc)
+				sc.subs, sc.cursors, sc.comms = append(sc.subs, m.id), append(sc.cursors, cursor), append(sc.comms, comm)
+				delivered(i, 1)
 			}
 		}
 	}
@@ -171,19 +183,31 @@ func (e *Engine) routeDoc(t *xmltree.Tree, doc []byte, res *PublishResult) {
 }
 
 // rebuildRoutingLocked rebuilds the routing table from the clustering
-// (and its handles, commFH) into its reused backing arrays, so
-// steady-state churn does not allocate. Caller holds the registry lock
-// and routeMu exclusively.
+// (and its handles and logs, commFH and commLogs) into its reused
+// backing arrays, so steady-state churn does not allocate, and puts
+// every at-most-once cursor that is not on its community's log — a new
+// subscription's, or one a re-clustering moved — on it. Caller holds the
+// registry lock and routeMu exclusively.
 func (e *Engine) rebuildRoutingLocked() {
 	e.groups = e.groups[:0]
 	e.members = e.members[:0]
 	for g, members := range e.comms.Groups {
-		start := len(e.members)
+		start, log := len(e.members), e.commLogs[g]
 		for _, idx := range members {
-			s := e.subs[idx]
-			e.members = append(e.members, routeMember{pat: s.pat, id: s.id, mode: s.mode, q: s.q})
+			if s := e.subs[idx]; s.q == nil {
+				e.members = append(e.members, routeMember{pat: s.pat})
+				if s.cur.log != log {
+					e.counters.dropped.Add(uint64(s.cur.move(log)))
+				}
+			}
 		}
-		e.groups = append(e.groups, routeGroup{repFH: e.commFH[g], start: start, end: len(e.members)})
+		amo := len(e.members)
+		for _, idx := range members {
+			if s := e.subs[idx]; s.q != nil {
+				e.members = append(e.members, routeMember{pat: s.pat, id: s.id, q: s.q})
+			}
+		}
+		e.groups = append(e.groups, routeGroup{repFH: e.commFH[g], log: log, start: start, amo: amo, end: len(e.members)})
 	}
 }
 
@@ -202,12 +226,13 @@ func (e *Engine) editRoutingLocked(edit func()) {
 
 // replaceClusteringLocked installs a freshly built clustering and moves
 // the representatives' patterns to match: a representative that still
-// stands for a community keeps its handle; every other old handle is
-// removed and every other new representative added. Caller holds the
-// registry lock exclusively.
+// stands for a community keeps its handle and the community its log;
+// every other old handle is removed and every other new representative
+// added, with a new log. Caller holds the registry lock exclusively.
 func (e *Engine) replaceClusteringLocked(comms *cluster.Communities) {
 	e.editRoutingLocked(func() {
 		commFH := make([]int, len(comms.Groups))
+		commLogs := make([]*commLog, len(comms.Groups))
 		newComm := make(map[int]int, len(comms.Reps)) // representative -> new community
 		for g, rep := range comms.Reps {
 			newComm[rep] = g
@@ -215,16 +240,16 @@ func (e *Engine) replaceClusteringLocked(comms *cluster.Communities) {
 		}
 		for og, rep := range e.comms.Reps {
 			if g, ok := newComm[rep]; ok {
-				commFH[g] = e.commFH[og]
+				commFH[g], commLogs[g] = e.commFH[og], e.commLogs[og]
 			} else {
 				e.forest.Remove(e.commFH[og])
 			}
 		}
 		for g, rep := range comms.Reps {
 			if commFH[g] < 0 {
-				commFH[g] = e.forest.Add(e.subs[rep].pat)
+				commFH[g], commLogs[g] = e.forest.Add(e.subs[rep].pat), e.newCommLog()
 			}
 		}
-		e.comms, e.commFH = comms, commFH
+		e.comms, e.commFH, e.commLogs = comms, commFH, commLogs
 	})
 }

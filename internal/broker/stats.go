@@ -79,7 +79,17 @@ func (e *Engine) registerGauges() {
 		defer e.mu.RUnlock()
 		total := 0
 		for _, s := range e.subs {
-			total += s.q.len()
+			total += s.pending()
+		}
+		return float64(total)
+	})
+	e.tel.GaugeFunc("treesim_broker_delivery_log_entries", "Deliveries the communities' at-most-once logs hold: one per matched community and publish, up to the queue capacity each, however many members read it.", func() float64 {
+		e.mu.RLock()
+		defer e.mu.RUnlock()
+		total := 0
+		for _, l := range e.commLogs {
+			n, _ := l.lag()
+			total += n
 		}
 		return float64(total)
 	})
