@@ -2,8 +2,8 @@ package treesim
 
 // Benchmarks for the extension features beyond the paper's core:
 // persistence, the DTD feasibility filter (footnote 2), sliding-window
-// estimation, pattern containment/minimization, subscription
-// aggregation and the broker-tree overlay.
+// estimation, pattern containment/minimization and subscription
+// aggregation.
 
 import (
 	"bytes"
@@ -13,7 +13,6 @@ import (
 	"treesim/internal/dtd"
 	"treesim/internal/matchset"
 	"treesim/internal/pattern"
-	"treesim/internal/routing"
 	"treesim/internal/selectivity"
 	"treesim/internal/synopsis"
 	"treesim/internal/xmltree"
@@ -93,7 +92,7 @@ func BenchmarkWindowObserve(b *testing.B) {
 // workload pattern pairs.
 func BenchmarkContainment(b *testing.B) {
 	w, _ := benchWorkloads()
-	pairs := w.RandomPairs(256, 3)
+	pairs := w.randomPairs(256, 3)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -126,37 +125,6 @@ func BenchmarkAggregate(b *testing.B) {
 		loss = res.EstimatedLoss
 	}
 	b.ReportMetric(loss, "estLoss")
-}
-
-// BenchmarkBrokerTree measures dissemination through the overlay with
-// exact vs aggregated tables, reporting spurious link traffic.
-func BenchmarkBrokerTree(b *testing.B) {
-	w, _ := benchWorkloads()
-	s := buildBenchSynopsis(w, matchset.KindHashes, 200)
-	est := selectivity.New(s)
-	subs := w.Positive[:32]
-	docs := w.Docs[:64]
-	for _, tc := range []struct {
-		name  string
-		limit int
-	}{{"exact", 0}, {"aggregated", 4}} {
-		b.Run(tc.name, func(b *testing.B) {
-			bt, err := routing.NewBrokerTree(subs, routing.BrokerTreeOptions{
-				Fanout: 3, Depth: 3, TableLimit: tc.limit, Estimator: est,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			var spurious int
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res := bt.Run(docs)
-				spurious = res.SpuriousLinks
-			}
-			b.ReportMetric(float64(bt.TableSize()), "tableEntries")
-			b.ReportMetric(float64(spurious), "spuriousLinks")
-		})
-	}
 }
 
 // BenchmarkFeasible measures the DTD feasibility check itself.

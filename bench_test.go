@@ -7,7 +7,7 @@ package treesim
 // Accuracy figures are attached to the benchmark output via
 // b.ReportMetric (Erel% / Esqr), so `go test -bench` regenerates both
 // the performance and the quality side of each experiment at benchmark
-// scale; cmd/experiments produces the full tables.
+// scale. The workload and the error measures are in workload_test.go.
 
 import (
 	"sync"
@@ -15,8 +15,6 @@ import (
 
 	"treesim/internal/core"
 	"treesim/internal/dtd"
-	"treesim/internal/experiment"
-	"treesim/internal/matching"
 	"treesim/internal/matchset"
 	"treesim/internal/metrics"
 	"treesim/internal/pattern"
@@ -30,20 +28,20 @@ import (
 // xCBL-like one.
 var (
 	benchOnce sync.Once
-	benchNITF *experiment.Workload
-	benchXCBL *experiment.Workload
+	benchNITF *workload
+	benchXCBL *workload
 )
 
-func benchWorkloads() (*experiment.Workload, *experiment.Workload) {
+func benchWorkloads() (*workload, *workload) {
 	benchOnce.Do(func() {
-		cfg := experiment.WorkloadConfig{Docs: 500, Positive: 100, Negative: 100, Seed: 7}
-		benchNITF = experiment.BuildWorkload(dtd.NITFLike(), cfg)
-		benchXCBL = experiment.BuildWorkload(dtd.XCBLLike(), cfg)
+		cfg := workloadConfig{Docs: 500, Positive: 100, Negative: 100, Seed: 7}
+		benchNITF = buildWorkload(dtd.NITFLike(), cfg)
+		benchXCBL = buildWorkload(dtd.XCBLLike(), cfg)
 	})
 	return benchNITF, benchXCBL
 }
 
-func buildBenchSynopsis(w *experiment.Workload, kind matchset.Kind, size int) *synopsis.Synopsis {
+func buildBenchSynopsis(w *workload, kind matchset.Kind, size int) *synopsis.Synopsis {
 	s := synopsis.New(synopsis.Options{Kind: kind, HashCapacity: size, SetCapacity: size, Seed: 5})
 	for _, d := range w.Docs {
 		s.Insert(d)
@@ -54,10 +52,10 @@ func buildBenchSynopsis(w *experiment.Workload, kind matchset.Kind, size int) *s
 // BenchmarkTable1_WorkloadBuild regenerates the experimental setup of
 // Table 1: corpus generation, query generation and SP/SN classification.
 func BenchmarkTable1_WorkloadBuild(b *testing.B) {
-	cfg := experiment.WorkloadConfig{Docs: 150, Positive: 30, Negative: 30, Seed: 11}
+	cfg := workloadConfig{Docs: 150, Positive: 30, Negative: 30, Seed: 11}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		w := experiment.BuildWorkload(dtd.NITFLike(), cfg)
+		w := buildWorkload(dtd.NITFLike(), cfg)
 		if len(w.Positive) != 30 {
 			b.Fatal("bad workload")
 		}
@@ -69,11 +67,11 @@ func BenchmarkTable1_WorkloadBuild(b *testing.B) {
 // representation.
 func BenchmarkFigure4_SelectivityPositive(b *testing.B) {
 	w, _ := benchWorkloads()
-	for _, kind := range experiment.Kinds {
+	for _, kind := range kinds {
 		b.Run(kind.String(), func(b *testing.B) {
 			s := buildBenchSynopsis(w, kind, 500)
 			est := selectivity.New(s)
-			erel := experiment.ErelPositive(est, w) // also warms caches
+			erel := erelPositive(est, w) // also warms caches
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				p := w.Positive[i%len(w.Positive)]
@@ -88,11 +86,11 @@ func BenchmarkFigure4_SelectivityPositive(b *testing.B) {
 // estimation and reports the Figure 5 RMSE.
 func BenchmarkFigure5_SelectivityNegative(b *testing.B) {
 	w, _ := benchWorkloads()
-	for _, kind := range experiment.Kinds {
+	for _, kind := range kinds {
 		b.Run(kind.String(), func(b *testing.B) {
 			s := buildBenchSynopsis(w, kind, 500)
 			est := selectivity.New(s)
-			esqr := experiment.EsqrNegative(est, w)
+			esqr := esqrNegative(est, w)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				p := w.Negative[i%len(w.Negative)]
@@ -112,7 +110,7 @@ func BenchmarkFigure6_ErrorVsSynopsisSize(b *testing.B) {
 		b.Run(kind.String(), func(b *testing.B) {
 			s := buildBenchSynopsis(w, kind, 250)
 			est := selectivity.New(s)
-			erel := experiment.ErelPositive(est, w)
+			erel := erelPositive(est, w)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				_ = est.P(w.Positive[i%len(w.Positive)])
@@ -125,12 +123,12 @@ func BenchmarkFigure6_ErrorVsSynopsisSize(b *testing.B) {
 
 func benchMetric(b *testing.B, m metrics.Metric) {
 	w, _ := benchWorkloads()
-	pairs := w.RandomPairs(200, 13)
-	for _, kind := range experiment.Kinds {
+	pairs := w.randomPairs(200, 13)
+	for _, kind := range kinds {
 		b.Run(kind.String(), func(b *testing.B) {
 			s := buildBenchSynopsis(w, kind, 500)
 			est := selectivity.New(s)
-			erel, _ := experiment.MetricErel(m, est, w, pairs)
+			erel := metricErel(m, est, w, pairs)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				pr := pairs[i%len(pairs)]
@@ -163,7 +161,7 @@ func BenchmarkFigure10_Compression(b *testing.B) {
 		s := buildBenchSynopsis(w, matchset.KindHashes, 500)
 		s.Compress(synopsis.CompressOptions{TargetRatio: 0.5})
 		if i == 0 {
-			erel = experiment.ErelPositive(selectivity.New(s), w)
+			erel = erelPositive(selectivity.New(s), w)
 		}
 	}
 	b.ReportMetric(100*erel, "Erel%")
@@ -188,7 +186,7 @@ func BenchmarkAblation_RootCardDenominator(b *testing.B) {
 				s.Insert(d)
 			}
 			est := selectivity.New(s)
-			erel := experiment.ErelPositive(est, w)
+			erel := erelPositive(est, w)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				_ = est.P(w.Positive[i%len(w.Positive)])
@@ -212,7 +210,7 @@ func BenchmarkAblation_FoldThreshold(b *testing.B) {
 				s := buildBenchSynopsis(w, matchset.KindHashes, 500)
 				s.Compress(synopsis.CompressOptions{TargetRatio: 0.5, FoldThreshold: tc.th})
 				if i == 0 {
-					erel = experiment.ErelPositive(selectivity.New(s), w)
+					erel = erelPositive(selectivity.New(s), w)
 				}
 			}
 			b.ReportMetric(100*erel, "Erel%")
@@ -227,7 +225,7 @@ func BenchmarkAblation_SkeletonSemanticsGap(b *testing.B) {
 	w, _ := benchWorkloads()
 	s := buildBenchSynopsis(w, matchset.KindSets, 1<<20)
 	est := selectivity.New(s)
-	erel := experiment.ErelPositive(est, w)
+	erel := erelPositive(est, w)
 	for i := 0; i < b.N; i++ {
 		_ = est.P(w.Positive[i%len(w.Positive)])
 	}
@@ -239,7 +237,7 @@ func BenchmarkAblation_SkeletonSemanticsGap(b *testing.B) {
 // BenchmarkSynopsisInsert measures streaming maintenance throughput.
 func BenchmarkSynopsisInsert(b *testing.B) {
 	w, _ := benchWorkloads()
-	for _, kind := range experiment.Kinds {
+	for _, kind := range kinds {
 		b.Run(kind.String(), func(b *testing.B) {
 			s := synopsis.New(synopsis.Options{Kind: kind, HashCapacity: 500, SetCapacity: 500, Seed: 3})
 			b.ReportAllocs()
@@ -277,18 +275,6 @@ func BenchmarkExactMatch(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		_ = pattern.Matches(w.Docs[i%len(w.Docs)], w.Positive[i%len(w.Positive)])
-	}
-}
-
-// BenchmarkFilterEngine measures the multi-subscription filtering
-// engine of the routing substrate.
-func BenchmarkFilterEngine(b *testing.B) {
-	w, _ := benchWorkloads()
-	eng := matching.NewEngine(w.Positive)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = eng.Match(w.Docs[i%len(w.Docs)])
 	}
 }
 

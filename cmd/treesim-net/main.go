@@ -23,10 +23,9 @@
 // broker then routes per community representative and the harness
 // simply reports the recall/precision trade honestly.
 //
-// Output is `go test -bench` shaped, so it pipes straight into
-// cmd/benchjson:
-//
-//	go run ./cmd/treesim-net | go run ./cmd/benchjson -o BENCH_overlay.json
+// Output is `go test -bench` shaped: one line each for the overlay, the
+// flooding baseline and the ground truth, with forwards, deliveries and
+// recall as named metrics, then a one-line `# overlay:` summary.
 package main
 
 import (

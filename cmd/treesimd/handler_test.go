@@ -208,6 +208,67 @@ func TestOverDeepBodyIs400(t *testing.T) {
 	}
 }
 
+// TestPublishBatchEndpoint drives the JSON batch form of POST /publish
+// through the gate and mux: a bare array and the {"docs": [...]} wrapper
+// both route every document in order, and a malformed document inside a
+// batch is skipped and counted while the others still route.
+func TestPublishBatchEndpoint(t *testing.T) {
+	h, eng, _ := testHandler(t)
+	gate := newServerGate()
+	gate.setReady(h)
+	for _, pat := range []string{"/a/b", "//c"} { // ids 1 and 2
+		if w := do(t, gate, "POST", "/subscribe", "application/json", `{"pattern": "`+pat+`"}`); w.Code != http.StatusOK {
+			t.Fatalf("subscribe %s: %d %s", pat, w.Code, w.Body.String())
+		}
+	}
+	publish := func(body string) batchResponse {
+		t.Helper()
+		w := do(t, gate, "POST", "/publish", "application/json", body)
+		if w.Code != http.StatusOK {
+			t.Fatalf("batch %s: status %d (%s)", body, w.Code, w.Body.String())
+		}
+		var resp batchResponse
+		if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+
+	// Seqs 1–3: one document for each subscription and one for nobody.
+	if got, want := publish(`["<a><b/></a>", "<c/>", "<z/>"]`), (batchResponse{Published: 3, Matched: 2, Deliveries: 2}); got != want {
+		t.Errorf("bare array: %+v, want %+v", got, want)
+	}
+	// Seq 4.
+	if got, want := publish(`{"docs": ["<a><b/><c/></a>"]}`), (batchResponse{Published: 1, Matched: 2, Deliveries: 2}); got != want {
+		t.Errorf("wrapped form: %+v, want %+v", got, want)
+	}
+	// Seqs 5 and 6; the middle document never gets one.
+	got := publish(`["<a><b/></a>", "<unclosed>", "<c/>"]`)
+	if got.Published != 2 || got.Deliveries != 2 || got.Errors != 1 || !strings.HasPrefix(got.FirstError, "doc 1:") {
+		t.Errorf("batch with a malformed document: %+v, want 2 published, 2 deliveries, 1 error naming doc 1", got)
+	}
+
+	if n := eng.Stats().Published; n != 6 {
+		t.Errorf("engine published %d documents, want 6", n)
+	}
+	for id, want := range map[int][]uint64{1: {1, 4, 5}, 2: {2, 4, 6}} {
+		w := do(t, gate, "GET", fmt.Sprintf("/deliveries/%d?max=100", id), "", "")
+		var dr struct {
+			Deliveries []broker.Delivery `json:"deliveries"`
+		}
+		if err := json.Unmarshal(w.Body.Bytes(), &dr); err != nil {
+			t.Fatal(err)
+		}
+		var docs []uint64
+		for _, d := range dr.Deliveries {
+			docs = append(docs, d.Doc)
+		}
+		if fmt.Sprint(docs) != fmt.Sprint(want) {
+			t.Errorf("subscription %d drained docs %v, want %v", id, docs, want)
+		}
+	}
+}
+
 // TestStatsDuringDrain pins the gate contract: a draining daemon still
 // answers reads (GET /stats) but refuses writes with the JSON error
 // shape, and /healthz reports the draining phase.

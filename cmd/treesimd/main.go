@@ -112,7 +112,6 @@ func main() {
 		seed      = flag.Int64("seed", 1, "sampling seed")
 		metric    = flag.String("metric", "m3", "clustering metric: m1|m2|m3")
 		threshold = flag.Float64("threshold", 0.5, "community similarity threshold")
-		shards    = flag.Int("shards", 0, "ignored, accepted for one release so existing command lines start: the broker has one matching forest and concurrent publishers are its parallelism (a per-publish fan-out lost on 2 cores and is unmeasured on >= 4)")
 		queueCap  = flag.Int("queue", 256, "per-consumer delivery queue capacity")
 		dmode     = flag.String("delivery-mode", "at-most-once", "default delivery contract for new subscriptions: at-most-once|at-least-once")
 		ackLease  = flag.Duration("ack-lease", 30*time.Second, "redelivery lease for drained-but-unacked at-least-once deliveries")
@@ -182,9 +181,6 @@ func main() {
 		os.Exit(2)
 	}
 	cfg.Logger = logger.With("component", "broker")
-	if *shards != 0 {
-		logger.Warn("-shards is ignored: the broker matches every publish against one forest", "shards", *shards)
-	}
 
 	gate := newServerGate()
 	srv := &http.Server{

@@ -1,26 +1,22 @@
-// Subscription aggregation in a broker overlay: the application of
-// selectivity estimation pioneered by the paper's reference [4] (Chan
-// et al., VLDB'02).
+// Subscription aggregation: the application of selectivity estimation
+// pioneered by the paper's reference [4] (Chan et al., VLDB'02).
 //
-// A hierarchical broker tree routes documents toward interested
-// consumers. Exact routing tables grow with the consumer population;
-// aggregating each link's table into a few generalized patterns keeps
-// tables small at the cost of some spurious forwarding. The estimator's
-// job is to pick the merges that add the least selectivity — bad merges
-// flood subtrees, good merges are nearly free.
+// Exact routing tables grow with the consumer population; aggregating a
+// table into a few generalized patterns keeps it small at the cost of
+// some spurious forwarding. The estimator's job is to pick the merges
+// that add the least selectivity — bad merges flood, good merges are
+// nearly free.
 package main
 
 import (
 	"fmt"
 
 	"treesim"
-	"treesim/internal/routing"
 )
 
 func main() {
 	d := treesim.NITFLikeDTD()
 	history := treesim.GenerateDocuments(d, 500, 81)
-	live := treesim.GenerateDocuments(d, 150, 82)
 
 	// Consumers with moderately selective interests (2%–50% of the
 	// stream): with near-universal subscriptions in the population,
@@ -45,10 +41,6 @@ func main() {
 	for _, doc := range history {
 		est.ObserveTree(doc)
 	}
-	fmt.Printf("%d consumers on a fanout-3, depth-3 broker tree; %d live documents\n\n",
-		len(subs), len(live))
-
-	// Standalone aggregation: squeeze the whole subscription set.
 	res := treesim.AggregateSubscriptions(est, subs, 8)
 	fmt.Printf("aggregating %d subscriptions into %d representatives (estimated selectivity added: %.3f):\n",
 		len(subs), len(res.Patterns), res.EstimatedLoss)
@@ -57,31 +49,6 @@ func main() {
 			fmt.Printf("  %2d subscriptions -> %s\n", len(res.Groups[i]), p)
 		}
 	}
-	fmt.Println()
-
-	// Overlay comparison: exact vs aggregated routing tables.
-	estAdapter := estSels{est}
-	for _, cfg := range []struct {
-		name  string
-		limit int
-	}{
-		{"exact tables", 0},
-		{"aggregated (≤8/link)", 8},
-		{"aggregated (≤3/link)", 3},
-	} {
-		bt, err := routing.NewBrokerTree(subs, routing.BrokerTreeOptions{
-			Fanout: 3, Depth: 3, TableLimit: cfg.limit, Estimator: estAdapter,
-		})
-		if err != nil {
-			panic(err)
-		}
-		fmt.Printf("%-22s %s\n", cfg.name, bt.Run(live))
-	}
 	fmt.Println("\nSmaller tables cut per-broker state and evaluations; the spurious")
-	fmt.Println("link messages are the price, kept low by selectivity-guided merging.")
+	fmt.Println("messages are the price, kept low by selectivity-guided merging.")
 }
-
-type estSels struct{ est *treesim.Estimator }
-
-func (s estSels) P(p *treesim.Pattern) float64       { return s.est.Selectivity(p) }
-func (s estSels) PAnd(p, q *treesim.Pattern) float64 { return s.est.Joint(p, q) }

@@ -2,20 +2,19 @@ package treesim
 
 // Integration tests: end-to-end scenarios crossing module boundaries —
 // stream ingestion → synopsis → (compression | persistence) → queries →
-// clustering → routing — at small but non-trivial scale.
+// clustering → routing on the broker — at small but non-trivial scale.
 
 import (
 	"bytes"
 	"math"
 	"testing"
 
+	"treesim/internal/broker"
 	"treesim/internal/cluster"
 	"treesim/internal/dtd"
-	"treesim/internal/experiment"
 	"treesim/internal/matchset"
 	"treesim/internal/metrics"
 	"treesim/internal/pattern"
-	"treesim/internal/routing"
 	"treesim/internal/selectivity"
 	"treesim/internal/synopsis"
 	"treesim/internal/xmlgen"
@@ -26,9 +25,7 @@ import (
 // against exact ground truth within sane bands.
 func TestEndToEndAccuracyPipeline(t *testing.T) {
 	d := dtd.NITFLike()
-	w := experiment.BuildWorkload(d, experiment.WorkloadConfig{
-		Docs: 400, Positive: 80, Negative: 80, Seed: 21,
-	})
+	w := buildWorkload(d, workloadConfig{Docs: 400, Positive: 80, Negative: 80, Seed: 21})
 	est := New(Config{Representation: Hashes, HashCapacity: 600, Seed: 5})
 	for _, doc := range w.Docs {
 		est.ObserveTree(doc)
@@ -56,8 +53,8 @@ func TestEndToEndAccuracyPipeline(t *testing.T) {
 		}
 	}
 	// Similarity: estimated M3 close to exact M3 on random pairs.
-	exactSrc := experiment.ExactSource{W: w}
-	pairs := w.RandomPairs(80, 3)
+	exactSrc := exactSource{w}
+	pairs := w.randomPairs(80, 3)
 	var errSum float64
 	n := 0
 	for _, pr := range pairs {
@@ -160,7 +157,10 @@ func TestCompressionPreservesHighSelectivityAnswers(t *testing.T) {
 
 // TestClusteringRoutingPipeline checks that communities built from
 // *estimated* similarities route almost as well as communities built
-// from *exact* similarities — the end-to-end claim of the paper.
+// from *exact* similarities — the end-to-end claim of the paper — on the
+// shipping broker: both clusterings are installed into one engine over
+// the same subscriptions, and every live document's predicted delivery
+// set is scored against pattern.Matches ground truth.
 func TestClusteringRoutingPipeline(t *testing.T) {
 	d := dtd.NITFLike()
 	history := GenerateDocuments(d, 300, 51)
@@ -184,51 +184,106 @@ func TestClusteringRoutingPipeline(t *testing.T) {
 	estSim := est.SimilarityMatrix(metrics.M3, subs)
 
 	// Exact similarity matrix over the same history.
-	exactSim := make([][]float64, len(subs))
 	match := make([][]bool, len(subs))
 	for i, p := range subs {
 		match[i] = make([]bool, len(history))
 		for k, doc := range history {
 			match[i][k] = Matches(doc, p)
 		}
-		_ = p
 	}
-	count := func(i, j int) (and, or int) {
-		for k := range history {
-			a, b := match[i][k], match[j][k]
-			if a && b {
-				and++
-			}
-			if a || b {
-				or++
-			}
-		}
-		return
-	}
+	exactSim := make([][]float64, len(subs))
 	for i := range subs {
 		exactSim[i] = make([]float64, len(subs))
 		for j := range subs {
-			and, or := count(i, j)
+			and, or := 0, 0
+			for k := range history {
+				if match[i][k] && match[j][k] {
+					and++
+				}
+				if match[i][k] || match[j][k] {
+					or++
+				}
+			}
 			if or > 0 {
 				exactSim[i][j] = float64(and) / float64(or)
 			}
 		}
 	}
 
-	net := routing.NewNetwork(subs)
-	run := func(sim [][]float64) routing.Result {
-		net.SetCommunities(cluster.Greedy(sim, 0.6))
-		return net.Run(live, routing.Communities)
+	// The broker never re-clusters on its own here: each clustering is
+	// installed as a rebuild with the greedy seeds as representatives.
+	eng := broker.New(broker.Config{Threshold: 0.6, Rebuild: broker.Never{}})
+	defer eng.Close()
+	ids := make([]uint64, len(subs))
+	for i, p := range subs {
+		id, err := eng.SubscribePattern(p, p.String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids[i] = id
 	}
-	estRes := run(estSim)
-	exactRes := run(exactSim)
-	if estRes.Recall() < exactRes.Recall()-0.15 {
-		t.Errorf("estimated-similarity routing recall %v far below exact %v",
-			estRes.Recall(), exactRes.Recall())
+	want := make([]map[uint64]bool, len(live))
+	for k, doc := range live {
+		want[k] = map[uint64]bool{}
+		for i, p := range subs {
+			if Matches(doc, p) {
+				want[k][ids[i]] = true
+			}
+		}
 	}
-	if estRes.Precision() < exactRes.Precision()-0.15 {
-		t.Errorf("estimated-similarity routing precision %v far below exact %v",
-			estRes.Precision(), exactRes.Precision())
+	// ratio follows the broker's conventions: nothing owed is recall 1,
+	// nothing delivered is precision 1.
+	ratio := func(n, of int) float64 {
+		if of == 0 {
+			return 1
+		}
+		return float64(n) / float64(of)
+	}
+	run := func(sim [][]float64) (recall, precision float64) {
+		c := cluster.BuildGreedy(sim, 0.6)
+		groups := make([][]uint64, len(c.Groups))
+		reps := make([]uint64, len(c.Reps))
+		for g, members := range c.Groups {
+			for _, i := range members {
+				groups[g] = append(groups[g], ids[i])
+			}
+			reps[g] = ids[c.Reps[g]]
+		}
+		if err := eng.ApplyRebuilt(groups, reps); err != nil {
+			t.Fatal(err)
+		}
+		tp, fp, fn := 0, 0, 0
+		for k, doc := range live {
+			ex, err := eng.Explain(doc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := map[uint64]bool{}
+			for _, id := range ex.Deliveries {
+				got[id] = true
+				if want[k][id] {
+					tp++
+				} else {
+					fp++
+				}
+			}
+			for id := range want[k] {
+				if !got[id] {
+					fn++
+				}
+			}
+		}
+		return ratio(tp, tp+fn), ratio(tp, tp+fp)
+	}
+	estRecall, estPrecision := run(estSim)
+	exactRecall, exactPrecision := run(exactSim)
+	t.Logf("estimated similarity: recall %.3f precision %.3f; exact similarity: recall %.3f precision %.3f",
+		estRecall, estPrecision, exactRecall, exactPrecision)
+	if estRecall < exactRecall-0.15 {
+		t.Errorf("estimated-similarity routing recall %v far below exact %v", estRecall, exactRecall)
+	}
+	if estPrecision < exactPrecision-0.15 {
+		t.Errorf("estimated-similarity routing precision %v far below exact %v", estPrecision, exactPrecision)
 	}
 }
 

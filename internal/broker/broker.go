@@ -3,10 +3,9 @@
 // at runtime, publishers push XML documents, and the broker keeps the
 // consumers clustered into semantic communities so each document is
 // matched once per community representative and flooded within the
-// communities that hit (Chand, Felber, Garofalakis, ICDE'07, Section 1;
-// the batch analogue is internal/routing).
+// communities that hit (Chand, Felber, Garofalakis, ICDE'07, Section 1).
 //
-// What makes it live rather than a simulation:
+// What makes it live:
 //
 //   - Subscription churn. Subscribe computes only the new pattern's
 //     similarity row against the existing registry and places it into

@@ -6,25 +6,29 @@ import (
 	"testing"
 
 	"treesim/internal/dtd"
-	"treesim/internal/experiment"
 	"treesim/internal/matchset"
 	"treesim/internal/metrics"
 	"treesim/internal/pattern"
+	"treesim/internal/querygen"
+	"treesim/internal/xmlgen"
+	"treesim/internal/xmltree"
 )
 
-// concurrencyWorkload builds a small bench-scale workload once.
+// concurrencyWorkload builds a small bench-scale corpus and its positive
+// patterns (each matches at least one document) once.
 var (
 	concOnce sync.Once
-	concW    *experiment.Workload
+	concDocs []*xmltree.Tree
+	concPos  []*pattern.Pattern
 )
 
-func concurrencyWorkload() *experiment.Workload {
+func concurrencyWorkload() ([]*xmltree.Tree, []*pattern.Pattern) {
 	concOnce.Do(func() {
-		concW = experiment.BuildWorkload(dtd.NITFLike(), experiment.WorkloadConfig{
-			Docs: 120, Positive: 24, Negative: 8, Seed: 21,
-		})
+		d := dtd.NITFLike()
+		concDocs = xmlgen.New(d, xmlgen.Calibrate(d, 100, 21)).GenerateN(120)
+		concPos = querygen.New(d, querygen.Defaults(22)).ClassifyWorkload(concDocs, 24, 8).Positive
 	})
-	return concW
+	return concDocs, concPos
 }
 
 // TestConcurrentQueriesAndUpdates hammers the estimator with concurrent
@@ -32,11 +36,11 @@ func concurrencyWorkload() *experiment.Workload {
 // regression test for the RWMutex read path: queries must be safe
 // against each other and against writers.
 func TestConcurrentQueriesAndUpdates(t *testing.T) {
-	w := concurrencyWorkload()
+	docs, pos := concurrencyWorkload()
 	for _, kind := range []matchset.Kind{matchset.KindSets, matchset.KindHashes} {
 		t.Run(kind.String(), func(t *testing.T) {
 			est := NewEstimator(Config{Representation: kind, HashCapacity: 100, SetCapacity: 100, Seed: 3})
-			for _, d := range w.Docs[:40] {
+			for _, d := range docs[:40] {
 				est.ObserveTree(d)
 			}
 			const rounds = 30
@@ -46,7 +50,7 @@ func TestConcurrentQueriesAndUpdates(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				for i := 0; i < rounds; i++ {
-					est.ObserveTree(w.Docs[40+i%(len(w.Docs)-40)])
+					est.ObserveTree(docs[40+i%(len(docs)-40)])
 				}
 			}()
 			// Selectivity readers.
@@ -55,7 +59,7 @@ func TestConcurrentQueriesAndUpdates(t *testing.T) {
 				go func(g int) {
 					defer wg.Done()
 					for i := 0; i < rounds; i++ {
-						p := w.Positive[(g*rounds+i)%len(w.Positive)]
+						p := pos[(g*rounds+i)%len(pos)]
 						if v := est.Selectivity(p); math.IsNaN(v) || v < 0 || v > 1 {
 							t.Errorf("selectivity out of range: %v", v)
 							return
@@ -68,8 +72,8 @@ func TestConcurrentQueriesAndUpdates(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				for i := 0; i < rounds; i++ {
-					p := w.Positive[i%len(w.Positive)]
-					q := w.Positive[(i+1)%len(w.Positive)]
+					p := pos[i%len(pos)]
+					q := pos[(i+1)%len(pos)]
 					if v := est.Similarity(metrics.M3, p, q); math.IsNaN(v) {
 						t.Error("similarity NaN")
 						return
@@ -82,7 +86,7 @@ func TestConcurrentQueriesAndUpdates(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				for i := 0; i < 4; i++ {
-					mat := est.SimilarityMatrix(metrics.M2, w.Positive[:10])
+					mat := est.SimilarityMatrix(metrics.M2, pos[:10])
 					for r := range mat {
 						for c := range mat[r] {
 							if math.IsNaN(mat[r][c]) {
@@ -110,12 +114,12 @@ func TestConcurrentQueriesAndUpdates(t *testing.T) {
 // TestSimilarityMatrixMatchesSerial verifies the parallel matrix equals
 // the serial per-pair computation cell by cell on a quiescent estimator.
 func TestSimilarityMatrixMatchesSerial(t *testing.T) {
-	w := concurrencyWorkload()
+	docs, pos := concurrencyWorkload()
 	est := NewEstimator(Config{Representation: matchset.KindHashes, HashCapacity: 200, Seed: 5})
-	for _, d := range w.Docs {
+	for _, d := range docs {
 		est.ObserveTree(d)
 	}
-	subs := w.Positive[:12]
+	subs := pos[:12]
 	mat := est.SimilarityMatrix(metrics.M3, subs)
 	serial := serialMatrix(est, metrics.M3, subs)
 	for i := range mat {

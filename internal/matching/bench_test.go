@@ -96,25 +96,6 @@ func BenchmarkEngineMatchOracle(b *testing.B) {
 	}
 }
 
-// BenchmarkPrefilterEngine measures the candidate-pruning Engine
-// (required-tag prefilter + exact matcher) on the same workload.
-func BenchmarkPrefilterEngine(b *testing.B) {
-	docs, subs := benchWorkload(64, 1024)
-	eng := NewEngine(subs)
-	for _, d := range docs {
-		eng.Match(d) // warm the corpus statistics
-	}
-	eng.Rebucket()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = eng.Match(docs[i%len(docs)])
-	}
-	b.StopTimer()
-	docsN, cands, _ := eng.Stats()
-	b.ReportMetric(float64(cands)/float64(docsN), "candidates/doc")
-}
-
 // BenchmarkForestChurn measures incremental Add/Remove on a populated
 // forest (the broker's subscribe/unsubscribe path).
 func BenchmarkForestChurn(b *testing.B) {

@@ -1,3 +1,7 @@
+// Package matching is the multi-subscription XML filtering layer: Forest
+// matches each incoming document against a large set of tree-pattern
+// subscriptions in one traversal. The broker's publish path and the
+// overlay's per-link forwarding decisions run on it.
 package matching
 
 import (

@@ -46,8 +46,8 @@ var matcherPool = sync.Pool{New: func() any { return new(FlatMatcher) }}
 
 // FlatMatcher matches many patterns against one document, flattening
 // the document only once (Matches flattens per call). Callers that
-// evaluate several patterns per document — the prefiltering engine's
-// candidate loop — Load the document and then test each pattern. The
+// evaluate several patterns per document — the broker's member
+// verdicts — Load the document and then test each pattern. The
 // zero value is ready; a FlatMatcher is not safe for concurrent use
 // and its arenas are reused across Load calls.
 type FlatMatcher struct {

@@ -231,8 +231,7 @@ func validMetricName(name string) bool {
 }
 
 // SumByName folds samples into per-name totals (summing across label
-// sets) — the convenient shape for delta computation in treesim-bench
-// and threshold checks in cmd/metriccheck.
+// sets) — the convenient shape for threshold checks in cmd/metriccheck.
 func SumByName(samples []Sample) map[string]float64 {
 	m := make(map[string]float64, len(samples))
 	for _, s := range samples {

@@ -31,7 +31,7 @@
 // skeletons, tree patterns and exact matching, distinct/reservoir
 // sampling, the synopsis with its pruning operations, the recursive SEL
 // selectivity algorithm, workload generators for the paper's evaluation,
-// and a semantic-community routing simulation.
+// and the live community-routing broker with its federation overlay.
 package treesim
 
 import (
