@@ -245,13 +245,42 @@ func BenchmarkBrokerSubscribeChurn(b *testing.B) {
 	b.ReportMetric(float64(e.Stats().Rebuilds)/float64(b.N), "rebuilds/op")
 }
 
+// BenchmarkBrokerSubscribePopulation is a daemon filling up at its
+// defaults (Hashes of 1000, M3 at 0.5, rebuild past 25 % churn): 500
+// documents warm the synopsis, then 1000 subscriptions arrive one at a
+// time. One op is the whole population — rows, placements and the
+// policy rebuilds they trigger — on a fresh engine; set-up is untimed.
+func BenchmarkBrokerSubscribePopulation(b *testing.B) {
+	docs, subs := benchWorkload(500, 1000)
+	var st Stats
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		e := New(Config{Estimator: core.Config{Representation: core.Hashes, HashCapacity: 1000, Seed: 1}})
+		e.est.ObserveTrees(docs)
+		b.StartTimer()
+		for _, p := range subs {
+			if _, err := e.SubscribePattern(p, ""); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StopTimer()
+		st = e.Stats()
+		e.Close()
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(b.Elapsed())/1e6/float64(b.N), "ms/op")
+	b.ReportMetric(float64(st.Rebuilds), "rebuilds")
+	b.ReportMetric(float64(st.Communities), "communities")
+}
+
 // BenchmarkBrokerSubscribeBesideStream is the churn case the benchmark
 // above misses: 1000 live subscriptions and a synopsis that moves — one
 // document published and ingested — between any two subscribes, as it
 // does in a serving broker. Each op is publish + flush + subscribe +
 // unsubscribe-oldest; subscribe-ns/op is the subscribe alone and
 // evals/op the SEL evaluations it ran on the similarity view (1 on a
-// standing view; the registry's worth on the first after a refresh).
+// standing view; the representatives' worth on the first after a
+// refresh).
 func BenchmarkBrokerSubscribeBesideStream(b *testing.B) {
 	docs, subs := benchWorkload(200, 1000)
 	churn := querygen.New(dtd.NITFLike(), querygen.Defaults(97)).GenerateDistinct(512)

@@ -8,19 +8,20 @@
 // What makes it live:
 //
 //   - Subscription churn. Subscribe computes only the new pattern's
-//     similarity row against the existing registry and places it into
-//     the best existing community (cluster.Assign); Unsubscribe drops
-//     the member in O(n). The row is computed on the engine's
-//     similarity view (core.View): a frozen copy of the synopsis that
-//     remembers every registry pattern's SEL evaluation, so a subscribe
-//     costs one evaluation — the new pattern — plus O(n) matching-set
-//     intersections, however many documents were published since the
-//     last one. Similarity is a property of the stream's distribution,
-//     estimated from bounded samples, so the view is re-taken only when
-//     the stream has doubled since it was taken (or on a forced
-//     Rebuild): O(log N) cold passes over a stream of N documents, a
-//     frame that always covers more than half of it, and the new pattern
-//     and the old ones always evaluated in the same frame. A stream
+//     similarities to the k community representatives — all that
+//     placement reads — and places it into the best existing community
+//     (cluster.Assign); Unsubscribe drops the member in O(n). The row
+//     is computed on the engine's similarity view (core.View): a frozen
+//     copy of the synopsis that remembers every pattern's SEL
+//     evaluation, so a subscribe costs one evaluation — the new pattern
+//     — plus k matching-set intersections, however many documents were
+//     published since the last one. Similarity is a property of the
+//     stream's distribution, estimated from bounded samples, so the
+//     view is re-taken only when the stream has doubled since it was
+//     taken (or on a forced Rebuild): O(log N) cold passes over a
+//     stream of N documents, a frame that always covers more than half
+//     of it, and the new pattern and the old ones always evaluated in
+//     the same frame. A stream
 //     whose distribution drifts wants core.WindowEstimator, not a
 //     fresher view.
 //   - Staleness-bounded re-clustering. Incremental placement drifts
@@ -61,6 +62,7 @@ package broker
 import (
 	"fmt"
 	"log/slog"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -302,7 +304,9 @@ type Engine struct {
 	commLogs []*commLog
 	nextID   uint64
 	stale    int // registry mutations since the last full rebuild
-	regVer   uint64
+	// regVer moves on every registry or clustering change: a row or
+	// matrix computed off-lock commits only at the version it read.
+	regVer uint64
 	// walLSN is the LSN of the newest successfully journaled mutation
 	// (see Journal). Updated inside the same registry critical sections
 	// that commit and journal, so a State cut under the registry lock
@@ -354,11 +358,9 @@ type Engine struct {
 	ingestWG   sync.WaitGroup
 
 	// scratchPool recycles the per-publish scratch (routeScratch),
-	// rowPool/patsPool the subscribe path's similarity-row and
-	// registry-snapshot buffers.
+	// subPool the subscribe path's (subScratch).
 	scratchPool sync.Pool
-	rowPool     sync.Pool
-	patsPool    sync.Pool
+	subPool     sync.Pool
 
 	// journal, when set, records committed registry mutations for crash
 	// recovery (SetJournal). Append failures are counted and latch
@@ -631,15 +633,16 @@ func (e *Engine) SubscribePattern(p *pattern.Pattern, expr string) (uint64, erro
 
 // SubscribePatternOpts is the full subscribe entry point.
 //
-// The O(n) similarity row — the dominant cost — is computed on the
-// engine's similarity view from a registry snapshot without holding the
-// registry lock, so concurrent publishes and drains keep flowing; the
-// result commits only if the registry has not churned meanwhile. After
-// bounded retries under sustained churn it falls back to computing
-// under the exclusive lock, guaranteeing progress — on the same view,
-// which the earlier attempts left warm for all but the patterns that
-// churned in, so the lock is never held across a view refresh or a cold
-// pass over the registry.
+// The similarity row — the dominant cost — covers only the k community
+// representatives, the entries Assign reads. It is computed on the
+// engine's similarity view from a snapshot of the representatives
+// without holding the registry lock, so concurrent publishes and drains
+// keep flowing; the result commits only if the registry and clustering
+// have not changed meanwhile (regVer). After bounded retries under
+// sustained churn it falls back to computing under the exclusive lock,
+// guaranteeing progress — on the same view, which the earlier attempts
+// left warm for all but the representatives that changed, so the lock
+// is never held across a view refresh or a cold pass.
 func (e *Engine) SubscribePatternOpts(p *pattern.Pattern, expr string, opt SubscribeOptions) (uint64, error) {
 	if opt.Mode == AtLeastOnce && e.degraded.Load() {
 		// The redelivery contract is backed by the journal; without it a
@@ -649,24 +652,19 @@ func (e *Engine) SubscribePatternOpts(p *pattern.Pattern, expr string, opt Subsc
 		return 0, ErrDegraded
 	}
 	start := time.Now()
-	pats, _ := e.patsPool.Get().(*[]*pattern.Pattern)
-	if pats == nil {
-		pats = new([]*pattern.Pattern)
-	}
-	rowBuf, _ := e.rowPool.Get().(*[]float64)
-	if rowBuf == nil {
-		rowBuf = new([]float64)
+	sc, _ := e.subPool.Get().(*subScratch)
+	if sc == nil {
+		sc = new(subScratch)
 	}
 	defer func() {
-		clear(*pats)
-		e.patsPool.Put(pats)
-		e.rowPool.Put(rowBuf)
+		clear(sc.pats)
+		e.subPool.Put(sc)
 	}()
 	view := e.similarityView(false)
-	// finish commits the row in *rowBuf under the registry lock (held by
-	// the caller) and releases it.
+	// finish commits sc.row under the registry lock (held by the caller)
+	// and releases it.
 	finish := func() (uint64, error) {
-		id := e.commitSubscribeLocked(p, expr, *rowBuf, opt)
+		id := e.commitSubscribeLocked(p, expr, sc.row, opt)
 		ev := ChurnEvent{Stale: e.stale, Live: len(e.subs)}
 		e.mu.Unlock()
 		e.subLat.ObserveDuration(time.Since(start).Nanoseconds())
@@ -681,10 +679,10 @@ func (e *Engine) SubscribePatternOpts(p *pattern.Pattern, expr string, opt Subsc
 			return 0, ErrClosed
 		}
 		ver := e.regVer
-		*pats = e.patternsLocked((*pats)[:0])
+		sc.snapshotLocked(e)
 		e.mu.RUnlock()
 
-		*rowBuf = view.SimilarityRowInto(*rowBuf, e.cfg.Metric, p, *pats)
+		sc.fill(view, e.cfg.Metric, p)
 
 		e.mu.Lock()
 		if e.closed {
@@ -702,9 +700,40 @@ func (e *Engine) SubscribePatternOpts(p *pattern.Pattern, expr string, opt Subsc
 		e.mu.Unlock()
 		return 0, ErrClosed
 	}
-	*pats = e.patternsLocked((*pats)[:0])
-	*rowBuf = view.SimilarityRowInto(*rowBuf, e.cfg.Metric, p, *pats)
+	sc.snapshotLocked(e)
+	sc.fill(view, e.cfg.Metric, p)
 	return finish()
+}
+
+// subScratch is one subscribe's pooled buffers: the representatives'
+// registry indices and patterns as snapshotted, their similarities to
+// the new pattern, and the registry-indexed row Assign reads.
+type subScratch struct {
+	reps []int
+	pats []*pattern.Pattern
+	sims []float64
+	row  []float64
+}
+
+// snapshotLocked copies the clustering's representatives and sizes the
+// row to the registry. Caller holds the registry lock.
+func (sc *subScratch) snapshotLocked(e *Engine) {
+	sc.reps = append(sc.reps[:0], e.comms.Reps...)
+	sc.pats = sc.pats[:0]
+	for _, r := range sc.reps {
+		sc.pats = append(sc.pats, e.subs[r].pat)
+	}
+	sc.row = slices.Grow(sc.row[:0], len(e.subs))[:len(e.subs)]
+}
+
+// fill computes p's similarity to each snapshotted representative and
+// writes it at the representative's index in the row; the other entries
+// keep whatever they held, which Assign does not read.
+func (sc *subScratch) fill(view *core.View, m metrics.Metric, p *pattern.Pattern) {
+	sc.sims = view.SimilarityRowInto(sc.sims, m, p, sc.pats)
+	for i, r := range sc.reps {
+		sc.row[r] = sc.sims[i]
+	}
 }
 
 // similarityView returns the frame subscribe rows and rebuild matrices
@@ -712,11 +741,12 @@ func (e *Engine) SubscribePatternOpts(p *pattern.Pattern, expr string, opt Subsc
 // due: there is none yet, the stream has doubled since it was taken, or
 // force (an explicit Rebuild). A stream of N documents therefore pays
 // O(log N) refreshes — each followed by one cold SEL pass over the
-// registry on the next row or matrix — instead of one per subscribe,
-// and the view always covers more than half the stream. Callers hold no
-// engine lock: the refresh copies the synopsis under the estimator's
-// read lock, and between refreshes the estimator's lock is held only to
-// read the stream length.
+// representatives on the next row (over the registry on the next
+// rebuild matrix) — instead of one per subscribe, and the view always
+// covers more than half the stream. Callers hold no engine lock: the
+// refresh copies the synopsis under the estimator's read lock, and
+// between refreshes the estimator's lock is held only to read the
+// stream length.
 func (e *Engine) similarityView(force bool) *core.View {
 	e.viewMu.Lock()
 	defer e.viewMu.Unlock()
@@ -878,6 +908,9 @@ func (e *Engine) maybeRebuild(force bool) {
 		if e.regVer == ver {
 			e.replaceClusteringLocked(cluster.BuildGreedy(sim, e.cfg.Threshold))
 			e.stale = 0
+			// New representatives: a subscribe row computed against the
+			// superseded ones must not commit.
+			e.regVer++
 			e.counters.rebuilds.Add(1)
 			if j := e.journal.Load(); j != nil {
 				groups, reps := e.partitionIDsLocked()

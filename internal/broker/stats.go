@@ -56,7 +56,7 @@ func newCounters(reg *telemetry.Registry) counters {
 		redeliveries:   reg.Counter("treesim_broker_redeliveries_total", "At-least-once deliveries handed out more than once (lease lapse or crash recovery)."),
 		leaseExpiries:  reg.Counter("treesim_broker_lease_expiries_total", "Consumer lease lapses returning in-flight deliveries to redeliverable."),
 		ackShed:        reg.Counter("treesim_broker_ack_shed_total", "At-least-once deliveries shed by cursor-log capacity overflow (oldest first; counted loss)."),
-		viewRefreshes:  reg.Counter("treesim_broker_similarity_view_refreshes_total", "Similarity views taken from the estimator (first use, stream doubled, forced rebuild); each is followed by one cold SEL pass over the registry."),
+		viewRefreshes:  reg.Counter("treesim_broker_similarity_view_refreshes_total", "Similarity views taken from the estimator (first use, stream doubled, forced rebuild); each is followed by one cold SEL pass over the representatives."),
 	}
 }
 

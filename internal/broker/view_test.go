@@ -1,6 +1,10 @@
 package broker
 
 import (
+	"runtime"
+	"slices"
+	"sort"
+	"sync"
 	"testing"
 
 	"treesim/internal/cluster"
@@ -36,7 +40,7 @@ func publishFlushed(t *testing.T, e *Engine, docs []*xmltree.Tree) {
 // a subscribe on a standing view runs one SEL evaluation — the new
 // pattern — however many documents were published and ingested since
 // the previous one, and the first subscribe on a new view runs one per
-// registry pattern besides.
+// community representative besides (the row covers nothing else).
 func TestSimilarityViewDoublingRule(t *testing.T) {
 	const n = 16
 	docs, pats := benchWorkload(16*n, 9*n)
@@ -80,11 +84,12 @@ func TestSimilarityViewDoublingRule(t *testing.T) {
 	// N → 8N one document at a time, one subscribe after each.
 	for d := n + 1; d <= 8*n; d++ {
 		publishFlushed(t, e, docs[d-1:d])
-		live := e.Live()
+		reps := e.Stats().Communities
 		v, evals := subscribe()
 		if d == 2*n || d == 4*n || d == 8*n {
-			if v.Docs() != d || evals != int64(live+1) {
-				t.Fatalf("at %d docs: view covers %d, %d evaluations; want a new view of %d and a cold pass of %d", d, v.Docs(), evals, d, live+1)
+			if v.Docs() != d || evals != int64(reps+1) || reps >= e.Live()-1 {
+				t.Fatalf("at %d docs: view covers %d, %d evaluations; want a new view of %d and a cold pass of %d representatives + 1 (of %d live)",
+					d, v.Docs(), evals, d, reps, e.Live()-1)
 			}
 		} else if 2*v.Docs() <= d || evals != 1 {
 			t.Fatalf("at %d docs: view covers %d, %d evaluations; want the standing view and 1", d, v.Docs(), evals)
@@ -179,5 +184,204 @@ func TestSubscribeOnFreshViewMatchesLiveAssign(t *testing.T) {
 	}
 	if st := e.Stats(); st.Communities >= st.Live || st.Communities < 2 {
 		t.Fatalf("%d communities for %d subscriptions: the workload exercises no placement", st.Communities, st.Live)
+	}
+}
+
+// hookJournal is memJournal calling subscribed with the group each
+// subscription was placed in, inside the registry critical section
+// that commits it.
+type hookJournal struct {
+	memJournal
+	subscribed func(group int)
+}
+
+func (j *hookJournal) Subscribed(id uint64, expr string, group int, mode DeliveryMode) (uint64, error) {
+	j.subscribed(group)
+	return j.memJournal.Subscribed(id, expr, group, mode)
+}
+
+// TestSubscribeOnRepresentativesMatchesFullRow is the differential for
+// the representatives-only row: at the daemon's defaults, policy
+// rebuilds included, 1000 generated NITF patterns subscribed after 500
+// warm documents each land in the community cluster.Assign picks over
+// the full SimilarityRow against the registry.
+func TestSubscribeOnRepresentativesMatchesFullRow(t *testing.T) {
+	nDocs, nSubs := 500, 1000
+	if raceEnabled || testing.Short() {
+		nDocs, nSubs = 150, 300
+	}
+	docs, pats := benchWorkload(nDocs, nSubs)
+	e := newTestEngine(t, Config{Estimator: core.Config{Representation: core.Hashes, HashCapacity: 1000, Seed: 1}})
+	got := -1
+	e.SetJournal(&hookJournal{subscribed: func(g int) { got = g }})
+	publishFlushed(t, e, docs)
+	for i, p := range pats {
+		e.mu.RLock()
+		live := e.patternsLocked(nil)
+		ref, err := cluster.FromGroups(e.cfg.Threshold, e.comms.Groups, e.comms.Reps)
+		e.mu.RUnlock()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := ref.Assign(e.est.SimilarityRow(e.cfg.Metric, p, live))
+		if _, err := e.SubscribePattern(p, ""); err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Fatalf("subscription %d placed in community %d of %d, Assign over the full row picks %d",
+				i, got, len(ref.Groups), want)
+		}
+	}
+	if st := e.Stats(); st.Rebuilds == 0 || st.Communities >= st.Live {
+		t.Fatalf("%d rebuilds, %d communities for %d subscriptions: the workload exercises no placement on rebuilt representatives",
+			st.Rebuilds, st.Communities, st.Live)
+	}
+}
+
+// TestSubscribeBesideRebuildPlacesOnCurrentReps races subscribes
+// against a goroutine re-clustering in a loop. A row covers only the
+// representatives it snapshotted, so one that a rebuild superseded must
+// not commit: at every commit the subscription has founded its
+// community and no representative is threshold-similar to it, or its
+// community's representative is the most similar (first on ties) and at
+// least threshold-similar — Assign's rule over the clustering it
+// commits into, on the stream every row and matrix is computed over
+// (nothing is published).
+//
+// Each round is built so that a superseded row would commit and would
+// misplace. A racer subscribes on a cold copy of the view (the same
+// stream, nothing evaluated, so its row costs a SEL evaluation per
+// representative) while rebuilds run on the engine's warm one, starting
+// once the racer has begun evaluating — past its snapshot. The round's
+// registry is subscribed least-connected first, so incremental
+// placement makes peripheral patterns representatives and the first
+// rebuild seeds better-connected ones; the racer is a pattern that
+// belongs with a representative the rebuild introduced, whose entry a
+// row over the incremental representatives does not hold. Rounds
+// where no candidate does are skipped.
+func TestSubscribeBesideRebuildPlacesOnCurrentReps(t *testing.T) {
+	const base, rounds = 16, 30
+	docs, pats := benchWorkload(300, 2*rounds*base) // the rounds' registries, then racer candidates
+	cfg := Config{
+		Estimator: core.Config{Representation: core.Hashes, HashCapacity: 32, Seed: 5},
+		Rebuild:   Never{},
+	}
+	def := cfg.withDefaults()
+	// Estimators fed the same stream as the engines hold the same
+	// synopsis: one gives the reference similarities, the other the cold
+	// view (each round's patterns are new to it).
+	ref, cold := core.NewEstimator(cfg.Estimator), core.NewEstimator(cfg.Estimator)
+	ref.ObserveTrees(docs)
+	cold.ObserveTrees(docs)
+	coldView := cold.View()
+	sim := ref.SimilarityMatrix(def.Metric, pats) // sim[existing][new], as a row
+	index := make(map[*pattern.Pattern]int, len(pats))
+	for i, p := range pats {
+		index[p] = i
+	}
+	row := func(existing []*pattern.Pattern, p *pattern.Pattern) []float64 {
+		out := make([]float64, len(existing))
+		for i, q := range existing {
+			out[i] = sim[index[q]][index[p]]
+		}
+		return out
+	}
+	candidates := pats[rounds*base:]
+
+	var commits, probes, rebuilds, bad int
+	for r := range rounds {
+		members := slices.Clone(pats[r*base : (r+1)*base])
+		degree := make(map[*pattern.Pattern]int, base)
+		for _, p := range members {
+			for _, q := range members {
+				if p != q && sim[index[p]][index[q]] >= def.Threshold {
+					degree[p]++
+				}
+			}
+		}
+		sort.SliceStable(members, func(a, b int) bool { return degree[members[a]] < degree[members[b]] })
+		incremental := &cluster.Communities{Threshold: def.Threshold}
+		matrix := make([][]float64, base)
+		for i, p := range members {
+			incremental.Assign(row(members[:i], p))
+			matrix[i] = make([]float64, base)
+			for j, q := range members {
+				matrix[i][j] = sim[index[p]][index[q]]
+			}
+		}
+		rebuilt := cluster.BuildGreedy(matrix, def.Threshold)
+		var racer *pattern.Pattern
+		for i, p := range candidates {
+			c, _ := cluster.FromGroups(def.Threshold, rebuilt.Groups, rebuilt.Reps)
+			if g := c.Assign(row(members, p)); g < len(rebuilt.Reps) && !slices.Contains(incremental.Reps, rebuilt.Reps[g]) {
+				racer, candidates = p, slices.Delete(candidates, i, i+1)
+				break
+			}
+		}
+		if racer == nil {
+			continue
+		}
+		probes++
+
+		e := New(cfg)
+		e.est.ObserveTrees(docs)
+		e.SetJournal(&hookJournal{subscribed: func(g int) {
+			commits++
+			idx := len(e.subs) - 1
+			col := index[e.subs[idx].pat]
+			want, best := -1, 0.0
+			for h, rep := range e.comms.Reps {
+				if s := sim[index[e.subs[rep].pat]][col]; rep != idx && s >= def.Threshold && (want == -1 || s > best) {
+					want, best = h, s
+				}
+			}
+			if founded := e.comms.Reps[g] == idx; (want == -1) != founded || (!founded && g != want) {
+				bad++
+				t.Errorf("round %d: pattern %d committed into community %d (founded %v); over the representatives it commits into, Assign picks %d",
+					r, col, g, founded, want)
+			}
+		}})
+		for _, p := range members {
+			if _, err := e.SubscribePattern(p, ""); err != nil {
+				t.Fatal(err)
+			}
+		}
+
+		e.viewMu.Lock()
+		e.view = coldView
+		e.viewMu.Unlock()
+		evals := coldView.Evals()
+		var racing, rebuilder sync.WaitGroup
+		stop := make(chan struct{})
+		racing.Add(1)
+		go func() {
+			defer racing.Done()
+			if _, err := e.SubscribePattern(racer, ""); err != nil {
+				t.Error(err)
+			}
+		}()
+		rebuilder.Add(1)
+		go func() {
+			defer rebuilder.Done()
+			for coldView.Evals() == evals {
+				runtime.Gosched()
+			}
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					e.Rebuild()
+				}
+			}
+		}()
+		racing.Wait()
+		close(stop)
+		rebuilder.Wait()
+		rebuilds += int(e.Stats().Rebuilds)
+		e.Close()
+	}
+	if commits != probes*(base+1) || probes < rounds/3 || rebuilds == 0 || bad > 0 {
+		t.Fatalf("%d rounds of %d: %d commits beside %d rebuilds, %d misplaced", probes, rounds, commits, rebuilds, bad)
 	}
 }

@@ -16,7 +16,8 @@ import (
 // item that has the most unassigned neighbors at or above the threshold,
 // then absorbing all such neighbors. Communities are returned as index
 // sets, largest first; members are sorted. Every item lands in exactly
-// one community (possibly a singleton).
+// one community (possibly a singleton). O(n²) time (GreedySeeded plus a
+// sort of the communities).
 func Greedy(sim [][]float64, threshold float64) [][]int {
 	out, _ := GreedySeeded(sim, threshold)
 	sort.SliceStable(out, func(i, j int) bool { return len(out[i]) > len(out[j]) })

@@ -35,7 +35,8 @@ type Communities struct {
 
 // BuildGreedy clusters all n items with the seeded greedy algorithm and
 // returns the result as a maintainable Communities value whose
-// representatives are the greedy seeds.
+// representatives are the greedy seeds. O(n²) time, the cost of
+// GreedySeeded; computing sim is the caller's O(n²) cell evaluations.
 func BuildGreedy(sim [][]float64, threshold float64) *Communities {
 	groups, seeds := GreedySeeded(sim, threshold)
 	return &Communities{Threshold: threshold, Groups: groups, Reps: seeds, n: len(sim)}
@@ -53,6 +54,12 @@ func (c *Communities) Len() int { return c.n }
 // absorption uses — breaking ties toward the earlier group. Otherwise
 // it founds a new singleton group (and becomes its representative).
 // Returns the group index the item landed in.
+//
+// Assign reads only row[rep] for each representative rep in c.Reps; the
+// other entries may hold anything. A caller may therefore compute the
+// similarities to the representatives alone, provided they are the
+// representatives Assign sees — a row computed against an earlier
+// clustering's representatives is not a row for this one.
 func (c *Communities) Assign(row []float64) int {
 	idx := c.n
 	c.n++
@@ -202,31 +209,43 @@ func (c *Communities) Sorted() [][]int {
 // Greedy it does not reorder communities by size: community g was
 // seeded before community g+1, the invariant the incremental replay of
 // Assign relies on.
+//
+// O(n²) time and O(n) extra space for n items, whatever the number of
+// communities: each item's degree (its unassigned neighbours i→j at or
+// above the threshold) is counted once, and every item a community
+// takes decrements the degree of each unassigned item that counted it,
+// instead of recounting all degrees per community.
 func GreedySeeded(sim [][]float64, threshold float64) (groups [][]int, seeds []int) {
 	n := len(sim)
 	assigned := make([]bool, n)
+	deg := make([]int, n)
+	for i := range n {
+		for j := range n {
+			if i != j && sim[i][j] >= threshold {
+				deg[i]++
+			}
+		}
+	}
 	for remaining := n; remaining > 0; {
-		seed, bestDeg := -1, -1
-		for i := 0; i < n; i++ {
-			if assigned[i] {
-				continue
-			}
-			deg := 0
-			for j := 0; j < n; j++ {
-				if i != j && !assigned[j] && sim[i][j] >= threshold {
-					deg++
-				}
-			}
-			if deg > bestDeg {
-				seed, bestDeg = i, deg
+		seed := -1
+		for i := range n {
+			if !assigned[i] && (seed == -1 || deg[i] > deg[seed]) {
+				seed = i
 			}
 		}
 		comm := []int{seed}
 		assigned[seed] = true
-		for j := 0; j < n; j++ {
+		for j := range n {
 			if !assigned[j] && sim[seed][j] >= threshold {
 				comm = append(comm, j)
 				assigned[j] = true
+			}
+		}
+		for _, j := range comm {
+			for i := range n {
+				if !assigned[i] && sim[i][j] >= threshold {
+					deg[i]--
+				}
 			}
 		}
 		sort.Ints(comm)

@@ -112,6 +112,78 @@ func TestAssignReplaysGreedy(t *testing.T) {
 	}
 }
 
+// greedySeededRef is the O(k·n²) greedy GreedySeeded replaced: every
+// round recounts every unassigned item's degree from the matrix. Kept
+// as the reference the incremental-degree version must reproduce.
+func greedySeededRef(sim [][]float64, threshold float64) (groups [][]int, seeds []int) {
+	n := len(sim)
+	assigned := make([]bool, n)
+	for remaining := n; remaining > 0; {
+		seed, bestDeg := -1, -1
+		for i := 0; i < n; i++ {
+			if assigned[i] {
+				continue
+			}
+			deg := 0
+			for j := 0; j < n; j++ {
+				if i != j && !assigned[j] && sim[i][j] >= threshold {
+					deg++
+				}
+			}
+			if deg > bestDeg {
+				seed, bestDeg = i, deg
+			}
+		}
+		comm := []int{seed}
+		assigned[seed] = true
+		for j := 0; j < n; j++ {
+			if !assigned[j] && sim[seed][j] >= threshold {
+				comm = append(comm, j)
+				assigned[j] = true
+			}
+		}
+		sort.Ints(comm)
+		groups = append(groups, comm)
+		seeds = append(seeds, seed)
+		remaining -= len(comm)
+	}
+	return groups, seeds
+}
+
+// TestGreedySeededMatchesReference: the incremental-degree greedy
+// returns the reference's groups and seeds exactly — same order, same
+// first-index tie-break, same sim[i][j] / sim[seed][j] orientation — on
+// symmetric and asymmetric (M1-like) matrices, coarse ones full of tied
+// degrees and tied cells, at thresholds that admit every pair (0), some
+// (0.5), only unit cells (1) and none (2).
+func TestGreedySeededMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for _, n := range []int{0, 1, 2, 3, 7, 40, 300} {
+		for _, symmetric := range []bool{true, false} {
+			for _, levels := range []int{0, 2, 4} { // 0: continuous values
+				sim := randomSim(n, rng, symmetric)
+				if levels > 0 {
+					for i := range sim {
+						for j := range sim[i] {
+							if i != j {
+								sim[i][j] = float64(int(sim[i][j]*float64(levels))) / float64(levels-1)
+							}
+						}
+					}
+				}
+				for _, threshold := range []float64{0, 0.5, 1, 2} {
+					wantG, wantS := greedySeededRef(sim, threshold)
+					gotG, gotS := GreedySeeded(sim, threshold)
+					if !reflect.DeepEqual(gotG, wantG) || !reflect.DeepEqual(gotS, wantS) {
+						t.Fatalf("n=%d symmetric=%v levels=%d threshold=%v:\ngroups %v seeds %v\nwant   %v seeds %v",
+							n, symmetric, levels, threshold, gotG, gotS, wantG, wantS)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestGreedyMatchesSeeded: the public Greedy is GreedySeeded reordered
 // by size, nothing more.
 func TestGreedyMatchesSeeded(t *testing.T) {

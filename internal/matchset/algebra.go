@@ -145,6 +145,13 @@ func intersectInto(dst, a, b []uint64) int {
 // kernel behind IntersectCard, for callers (similarity rows, matrix
 // rebuilds) that need only |a ∩ b| and would discard a materialized
 // result immediately.
+//
+// The merge step branches. A branch-free step (three conditional
+// increments) is latency-bound at ~4 ns per element; it wins only where
+// comparison outcomes are a coin toss, as on random identifiers, while
+// real match sets are correlated document ids whose runs the predictor
+// follows: on warm 1000-pattern NITF matrices (2-core Xeon, go1.24) it
+// ran 13–17 % slower at 4000 and 16 000 documents.
 func intersectCount(a, b []uint64) int {
 	if len(a) > len(b) {
 		a, b = b, a
