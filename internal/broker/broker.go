@@ -26,9 +26,10 @@
 //     fresher view.
 //   - Staleness-bounded re-clustering. Incremental placement drifts
 //     from what a fresh greedy clustering would produce; a pluggable
-//     RebuildPolicy watches the mutation count and triggers a full
-//     similarity matrix (on the same view) + greedy rebuild when enough
-//     of the registry has churned.
+//     RebuildPolicy watches the mutation count and triggers a greedy
+//     rebuild when enough of the registry has churned. The greedy runs on
+//     the view's thresholded similarity graph (core.Graph), which pays
+//     only for the pairs no earlier rebuild on the same view decided.
 //   - One matching forest. It holds exactly the communities'
 //     representatives (the handle is the community's: joiners never
 //     touch it, a leaving representative hands it to its successor); a
@@ -50,10 +51,10 @@
 // subscription and log. Churn takes the routing write lock for one
 // forest edit plus the table rebuild. Subscribe, Unsubscribe and policy
 // rebuilds are
-// exclusive on the registry but hold it only for the commit — the O(n)
-// similarity row, the O(n²) rebuild matrix and view refreshes happen
+// exclusive on the registry but hold it only for the commit — the
+// similarity row, the rebuild graph and view refreshes happen
 // from snapshots outside the registry lock. Rows
-// and matrices run on the view, never on the live estimator: churn
+// and graphs run on the view, never on the live estimator: churn
 // takes the estimator's read lock only to read the stream length and,
 // at a refresh, to copy the synopsis structure (no SEL work), so the
 // ingester is never stalled behind a similarity computation.
@@ -305,7 +306,7 @@ type Engine struct {
 	nextID   uint64
 	stale    int // registry mutations since the last full rebuild
 	// regVer moves on every registry or clustering change: a row or
-	// matrix computed off-lock commits only at the version it read.
+	// graph computed off-lock commits only at the version it read.
 	regVer uint64
 	// walLSN is the LSN of the newest successfully journaled mutation
 	// (see Journal). Updated inside the same registry critical sections
@@ -327,10 +328,10 @@ type Engine struct {
 	matchNS     *telemetry.Histogram
 
 	// rebuildBusy lets exactly one goroutine run the (expensive,
-	// lock-free) similarity-matrix phase of a policy rebuild at a time.
+	// lock-free) similarity-graph phase of a policy rebuild at a time.
 	rebuildBusy atomic.Bool
 
-	// view is the similarity frame every subscribe row and rebuild matrix
+	// view is the similarity frame every subscribe row and rebuild graph
 	// is computed in (similarityView); viewMu guards the pointer and
 	// serializes refreshes. A leaf lock: never held with the registry
 	// lock.
@@ -391,11 +392,13 @@ type Engine struct {
 	counters counters
 	// tel is the metrics registry (cfg.Telemetry or a private one);
 	// pubLat/ingestWait are the publish-path latency histograms, read
-	// back by Stats for p50/p99; subLat is the subscribe latency.
+	// back by Stats for p50/p99; subLat is the subscribe latency and
+	// rebuildLat the re-clustering's.
 	tel        *telemetry.Registry
 	pubLat     *telemetry.Histogram
 	ingestWait *telemetry.Histogram
 	subLat     *telemetry.Histogram
+	rebuildLat *telemetry.Histogram
 	docs       *docRing
 }
 
@@ -428,6 +431,7 @@ func newEngine(cfg Config, est *core.Estimator) *Engine {
 	e.pubLat = tel.Histogram("treesim_broker_publish_ns", "End-to-end publish latency (ingest enqueue + routing), nanoseconds.", lb)
 	e.ingestWait = tel.Histogram("treesim_broker_ingest_wait_ns", "Time a publish spent blocked on the synopsis ingest pipeline, nanoseconds.", lb)
 	e.subLat = tel.Histogram("treesim_broker_subscribe_ns", "Subscribe latency from entry to commit (similarity row, community assignment, journal), nanoseconds.", lb)
+	e.rebuildLat = tel.Histogram("treesim_broker_rebuild_ns", "Re-clustering latency from registry snapshot to commit, retries included (similarity graph, greedy, journal), nanoseconds.", lb)
 	// The name and the shard label date from the sharded layout; one
 	// series remains (README's metric-name stability promise).
 	e.matchNS = tel.Histogram("treesim_broker_shard_match_ns",
@@ -736,13 +740,13 @@ func (sc *subScratch) fill(view *core.View, m metrics.Metric, p *pattern.Pattern
 	}
 }
 
-// similarityView returns the frame subscribe rows and rebuild matrices
+// similarityView returns the frame subscribe rows and rebuild graphs
 // are computed in, re-taking it from the estimator first when one is
 // due: there is none yet, the stream has doubled since it was taken, or
 // force (an explicit Rebuild). A stream of N documents therefore pays
 // O(log N) refreshes — each followed by one cold SEL pass over the
 // representatives on the next row (over the registry on the next
-// rebuild matrix) — instead of one per subscribe, and the view always
+// rebuild graph) — instead of one per subscribe, and the view always
 // covers more than half the stream. Callers hold no engine lock: the
 // refresh copies the synopsis under the estimator's read lock, and
 // between refreshes the estimator's lock is held only to read the
@@ -802,7 +806,8 @@ func (e *Engine) installSubLocked(id uint64, p *pattern.Pattern, expr string, g 
 // It reports whether the id was live.
 func (e *Engine) Unsubscribe(id uint64) bool {
 	e.mu.Lock()
-	if !e.removeSubLocked(id) {
+	s := e.removeSubLocked(id)
+	if s == nil {
 		e.mu.Unlock()
 		return false
 	}
@@ -816,6 +821,11 @@ func (e *Engine) Unsubscribe(id uint64) bool {
 	}
 	ev := ChurnEvent{Stale: e.stale, Live: len(e.subs)}
 	e.mu.Unlock()
+	e.viewMu.Lock()
+	if e.view != nil {
+		e.view.Forget(s.pat) // or the view's SEL cache grows with every pattern ever subscribed
+	}
+	e.viewMu.Unlock()
 	e.notifyChurn(ev)
 	e.maybeRebuild(false)
 	return true
@@ -824,12 +834,12 @@ func (e *Engine) Unsubscribe(id uint64) bool {
 // removeSubLocked is the unsubscribe commit: it drops the subscription
 // from the registry, clustering and routing table, and hands the
 // community's forest handle over if it was the representative.
-// Caller holds the registry lock exclusively. Reports whether the id
-// was live.
-func (e *Engine) removeSubLocked(id uint64) bool {
+// Caller holds the registry lock exclusively. Returns the removed
+// subscription, nil if the id was not live.
+func (e *Engine) removeSubLocked(id uint64) *subscriber {
 	idx, ok := e.byID[id]
 	if !ok {
-		return false
+		return nil
 	}
 	s := e.subs[idx]
 	// Closing the queue discharges any remaining at-least-once entries:
@@ -871,23 +881,26 @@ func (e *Engine) removeSubLocked(id uint64) bool {
 			e.commFH[g] = e.forest.Add(e.subs[e.comms.Reps[g]].pat)
 		}
 	})
-	return true
+	return s
 }
 
 // maybeRebuild performs a full greedy re-clustering when the policy
-// (or force) asks for one. The O(n²) similarity matrix is computed on
-// the similarity view from a registry snapshot WITHOUT holding the
-// registry lock, so publishes and drains keep flowing during a
-// rebuild; the result is swapped in only if the registry has not
-// churned in the meantime (a bounded number of retries otherwise;
-// persistent churn leaves stale set, so the next mutation tries again).
+// (or force) asks for one. The thresholded similarity graph is built on
+// the similarity view, and the greedy run on it, from a registry
+// snapshot WITHOUT holding the registry lock, so publishes and drains
+// keep flowing during a rebuild; the result is swapped in only if the
+// registry has not churned in the meantime (a bounded number of retries
+// otherwise; persistent churn leaves stale set, so the next mutation
+// tries again).
 // A forced rebuild re-takes the view first, so it clusters on the
-// stream as of now.
+// stream as of now; on a standing view the graph build evaluates only
+// the pairs with a pattern the view's previous graph did not cover.
 func (e *Engine) maybeRebuild(force bool) {
 	if !e.rebuildBusy.CompareAndSwap(false, true) {
 		return // another goroutine is already rebuilding
 	}
 	defer e.rebuildBusy.Store(false)
+	start := time.Now()
 	var view *core.View
 	for attempt := 0; attempt < 3; attempt++ {
 		e.mu.RLock()
@@ -902,11 +915,12 @@ func (e *Engine) maybeRebuild(force bool) {
 		if view == nil {
 			view = e.similarityView(force)
 		}
-		sim := view.SimilarityMatrix(e.cfg.Metric, pats)
+		g := view.SimilarityGraph(e.cfg.Metric, e.cfg.Threshold, pats)
+		comms := cluster.BuildGreedyRows(g.Len(), g.Row, e.cfg.Threshold)
 
 		e.mu.Lock()
 		if e.regVer == ver {
-			e.replaceClusteringLocked(cluster.BuildGreedy(sim, e.cfg.Threshold))
+			e.replaceClusteringLocked(comms)
 			e.stale = 0
 			// New representatives: a subscribe row computed against the
 			// superseded ones must not commit.
@@ -923,7 +937,9 @@ func (e *Engine) maybeRebuild(force bool) {
 			live := len(e.subs)
 			communities := len(e.comms.Groups)
 			e.mu.Unlock()
-			e.cfg.Logger.Warn("registry reclustered", "live", live, "communities", communities)
+			e.rebuildLat.ObserveDuration(time.Since(start).Nanoseconds())
+			e.cfg.Logger.Warn("registry reclustered", "live", live, "communities", communities,
+				"pairs_computed", g.Computed, "pairs_reused", g.Reused)
 			e.notifyChurn(ChurnEvent{Live: live, Rebuilt: true})
 			return
 		}

@@ -1,10 +1,9 @@
 package broker
 
 // RebuildPolicy decides when accumulated subscription churn warrants a
-// full similarity-matrix rebuild and greedy re-clustering. It is
-// consulted after every registry mutation with the number of mutations
-// since the last rebuild (stale) and the current number of live
-// subscriptions (live).
+// full greedy re-clustering. It is consulted after every registry
+// mutation with the number of mutations since the last rebuild (stale)
+// and the current number of live subscriptions (live).
 type RebuildPolicy interface {
 	ShouldRebuild(stale, live int) bool
 }

@@ -1,6 +1,9 @@
 package broker
 
 import (
+	"context"
+	"log/slog"
+	"reflect"
 	"runtime"
 	"slices"
 	"sort"
@@ -9,7 +12,9 @@ import (
 
 	"treesim/internal/cluster"
 	"treesim/internal/core"
+	"treesim/internal/dtd"
 	"treesim/internal/pattern"
+	"treesim/internal/querygen"
 	"treesim/internal/xmltree"
 )
 
@@ -383,5 +388,144 @@ func TestSubscribeBesideRebuildPlacesOnCurrentReps(t *testing.T) {
 	}
 	if commits != probes*(base+1) || probes < rounds/3 || rebuilds == 0 || bad > 0 {
 		t.Fatalf("%d rounds of %d: %d commits beside %d rebuilds, %d misplaced", probes, rounds, commits, rebuilds, bad)
+	}
+}
+
+// reclusterLog is a slog handler summing the "registry reclustered"
+// events' pair counts.
+type reclusterLog struct {
+	mu                       sync.Mutex
+	events, computed, reused int64
+}
+
+func (h *reclusterLog) Enabled(context.Context, slog.Level) bool { return true }
+func (h *reclusterLog) WithAttrs([]slog.Attr) slog.Handler       { return h }
+func (h *reclusterLog) WithGroup(string) slog.Handler            { return h }
+
+func (h *reclusterLog) Handle(_ context.Context, r slog.Record) error {
+	if r.Message != "registry reclustered" {
+		return nil
+	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.events++
+	r.Attrs(func(a slog.Attr) bool {
+		switch a.Key {
+		case "pairs_computed":
+			h.computed += a.Value.Int64()
+		case "pairs_reused":
+			h.reused += a.Value.Int64()
+		}
+		return true
+	})
+	return nil
+}
+
+// TestRebuildGraphMatchesFullMatrix is the differential for rebuilds on
+// the view's graph: at the daemon's defaults, 1000 generated NITF
+// patterns subscribed after 500 warm documents, the partition and
+// representatives after every rebuild are what cluster.BuildGreedy makes
+// of the full SimilarityMatrix of the registry on the same view. Every
+// rebuild after the first evaluates only the pairs with a pattern
+// subscribed since the one before: the events' pairs_computed and
+// pairs_reused sum to 328 455 and 407 699 over the fill's 8 rebuilds, and
+// the rebuild histogram timed each.
+func TestRebuildGraphMatchesFullMatrix(t *testing.T) {
+	nDocs, nSubs := 500, 1000
+	if raceEnabled || testing.Short() {
+		nDocs, nSubs = 150, 300
+	}
+	docs, pats := benchWorkload(nDocs, nSubs)
+	log := new(reclusterLog)
+	e := newTestEngine(t, Config{
+		Estimator: core.Config{Representation: core.Hashes, HashCapacity: 1000, Seed: 1},
+		Logger:    slog.New(log),
+	})
+	publishFlushed(t, e, docs)
+	var computed, reused int64
+	prev := 0 // live at the previous rebuild
+	e.SetChurnHook(func(ev ChurnEvent) {
+		if !ev.Rebuilt {
+			return
+		}
+		e.mu.RLock()
+		live := e.patternsLocked(nil)
+		e.mu.RUnlock()
+		want := cluster.BuildGreedy(currentView(e).SimilarityMatrix(e.cfg.Metric, live), e.cfg.Threshold)
+		e.mu.RLock()
+		if !reflect.DeepEqual(e.comms.Groups, want.Groups) || !reflect.DeepEqual(e.comms.Reps, want.Reps) {
+			t.Errorf("rebuild at %d live: %d communities, not the %d (or not the members and representatives) the full matrix's greedy makes",
+				len(live), len(e.comms.Groups), len(want.Groups))
+		}
+		e.mu.RUnlock()
+		n := len(live)
+		reused += int64(prev * (prev - 1) / 2)
+		computed += int64(n*(n-1)/2 - prev*(prev-1)/2)
+		prev = n
+	})
+	for _, p := range pats {
+		if _, err := e.SubscribePattern(p, ""); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := e.Stats()
+	if st.Rebuilds < 2 || log.events != int64(st.Rebuilds) || e.rebuildLat.Snapshot().Count != st.Rebuilds {
+		t.Fatalf("%d rebuilds, %d events, %d timed", st.Rebuilds, log.events, e.rebuildLat.Snapshot().Count)
+	}
+	if log.computed != computed || log.reused != reused {
+		t.Errorf("rebuilds computed %d and reused %d pairs, want %d and %d", log.computed, log.reused, computed, reused)
+	}
+	if nSubs == 1000 && (st.Rebuilds != 8 || st.Communities != 395 || log.computed != 328455 || log.reused != 407699) {
+		t.Errorf("fill of 1000: %d rebuilds, %d communities, %d pairs computed, %d reused; want 8, 395, 328455, 407699",
+			st.Rebuilds, st.Communities, log.computed, log.reused)
+	}
+}
+
+// TestViewCacheFollowsLiveSet: an unsubscribe takes the pattern's SEL
+// evaluation out of the similarity view, so churn on a quiet stream — the
+// daemon parses every subscribe, so each is a pattern the view has not
+// seen — keeps the view's cache at the live set instead of growing it by
+// one entry per subscribe until the wholesale clear at 8192. It holds
+// without rebuilds too.
+func TestViewCacheFollowsLiveSet(t *testing.T) {
+	live, churn := 1000, 6000
+	if raceEnabled || testing.Short() {
+		live, churn = 100, 600
+	}
+	docs, pats := benchWorkload(200, live)
+	var exprs []string
+	for _, p := range querygen.New(dtd.NITFLike(), querygen.Defaults(97)).GenerateDistinct(256) {
+		exprs = append(exprs, p.String())
+	}
+	for name, policy := range map[string]RebuildPolicy{"default": nil, "never": Never{}} {
+		t.Run(name, func(t *testing.T) {
+			e := newTestEngine(t, Config{Estimator: core.Config{Representation: core.Hashes, HashCapacity: 1000, Seed: 1}, Rebuild: policy})
+			publishFlushed(t, e, docs)
+			var ids []uint64
+			for _, p := range pats {
+				id, err := e.SubscribePattern(p, "")
+				if err != nil {
+					t.Fatal(err)
+				}
+				ids = append(ids, id)
+			}
+			n := churn
+			if name == "default" {
+				n = churn / 4 // a rebuild per 125 pairs at 1000 live
+			}
+			for i := range n {
+				id, err := e.Subscribe(exprs[i%len(exprs)])
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !e.Unsubscribe(ids[0]) {
+					t.Fatalf("subscription %d was not live", ids[0])
+				}
+				ids = append(ids[1:], id)
+			}
+			if got := currentView(e).Cached(); float64(got) > 1.1*float64(e.Live()) {
+				t.Errorf("after %d churn pairs the view caches %d evaluations for %d live subscriptions", n, got, e.Live())
+			}
+		})
 	}
 }

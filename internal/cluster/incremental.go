@@ -10,6 +10,7 @@ package cluster
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 )
 
@@ -40,6 +41,13 @@ type Communities struct {
 func BuildGreedy(sim [][]float64, threshold float64) *Communities {
 	groups, seeds := GreedySeeded(sim, threshold)
 	return &Communities{Threshold: threshold, Groups: groups, Reps: seeds, n: len(sim)}
+}
+
+// BuildGreedyRows is BuildGreedy over the thresholded similarity graph
+// as bit rows (see GreedyRows); threshold is the one the graph was cut at.
+func BuildGreedyRows(n int, row func(i int) []uint64, threshold float64) *Communities {
+	groups, seeds := GreedyRows(n, row)
+	return &Communities{Threshold: threshold, Groups: groups, Reps: seeds, n: n}
 }
 
 // Len returns the number of items currently clustered.
@@ -208,47 +216,72 @@ func (c *Communities) Sorted() [][]int {
 // and community-based routing use as the group representative. Unlike
 // Greedy it does not reorder communities by size: community g was
 // seeded before community g+1, the invariant the incremental replay of
-// Assign relies on.
-//
-// O(n²) time and O(n) extra space for n items, whatever the number of
-// communities: each item's degree (its unassigned neighbours i→j at or
-// above the threshold) is counted once, and every item a community
-// takes decrements the degree of each unassigned item that counted it,
-// instead of recounting all degrees per community.
+// Assign relies on. It is GreedyRows over sim cut at threshold.
 func GreedySeeded(sim [][]float64, threshold float64) (groups [][]int, seeds []int) {
 	n := len(sim)
-	assigned := make([]bool, n)
-	deg := make([]int, n)
-	for i := range n {
-		for j := range n {
-			if i != j && sim[i][j] >= threshold {
-				deg[i]++
+	words := (n + 63) / 64
+	rows := make([]uint64, n*words)
+	for i, r := range sim {
+		for j, s := range r {
+			if s >= threshold {
+				rows[i*words+j>>6] |= 1 << (j & 63)
 			}
 		}
 	}
+	return GreedyRows(n, func(i int) []uint64 { return rows[i*words : (i+1)*words] })
+}
+
+// GreedyRows is the seeded greedy over the thresholded similarity graph
+// of n items as bit rows: bit j%64 of row(i)[j/64] is set iff sim[i][j]
+// reaches the threshold, which is all the greedy reads of a similarity.
+// It returns GreedySeeded's groups (ascending) and seeds.
+//
+// O(n²) word operations at worst and O(n) extra space: each item's
+// degree (its unassigned neighbours i→j, j ≠ i) is a popcount of its
+// row, a community is its seed's row masked by the unassigned items, and
+// it shortens each unassigned item's degree by a popcount over the words
+// it touched (at most its size), instead of recounting all degrees.
+func GreedyRows(n int, row func(i int) []uint64) (groups [][]int, seeds []int) {
+	words := (n + 63) / 64
+	free, taken := make([]uint64, words), make([]uint64, words)
+	deg := make([]int, n)
+	for i := range n {
+		free[i>>6] |= 1 << (i & 63)
+		for _, w := range row(i) {
+			deg[i] += bits.OnesCount64(w)
+		}
+		deg[i] -= int(row(i)[i>>6] >> (i & 63) & 1)
+	}
+	var touched []int
 	for remaining := n; remaining > 0; {
 		seed := -1
 		for i := range n {
-			if !assigned[i] && (seed == -1 || deg[i] > deg[seed]) {
+			if free[i>>6]>>(i&63)&1 != 0 && (seed == -1 || deg[i] > deg[seed]) {
 				seed = i
 			}
 		}
-		comm := []int{seed}
-		assigned[seed] = true
-		for j := range n {
-			if !assigned[j] && sim[seed][j] >= threshold {
-				comm = append(comm, j)
-				assigned[j] = true
+		taken[seed>>6] |= 1 << (seed & 63)
+		comm, r := []int{}, row(seed)
+		touched = touched[:0]
+		for w := range words {
+			taken[w] |= r[w] & free[w]
+			free[w] &^= taken[w]
+			if taken[w] != 0 {
+				touched = append(touched, w)
+			}
+			for t := taken[w]; t != 0; t &= t - 1 {
+				comm = append(comm, w*64+bits.TrailingZeros64(t))
 			}
 		}
-		for _, j := range comm {
-			for i := range n {
-				if !assigned[i] && sim[i][j] >= threshold {
-					deg[i]--
+		for w := range words {
+			for f := free[w]; f != 0; f &= f - 1 {
+				i := w*64 + bits.TrailingZeros64(f)
+				for _, x := range touched {
+					deg[i] -= bits.OnesCount64(row(i)[x] & taken[x])
 				}
 			}
 		}
-		sort.Ints(comm)
+		clear(taken)
 		groups = append(groups, comm)
 		seeds = append(seeds, seed)
 		remaining -= len(comm)

@@ -106,11 +106,13 @@ type View struct {
 
 	// vals holds one SEL evaluation per pattern pointer. Entries are
 	// independent and correctness never depends on a hit, so exceeding
-	// evalCacheCap (dead pointers of unsubscribed patterns pile up under
-	// churn) simply clears the map.
+	// evalCacheCap (a caller that never Forgets the patterns it drops)
+	// simply clears the map.
 	mu    sync.Mutex
 	vals  map[*pattern.Pattern]evalEntry
 	evals atomic.Int64
+	// graph is the last SimilarityGraph built on the view (see there).
+	graph atomic.Pointer[Graph]
 }
 
 // evalEntry is one cached SEL evaluation: the (immutable) matching-set
@@ -365,9 +367,13 @@ func (v *View) feasibleAnd(p, q *pattern.Pattern) bool {
 }
 
 // eval returns the SEL evaluation of p (value + normalized
-// cardinality), consulting the cache. Concurrent misses may evaluate
-// the same pattern twice; both arrive at the same immutable value.
+// cardinality), consulting the cache, or nil, 0 if the schema rejects
+// p. Concurrent misses may evaluate the same pattern twice; both arrive
+// at the same immutable value.
 func (v *View) eval(p *pattern.Pattern) (matchset.Value, float64) {
+	if !v.feasible(p) {
+		return nil, 0
+	}
 	v.mu.Lock()
 	ent, ok := v.vals[p]
 	v.mu.Unlock()
@@ -384,6 +390,41 @@ func (v *View) eval(p *pattern.Pattern) (matchset.Value, float64) {
 	v.vals[p] = ent
 	v.mu.Unlock()
 	return ent.val, ent.card
+}
+
+// Forget drops p's cached SEL evaluation — a consumer calls it when a
+// pattern leaves its population, so the cache follows the live set and
+// not every pattern ever asked about. Asking about p again re-evaluates.
+func (v *View) Forget(p *pattern.Pattern) {
+	v.mu.Lock()
+	delete(v.vals, p)
+	v.mu.Unlock()
+}
+
+// Cached returns how many patterns' SEL evaluations the view holds.
+func (v *View) Cached() int {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	return len(v.vals)
+}
+
+// denominator materializes the Full cache (one traversal from the root
+// covers every node; a hit ever after, so parallel evaluations do not
+// race to rebuild the same values) and returns |S(rs)|, which a pairwise
+// loop reads once instead of once per pair.
+func (v *View) denominator() float64 {
+	v.syn.Full(v.syn.Root())
+	return v.syn.RootCard()
+}
+
+// conj is P(p ∧ q) from the SEL evaluations pv and qv over the
+// denominator den: one matching-set intersection, no merged-pattern
+// evaluation.
+func (v *View) conj(p, q *pattern.Pattern, pv, qv matchset.Value, den float64) float64 {
+	if pv == nil || qv == nil || den == 0 || !v.feasibleAnd(p, q) {
+		return 0
+	}
+	return selectivity.Clamp01(matchset.IntersectCard(pv, qv) / den)
 }
 
 // SimilarityMatrix computes the full pairwise similarity matrix of a
@@ -406,43 +447,38 @@ func (v *View) SimilarityMatrix(m metrics.Metric, subs []*pattern.Pattern) [][]f
 	if n == 0 {
 		return out
 	}
-	// Materialize the Full cache up front (one traversal from the root
-	// covers every node; a hit ever after), so the parallel evaluations
-	// below do not race to rebuild the same values.
-	v.syn.Full(v.syn.Root())
-
-	// Phase 1: one SEL evaluation per subscription; infeasible patterns
-	// (DTD mode) evaluate to nil and contribute zero everywhere.
-	vals := make([]matchset.Value, n)
-	ps := make([]float64, n)
-	workers := min(runtime.GOMAXPROCS(0), n)
-	var next atomic.Int64
-	runWorkers(workers, func() {
-		for {
-			i := int(next.Add(1)) - 1
-			if i >= n {
-				return
-			}
-			if v.feasible(subs[i]) {
-				vals[i], ps[i] = v.eval(subs[i])
-			}
-		}
-	})
-
-	// Phase 2: pairwise intersections, sharded by row. Worker i owns
-	// every cell it writes — (i,j), (j,i) with j > i and the diagonal —
-	// so no two workers touch the same cell.
-	next.Store(0)
-	runWorkers(workers, func() {
-		for {
-			i := int(next.Add(1)) - 1
-			if i >= n {
-				return
-			}
-			v.matrixRow(m, subs, vals, ps, out, i)
+	cell := v.cells(m, subs)
+	// Row i's worker owns every cell it writes — (i,j) and (j,i) for
+	// j ≥ i — so no two workers touch the same cell.
+	forEach(n, func(i int) {
+		for j := i; j < n; j++ {
+			out[i][j], out[j][i] = cell(i, j)
 		}
 	})
 	return out
+}
+
+// cells evaluates every subscription (fanned out) and returns the cell
+// function (i, j) → m(subs[i], subs[j]), m(subs[j], subs[i]) that
+// SimilarityMatrix and SimilarityGraph share. The diagonal uses
+// P(p∧p) = P(p), which is exact. (Pairwise Similarity under Counters
+// instead reports P(p)² for the self-conjunction — the independence
+// assumption does not know that p∧p ≡ p.)
+func (v *View) cells(m metrics.Metric, subs []*pattern.Pattern) func(i, j int) (ij, ji float64) {
+	vals, ps, den := make([]matchset.Value, len(subs)), make([]float64, len(subs)), v.denominator()
+	forEach(len(subs), func(i int) { vals[i], ps[i] = v.eval(subs[i]) })
+	return func(i, j int) (ij, ji float64) {
+		if i == j {
+			s := m.Eval(metrics.Probs{P: ps[i], Q: ps[i], And: ps[i]})
+			return s, s
+		}
+		and := v.conj(subs[i], subs[j], vals[i], vals[j], den)
+		ij = m.Eval(metrics.Probs{P: ps[i], Q: ps[j], And: and})
+		if m.Symmetric() {
+			return ij, ij
+		}
+		return ij, m.Eval(metrics.Probs{P: ps[j], Q: ps[i], And: and})
+	}
 }
 
 // SimilarityRowInto computes the similarities of an existing
@@ -471,74 +507,35 @@ func (v *View) SimilarityRowInto(dst []float64, m metrics.Metric, p *pattern.Pat
 	if n == 0 {
 		return out
 	}
-	v.syn.Full(v.syn.Root())
-
-	pFeasible := v.feasible(p)
-	var pv matchset.Value
-	var pp float64
-	if pFeasible {
-		pv, pp = v.eval(p)
-	}
-
-	workers := min(runtime.GOMAXPROCS(0), n)
-	var next atomic.Int64
-	runWorkers(workers, func() {
-		for {
-			i := int(next.Add(1)) - 1
-			if i >= n {
-				return
-			}
-			q := subs[i]
-			if !v.feasible(q) {
-				out[i] = m.Eval(metrics.Probs{Q: pp})
-				continue
-			}
-			qv, qp := v.eval(q)
-			var and float64
-			if pFeasible && v.feasibleAnd(p, q) {
-				and = v.sel.IntersectP(pv, qv)
-			}
-			out[i] = m.Eval(metrics.Probs{P: qp, Q: pp, And: and})
-		}
+	den := v.denominator()
+	pv, pp := v.eval(p)
+	forEach(n, func(i int) {
+		qv, qp := v.eval(subs[i])
+		out[i] = m.Eval(metrics.Probs{P: qp, Q: pp, And: v.conj(p, subs[i], pv, qv, den)})
 	})
 	return out
 }
 
-// matrixRow fills row i of the similarity matrix (diagonal, upper cells
-// (i,j) and their mirrors (j,i) for j > i).
-func (v *View) matrixRow(m metrics.Metric, subs []*pattern.Pattern, vals []matchset.Value, ps []float64, out [][]float64, i int) {
-	n := len(subs)
-	// The diagonal uses P(p∧p) = P(p), which is exact. (Pairwise
-	// Similarity under Counters instead reports P(p)² for the
-	// self-conjunction — the independence assumption does not know
-	// that p∧p ≡ p.)
-	out[i][i] = m.Eval(metrics.Probs{P: ps[i], Q: ps[i], And: ps[i]})
-	for j := i + 1; j < n; j++ {
-		var and float64
-		if vals[i] != nil && vals[j] != nil && v.feasibleAnd(subs[i], subs[j]) {
-			and = v.sel.IntersectP(vals[i], vals[j])
-		}
-		out[i][j] = m.Eval(metrics.Probs{P: ps[i], Q: ps[j], And: and})
-		if m.Symmetric() {
-			out[j][i] = out[i][j]
-		} else {
-			out[j][i] = m.Eval(metrics.Probs{P: ps[j], Q: ps[i], And: and})
+// forEach runs fn(i) for every i in [0, n) on up to GOMAXPROCS workers
+// that take indices from a shared counter, and waits for them.
+func forEach(n int, fn func(i int)) {
+	var next atomic.Int64
+	work := func() {
+		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+			fn(i)
 		}
 	}
-}
-
-// runWorkers runs fn on w goroutines and waits for all of them.
-func runWorkers(w int, fn func()) {
+	w := min(runtime.GOMAXPROCS(0), n)
 	if w <= 1 {
-		fn()
+		work()
 		return
 	}
 	var wg sync.WaitGroup
 	wg.Add(w)
-	for k := 0; k < w; k++ {
+	for range w {
 		go func() {
 			defer wg.Done()
-			fn()
+			work()
 		}()
 	}
 	wg.Wait()

@@ -89,18 +89,6 @@ func (e *Estimator) EvaluateCard(v matchset.Value) float64 {
 	return Clamp01(v.Card() / den)
 }
 
-// IntersectP is EvaluateCard(a.Intersect(b)) without materializing the
-// intersection — the similarity hot paths (incremental rows, matrix
-// rebuilds) need one conjunction probability per subscription pair and
-// would discard the intersection value immediately.
-func (e *Estimator) IntersectP(a, b matchset.Value) float64 {
-	den := e.syn.RootCard()
-	if den == 0 {
-		return 0
-	}
-	return Clamp01(matchset.IntersectCard(a, b) / den)
-}
-
 // Note on conjunctions: SEL over a root-merged pattern intersects the
 // root-level constraint sets of both patterns, so
 // SEL(p ∧ q) = SEL(p) ∩ SEL(q) holds exactly (for counters, the product
