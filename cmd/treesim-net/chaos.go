@@ -77,34 +77,6 @@ func (s *severable) SendPublish(p wire.Publication) error {
 	return s.inner.SendPublish(p)
 }
 
-// chaosJournal is the same WAL adapter cmd/treesimd uses: every
-// committed churn decision on the victim becomes one record.
-type chaosJournal struct{ s *persist.Store }
-
-func (j chaosJournal) Subscribed(id uint64, expr string, group int, mode broker.DeliveryMode) (uint64, error) {
-	return j.s.Append(persist.Record{Op: persist.OpSubscribe, ID: id, Expr: expr, Group: group, Mode: uint8(mode)})
-}
-
-func (j chaosJournal) Unsubscribed(id uint64) (uint64, error) {
-	return j.s.Append(persist.Record{Op: persist.OpUnsubscribe, ID: id})
-}
-
-func (j chaosJournal) Rebuilt(groups [][]uint64, reps []uint64) (uint64, error) {
-	return j.s.Append(persist.Record{Op: persist.OpRebuild, Groups: groups, Reps: reps})
-}
-
-func (j chaosJournal) Delivered(seq uint64, doc []byte, subs, cursors []uint64, comms []int) (uint64, error) {
-	return j.s.Append(persist.Record{Op: persist.OpDeliver, Seq: seq, Doc: doc, Subs: subs, Cursors: cursors, Comms: comms})
-}
-
-func (j chaosJournal) Acked(id uint64, upto uint64) (uint64, error) {
-	return j.s.Append(persist.Record{Op: persist.OpAck, ID: id, Cursor: upto})
-}
-
-func (j chaosJournal) Drained(id uint64, upto uint64) (uint64, error) {
-	return j.s.Append(persist.Record{Op: persist.OpDrained, ID: id, Cursor: upto})
-}
-
 // chaosSub is one subscription's whole life: its pattern, home broker,
 // stable ID (which must survive the victim's recovery), whether it is
 // still registered, and its delivery contract (victim subscriptions run
@@ -146,23 +118,6 @@ func runChaos(o options) error {
 	defer os.RemoveAll(dir)
 	dataDir := filepath.Join(dir, "victim")
 
-	// Aggressive liveness timings so the scenario converges in seconds;
-	// a production daemon runs the same machinery with 60s TTLs.
-	nodeConfig := func(i int, minEpoch uint64) overlay.Config {
-		return overlay.Config{
-			ID:              fmt.Sprintf("n%02d", i),
-			TTL:             o.ttl,
-			SeenCapacity:    2 * (o.publish + 16),
-			AdvertPolicy:    broker.Never{}, // explicit rounds; refresh keepalives still run
-			MaxPatternNodes: o.maxPat,
-			AdvertTTL:       time.Second,
-			Maintenance:     50 * time.Millisecond,
-			RetryBase:       50 * time.Millisecond,
-			RetryMax:        500 * time.Millisecond,
-			MinEpoch:        minEpoch,
-		}
-	}
-
 	store, err := persist.Open(dataDir, persist.Options{})
 	if err != nil {
 		return err
@@ -173,9 +128,9 @@ func runChaos(o options) error {
 	for i := range nodes {
 		engines[i] = broker.New(brokerConfig(o))
 		if i == victim {
-			engines[i].SetJournal(chaosJournal{store})
+			engines[i].SetJournal(store)
 		}
-		nodes[i] = overlay.New(engines[i], nodeConfig(i, 0))
+		nodes[i] = overlay.New(engines[i], nodeConfig(o, i, 0))
 	}
 	defer func() {
 		for i := range nodes {
@@ -363,21 +318,8 @@ func runChaos(o options) error {
 	// Fault injection. Snapshot the victim first, then churn it so the
 	// WAL tail beyond the snapshot carries real decisions into recovery:
 	// two fresh subscriptions and one unsubscription.
-	st, err := engines[victim].State()
-	if err != nil {
-		return err
-	}
-	blob, err := broker.EncodeState(st)
-	if err != nil {
-		return err
-	}
-	env := persist.Snapshot{Broker: blob}
-	env.AdvertVersion, env.PubSeq = nodes[victim].Epoch()
-	payload, err := env.Encode()
-	if err != nil {
-		return err
-	}
-	if err := store.WriteSnapshot(payload, st.WalLSN); err != nil {
+	advertVersion, pubSeq := nodes[victim].Epoch()
+	if err := engines[victim].WriteSnapshot(store, advertVersion, pubSeq); err != nil {
 		return err
 	}
 	for i := 0; i < 2; i++ {
@@ -484,65 +426,23 @@ func runChaos(o options) error {
 		len(p2), got2Total, exp2Total, lost2, extra2)
 
 	// Heal. Recover the victim from its data directory the way a
-	// restarted daemon would: snapshot, WAL tail above the watermark,
-	// journal re-attached only after replay, epoch floored by the
-	// persisted watermarks.
+	// restarted daemon does (broker.Recover): snapshot, WAL tail above
+	// the watermark, journal re-attached only after replay, epoch floored
+	// by the persisted watermarks.
 	store2, err := persist.Open(dataDir, persist.Options{})
 	if err != nil {
 		return err
 	}
 	defer store2.Close()
-	snapPayload, ok, err := store2.LoadSnapshot()
+	eng2, minEpoch, err := broker.Recover(brokerConfig(o), store2)
 	if err != nil {
 		return err
 	}
-	if !ok {
-		return fmt.Errorf("recovery: no snapshot in %s", dataDir)
-	}
-	env2, err := persist.DecodeSnapshot(snapPayload)
-	if err != nil {
-		return err
-	}
-	st2, err := broker.DecodeState(env2.Broker)
-	if err != nil {
-		return err
-	}
-	eng2, err := broker.Restore(brokerConfig(o), st2)
-	if err != nil {
-		return err
-	}
-	replayed := 0
-	if err := store2.Replay(func(rec persist.Record) error {
-		replayed++
-		switch rec.Op {
-		case persist.OpSubscribe:
-			return eng2.ApplySubscribed(rec.ID, rec.Expr, rec.Group, broker.DeliveryMode(rec.Mode))
-		case persist.OpUnsubscribe:
-			return eng2.ApplyUnsubscribed(rec.ID)
-		case persist.OpRebuild:
-			return eng2.ApplyRebuilt(rec.Groups, rec.Reps)
-		case persist.OpDeliver:
-			return eng2.ApplyDelivered(rec.Seq, rec.Doc, rec.Subs, rec.Cursors, rec.Comms)
-		case persist.OpAck:
-			return eng2.ApplyAcked(rec.ID, rec.Cursor)
-		case persist.OpDrained:
-			return eng2.ApplyDrained(rec.ID, rec.Cursor)
-		default:
-			return fmt.Errorf("unknown wal op %q", rec.Op)
-		}
-	}); err != nil {
-		return err
-	}
-	eng2.SetJournal(chaosJournal{store2})
 	if eng2.Live() != victimSubs {
 		return fmt.Errorf("recovery: %d live subscriptions, want %d", eng2.Live(), victimSubs)
 	}
-	minEpoch := env2.AdvertVersion
-	if env2.PubSeq > minEpoch {
-		minEpoch = env2.PubSeq
-	}
 	engines[victim] = eng2
-	nodes[victim] = overlay.New(eng2, nodeConfig(victim, minEpoch))
+	nodes[victim] = overlay.New(eng2, nodeConfig(o, victim, minEpoch))
 	for ei, e := range w.edges {
 		if e[0] != victim && e[1] != victim {
 			continue
@@ -559,8 +459,8 @@ func runChaos(o options) error {
 	if err := nodes[victim].Advertise(); err != nil {
 		return err
 	}
-	fmt.Printf("# heal: n%02d restored from %s (wal tail: %d records, %d live subs), link n%02d—n%02d reopened\n",
-		victim, dataDir, replayed, eng2.Live(), sever[0], sever[1])
+	fmt.Printf("# heal: n%02d restored from %s (%d live subs, epoch floor %d), link n%02d—n%02d reopened\n",
+		victim, dataDir, eng2.Live(), minEpoch, sever[0], sever[1])
 
 	// Convergence: retry probes must rediscover the healed link (the
 	// probe doubles as a full-state resync) and every node must route

@@ -106,31 +106,15 @@ func runFaults(o options) error {
 	if err != nil {
 		return err
 	}
-	var floor uint64
-
-	nodeConfig := func(i int, minEpoch uint64) overlay.Config {
-		return overlay.Config{
-			ID:              fmt.Sprintf("n%02d", i),
-			TTL:             o.ttl,
-			SeenCapacity:    2 * (o.publish + 16),
-			AdvertPolicy:    broker.Never{}, // explicit rounds; refresh keepalives still run
-			MaxPatternNodes: o.maxPat,
-			AdvertTTL:       time.Second,
-			Maintenance:     50 * time.Millisecond,
-			RetryBase:       50 * time.Millisecond,
-			RetryMax:        500 * time.Millisecond,
-			MinEpoch:        minEpoch,
-		}
-	}
 
 	engines := make([]*broker.Engine, o.nodes)
 	nodes := make([]*overlay.Node, o.nodes)
 	for i := range nodes {
 		engines[i] = broker.New(brokerConfig(o))
 		if i == victim {
-			engines[i].SetJournal(chaosJournal{store})
+			engines[i].SetJournal(store)
 		}
-		nodes[i] = overlay.New(engines[i], nodeConfig(i, 0))
+		nodes[i] = overlay.New(engines[i], nodeConfig(o, i, 0))
 	}
 	victimUp := true
 	defer func() {
@@ -249,25 +233,8 @@ func runFaults(o options) error {
 	var published, delivered, faultsFired, crashes, recoveries, redeliveries int
 
 	snapshot := func() error {
-		st, err := engines[victim].State()
-		if err != nil {
-			return err
-		}
-		blob, err := broker.EncodeState(st)
-		if err != nil {
-			return err
-		}
-		env := persist.Snapshot{Broker: blob}
-		env.AdvertVersion, env.PubSeq = nodes[victim].Epoch()
-		payload, err := env.Encode()
-		if err != nil {
-			return err
-		}
-		upto := st.WalLSN
-		if upto < floor {
-			upto = floor // replayed records are in every post-recovery cut
-		}
-		return store.WriteSnapshot(payload, upto)
+		advertVersion, pubSeq := nodes[victim].Epoch()
+		return engines[victim].WriteSnapshot(store, advertVersion, pubSeq)
 	}
 	// An initial snapshot guarantees every recovery has an epoch
 	// watermark to floor the restarted node's clock against.
@@ -466,9 +433,6 @@ func runFaults(o options) error {
 				}
 			}
 		}
-		if os.Getenv("FAULTS_DEBUG") != "" {
-			fmt.Printf("## drain begins at=%d\n", time.Now().UnixNano())
-		}
 		got := make(map[pairKey]int)
 		for si, s := range subs {
 			if !s.live || (s.node == victim && !victimUp) {
@@ -506,61 +470,60 @@ func runFaults(o options) error {
 			}
 		}
 		if _, lost, extra := compare(exp, got); lost != 0 || extra != 0 {
-			if os.Getenv("FAULTS_DEBUG") != "" {
-				// Two docs in one batch can canonicalize identically, so a
-				// key maps to every doc index (and origin) sharing it.
-				keyDocs := map[string][]int{}
-				for di, d := range docs {
-					k := d.Clone().Canonicalize().String()
-					keyDocs[k] = append(keyDocs[k], di)
+			// The divergence dump. Two docs in one batch can canonicalize
+			// identically, so a key maps to every doc index (and origin)
+			// sharing it.
+			keyDocs := map[string][]int{}
+			for di, d := range docs {
+				k := d.Clone().Canonicalize().String()
+				keyDocs[k] = append(keyDocs[k], di)
+			}
+			perDoc := map[string]int{}
+			for k, n := range exp {
+				if got[k] < n {
+					perDoc[k.doc] += n - got[k]
 				}
-				perDoc := map[string]int{}
-				for k, n := range exp {
-					if got[k] < n {
-						perDoc[k.doc] += n - got[k]
-					}
+			}
+			for k, n := range perDoc {
+				var origins []string
+				for _, di := range keyDocs[k] {
+					origins = append(origins, fmt.Sprintf("doc %d@n%02d", di, docOrigin[di]))
 				}
-				for k, n := range perDoc {
-					var origins []string
-					for _, di := range keyDocs[k] {
-						origins = append(origins, fmt.Sprintf("doc %d@n%02d", di, docOrigin[di]))
-					}
-					fmt.Printf("## lost doc %s pairs=%d key=%.40q\n", strings.Join(origins, ", "), n, k)
-				}
-				for di, d := range docs {
-					if perDoc[d.Clone().Canonicalize().String()] == 0 {
-						continue
-					}
-					for i := range nodes {
-						if i == victim && !victimUp {
-							continue
-						}
-						for _, sp := range nodes[i].TraceSpans(docTrace[di]) {
-							fmt.Printf("## span doc=%d n%02d from=%q seq=%d deliveries=%d fwd=%v at=%d\n",
-								di, i, sp.From, sp.Seq, sp.Deliveries, sp.ForwardedTo, sp.StartUnixNS)
-						}
-					}
-				}
-				for k, n := range exp {
-					if got[k] < n {
-						s := subs[k.sub]
-						fmt.Printf("## lost: sub %d node n%02d expr %q (alo=%v live=%v)\n", k.sub, s.node, s.expr, s.alo, s.live)
-					}
-				}
-				for k, n := range got {
-					if exp[k] < n {
-						s := subs[k.sub]
-						fmt.Printf("## extra: sub %d node n%02d expr %q\n", k.sub, s.node, s.expr)
-					}
+				fmt.Printf("## lost doc %s pairs=%d key=%.40q\n", strings.Join(origins, ", "), n, k)
+			}
+			for di, d := range docs {
+				if perDoc[d.Clone().Canonicalize().String()] == 0 {
+					continue
 				}
 				for i := range nodes {
 					if i == victim && !victimUp {
 						continue
 					}
-					inf := nodes[i].Info()
-					fmt.Printf("## n%02d ttlDrops=%d sendErr=%d expired=%d linkDowns=%d downPeers=%v busyRej=%d peerBusy=%d dups=%d\n",
-						i, inf.TTLDrops, inf.SendErrors, inf.AdvertsExpired, inf.LinkDowns, inf.DownPeers, inf.BusyRejected, inf.PeerBusy, inf.Duplicates)
+					for _, sp := range nodes[i].TraceSpans(docTrace[di]) {
+						fmt.Printf("## span doc=%d n%02d from=%q seq=%d deliveries=%d fwd=%v at=%d\n",
+							di, i, sp.From, sp.Seq, sp.Deliveries, sp.ForwardedTo, sp.StartUnixNS)
+					}
 				}
+			}
+			for k, n := range exp {
+				if got[k] < n {
+					s := subs[k.sub]
+					fmt.Printf("## lost: sub %d node n%02d expr %q (alo=%v live=%v)\n", k.sub, s.node, s.expr, s.alo, s.live)
+				}
+			}
+			for k, n := range got {
+				if exp[k] < n {
+					s := subs[k.sub]
+					fmt.Printf("## extra: sub %d node n%02d expr %q\n", k.sub, s.node, s.expr)
+				}
+			}
+			for i := range nodes {
+				if i == victim && !victimUp {
+					continue
+				}
+				inf := nodes[i].Info()
+				fmt.Printf("## n%02d ttlDrops=%d sendErr=%d expired=%d linkDowns=%d downPeers=%v busyRej=%d peerBusy=%d dups=%d\n",
+					i, inf.TTLDrops, inf.SendErrors, inf.AdvertsExpired, inf.LinkDowns, inf.DownPeers, inf.BusyRejected, inf.PeerBusy, inf.Duplicates)
 			}
 			return failf("routing divergence on batch ending at doc %d: %d lost, %d extra", docIdx, lost, extra)
 		}
@@ -670,65 +633,14 @@ func runFaults(o options) error {
 		if err != nil {
 			return err
 		}
-		payload, ok, err := store2.LoadSnapshot()
+		eng2, minEpoch, err := broker.Recover(brokerConfig(o), store2)
 		if err != nil {
+			store2.Close()
 			return err
 		}
-		if !ok {
-			return fmt.Errorf("recovery: no snapshot in %s", dataDir)
-		}
-		env, err := persist.DecodeSnapshot(payload)
-		if err != nil {
-			return err
-		}
-		st, err := broker.DecodeState(env.Broker)
-		if err != nil {
-			return err
-		}
-		eng2, err := broker.Restore(brokerConfig(o), st)
-		if err != nil {
-			return err
-		}
-		// The epoch floor must clear every value any prior incarnation
-		// emitted, not just the (possibly stale) snapshot watermarks:
-		// boot-epoch records in the WAL raise it past earlier recoveries,
-		// or back-to-back reboots off one snapshot would floor at the
-		// identical padded epoch and replay a seq range peers' seen-sets
-		// have already absorbed.
-		minEpoch := env.AdvertVersion
-		if env.PubSeq > minEpoch {
-			minEpoch = env.PubSeq
-		}
-		if err := store2.Replay(func(rec persist.Record) error {
-			switch rec.Op {
-			case persist.OpSubscribe:
-				return eng2.ApplySubscribed(rec.ID, rec.Expr, rec.Group, broker.DeliveryMode(rec.Mode))
-			case persist.OpUnsubscribe:
-				return eng2.ApplyUnsubscribed(rec.ID)
-			case persist.OpRebuild:
-				return eng2.ApplyRebuilt(rec.Groups, rec.Reps)
-			case persist.OpDeliver:
-				return eng2.ApplyDelivered(rec.Seq, rec.Doc, rec.Subs, rec.Cursors, rec.Comms)
-			case persist.OpAck:
-				return eng2.ApplyAcked(rec.ID, rec.Cursor)
-			case persist.OpDrained:
-				return eng2.ApplyDrained(rec.ID, rec.Cursor)
-			case persist.OpBootEpoch:
-				if rec.Seq > minEpoch {
-					minEpoch = rec.Seq
-				}
-				return nil
-			default:
-				return fmt.Errorf("unknown wal op %q", rec.Op)
-			}
-		}); err != nil {
-			return err
-		}
-		eng2.SetJournal(chaosJournal{store2})
 		store = store2
-		floor = store.LastLSN()
 		engines[victim] = eng2
-		nodes[victim] = overlay.New(eng2, nodeConfig(victim, minEpoch))
+		nodes[victim] = overlay.New(eng2, nodeConfig(o, victim, minEpoch))
 		av, ps := nodes[victim].Epoch()
 		if ps > av {
 			av = ps
@@ -844,9 +756,6 @@ func runFaults(o options) error {
 	start := time.Now()
 	for round := 0; round < rounds; round++ {
 		r := rng.Intn(100)
-		if os.Getenv("FAULTS_DEBUG") != "" {
-			fmt.Printf("## round %d r=%d victimUp=%v faulted=%v docIdx=%d\n", round, r, victimUp, faulted, docIdx)
-		}
 		var err error
 		switch {
 		case r < 40:

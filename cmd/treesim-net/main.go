@@ -365,6 +365,25 @@ func brokerConfig(o options) broker.Config {
 	}
 }
 
+// nodeConfig is node i's overlay config in the -chaos and -faults
+// scenarios: aggressive liveness timings so a scenario converges in
+// seconds (a production daemon runs the same machinery with 60s TTLs),
+// and minEpoch, the floor a recovered node's epoch boots above.
+func nodeConfig(o options, i int, minEpoch uint64) overlay.Config {
+	return overlay.Config{
+		ID:              fmt.Sprintf("n%02d", i),
+		TTL:             o.ttl,
+		SeenCapacity:    2 * (o.publish + 16),
+		AdvertPolicy:    broker.Never{}, // explicit rounds; refresh keepalives still run
+		MaxPatternNodes: o.maxPat,
+		AdvertTTL:       time.Second,
+		Maintenance:     50 * time.Millisecond,
+		RetryBase:       50 * time.Millisecond,
+		RetryMax:        500 * time.Millisecond,
+		MinEpoch:        minEpoch,
+	}
+}
+
 // placeSubscribers decides which broker hosts each subscription.
 // "roundrobin" scatters them (the locality worst case: every broker
 // holds a slice of every interest, so almost every document interests

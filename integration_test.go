@@ -15,6 +15,7 @@ import (
 	"treesim/internal/matchset"
 	"treesim/internal/metrics"
 	"treesim/internal/pattern"
+	"treesim/internal/persist"
 	"treesim/internal/selectivity"
 	"treesim/internal/synopsis"
 	"treesim/internal/xmlgen"
@@ -249,7 +250,7 @@ func TestClusteringRoutingPipeline(t *testing.T) {
 			}
 			reps[g] = ids[c.Reps[g]]
 		}
-		if err := eng.ApplyRebuilt(groups, reps); err != nil {
+		if err := eng.Apply(persist.Record{Op: persist.OpRebuild, Groups: groups, Reps: reps}); err != nil {
 			t.Fatal(err)
 		}
 		tp, fp, fn := 0, 0, 0

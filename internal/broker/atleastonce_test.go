@@ -2,7 +2,6 @@ package broker
 
 import (
 	"errors"
-	"fmt"
 	"math/rand"
 	"slices"
 	"sync"
@@ -22,31 +21,14 @@ type memJournal struct {
 	recs []persist.Record
 }
 
-func (j *memJournal) append(r persist.Record) (uint64, error) {
+func (j *memJournal) Append(r persist.Record) (uint64, error) {
+	// A deliver record's arrays are the publish's scratch; a record kept
+	// past the call owns copies.
+	r.Subs, r.Cursors, r.Comms = slices.Clone(r.Subs), slices.Clone(r.Cursors), slices.Clone(r.Comms)
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.recs = append(j.recs, r)
 	return uint64(len(j.recs)), nil
-}
-
-func (j *memJournal) Subscribed(id uint64, expr string, group int, mode DeliveryMode) (uint64, error) {
-	return j.append(persist.Record{Op: persist.OpSubscribe, ID: id, Expr: expr, Group: group, Mode: uint8(mode)})
-}
-func (j *memJournal) Unsubscribed(id uint64) (uint64, error) {
-	return j.append(persist.Record{Op: persist.OpUnsubscribe, ID: id})
-}
-func (j *memJournal) Rebuilt(groups [][]uint64, reps []uint64) (uint64, error) {
-	return j.append(persist.Record{Op: persist.OpRebuild, Groups: groups, Reps: reps})
-}
-func (j *memJournal) Delivered(seq uint64, doc []byte, subs, cursors []uint64, comms []int) (uint64, error) {
-	// The arrays are the publish's scratch; a record kept past the call owns copies.
-	return j.append(persist.Record{Op: persist.OpDeliver, Seq: seq, Doc: doc, Subs: slices.Clone(subs), Cursors: slices.Clone(cursors), Comms: slices.Clone(comms)})
-}
-func (j *memJournal) Acked(id uint64, upto uint64) (uint64, error) {
-	return j.append(persist.Record{Op: persist.OpAck, ID: id, Cursor: upto})
-}
-func (j *memJournal) Drained(id uint64, upto uint64) (uint64, error) {
-	return j.append(persist.Record{Op: persist.OpDrained, ID: id, Cursor: upto})
 }
 
 func (j *memJournal) records() []persist.Record {
@@ -67,29 +49,12 @@ func dropOps(recs []persist.Record, op string) []persist.Record {
 	return out
 }
 
-// applyRecords drives records through the engine's Apply* recovery
-// dispatch, exactly as a WAL replay would.
+// applyRecords drives records through Engine.Apply, exactly as a WAL
+// replay would.
 func applyRecords(t *testing.T, e *Engine, recs []persist.Record) {
 	t.Helper()
 	for i, rec := range recs {
-		var err error
-		switch rec.Op {
-		case persist.OpSubscribe:
-			err = e.ApplySubscribed(rec.ID, rec.Expr, rec.Group, DeliveryMode(rec.Mode))
-		case persist.OpUnsubscribe:
-			err = e.ApplyUnsubscribed(rec.ID)
-		case persist.OpRebuild:
-			err = e.ApplyRebuilt(rec.Groups, rec.Reps)
-		case persist.OpDeliver:
-			err = e.ApplyDelivered(rec.Seq, rec.Doc, rec.Subs, rec.Cursors, rec.Comms)
-		case persist.OpAck:
-			err = e.ApplyAcked(rec.ID, rec.Cursor)
-		case persist.OpDrained:
-			err = e.ApplyDrained(rec.ID, rec.Cursor)
-		default:
-			err = fmt.Errorf("unknown op %q", rec.Op)
-		}
-		if err != nil {
+		if err := e.Apply(rec); err != nil {
 			t.Fatalf("replay record %d (%s): %v", i, rec.Op, err)
 		}
 	}

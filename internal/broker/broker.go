@@ -74,6 +74,7 @@ import (
 	"treesim/internal/matching"
 	"treesim/internal/metrics"
 	"treesim/internal/pattern"
+	"treesim/internal/persist"
 	"treesim/internal/telemetry"
 	"treesim/internal/xmltree"
 )
@@ -773,13 +774,7 @@ func (e *Engine) commitSubscribeLocked(p *pattern.Pattern, expr string, row []fl
 	// Journal inside the registry critical section so the WAL order is
 	// the commit order (a µs-scale write syscall; fsync policy lives in
 	// the journal implementation).
-	if j := e.journal.Load(); j != nil {
-		if lsn, err := (*j).Subscribed(id, expr, g, opt.Mode); err != nil {
-			e.noteJournalError()
-		} else if lsn > e.walLSN {
-			e.walLSN = lsn
-		}
-	}
+	e.journalLocked(persist.Record{Op: persist.OpSubscribe, ID: id, Expr: expr, Group: g, Mode: uint8(opt.Mode)})
 	return id
 }
 
@@ -812,13 +807,7 @@ func (e *Engine) Unsubscribe(id uint64) bool {
 		return false
 	}
 	e.counters.unsubscribes.Add(1)
-	if j := e.journal.Load(); j != nil {
-		if lsn, err := (*j).Unsubscribed(id); err != nil {
-			e.noteJournalError()
-		} else if lsn > e.walLSN {
-			e.walLSN = lsn
-		}
-	}
+	e.journalLocked(persist.Record{Op: persist.OpUnsubscribe, ID: id})
 	ev := ChurnEvent{Stale: e.stale, Live: len(e.subs)}
 	e.mu.Unlock()
 	e.viewMu.Lock()
@@ -926,14 +915,8 @@ func (e *Engine) maybeRebuild(force bool) {
 			// superseded ones must not commit.
 			e.regVer++
 			e.counters.rebuilds.Add(1)
-			if j := e.journal.Load(); j != nil {
-				groups, reps := e.partitionIDsLocked()
-				if lsn, err := (*j).Rebuilt(groups, reps); err != nil {
-					e.noteJournalError()
-				} else if lsn > e.walLSN {
-					e.walLSN = lsn
-				}
-			}
+			groups, reps := e.partitionIDsLocked()
+			e.journalLocked(persist.Record{Op: persist.OpRebuild, Groups: groups, Reps: reps})
 			live := len(e.subs)
 			communities := len(e.comms.Groups)
 			e.mu.Unlock()
@@ -1044,13 +1027,7 @@ func (e *Engine) DrainBatch(id uint64, max int, wait time.Duration) (DrainResult
 			// lost OpDrained only costs the redelivered flag, never the
 			// redelivery itself.
 			if !closed {
-				if j := e.journal.Load(); j != nil {
-					if lsn, err := (*j).Drained(id, r.Cursor); err != nil {
-						e.noteJournalError()
-					} else {
-						e.bumpDeliveryLSN(lsn)
-					}
-				}
+				e.journalDelivery(persist.Record{Op: persist.OpDrained, ID: id, Cursor: r.Cursor})
 			}
 		}
 		return r, nil
@@ -1096,27 +1073,9 @@ func (e *Engine) Ack(id uint64, upto uint64) (int, error) {
 		e.counters.acked.Add(uint64(acked))
 	}
 	if advanced {
-		if j := e.journal.Load(); j != nil {
-			if lsn, err := (*j).Acked(id, upto); err != nil {
-				e.noteJournalError()
-			} else {
-				e.bumpDeliveryLSN(lsn)
-			}
-		}
+		e.journalDelivery(persist.Record{Op: persist.OpAck, ID: id, Cursor: upto})
 	}
 	return acked, nil
-}
-
-// bumpDeliveryLSN raises the delivery-plane WAL watermark (CAS max —
-// delivery records are journaled outside the registry lock, so appends
-// can complete out of order relative to each other).
-func (e *Engine) bumpDeliveryLSN(lsn uint64) {
-	for {
-		cur := e.deliveryLSN.Load()
-		if lsn <= cur || e.deliveryLSN.CompareAndSwap(cur, lsn) {
-			return
-		}
-	}
 }
 
 // CommunityView is a read-only snapshot of one community: the

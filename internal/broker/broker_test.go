@@ -240,7 +240,7 @@ func TestPrecisionProxyAndStats(t *testing.T) {
 	if st.PublishP50 <= 0 || st.PublishP99 < st.PublishP50 {
 		t.Fatalf("latency percentiles p50=%v p99=%v", st.PublishP50, st.PublishP99)
 	}
-	// Zero-sample convention matches routing.Result.Precision: vacuous 1.
+	// With zero samples the precision proxy is 1.
 	fresh := newTestEngine(t, Config{})
 	if st := fresh.Stats(); st.PrecisionProxy != 1 {
 		t.Fatalf("zero-sample precision proxy = %v, want 1", st.PrecisionProxy)

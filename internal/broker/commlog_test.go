@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"treesim/internal/core"
+	"treesim/internal/persist"
 	"treesim/internal/xmltree"
 )
 
@@ -225,7 +226,7 @@ func (w *logWorld) randomPartition(n int) {
 			kept, reps = append(kept, g), append(reps, g[w.rng.Intn(len(g))])
 		}
 	}
-	if err := w.e.ApplyRebuilt(kept, reps); err != nil {
+	if err := w.e.Apply(persist.Record{Op: persist.OpRebuild, Groups: kept, Reps: reps}); err != nil {
 		w.t.Fatal(err)
 	}
 }
@@ -490,7 +491,7 @@ func TestConcurrentLogRebuildLedger(t *testing.T) {
 					kept, reps = append(kept, g), append(reps, g[0])
 				}
 			}
-			if e.ApplyRebuilt(kept, reps) == nil {
+			if e.Apply(persist.Record{Op: persist.OpRebuild, Groups: kept, Reps: reps}) == nil {
 				moves.Add(1)
 			}
 		}
@@ -565,7 +566,7 @@ func TestLongPollWokenByMove(t *testing.T) {
 	a, _ := e.Subscribe("/a")
 	b, _ := e.Subscribe("/b")
 	done := longPoll(t, e, b)
-	if err := e.ApplyRebuilt([][]uint64{{a, b}}, []uint64{a}); err != nil {
+	if err := e.Apply(persist.Record{Op: persist.OpRebuild, Groups: [][]uint64{{a, b}}, Reps: []uint64{a}}); err != nil {
 		t.Fatal(err)
 	}
 	parkedOn(t, e.commLogs[0]) // it re-parked, on /a's log

@@ -4,18 +4,22 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"sync/atomic"
 
 	"treesim/internal/cluster"
 	"treesim/internal/core"
 	"treesim/internal/pattern"
+	"treesim/internal/persist"
 	"treesim/internal/xmltree"
 )
 
 // This file is the crash-recovery surface: a snapshotable State, a
 // Restore constructor that rebuilds the forest and routing table from
-// it without re-running greedy clustering, a Journal hook that records
-// committed churn decisions, and the Apply* replay entry points that
-// re-commit journaled decisions deterministically.
+// it without re-running greedy clustering, a Journal that records
+// committed decisions as persist.Records, Apply, the one replay entry
+// point that re-commits a journaled record deterministically, and
+// Recover and WriteSnapshot, which put them together over a
+// persist.Store.
 //
 // The design principle is outcome logging. A subscribe's community
 // placement depends on the estimator's synopsis at decision time;
@@ -196,6 +200,27 @@ func (e *Engine) State() (*State, error) {
 	return st, nil
 }
 
+// WriteSnapshot publishes a State cut of the engine as store's
+// snapshot, stamped with the overlay's epoch watermarks (zero for a
+// broker outside a federation) and covering exactly the journal records
+// the cut includes (State.WalLSN): records committed between the cut and
+// the write stay above the watermark and replay over it.
+func (e *Engine) WriteSnapshot(store *persist.Store, advertVersion, pubSeq uint64) error {
+	st, err := e.State()
+	if err != nil {
+		return err
+	}
+	data, err := EncodeState(st)
+	if err != nil {
+		return err
+	}
+	payload, err := (&persist.Snapshot{Broker: data, AdvertVersion: advertVersion, PubSeq: pubSeq}).Encode()
+	if err != nil {
+		return err
+	}
+	return store.WriteSnapshot(payload, st.WalLSN)
+}
+
 // Restore starts an engine from a snapshot: the estimator is loaded
 // from the saved synopsis, every subscription re-enters its snapshotted
 // community, and the forest and routing table are rebuilt directly from
@@ -281,37 +306,83 @@ func Restore(cfg Config, st *State) (*Engine, error) {
 	return e, nil
 }
 
-// Journal observes committed registry mutations for write-ahead
-// logging. Calls are made inside the registry critical section, in
-// commit order — implementations should append fast (an unsynced write
-// is enough for process-death durability) and leave fsync policy to
-// their own configuration. Each call returns the log sequence number
-// the record was assigned; the engine tracks the highest one and
-// reports it as State.WalLSN, the watermark a snapshot of that state
-// covers. Errors are counted in Stats.JournalErrors and do not fail
-// the mutation.
+// Recover rebuilds an engine from a data directory's open store — the
+// one recovery path of the daemon, the treesim-net harnesses and the
+// tests. It restores the snapshot (a fresh engine when there is none),
+// replays the WAL tail above the snapshot's watermark through Apply,
+// and only then installs the store as the journal, so replayed records
+// never re-enter the WAL. The registry watermark starts at the store's
+// last LSN: every snapshot the engine writes covers the replayed
+// prefix.
+//
+// The returned epoch floor is the overlay epoch a restarted node must
+// boot above: the maximum of the snapshot's advert version, its
+// publication sequence and every OpBootEpoch record in the tail. The
+// snapshot's watermarks understate the crashed node's live counters by
+// whatever it issued after that snapshot (overlay.New pads the floor);
+// the boot records matter when one snapshot serves several recoveries
+// in a row — without them each boot would floor at the same padded
+// value and reuse the previous incarnation's sequence range, which
+// peers' seen-sets silently swallow.
+//
+// On error the store is left open for the caller to close.
+func Recover(cfg Config, store *persist.Store) (*Engine, uint64, error) {
+	var (
+		e     *Engine
+		floor uint64
+	)
+	payload, ok, err := store.LoadSnapshot()
+	if err != nil {
+		return nil, 0, err
+	}
+	if ok {
+		env, err := persist.DecodeSnapshot(payload)
+		if err != nil {
+			return nil, 0, err
+		}
+		st, err := DecodeState(env.Broker)
+		if err != nil {
+			return nil, 0, err
+		}
+		if e, err = Restore(cfg, st); err != nil {
+			return nil, 0, err
+		}
+		floor = max(env.AdvertVersion, env.PubSeq)
+	} else {
+		e = New(cfg)
+	}
+	if err := store.Replay(func(rec persist.Record) error {
+		if rec.Op == persist.OpBootEpoch {
+			floor = max(floor, rec.Seq)
+		}
+		return e.Apply(rec)
+	}); err != nil {
+		e.Close()
+		return nil, 0, fmt.Errorf("broker: recover %s: %w", store.Dir(), err)
+	}
+	e.mu.Lock()
+	e.walLSN = store.LastLSN()
+	e.mu.Unlock()
+	e.SetJournal(store)
+	return e, floor, nil
+}
+
+// Journal is the engine's write-ahead log: each committed mutation
+// arrives as one persist.Record, in commit order, and Append returns the
+// log sequence number the record was assigned. *persist.Store is the
+// implementation. Registry records (OpSubscribe, OpUnsubscribe,
+// OpRebuild) are appended inside the registry critical section, so the
+// engine reports the highest one's LSN as State.WalLSN, the watermark a
+// snapshot of that state covers; delivery-plane records (OpDeliver,
+// OpAck, OpDrained) are appended outside it, after their queue effect,
+// and kept as a second watermark State folds in. Append should be fast
+// (an unsynced write is enough for process-death durability) and leave
+// fsync policy to its own configuration. An OpDeliver record's slices
+// are the publish's scratch: encode or copy them before returning.
+// Errors are counted in Stats.JournalErrors and latch the engine
+// degraded; they do not fail the mutation.
 type Journal interface {
-	// Subscribed records a committed subscription with the community
-	// group index the clustering chose (len(groups)-at-commit founds a
-	// new community) and its delivery mode.
-	Subscribed(id uint64, expr string, group int, mode DeliveryMode) (lsn uint64, err error)
-	// Unsubscribed records a committed removal.
-	Unsubscribed(id uint64) (lsn uint64, err error)
-	// Rebuilt records a full re-clustering as the complete partition
-	// keyed by subscription ids (reps parallel to groups).
-	Rebuilt(groups [][]uint64, reps []uint64) (lsn uint64, err error)
-	// Delivered records one published document's at-least-once fan-out:
-	// the document sequence and content (xmltree.Pack bytes; none when
-	// retention is off) plus the parallel per-delivery arrays
-	// (subscription id, assigned cursor, community). Called outside the
-	// registry lock, after the queue appends. The arrays are the
-	// publish's scratch: encode or copy them before returning.
-	Delivered(seq uint64, doc []byte, subs, cursors []uint64, comms []int) (lsn uint64, err error)
-	// Acked records a committed cursor advance for subscription id.
-	Acked(id uint64, upto uint64) (lsn uint64, err error)
-	// Drained records that deliveries up to upto were handed to a
-	// consumer (the in-flight window a recovered broker still owes).
-	Drained(id uint64, upto uint64) (lsn uint64, err error)
+	Append(rec persist.Record) (lsn uint64, err error)
 }
 
 // SetJournal installs the journal. Install it once at boot, after
@@ -325,8 +396,43 @@ func (e *Engine) SetJournal(j Journal) {
 	e.journal.Store(&j)
 }
 
+// journalLocked appends a registry record and raises walLSN to its LSN.
+// Caller holds the registry lock exclusively.
+func (e *Engine) journalLocked(rec persist.Record) {
+	if j := e.journal.Load(); j != nil {
+		if lsn, err := (*j).Append(rec); err != nil {
+			e.noteJournalError()
+		} else if lsn > e.walLSN {
+			e.walLSN = lsn
+		}
+	}
+}
+
+// journalDelivery appends a delivery-plane record and raises
+// deliveryLSN to its LSN — a CAS max, since these appends happen
+// outside the registry lock and can complete out of order.
+func (e *Engine) journalDelivery(rec persist.Record) {
+	if j := e.journal.Load(); j != nil {
+		if lsn, err := (*j).Append(rec); err != nil {
+			e.noteJournalError()
+		} else {
+			storeMax(&e.deliveryLSN, lsn)
+		}
+	}
+}
+
+// storeMax raises a to v unless it already holds at least v.
+func storeMax(a *atomic.Uint64, v uint64) {
+	for {
+		cur := a.Load()
+		if v <= cur || a.CompareAndSwap(cur, v) {
+			return
+		}
+	}
+}
+
 // partitionIDsLocked exports the current partition keyed by stable
-// subscription ids (the Rebuilt journal payload). Caller holds the
+// subscription ids (the OpRebuild journal payload). Caller holds the
 // registry lock.
 func (e *Engine) partitionIDsLocked() (groups [][]uint64, reps []uint64) {
 	groups = make([][]uint64, len(e.comms.Groups))
@@ -342,91 +448,113 @@ func (e *Engine) partitionIDsLocked() (groups [][]uint64, reps []uint64) {
 	return groups, reps
 }
 
-// ApplySubscribed replays a journaled subscribe: the subscription
-// re-enters exactly the community the original commit chose (via
-// cluster.PlaceAt), with no similarity computation. Replaying a record
-// whose id is already live is a no-op (idempotent recovery under
-// snapshot/WAL overlap). Use only during recovery, before traffic.
-func (e *Engine) ApplySubscribed(id uint64, expr string, group int, mode DeliveryMode) error {
-	p, err := pattern.Parse(expr)
+// Apply replays one journaled record: it re-commits the decision the
+// record logged, never re-derives it. Every kind is idempotent, so a
+// record the snapshot already covers (snapshot/WAL overlap) changes
+// nothing. Use only during recovery, before traffic.
+//
+//   - OpSubscribe re-enters the subscription into exactly the community
+//     the original commit chose (cluster.PlaceAt), with no similarity
+//     computation; an id already live is skipped.
+//   - OpUnsubscribe removes the id; an unknown id is a no-op.
+//   - OpRebuild replaces the partition wholesale with the recorded one,
+//     keyed by subscription ids, exactly as the original rebuild did.
+//   - OpDeliver re-enters each (subscription, cursor) pair into that
+//     subscription's cursor log unless the cursor was already seen —
+//     cursors are monotonic and never reused — and repins the document
+//     the record carries (packed, or the XML text of a log written
+//     before records carried it packed). Unknown and at-most-once ids
+//     are skipped (unsubscribed later in the WAL, or never durable).
+//   - OpAck advances the committed cursor, leniently: a cursor above the
+//     restored high-water mark (a journal error dropped its OpDeliver)
+//     still advances it, and re-acking is a no-op.
+//   - OpDrained marks the entries up to the cursor as handed out, so
+//     they count as redeliveries when drained again.
+//   - OpBootEpoch is the overlay's record (Recover reads it); the
+//     engine has nothing to apply.
+func (e *Engine) Apply(rec persist.Record) error {
+	var (
+		p   *pattern.Pattern
+		doc = rec.Doc
+		err error
+	)
+	switch rec.Op {
+	case persist.OpBootEpoch:
+		return nil
+	case persist.OpSubscribe:
+		p, err = pattern.Parse(rec.Expr)
+	case persist.OpDeliver:
+		switch {
+		case len(rec.Subs) != len(rec.Cursors) || len(rec.Subs) != len(rec.Comms):
+			err = fmt.Errorf("%d subs, %d cursors, %d comms", len(rec.Subs), len(rec.Cursors), len(rec.Comms))
+		case rec.XML != "":
+			doc, err = packXML(rec.XML, e.cfg.Estimator.ParseOptions)
+		default:
+			_, err = xmltree.Unpack(doc)
+		}
+	}
 	if err != nil {
-		return fmt.Errorf("broker: replay subscribe %d: %w", id, err)
+		return fmt.Errorf("broker: replay %s (id %d, seq %d): %w", rec.Op, rec.ID, rec.Seq, err)
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.closed {
 		return ErrClosed
 	}
-	if _, ok := e.byID[id]; ok {
-		return nil // already present (snapshot covered this record)
-	}
-	if err := e.comms.PlaceAt(group); err != nil {
-		return fmt.Errorf("broker: replay subscribe %d: %w", id, err)
-	}
-	if id > e.nextID {
-		e.nextID = id
-	}
-	e.installSubLocked(id, p, expr, group, mode)
-	return nil
-}
-
-// ApplyDelivered replays a journaled at-least-once fan-out. Each
-// (subscription, cursor) pair re-enters that subscription's cursor log
-// unless the cursor was already seen — cursors are monotonic and never
-// reused, so an entry at or below the restored high-water mark (or the
-// committed cursor) is a snapshot/WAL overlap and is skipped, making
-// double replay exactly idempotent. Re-inserted entries repin the
-// document carried in the record — doc, its packed bytes, checked here
-// and retained as they are; unknown or at-most-once subscription ids are
-// skipped (unsubscribed later in the WAL, or never durable).
-func (e *Engine) ApplyDelivered(seq uint64, doc []byte, subs, cursors []uint64, comms []int) error {
-	if len(subs) != len(cursors) || len(subs) != len(comms) {
-		return fmt.Errorf("broker: replay deliver %d: %d subs, %d cursors, %d comms", seq, len(subs), len(cursors), len(comms))
-	}
-	if _, err := xmltree.Unpack(doc); err != nil {
-		return fmt.Errorf("broker: replay deliver %d: %w", seq, err)
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.closed {
-		return ErrClosed
-	}
-	// Keep the sequence watermark ahead of every replayed document so a
-	// recovered engine never reassigns a pinned sequence.
-	for {
-		cur := e.pubSeq.Load()
-		if seq <= cur || e.pubSeq.CompareAndSwap(cur, seq) {
-			break
+	switch rec.Op {
+	case persist.OpSubscribe:
+		if _, ok := e.byID[rec.ID]; ok {
+			return nil // already present (snapshot covered this record)
 		}
-	}
-	for i, subID := range subs {
-		idx, ok := e.byID[subID]
-		if !ok {
-			continue
+		if err := e.comms.PlaceAt(rec.Group); err != nil {
+			return fmt.Errorf("broker: replay subscribe %d: %w", rec.ID, err)
 		}
-		s := e.subs[idx]
-		if s.mode != AtLeastOnce {
-			continue
+		e.nextID = max(e.nextID, rec.ID)
+		e.installSubLocked(rec.ID, p, rec.Expr, rec.Group, DeliveryMode(rec.Mode))
+	case persist.OpUnsubscribe:
+		e.removeSubLocked(rec.ID)
+	case persist.OpRebuild:
+		return e.applyRebuildLocked(rec.Groups, rec.Reps)
+	case persist.OpDeliver:
+		// Keep the sequence watermark ahead of every replayed document so
+		// a recovered engine never reassigns a pinned sequence.
+		storeMax(&e.pubSeq, rec.Seq)
+		for i, id := range rec.Subs {
+			q := e.ackedQueueLocked(id)
+			if q == nil {
+				continue
+			}
+			shedDoc, shed, inserted := q.restore(rec.Cursors[i], rec.Seq, rec.Comms[i], 1)
+			if shed {
+				e.docs.unpin(shedDoc)
+			}
+			if inserted {
+				e.docs.pin(rec.Seq, doc)
+			}
 		}
-		shedDoc, shed, inserted := s.q.restore(cursors[i], seq, comms[i], 1)
-		if shed {
-			e.docs.unpin(shedDoc)
+	case persist.OpAck:
+		if q := e.ackedQueueLocked(rec.ID); q != nil {
+			_, _, unpin, _ := q.ack(rec.Cursor, false)
+			e.docs.unpin(unpin...)
 		}
-		if inserted {
-			e.docs.pin(seq, doc)
+	case persist.OpDrained:
+		if q := e.ackedQueueLocked(rec.ID); q != nil {
+			q.markDrained(rec.Cursor)
 		}
+	default:
+		return fmt.Errorf("broker: unknown wal op %q", rec.Op)
 	}
 	return nil
 }
 
-// ApplyDeliveredXML is ApplyDelivered for a record of a log written
-// before OpDeliver carried packed bytes: its document is XML text.
-func (e *Engine) ApplyDeliveredXML(seq uint64, xml string, subs, cursors []uint64, comms []int) error {
-	doc, err := packXML(xml, e.cfg.Estimator.ParseOptions)
-	if err != nil {
-		return fmt.Errorf("broker: replay deliver %d: %w", seq, err)
+// ackedQueueLocked is subscription id's cursor log, nil when the id is
+// not live or the subscription is at-most-once. Caller holds the
+// registry lock.
+func (e *Engine) ackedQueueLocked(id uint64) *queue {
+	if idx, ok := e.byID[id]; ok {
+		return e.subs[idx].q
 	}
-	return e.ApplyDelivered(seq, doc, subs, cursors, comms)
+	return nil
 }
 
 // packXML is the packed form of a document persisted as text.
@@ -435,71 +563,9 @@ func packXML(xml string, opts xmltree.ParseOptions) ([]byte, error) {
 	return xmltree.Pack(t), err
 }
 
-// ApplyAcked replays a journaled cursor advance. Lenient by design: a
-// cursor above the restored high-water mark (possible after a journal
-// append error dropped the OpDeliver) still advances the committed
-// watermark, and re-acking an already-committed cursor is a no-op.
-func (e *Engine) ApplyAcked(id uint64, upto uint64) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.closed {
-		return ErrClosed
-	}
-	idx, ok := e.byID[id]
-	if !ok {
-		return nil // unsubscribed later in the WAL
-	}
-	s := e.subs[idx]
-	if s.mode != AtLeastOnce {
-		return nil
-	}
-	_, _, unpin, _ := s.q.ack(upto, false)
-	e.docs.unpin(unpin...)
-	return nil
-}
-
-// ApplyDrained replays a journaled hand-out: entries at or below the
-// watermark count as redeliveries when drained again. Unknown ids are
-// a no-op.
-func (e *Engine) ApplyDrained(id uint64, upto uint64) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.closed {
-		return ErrClosed
-	}
-	idx, ok := e.byID[id]
-	if !ok {
-		return nil
-	}
-	s := e.subs[idx]
-	if s.mode != AtLeastOnce {
-		return nil
-	}
-	s.q.markDrained(upto)
-	return nil
-}
-
-// ApplyUnsubscribed replays a journaled unsubscribe. Unknown ids are a
-// no-op (the snapshot may already reflect the removal).
-func (e *Engine) ApplyUnsubscribed(id uint64) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.closed {
-		return ErrClosed
-	}
-	e.removeSubLocked(id)
-	return nil
-}
-
-// ApplyRebuilt replays a journaled full re-clustering: the recorded
-// partition (keyed by subscription ids) replaces the current one
-// wholesale, exactly as the original rebuild did.
-func (e *Engine) ApplyRebuilt(groups [][]uint64, reps []uint64) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.closed {
-		return ErrClosed
-	}
+// applyRebuildLocked applies an OpRebuild record. Caller holds the
+// registry lock exclusively.
+func (e *Engine) applyRebuildLocked(groups [][]uint64, reps []uint64) error {
 	if len(groups) != len(reps) {
 		return fmt.Errorf("broker: replay rebuild: %d groups, %d reps", len(groups), len(reps))
 	}

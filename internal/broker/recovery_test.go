@@ -3,7 +3,6 @@ package broker
 import (
 	"bytes"
 	"encoding/gob"
-	"fmt"
 	"reflect"
 	"runtime"
 	"sort"
@@ -14,55 +13,13 @@ import (
 	"treesim/internal/xmltree"
 )
 
-// storeJournal adapts a persist.Store to the broker Journal interface —
-// the same wiring cmd/treesimd uses.
-type storeJournal struct{ s *persist.Store }
-
-func (j storeJournal) Subscribed(id uint64, expr string, group int, mode DeliveryMode) (uint64, error) {
-	return j.s.Append(persist.Record{Op: persist.OpSubscribe, ID: id, Expr: expr, Group: group, Mode: uint8(mode)})
-}
-func (j storeJournal) Unsubscribed(id uint64) (uint64, error) {
-	return j.s.Append(persist.Record{Op: persist.OpUnsubscribe, ID: id})
-}
-func (j storeJournal) Rebuilt(groups [][]uint64, reps []uint64) (uint64, error) {
-	return j.s.Append(persist.Record{Op: persist.OpRebuild, Groups: groups, Reps: reps})
-}
-func (j storeJournal) Delivered(seq uint64, doc []byte, subs, cursors []uint64, comms []int) (uint64, error) {
-	return j.s.Append(persist.Record{Op: persist.OpDeliver, Seq: seq, Doc: doc, Subs: subs, Cursors: cursors, Comms: comms})
-}
-func (j storeJournal) Acked(id uint64, upto uint64) (uint64, error) {
-	return j.s.Append(persist.Record{Op: persist.OpAck, ID: id, Cursor: upto})
-}
-func (j storeJournal) Drained(id uint64, upto uint64) (uint64, error) {
-	return j.s.Append(persist.Record{Op: persist.OpDrained, ID: id, Cursor: upto})
-}
-
-// replayStore drives a Store's WAL tail through the engine's Apply*
-// entry points — the recovery dispatch loop — checking the forest
-// layout after every record.
+// replayStore drives a Store's WAL tail through Engine.Apply, as
+// Recover does, checking the forest layout after every record.
 func replayStore(t *testing.T, s *persist.Store, e *Engine) {
 	t.Helper()
 	if err := s.Replay(func(rec persist.Record) error {
 		defer checkForests(t, e)
-		switch rec.Op {
-		case persist.OpSubscribe:
-			return e.ApplySubscribed(rec.ID, rec.Expr, rec.Group, DeliveryMode(rec.Mode))
-		case persist.OpUnsubscribe:
-			return e.ApplyUnsubscribed(rec.ID)
-		case persist.OpRebuild:
-			return e.ApplyRebuilt(rec.Groups, rec.Reps)
-		case persist.OpDeliver:
-			if rec.XML != "" {
-				return e.ApplyDeliveredXML(rec.Seq, rec.XML, rec.Subs, rec.Cursors, rec.Comms)
-			}
-			return e.ApplyDelivered(rec.Seq, rec.Doc, rec.Subs, rec.Cursors, rec.Comms)
-		case persist.OpAck:
-			return e.ApplyAcked(rec.ID, rec.Cursor)
-		case persist.OpDrained:
-			return e.ApplyDrained(rec.ID, rec.Cursor)
-		default:
-			return fmt.Errorf("unknown op %q", rec.Op)
-		}
+		return e.Apply(rec)
 	}); err != nil {
 		t.Fatalf("replay: %v", err)
 	}
@@ -218,7 +175,7 @@ func TestRecoveryEquivalence(t *testing.T) {
 	defer store.Close()
 
 	e := newTestEngine(t, cfg)
-	e.SetJournal(storeJournal{store})
+	e.SetJournal(store)
 
 	// Seed the estimator, then churn phase 1 (covered by the snapshot).
 	publishAll(t, e)
@@ -234,20 +191,7 @@ func TestRecoveryEquivalence(t *testing.T) {
 
 	// Snapshot mid-life.
 	e.Flush()
-	st, err := e.State()
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := EncodeState(st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	env := persist.Snapshot{Broker: data}
-	payload, err := env.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := store.WriteSnapshot(payload, st.WalLSN); err != nil {
+	if err := e.WriteSnapshot(store, 0, 0); err != nil {
 		t.Fatal(err)
 	}
 
@@ -312,7 +256,7 @@ func TestRecoveryWALOnly(t *testing.T) {
 	defer store.Close()
 
 	e := newTestEngine(t, cfg)
-	e.SetJournal(storeJournal{store})
+	e.SetJournal(store)
 	var ids []uint64
 	for _, p := range recoveryPatterns {
 		id, err := e.Subscribe(p)
@@ -354,7 +298,7 @@ func TestSnapshotWatermarkExcludesConcurrentChurn(t *testing.T) {
 	defer store.Close()
 
 	e := newTestEngine(t, cfg)
-	e.SetJournal(storeJournal{store})
+	e.SetJournal(store)
 	if _, err := e.Subscribe(recoveryPatterns[0]); err != nil {
 		t.Fatal(err)
 	}
@@ -426,7 +370,7 @@ func TestReplayIdempotent(t *testing.T) {
 	defer store.Close()
 
 	e := newTestEngine(t, cfg)
-	e.SetJournal(storeJournal{store})
+	e.SetJournal(store)
 	for _, p := range recoveryPatterns[:6] {
 		if _, err := e.Subscribe(p); err != nil {
 			t.Fatal(err)
@@ -445,8 +389,8 @@ func TestReplayIdempotent(t *testing.T) {
 		t.Fatalf("double replay changed the partition")
 	}
 	// Unknown-id unsubscribe replay is a no-op, not an error.
-	if err := rec.ApplyUnsubscribed(99999); err != nil {
-		t.Fatalf("ApplyUnsubscribed(unknown) = %v", err)
+	if err := rec.Apply(persist.Record{Op: persist.OpUnsubscribe, ID: 99999}); err != nil {
+		t.Fatalf("Apply(unsubscribe unknown) = %v", err)
 	}
 }
 
@@ -580,7 +524,7 @@ func TestJournalRecordsDecisions(t *testing.T) {
 	defer store.Close()
 
 	e := newTestEngine(t, cfg)
-	e.SetJournal(storeJournal{store})
+	e.SetJournal(store)
 	id1, _ := e.Subscribe("/a/b")
 	id2, _ := e.Subscribe("/c/d")
 	e.Unsubscribe(id1)
@@ -614,20 +558,20 @@ func TestJournalRecordsDecisions(t *testing.T) {
 	}
 }
 
-// olderJournal is storeJournal as it wrote before OpDeliver carried the
-// document packed: every other delivery record goes out through the
+// olderJournal is a store as builds wrote it before OpDeliver carried
+// the document packed: every other delivery record goes out through the
 // still-supported text shape (persist.Record{XML: …}, a JSON record),
 // the rest as they are written now, so the log mixes both.
 type olderJournal struct {
-	storeJournal
+	*persist.Store
 	t *testing.T
 }
 
-func (j olderJournal) Delivered(seq uint64, doc []byte, subs, cursors []uint64, comms []int) (uint64, error) {
-	if seq%2 == 0 {
-		return j.storeJournal.Delivered(seq, doc, subs, cursors, comms)
+func (j olderJournal) Append(r persist.Record) (uint64, error) {
+	if r.Op == persist.OpDeliver && r.Seq%2 == 1 {
+		r.Doc, r.XML = nil, textOf(j.t, r.Doc)
 	}
-	return j.s.Append(persist.Record{Op: persist.OpDeliver, Seq: seq, XML: textOf(j.t, doc), Subs: subs, Cursors: cursors, Comms: comms})
+	return j.Store.Append(r)
 }
 
 // textOf is the XML text of a packed document.
@@ -665,9 +609,9 @@ func TestRecoveryFromOlderFormats(t *testing.T) {
 		defer store.Close()
 		e := newTestEngine(t, cfg)
 		if older {
-			e.SetJournal(olderJournal{storeJournal{store}, t})
+			e.SetJournal(olderJournal{store, t})
 		} else {
-			e.SetJournal(storeJournal{store})
+			e.SetJournal(store)
 		}
 		var ids []uint64
 		for _, p := range []string{"/site//item", "/site/people/person", "//price"} {
@@ -792,4 +736,102 @@ func TestRecoveryFromOlderFormats(t *testing.T) {
 		t.Fatal("no recovered delivery is flagged redelivered")
 	}
 	t.Logf("%d pinned documents, %d retrievable, %d deliveries flagged redelivered, either way", now.pinned, len(now.docs), redelivered)
+}
+
+// TestRecoveryEpochFloor pins the overlay epoch floor Recover returns:
+// from a snapshot's watermarks, from the boot records of a directory
+// with no snapshot, and across two recoveries from one snapshot with a
+// boot record between them, where the second floor must clear the
+// first. It also checks that a snapshot written right after a recovery
+// covers the replayed log.
+func TestRecoveryEpochFloor(t *testing.T) {
+	cfg := recoveryConfig()
+	// recoverDir opens dir and recovers from it; the engine journals into
+	// the returned store, which the caller closes to crash.
+	recoverDir := func(t *testing.T, dir string) (*Engine, *persist.Store, uint64) {
+		t.Helper()
+		store, err := persist.Open(dir, persist.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { store.Close() })
+		e, floor, err := Recover(cfg, store)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { e.Close() })
+		return e, store, floor
+	}
+	boot := func(t *testing.T, store *persist.Store, epoch uint64) {
+		t.Helper()
+		if _, err := store.Append(persist.Record{Op: persist.OpBootEpoch, Seq: epoch}); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	t.Run("snapshot", func(t *testing.T) {
+		dir := t.TempDir()
+		e, store, floor := recoverDir(t, dir)
+		if floor != 0 {
+			t.Fatalf("empty directory floors the epoch at %d, want 0", floor)
+		}
+		if _, err := e.Subscribe("/a/b"); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.WriteSnapshot(store, 40, 75); err != nil {
+			t.Fatal(err)
+		}
+		store.Close()
+		e, _, floor = recoverDir(t, dir)
+		if floor != 75 || e.Live() != 1 {
+			t.Fatalf("recovered floor %d with %d subscriptions, want 75 (the snapshot's publication sequence) and 1", floor, e.Live())
+		}
+	})
+
+	t.Run("wal_only", func(t *testing.T) {
+		dir := t.TempDir()
+		e, store, _ := recoverDir(t, dir)
+		boot(t, store, 30)
+		if _, err := e.Subscribe("/a/b"); err != nil {
+			t.Fatal(err)
+		}
+		boot(t, store, 12) // a later, lower boot record: the floor is the maximum
+		store.Close()
+		e, store, floor := recoverDir(t, dir)
+		if floor != 30 || e.Live() != 1 {
+			t.Fatalf("recovered floor %d with %d subscriptions, want 30 and 1", floor, e.Live())
+		}
+		// The engine's watermark starts at the replayed log's last LSN, so
+		// a snapshot written now covers all of it and nothing replays.
+		if err := e.WriteSnapshot(store, floor, floor); err != nil {
+			t.Fatal(err)
+		}
+		replayed := 0
+		if err := store.Replay(func(persist.Record) error { replayed++; return nil }); err != nil {
+			t.Fatal(err)
+		}
+		store.Close()
+		if replayed != 0 {
+			t.Fatalf("%d records replay over a snapshot written after recovery, want 0", replayed)
+		}
+		if _, _, floor = recoverDir(t, dir); floor != 30 {
+			t.Fatalf("floor after the covering snapshot = %d, want 30", floor)
+		}
+	})
+
+	t.Run("boot_between_recoveries", func(t *testing.T) {
+		dir := t.TempDir()
+		e, store, _ := recoverDir(t, dir)
+		if err := e.WriteSnapshot(store, 50, 20); err != nil {
+			t.Fatal(err)
+		}
+		store.Close()
+		_, store, first := recoverDir(t, dir)
+		boot(t, store, first+8) // the incarnation the first recovery booted, above its floor
+		store.Close()
+		_, _, second := recoverDir(t, dir)
+		if first != 50 || second <= first {
+			t.Fatalf("floors %d then %d from one snapshot, want 50 then above it", first, second)
+		}
+	})
 }

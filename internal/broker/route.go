@@ -6,6 +6,7 @@ import (
 
 	"treesim/internal/cluster"
 	"treesim/internal/pattern"
+	"treesim/internal/persist"
 	"treesim/internal/xmltree"
 )
 
@@ -172,12 +173,8 @@ func (e *Engine) routeDoc(t *xmltree.Tree, doc []byte, res *PublishResult) {
 	// precede appends, the invariant the snapshot watermark proof rests
 	// on — so a crash in between loses only publishes whose callers never
 	// saw success.
-	if j := e.journal.Load(); j != nil && len(sc.subs) > 0 {
-		if lsn, err := (*j).Delivered(seq, doc, sc.subs, sc.cursors, sc.comms); err != nil {
-			e.noteJournalError()
-		} else {
-			e.bumpDeliveryLSN(lsn)
-		}
+	if len(sc.subs) > 0 {
+		e.journalDelivery(persist.Record{Op: persist.OpDeliver, Seq: seq, Doc: doc, Subs: sc.subs, Cursors: sc.cursors, Comms: sc.comms})
 	}
 	e.scratchPool.Put(sc)
 }

@@ -189,9 +189,8 @@ type Stats struct {
 	PinnedDocs    int    `json:"pinned_docs"`
 
 	// PrecisionProxy estimates delivery precision by exact-matching a
-	// sample of deliveries against their subscriptions. Convention
-	// (shared with routing.Result.Precision): with zero samples it is
-	// vacuously 1.
+	// sample of deliveries against their subscriptions. With zero
+	// samples no delivery was wrong, so it is 1.
 	PrecisionProxy   float64 `json:"precision_proxy"`
 	PrecisionSamples uint64  `json:"precision_samples"`
 
@@ -247,7 +246,7 @@ func (e *Engine) Stats() Stats {
 		PinnedDocs:       e.docs.pinnedCount(),
 	}
 	if s.PrecisionSamples == 0 {
-		s.PrecisionProxy = 1 // vacuous, like routing.Result.Precision
+		s.PrecisionProxy = 1 // no samples, no wrong deliveries
 	} else {
 		s.PrecisionProxy = float64(c.sampledHits.Load()) / float64(s.PrecisionSamples)
 	}

@@ -14,6 +14,7 @@ import (
 	"treesim/internal/core"
 	"treesim/internal/dtd"
 	"treesim/internal/pattern"
+	"treesim/internal/persist"
 	"treesim/internal/querygen"
 	"treesim/internal/xmltree"
 )
@@ -200,9 +201,11 @@ type hookJournal struct {
 	subscribed func(group int)
 }
 
-func (j *hookJournal) Subscribed(id uint64, expr string, group int, mode DeliveryMode) (uint64, error) {
-	j.subscribed(group)
-	return j.memJournal.Subscribed(id, expr, group, mode)
+func (j *hookJournal) Append(r persist.Record) (uint64, error) {
+	if r.Op == persist.OpSubscribe {
+		j.subscribed(r.Group)
+	}
+	return j.memJournal.Append(r)
 }
 
 // TestSubscribeOnRepresentativesMatchesFullRow is the differential for

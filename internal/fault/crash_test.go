@@ -12,29 +12,6 @@ import (
 	"treesim/internal/persist"
 )
 
-// journal adapts a store to the broker's journal hook — the same
-// mapping cmd/treesimd uses.
-type journal struct{ s *persist.Store }
-
-func (j journal) Subscribed(id uint64, expr string, group int, mode broker.DeliveryMode) (uint64, error) {
-	return j.s.Append(persist.Record{Op: persist.OpSubscribe, ID: id, Expr: expr, Group: group, Mode: uint8(mode)})
-}
-func (j journal) Unsubscribed(id uint64) (uint64, error) {
-	return j.s.Append(persist.Record{Op: persist.OpUnsubscribe, ID: id})
-}
-func (j journal) Rebuilt(groups [][]uint64, reps []uint64) (uint64, error) {
-	return j.s.Append(persist.Record{Op: persist.OpRebuild, Groups: groups, Reps: reps})
-}
-func (j journal) Delivered(seq uint64, doc []byte, subs, cursors []uint64, comms []int) (uint64, error) {
-	return j.s.Append(persist.Record{Op: persist.OpDeliver, Seq: seq, Doc: doc, Subs: subs, Cursors: cursors, Comms: comms})
-}
-func (j journal) Acked(id uint64, upto uint64) (uint64, error) {
-	return j.s.Append(persist.Record{Op: persist.OpAck, ID: id, Cursor: upto})
-}
-func (j journal) Drained(id uint64, upto uint64) (uint64, error) {
-	return j.s.Append(persist.Record{Op: persist.OpDrained, ID: id, Cursor: upto})
-}
-
 // subModel is the checker's ground truth for one subscription.
 type subModel struct {
 	expr string
@@ -59,55 +36,20 @@ func brokerCfg() broker.Config {
 	return broker.Config{Threshold: 2, Rebuild: broker.Never{}}
 }
 
-// recoverDir replays dir into a fresh engine exactly the way
-// cmd/treesimd's openDataDir does. The injector rides along so later
-// schedule steps can fault the recovered store too.
+// recoverDir opens dir and recovers an engine from it the way
+// cmd/treesimd does (broker.Recover); on an empty directory that is a
+// fresh engine journaling into a fresh store. The injector rides along
+// so later schedule steps can fault the recovered store too.
 func recoverDir(t *testing.T, dir string, fsys persist.FS) (*broker.Engine, *persist.Store) {
 	t.Helper()
 	store, err := persist.Open(dir, persist.Options{FS: fsys, SyncEveryAppend: true})
 	if err != nil {
 		t.Fatalf("recover open: %v", err)
 	}
-	var eng *broker.Engine
-	if payload, ok, err := store.LoadSnapshot(); err != nil {
-		t.Fatalf("load snapshot: %v", err)
-	} else if ok {
-		env, err := persist.DecodeSnapshot(payload)
-		if err != nil {
-			t.Fatalf("decode snapshot: %v", err)
-		}
-		st, err := broker.DecodeState(env.Broker)
-		if err != nil {
-			t.Fatalf("decode state: %v", err)
-		}
-		eng, err = broker.Restore(brokerCfg(), st)
-		if err != nil {
-			t.Fatalf("restore: %v", err)
-		}
-	} else {
-		eng = broker.New(brokerCfg())
+	eng, _, err := broker.Recover(brokerCfg(), store)
+	if err != nil {
+		t.Fatalf("recover: %v", err)
 	}
-	if err := store.Replay(func(rec persist.Record) error {
-		switch rec.Op {
-		case persist.OpSubscribe:
-			return eng.ApplySubscribed(rec.ID, rec.Expr, rec.Group, broker.DeliveryMode(rec.Mode))
-		case persist.OpUnsubscribe:
-			return eng.ApplyUnsubscribed(rec.ID)
-		case persist.OpRebuild:
-			return eng.ApplyRebuilt(rec.Groups, rec.Reps)
-		case persist.OpDeliver:
-			return eng.ApplyDelivered(rec.Seq, rec.Doc, rec.Subs, rec.Cursors, rec.Comms)
-		case persist.OpAck:
-			return eng.ApplyAcked(rec.ID, rec.Cursor)
-		case persist.OpDrained:
-			return eng.ApplyDrained(rec.ID, rec.Cursor)
-		default:
-			return fmt.Errorf("unknown wal op %q", rec.Op)
-		}
-	}); err != nil {
-		t.Fatalf("replay: %v", err)
-	}
-	eng.SetJournal(journal{store})
 	return eng, store
 }
 
@@ -145,19 +87,14 @@ func runCrashSchedule(t *testing.T, seed int64) {
 
 	inj := fault.NewInjector()
 	fsys := fault.NewFS(inj)
-	// SyncEveryAppend so a sync failpoint fires on the very next
-	// journaled mutation, keeping the schedule deterministic.
-	store, err := persist.Open(dir, persist.Options{FS: fsys, SyncEveryAppend: true})
-	if err != nil {
-		t.Fatalf("open: %v", err)
-	}
-	eng := broker.New(brokerCfg())
-	eng.SetJournal(journal{store})
+	// recoverDir opens the store with SyncEveryAppend so a sync failpoint
+	// fires on the very next journaled mutation, keeping the schedule
+	// deterministic.
+	eng, store := recoverDir(t, dir, fsys)
 
 	model := map[uint64]*subModel{} // live subscriptions, ground truth
 	faulted := false
 	docN := 0
-	var floor uint64 // WAL watermark recovery already replayed
 
 	// sortedIDs keeps every model walk deterministic for a given seed —
 	// map iteration order must never touch the rng stream.
@@ -276,24 +213,7 @@ func runCrashSchedule(t *testing.T, seed int64) {
 		if faulted {
 			return
 		}
-		st, err := eng.State()
-		if err != nil {
-			t.Fatalf("state: %v", err)
-		}
-		data, err := broker.EncodeState(st)
-		if err != nil {
-			t.Fatalf("encode state: %v", err)
-		}
-		env := persist.Snapshot{Broker: data}
-		payload, err := env.Encode()
-		if err != nil {
-			t.Fatalf("encode envelope: %v", err)
-		}
-		upto := st.WalLSN
-		if upto < floor {
-			upto = floor // replayed records are in every post-recovery cut
-		}
-		if err := store.WriteSnapshot(payload, upto); err != nil {
+		if err := eng.WriteSnapshot(store, 0, 0); err != nil {
 			t.Fatalf("snapshot: %v", err)
 		}
 	}
@@ -340,7 +260,6 @@ func runCrashSchedule(t *testing.T, seed int64) {
 		eng.Close()
 		store.Close()
 		eng, store = recoverDir(t, dir, fsys)
-		floor = store.LastLSN()
 		faulted = false
 
 		// 1. The durable subscription set is restored exactly.

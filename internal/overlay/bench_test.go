@@ -8,6 +8,7 @@ import (
 	"treesim/internal/dtd"
 	"treesim/internal/overlay/wire"
 	"treesim/internal/pattern"
+	"treesim/internal/persist"
 	"treesim/internal/querygen"
 	"treesim/internal/xmlgen"
 )
@@ -103,7 +104,7 @@ func BenchmarkAdvertBuild(b *testing.B) {
 		eng := broker.New(broker.Config{Threshold: 2, Rebuild: broker.Never{}})
 		defer eng.Close()
 		for i, p := range pats[:subs] { // the replay path: no similarity rows
-			if err := eng.ApplySubscribed(uint64(i+1), p.String(), i, broker.AtMostOnce); err != nil {
+			if err := eng.Apply(persist.Record{Op: persist.OpSubscribe, ID: uint64(i + 1), Expr: p.String(), Group: i}); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -11,6 +11,7 @@ import (
 	"treesim/internal/dtd"
 	"treesim/internal/overlay/wire"
 	"treesim/internal/pattern"
+	"treesim/internal/persist"
 	"treesim/internal/querygen"
 	"treesim/internal/selectivity"
 	"treesim/internal/xmlgen"
@@ -466,7 +467,7 @@ func TestAdvertRepacksBeyondWireCaps(t *testing.T) {
 	eng := broker.New(broker.Config{Threshold: 2, Rebuild: broker.Never{}})
 	t.Cleanup(func() { eng.Close() })
 	for i := 0; i < subs-1; i++ {
-		if err := eng.ApplySubscribed(uint64(i+1), fmt.Sprintf("/r/l%04d", i), i, broker.AtMostOnce); err != nil {
+		if err := eng.Apply(persist.Record{Op: persist.OpSubscribe, ID: uint64(i + 1), Expr: fmt.Sprintf("/r/l%04d", i), Group: i}); err != nil {
 			t.Fatal(err)
 		}
 	}

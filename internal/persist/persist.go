@@ -1,12 +1,16 @@
 // Package persist is the broker's durability layer: an atomic
-// point-in-time snapshot plus a write-ahead log of the subscription
-// churn that followed it. The two files live side by side in a data
+// point-in-time snapshot plus a write-ahead log of what the broker
+// committed after it. The two files live side by side in a data
 // directory:
 //
 //	<dir>/snapshot.snap   latest snapshot (atomic: temp + fsync + rename)
-//	<dir>/wal.log         churn records appended since the snapshot
+//	<dir>/wal.log         records appended since the snapshot
 //
-// Recovery loads the snapshot (if any) and replays the WAL tail.
+// The log holds seven kinds of record: the registry's decisions
+// (subscribe, unsubscribe, rebuild), the at-least-once delivery plane's
+// (deliver, ack, drained), and the overlay epoch a federated broker
+// booted with (boot). Recovery (broker.Recover) loads the snapshot (if
+// any) and replays the WAL tail.
 // Records are LSN-numbered; the snapshot stamps the last LSN it covers,
 // and replay skips records at or below that watermark, which makes
 // recovery idempotent under every crash interleaving — including a
@@ -19,8 +23,8 @@
 // logged off, and the file is truncated back to the last intact record,
 // so a crashed broker always reopens cleanly.
 //
-// The package is deliberately ignorant of broker internals: record
-// payloads carry enough to replay a churn decision (the subscription
+// The package is deliberately ignorant of broker internals: a record
+// carries enough to replay one decision (a subscribe, for instance, its
 // expression and the community placement the broker chose), and the
 // snapshot payload is an opaque byte slice the broker encodes itself.
 package persist
@@ -69,13 +73,19 @@ const (
 )
 
 // Record is one WAL entry. Fields beyond Op are populated per kind:
-// OpSubscribe uses ID/Expr/Group, OpUnsubscribe uses ID, OpRebuild uses
-// Groups/Reps.
+//
+//	OpSubscribe    ID, Expr, Group, Mode
+//	OpUnsubscribe  ID
+//	OpRebuild      Groups, Reps
+//	OpDeliver      Seq, Doc (XML in an older log), Subs, Cursors, Comms
+//	OpAck          ID, Cursor
+//	OpDrained      ID, Cursor
+//	OpBootEpoch    Seq
 type Record struct {
 	// LSN is the log sequence number, assigned by Append; callers leave
 	// it zero. Replay reports it.
 	LSN uint64 `json:"lsn,omitempty"`
-	// Op is the operation kind (OpSubscribe, OpUnsubscribe, OpRebuild).
+	// Op is the operation kind, one of the seven Op constants.
 	Op string `json:"op"`
 	// ID is the subscription id the operation concerns.
 	ID uint64 `json:"id,omitempty"`
