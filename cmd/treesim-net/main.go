@@ -1,18 +1,25 @@
-// Command treesim-net measures the overlay federation on an in-process
-// multi-broker topology: it spins K broker nodes wired line/star/ring/
-// random, loads a DTD-derived subscription workload, publishes a
-// document stream round-robin from every node, and compares the
-// content-based overlay against two references:
+// Command treesim-net measures and checks the overlay federation on an
+// in-process multi-broker topology: K broker nodes wired line/star/ring/
+// random, a DTD-derived subscription workload, and a document stream
+// published round-robin from the nodes. In-process links run the real
+// wire codec (encode+decode per message), so the measured message counts
+// are exactly what HTTP peers would exchange. One harness, three
+// schedules:
 //
-//   - a flooding baseline (same topology, aggregates ignored) for the
-//     inter-broker forward count, and
-//   - a single broker holding every subscription for delivery ground
-//     truth (recall/lost/extra are multiset comparisons over
-//     (subscription, document) pairs).
+//   - steady (the default) compares the content-based overlay against
+//     two references: a flooding baseline (same topology, aggregates
+//     ignored) for the inter-broker forward count, and a single broker
+//     holding every subscription for delivery ground truth
+//     (recall/lost/extra are multiset comparisons over (subscription,
+//     document) pairs);
+//   - -chaos (chaos.go) is a fixed fault schedule: consumers killed
+//     mid-window, a broker crashed and recovered, a link severed and
+//     healed;
+//   - -faults (faults.go) is a seeded random schedule of the same steps
+//     over duplicating, reordering links, with injected disk faults.
 //
-// In-process links run the real wire codec (encode+decode per message),
-// so the measured message counts are exactly what HTTP peers would
-// exchange.
+// Both fault schedules run on one federation (federation.go) that checks
+// every verified batch against pattern.Matches ground truth.
 //
 // The default -threshold 2 runs every broker in exact mode (similarity
 // never reaches 2, so each subscription is its own community): local
@@ -29,6 +36,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"math/rand"
@@ -75,50 +83,67 @@ type options struct {
 	valueProb float64
 	placement string
 
-	// Chaos mode (see chaos.go): kill/restart a broker and sever/heal a
-	// link mid-workload, then assert the overlay self-heals to exact
-	// delivery.
-	chaos bool
-
-	// Faults mode (see faults.go): a seeded randomized crash schedule
-	// over lossy-link transports and injected disk faults; any failing
-	// seed replays exactly.
+	// The fault schedules, exclusive (federation.go): -chaos plays the
+	// fixed one (chaos.go), -faults a seeded random one (faults.go).
+	chaos  bool
 	faults bool
 }
 
-func main() {
+// parseArgs reads a command line into options. -chaos and -faults pick
+// exclusive schedules; asking for both is a usage error.
+func parseArgs(args []string) (options, error) {
 	var o options
-	flag.IntVar(&o.nodes, "nodes", 8, "number of brokers")
-	flag.StringVar(&o.topology, "topology", "random", "line|star|ring|random")
-	flag.IntVar(&o.degree, "degree", 3, "average degree for -topology random")
-	flag.IntVar(&o.subs, "subs", 256, "total subscriptions (spread round-robin)")
-	flag.IntVar(&o.publish, "publish", 2000, "documents to publish (round-robin origin)")
-	flag.Int64Var(&o.seed, "seed", 1, "workload and topology seed")
-	flag.StringVar(&o.dtdName, "dtd", "media", "workload DTD: media|news|business")
-	flag.Float64Var(&o.threshold, "threshold", 2, "community similarity threshold (2 = exact mode)")
-	flag.IntVar(&o.ttl, "ttl", 16, "forwarding hop budget")
-	flag.IntVar(&o.maxPat, "advert-max-nodes", 0, "coarsen advertised patterns to N nodes (0: exact covers)")
-	flag.BoolVar(&o.check, "check", true, "exit nonzero unless recall is 1.0 and savings beat -min-savings")
-	flag.Float64Var(&o.minSave, "min-savings", 0.30, "required forward savings vs flooding (with -check)")
-	flag.Float64Var(&o.stopProb, "stop-prob", 0.05, "querygen chain stop probability (lower = deeper, more selective)")
-	flag.Float64Var(&o.branch, "branch-prob", 0.3, "querygen branching probability")
-	flag.Float64Var(&o.wildcard, "wildcard-prob", 0.05, "querygen wildcard probability")
-	flag.Float64Var(&o.desc, "descendant-prob", 0.05, "querygen descendant probability")
-	flag.IntVar(&o.values, "values", 40, "shared text-value vocabulary size (0 disables value constraints)")
-	flag.Float64Var(&o.valueProb, "value-prob", 0.6, "probability a text-bearing pattern element gains a value constraint")
-	flag.StringVar(&o.placement, "placement", "clustered", "subscriber placement: clustered|roundrobin")
-	flag.BoolVar(&o.chaos, "chaos", false, "run the fault-injection scenario (crash+recover a broker, sever+heal a link) instead of the steady-state benchmark")
-	flag.BoolVar(&o.faults, "faults", false, "run the seeded crash-schedule checker (randomized churn/publish/disk-fault/crash/recover interleavings over duplicating+reordering links); failures reproduce with the same -seed")
-	flag.Parse()
+	fs := flag.NewFlagSet("treesim-net", flag.ContinueOnError)
+	fs.IntVar(&o.nodes, "nodes", 8, "number of brokers")
+	fs.StringVar(&o.topology, "topology", "random", "line|star|ring|random")
+	fs.IntVar(&o.degree, "degree", 3, "average degree for -topology random")
+	fs.IntVar(&o.subs, "subs", 256, "total subscriptions (spread round-robin)")
+	fs.IntVar(&o.publish, "publish", 2000, "documents to publish (round-robin origin)")
+	fs.Int64Var(&o.seed, "seed", 1, "workload and topology seed")
+	fs.StringVar(&o.dtdName, "dtd", "media", "workload DTD: media|news|business")
+	fs.Float64Var(&o.threshold, "threshold", 2, "community similarity threshold (2 = exact mode)")
+	fs.IntVar(&o.ttl, "ttl", 16, "forwarding hop budget")
+	fs.IntVar(&o.maxPat, "advert-max-nodes", 0, "coarsen advertised patterns to N nodes (0: exact covers)")
+	fs.BoolVar(&o.check, "check", true, "exit nonzero unless recall is 1.0 and savings beat -min-savings")
+	fs.Float64Var(&o.minSave, "min-savings", 0.30, "required forward savings vs flooding (with -check)")
+	fs.Float64Var(&o.stopProb, "stop-prob", 0.05, "querygen chain stop probability (lower = deeper, more selective)")
+	fs.Float64Var(&o.branch, "branch-prob", 0.3, "querygen branching probability")
+	fs.Float64Var(&o.wildcard, "wildcard-prob", 0.05, "querygen wildcard probability")
+	fs.Float64Var(&o.desc, "descendant-prob", 0.05, "querygen descendant probability")
+	fs.IntVar(&o.values, "values", 40, "shared text-value vocabulary size (0 disables value constraints)")
+	fs.Float64Var(&o.valueProb, "value-prob", 0.6, "probability a text-bearing pattern element gains a value constraint")
+	fs.StringVar(&o.placement, "placement", "clustered", "subscriber placement: clustered|roundrobin")
+	fs.BoolVar(&o.chaos, "chaos", false, "run the fixed fault schedule (kill consumers, crash+recover a broker, sever+heal a link) instead of the steady-state benchmark")
+	fs.BoolVar(&o.faults, "faults", false, "run the seeded fault schedule (randomized churn/publish/disk-fault/crash/recover interleavings over duplicating+reordering links); failures reproduce with the same -seed")
+	if err := fs.Parse(args); err != nil {
+		return o, err
+	}
+	if o.chaos && o.faults {
+		err := errors.New("-chaos and -faults are exclusive schedules; pick one")
+		fmt.Fprintln(fs.Output(), err)
+		fs.Usage()
+		return o, err
+	}
+	return o, nil
+}
 
-	exec := run
-	if o.chaos {
-		exec = runChaos
+func main() {
+	o, err := parseArgs(os.Args[1:])
+	if errors.Is(err, flag.ErrHelp) {
+		os.Exit(0)
 	}
-	if o.faults {
-		exec = runFaults
+	if err != nil {
+		os.Exit(2) // the flag set has printed the error and the usage
 	}
-	if err := exec(o); err != nil {
+	switch {
+	case o.chaos:
+		_, err = runChaos(o)
+	case o.faults:
+		_, err = runFaults(o)
+	default:
+		_, err = run(o)
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "treesim-net:", err)
 		os.Exit(1)
 	}
@@ -214,25 +239,31 @@ func buildWorkload(o options) (*workload, error) {
 	return w, nil
 }
 
-func run(o options) error {
+// steadyResult is one steady run: the overlay, the flooding baseline and
+// the single-broker ground truth.
+type steadyResult struct{ overlay, flood, truth runResult }
+
+func run(o options) (steadyResult, error) {
+	var res steadyResult
 	w, err := buildWorkload(o)
 	if err != nil {
-		return err
+		return res, err
 	}
 	exprs, docs, edges, nodeOf := w.exprs, w.docs, w.edges, w.nodeOf
 
 	truth, err := singleBroker(o, exprs, docs)
 	if err != nil {
-		return fmt.Errorf("single-broker reference: %w", err)
+		return res, fmt.Errorf("single-broker reference: %w", err)
 	}
 	ovl, err := runTopology(o, edges, exprs, nodeOf, docs, false)
 	if err != nil {
-		return fmt.Errorf("overlay run: %w", err)
+		return res, fmt.Errorf("overlay run: %w", err)
 	}
 	fld, err := runTopology(o, edges, exprs, nodeOf, docs, true)
 	if err != nil {
-		return fmt.Errorf("flooding run: %w", err)
+		return res, fmt.Errorf("flooding run: %w", err)
 	}
+	res = steadyResult{overlay: ovl, flood: fld, truth: truth}
 
 	matched, lost, extra := compare(truth.deliveries, ovl.deliveries)
 	recall := 1.0
@@ -281,26 +312,26 @@ func run(o options) error {
 
 	if o.check {
 		if lost != 0 {
-			return fmt.Errorf("lost %d deliveries vs single-broker ground truth (recall %.4f)", lost, recall)
+			return res, fmt.Errorf("lost %d deliveries vs single-broker ground truth (recall %.4f)", lost, recall)
 		}
 		if extra != 0 {
-			return fmt.Errorf("%d extra deliveries vs single-broker ground truth (duplicate routing)", extra)
+			return res, fmt.Errorf("%d extra deliveries vs single-broker ground truth (duplicate routing)", extra)
 		}
 		if floodLost != 0 || floodExtra != 0 {
-			return fmt.Errorf("overlay and flooding delivery sets differ (lost %d, extra %d)", floodLost, floodExtra)
+			return res, fmt.Errorf("overlay and flooding delivery sets differ (lost %d, extra %d)", floodLost, floodExtra)
 		}
 		if savings < o.minSave {
-			return fmt.Errorf("savings %.1f%% below required %.1f%%", savings*100, o.minSave*100)
+			return res, fmt.Errorf("savings %.1f%% below required %.1f%%", savings*100, o.minSave*100)
 		}
 		if len(ovl.traceProblems) > 0 {
-			return fmt.Errorf("%d of %d publication traces inconsistent: %s",
+			return res, fmt.Errorf("%d of %d publication traces inconsistent: %s",
 				len(ovl.traceProblems), ovl.tracesChecked, ovl.traceProblems[0])
 		}
 		if ovl.tracesChecked != o.publish {
-			return fmt.Errorf("traced %d of %d publications", ovl.tracesChecked, o.publish)
+			return res, fmt.Errorf("traced %d of %d publications", ovl.tracesChecked, o.publish)
 		}
 	}
-	return nil
+	return res, nil
 }
 
 // buildEdges returns the undirected topology as index pairs.
@@ -433,8 +464,6 @@ func runTopology(o options, edges [][2]int, exprs []string, nodeOf []int, docs [
 	res := runResult{deliveries: make(map[pairKey]int)}
 	nodes := make([]*overlay.Node, o.nodes)
 	for i := range nodes {
-		eng := broker.New(brokerConfig(o))
-		defer eng.Close()
 		// The flooding baseline runs untraced so its forward counts and
 		// timings stay a pure reference; the overlay run retains every
 		// publication's spans (the ring is sized past the stream).
@@ -442,7 +471,8 @@ func runTopology(o options, edges [][2]int, exprs []string, nodeOf []int, docs [
 		if flood {
 			traceCap = -1
 		}
-		nodes[i] = overlay.New(eng, overlay.Config{
+		var eng *broker.Engine
+		eng, nodes[i] = newNode(o, overlay.Config{
 			ID:              fmt.Sprintf("n%02d", i),
 			TTL:             o.ttl,
 			SeenCapacity:    2 * (o.publish + 16),
@@ -451,6 +481,7 @@ func runTopology(o options, edges [][2]int, exprs []string, nodeOf []int, docs [
 			Flood:           flood,
 			TraceCapacity:   traceCap,
 		})
+		defer eng.Close()
 		defer nodes[i].Close()
 	}
 	for _, e := range edges {
@@ -509,22 +540,14 @@ func runTopology(o options, edges [][2]int, exprs []string, nodeOf []int, docs [
 		}
 	}
 	for gi, h := range homes {
-		eng := nodes[h.node].Engine()
-		ds, err := eng.Drain(h.id, 0, 0)
+		keys, _, err := drainKeys(nodes[h.node].Engine(), h.id)
 		if err != nil {
-			return res, err
+			return res, fmt.Errorf("n%02d: %w", h.node, err)
 		}
-		for _, dv := range ds {
-			t := eng.Document(dv.Doc)
-			if t == nil {
-				return res, fmt.Errorf("delivered doc %d not retained at node %d", dv.Doc, h.node)
-			}
-			// Canonicalize mutates in place and the retained tree is
-			// shared with the engine's still-running ingest pipeline —
-			// key a clone.
-			res.deliveries[pairKey{sub: gi, doc: t.Clone().Canonicalize().String()}]++
-			res.delivered++
+		for _, k := range keys {
+			res.deliveries[pairKey{sub: gi, doc: k}]++
 		}
+		res.delivered += len(keys)
 	}
 	res.tracesChecked, res.traceProblems = verifyTraces(nodes, traceIDs)
 	return res, nil
@@ -616,20 +639,48 @@ func singleBroker(o options, exprs []string, docs []*xmltree.Tree) (runResult, e
 	}
 	res.elapsed = time.Since(start)
 	for gi, id := range ids {
-		ds, err := eng.Drain(id, 0, 0)
+		keys, _, err := drainKeys(eng, id)
 		if err != nil {
 			return res, err
 		}
-		for _, dv := range ds {
-			t := eng.Document(dv.Doc)
-			if t == nil {
-				return res, fmt.Errorf("reference doc %d not retained", dv.Doc)
-			}
-			res.deliveries[pairKey{sub: gi, doc: t.Clone().Canonicalize().String()}]++
-			res.delivered++
+		for _, k := range keys {
+			res.deliveries[pairKey{sub: gi, doc: k}]++
 		}
+		res.delivered += len(keys)
 	}
 	return res, nil
+}
+
+// newNode starts one broker under the harness's broker config and its
+// overlay node under cfg.
+func newNode(o options, cfg overlay.Config) (*broker.Engine, *overlay.Node) {
+	eng := broker.New(brokerConfig(o))
+	return eng, overlay.New(eng, cfg)
+}
+
+// docKey keys a document by canonical structure, so duplicates the
+// workload generates collapse consistently on both sides of a
+// comparison. Canonicalize sorts in place, and a published tree is
+// shared with the brokers — key a clone.
+func docKey(t *xmltree.Tree) string { return t.Clone().Canonicalize().String() }
+
+// drainKeys empties subscription id's queue at eng and keys every
+// delivered document; the batch envelope carries the cursor to ack and
+// the Redelivered count.
+func drainKeys(eng *broker.Engine, id uint64) ([]string, broker.DrainResult, error) {
+	r, err := eng.DrainBatch(id, 0, 0)
+	if err != nil {
+		return nil, r, fmt.Errorf("drain sub %d: %w", id, err)
+	}
+	keys := make([]string, len(r.Deliveries))
+	for i, dv := range r.Deliveries {
+		t := eng.Document(dv.Doc)
+		if t == nil {
+			return nil, r, fmt.Errorf("sub %d: delivered doc %d not retained", id, dv.Doc)
+		}
+		keys[i] = docKey(t)
+	}
+	return keys, r, nil
 }
 
 // compare returns the multiset intersection size, deliveries present in

@@ -16,6 +16,9 @@ import (
 type subModel struct {
 	expr string
 	mode broker.DeliveryMode
+	// live: false marks a tombstone — unsubscribed while the journal was
+	// failed, so recovery revives it.
+	live bool
 	// durable: the subscribe was journaled (recovery restores it).
 	durable bool
 	// delivered/acked track at-least-once doc keys journaled while the
@@ -123,16 +126,14 @@ func runCrashSchedule(t *testing.T, seed int64) {
 		if err != nil {
 			t.Fatalf("subscribe: %v", err)
 		}
-		model[id] = &subModel{expr: pick.expr, mode: mode, durable: !faulted,
+		model[id] = &subModel{expr: pick.expr, mode: mode, live: true, durable: !faulted,
 			delivered: map[string]bool{}, acked: map[string]bool{}}
 	}
-
-	isLive := func(m *subModel) bool { return m.mode&(1<<7) == 0 }
 
 	unsubscribe := func() {
 		var live []uint64
 		for _, id := range sortedIDs() {
-			if isLive(model[id]) {
+			if model[id].live {
 				live = append(live, id)
 			}
 		}
@@ -147,7 +148,7 @@ func runCrashSchedule(t *testing.T, seed int64) {
 			// The removal was not journaled; recovery resurrects a
 			// durable subscription, so keep tracking it under a
 			// tombstone rather than forgetting its ledger.
-			model[id].mode |= 1 << 7 // mark: live=false, durable remains
+			model[id].live = false
 		} else {
 			delete(model, id)
 		}
@@ -167,7 +168,7 @@ func runCrashSchedule(t *testing.T, seed int64) {
 		// exactly the subs whose expr matches the probe receive it.
 		for _, id := range sortedIDs() {
 			m := model[id]
-			if !isLive(m) {
+			if !m.live {
 				continue
 			}
 			want := m.expr == pick.expr
@@ -250,7 +251,7 @@ func runCrashSchedule(t *testing.T, seed int64) {
 		// this harness crashes the process, not the power, so the record
 		// replays on reopen. Write-point faults leave nothing (fail,
 		// enospc) or a torn frame that scanWAL truncates (short).
-		model[id] = &subModel{expr: "/zz/trigger", mode: broker.AtMostOnce,
+		model[id] = &subModel{expr: "/zz/trigger", mode: broker.AtMostOnce, live: true,
 			durable:   point == fault.PointWALSync,
 			delivered: map[string]bool{}, acked: map[string]bool{}}
 		faulted = true
@@ -267,7 +268,7 @@ func runCrashSchedule(t *testing.T, seed int64) {
 		var wantIDs []uint64
 		for id, m := range model {
 			if m.durable {
-				m.mode &^= 1 << 7 // tombstones revive: the unsub was lost
+				m.live = true // tombstones revive: the unsub was lost
 				next[id] = m
 				wantIDs = append(wantIDs, id)
 			}

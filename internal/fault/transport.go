@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"errors"
 	"math/rand"
 	"sync"
 	"time"
@@ -31,8 +32,11 @@ type TransportOptions struct {
 	AdvertsOnly bool
 }
 
+// ErrSevered is what every send on a severed link returns.
+var ErrSevered = errors.New("fault: link severed")
+
 // Transport wraps an overlay.Transport with seeded per-message drop,
-// duplicate, reorder, and delay. Decisions come from a private
+// duplicate, reorder, and delay, and a kill switch (Sever). Decisions come from a private
 // math/rand stream, so a topology wired with the same seeds misbehaves
 // identically on every run. Safe for concurrent use; decisions and
 // deliveries are serialized per link, which keeps the fault schedule
@@ -44,6 +48,7 @@ type Transport struct {
 	opts     TransportOptions
 	held     func() error // one reordered message awaiting its successor
 	inflight int          // deliveries decided but not yet executed
+	severed  bool
 
 	drops, dups, reorders uint64
 }
@@ -73,6 +78,10 @@ func (t *Transport) send(isPub bool, deliver func() error) error {
 	var plan []func() error
 	var delay time.Duration
 	t.mu.Lock()
+	if t.severed {
+		t.mu.Unlock()
+		return ErrSevered
+	}
 	switch {
 	case isPub && t.opts.AdvertsOnly:
 		plan = append(plan, deliver)
@@ -121,6 +130,16 @@ func (t *Transport) send(isPub bool, deliver func() error) error {
 	t.inflight--
 	t.mu.Unlock()
 	return err
+}
+
+// Sever cuts the link (true) or restores it (false). While cut, every
+// send fails like a cut cable: the receiver sees nothing and the sender
+// gets ErrSevered, which is what trips its link-down marking. A severed
+// send draws nothing from the fault schedule.
+func (t *Transport) Sever(cut bool) {
+	t.mu.Lock()
+	t.severed = cut
+	t.mu.Unlock()
 }
 
 // Flush delivers any message still held for reordering. Call it when a
