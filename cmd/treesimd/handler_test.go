@@ -481,6 +481,40 @@ func federatedDaemon(t *testing.T, id string) (*overlay.Node, string) {
 	return node, srv.URL
 }
 
+// TestExplainScenarioStatus: on a federated daemon, POST /explain
+// answers 400 for a scenario no publication can be in — an arrival
+// link without an origin, or one the node does not have — and 503 only
+// once the node is closed.
+func TestExplainScenarioStatus(t *testing.T) {
+	node, url := federatedDaemon(t, "A")
+	explain := func(query string) (int, string) {
+		t.Helper()
+		resp, err := http.Post(url+"/explain"+query, "application/xml", strings.NewReader("<x><y/></x>"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		data, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(data)
+	}
+	for _, tc := range []struct {
+		name, query string
+		wantStatus  int
+	}{
+		{"local publication", "", http.StatusOK},
+		{"from without origin", "?from=B", http.StatusBadRequest},
+		{"from naming no link", "?origin=B&from=B", http.StatusBadRequest},
+	} {
+		if code, body := explain(tc.query); code != tc.wantStatus {
+			t.Errorf("%s: POST /explain%s = %d %s, want %d", tc.name, tc.query, code, body, tc.wantStatus)
+		}
+	}
+	node.Close()
+	if code, body := explain(""); code != http.StatusServiceUnavailable {
+		t.Errorf("closed node: POST /explain = %d %s, want 503", code, body)
+	}
+}
+
 // TestPeerStreamThroughTheDaemon: two daemons federate over GET
 // /peer/stream through the real gate and mux (the upgrade must survive
 // both), the per-request peer endpoints of the old protocol are gone,

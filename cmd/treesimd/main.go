@@ -629,7 +629,8 @@ func newHandler(eng *broker.Engine, node *overlay.Node, reg *telemetry.Registry,
 	// it, the response the structured decision record. Federated daemons
 	// include the per-link forward plan; ?origin= and ?from= re-run the
 	// plan as if the document were a forwarded publication from that
-	// origin arriving on that link.
+	// origin arriving on that link; a from without an origin, or naming
+	// no attached link, answers 400.
 	mux.HandleFunc("POST /explain", func(w http.ResponseWriter, r *http.Request) {
 		t, err := xmltree.Parse(bodyReader(r, maxBody), eng.Estimator().Config().ParseOptions)
 		if err != nil {
@@ -639,7 +640,11 @@ func newHandler(eng *broker.Engine, node *overlay.Node, reg *telemetry.Registry,
 		if node != nil {
 			ex, err := node.ExplainForward(t, r.URL.Query().Get("origin"), r.URL.Query().Get("from"))
 			if err != nil {
-				httpError(w, http.StatusServiceUnavailable, "%v", err)
+				status := http.StatusServiceUnavailable // the node or engine is closed
+				if errors.Is(err, overlay.ErrScenario) {
+					status = http.StatusBadRequest
+				}
+				httpError(w, status, "%v", err)
 				return
 			}
 			writeJSON(w, http.StatusOK, ex)

@@ -107,11 +107,6 @@ type Config struct {
 	// most one engine — handles are keyed by metric name, so two
 	// engines sharing one registry would double-count.
 	Telemetry *telemetry.Registry
-	// LatencyWindow is retained for configuration compatibility; the
-	// publish-latency reservoir it sized was subsumed by the
-	// treesim_broker_publish_ns histogram, which has fixed buckets and
-	// no window.
-	LatencyWindow int
 	// DocCache is how many recent published documents stay retrievable
 	// by sequence number (Document; the daemon's GET /doc/{seq}), so
 	// consumers can fetch the content behind a delivery. Default 4096;
@@ -164,9 +159,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.PrecisionSample == 0 {
 		c.PrecisionSample = 16
-	}
-	if c.LatencyWindow <= 0 {
-		c.LatencyWindow = 1024
 	}
 	if c.DocCache == 0 {
 		c.DocCache = 4096

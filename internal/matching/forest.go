@@ -61,7 +61,7 @@ import (
 // Concurrency: Match may run concurrently with Match (scratch is
 // pooled per call); Add and Remove require external exclusion against
 // both each other and Match — the callers (broker routing lock,
-// overlay link-forest lock) already hold exactly that.
+// overlay forwarding-index lock) already hold exactly that.
 type Forest struct {
 	tbl *intern.Table
 

@@ -14,10 +14,10 @@ import (
 )
 
 // BenchmarkOverlayForwardPlan measures the per-publication forwarding
-// decision: snapshot the per-link plan and run the coarse aggregate
-// match (one forest match per candidate link) for a document, over a
-// hub node peered with 8 links carrying 4 origins each, 64 aggregate
-// patterns per origin.
+// decision (forward: one match of the node's remote forest, then the
+// matched origins' routes) for a document arriving from one origin on
+// one link, over a hub node peered with 8 links carrying 4 origins
+// each, 64 aggregate patterns per origin.
 func BenchmarkOverlayForwardPlan(b *testing.B) {
 	const (
 		links             = 8
@@ -64,10 +64,7 @@ func BenchmarkOverlayForwardPlan(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		hub.mu.Lock()
-		plan := hub.forwardPlanLocked("origin-0-0", "peer-0")
-		hub.mu.Unlock()
-		forwards += len(matchTargets(docs[i%len(docs)], plan))
+		forwards += len(hub.forward(docs[i%len(docs)], "origin-0-0", "peer-0", nil))
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(forwards)/float64(b.N), "links/op")
@@ -81,7 +78,7 @@ func (nopTransport) SendAdvert(wire.AdvertBatch) error  { return nil }
 func (nopTransport) SendPublish(wire.Publication) error { return nil }
 
 // BenchmarkAdvertBuild measures buildAdvertLocked — which runs under
-// the node lock every publish's forward plan takes — on an exact-mode
+// the node lock every publish's forwarding decision takes — on an exact-mode
 // broker holding the schema-filtered population fed-line3 gives C
 // (NITF-like patterns that match no xCBL-like document): from-scratch
 // is the first build after start or recovery, steady a build after one

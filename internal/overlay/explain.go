@@ -1,6 +1,9 @@
 package overlay
 
 import (
+	"errors"
+	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -19,8 +22,8 @@ import (
 // explained document on some link — the reason a forward would happen.
 type OriginMatch struct {
 	Origin string `json:"origin"`
-	// Version is the advert version whose aggregates matched, as
-	// registered in the link's forest.
+	// Version is the advert version the routing table held for the
+	// origin when the decision read its route.
 	Version uint64 `json:"version"`
 	// Patterns is how many of the origin's advertised covering patterns
 	// matched (≥1; more means the document is squarely inside the
@@ -80,66 +83,39 @@ type ForwardExplanation struct {
 	ForwardTo []string `json:"forward_to"`
 }
 
-// ExplainForward dry-runs the forwarding decision for a document:
-// which links would receive a forward and why the others would not,
-// plus the local engine's delivery explanation. origin and from
-// parameterize the scenario — empty origin means "published locally at
-// this node" (from must then be empty too); a non-empty origin with a
-// from link explains a forwarded publication's next hop as
-// HandlePublish would plan it (TTL and duplicate suppression excluded:
-// they depend on per-publication state, not routing state).
+// ErrScenario is returned by ExplainForward for a scenario no
+// publication can be in.
+var ErrScenario = errors.New("overlay: impossible explain scenario")
+
+// ExplainForward runs the forwarding decision (forward, as a publish
+// does) for a document without sending it: which links would receive a
+// forward and why the others would not, plus the local engine's
+// delivery explanation. origin and from parameterize the scenario —
+// empty origin means "published locally at this node" (from must then
+// be empty too; ErrScenario otherwise, or when from names no attached
+// link); a non-empty origin with a from link explains a forwarded
+// publication's next hop (TTL and duplicate suppression excluded: they
+// depend on per-publication state, not routing state).
 func (n *Node) ExplainForward(t *xmltree.Tree, origin, from string) (*ForwardExplanation, error) {
 	n.mu.Lock()
-	if n.closed {
-		n.mu.Unlock()
+	closed, arrival := n.closed, n.links[from]
+	n.mu.Unlock()
+	switch {
+	case closed:
 		return nil, ErrClosed
+	case from != "" && origin == "":
+		return nil, fmt.Errorf("%w: a local publication (no origin) has no arrival link, got from %q", ErrScenario, from)
+	case from != "" && arrival == nil:
+		return nil, fmt.Errorf("%w: from %q names no attached link", ErrScenario, from)
 	}
 	if origin == "" {
 		origin = n.cfg.ID
 	}
 	ex := &ForwardExplanation{Node: n.cfg.ID, Origin: origin, From: from}
-	// Snapshot every link's state under the node lock; matching happens
-	// after release (linkForest synchronizes internally), mirroring the
-	// real plan/match split in forwardPlanLocked + matchTargets.
-	type probe struct {
-		peer string
-		lf   *linkForest
-	}
-	var probes []probe
-	for id, l := range n.links {
-		switch {
-		case id == from:
-			ex.Links = append(ex.Links, ForwardVerdict{Peer: id, Reason: ReasonArrival})
-		case l.down:
-			ex.Links = append(ex.Links, ForwardVerdict{Peer: id, Reason: ReasonDown})
-		case n.cfg.Flood:
-			ex.Links = append(ex.Links, ForwardVerdict{Peer: id, Forward: true, Reason: ReasonFlood})
-		default:
-			lf := n.forests[id]
-			if lf == nil || !lf.hasOther(origin) {
-				ex.Links = append(ex.Links, ForwardVerdict{Peer: id, Reason: ReasonNoAggregates})
-				continue
-			}
-			probes = append(probes, probe{peer: id, lf: lf})
-		}
-	}
-	n.mu.Unlock()
-
-	for _, p := range probes {
-		v := ForwardVerdict{Peer: p.peer, Reason: ReasonNoMatch}
-		if ms := p.lf.explainMatch(t, origin); len(ms) > 0 {
-			v.Forward = true
-			v.Reason = ReasonMatch
-			v.Matched = ms
-		}
-		ex.Links = append(ex.Links, v)
+	for _, l := range n.forward(t, origin, from, ex) {
+		ex.ForwardTo = append(ex.ForwardTo, l.id)
 	}
 	sort.Slice(ex.Links, func(i, j int) bool { return ex.Links[i].Peer < ex.Links[j].Peer })
-	for _, v := range ex.Links {
-		if v.Forward {
-			ex.ForwardTo = append(ex.ForwardTo, v.Peer)
-		}
-	}
 
 	local, err := n.eng.Explain(t)
 	if err != nil {
@@ -149,32 +125,31 @@ func (n *Node) ExplainForward(t *xmltree.Tree, origin, from string) (*ForwardExp
 	return ex, nil
 }
 
-// explainMatch is matchAnyExcept's explanatory sibling: instead of a
-// boolean it returns every origin (with advert version and matched-
-// pattern count) whose aggregates the document matched on this link,
-// sorted by origin.
-func (lf *linkForest) explainMatch(t *xmltree.Tree, exclude string) []OriginMatch {
-	lf.mu.RLock()
-	defer lf.mu.RUnlock()
-	ms := lf.forest.Match(t)
-	defer ms.Release()
-	var out []OriginMatch
-	for o, oh := range lf.byOrigin {
-		if o == exclude {
-			continue
-		}
-		hits := 0
-		for _, h := range oh.hs {
-			if ms.Has(h) {
-				hits++
+// verdictLocked is forward's verdict on the link to peer id, given the
+// healthy non-arrival links it considered and the matched origins with
+// their routes. Caller holds the node lock.
+func (n *Node) verdictLocked(id, origin, from string, links []*link, hits []originHit) ForwardVerdict {
+	v := ForwardVerdict{Peer: id, Reason: ReasonNoAggregates}
+	switch {
+	case id == from:
+		v.Reason = ReasonArrival
+	case !slices.ContainsFunc(links, func(l *link) bool { return l.id == id }):
+		v.Reason = ReasonDown
+	case n.cfg.Flood:
+		v.Forward, v.Reason = true, ReasonFlood
+	default:
+		for _, h := range hits {
+			if h.via == id {
+				v.Forward, v.Reason = true, ReasonMatch
+				v.Matched = append(v.Matched, h.OriginMatch)
 			}
 		}
-		if hits > 0 {
-			out = append(out, OriginMatch{Origin: o, Version: oh.version, Patterns: hits})
+		if !v.Forward && n.carriesLocked(id, origin) {
+			v.Reason = ReasonNoMatch
 		}
+		sort.Slice(v.Matched, func(i, j int) bool { return v.Matched[i].Origin < v.Matched[j].Origin })
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Origin < out[j].Origin })
-	return out
+	return v
 }
 
 // RouteInfo is one routing-table row of IntrospectRoutes.
@@ -204,19 +179,17 @@ func (n *Node) IntrospectRoutes() []RouteInfo {
 	n.mu.Lock()
 	out := make([]RouteInfo, 0, len(n.table))
 	for origin, e := range n.table {
-		ri := RouteInfo{
+		s := e.summary(origin)
+		out = append(out, RouteInfo{
 			Origin:    origin,
 			Version:   e.version,
 			Hops:      e.hops,
 			Via:       e.via,
 			AgeMS:     now.Sub(e.lastSeen).Milliseconds(),
 			Tombstone: e.expired || len(e.advertised) == 0,
-		}
-		for _, c := range e.advertised {
-			ri.Patterns += len(c.Patterns)
-			ri.Members += c.Members
-		}
-		out = append(out, ri)
+			Patterns:  s.Patterns,
+			Members:   s.Members,
+		})
 	}
 	n.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].Origin < out[j].Origin })

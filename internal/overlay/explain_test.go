@@ -1,6 +1,7 @@
 package overlay
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 )
@@ -180,5 +181,31 @@ func TestIntrospectRoutesAndLinks(t *testing.T) {
 	}
 	if links[0].Peer >= links[1].Peer {
 		t.Fatalf("links not sorted by peer: %+v", links)
+	}
+}
+
+// TestExplainForwardRejectsImpossibleScenarios: an arrival link without
+// an origin (a local publication arrives on no link) and an arrival
+// link the node does not have are scenarios no publication can be in;
+// both fail with ErrScenario, and a closed node with ErrClosed.
+func TestExplainForwardRejectsImpossibleScenarios(t *testing.T) {
+	a := newNode(t, "a", Config{})
+	b := newNode(t, "b", Config{})
+	connect(t, a, b)
+	d := doc(t, "<x/>")
+	for _, c := range []struct{ origin, from string }{
+		{"", "b"},
+		{"b", "nowhere"},
+	} {
+		if _, err := a.ExplainForward(d, c.origin, c.from); !errors.Is(err, ErrScenario) {
+			t.Errorf("ExplainForward(origin %q, from %q) = %v, want ErrScenario", c.origin, c.from, err)
+		}
+	}
+	if _, err := a.ExplainForward(d, "b", "b"); err != nil {
+		t.Fatalf("a forwarded publication from b's origin on b's link: %v", err)
+	}
+	a.Close()
+	if _, err := a.ExplainForward(d, "", ""); !errors.Is(err, ErrClosed) {
+		t.Fatalf("ExplainForward on a closed node = %v, want ErrClosed", err)
 	}
 }

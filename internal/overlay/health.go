@@ -18,8 +18,8 @@ import (
 //     a fresh version) every Config.AdvertRefresh; a routing-table
 //     entry whose origin has not been heard from within
 //     Config.AdvertTTL is expired and its aggregates evicted from the
-//     link forests, so a dead origin stops attracting forwards after at
-//     most one TTL.
+//     remote forest, so a dead origin stops attracting forwards after
+//     at most one TTL.
 //   - Link health. Every send outcome feeds per-link state: a failure
 //     marks the link down (the damping set — forwarding plans and
 //     gossip skip it), and the maintenance loop probes it on a capped
@@ -153,23 +153,22 @@ func (n *Node) runMaintenance() {
 
 // expireAdverts evicts routing-table entries whose origin has been
 // silent past the advert TTL, in two phases. Phase one tombstones the
-// entry at its OWN version: the patterns leave the table and the
-// arrival link's forest, but both layers keep the version, so they
-// agree that exactly version+1 (an origin that was merely paused and
-// resumes with its next advert) revives the origin — tombstoning at
-// version+1 here while deleting the table entry would let the table
-// accept that advert while the forest rejected it as not-newer, a
-// forwarding hole. Phase two, a full TTL later (by which time any
-// in-flight advert at or below the tombstone's version has drained),
-// deletes the tombstone from both layers so dead origins do not leak
-// table entries forever.
+// entry at its own version: its patterns leave the remote forest, but
+// the version stays, so exactly version+1 (an origin that was merely
+// paused and resumes with its next advert) revives the origin. Phase
+// two, a full TTL later (by which time any in-flight advert at or below
+// the tombstone's version has drained), deletes the tombstone so dead
+// origins do not leak table entries forever. Like handleAdvertAt it
+// holds fmu and then the node lock, so the forest and the table change
+// together.
 func (n *Node) expireAdverts(now time.Time) {
 	ttl := n.cfg.AdvertTTL
 	if ttl <= 0 {
 		return
 	}
+	expired := make(map[string]uint64) // origin → tombstoned version
+	n.fmu.Lock()
 	n.mu.Lock()
-	var tombstones, drops []forestUpdate
 	for origin, e := range n.table {
 		if now.Sub(e.lastSeen) <= ttl {
 			continue
@@ -177,28 +176,20 @@ func (n *Node) expireAdverts(now time.Time) {
 		if e.expired {
 			// Phase two: the tombstone has sat silent for another TTL.
 			delete(n.table, origin)
-			if lf := n.forests[e.via]; lf != nil {
-				drops = append(drops, forestUpdate{lf: lf, origin: origin, version: e.version})
-			}
 			continue
 		}
 		// Phase one: tombstone in place.
 		e.expired = true
-		e.pats = nil
 		e.advertised = nil
 		e.lastSeen = now
-		if lf := n.forests[e.via]; lf != nil {
-			tombstones = append(tombstones, forestUpdate{lf: lf, origin: origin, version: e.version})
-		}
+		n.indexLocked(origin, e, nil)
 		n.counters.advertsExpired.Add(1)
+		expired[origin] = e.version
 	}
 	n.mu.Unlock()
-	for _, u := range tombstones {
-		u.lf.expire(u.origin, u.version)
-		n.cfg.Logger.Warn("advert expired", "origin", u.origin, "version", u.version)
-	}
-	for _, u := range drops {
-		u.lf.forget(u.origin, u.version)
+	n.fmu.Unlock()
+	for origin, version := range expired {
+		n.cfg.Logger.Warn("advert expired", "origin", origin, "version", version)
 	}
 }
 

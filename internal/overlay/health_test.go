@@ -63,6 +63,7 @@ func TestAdvertExpiryClosesRoutes(t *testing.T) {
 	b := newNode(t, "b", fastHealth())
 	connect(t, a, b)
 	mustSubscribe(t, b, "/x/y")
+	checkIndex(t, a)
 
 	if _, sent, err := a.Publish(doc(t, "<x><y/></x>")); err != nil || sent != 1 {
 		t.Fatalf("pre-failure publish: sent=%d err=%v, want 1", sent, err)
@@ -72,6 +73,7 @@ func TestAdvertExpiryClosesRoutes(t *testing.T) {
 	waitUntil(t, 3*time.Second, func() bool {
 		return len(a.Info().Origins) == 0
 	}, "a never expired b's advert")
+	checkIndex(t, a)
 	if got := a.Info().AdvertsExpired; got < 1 {
 		t.Fatalf("AdvertsExpired = %d, want >= 1", got)
 	}
@@ -92,10 +94,9 @@ func (c *silentTransport) SendPublish(wire.Publication) error { c.pubs.Add(1); r
 // TestExpiredOriginRevivesAtNextVersion: an origin that was merely
 // paused (no crash, so no version jump) resumes with exactly
 // version+1 after its routes expired. The expiry tombstone must sit at
-// the entry's own version in BOTH the routing table and the link
-// forest: a forest tombstone at version+1 would let the table accept
-// the resume advert while the forest rejects it as not-newer — a table
-// entry with no matchable patterns, i.e. a silent forwarding hole.
+// the entry's own version, with its patterns out of the remote forest:
+// a tombstone at version+1 would reject the resume advert as
+// not-newer, a silent forwarding hole.
 func TestExpiredOriginRevivesAtNextVersion(t *testing.T) {
 	cfg := fastHealth()
 	cfg.AdvertTTL = 500 * time.Millisecond // a wide window between expiry phases
@@ -112,6 +113,7 @@ func TestExpiredOriginRevivesAtNextVersion(t *testing.T) {
 		}}}); err != nil {
 			t.Fatalf("HandleAdvert v%d: %v", version, err)
 		}
+		checkIndex(t, a)
 	}
 	advert(100)
 	if _, sent, err := a.Publish(doc(t, "<x><y/></x>")); err != nil || sent != 1 {
@@ -124,15 +126,15 @@ func TestExpiredOriginRevivesAtNextVersion(t *testing.T) {
 		og := a.Info().Origins
 		return len(og) == 1 && og[0].Patterns == 0
 	}, "z's advert never expired to a tombstone")
+	checkIndex(t, a)
 	if _, sent, err := a.Publish(doc(t, "<x><y/></x>")); err != nil || sent != 0 {
 		t.Fatalf("post-expiry publish: sent=%d err=%v, want 0", sent, err)
 	}
 
-	// z resumes with its next version. Table and forest must both accept
-	// it, restoring forwarding.
+	// z resumes with its next version, restoring forwarding.
 	advert(101)
 	if _, sent, err := a.Publish(doc(t, "<x><y/></x>")); err != nil || sent != 1 {
-		t.Fatalf("post-revival publish: sent=%d err=%v, want 1 (forest rejected the revived advert?)", sent, err)
+		t.Fatalf("post-revival publish: sent=%d err=%v, want 1 (revived advert not indexed?)", sent, err)
 	}
 
 	// Silence again: phase one re-tombstones, phase two (a TTL later)
@@ -140,6 +142,7 @@ func TestExpiredOriginRevivesAtNextVersion(t *testing.T) {
 	waitUntil(t, 5*time.Second, func() bool {
 		return len(a.Info().Origins) == 0
 	}, "z's tombstone never swept from the table")
+	checkIndex(t, a)
 	// And a fully forgotten origin can still come back.
 	advert(102)
 	if _, sent, err := a.Publish(doc(t, "<x><y/></x>")); err != nil || sent != 1 {
@@ -195,6 +198,7 @@ func TestRefreshKeepsEntriesAlive(t *testing.T) {
 		for _, n := range []*Node{a, b} {
 			n.expireAdverts(now)
 			n.refreshAdvert(now)
+			checkIndex(t, n)
 		}
 	}
 	ai := a.Info()
@@ -215,6 +219,7 @@ func TestRefreshKeepsEntriesAlive(t *testing.T) {
 	// above kept it alive, not a slack TTL.
 	for end := now.Add(2 * ttl); !now.After(end); now = now.Add(10 * time.Millisecond) {
 		a.expireAdverts(now)
+		checkIndex(t, a)
 	}
 	if got := a.Info().AdvertsExpired; got != 1 {
 		t.Fatalf("AdvertsExpired = %d after 2 silent TTLs, want 1", got)

@@ -6,13 +6,15 @@
 // optionally coarsened by truncation, grouped by owning community with
 // a selectivity digest; see advert.go), and gossips versioned
 // advertisements to its peers.
-// Every node keeps a per-link routing table mapping advertised
-// aggregates to next hops, and forwards a publication over a link only
-// when the document matches some aggregate reachable via that link —
-// cheap, coarse, recall-preserving matching that happens before any
-// peer does exact local matching. TTL and a seen-set suppress
-// duplicates on cyclic topologies, so inter-broker traffic shrinks
-// versus flooding while no delivery is lost.
+// Every node keeps a routing table mapping each origin's advertised
+// aggregates to the next hop toward it, indexed by one forest of every
+// origin's patterns: a publication is matched against that forest once
+// and forwarded over a link only when it matches some aggregate of an
+// origin routed via that link — cheap, coarse, recall-preserving
+// matching that happens before any peer does exact local matching.
+// TTL and a seen-set suppress duplicates on cyclic topologies, so
+// inter-broker traffic shrinks versus flooding while no delivery is
+// lost.
 //
 // Advertisement propagation is origin-versioned gossip: an advert
 // carries (origin, version, aggregates); a node accepts it if the
@@ -48,6 +50,7 @@ import (
 	"log/slog"
 	"maps"
 	"net"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -55,8 +58,8 @@ import (
 	"time"
 
 	"treesim/internal/broker"
+	"treesim/internal/matching"
 	"treesim/internal/overlay/wire"
-	"treesim/internal/pattern"
 	"treesim/internal/telemetry"
 	"treesim/internal/xmltree"
 )
@@ -278,13 +281,17 @@ type Node struct {
 	cfg Config
 	eng *broker.Engine
 
+	// fmu guards remote, one forest of every pattern the table holds,
+	// and owner, the origin behind each handle ("" when free). Writers
+	// (handleAdvertAt, expireAdverts) hold fmu then mu; forward matches
+	// under fmu shared without mu, so mu never waits on a match.
+	fmu    sync.RWMutex
+	remote *matching.Forest
+	owner  []string
+
 	mu    sync.Mutex
 	links map[string]*link
 	table map[string]*originEntry
-	// forests holds one matching-engine instance per link: the shared
-	// forest of every aggregate routed via that link, consulted by the
-	// forwarding decision (outside the node lock — see linkForest).
-	forests map[string]*linkForest
 	// inbound is every peer stream being served, with the channel
 	// serveStream closes on its way out.
 	inbound    map[net.Conn]chan struct{}
@@ -327,7 +334,7 @@ func New(eng *broker.Engine, cfg Config) *Node {
 		eng:     eng,
 		links:   make(map[string]*link),
 		table:   make(map[string]*originEntry),
-		forests: make(map[string]*linkForest),
+		remote:  matching.NewForest(),
 		inbound: make(map[net.Conn]chan struct{}),
 		stop:    make(chan struct{}),
 	}
@@ -579,20 +586,23 @@ func (n *Node) HandleAdvert(batch wire.AdvertBatch) error {
 }
 
 // handleAdvertAt is HandleAdvert at a given arrival instant, the stamp
-// expireAdverts later ages the entries against.
+// expireAdverts later ages the entries against. It holds fmu and then
+// the node lock, so the remote forest changes with the table, and
+// releases both before gossiping what it accepted.
 func (n *Node) handleAdvertAt(batch wire.AdvertBatch, now time.Time) error {
+	n.fmu.Lock()
 	n.mu.Lock()
+	unlock := func() { n.mu.Unlock(); n.fmu.Unlock() }
 	if n.closed {
-		n.mu.Unlock()
+		unlock()
 		return ErrClosed
 	}
 	if _, ok := n.links[batch.From]; !ok {
-		n.mu.Unlock()
+		unlock()
 		return fmt.Errorf("overlay: advert from unknown peer %q", batch.From)
 	}
 	n.counters.advertsRecv.Add(1)
 	var accepted []wire.Advert
-	var updates []forestUpdate
 	var firstErr error
 	for _, a := range batch.Adverts {
 		if a.Origin == n.cfg.ID {
@@ -605,7 +615,7 @@ func (n *Node) handleAdvertAt(batch wire.AdvertBatch, now time.Time) error {
 			}
 			continue // stale or already known
 		}
-		entry, err := newOriginEntry(a, batch.From, now)
+		pats, err := parseAdvert(a)
 		if err != nil {
 			if firstErr == nil {
 				firstErr = err
@@ -618,39 +628,20 @@ func (n *Node) handleAdvertAt(batch wire.AdvertBatch, now time.Time) error {
 			// re-gossip under our route's hop count so downstream
 			// staleness gates keep advancing.
 			cur.version = a.Version
-			cur.pats = entry.pats
-			cur.advertised = entry.advertised
+			cur.advertised = a.Communities
 			cur.lastSeen = now
-			lf := n.forests[cur.via]
-			if lf == nil {
-				lf = newLinkForest()
-				n.forests[cur.via] = lf
-			}
-			updates = append(updates, forestUpdate{lf: lf, origin: a.Origin, version: a.Version, pats: entry.pats})
+			n.indexLocked(a.Origin, cur, pats)
 			if fwd := a; cur.hops+1 <= wire.MaxTTL {
 				fwd.Hops = cur.hops + 1
 				accepted = append(accepted, fwd)
 			}
 			continue
 		}
-		// Plan the forest updates — move the origin's aggregates into
-		// the arrival link's forest, unlinking them from the old next
-		// hop if it changed — but apply them only after the node lock
-		// is released: forest mutation waits on in-flight document
-		// matching (linkForest.mu), and n.mu must never transitively
-		// wait on a match. Version gating inside linkForest makes the
-		// out-of-order application this allows safe.
-		if known && cur.via != batch.From {
-			if lf := n.forests[cur.via]; lf != nil {
-				updates = append(updates, forestUpdate{lf: lf, origin: a.Origin, version: a.Version})
-			}
+		if known {
+			n.indexLocked(a.Origin, cur, nil)
 		}
-		lf := n.forests[batch.From]
-		if lf == nil {
-			lf = newLinkForest()
-			n.forests[batch.From] = lf
-		}
-		updates = append(updates, forestUpdate{lf: lf, origin: a.Origin, version: a.Version, pats: entry.pats})
+		entry := &originEntry{version: a.Version, hops: a.Hops, via: batch.From, advertised: a.Communities, lastSeen: now, viaSeen: now}
+		n.indexLocked(a.Origin, entry, pats)
 		n.table[a.Origin] = entry
 		if fwd := a; fwd.Hops+1 <= wire.MaxTTL {
 			fwd.Hops++
@@ -658,10 +649,7 @@ func (n *Node) handleAdvertAt(batch wire.AdvertBatch, now time.Time) error {
 		}
 	}
 	targets := n.linksLocked(batch.From)
-	n.mu.Unlock()
-	for _, u := range updates {
-		u.lf.set(u.origin, u.version, u.pats)
-	}
+	unlock()
 	if len(accepted) > 0 {
 		n.sendAdverts(targets, accepted)
 	}
@@ -689,18 +677,9 @@ func (n *Node) viaSticksLocked(cur *originEntry, a wire.Advert, now time.Time) b
 	return true
 }
 
-// forestUpdate is one link-forest mutation planned under the node lock
-// and applied outside it (nil pats unlinks the origin from that link).
-type forestUpdate struct {
-	lf      *linkForest
-	origin  string
-	version uint64
-	pats    []*pattern.Pattern
-}
-
 // Publish routes a locally published document: exact local matching
-// through the engine first, then coarse aggregate matching per link to
-// decide which peers receive a forward. It returns the local routing
+// through the engine first, then one coarse aggregate match (forward)
+// to decide which peers receive a forward. It returns the local routing
 // result and the number of links the document was forwarded on.
 func (n *Node) Publish(t *xmltree.Tree) (broker.PublishResult, int, error) {
 	res, sent, _, err := n.PublishTraced(t)
@@ -731,10 +710,8 @@ func (n *Node) PublishTraced(t *xmltree.Tree) (broker.PublishResult, int, string
 	}
 	n.mu.Lock()
 	n.seen.add(seenKey(n.cfg.ID, seq))
-	plan := n.forwardPlanLocked(n.cfg.ID, "")
 	n.mu.Unlock()
-	targets := matchTargets(t, plan)
-	sent, sentTo := n.sendPublication(targets, wire.Publication{
+	sent, sentTo := n.sendPublication(n.forward(t, n.cfg.ID, "", nil), wire.Publication{
 		Origin: n.cfg.ID,
 		Seq:    seq,
 		TTL:    n.cfg.TTL,
@@ -820,15 +797,12 @@ func (n *Node) HandlePublish(pub wire.Publication) error {
 		return fmt.Errorf("overlay: inject from %q: %w", pub.From, err)
 	}
 	n.counters.injected.Add(1)
-	var plan []forwardCandidate
+	var targets []*link
 	if ttl > 0 {
-		n.mu.Lock()
-		plan = n.forwardPlanLocked(pub.Origin, pub.From)
-		n.mu.Unlock()
+		targets = n.forward(t, pub.Origin, pub.From, nil)
 	} else {
 		n.counters.ttlDrops.Add(1)
 	}
-	targets := matchTargets(t, plan)
 	pub.TTL = ttl
 	_, sentTo := n.sendPublication(targets, pub, t, res.Seq)
 	if n.traces != nil && pub.Trace != "" {
@@ -848,53 +822,87 @@ func (n *Node) HandlePublish(pub wire.Publication) error {
 	return nil
 }
 
-// forwardCandidate is one link with its matching-engine instance,
-// snapshotted under the node lock so the (expensive) document matching
-// can run outside it — the linkForest synchronizes internally against
-// concurrent advert updates.
-type forwardCandidate struct {
-	l       *link
-	flood   bool
-	lf      *linkForest
-	exclude string // the publication's origin: its own aggregates are ignored
-}
-
-// forwardPlanLocked snapshots, per non-arrival link, the link forest a
-// forwarding decision must consult: every origin routed via that link
-// except the publication's own origin (it has the document already).
-// In Flood mode every non-arrival link qualifies unconditionally.
-func (n *Node) forwardPlanLocked(origin, exclude string) []forwardCandidate {
-	var out []forwardCandidate
+// forward is the forwarding decision local publish, forwarded publish
+// and ExplainForward share: the healthy links other than from, in id
+// order, via which some origin other than the publication's own
+// advertises an aggregate the document matches (flood mode: all of
+// them). ex, when non-nil, receives every link's verdict. The remote
+// forest is matched once, under fmu shared, and only if some link
+// carries another origin's aggregates; the node lock is taken before
+// the match (links) and after it (routes), never with fmu.
+func (n *Node) forward(t *xmltree.Tree, origin, from string, ex *ForwardExplanation) []*link {
+	n.mu.Lock()
+	links := n.linksLocked(from)
+	worth := !n.cfg.Flood && slices.ContainsFunc(links, func(l *link) bool { return n.carriesLocked(l.id, origin) })
+	n.mu.Unlock()
+	var hits []originHit
+	if worth {
+		hits = n.matchOrigins(t, origin)
+	}
+	if len(hits) > 0 || ex != nil {
+		n.mu.Lock()
+		for i := range hits {
+			if e := n.table[hits[i].Origin]; e != nil {
+				hits[i].via, hits[i].Version = e.via, e.version
+			}
+		}
+		if ex != nil {
+			for id := range n.links {
+				ex.Links = append(ex.Links, n.verdictLocked(id, origin, from, links, hits))
+			}
+		}
+		n.mu.Unlock()
+	}
 	if n.cfg.Flood {
-		for _, l := range n.linksLocked(exclude) {
-			out = append(out, forwardCandidate{l: l, flood: true})
-		}
-		return out
+		return links
 	}
-	for _, l := range n.linksLocked(exclude) {
-		if lf := n.forests[l.id]; lf != nil && lf.hasOther(origin) {
-			out = append(out, forwardCandidate{l: l, lf: lf, exclude: origin})
-		}
-	}
-	return out
+	return slices.DeleteFunc(links, func(l *link) bool {
+		return !slices.ContainsFunc(hits, func(h originHit) bool { return h.via == l.id })
+	})
 }
 
-// matchTargets runs the coarse aggregate match for a planned forward —
-// outside the node lock, so concurrent publications and advert
-// handling never serialize on pattern matching. Per candidate link it
-// is one single-pass forest match over that link's aggregates.
-func matchTargets(t *xmltree.Tree, plan []forwardCandidate) []*link {
-	var out []*link
-	for _, c := range plan {
-		if c.flood {
-			out = append(out, c.l)
+// originHit is one origin whose aggregates a document matched, with how
+// many of its patterns did and, once forward reads the routing table,
+// its route.
+type originHit struct {
+	OriginMatch
+	via string
+}
+
+// matchOrigins matches t against the remote forest once and returns the
+// origins other than exclude that own a matching pattern.
+func (n *Node) matchOrigins(t *xmltree.Tree, exclude string) []originHit {
+	n.fmu.RLock()
+	defer n.fmu.RUnlock()
+	ms := n.remote.Match(t)
+	defer ms.Release()
+	if ms.Count() == 0 {
+		return nil // the common case: nothing to attribute
+	}
+	var hits []originHit
+	for h, o := range n.owner {
+		if o == "" || o == exclude || !ms.Has(h) {
 			continue
 		}
-		if c.lf.matchAnyExcept(t, c.exclude) {
-			out = append(out, c.l)
+		i := slices.IndexFunc(hits, func(x originHit) bool { return x.Origin == o })
+		if i < 0 {
+			i = len(hits)
+			hits = append(hits, originHit{OriginMatch: OriginMatch{Origin: o}})
+		}
+		hits[i].Patterns++
+	}
+	return hits
+}
+
+// carriesLocked reports whether some origin other than exclude has
+// aggregates routed via the link.
+func (n *Node) carriesLocked(via, exclude string) bool {
+	for o, e := range n.table {
+		if e.via == via && o != exclude && len(e.hs) > 0 {
+			return true
 		}
 	}
-	return out
+	return false
 }
 
 // linksLocked snapshots all healthy links except the named one, in id

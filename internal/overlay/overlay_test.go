@@ -196,12 +196,14 @@ func TestTombstoneStopsForwarding(t *testing.T) {
 	connect(t, a, b)
 
 	sub := mustSubscribe(t, b, "/x")
+	checkIndex(t, a)
 	if _, sent, _ := a.Publish(doc(t, "<x/>")); sent != 1 {
 		t.Fatalf("pre-unsubscribe publish forwarded %d times, want 1", sent)
 	}
 	if !b.Engine().Unsubscribe(sub) {
 		t.Fatal("unsubscribe failed")
 	}
+	checkIndex(t, a)
 	if _, sent, _ := a.Publish(doc(t, "<x/>")); sent != 0 {
 		t.Fatalf("post-unsubscribe publish forwarded %d times, want 0 (tombstone)", sent)
 	}
@@ -224,11 +226,13 @@ func TestAdvertPolicyBatchesChurn(t *testing.T) {
 	base := b.Info().AdvertVer
 	for i := 0; i < 3; i++ {
 		mustSubscribe(t, b, "/q")
+		checkIndex(t, a)
 	}
 	if got := b.Info().AdvertVer; got != base {
 		t.Fatalf("advert version moved to %d after 3 ops (policy is 4), base %d", got, base)
 	}
 	mustSubscribe(t, b, "/q")
+	checkIndex(t, a)
 	if got := b.Info().AdvertVer; got != base+1 {
 		t.Fatalf("advert version %d after 4 ops, want %d", got, base+1)
 	}
@@ -246,9 +250,12 @@ func TestLatePeerGetsFullState(t *testing.T) {
 	b := newNode(t, "b", Config{})
 	connect(t, a, b)
 	sub := mustSubscribe(t, a, "/deep")
+	checkIndex(t, b)
 
 	c := newNode(t, "c", Config{})
 	connect(t, b, c) // c learns about a's aggregate from b's full-state sync
+	checkIndex(t, b)
+	checkIndex(t, c)
 
 	if _, sent, err := c.Publish(doc(t, "<deep/>")); err != nil || sent != 1 {
 		t.Fatalf("late joiner publish: sent=%d err=%v", sent, err)

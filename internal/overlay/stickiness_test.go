@@ -21,7 +21,7 @@ func originAt(t *testing.T, n *Node, origin string) wire.OriginInfo {
 }
 
 // forge sends a hand-built advert for origin "a" into n, claiming to
-// arrive from peer from.
+// arrive from peer from, and checks n's forest against its table.
 func forge(t *testing.T, n *Node, from string, version uint64, hops int) {
 	t.Helper()
 	err := n.HandleAdvert(wire.AdvertBatch{From: from, Adverts: []wire.Advert{{
@@ -33,6 +33,7 @@ func forge(t *testing.T, n *Node, from string, version uint64, hops int) {
 	if err != nil {
 		t.Fatalf("forged advert from %s: %v", from, err)
 	}
+	checkIndex(t, n)
 }
 
 // TestViaStickiness pins the sticky next-hop rules of HandleAdvert: a
@@ -59,6 +60,7 @@ func TestViaStickiness(t *testing.T) {
 	if err := a.Advertise(); err != nil {
 		t.Fatalf("advertise: %v", err)
 	}
+	checkIndex(t, c)
 	cur := originAt(t, c, "a")
 	if cur.Via != "b" || cur.Hops != 1 {
 		t.Fatalf("route for a: via=%q hops=%d, want via b at 1 hop", cur.Via, cur.Hops)
@@ -99,6 +101,7 @@ func TestViaStickinessQuietVia(t *testing.T) {
 	if err := a.Advertise(); err != nil {
 		t.Fatalf("advertise: %v", err)
 	}
+	checkIndex(t, c)
 	cur := originAt(t, c, "a")
 	if cur.Via != "b" {
 		t.Fatalf("route for a: via=%q, want b", cur.Via)
