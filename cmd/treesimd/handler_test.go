@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -14,6 +15,7 @@ import (
 
 	"treesim/internal/broker"
 	"treesim/internal/overlay"
+	"treesim/internal/persist"
 	"treesim/internal/telemetry"
 	"treesim/internal/xmltree"
 )
@@ -133,6 +135,43 @@ func TestHandlerErrorPaths(t *testing.T) {
 				t.Fatalf("error %q does not mention %q", msg, tc.wantSubstr)
 			}
 		})
+	}
+}
+
+// failingJournal fails every append, latching the engine degraded.
+type failingJournal struct{}
+
+func (failingJournal) Append(persist.Record) (uint64, error) {
+	return 0, errors.New("disk gone")
+}
+
+// TestSubscribeUnavailableIs503: a subscribe the engine cannot take now
+// — degraded, for an at-least-once contract, or closed — answers 503,
+// so a client can tell "retry later" from a bad pattern, which stays 400.
+func TestSubscribeUnavailableIs503(t *testing.T) {
+	h, eng, _ := testHandler(t)
+	eng.SetJournal(failingJournal{})
+	if _, err := eng.Subscribe("/a"); err != nil || !eng.Degraded() {
+		t.Fatalf("subscribe into a failing journal: %v, degraded %v", err, eng.Degraded())
+	}
+	for _, tc := range []struct {
+		name, body string
+		close      bool
+		wantStatus int
+	}{
+		{"bad pattern", `{"pattern": "///["}`, false, http.StatusBadRequest},
+		{"degraded at-least-once", `{"pattern": "/b", "mode": "at-least-once"}`, false, http.StatusServiceUnavailable},
+		{"closed engine", `{"pattern": "/b"}`, true, http.StatusServiceUnavailable},
+		{"bad pattern on a closed engine", `{"pattern": "///["}`, true, http.StatusBadRequest},
+	} {
+		if tc.close {
+			eng.Close()
+		}
+		w := do(t, h, "POST", "/subscribe", "application/json", tc.body)
+		if w.Code != tc.wantStatus {
+			t.Errorf("%s: status = %d, want %d (%s)", tc.name, w.Code, tc.wantStatus, w.Body.String())
+		}
+		errorBody(t, w)
 	}
 }
 

@@ -463,7 +463,11 @@ func newHandler(eng *broker.Engine, node *overlay.Node, reg *telemetry.Registry,
 		}
 		id, err := eng.SubscribeOpts(req.Pattern, broker.SubscribeOptions{Mode: mode})
 		if err != nil {
-			httpError(w, http.StatusBadRequest, "%v", err)
+			status := http.StatusBadRequest
+			if errors.Is(err, broker.ErrClosed) || errors.Is(err, broker.ErrDegraded) {
+				status = http.StatusServiceUnavailable // retry later, elsewhere
+			}
+			httpError(w, status, "%v", err)
 			return
 		}
 		writeJSON(w, http.StatusOK, map[string]any{"id": id, "mode": mode.String()})
@@ -487,18 +491,16 @@ func newHandler(eng *broker.Engine, node *overlay.Node, reg *telemetry.Registry,
 			handlePublishBatch(w, r, eng, node, maxBody)
 			return
 		}
+		t, err := xmltree.Parse(bodyReader(r, maxBody), eng.Estimator().Config().ParseOptions)
+		if err != nil {
+			httpError(w, bodyStatus(err), "treesimd: publish: %v", err)
+			return
+		}
 		resp := publishResponse{}
-		var err error
 		if node != nil {
-			var t *xmltree.Tree
-			t, err = xmltree.Parse(bodyReader(r, maxBody), eng.Estimator().Config().ParseOptions)
-			if err != nil {
-				httpError(w, bodyStatus(err), "treesimd: publish: %v", err)
-				return
-			}
 			resp.PublishResult, resp.Forwarded, resp.Trace, err = node.PublishTraced(t)
 		} else {
-			resp.PublishResult, err = eng.PublishXML(bodyReader(r, maxBody))
+			resp.PublishResult, err = eng.Publish(t)
 		}
 		if err != nil {
 			status := bodyStatus(err)

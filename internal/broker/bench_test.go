@@ -112,7 +112,11 @@ func BenchmarkBrokerPublishXML(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.PublishXML(bytes.NewReader(bodies[i%len(bodies)])); err != nil {
+		t, err := xmltree.Parse(bytes.NewReader(bodies[i%len(bodies)]), e.cfg.Estimator.ParseOptions)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := e.Publish(t); err != nil {
 			b.Fatal(err)
 		}
 		if i%1024 == 1023 {

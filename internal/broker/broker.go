@@ -21,21 +21,22 @@
 //     taken (or on a forced Rebuild): O(log N) cold passes over a
 //     stream of N documents, a frame that always covers more than half
 //     of it, and the new pattern and the old ones always evaluated in
-//     the same frame. A stream
-//     whose distribution drifts wants core.WindowEstimator, not a
-//     fresher view.
+//     the same frame. A stream whose distribution drifts wants
+//     core.WindowEstimator, not a fresher view.
 //   - Staleness-bounded re-clustering. Incremental placement drifts
 //     from what a fresh greedy clustering would produce; a pluggable
 //     RebuildPolicy watches the mutation count and triggers a greedy
 //     rebuild when enough of the registry has churned. The greedy runs on
 //     the view's thresholded similarity graph (core.Graph), which pays
 //     only for the pairs no earlier rebuild on the same view decided.
-//   - One matching forest. It holds exactly the communities'
-//     representatives (the handle is the community's: joiners never
-//     touch it, a leaving representative hands it to its successor); a
-//     publish flattens the document once and walks it once, on the
-//     publisher's own goroutine, and that one pass decides every
-//     community.
+//   - One matching forest and one routing table. The forest holds
+//     exactly the communities' representatives, and the table one
+//     record per community — forest handle, delivery log,
+//     representative, members (the handle is the community's: joiners
+//     never touch it, a leaving representative hands it to its
+//     successor); a publish flattens the document once and walks it
+//     once, on the publisher's own goroutine, and that one pass decides
+//     every community. Explain is the same match on the same table.
 //   - A batched ingest pipeline. Published documents are handed to a
 //     background ingester that feeds the estimator's synopsis in
 //     batches (one lock acquisition per batch); publishing waits on
@@ -48,16 +49,18 @@
 // Matching and concurrency: parallelism comes from concurrent
 // publishers, not from splitting one publish — they share the routing
 // read lock and Forest.Match is re-entrant, and drains synchronize per
-// subscription and log. Churn takes the routing write lock for one
+// subscription and log. The routing table is written only with the
+// registry and routing locks both held exclusively, so publishes and
+// Explain read it under the routing lock alone, registry readers under
+// the registry lock alone. Churn takes the routing write lock for one
 // forest edit plus the table rebuild. Subscribe, Unsubscribe and policy
-// rebuilds are
-// exclusive on the registry but hold it only for the commit — the
-// similarity row, the rebuild graph and view refreshes happen
-// from snapshots outside the registry lock. Rows
-// and graphs run on the view, never on the live estimator: churn
-// takes the estimator's read lock only to read the stream length and,
-// at a refresh, to copy the synopsis structure (no SEL work), so the
-// ingester is never stalled behind a similarity computation.
+// rebuilds are exclusive on the registry but hold it only for the
+// commit — the similarity row, the rebuild graph and view refreshes
+// happen from snapshots outside the registry lock. Rows and graphs run
+// on the view, never on the live estimator: churn takes the estimator's
+// read lock only to read the stream length and, at a refresh, to copy
+// the synopsis structure (no SEL work), so the ingester is never stalled
+// behind a similarity computation.
 package broker
 
 import (
@@ -89,14 +92,14 @@ type Config struct {
 	// Threshold is the community similarity threshold (default 0.5).
 	Threshold float64
 	// QueueCapacity bounds what an at-most-once consumer can have pending
-	// (default 256): the next delivery drops its oldest, counted.
+	// (default 256): the next delivery drops its oldest, counted. An
+	// at-least-once subscription's cursor log holds four times as many,
+	// and a full one sheds its oldest entry — counted, never silent — so a
+	// dead consumer cannot pin unbounded memory.
 	QueueCapacity int
 	// IngestQueue bounds the publish→synopsis pipeline (default 1024
 	// documents). A full pipeline applies backpressure to publishers.
 	IngestQueue int
-	// IngestBatch is the maximum number of documents ingested per
-	// estimator lock acquisition (default 32).
-	IngestBatch int
 	// PrecisionSample exact-matches every Nth delivery against the
 	// receiving subscription to estimate delivery precision (default 16;
 	// 0 keeps the default, negative disables sampling).
@@ -115,21 +118,12 @@ type Config struct {
 	// retrievable until every referencing subscription acks, sheds, or
 	// unsubscribes.
 	DocCache int
-	// AckQueueCapacity bounds each at-least-once cursor log (default
-	// 4× QueueCapacity). A full log sheds its oldest entry — counted,
-	// never silent — so a dead consumer cannot pin unbounded memory.
-	AckQueueCapacity int
 	// AckLease is how long a drained at-least-once delivery stays in
 	// flight before a missing ack returns it to redeliverable (default
 	// 30s). It is also the consumer-session lease: a consumer that
 	// stops polling loses its window after AckLease and a reconnecting
 	// one resumes from the committed cursor with redelivery.
 	AckLease time.Duration
-	// LeaseSweep is the background lease-sweeper interval (default
-	// AckLease/4 clamped to [10ms, 1s]). Drains also reclaim lapsed
-	// leases inline, so the sweeper only bounds how long a fully
-	// in-flight queue can park a long-poller.
-	LeaseSweep time.Duration
 	// Rebuild decides when accumulated churn warrants a full
 	// re-clustering (default: DirtyFraction{Fraction: 0.25, MinStale: 64}).
 	Rebuild RebuildPolicy
@@ -154,29 +148,14 @@ func (c Config) withDefaults() Config {
 	if c.IngestQueue <= 0 {
 		c.IngestQueue = 1024
 	}
-	if c.IngestBatch <= 0 {
-		c.IngestBatch = 32
-	}
 	if c.PrecisionSample == 0 {
 		c.PrecisionSample = 16
 	}
 	if c.DocCache == 0 {
 		c.DocCache = 4096
 	}
-	if c.AckQueueCapacity <= 0 {
-		c.AckQueueCapacity = 4 * c.QueueCapacity
-	}
 	if c.AckLease <= 0 {
 		c.AckLease = 30 * time.Second
-	}
-	if c.LeaseSweep <= 0 {
-		c.LeaseSweep = c.AckLease / 4
-		if c.LeaseSweep < 10*time.Millisecond {
-			c.LeaseSweep = 10 * time.Millisecond
-		}
-		if c.LeaseSweep > time.Second {
-			c.LeaseSweep = time.Second
-		}
 	}
 	if c.Rebuild == nil {
 		c.Rebuild = DirtyFraction{Fraction: 0.25, MinStale: 64}
@@ -289,15 +268,11 @@ type Engine struct {
 	mu   sync.RWMutex
 	subs []*subscriber
 	byID map[uint64]int
-	// comms is the clustering; commFH[g] is the handle of community g's
-	// one pattern in the forest — its representative's — and commLogs[g]
-	// its at-most-once delivery log (both index-aligned with
-	// comms.Groups).
-	comms    *cluster.Communities
-	commFH   []int
-	commLogs []*commLog
-	nextID   uint64
-	stale    int // registry mutations since the last full rebuild
+	// comms is the clustering; each community's record — forest handle,
+	// delivery log, representative, members — is e.groups[g] (route.go).
+	comms  *cluster.Communities
+	nextID uint64
+	stale  int // registry mutations since the last full rebuild
 	// regVer moves on every registry or clustering change: a row or
 	// graph computed off-lock commits only at the version it read.
 	regVer uint64
@@ -309,15 +284,16 @@ type Engine struct {
 	closed bool
 
 	// routeMu guards the matching plane (route.go): the forest, the
-	// routing table built from comms/commFH into reused arrays, and
-	// routeClosed. Publishes hold it shared; forest edits with their
-	// table rebuild, and Close, hold it exclusively. matchNS times one
+	// routing table — one record per community, index-aligned with
+	// comms.Groups, and the member arena their ranges index, both written
+	// under the registry lock too — and routeClosed. Publishes and Explain
+	// hold it shared; table edits and Close exclusively. matchNS times one
 	// match + fan-out (observing is two atomics, no allocation).
 	routeMu     sync.RWMutex
 	routeClosed bool
 	forest      *matching.Forest
 	groups      []routeGroup
-	members     []routeMember
+	members     []*subscriber
 	matchNS     *telemetry.Histogram
 
 	// rebuildBusy lets exactly one goroutine run the (expensive,
@@ -441,13 +417,13 @@ func newEngine(cfg Config, est *core.Estimator) *Engine {
 	return e
 }
 
-// runLeaseSweeper periodically reclaims lapsed at-least-once leases.
-// Drains reclaim inline too; the sweeper exists so a long-poller parked
-// on a fully in-flight queue is woken when a lease lapses, and so
-// lease-expiry metrics move without consumer traffic.
+// runLeaseSweeper reclaims lapsed at-least-once leases every AckLease/4,
+// clamped to [10ms, 1s]. Drains reclaim inline too; the sweeper exists so
+// a long-poller parked on a fully in-flight queue is woken when a lease
+// lapses, and so lease-expiry metrics move without consumer traffic.
 func (e *Engine) runLeaseSweeper() {
 	defer e.sweepWG.Done()
-	t := time.NewTicker(e.cfg.LeaseSweep)
+	t := time.NewTicker(min(max(e.cfg.AckLease/4, 10*time.Millisecond), time.Second))
 	defer t.Stop()
 	for {
 		select {
@@ -515,8 +491,8 @@ func (e *Engine) Close() error {
 			e.docs.unpin(s.q.close()...)
 		}
 	}
-	for _, l := range e.commLogs {
-		l.close()
+	for _, g := range e.groups {
+		g.log.close()
 	}
 	e.routeMu.Unlock()
 	close(e.sweepStop)
@@ -772,7 +748,7 @@ func (e *Engine) commitSubscribeLocked(p *pattern.Pattern, expr string, row []fl
 
 // installSubLocked enters a subscription the clustering has just placed
 // in community g (by Assign, or PlaceAt on replay) into the registry
-// and the routing table. g == len(e.commFH) means it founded the
+// and the routing table. g == len(e.groups) means it founded the
 // community: its pattern — it is the representative — enters the
 // forest. A joiner edits no forest. Caller holds the registry lock
 // exclusively.
@@ -782,18 +758,21 @@ func (e *Engine) installSubLocked(id uint64, p *pattern.Pattern, expr string, g 
 	e.stale++
 	e.regVer++
 	e.editRoutingLocked(func() {
-		if g == len(e.commFH) {
-			e.commFH = append(e.commFH, e.forest.Add(p))
-			e.commLogs = append(e.commLogs, e.newCommLog())
+		if g == len(e.groups) {
+			e.groups = append(e.groups, routeGroup{fh: e.forest.Add(p), log: e.newCommLog()})
 		}
 	})
 }
 
 // Unsubscribe removes a subscription and closes its delivery queue.
-// It reports whether the id was live.
+// It reports whether the id was live; on a closed engine it commits
+// nothing and reports false.
 func (e *Engine) Unsubscribe(id uint64) bool {
 	e.mu.Lock()
-	s := e.removeSubLocked(id)
+	var s *subscriber
+	if !e.closed {
+		s = e.removeSubLocked(id)
+	}
 	if s == nil {
 		e.mu.Unlock()
 		return false
@@ -832,14 +811,9 @@ func (e *Engine) removeSubLocked(id uint64) *subscriber {
 	delete(e.byID, id)
 	g := e.comms.Find(idx)
 	wasRep := e.comms.Reps[g] == idx
-	fh := e.commFH[g]
 	groupsBefore := len(e.comms.Groups)
 	e.comms.Remove(idx)
 	dissolved := len(e.comms.Groups) < groupsBefore
-	if dissolved {
-		e.commFH = append(e.commFH[:g], e.commFH[g+1:]...)
-		e.commLogs = append(e.commLogs[:g], e.commLogs[g+1:]...)
-	}
 	e.subs = append(e.subs[:idx], e.subs[idx+1:]...)
 	for i := idx; i < len(e.subs); i++ {
 		e.byID[e.subs[i].id] = i
@@ -847,9 +821,9 @@ func (e *Engine) removeSubLocked(id uint64) *subscriber {
 	e.stale++
 	e.regVer++
 	// The forest stays at one pattern per community: a member leaving
-	// edits nothing; a representative leaving takes its pattern out and,
-	// unless the community dissolved with it, puts in the successor's
-	// (the handle the Remove freed is the one the Add gets).
+	// edits nothing; a representative leaving takes its pattern out, and
+	// the community's record too if the community dissolved, or else puts
+	// in the successor's (the handle the Remove freed is the one the Add gets).
 	e.editRoutingLocked(func() {
 		if s.cur != nil {
 			s.cur.move(nil) // here, so a publish's member count is the log's
@@ -857,9 +831,11 @@ func (e *Engine) removeSubLocked(id uint64) *subscriber {
 		if !wasRep {
 			return
 		}
-		e.forest.Remove(fh)
-		if !dissolved {
-			e.commFH[g] = e.forest.Add(e.subs[e.comms.Reps[g]].pat)
+		e.forest.Remove(e.groups[g].fh)
+		if dissolved {
+			e.groups = slices.Delete(e.groups, g, g+1)
+		} else {
+			e.groups[g].fh = e.forest.Add(e.subs[e.comms.Reps[g]].pat)
 		}
 	})
 	return s
@@ -941,7 +917,7 @@ func (e *Engine) patternsLocked(dst []*pattern.Pattern) []*pattern.Pattern {
 func (e *Engine) newSubscriber(id uint64, p *pattern.Pattern, expr string, mode DeliveryMode) *subscriber {
 	s := &subscriber{id: id, pat: p, expr: expr, mode: mode}
 	if mode == AtLeastOnce {
-		s.q = newAckQueue(e.cfg.AckQueueCapacity)
+		s.q = newAckQueue(4 * e.cfg.QueueCapacity)
 	} else {
 		s.cur = new(cursor)
 	}
@@ -990,15 +966,8 @@ func (e *Engine) Drain(id uint64, max int, wait time.Duration) ([]Delivery, erro
 // broker crash still owes the window — the recovered log redelivers it,
 // flagged Redelivered.
 func (e *Engine) DrainBatch(id uint64, max int, wait time.Duration) (DrainResult, error) {
-	e.mu.RLock()
-	idx, ok := e.byID[id]
-	var s *subscriber
-	closed := e.closed
-	if ok {
-		s = e.subs[idx]
-	}
-	e.mu.RUnlock()
-	if !ok {
+	s, closed := e.lookup(id)
+	if s == nil {
 		return DrainResult{}, fmt.Errorf("%w %d", ErrNotFound, id)
 	}
 	r := DrainResult{Mode: s.mode}
@@ -1039,18 +1008,11 @@ func (e *Engine) DrainBatch(id uint64, max int, wait time.Duration) (DrainResult
 // (ErrWrongMode), a cursor the log never issued (ErrBadCursor), or a
 // closed engine (ErrClosed — acks are mutations).
 func (e *Engine) Ack(id uint64, upto uint64) (int, error) {
-	e.mu.RLock()
-	if e.closed {
-		e.mu.RUnlock()
+	s, closed := e.lookup(id)
+	if closed {
 		return 0, ErrClosed
 	}
-	idx, ok := e.byID[id]
-	var s *subscriber
-	if ok {
-		s = e.subs[idx]
-	}
-	e.mu.RUnlock()
-	if !ok {
+	if s == nil {
 		return 0, fmt.Errorf("%w %d", ErrNotFound, id)
 	}
 	if s.mode != AtLeastOnce {
@@ -1130,12 +1092,21 @@ func (e *Engine) PackedDocument(seq uint64) []byte { return e.docs.get(seq) }
 
 // Pending returns the queue depth of a subscription (0 for unknown ids).
 func (e *Engine) Pending(id uint64) int {
+	if s, _ := e.lookup(id); s != nil {
+		return s.pending()
+	}
+	return 0
+}
+
+// lookup is live subscription id (nil if it is not) and whether the
+// engine is closed.
+func (e *Engine) lookup(id uint64) (s *subscriber, closed bool) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	if idx, ok := e.byID[id]; ok {
-		return e.subs[idx].pending()
+		s = e.subs[idx]
 	}
-	return 0
+	return s, e.closed
 }
 
 // Live returns the number of live subscriptions.

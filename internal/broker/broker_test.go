@@ -2,7 +2,6 @@ package broker
 
 import (
 	"math/rand"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -73,21 +72,35 @@ func TestSubscribePublishDrainRoundtrip(t *testing.T) {
 	}
 }
 
+// TestPublishXMLAndParseError publishes as the daemon does — parse the
+// text once with the engine's options, then Publish the tree — and a
+// document that does not parse publishes nothing.
 func TestPublishXMLAndParseError(t *testing.T) {
 	e := newTestEngine(t, Config{})
 	id, err := e.Subscribe("//b")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.PublishXML(strings.NewReader("<a><b/></a>")); err != nil {
+	publishXML := func(s string) error {
+		d, err := xmltree.ParseString(s, e.Estimator().Config().ParseOptions)
+		if err != nil {
+			return err
+		}
+		_, err = e.Publish(d)
+		return err
+	}
+	if err := publishXML("<a><b/></a>"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.PublishXML(strings.NewReader("<unclosed>")); err == nil {
+	if err := publishXML("<unclosed>"); err == nil {
 		t.Fatal("bad XML should error")
 	}
 	ds, err := e.Drain(id, 10, time.Second)
 	if err != nil || len(ds) != 1 {
 		t.Fatalf("Drain = %v, %v; want one delivery", ds, err)
+	}
+	if got := e.Stats().Published; got != 1 {
+		t.Fatalf("Published = %d, want 1: the unparsable document must not publish", got)
 	}
 }
 
@@ -281,6 +294,8 @@ func TestDocumentRetention(t *testing.T) {
 func TestClosedEngineErrors(t *testing.T) {
 	e := New(Config{})
 	id, _ := e.Subscribe("//b")
+	j := &memJournal{}
+	e.SetJournal(j)
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -302,6 +317,20 @@ func TestClosedEngineErrors(t *testing.T) {
 		t.Fatal("Drain on closed engine blocked")
 	}
 	e.Flush() // must not hang or panic
+	if _, err := e.Explain(doc(t, "a(b)")); err != ErrClosed {
+		t.Fatalf("Explain after Close: %v, want ErrClosed", err)
+	}
+	// Unsubscribe is a mutation too: on a closed engine it commits
+	// nothing, and journals nothing into a store shutdown may have sealed.
+	if e.Unsubscribe(id) {
+		t.Fatal("Unsubscribe after Close = true, want false")
+	}
+	if got := e.Live(); got != 1 {
+		t.Fatalf("Live after a closed Unsubscribe = %d, want 1", got)
+	}
+	if len(j.recs) != 0 {
+		t.Fatalf("a closed engine journaled %+v", j.recs)
+	}
 }
 
 // TestHammerChurnPublish is the race-detector workout: concurrent

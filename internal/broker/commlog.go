@@ -8,8 +8,8 @@ import (
 // commLog is one community's at-most-once delivery log: a publish that
 // matches the community appends ONE entry, whatever the member count,
 // and every at-most-once member reads the log through its own cursor.
-// Engine.commLogs holds them, index-aligned with commFH and created,
-// kept and dropped at the same sites.
+// It is part of the community's record in the routing table
+// (routeGroup.log), created, kept and dropped with its forest handle.
 //
 // Positions count appends; [head, tail) is held, in a ring that starts
 // empty and doubles up to capacity (Config.QueueCapacity). Every slot

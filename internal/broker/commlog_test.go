@@ -569,7 +569,7 @@ func TestLongPollWokenByMove(t *testing.T) {
 	if err := e.Apply(persist.Record{Op: persist.OpRebuild, Groups: [][]uint64{{a, b}}, Reps: []uint64{a}}); err != nil {
 		t.Fatal(err)
 	}
-	parkedOn(t, e.commLogs[0]) // it re-parked, on /a's log
+	parkedOn(t, e.groups[0].log) // it re-parked, on /a's log
 	res, err := e.Publish(doc(t, "a"))
 	if err != nil || res.Deliveries != 2 {
 		t.Fatalf("publish = %+v, %v; want both members delivered", res, err)
@@ -639,7 +639,7 @@ func TestDeliveryStateIsSmall(t *testing.T) {
 		}
 	}
 	e.Flush() // so that the ingester allocates nothing below
-	l := e.commLogs[0]
+	l := e.groups[0].log
 	if l.buf != nil || l.tail != 0 {
 		t.Errorf("a log nothing matched holds %d slots, tail %d", len(l.buf), l.tail)
 	}

@@ -9,11 +9,12 @@ import (
 
 // This file is the broker's explainability and introspection surface:
 // read-only snapshots of routing state (communities, subscriptions) and
-// a side-effect-free dry run of the real publish match (Explain). The
+// a side-effect-free dry run of the real publish decision (Explain). The
 // daemon's POST /explain and GET /introspect/* endpoints are thin JSON
 // shims over it. None of it touches the publish hot path: Explain runs
-// the same forest match a publish would, but skips sequence
-// assignment, synopsis ingest, delivery queues, and every counter.
+// the match step a publish runs on the routing table a publish reads,
+// but skips sequence assignment, synopsis ingest, delivery queues, and
+// every counter.
 
 // CommunityVerdict is one community's share of an Explain decision:
 // whether the document matched its representative (and therefore would
@@ -82,54 +83,48 @@ type Explanation struct {
 	Shards []ShardExplainStats `json:"shards"`
 }
 
-// Explain runs the real forest match for a document without publishing
-// it: no sequence number, no synopsis ingest, no deliveries, no counter
-// moves. Member verdicts (ExactIDs) come from the precision sample's
-// evaluator, applied to every member. The registry read lock is held
-// across the whole match so the verdicts describe one consistent
-// clustering — every forest edit happens under that lock held
-// exclusively, and matching beside concurrent publishes is safe by
-// design; publishes never take it, so explaining under load stalls only
-// registry churn (subscribe/unsubscribe), and only for about a
-// publish's worth of matching.
+// Explain is the decision a Publish of t would make, without its side
+// effects: no sequence number, no synopsis ingest, no deliveries, no
+// counter moves. It runs a publish's match step (matchDoc) and walks the
+// routing table a publish walks, under routeMu shared as a publish does,
+// and never takes the registry lock: it waits on no subscribe's or
+// rebuild's registry section, only on the table edits themselves.
+// Member verdicts (ExactIDs) come from the precision sample's evaluator,
+// applied to every member.
 func (e *Engine) Explain(t *xmltree.Tree) (*Explanation, error) {
 	sc := e.getScratch()
 	defer e.scratchPool.Put(sc)
-	flat := &sc.flat
-	flat.Load(t, e.forest.Table())
-	fm := memberMatchers.Get().(*pattern.FlatMatcher)
-	defer memberMatchers.Put(fm)
-	fm.LoadFlat(flat)
-
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if e.closed {
+	e.routeMu.RLock()
+	defer e.routeMu.RUnlock()
+	if e.routeClosed {
 		return nil, ErrClosed
 	}
+	ms := e.matchDoc(t, sc)
+	defer ms.Release()
 	ex := &Explanation{
-		Communities: make([]CommunityVerdict, len(e.comms.Groups)),
-		FilterEvals: len(e.comms.Groups),
-		DocNodes:    flat.Len(),
+		Communities: make([]CommunityVerdict, len(e.groups)),
+		FilterEvals: len(e.groups),
+		DocNodes:    sc.flat.Len(),
 	}
-	if len(e.comms.Groups) == 0 {
+	if len(e.groups) == 0 {
 		return ex, nil
 	}
+	fm := memberMatchers.Get().(*pattern.FlatMatcher)
+	defer memberMatchers.Put(fm)
+	fm.LoadFlat(&sc.flat)
 	stats := ShardExplainStats{
-		Communities:  len(e.comms.Groups),
+		Communities:  len(e.groups),
 		LivePatterns: e.forest.Live(),
 		ForestNodes:  e.forest.NodeCount(),
 	}
-	ms := e.forest.MatchFlat(t, flat)
-	defer ms.Release()
-	for g, members := range e.comms.Groups {
+	for comm, g := range e.groups {
 		v := CommunityVerdict{
-			Community: g,
-			RepExpr:   e.subs[e.comms.Reps[g]].expr,
-			Matched:   ms.Has(e.commFH[g]),
-			MemberIDs: make([]uint64, 0, len(members)),
+			Community: comm,
+			RepExpr:   g.rep.expr,
+			Matched:   ms.Has(g.fh),
+			MemberIDs: make([]uint64, 0, g.end-g.start),
 		}
-		for _, idx := range members {
-			s := e.subs[idx]
+		for _, s := range e.members[g.start:g.end] {
 			v.MemberIDs = append(v.MemberIDs, s.id)
 			if memberMatches(fm, s.pat) {
 				v.ExactIDs = append(v.ExactIDs, s.id)
@@ -142,7 +137,7 @@ func (e *Engine) Explain(t *xmltree.Tree) (*Explanation, error) {
 			ex.MatchedCommunities++
 			ex.Deliveries = append(ex.Deliveries, v.MemberIDs...)
 		}
-		ex.Communities[g] = v
+		ex.Communities[comm] = v
 	}
 	ex.Shards = []ShardExplainStats{stats}
 	sortIDs(ex.Deliveries)
@@ -170,27 +165,20 @@ type CommunityInfo struct {
 	SlowestLag int `json:"slowest_lag"`
 }
 
-// IntrospectCommunities snapshots the clustering: one row per
-// community with its representative and member ids. The
-// registry read lock is held only while copying.
+// IntrospectCommunities snapshots the clustering: one row per community
+// with its representative and member ids, read from the routing table's
+// records under the registry read lock, held only while copying.
 func (e *Engine) IntrospectCommunities() []CommunityInfo {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	out := make([]CommunityInfo, 0, len(e.comms.Groups))
-	for g, members := range e.comms.Groups {
-		rep := e.subs[e.comms.Reps[g]]
-		ci := CommunityInfo{
-			Community: g,
-			Size:      len(members),
-			RepID:     rep.id,
-			RepExpr:   rep.expr,
-			MemberIDs: make([]uint64, 0, len(members)),
-		}
-		for _, idx := range members {
-			ci.MemberIDs = append(ci.MemberIDs, e.subs[idx].id)
+	out := make([]CommunityInfo, 0, len(e.groups))
+	for g, rg := range e.groups {
+		ci := CommunityInfo{Community: g, Size: rg.end - rg.start, RepID: rg.rep.id, RepExpr: rg.rep.expr}
+		for _, s := range e.members[rg.start:rg.end] {
+			ci.MemberIDs = append(ci.MemberIDs, s.id)
 		}
 		sortIDs(ci.MemberIDs)
-		ci.LogEntries, ci.SlowestLag = e.commLogs[g].lag()
+		ci.LogEntries, ci.SlowestLag = rg.log.lag()
 		out = append(out, ci)
 	}
 	return out

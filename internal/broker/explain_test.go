@@ -2,6 +2,7 @@ package broker
 
 import (
 	"testing"
+	"time"
 
 	"treesim/internal/core"
 	"treesim/internal/dtd"
@@ -188,5 +189,34 @@ func TestIntrospectSnapshotsAgree(t *testing.T) {
 		if !found {
 			t.Fatalf("subscription %d missing from community %d members %v", s.ID, s.Community, c.MemberIDs)
 		}
+	}
+}
+
+// TestExplainTakesNoRegistryLock: Explain reads the routing table under
+// the routing lock alone, as a publish does, so it answers while the
+// registry lock is held exclusively — as a subscribe holds it to commit,
+// or to compute its row after repeated churn.
+func TestExplainTakesNoRegistryLock(t *testing.T) {
+	e := newTestEngine(t, Config{})
+	if _, err := e.Subscribe("/a/b"); err != nil {
+		t.Fatal(err)
+	}
+	d := doc(t, "a(b)")
+	done := make(chan *Explanation, 1)
+	e.mu.Lock()
+	go func() {
+		ex, _ := e.Explain(d)
+		done <- ex
+	}()
+	select {
+	case ex := <-done:
+		e.mu.Unlock()
+		if ex == nil || len(ex.Deliveries) != 1 {
+			t.Fatalf("Explain under a held registry lock = %+v, want the one delivery", ex)
+		}
+	case <-time.After(5 * time.Second):
+		e.mu.Unlock()
+		<-done
+		t.Fatal("Explain waited on the registry lock")
 	}
 }

@@ -1,6 +1,7 @@
 package broker
 
 import (
+	"slices"
 	"testing"
 
 	"treesim/internal/core"
@@ -8,39 +9,62 @@ import (
 	"treesim/internal/xmltree"
 )
 
-// checkForests asserts the forest layout invariant: the forest holds
-// exactly one pattern per community (Live() == communities), no two
-// communities share a handle, and every community's handle IS its
-// representative's pattern — its verdict on each probe equals the
-// oracle's, which FuzzEngineVsMatches pins to a fresh Add's. Besides
-// the caller's probes, every representative is probed with a document
-// built to match it — its witness must fire the community's own handle
-// — so a dead, stale or swapped handle cannot hide behind probes nobody
-// matches. The routing table must mirror the same handles. Safe beside
-// concurrent traffic (it holds the registry read lock, under which the
-// forest does not change), so it reports with Errorf only.
+// checkForests asserts the routing table's invariant over its one
+// record per community: the forest holds exactly one pattern per
+// community (Live() == len(e.groups)), no two communities share a
+// handle, each record's representative is the clustering's, its member
+// range holds exactly the community's members, at-most-once first, and
+// every at-most-once member's cursor stands on its community's log. A
+// community's handle IS its representative's pattern: its verdict on
+// each probe equals the oracle's, which FuzzEngineVsMatches pins to a
+// fresh Add's. Besides the caller's probes, every representative is
+// probed with a document built to match it — its witness must fire the
+// community's own handle — so a dead, stale or swapped handle cannot
+// hide behind probes nobody matches. Safe beside concurrent traffic (it
+// holds the registry read lock, under which neither the forest nor the
+// table changes), so it reports with Errorf only.
 func checkForests(t testing.TB, e *Engine, probes ...*xmltree.Tree) {
 	t.Helper()
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	n := len(e.comms.Groups)
-	if len(e.commFH) != n {
-		t.Errorf("%d communities, %d forest handles", n, len(e.commFH))
+	if len(e.groups) != n {
+		t.Errorf("routing table has %d groups for %d communities", len(e.groups), n)
 		return
 	}
 	if live := e.forest.Live(); live != n {
 		t.Errorf("forest holds %d patterns for %d communities", live, n)
 	}
 	owner := map[int]int{}
-	for g, rep := range e.comms.Reps {
-		if og, dup := owner[e.commFH[g]]; dup {
-			t.Errorf("communities %d and %d share handle %d", og, g, e.commFH[g])
+	for g, rg := range e.groups {
+		if og, dup := owner[rg.fh]; dup {
+			t.Errorf("communities %d and %d share handle %d", og, g, rg.fh)
 		}
-		owner[e.commFH[g]] = g
-		if w := witness(e.subs[rep].pat); w != nil {
+		owner[rg.fh] = g
+		if want := e.subs[e.comms.Reps[g]]; rg.rep != want {
+			t.Errorf("community %d: the record's representative is %d, the clustering's %d", g, rg.rep.id, want.id)
+		}
+		var want, got []uint64
+		for _, idx := range e.comms.Groups[g] {
+			want = append(want, e.subs[idx].id)
+		}
+		for i, s := range e.members[rg.start:rg.end] {
+			got = append(got, s.id)
+			if amo := rg.start+i < rg.amo; amo != (s.q == nil) {
+				t.Errorf("community %d: member %d (%s) is outside its mode's range", g, s.id, s.mode)
+			} else if amo && s.cur.log != rg.log {
+				t.Errorf("community %d: at-most-once member %d's cursor is not on the community's log", g, s.id)
+			}
+		}
+		sortIDs(want)
+		sortIDs(got)
+		if !slices.Equal(got, want) {
+			t.Errorf("community %d: member range holds %v, the clustering %v", g, got, want)
+		}
+		if w := witness(rg.rep.pat); w != nil {
 			ms := e.forest.Match(w)
-			if !ms.Has(e.commFH[g]) {
-				t.Errorf("community %d (rep %s): its witness %s does not fire its handle %d", g, e.subs[rep].pat, w, e.commFH[g])
+			if !ms.Has(rg.fh) {
+				t.Errorf("community %d (rep %s): its witness %s does not fire its handle %d", g, rg.rep.pat, w, rg.fh)
 			}
 			ms.Release()
 			probes = append(probes, w)
@@ -48,26 +72,13 @@ func checkForests(t testing.TB, e *Engine, probes ...*xmltree.Tree) {
 	}
 	for _, probe := range probes {
 		ms := e.forest.Match(probe)
-		for g, rep := range e.comms.Reps {
-			p := e.subs[rep].pat
-			if got, want := ms.Has(e.commFH[g]), pattern.Matches(probe, p); got != want {
+		for g, rg := range e.groups {
+			if got, want := ms.Has(rg.fh), pattern.Matches(probe, rg.rep.pat); got != want {
 				t.Errorf("community %d (rep %s) on %s: handle %d says %v, the pattern %v",
-					g, p, probe, e.commFH[g], got, want)
+					g, rg.rep.pat, probe, rg.fh, got, want)
 			}
 		}
 		ms.Release()
-	}
-	e.routeMu.RLock()
-	defer e.routeMu.RUnlock()
-	if len(e.groups) != n {
-		t.Errorf("routing table has %d groups for %d communities", len(e.groups), n)
-		return
-	}
-	for g, rg := range e.groups {
-		if rg.repFH != e.commFH[g] || rg.end-rg.start != len(e.comms.Groups[g]) {
-			t.Errorf("routing table routes community %d by handle %d to %d members; registry says handle %d, %d members",
-				g, rg.repFH, rg.end-rg.start, e.commFH[g], len(e.comms.Groups[g]))
-		}
 	}
 }
 
@@ -192,7 +203,7 @@ func TestRepresentativeUnsubscribeHandsOver(t *testing.T) {
 	// Communities dissolve with their last member, handle and all; the
 	// next founder's Add gets a freed handle back.
 	e.mu.RLock()
-	freed := e.commFH[e.comms.Find(e.byID[lone])]
+	freed := e.groups[e.comms.Find(e.byID[lone])].fh
 	e.mu.RUnlock()
 	unsub(lone)
 	unsub(heir)
@@ -202,7 +213,7 @@ func TestRepresentativeUnsubscribeHandsOver(t *testing.T) {
 	}
 	again := sub("//c")
 	e.mu.RLock()
-	reused := e.commFH[0]
+	reused := e.groups[0].fh
 	e.mu.RUnlock()
 	if reused > freed {
 		t.Fatalf("founder after a full dissolve got handle %d; freed handles (<= %d) were not reused", reused, freed)

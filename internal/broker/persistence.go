@@ -292,15 +292,10 @@ func Restore(cfg Config, st *State) (*Engine, error) {
 	if st.NextID > e.nextID {
 		e.nextID = st.NextID
 	}
-	// The engine is not yet shared with any other goroutine (the
-	// ingester never touches routing state), so no locks are needed.
-	e.comms = comms
-	e.commFH = make([]int, len(comms.Groups))
-	e.commLogs = make([]*commLog, len(comms.Groups))
-	for g, rep := range comms.Reps {
-		e.commFH[g], e.commLogs[g] = e.forest.Add(e.subs[rep].pat), e.newCommLog()
-	}
-	e.rebuildRoutingLocked()
+	// The engine is not yet shared with any other goroutine, so the
+	// registry lock is not taken; the clustering goes in as a rebuild's
+	// does, over the empty one every community is new to.
+	e.replaceClusteringLocked(comms)
 	e.stale = st.Stale
 	e.pubSeq.Store(st.PubSeq)
 	return e, nil

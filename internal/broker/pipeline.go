@@ -2,7 +2,6 @@ package broker
 
 import (
 	"fmt"
-	"io"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -39,11 +38,6 @@ var ErrBusy = fmt.Errorf("broker: ingest pipeline full")
 // ingested, retained or routed.
 var ErrTooDeep = fmt.Errorf("broker: document nested deeper than %d", xmltree.MaxDepth)
 
-// tooDeep reports whether t has more levels than xmltree.MaxDepth.
-func tooDeep(t *xmltree.Tree) bool {
-	return t != nil && t.Root != nil && deeper(t.Root, xmltree.MaxDepth)
-}
-
 // deeper reports whether the subtree at n has more than room levels (at
 // least 1), descending no further; leaves, most nodes, cost no call.
 func deeper(n *xmltree.Node, room int) bool {
@@ -63,7 +57,7 @@ func deeper(n *xmltree.Node, room int) bool {
 // is the whole point: filter evaluations scale with the number of
 // communities, not subscriptions.
 func (e *Engine) Publish(t *xmltree.Tree) (PublishResult, error) {
-	return e.publish(t, false)
+	return e.publish(t, nil, true)
 }
 
 // logShed emits a remote-ingest shed event record, at most about one
@@ -93,58 +87,66 @@ func (e *Engine) logShed() {
 // off. doc is t as it arrived, packed (xmltree.Pack's form); retention
 // keeps that slice itself. nil has the engine pack t.
 func (e *Engine) InjectRemote(t *xmltree.Tree, doc []byte) (PublishResult, error) {
-	if tooDeep(t) {
-		return PublishResult{}, ErrTooDeep
+	res, err := e.publish(t, doc, false)
+	if err == nil {
+		e.counters.remoteInjected.Add(1)
 	}
-	start := time.Now()
-	e.pipeMu.RLock()
-	if e.pipeClosed {
-		e.pipeMu.RUnlock()
-		return PublishResult{}, ErrClosed
-	}
-	select {
-	case e.ingest <- ingestItem{tree: t}:
-		e.counters.ingestQueued.Add(1)
-		e.pipeMu.RUnlock()
-	default:
-		e.pipeMu.RUnlock()
-		e.counters.remoteShed.Add(1)
-		e.logShed()
-		return PublishResult{}, ErrBusy
-	}
-	return e.routeOne(t, doc, true, start, time.Now()), nil
+	return res, err
 }
 
-func (e *Engine) publish(t *xmltree.Tree, remote bool) (PublishResult, error) {
-	if tooDeep(t) {
-		return PublishResult{}, ErrTooDeep
-	}
+// publish is Publish and InjectRemote: accept, then route.
+func (e *Engine) publish(t *xmltree.Tree, doc []byte, block bool) (PublishResult, error) {
 	start := time.Now()
-	// Enqueue for ingestion before taking any routing lock: a full
-	// pipeline blocks only publishers (and Close), never Drain/Stats.
-	e.pipeMu.RLock()
-	if e.pipeClosed {
-		e.pipeMu.RUnlock()
-		return PublishResult{}, ErrClosed
+	if err := e.accept(block, t); err != nil {
+		return PublishResult{}, err
 	}
-	e.counters.ingestQueued.Add(1)
-	e.ingest <- ingestItem{tree: t}
-	e.pipeMu.RUnlock()
-
-	return e.routeOne(t, nil, remote, start, time.Now()), nil
-}
-
-// routeOne is the routing half shared by the blocking and non-blocking
-// publish entry points: the document is already accepted into the
-// ingest pipeline. start is when the publish entered the engine,
-// enqueued when the pipeline accepted it — the gap is ingest-queue
-// wait, the remainder routing; both land in the result and the latency
-// histograms.
-func (e *Engine) routeOne(t *xmltree.Tree, doc []byte, remote bool, start, enqueued time.Time) PublishResult {
-	// routeMu (shared): publishers run beside each other and wait only
-	// for a forest edit or Close.
 	e.routeMu.RLock()
 	defer e.routeMu.RUnlock()
+	return e.publishLocked(t, doc, start, time.Now()), nil
+}
+
+// accept is the ingest gate of every publish entry point: it refuses a
+// tree deeper than xmltree.MaxDepth and a closed engine, then queues ts
+// for synopsis ingestion before any routing lock is taken, so a full
+// pipeline stalls only publishers (and Close), never Drain/Stats. With
+// block a full pipeline is waited out (backpressure); without, the first
+// document that does not fit is shed, counted, and ErrBusy returned.
+func (e *Engine) accept(block bool, ts ...*xmltree.Tree) error {
+	for _, t := range ts {
+		if t != nil && t.Root != nil && deeper(t.Root, xmltree.MaxDepth) {
+			return ErrTooDeep
+		}
+	}
+	e.pipeMu.RLock()
+	defer e.pipeMu.RUnlock()
+	if e.pipeClosed {
+		return ErrClosed
+	}
+	for _, t := range ts {
+		if block {
+			e.counters.ingestQueued.Add(1)
+			e.ingest <- ingestItem{tree: t}
+			continue
+		}
+		select {
+		case e.ingest <- ingestItem{tree: t}:
+			e.counters.ingestQueued.Add(1)
+		default:
+			e.counters.remoteShed.Add(1)
+			e.logShed()
+			return ErrBusy
+		}
+	}
+	return nil
+}
+
+// publishLocked is every publish entry point's per-document body: the
+// accepted document gets its sequence number, enters retention and is
+// routed. start is when the publish entered the engine, enqueued when
+// the pipeline accepted it — the gap is ingest-queue wait, the remainder
+// routing; both land in the result and the latency histograms. Caller
+// holds routeMu shared.
+func (e *Engine) publishLocked(t *xmltree.Tree, doc []byte, start, enqueued time.Time) PublishResult {
 	res := PublishResult{Seq: e.pubSeq.Add(1)}
 	doc = e.docs.put(res.Seq, t, doc)
 	// A publish that raced Close past the pipeline check was already
@@ -154,9 +156,6 @@ func (e *Engine) routeOne(t *xmltree.Tree, doc []byte, remote bool, start, enque
 		e.routeDoc(t, doc, &res)
 	}
 	e.counters.published.Add(1)
-	if remote {
-		e.counters.remoteInjected.Add(1)
-	}
 	end := time.Now()
 	res.IngestWaitNS = enqueued.Sub(start).Nanoseconds()
 	res.MatchNS = end.Sub(enqueued).Nanoseconds()
@@ -166,67 +165,41 @@ func (e *Engine) routeOne(t *xmltree.Tree, doc []byte, remote bool, start, enque
 }
 
 // PublishBatch routes a batch of documents with amortized overhead: one
-// ingest-pipeline acquisition and one routing epoch for the whole
-// batch. Results are index-aligned with ts. An empty batch is a
-// no-op. This is the engine half of the daemon's batched POST /publish;
-// load generators use it to amortize per-request costs the same way.
+// pass through the ingest gate and one routing epoch for the whole
+// batch, whose pipeline wait is charged to its first document. Results
+// are index-aligned with ts. An empty batch is a no-op. This is the
+// engine half of the daemon's batched POST /publish; load generators use
+// it to amortize per-request costs the same way.
 func (e *Engine) PublishBatch(ts []*xmltree.Tree) ([]PublishResult, error) {
 	out := make([]PublishResult, len(ts))
 	if len(ts) == 0 {
 		return out, nil
 	}
-	for _, t := range ts {
-		if tooDeep(t) {
-			return nil, ErrTooDeep
-		}
+	start := time.Now()
+	if err := e.accept(true, ts...); err != nil {
+		return nil, err
 	}
-	e.pipeMu.RLock()
-	if e.pipeClosed {
-		e.pipeMu.RUnlock()
-		return nil, ErrClosed
-	}
-	batchStart := time.Now()
-	e.counters.ingestQueued.Add(uint64(len(ts)))
-	for _, t := range ts {
-		e.ingest <- ingestItem{tree: t}
-	}
-	e.pipeMu.RUnlock()
-	// The pipeline wait is shared by the whole batch; record it once
-	// rather than attributing it to any single document.
-	e.ingestWait.ObserveDuration(time.Since(batchStart).Nanoseconds())
-
+	enqueued := time.Now()
 	e.routeMu.RLock()
 	defer e.routeMu.RUnlock()
 	for i, t := range ts {
-		start := time.Now()
-		out[i].Seq = e.pubSeq.Add(1)
-		doc := e.docs.put(out[i].Seq, t, nil)
-		if !e.routeClosed {
-			e.routeDoc(t, doc, &out[i])
-		}
-		e.counters.published.Add(1)
-		ns := time.Since(start).Nanoseconds()
-		out[i].MatchNS = ns
-		e.pubLat.ObserveDuration(ns)
+		out[i] = e.publishLocked(t, nil, start, enqueued)
+		start = time.Now()
+		enqueued = start
 	}
 	return out, nil
 }
 
-// PublishXML parses one XML document from r and publishes it.
-func (e *Engine) PublishXML(r io.Reader) (PublishResult, error) {
-	t, err := xmltree.Parse(r, e.cfg.Estimator.ParseOptions)
-	if err != nil {
-		return PublishResult{}, fmt.Errorf("broker: publish: %w", err)
-	}
-	return e.Publish(t)
-}
+// ingestBatch is the most documents runIngest feeds the estimator per
+// lock acquisition.
+const ingestBatch = 32
 
 // runIngest is the background synopsis feeder: it drains the pipeline
 // in batches so the estimator's exclusive lock is taken once per batch
 // instead of once per document.
 func (e *Engine) runIngest() {
 	defer e.ingestWG.Done()
-	batch := make([]*xmltree.Tree, 0, e.cfg.IngestBatch)
+	batch := make([]*xmltree.Tree, 0, ingestBatch)
 	var done []chan struct{}
 	for item := range e.ingest {
 		if item.gate != nil {
@@ -240,7 +213,7 @@ func (e *Engine) runIngest() {
 			if item.done != nil {
 				done = append(done, item.done)
 			}
-			if len(batch) >= e.cfg.IngestBatch {
+			if len(batch) >= ingestBatch {
 				break
 			}
 			var more bool

@@ -106,7 +106,11 @@ func TestLiveHeapBudget(t *testing.T) {
 		}
 	}
 	for i := 0; i < 6000; i++ {
-		if _, err := e.PublishXML(strings.NewReader(xml[i%len(xml)])); err != nil {
+		d, err := xmltree.ParseString(xml[i%len(xml)], e.cfg.Estimator.ParseOptions)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.Publish(d); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"treesim/internal/cluster"
+	"treesim/internal/matching"
 	"treesim/internal/pattern"
 	"treesim/internal/persist"
 	"treesim/internal/xmltree"
@@ -13,39 +14,33 @@ import (
 // This file is the matching plane: one forest, one routing table, one
 // lock. The forest holds exactly one pattern per community — its
 // representative's — so a publish evaluates what routes and nothing
-// else, and one walk of the document decides every community. What a
-// community shares is its own, not a subscription's: its forest handle
-// (Engine.commFH) and its at-most-once delivery log (Engine.commLogs,
-// commlog.go) are set up when it is founded, stay when the
-// representative leaves — the handle re-pointed at the successor's
-// pattern — and go when it dissolves or a rebuild re-seeds it, always in
-// the critical section that rebuilds the routing table, which is also
-// where a subscription's cursor is put on its community's log.
+// else, and one walk of the document decides every community. The
+// table holds one record per community (routeGroup), read by publishes
+// and Explain alike: its forest handle and at-most-once delivery log
+// (commlog.go), set up when it is founded, kept when the representative
+// leaves — the handle re-pointed at the successor's pattern — and
+// dropped when it dissolves or a rebuild re-seeds it; and its
+// representative and member range, recomputed by every edit, which also
+// puts each subscription's cursor on its community's log.
 //
-// Locking: Engine.routeMu is held shared by a publish across its match
-// and fan-out, on the publishing goroutine — concurrent publishers
-// share it, and Forest.Match is re-entrant — and exclusively by forest
-// and routing-table maintenance and by Close. The registry lock
-// (Engine.mu) is always acquired first when both are held; publishes
-// never take it.
+// Locking: e.groups and e.members are written only inside
+// editRoutingLocked, with the registry lock (Engine.mu) and routeMu both
+// held exclusively, so a reader may hold either. A publish and Explain
+// hold routeMu shared across their match and walk, on the calling
+// goroutine — concurrent publishers share it, and Forest.Match is
+// re-entrant — and never take the registry lock. The registry lock is
+// always acquired first when both are held.
 
-// routeGroup is one community in the routing table, at its index in the
-// clustering (reported in deliveries): its representative's forest
-// handle, its delivery log, and its member range in the member arena —
-// at-most-once members in [start, amo), at-least-once in [amo, end).
+// routeGroup is one community, at its index in the clustering (reported
+// in deliveries): the forest handle of its representative's pattern, its
+// at-most-once delivery log, its representative, and its member range in
+// the member arena — at-most-once members in [start, amo), at-least-once
+// in [amo, end).
 type routeGroup struct {
-	repFH           int
+	fh              int
 	log             *commLog
+	rep             *subscriber
 	start, amo, end int
-}
-
-// routeMember is one receiving subscription: its own pattern (for the
-// precision sample) and, for an at-least-once member, its stable id (for
-// the journal) and cursor log.
-type routeMember struct {
-	pat *pattern.Pattern
-	id  uint64
-	q   *queue
 }
 
 // routeScratch is the pooled per-publish scratch: the flattened
@@ -64,6 +59,14 @@ func (e *Engine) getScratch() *routeScratch {
 		return sc
 	}
 	return &routeScratch{}
+}
+
+// matchDoc flattens t into sc and walks it once through the forest: the
+// step a publish and Explain share. Caller holds routeMu shared and
+// releases the set.
+func (e *Engine) matchDoc(t *xmltree.Tree, sc *routeScratch) *matching.MatchSet {
+	sc.flat.Load(t, e.forest.Table())
+	return e.forest.MatchFlat(t, &sc.flat)
 }
 
 // memberMatchers pools the evaluators behind member verdicts (a
@@ -99,11 +102,9 @@ func (e *Engine) routeDoc(t *xmltree.Tree, doc []byte, res *PublishResult) {
 	if len(e.groups) == 0 {
 		return
 	}
-	sc := e.getScratch()
-	flat := &sc.flat
-	flat.Load(t, e.forest.Table())
 	matchStart := time.Now()
-	ms := e.forest.MatchFlat(t, flat)
+	sc := e.getScratch()
+	ms := e.matchDoc(t, sc)
 	c, seq := &e.counters, res.Seq
 	c.filterEvals.Add(uint64(len(e.groups)))
 	sc.subs, sc.cursors, sc.comms = sc.subs[:0], sc.cursors[:0], sc.comms[:0]
@@ -117,7 +118,7 @@ func (e *Engine) routeDoc(t *xmltree.Tree, doc []byte, res *PublishResult) {
 			for i := n - 1 - int(last%sample); i >= 0; i -= int(sample) {
 				if fm == nil {
 					fm = memberMatchers.Get().(*pattern.FlatMatcher)
-					fm.LoadFlat(flat)
+					fm.LoadFlat(&sc.flat)
 				}
 				c.sampled.Add(1)
 				if memberMatches(fm, e.members[at+i].pat) {
@@ -135,7 +136,7 @@ func (e *Engine) routeDoc(t *xmltree.Tree, doc []byte, res *PublishResult) {
 		}
 	}
 	for comm, g := range e.groups {
-		if !ms.Has(g.repFH) {
+		if !ms.Has(g.fh) {
 			continue
 		}
 		res.Matched++
@@ -144,7 +145,7 @@ func (e *Engine) routeDoc(t *xmltree.Tree, doc []byte, res *PublishResult) {
 			delivered(g.start, n)
 		}
 		for i := g.amo; i < g.end; i++ {
-			m := &e.members[i]
+			m := e.members[i]
 			cursor, shedDoc, shed, enqueued := m.q.pushAcked(seq, comm)
 			if shed {
 				c.ackShed.Add(1)
@@ -179,74 +180,66 @@ func (e *Engine) routeDoc(t *xmltree.Tree, doc []byte, res *PublishResult) {
 	e.scratchPool.Put(sc)
 }
 
-// rebuildRoutingLocked rebuilds the routing table from the clustering
-// (and its handles and logs, commFH and commLogs) into its reused
-// backing arrays, so steady-state churn does not allocate, and puts
-// every at-most-once cursor that is not on its community's log — a new
-// subscription's, or one a re-clustering moved — on it. Caller holds the
-// registry lock and routeMu exclusively.
-func (e *Engine) rebuildRoutingLocked() {
-	e.groups = e.groups[:0]
-	e.members = e.members[:0]
-	for g, members := range e.comms.Groups {
-		start, log := len(e.members), e.commLogs[g]
-		for _, idx := range members {
-			if s := e.subs[idx]; s.q == nil {
-				e.members = append(e.members, routeMember{pat: s.pat})
-				if s.cur.log != log {
-					e.counters.dropped.Add(uint64(s.cur.move(log)))
-				}
-			}
-		}
-		amo := len(e.members)
-		for _, idx := range members {
-			if s := e.subs[idx]; s.q != nil {
-				e.members = append(e.members, routeMember{pat: s.pat, id: s.id, q: s.q})
-			}
-		}
-		e.groups = append(e.groups, routeGroup{repFH: e.commFH[g], log: log, start: start, amo: amo, end: len(e.members)})
-	}
-}
-
-// editRoutingLocked runs edit — forest Adds/Removes and changes to
-// comms/commFH — and rebuilds the routing table in ONE critical section
-// no publish can straddle: once a handle is freed or re-issued, a stale
-// table would skip the community (freed) or deliver to the old one's
-// members (reused by another pattern). Caller holds the registry lock
-// exclusively.
+// editRoutingLocked runs edit — forest Adds/Removes and changes to comms
+// and to e.groups' records — and rebuilds the routing table in ONE
+// critical section no publish can straddle: once a handle is freed or
+// re-issued, a stale table would skip the community (freed) or deliver
+// to the old one's members (reused by another pattern). The rebuild
+// recomputes each record's representative and member range in place,
+// into the reused member arena, so steady-state churn does not allocate,
+// and puts every at-most-once cursor that is not on its community's log
+// — a new subscription's, or one a re-clustering moved — on it. Caller
+// holds the registry lock exclusively.
 func (e *Engine) editRoutingLocked(edit func()) {
 	e.routeMu.Lock()
 	defer e.routeMu.Unlock()
 	edit()
-	e.rebuildRoutingLocked()
+	e.members = e.members[:0]
+	for g, members := range e.comms.Groups {
+		rg := &e.groups[g]
+		rg.rep, rg.start = e.subs[e.comms.Reps[g]], len(e.members)
+		for _, idx := range members {
+			if s := e.subs[idx]; s.q == nil {
+				e.members = append(e.members, s)
+				if s.cur.log != rg.log {
+					e.counters.dropped.Add(uint64(s.cur.move(rg.log)))
+				}
+			}
+		}
+		rg.amo = len(e.members)
+		for _, idx := range members {
+			if s := e.subs[idx]; s.q != nil {
+				e.members = append(e.members, s)
+			}
+		}
+		rg.end = len(e.members)
+	}
 }
 
 // replaceClusteringLocked installs a freshly built clustering and moves
 // the representatives' patterns to match: a representative that still
-// stands for a community keeps its handle and the community its log;
-// every other old handle is removed and every other new representative
-// added, with a new log. Caller holds the registry lock exclusively.
+// stands for a community keeps its record — handle and log; every other
+// old handle is removed and every other new representative added, with
+// a new log. Caller holds the registry lock exclusively.
 func (e *Engine) replaceClusteringLocked(comms *cluster.Communities) {
 	e.editRoutingLocked(func() {
-		commFH := make([]int, len(comms.Groups))
-		commLogs := make([]*commLog, len(comms.Groups))
+		groups := make([]routeGroup, len(comms.Groups))
 		newComm := make(map[int]int, len(comms.Reps)) // representative -> new community
 		for g, rep := range comms.Reps {
 			newComm[rep] = g
-			commFH[g] = -1
 		}
 		for og, rep := range e.comms.Reps {
 			if g, ok := newComm[rep]; ok {
-				commFH[g], commLogs[g] = e.commFH[og], e.commLogs[og]
+				groups[g] = e.groups[og]
 			} else {
-				e.forest.Remove(e.commFH[og])
+				e.forest.Remove(e.groups[og].fh)
 			}
 		}
 		for g, rep := range comms.Reps {
-			if commFH[g] < 0 {
-				commFH[g], commLogs[g] = e.forest.Add(e.subs[rep].pat), e.newCommLog()
+			if groups[g].log == nil {
+				groups[g] = routeGroup{fh: e.forest.Add(e.subs[rep].pat), log: e.newCommLog()}
 			}
 		}
-		e.comms, e.commFH, e.commLogs = comms, commFH, commLogs
+		e.comms, e.groups = comms, groups
 	})
 }

@@ -87,8 +87,8 @@ func (e *Engine) registerGauges() {
 		e.mu.RLock()
 		defer e.mu.RUnlock()
 		total := 0
-		for _, l := range e.commLogs {
-			n, _ := l.lag()
+		for _, g := range e.groups {
+			n, _ := g.log.lag()
 			total += n
 		}
 		return float64(total)

@@ -106,7 +106,7 @@ func TestEngineMetricsExposition(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		if _, err := e.PublishXML(strings.NewReader("<a><b/></a>")); err != nil {
+		if _, err := e.Publish(doc(t, "a(b)")); err != nil {
 			t.Fatal(err)
 		}
 	}

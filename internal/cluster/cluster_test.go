@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"reflect"
-	"sort"
 	"testing"
 )
 
@@ -69,63 +68,5 @@ func TestGreedyThresholdExtremes(t *testing.T) {
 func TestGreedyEmpty(t *testing.T) {
 	if got := Greedy(nil, 0.5); len(got) != 0 {
 		t.Errorf("Greedy(nil) = %v", got)
-	}
-}
-
-func TestKMedoidsBlocks(t *testing.T) {
-	got := KMedoids(blockMatrix(), 2, 1)
-	if len(got) != 2 {
-		t.Fatalf("KMedoids returned %d clusters, want 2", len(got))
-	}
-	// The large block must land together.
-	var big []int
-	for _, c := range got {
-		if len(c) >= 3 {
-			big = c
-		}
-	}
-	sort.Ints(big)
-	hasAll := func(c []int, want ...int) bool {
-		m := make(map[int]bool)
-		for _, i := range c {
-			m[i] = true
-		}
-		for _, w := range want {
-			if !m[w] {
-				return false
-			}
-		}
-		return true
-	}
-	if big == nil || !hasAll(big, 0, 1, 2) {
-		t.Errorf("KMedoids split the tight block: %v", got)
-	}
-}
-
-func TestKMedoidsClamping(t *testing.T) {
-	sim := blockMatrix()
-	if got := KMedoids(sim, 100, 1); len(got) > len(sim) {
-		t.Errorf("k > n produced %d clusters", len(got))
-	}
-	if got := KMedoids(sim, 0, 1); len(got) != 1 {
-		t.Errorf("k=0 should clamp to 1, got %d clusters", len(got))
-	}
-	if got := KMedoids(nil, 3, 1); got != nil {
-		t.Errorf("empty input should return nil, got %v", got)
-	}
-}
-
-func TestEvaluate(t *testing.T) {
-	sim := blockMatrix()
-	comms := Greedy(sim, 0.5)
-	q := Evaluate(sim, comms)
-	if q.Communities != 3 || q.Singletons != 1 {
-		t.Errorf("Quality = %+v", q)
-	}
-	if q.IntraSim <= q.InterSim {
-		t.Errorf("intra %v should exceed inter %v for a good clustering", q.IntraSim, q.InterSim)
-	}
-	if q.String() == "" {
-		t.Error("empty Quality string")
 	}
 }

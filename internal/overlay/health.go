@@ -15,7 +15,7 @@ import (
 // failure detection and automatic repair:
 //
 //   - Soft-state adverts. Every node re-advertises its aggregate (under
-//     a fresh version) every Config.AdvertRefresh; a routing-table
+//     a fresh version) every Config.AdvertTTL/3; a routing-table
 //     entry whose origin has not been heard from within
 //     Config.AdvertTTL is expired and its aggregates evicted from the
 //     remote forest, so a dead origin stops attracting forwards after
@@ -222,7 +222,7 @@ func (n *Node) refreshAdvert(now time.Time) {
 		return
 	}
 	n.mu.Lock()
-	due := now.Sub(n.lastAdvert) >= n.cfg.AdvertRefresh
+	due := now.Sub(n.lastAdvert) >= n.cfg.AdvertTTL/3
 	n.mu.Unlock()
 	if due {
 		n.advertiseAt(now)

@@ -205,7 +205,7 @@ func TestRefreshKeepsEntriesAlive(t *testing.T) {
 	if len(ai.Origins) != 1 || ai.Origins[0].Origin != "b" {
 		t.Fatalf("a's table after 3 TTLs: %+v, want b alive", ai.Origins)
 	}
-	// One refresh per AdvertRefresh (TTL/3), the first at step 0.
+	// One refresh per TTL/3, the first at step 0.
 	if got, want := ai.Origins[0].Version-ver, uint64(3*3+1); got != want {
 		t.Fatalf("b re-advertised %d times over 3 TTLs, want %d", got, want)
 	}

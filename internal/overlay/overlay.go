@@ -127,13 +127,10 @@ type Config struct {
 	// a table entry not refreshed within the TTL is expired (its routes
 	// evicted), closing the forwarding hole a silently dead peer would
 	// otherwise leave forever. Origins re-advertise under a new version
-	// every AdvertRefresh to stay alive. Default 60s; negative disables
+	// every AdvertTTL/3 to stay alive. Default 60s; negative disables
 	// expiry and refresh (the pre-liveness behavior, used by short-lived
 	// harness runs).
 	AdvertTTL time.Duration
-	// AdvertRefresh is the keepalive re-advertisement period (default
-	// AdvertTTL/3).
-	AdvertRefresh time.Duration
 	// Maintenance is the tick of the background maintenance loop that
 	// drives refresh, expiry, and down-link retry probes (default 500ms).
 	Maintenance time.Duration
@@ -173,9 +170,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.AdvertTTL < 0 {
 		c.AdvertTTL = 0 // liveness disabled
-	}
-	if c.AdvertRefresh <= 0 {
-		c.AdvertRefresh = c.AdvertTTL / 3
 	}
 	if c.Maintenance <= 0 {
 		c.Maintenance = 500 * time.Millisecond
