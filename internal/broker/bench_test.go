@@ -2,6 +2,7 @@ package broker
 
 import (
 	"bytes"
+	"fmt"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -254,27 +255,41 @@ func BenchmarkBrokerSubscribeChurn(b *testing.B) {
 // documents warm the synopsis, then 1000 subscriptions arrive one at a
 // time. One op is the whole population — rows, placements and the
 // policy rebuilds they trigger — on a fresh engine; set-up is untimed.
+// threshold=2 is the exact mode (no two subscriptions share a
+// community), where rows cover every subscription. pruned/op counts the
+// pairs the intersection bound decided without intersecting, in rows
+// and rebuild graphs.
 func BenchmarkBrokerSubscribePopulation(b *testing.B) {
 	docs, subs := benchWorkload(500, 1000)
-	var st Stats
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		e := New(Config{Estimator: core.Config{Representation: core.Hashes, HashCapacity: 1000, Seed: 1}})
-		e.est.ObserveTrees(docs)
-		b.StartTimer()
-		for _, p := range subs {
-			if _, err := e.SubscribePattern(p, ""); err != nil {
-				b.Fatal(err)
+	for _, threshold := range []float64{0.5, 2} {
+		b.Run(fmt.Sprintf("threshold=%v", threshold), func(b *testing.B) {
+			var st Stats
+			var pruned int64
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				e := New(Config{
+					Estimator: core.Config{Representation: core.Hashes, HashCapacity: 1000, Seed: 1},
+					Threshold: threshold,
+				})
+				e.est.ObserveTrees(docs)
+				b.StartTimer()
+				for _, p := range subs {
+					if _, err := e.SubscribePattern(p, ""); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.StopTimer()
+				st = e.Stats()
+				pruned += currentView(e).Pruned() // one view: no document arrives after the first subscribe
+				e.Close()
+				b.StartTimer()
 			}
-		}
-		b.StopTimer()
-		st = e.Stats()
-		e.Close()
-		b.StartTimer()
+			b.ReportMetric(float64(b.Elapsed())/1e6/float64(b.N), "ms/op")
+			b.ReportMetric(float64(pruned)/float64(b.N), "pruned/op")
+			b.ReportMetric(float64(st.Rebuilds), "rebuilds")
+			b.ReportMetric(float64(st.Communities), "communities")
+		})
 	}
-	b.ReportMetric(float64(b.Elapsed())/1e6/float64(b.N), "ms/op")
-	b.ReportMetric(float64(st.Rebuilds), "rebuilds")
-	b.ReportMetric(float64(st.Communities), "communities")
 }
 
 // BenchmarkBrokerSubscribeBesideStream is the churn case the benchmark

@@ -655,7 +655,7 @@ func (e *Engine) SubscribePatternOpts(p *pattern.Pattern, expr string, opt Subsc
 		sc.snapshotLocked(e)
 		e.mu.RUnlock()
 
-		sc.fill(view, e.cfg.Metric, p)
+		sc.fill(view, e.cfg.Metric, e.cfg.Threshold, p)
 
 		e.mu.Lock()
 		if e.closed {
@@ -674,7 +674,7 @@ func (e *Engine) SubscribePatternOpts(p *pattern.Pattern, expr string, opt Subsc
 		return 0, ErrClosed
 	}
 	sc.snapshotLocked(e)
-	sc.fill(view, e.cfg.Metric, p)
+	sc.fill(view, e.cfg.Metric, e.cfg.Threshold, p)
 	return finish()
 }
 
@@ -701,9 +701,12 @@ func (sc *subScratch) snapshotLocked(e *Engine) {
 
 // fill computes p's similarity to each snapshotted representative and
 // writes it at the representative's index in the row; the other entries
-// keep whatever they held, which Assign does not read.
-func (sc *subScratch) fill(view *core.View, m metrics.Metric, p *pattern.Pattern) {
-	sc.sims = view.SimilarityRowInto(sc.sims, m, p, sc.pats)
+// keep whatever they held, which Assign does not read. The row is
+// thresholded: a representative the intersection bound keeps below
+// threshold reads 0 unintersected, and Assign reads only entries ≥
+// threshold, which are exact — so it places p as on the exact row.
+func (sc *subScratch) fill(view *core.View, m metrics.Metric, threshold float64, p *pattern.Pattern) {
+	sc.sims = view.SimilarityRowInto(sc.sims, m, threshold, p, sc.pats)
 	for i, r := range sc.reps {
 		sc.row[r] = sc.sims[i]
 	}
@@ -728,6 +731,24 @@ func (e *Engine) similarityView(force bool) *core.View {
 		e.counters.viewRefreshes.Add(1)
 	}
 	return e.view
+}
+
+// ViewSelectivity returns P(p) on the engine's similarity view: the
+// estimate its clustering uses, and for a representative a cache hit on
+// the SEL evaluation its subscribe row or the last rebuild graph made.
+// It takes a view only if the engine has none and never refreshes one,
+// and it holds no engine lock while it reads, so a caller holding its
+// own lock (an overlay node building an advert) copies no synopsis and,
+// on a warm view, evaluates nothing under it.
+func (e *Engine) ViewSelectivity(p *pattern.Pattern) float64 {
+	e.viewMu.Lock()
+	if e.view == nil {
+		e.view = e.est.View()
+		e.counters.viewRefreshes.Add(1)
+	}
+	v := e.view
+	e.viewMu.Unlock()
+	return v.Selectivity(p)
 }
 
 // commitSubscribeLocked installs a new subscription given its
@@ -890,7 +911,7 @@ func (e *Engine) maybeRebuild(force bool) {
 			e.mu.Unlock()
 			e.rebuildLat.ObserveDuration(time.Since(start).Nanoseconds())
 			e.cfg.Logger.Warn("registry reclustered", "live", live, "communities", communities,
-				"pairs_computed", g.Computed, "pairs_reused", g.Reused)
+				"pairs_computed", g.Computed, "pairs_reused", g.Reused, "pairs_pruned", g.Pruned)
 			e.notifyChurn(ChurnEvent{Live: live, Rebuilt: true})
 			return
 		}

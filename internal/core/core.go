@@ -8,6 +8,7 @@ package core
 import (
 	"fmt"
 	"io"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -90,7 +91,8 @@ type Estimator struct {
 // Rows and matrices computed on one View are mutually consistent — the
 // new pattern and the cached ones are evaluated against the same
 // stream prefix — and cost one SEL evaluation per pattern not seen
-// before plus one matching-set intersection per pair, however far the
+// before plus one matching-set intersection per pair (per pair that can
+// reach the threshold, for thresholded rows and graphs), however far the
 // live estimator has streamed on meanwhile. Nothing on a View touches
 // the Estimator's lock; all methods are safe for concurrent use.
 //
@@ -111,6 +113,9 @@ type View struct {
 	mu    sync.Mutex
 	vals  map[*pattern.Pattern]evalEntry
 	evals atomic.Int64
+	// pruned counts the pairs rows and graphs decided by the
+	// intersection bound alone (cannotReach).
+	pruned atomic.Int64
 	// graph is the last SimilarityGraph built on the view (see there).
 	graph atomic.Pointer[Graph]
 }
@@ -337,16 +342,11 @@ func (e *Estimator) SimilarityMatrix(m metrics.Metric, subs []*pattern.Pattern) 
 	return e.View().SimilarityMatrix(m, subs)
 }
 
-// SimilarityRow is View().SimilarityRowInto with a fresh row: the
-// similarities of subs against one new subscription p over the stream
-// so far.
+// SimilarityRow is View().SimilarityRowInto with a fresh, exact row
+// (no threshold): the similarities of subs against one new subscription
+// p over the stream so far.
 func (e *Estimator) SimilarityRow(m metrics.Metric, p *pattern.Pattern, subs []*pattern.Pattern) []float64 {
-	return e.View().SimilarityRowInto(nil, m, p, subs)
-}
-
-// SimilarityRowInto is View().SimilarityRowInto over the stream so far.
-func (e *Estimator) SimilarityRowInto(dst []float64, m metrics.Metric, p *pattern.Pattern, subs []*pattern.Pattern) []float64 {
-	return e.View().SimilarityRowInto(dst, m, p, subs)
+	return e.View().SimilarityRowInto(nil, m, 0, p, subs)
 }
 
 // Docs returns the stream length |H| the view covers.
@@ -355,6 +355,18 @@ func (v *View) Docs() int { return v.syn.DocsObserved() }
 // Evals returns how many SEL evaluations the view has run so far (cache
 // misses): the cold work a consumer paid on this frame.
 func (v *View) Evals() int64 { return v.evals.Load() }
+
+// Pruned returns how many pairs the view's thresholded rows and graphs
+// decided from matchset.IntersectCardBound, skipping the intersection.
+func (v *View) Pruned() int64 { return v.pruned.Load() }
+
+// Selectivity returns P(p) on the view — the evaluation rows, matrices
+// and graphs on this view use for p, and a cache hit once any of them
+// has seen p; 0 if the schema filter rejects p.
+func (v *View) Selectivity(p *pattern.Pattern) float64 {
+	_, pp := v.eval(p)
+	return pp
+}
 
 // feasible reports whether the schema filter (if any) admits p, and
 // feasibleAnd whether it admits the conjunction p ∧ q.
@@ -427,6 +439,30 @@ func (v *View) conj(p, q *pattern.Pattern, pv, qv matchset.Value, den float64) f
 	return selectivity.Clamp01(matchset.IntersectCard(pv, qv) / den)
 }
 
+// cannotReach reports whether the intersection bound alone keeps m under
+// threshold for the pair with probabilities P = p and Q = q, whose SEL
+// evaluations are pv and qv: And = P(p ∧ q) is at most
+// Clamp01(IntersectCardBound(pv, qv) / den), the exact And is computed
+// from IntersectCard by the same monotone steps, and with P and Q fixed
+// every metric is non-decreasing in And — M3 = And / (P + Q − And) only
+// while And < P + Q, so M3 is not pruned past that. A pair below the
+// threshold can therefore never reach it, whatever the intersection
+// holds. A threshold ≤ 0 prunes nothing (metrics are ≥ 0).
+func cannotReach(m metrics.Metric, threshold, p, q float64, pv, qv matchset.Value, den float64) bool {
+	if threshold <= 0 || pv == nil || qv == nil || den == 0 {
+		return false
+	}
+	b := matchset.IntersectCardBound(pv, qv)
+	if math.IsInf(b, 1) {
+		return false
+	}
+	and := selectivity.Clamp01(b / den)
+	if m == metrics.M3 && and >= p+q {
+		return false
+	}
+	return m.Eval(metrics.Probs{P: p, Q: q, And: and}) < threshold
+}
+
 // SimilarityMatrix computes the full pairwise similarity matrix of a
 // subscription set under metric m. The result is row-major: result[i][j]
 // = m(subs[i], subs[j]).
@@ -447,12 +483,12 @@ func (v *View) SimilarityMatrix(m metrics.Metric, subs []*pattern.Pattern) [][]f
 	if n == 0 {
 		return out
 	}
-	cell := v.cells(m, subs)
+	cell := v.cells(m, 0, subs)
 	// Row i's worker owns every cell it writes — (i,j) and (j,i) for
 	// j ≥ i — so no two workers touch the same cell.
 	forEach(n, func(i int) {
 		for j := i; j < n; j++ {
-			out[i][j], out[j][i] = cell(i, j)
+			out[i][j], out[j][i], _ = cell(i, j)
 		}
 	})
 	return out
@@ -463,21 +499,28 @@ func (v *View) SimilarityMatrix(m metrics.Metric, subs []*pattern.Pattern) [][]f
 // SimilarityMatrix and SimilarityGraph share. The diagonal uses
 // P(p∧p) = P(p), which is exact. (Pairwise Similarity under Counters
 // instead reports P(p)² for the self-conjunction — the independence
-// assumption does not know that p∧p ≡ p.)
-func (v *View) cells(m metrics.Metric, subs []*pattern.Pattern) func(i, j int) (ij, ji float64) {
+// assumption does not know that p∧p ≡ p.) An off-diagonal pair whose
+// two orientations are both below threshold by the intersection bound
+// reads 0, 0, pruned, without the intersection; threshold ≤ 0 gives
+// every cell exactly.
+func (v *View) cells(m metrics.Metric, threshold float64, subs []*pattern.Pattern) func(i, j int) (ij, ji float64, pruned bool) {
 	vals, ps, den := make([]matchset.Value, len(subs)), make([]float64, len(subs)), v.denominator()
 	forEach(len(subs), func(i int) { vals[i], ps[i] = v.eval(subs[i]) })
-	return func(i, j int) (ij, ji float64) {
+	return func(i, j int) (ij, ji float64, pruned bool) {
 		if i == j {
 			s := m.Eval(metrics.Probs{P: ps[i], Q: ps[i], And: ps[i]})
-			return s, s
+			return s, s, false
+		}
+		if cannotReach(m, threshold, ps[i], ps[j], vals[i], vals[j], den) &&
+			(m.Symmetric() || cannotReach(m, threshold, ps[j], ps[i], vals[j], vals[i], den)) {
+			return 0, 0, true
 		}
 		and := v.conj(subs[i], subs[j], vals[i], vals[j], den)
 		ij = m.Eval(metrics.Probs{P: ps[i], Q: ps[j], And: and})
 		if m.Symmetric() {
-			return ij, ij
+			return ij, ij, false
 		}
-		return ij, m.Eval(metrics.Probs{P: ps[j], Q: ps[i], And: and})
+		return ij, m.Eval(metrics.Probs{P: ps[j], Q: ps[i], And: and}), false
 	}
 }
 
@@ -492,13 +535,18 @@ func (v *View) cells(m metrics.Metric, subs []*pattern.Pattern) func(i, j int) (
 // This is the incremental path live brokers use on subscribe — instead
 // of rebuilding the full O(n²) matrix, only the new column is computed
 // (one SEL evaluation of p, cache hits for every pattern the view has
-// seen, one matching-set intersection per existing subscription),
-// fanned out across the same worker pool as SimilarityMatrix.
+// seen, one matching-set intersection per existing subscription that
+// can reach threshold), fanned out across the same worker pool as
+// SimilarityMatrix. An entry the intersection bound keeps below
+// threshold (cannotReach) reads 0 without the intersection; every entry
+// ≥ threshold is exact, and threshold ≤ 0 gives the exact row. A
+// consumer that reads only entries ≥ threshold — greedy absorption —
+// decides exactly as on the exact row.
 //
 // The row is written into dst, grown or truncated to len(subs); a fresh
 // slice is allocated only when dst's capacity is short, so churn-heavy
 // callers keep a pooled buffer.
-func (v *View) SimilarityRowInto(dst []float64, m metrics.Metric, p *pattern.Pattern, subs []*pattern.Pattern) []float64 {
+func (v *View) SimilarityRowInto(dst []float64, m metrics.Metric, threshold float64, p *pattern.Pattern, subs []*pattern.Pattern) []float64 {
 	n := len(subs)
 	if cap(dst) < n {
 		dst = make([]float64, n)
@@ -511,6 +559,11 @@ func (v *View) SimilarityRowInto(dst []float64, m metrics.Metric, p *pattern.Pat
 	pv, pp := v.eval(p)
 	forEach(n, func(i int) {
 		qv, qp := v.eval(subs[i])
+		if cannotReach(m, threshold, qp, pp, qv, pv, den) {
+			v.pruned.Add(1)
+			out[i] = 0
+			return
+		}
 		out[i] = m.Eval(metrics.Probs{P: qp, Q: pp, And: v.conj(p, subs[i], pv, qv, den)})
 	})
 	return out

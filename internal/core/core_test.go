@@ -352,9 +352,9 @@ func TestEvalCacheTracksSynopsisMutation(t *testing.T) {
 	}
 }
 
-// TestSimilarityRowInto exercises the caller-buffer variant: results in
-// a reused buffer must equal the allocating path, with the buffer grown
-// or truncated as needed.
+// TestSimilarityRowInto exercises the view's caller-buffer row: results
+// in a reused buffer must equal the allocating path, with the buffer
+// grown or truncated as needed.
 func TestSimilarityRowInto(t *testing.T) {
 	e := NewEstimator(Config{Representation: Sets, Seed: 1})
 	for _, s := range []string{"a(b)", "a(b,c)", "a(c)"} {
@@ -365,7 +365,7 @@ func TestSimilarityRowInto(t *testing.T) {
 	p := pattern.MustParse("//b")
 	want := e.SimilarityRow(metrics.M3, p, subs)
 	buf := make([]float64, 0, 1) // too small: must be replaced
-	got := e.SimilarityRowInto(buf, metrics.M3, p, subs)
+	got := e.View().SimilarityRowInto(buf, metrics.M3, 0, p, subs)
 	if len(got) != len(want) {
 		t.Fatalf("row length %d, want %d", len(got), len(want))
 	}
@@ -375,7 +375,7 @@ func TestSimilarityRowInto(t *testing.T) {
 		}
 	}
 	big := make([]float64, 16)
-	got = e.SimilarityRowInto(big, metrics.M3, p, subs)
+	got = e.View().SimilarityRowInto(big, metrics.M3, 0, p, subs)
 	if len(got) != len(subs) || &got[0] != &big[0] {
 		t.Fatal("SimilarityRowInto did not reuse an adequate buffer")
 	}

@@ -19,8 +19,9 @@ type Graph struct {
 	stride    int
 	bits      []uint64
 	// Computed and Reused count the pairs i < j the build evaluated and
-	// the ones it copied from the view's previous graph.
-	Computed, Reused int
+	// the ones it copied from the view's previous graph; Pruned counts the
+	// evaluated pairs the intersection bound decided without intersecting.
+	Computed, Reused, Pruned int
 }
 
 // Len returns the number of subscriptions the graph covers.
@@ -40,7 +41,9 @@ func (g *Graph) Row(i int) []uint64 { return g.bits[i*g.stride : (i+1)*g.stride]
 // threshold copies every pair whose two patterns that graph covered. It
 // evaluates only the other pairs, with SimilarityMatrix's cell function,
 // fanned out by row: O(new pairs) intersections and O(n²) bit copies,
-// with n² bits kept per view.
+// with n² bits kept per view. A new pair whose intersection bound keeps
+// both orientations below threshold is decided without intersecting: it
+// has no edge either way, as it would not on the exact matrix.
 func (v *View) SimilarityGraph(m metrics.Metric, threshold float64, subs []*pattern.Pattern) *Graph {
 	n := len(subs)
 	g := &Graph{m: m, threshold: threshold, subs: slices.Clone(subs), stride: (n + 63) / 64}
@@ -73,16 +76,22 @@ func (v *View) SimilarityGraph(m metrics.Metric, threshold float64, subs []*patt
 		}
 	}
 	g.Computed = n*(n-1)/2 - g.Reused
-	cell := v.cells(m, subs)
+	cell := v.cells(m, threshold, subs)
 	// Row i's worker evaluates pairs (i, j ≥ i) and sets both
 	// orientations, so two workers may share a word: the adds are atomic.
 	set := func(i, j int) { atomic.OrUint64(&g.bits[i*g.stride+j>>6], 1<<(j&63)) }
+	var pruned atomic.Int64
 	forEach(n, func(i int) {
+		rowPruned := 0
 		for j := i; j < n; j++ {
 			if known(i, j) {
 				continue
 			}
-			ij, ji := cell(i, j)
+			ij, ji, skipped := cell(i, j)
+			if skipped {
+				rowPruned++
+				continue
+			}
 			if ij >= threshold {
 				set(i, j)
 			}
@@ -90,7 +99,10 @@ func (v *View) SimilarityGraph(m metrics.Metric, threshold float64, subs []*patt
 				set(j, i)
 			}
 		}
+		pruned.Add(int64(rowPruned))
 	})
+	g.Pruned = int(pruned.Load())
+	v.pruned.Add(pruned.Load())
 	v.graph.Store(g)
 	return g
 }

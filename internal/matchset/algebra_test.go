@@ -2,6 +2,7 @@ package matchset
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -311,6 +312,48 @@ func TestIntersectCardDifferential(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestIntersectCardBound: IntersectCardBound never reads below
+// IntersectCard — on Sets, on Hashes at mixed levels, with empty
+// operands (the shared empties and empty samples at a level) and for a
+// value intersected with itself, where the bound is tight — and is +Inf
+// under Counters.
+func TestIntersectCardBound(t *testing.T) {
+	h := sampling.NewHasher(7)
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		aIDs, _ := randomIDs(rng, rng.Intn(3)*rng.Intn(150), 400)
+		bIDs, _ := randomIDs(rng, rng.Intn(3)*rng.Intn(150), 400)
+		la, lb := rng.Intn(4), rng.Intn(4)
+		vals := [][2]Value{
+			{NewSetValue(aIDs...), NewSetValue(bIDs...)},
+			{NewHashValue(h, la, aIDs...), NewHashValue(h, lb, bIDs...)},
+			{emptySetValue, NewSetValue(bIDs...)},
+			{emptyHashValue, NewHashValue(h, lb, bIDs...)},
+			{NewHashValue(h, la), NewHashValue(h, lb, bIDs...)},
+		}
+		for _, p := range vals {
+			for _, ab := range [][2]Value{p, {p[1], p[0]}, {p[0], p[0]}} {
+				a, b := ab[0], ab[1]
+				card, bound := IntersectCard(a, b), IntersectCardBound(a, b)
+				if bound < card || (a == b && bound != card) {
+					t.Logf("%s: bound %v, card %v (self %v)", a.Kind(), bound, card, a == b)
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Error(err)
+	}
+	c := counterFactory(10)
+	s := c.NewStore()
+	s.Add(1)
+	if b := IntersectCardBound(s.Value(), c.EmptyValue()); !math.IsInf(b, 1) {
+		t.Errorf("Counters bound = %v, want +Inf", b)
 	}
 }
 

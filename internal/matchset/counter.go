@@ -1,6 +1,9 @@
 package matchset
 
-import "sync"
+import (
+	"math"
+	"sync"
+)
 
 // counterStore is the Counters representation: one float64 count of the
 // documents containing the node. Unlike Sets/Hashes stores, counter
@@ -119,6 +122,15 @@ func (v *countValue) intersectCard(o Value) float64 {
 		return 0
 	}
 	return v.c * ov.c / total
+}
+
+// intersectCardBound is +Inf, so nothing is pruned under Counters: the
+// independence product costs no more than a bound would.
+func (v *countValue) intersectCardBound(o Value) float64 {
+	if _, ok := o.(*countValue); !ok {
+		panic(kindMismatch(v, o))
+	}
+	return math.Inf(1)
 }
 
 func (s *counterStore) Dump() Dump { return Dump{Kind: KindCounters, Counter: s.c} }

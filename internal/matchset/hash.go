@@ -194,6 +194,17 @@ func (v *hashValue) intersectCard(o Value) float64 {
 	return float64(intersectCount(v.ids, ov.ids)) * float64(uint64(1)<<uint(l))
 }
 
+// intersectCardBound is intersectCard with the common count replaced by
+// the shorter sample's length, which it can never exceed.
+func (v *hashValue) intersectCardBound(o Value) float64 {
+	ov, ok := o.(*hashValue)
+	if !ok {
+		panic(kindMismatch(v, o))
+	}
+	l := max(v.level, ov.level)
+	return float64(min(len(v.ids), len(ov.ids))) * float64(uint64(1)<<uint(l))
+}
+
 // NewHashValue builds a Hashes-kind value directly; exported for tests.
 func NewHashValue(hasher *sampling.Hasher, level int, ids ...uint64) Value {
 	out := make([]uint64, 0, len(ids))

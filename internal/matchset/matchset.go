@@ -21,6 +21,7 @@ package matchset
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"treesim/internal/sampling"
@@ -71,11 +72,13 @@ type Value interface {
 }
 
 // cardIntersecter is implemented by values that can compute the
-// cardinality of an intersection without materializing the result.
-// Every built-in representation implements it; the interface exists so
-// hand-rolled test Values that only satisfy Value keep working.
+// cardinality of an intersection without materializing the result, and
+// bound it without computing it. Every built-in representation
+// implements it; the interface exists so hand-rolled test Values that
+// only satisfy Value keep working.
 type cardIntersecter interface {
 	intersectCard(Value) float64
+	intersectCardBound(Value) float64
 }
 
 // IntersectCard returns a.Intersect(b).Card() without allocating the
@@ -87,6 +90,19 @@ func IntersectCard(a, b Value) float64 {
 		return ci.intersectCard(b)
 	}
 	return a.Intersect(b).Card()
+}
+
+// IntersectCardBound returns an upper bound on IntersectCard(a, b) in
+// O(1): the shorter sample scaled as the intersection would be (Sets:
+// the smaller set; Hashes: the smaller sample at the larger level),
+// because the intersection keeps a subset of either operand. Counters
+// and values outside this package bound nothing (+Inf). A similarity
+// loop reads it to skip intersections that cannot reach a threshold.
+func IntersectCardBound(a, b Value) float64 {
+	if ci, ok := a.(cardIntersecter); ok {
+		return ci.intersectCardBound(b)
+	}
+	return math.Inf(1)
 }
 
 // Store is the mutable matching-set state attached to a synopsis node.

@@ -142,6 +142,15 @@ func (v *setValue) intersectCard(o Value) float64 {
 	return float64(intersectCount(v.ids, ov.ids))
 }
 
+// intersectCardBound bounds intersectCard by the smaller set.
+func (v *setValue) intersectCardBound(o Value) float64 {
+	ov, ok := o.(*setValue)
+	if !ok {
+		panic(kindMismatch(v, o))
+	}
+	return float64(min(len(v.ids), len(ov.ids)))
+}
+
 // NewSetValue builds a Sets-kind value from explicit identifiers; it is
 // exported for tests and for exact ground-truth evaluation.
 func NewSetValue(ids ...uint64) Value {

@@ -6,7 +6,6 @@ import (
 	"treesim/internal/broker"
 	"treesim/internal/overlay/wire"
 	"treesim/internal/pattern"
-	"treesim/internal/selectivity"
 )
 
 // buildAdvertLocked aggregates the engine's live subscriptions into the
@@ -19,14 +18,17 @@ import (
 // would make on the full set. A wire community is emitted per engine
 // community owning a kept pattern; Members counts the subscriptions
 // whose covering kept pattern that community owns (they sum to the live
-// population) and Selectivity is the estimator's figure for that
-// community's representative. The cover is kept between builds (see
-// advertCover), so a build costs the churn since the last one. Caller
-// holds the node lock; the engine takes its own read locks.
+// population) and Selectivity is P(representative) on the engine's
+// similarity view (Engine.ViewSelectivity): the evaluation its
+// clustering already made, so no SEL evaluation on the live estimator
+// and no view refresh runs under the node lock, which forward also
+// takes. The cover is kept between builds (see advertCover), so a build
+// costs the churn since the last one. Caller holds the node lock; the
+// engine takes its own locks under it, and none of them is ever held
+// while the node lock is taken.
 func (n *Node) buildAdvertLocked(version uint64) wire.Advert {
 	views := n.eng.CommunityViews()
 	n.cover.update(views, n.cfg.MaxPatternNodes)
-	est := n.eng.Estimator()
 	adv := wire.Advert{Origin: n.cfg.ID, Version: version}
 	slot := make(map[int]int, len(n.cover.kept)) // engine community → wire community
 	for _, k := range n.cover.kept {
@@ -35,7 +37,7 @@ func (n *Node) buildAdvertLocked(version uint64) wire.Advert {
 			i = len(adv.Communities)
 			slot[k.comm] = i
 			adv.Communities = append(adv.Communities, wire.Community{
-				Selectivity: selectivity.Clamp01(est.Selectivity(views[k.comm].Rep)),
+				Selectivity: n.eng.ViewSelectivity(views[k.comm].Rep),
 			})
 		}
 		adv.Communities[i].Patterns = append(adv.Communities[i].Patterns, k.expr)

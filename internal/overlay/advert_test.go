@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"treesim/internal/broker"
+	"treesim/internal/core"
 	"treesim/internal/dtd"
 	"treesim/internal/pattern"
 	"treesim/internal/querygen"
@@ -142,5 +143,81 @@ func TestSelectivityDigestTracksStream(t *testing.T) {
 	}
 	if sel := comms[0].Selectivity; sel < 0.2 || sel > 0.8 {
 		t.Fatalf("digest selectivity %v for a pattern matching half the stream", sel)
+	}
+}
+
+// TestAdvertSelectivityReadsWarmView: an advert built right after a
+// subscribe runs no SEL evaluation — each community's Selectivity is its
+// representative's P on the engine's similarity view, which that view
+// already evaluated for the subscribe rows — so a peer reads the figure
+// the engine clusters on, not the live estimator's, which has streamed
+// on since the view was taken.
+func TestAdvertSelectivityReadsWarmView(t *testing.T) {
+	d := dtd.NITFLike()
+	eng := broker.New(broker.Config{
+		Estimator: core.Config{Representation: core.Hashes, HashCapacity: 1000, Seed: 3},
+		Threshold: 0.5,
+	})
+	defer eng.Close()
+	n := New(eng, Config{ID: "x", AdvertPolicy: broker.Never{}})
+	defer n.Close()
+	docs, pats := genDocs(d, 300, 5), genPatterns(d, 60, 6)
+	publish := func(docs []*xmltree.Tree) {
+		for _, doc := range docs {
+			if _, err := eng.Publish(doc); err != nil {
+				t.Fatal(err)
+			}
+		}
+		eng.Flush()
+	}
+	subscribe := func(pats []*pattern.Pattern) {
+		for _, p := range pats {
+			if _, err := eng.SubscribePattern(p, ""); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	publish(docs[:200])
+	subscribe(pats[:59])
+	// Nothing was published since the subscribes, so the estimator hands
+	// out the frame the engine took for them; the engine keeps it until
+	// the stream doubles.
+	view := eng.Estimator().View()
+	publish(docs[200:])
+	subscribe(pats[59:])
+	before := view.Evals()
+	if err := n.Advertise(); err != nil {
+		t.Fatal(err)
+	}
+	if got := view.Evals() - before; got != 0 {
+		t.Fatalf("advertising after a subscribe ran %d SEL evaluations on the view, want 0", got)
+	}
+	views := eng.CommunityViews()
+	comm := make(map[string]int) // member's canonical expression → engine community
+	for g, v := range views {
+		for _, p := range v.Members {
+			comm[p.Clone().Canonicalize().String()] = g
+		}
+	}
+	adv := n.Info().LocalAdvert
+	moved := 0
+	for _, c := range adv.Communities {
+		g, ok := comm[c.Patterns[0]]
+		if !ok {
+			t.Fatalf("advertised %q is no member's canonical form", c.Patterns[0])
+		}
+		rep := views[g].Rep
+		if want := view.Selectivity(rep); c.Selectivity != want {
+			t.Errorf("community of %q advertises selectivity %v, its representative's view P is %v", c.Patterns[0], c.Selectivity, want)
+		}
+		if c.Selectivity != eng.Estimator().Selectivity(rep) {
+			moved++
+		}
+	}
+	if got := view.Evals() - before; got != 0 {
+		t.Fatalf("reading the representatives' view P ran %d SEL evaluations, want 0", got)
+	}
+	if len(adv.Communities) < 2 || moved == 0 {
+		t.Fatalf("%d communities, %d whose live P moved off the view's: the comparison proves nothing", len(adv.Communities), moved)
 	}
 }

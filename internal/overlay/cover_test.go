@@ -13,7 +13,6 @@ import (
 	"treesim/internal/pattern"
 	"treesim/internal/persist"
 	"treesim/internal/querygen"
-	"treesim/internal/selectivity"
 	"treesim/internal/xmlgen"
 	"treesim/internal/xmltree"
 )
@@ -100,7 +99,6 @@ func livePatterns(n *Node) []*pattern.Pattern {
 // broker-wide cover: cluster.Cover within each community. The identity
 // tests hold the new build against it.
 func perCommunityAdvert(n *Node, version uint64) wire.Advert {
-	est := n.eng.Estimator()
 	adv := wire.Advert{Origin: n.cfg.ID, Version: version}
 	for _, v := range n.eng.CommunityViews() {
 		kept := cluster.Cover(seq(len(v.Members)), func(a, b int) bool {
@@ -121,7 +119,7 @@ func perCommunityAdvert(n *Node, version uint64) wire.Advert {
 		adv.Communities = append(adv.Communities, wire.Community{
 			Patterns:    pats,
 			Members:     len(v.Members),
-			Selectivity: selectivity.Clamp01(est.Selectivity(v.Rep)),
+			Selectivity: n.eng.ViewSelectivity(v.Rep),
 		})
 	}
 	return adv

@@ -69,10 +69,10 @@ type Community struct {
 	// this one when an advert is regrouped to fit the size caps. Over an
 	// advert they sum to the origin's live subscriptions.
 	Members int `json:"members"`
-	// Selectivity is the advertising broker's estimate of the fraction
-	// of stream documents matching the owning community's representative,
-	// in [0,1] (the largest such, for a folded community). Diagnostic:
-	// Info reports the minimum per origin.
+	// Selectivity is P(representative) of the owning community on the
+	// advertising broker's similarity view — the estimate its clustering
+	// uses — in [0,1] (the largest such, for a folded community).
+	// Diagnostic: Info reports the minimum per origin.
 	Selectivity float64 `json:"selectivity"`
 }
 
