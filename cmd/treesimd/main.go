@@ -58,6 +58,10 @@
 // {"status":"ok"} once serving, 503 {"status":"draining"} during
 // shutdown.
 //
+// Once ready the daemon serves on one P and a governor (procs.go) adds
+// a P, up to the core count, only while its CPU use keeps the Ps it has
+// busy; GOMAXPROCS in the environment pins the count instead.
+//
 // With -data-dir the broker is crash-safe: committed subscription churn
 // is write-ahead logged, snapshots are taken periodically
 // (-snapshot-interval) and on shutdown, and a restarted daemon —
@@ -284,6 +288,8 @@ func main() {
 		return false, ""
 	})
 	gate.setReady(newHandler(eng, node, reg, events, *maxBody, *peerTO, defaultMode, logger))
+	// Recovery ran on the runtime's default Ps; serving starts on one.
+	startProcsGovernor(reg, logger)
 	shutdownDone := make(chan struct{})
 	go func() {
 		defer close(shutdownDone)

@@ -139,10 +139,11 @@ type Stats struct {
 	StaleOps int    `json:"stale_ops"`
 	Rebuilds uint64 `json:"rebuilds"`
 
-	// CPUs is the GOMAXPROCS the engine runs under — the parallelism
+	// CPUs is GOMAXPROCS when the stats were taken — the parallelism
 	// context for every throughput figure below (load generators carry
-	// it into their benchmark reports). Shards is always 1: the engine
-	// has one forest, and the field stays for those same reports.
+	// it into their benchmark reports). treesimd's governor moves it
+	// with the daemon's CPU use. Shards is always 1: the engine has one
+	// forest, and the field stays for those same reports.
 	Shards int `json:"shards"`
 	CPUs   int `json:"cpus"`
 

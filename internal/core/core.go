@@ -570,7 +570,9 @@ func (v *View) SimilarityRowInto(dst []float64, m metrics.Metric, threshold floa
 }
 
 // forEach runs fn(i) for every i in [0, n) on up to GOMAXPROCS workers
-// that take indices from a shared counter, and waits for them.
+// that take indices from a shared counter, and waits for them. In
+// treesimd that is whatever its governor has set: one worker until the
+// daemon's load keeps more Ps busy.
 func forEach(n int, fn func(i int)) {
 	var next atomic.Int64
 	work := func() {
