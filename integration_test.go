@@ -241,14 +241,14 @@ func TestClusteringRoutingPipeline(t *testing.T) {
 		return float64(n) / float64(of)
 	}
 	run := func(sim [][]float64) (recall, precision float64) {
-		c := cluster.BuildGreedy(sim, 0.6)
-		groups := make([][]uint64, len(c.Groups))
-		reps := make([]uint64, len(c.Reps))
-		for g, members := range c.Groups {
+		idx, seeds := cluster.GreedySeeded(sim, 0.6)
+		groups := make([][]uint64, len(idx))
+		reps := make([]uint64, len(seeds))
+		for g, members := range idx {
 			for _, i := range members {
 				groups[g] = append(groups[g], ids[i])
 			}
-			reps[g] = ids[c.Reps[g]]
+			reps[g] = ids[seeds[g]]
 		}
 		if err := eng.Apply(persist.Record{Op: persist.OpRebuild, Groups: groups, Reps: reps}); err != nil {
 			t.Fatal(err)

@@ -51,8 +51,8 @@ func benchEngineSampling(b *testing.B, docs []*xmltree.Tree, subs []*pattern.Pat
 func liveIDs(e *Engine) []uint64 {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	ids := make([]uint64, 0, len(e.subs))
-	for _, s := range e.subs {
+	ids := make([]uint64, 0, len(e.byID))
+	for _, s := range e.registryLocked() {
 		ids = append(ids, s.id)
 	}
 	return ids
@@ -228,12 +228,7 @@ func BenchmarkBrokerSubscribeChurn(b *testing.B) {
 	docs, subs := benchWorkload(200, 256)
 	churn := querygen.New(dtd.NITFLike(), querygen.Defaults(97)).GenerateDistinct(512)
 	e := benchEngine(b, docs, subs)
-	var ids []uint64
-	e.mu.RLock()
-	for _, s := range e.subs {
-		ids = append(ids, s.id)
-	}
-	e.mu.RUnlock()
+	ids := liveIDs(e)
 
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -304,12 +299,7 @@ func BenchmarkBrokerSubscribeBesideStream(b *testing.B) {
 	docs, subs := benchWorkload(200, 1000)
 	churn := querygen.New(dtd.NITFLike(), querygen.Defaults(97)).GenerateDistinct(512)
 	e := benchEngine(b, docs, subs)
-	var ids []uint64
-	e.mu.RLock()
-	for _, s := range e.subs {
-		ids = append(ids, s.id)
-	}
-	e.mu.RUnlock()
+	ids := liveIDs(e)
 
 	var subscribeNS, evals int64
 	view := currentView(e)

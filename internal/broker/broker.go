@@ -10,7 +10,8 @@
 //   - Subscription churn. Subscribe computes only the new pattern's
 //     similarities to the k community representatives — all that
 //     placement reads — and places it into the best existing community
-//     (cluster.Assign); Unsubscribe drops the member in O(n). The row
+//     (cluster.Place); a subscribe or unsubscribe then edits only that
+//     community's record, in time linear in its size. The row
 //     is computed on the engine's similarity view (core.View): a frozen
 //     copy of the synopsis that remembers every pattern's SEL
 //     evaluation, so a subscribe costs one evaluation — the new pattern
@@ -32,11 +33,12 @@
 //   - One matching forest and one routing table. The forest holds
 //     exactly the communities' representatives, and the table one
 //     record per community — forest handle, delivery log,
-//     representative, members (the handle is the community's: joiners
-//     never touch it, a leaving representative hands it to its
-//     successor); a publish flattens the document once and walks it
-//     once, on the publisher's own goroutine, and that one pass decides
-//     every community. Explain is the same match on the same table.
+//     representative, members — which is the clustering itself (the
+//     handle is the community's: joiners never touch it, a leaving
+//     representative hands it to its successor); a publish flattens
+//     the document once and walks it once, on the publisher's own
+//     goroutine, and that one pass decides every community. Explain is
+//     the same match on the same table.
 //   - A batched ingest pipeline. Published documents are handed to a
 //     background ingester that feeds the estimator's synopsis in
 //     batches (one lock acquisition per batch); publishing waits on
@@ -53,7 +55,7 @@
 // registry and routing locks both held exclusively, so publishes and
 // Explain read it under the routing lock alone, registry readers under
 // the registry lock alone. Churn takes the routing write lock for one
-// forest edit plus the table rebuild. Subscribe, Unsubscribe and policy
+// forest edit plus one record's edit. Subscribe, Unsubscribe and policy
 // rebuilds are exclusive on the registry but hold it only for the
 // commit — the similarity row, the rebuild graph and view refreshes
 // happen from snapshots outside the registry lock. Rows and graphs run
@@ -66,8 +68,8 @@ package broker
 import (
 	"fmt"
 	"log/slog"
+	"maps"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -202,6 +204,16 @@ func ParseDeliveryMode(s string) (DeliveryMode, error) {
 	return AtMostOnce, fmt.Errorf("broker: unknown delivery mode %q", s)
 }
 
+// checkMode rejects a mode that is neither contract: Subscribe, Restore
+// and Apply would otherwise serve and report it as at-most-once while
+// the journal and snapshot kept the unknown value.
+func checkMode(m DeliveryMode) error {
+	if m > AtLeastOnce {
+		return fmt.Errorf("broker: unknown delivery mode %d", m)
+	}
+	return nil
+}
+
 // Delivery is one document delivered to one subscription.
 type Delivery struct {
 	// Doc is the broker-assigned publish sequence number.
@@ -247,6 +259,8 @@ type subscriber struct {
 	mode DeliveryMode
 	cur  *cursor
 	q    *queue
+	// group is the community's record it is a member of (route.go).
+	group *routeGroup
 }
 
 // pending is the number of undischarged deliveries.
@@ -265,12 +279,8 @@ type Engine struct {
 
 	// mu guards the subscription registry and clustering. Publishes do
 	// NOT take it: the routing state they need lives under routeMu.
-	mu   sync.RWMutex
-	subs []*subscriber
-	byID map[uint64]int
-	// comms is the clustering; each community's record — forest handle,
-	// delivery log, representative, members — is e.groups[g] (route.go).
-	comms  *cluster.Communities
+	mu     sync.RWMutex
+	byID   map[uint64]*subscriber
 	nextID uint64
 	stale  int // registry mutations since the last full rebuild
 	// regVer moves on every registry or clustering change: a row or
@@ -284,16 +294,14 @@ type Engine struct {
 	closed bool
 
 	// routeMu guards the matching plane (route.go): the forest, the
-	// routing table — one record per community, index-aligned with
-	// comms.Groups, and the member arena their ranges index, both written
-	// under the registry lock too — and routeClosed. Publishes and Explain
-	// hold it shared; table edits and Close exclusively. matchNS times one
-	// match + fan-out (observing is two atomics, no allocation).
+	// routing table — one record per community, in community-index order,
+	// written under the registry lock too — and routeClosed. Publishes and
+	// Explain hold it shared; table edits and Close exclusively. matchNS
+	// times one match + fan-out (observing is two atomics, no allocation).
 	routeMu     sync.RWMutex
 	routeClosed bool
 	forest      *matching.Forest
-	groups      []routeGroup
-	members     []*subscriber
+	groups      []*routeGroup
 	matchNS     *telemetry.Histogram
 
 	// rebuildBusy lets exactly one goroutine run the (expensive,
@@ -388,8 +396,7 @@ func newEngine(cfg Config, est *core.Estimator) *Engine {
 	e := &Engine{
 		cfg:       cfg,
 		est:       est,
-		byID:      make(map[uint64]int),
-		comms:     &cluster.Communities{Threshold: cfg.Threshold},
+		byID:      make(map[uint64]*subscriber),
 		forest:    matching.NewForest(),
 		ingest:    make(chan ingestItem, cfg.IngestQueue),
 		tel:       tel,
@@ -441,9 +448,9 @@ func (e *Engine) runLeaseSweeper() {
 // for deterministic expiry.
 func (e *Engine) SweepLeases(now time.Time) int {
 	e.mu.RLock()
-	qs := make([]*queue, 0, len(e.subs))
-	for _, s := range e.subs {
-		if s.mode == AtLeastOnce {
+	var qs []*queue
+	for _, g := range e.groups {
+		for _, s := range g.alo {
 			qs = append(qs, s.q)
 		}
 	}
@@ -475,9 +482,7 @@ func (e *Engine) Close() error {
 		e.mu.Unlock()
 		return nil
 	}
-	e.closed = true
-	subs := make([]*subscriber, len(e.subs))
-	copy(subs, e.subs)
+	e.closed = true // no registry commit follows: the table stays as it is
 	e.mu.Unlock()
 	// Quiesce the routing plane before closing queues: holding routeMu
 	// exclusively waits out in-flight publishes, so no fan-out races the
@@ -486,12 +491,10 @@ func (e *Engine) Close() error {
 	// contract ends with the engine; durable cursors live in the WAL.
 	e.routeMu.Lock()
 	e.routeClosed = true
-	for _, s := range subs {
-		if s.q != nil {
+	for _, g := range e.groups {
+		for _, s := range g.alo {
 			e.docs.unpin(s.q.close()...)
 		}
-	}
-	for _, g := range e.groups {
 		g.log.close()
 	}
 	e.routeMu.Unlock()
@@ -607,7 +610,7 @@ func (e *Engine) SubscribePattern(p *pattern.Pattern, expr string) (uint64, erro
 // SubscribePatternOpts is the full subscribe entry point.
 //
 // The similarity row — the dominant cost — covers only the k community
-// representatives, the entries Assign reads. It is computed on the
+// representatives, all that placement reads. It is computed on the
 // engine's similarity view from a snapshot of the representatives
 // without holding the registry lock, so concurrent publishes and drains
 // keep flowing; the result commits only if the registry and clustering
@@ -617,6 +620,9 @@ func (e *Engine) SubscribePattern(p *pattern.Pattern, expr string) (uint64, erro
 // left warm for all but the representatives that changed, so the lock
 // is never held across a view refresh or a cold pass.
 func (e *Engine) SubscribePatternOpts(p *pattern.Pattern, expr string, opt SubscribeOptions) (uint64, error) {
+	if err := checkMode(opt.Mode); err != nil {
+		return 0, err
+	}
 	if opt.Mode == AtLeastOnce && e.degraded.Load() {
 		// The redelivery contract is backed by the journal; without it a
 		// crash would silently void every unacked delivery. Existing
@@ -634,11 +640,11 @@ func (e *Engine) SubscribePatternOpts(p *pattern.Pattern, expr string, opt Subsc
 		e.subPool.Put(sc)
 	}()
 	view := e.similarityView(false)
-	// finish commits sc.row under the registry lock (held by the caller)
+	// finish commits sc.sims under the registry lock (held by the caller)
 	// and releases it.
 	finish := func() (uint64, error) {
-		id := e.commitSubscribeLocked(p, expr, sc.row, opt)
-		ev := ChurnEvent{Stale: e.stale, Live: len(e.subs)}
+		id := e.commitSubscribeLocked(p, expr, sc.sims, opt)
+		ev := ChurnEvent{Stale: e.stale, Live: len(e.byID)}
 		e.mu.Unlock()
 		e.subLat.ObserveDuration(time.Since(start).Nanoseconds())
 		e.notifyChurn(ev)
@@ -679,37 +685,29 @@ func (e *Engine) SubscribePatternOpts(p *pattern.Pattern, expr string, opt Subsc
 }
 
 // subScratch is one subscribe's pooled buffers: the representatives'
-// registry indices and patterns as snapshotted, their similarities to
-// the new pattern, and the registry-indexed row Assign reads.
+// patterns as snapshotted, in community order, and their similarities
+// to the new pattern.
 type subScratch struct {
-	reps []int
 	pats []*pattern.Pattern
 	sims []float64
-	row  []float64
 }
 
-// snapshotLocked copies the clustering's representatives and sizes the
-// row to the registry. Caller holds the registry lock.
+// snapshotLocked copies the communities' representatives. Caller holds
+// the registry lock.
 func (sc *subScratch) snapshotLocked(e *Engine) {
-	sc.reps = append(sc.reps[:0], e.comms.Reps...)
 	sc.pats = sc.pats[:0]
-	for _, r := range sc.reps {
-		sc.pats = append(sc.pats, e.subs[r].pat)
+	for _, g := range e.groups {
+		sc.pats = append(sc.pats, g.rep.pat)
 	}
-	sc.row = slices.Grow(sc.row[:0], len(e.subs))[:len(e.subs)]
 }
 
-// fill computes p's similarity to each snapshotted representative and
-// writes it at the representative's index in the row; the other entries
-// keep whatever they held, which Assign does not read. The row is
-// thresholded: a representative the intersection bound keeps below
-// threshold reads 0 unintersected, and Assign reads only entries ≥
-// threshold, which are exact — so it places p as on the exact row.
+// fill computes p's similarity to each snapshotted representative. The
+// row is thresholded: a representative the intersection bound keeps
+// below threshold reads 0 unintersected, and placement reads only
+// entries ≥ threshold, which are exact — so it places p as on the exact
+// row.
 func (sc *subScratch) fill(view *core.View, m metrics.Metric, threshold float64, p *pattern.Pattern) {
 	sc.sims = view.SimilarityRowInto(sc.sims, m, threshold, p, sc.pats)
-	for i, r := range sc.reps {
-		sc.row[r] = sc.sims[i]
-	}
 }
 
 // similarityView returns the frame subscribe rows and rebuild graphs
@@ -752,10 +750,14 @@ func (e *Engine) ViewSelectivity(p *pattern.Pattern) float64 {
 }
 
 // commitSubscribeLocked installs a new subscription given its
-// similarity row against the current registry. Caller holds the write
-// lock and has validated the row's registry version.
-func (e *Engine) commitSubscribeLocked(p *pattern.Pattern, expr string, row []float64, opt SubscribeOptions) uint64 {
-	g := e.comms.Assign(row)
+// similarity to each community's representative, placed by
+// cluster.Place. Caller holds the write lock and has validated the
+// row's registry version.
+func (e *Engine) commitSubscribeLocked(p *pattern.Pattern, expr string, sims []float64, opt SubscribeOptions) uint64 {
+	g := cluster.Place(len(sims), e.cfg.Threshold, func(g int) float64 { return sims[g] })
+	if g == -1 {
+		g = len(e.groups)
+	}
 	e.nextID++
 	id := e.nextID
 	e.installSubLocked(id, p, expr, g, opt.Mode)
@@ -767,22 +769,22 @@ func (e *Engine) commitSubscribeLocked(p *pattern.Pattern, expr string, row []fl
 	return id
 }
 
-// installSubLocked enters a subscription the clustering has just placed
-// in community g (by Assign, or PlaceAt on replay) into the registry
-// and the routing table. g == len(e.groups) means it founded the
-// community: its pattern — it is the representative — enters the
-// forest. A joiner edits no forest. Caller holds the registry lock
-// exclusively.
+// installSubLocked enters a subscription placed in community g (by
+// placement, or as journaled on replay) into the registry and g's
+// record. g == len(e.groups) means it founded the community: its pattern
+// — it is the representative — enters the forest. A joiner edits no
+// forest. Caller holds the registry lock exclusively.
 func (e *Engine) installSubLocked(id uint64, p *pattern.Pattern, expr string, g int, mode DeliveryMode) {
-	e.byID[id] = len(e.subs)
-	e.subs = append(e.subs, e.newSubscriber(id, p, expr, mode))
+	s := e.newSubscriber(id, p, expr, mode)
+	e.byID[id] = s
 	e.stale++
 	e.regVer++
-	e.editRoutingLocked(func() {
-		if g == len(e.groups) {
-			e.groups = append(e.groups, routeGroup{fh: e.forest.Add(p), log: e.newCommLog()})
-		}
-	})
+	e.routeMu.Lock()
+	defer e.routeMu.Unlock()
+	if g == len(e.groups) {
+		e.groups = append(e.groups, &routeGroup{fh: e.forest.Add(p), log: e.newCommLog(), rep: s})
+	}
+	e.groups[g].add(s)
 }
 
 // Unsubscribe removes a subscription and closes its delivery queue.
@@ -800,7 +802,7 @@ func (e *Engine) Unsubscribe(id uint64) bool {
 	}
 	e.counters.unsubscribes.Add(1)
 	e.journalLocked(persist.Record{Op: persist.OpUnsubscribe, ID: id})
-	ev := ChurnEvent{Stale: e.stale, Live: len(e.subs)}
+	ev := ChurnEvent{Stale: e.stale, Live: len(e.byID)}
 	e.mu.Unlock()
 	e.viewMu.Lock()
 	if e.view != nil {
@@ -813,16 +815,17 @@ func (e *Engine) Unsubscribe(id uint64) bool {
 }
 
 // removeSubLocked is the unsubscribe commit: it drops the subscription
-// from the registry, clustering and routing table, and hands the
-// community's forest handle over if it was the representative.
-// Caller holds the registry lock exclusively. Returns the removed
-// subscription, nil if the id was not live.
+// from the registry and its community's record, and hands the
+// community's forest handle to the smallest surviving id if it was the
+// representative, or drops the record — shifting later communities'
+// indices down by one — if it was the last member. Caller holds the
+// registry lock exclusively. Returns the removed subscription, nil if
+// the id was not live.
 func (e *Engine) removeSubLocked(id uint64) *subscriber {
-	idx, ok := e.byID[id]
-	if !ok {
+	s := e.byID[id]
+	if s == nil {
 		return nil
 	}
-	s := e.subs[idx]
 	// Closing the queue discharges any remaining at-least-once entries:
 	// an unsubscribe is the consumer's explicit exit from the delivery
 	// contract, so the documents' retention pins drop with it.
@@ -830,35 +833,26 @@ func (e *Engine) removeSubLocked(id uint64) *subscriber {
 		e.docs.unpin(s.q.close()...)
 	}
 	delete(e.byID, id)
-	g := e.comms.Find(idx)
-	wasRep := e.comms.Reps[g] == idx
-	groupsBefore := len(e.comms.Groups)
-	e.comms.Remove(idx)
-	dissolved := len(e.comms.Groups) < groupsBefore
-	e.subs = append(e.subs[:idx], e.subs[idx+1:]...)
-	for i := idx; i < len(e.subs); i++ {
-		e.byID[e.subs[i].id] = i
-	}
 	e.stale++
 	e.regVer++
-	// The forest stays at one pattern per community: a member leaving
-	// edits nothing; a representative leaving takes its pattern out, and
-	// the community's record too if the community dissolved, or else puts
-	// in the successor's (the handle the Remove freed is the one the Add gets).
-	e.editRoutingLocked(func() {
-		if s.cur != nil {
-			s.cur.move(nil) // here, so a publish's member count is the log's
-		}
-		if !wasRep {
-			return
-		}
-		e.forest.Remove(e.groups[g].fh)
-		if dissolved {
-			e.groups = slices.Delete(e.groups, g, g+1)
-		} else {
-			e.groups[g].fh = e.forest.Add(e.subs[e.comms.Reps[g]].pat)
-		}
-	})
+	e.routeMu.Lock()
+	defer e.routeMu.Unlock()
+	g := s.group
+	g.remove(s)
+	if s.cur != nil {
+		s.cur.move(nil) // here, so a publish's member count is the log's
+	}
+	if g.rep != s {
+		return s
+	}
+	// The handle the Remove frees is the one the successor's Add gets.
+	e.forest.Remove(g.fh)
+	if left := g.members(); len(left) > 0 {
+		g.rep, g.fh = left[0], e.forest.Add(left[0].pat)
+	} else {
+		i := slices.Index(e.groups, g)
+		e.groups = slices.Delete(e.groups, i, i+1)
+	}
 	return s
 }
 
@@ -882,23 +876,34 @@ func (e *Engine) maybeRebuild(force bool) {
 	var view *core.View
 	for attempt := 0; attempt < 3; attempt++ {
 		e.mu.RLock()
-		if e.closed || (!force && !e.cfg.Rebuild.ShouldRebuild(e.stale, len(e.subs))) {
+		if e.closed || (!force && !e.cfg.Rebuild.ShouldRebuild(e.stale, len(e.byID))) {
 			e.mu.RUnlock()
 			return
 		}
 		ver := e.regVer
-		pats := e.patternsLocked(nil)
+		subs := e.registryLocked()
 		e.mu.RUnlock()
 
 		if view == nil {
 			view = e.similarityView(force)
 		}
+		pats := make([]*pattern.Pattern, len(subs))
+		for i, s := range subs {
+			pats[i] = s.pat
+		}
 		g := view.SimilarityGraph(e.cfg.Metric, e.cfg.Threshold, pats)
-		comms := cluster.BuildGreedyRows(g.Len(), g.Row, e.cfg.Threshold)
+		idx, seeds := cluster.GreedyRows(g.Len(), g.Row)
+		groups, reps := make([][]*subscriber, len(idx)), make([]*subscriber, len(seeds))
+		for c, members := range idx {
+			for _, i := range members {
+				groups[c] = append(groups[c], subs[i])
+			}
+			reps[c] = subs[seeds[c]]
+		}
 
 		e.mu.Lock()
-		if e.regVer == ver {
-			e.replaceClusteringLocked(comms)
+		if e.regVer == ver && !e.closed {
+			e.installLocked(groups, reps)
 			e.stale = 0
 			// New representatives: a subscribe row computed against the
 			// superseded ones must not commit.
@@ -906,8 +911,8 @@ func (e *Engine) maybeRebuild(force bool) {
 			e.counters.rebuilds.Add(1)
 			groups, reps := e.partitionIDsLocked()
 			e.journalLocked(persist.Record{Op: persist.OpRebuild, Groups: groups, Reps: reps})
-			live := len(e.subs)
-			communities := len(e.comms.Groups)
+			live := len(e.byID)
+			communities := len(e.groups)
 			e.mu.Unlock()
 			e.rebuildLat.ObserveDuration(time.Since(start).Nanoseconds())
 			e.cfg.Logger.Warn("registry reclustered", "live", live, "communities", communities,
@@ -926,11 +931,11 @@ func (e *Engine) Rebuild() {
 	e.maybeRebuild(true)
 }
 
-func (e *Engine) patternsLocked(dst []*pattern.Pattern) []*pattern.Pattern {
-	for _, s := range e.subs {
-		dst = append(dst, s.pat)
-	}
-	return dst
+// registryLocked is every live subscription in id order: the order a
+// rebuild clusters the registry in and a State indexes it by. Caller
+// holds the registry lock.
+func (e *Engine) registryLocked() []*subscriber {
+	return slices.SortedFunc(maps.Values(e.byID), idOrder)
 }
 
 // newSubscriber builds a subscription with its mode's delivery state; the
@@ -1054,7 +1059,7 @@ func (e *Engine) Ack(id uint64, upto uint64) (int, error) {
 }
 
 // CommunityView is a read-only snapshot of one community: the
-// representative (greedy seed) and every member's pattern, in registry
+// representative (greedy seed) and every member's pattern, in id
 // order. Patterns are shared with the engine and must not be mutated.
 type CommunityView struct {
 	// Rep is the representative's pattern and RepExpr its subscription
@@ -1077,18 +1082,12 @@ type CommunityView struct {
 func (e *Engine) CommunityViews() []CommunityView {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	out := make([]CommunityView, 0, len(e.comms.Groups))
-	for g, members := range e.comms.Groups {
-		rep := e.subs[e.comms.Reps[g]]
-		v := CommunityView{
-			Rep:     rep.pat,
-			RepExpr: rep.expr,
-			Members: make([]*pattern.Pattern, len(members)),
-			Exprs:   make([]string, len(members)),
-		}
-		for i, m := range members {
-			v.Members[i] = e.subs[m].pat
-			v.Exprs[i] = e.subs[m].expr
+	out := make([]CommunityView, 0, len(e.groups))
+	for _, g := range e.groups {
+		v := CommunityView{Rep: g.rep.pat, RepExpr: g.rep.expr}
+		for _, s := range g.members() {
+			v.Members = append(v.Members, s.pat)
+			v.Exprs = append(v.Exprs, s.expr)
 		}
 		out = append(out, v)
 	}
@@ -1124,33 +1123,22 @@ func (e *Engine) Pending(id uint64) int {
 func (e *Engine) lookup(id uint64) (s *subscriber, closed bool) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	if idx, ok := e.byID[id]; ok {
-		s = e.subs[idx]
-	}
-	return s, e.closed
+	return e.byID[id], e.closed
 }
 
 // Live returns the number of live subscriptions.
 func (e *Engine) Live() int {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	return len(e.subs)
+	return len(e.byID)
 }
 
 // CommunityIDs returns the current communities as sets of subscription
-// ids, largest first — the broker-level view of cluster.Communities.
+// ids (ascending), largest first, ties in community order.
 func (e *Engine) CommunityIDs() [][]uint64 {
 	e.mu.RLock()
-	defer e.mu.RUnlock()
-	out := make([][]uint64, 0, len(e.comms.Groups))
-	for _, g := range e.comms.Groups {
-		ids := make([]uint64, 0, len(g))
-		for _, idx := range g {
-			ids = append(ids, e.subs[idx].id)
-		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		out = append(out, ids)
-	}
-	sort.SliceStable(out, func(i, j int) bool { return len(out[i]) > len(out[j]) })
-	return out
+	groups, _ := e.partitionIDsLocked()
+	e.mu.RUnlock()
+	slices.SortStableFunc(groups, func(a, b []uint64) int { return len(b) - len(a) })
+	return groups
 }

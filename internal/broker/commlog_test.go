@@ -293,7 +293,7 @@ func TestCommunityLogAcrossRebuilds(t *testing.T) {
 				k := rng.Intn(len(w.ids))
 				id := w.ids[k]
 				drain(id, 0, at) // so that its ledger closes
-				_, d := e.subs[e.byID[id]].cur.info()
+				_, d := e.byID[id].cur.info()
 				goneDropped += d
 				w.unsubscribe(k)
 				if b := books[id]; b.drained+b.gap != b.delivered {
@@ -302,7 +302,7 @@ func TestCommunityLogAcrossRebuilds(t *testing.T) {
 				delete(books, id)
 			case op < 38:
 				before := map[uint64]*commLog{}
-				for _, s := range e.subs {
+				for _, s := range e.byID {
 					if n, _ := s.cur.info(); n > 0 {
 						before[s.id] = s.cur.log
 					}
@@ -312,7 +312,7 @@ func TestCommunityLogAcrossRebuilds(t *testing.T) {
 				} else {
 					w.randomPartition(1 + rng.Intn(2*logLabels))
 				}
-				for _, s := range e.subs {
+				for _, s := range e.byID {
 					if l := before[s.id]; l != nil && l != s.cur.log {
 						moved++
 					}
@@ -543,7 +543,7 @@ func longPoll(t *testing.T, e *Engine, id uint64) <-chan DrainResult {
 		}
 		done <- r
 	}()
-	parkedOn(t, e.subs[e.byID[id]].cur.log)
+	parkedOn(t, e.byID[id].cur.log)
 	return done
 }
 

@@ -1,7 +1,7 @@
 package broker
 
 import (
-	"sort"
+	"slices"
 
 	"treesim/internal/pattern"
 	"treesim/internal/xmltree"
@@ -118,21 +118,14 @@ func (e *Engine) Explain(t *xmltree.Tree) (*Explanation, error) {
 		ForestNodes:  e.forest.NodeCount(),
 	}
 	for comm, g := range e.groups {
-		v := CommunityVerdict{
-			Community: comm,
-			RepExpr:   g.rep.expr,
-			Matched:   ms.Has(g.fh),
-			MemberIDs: make([]uint64, 0, g.end-g.start),
-		}
-		for _, s := range e.members[g.start:g.end] {
+		v := CommunityVerdict{Community: comm, RepExpr: g.rep.expr, Matched: ms.Has(g.fh)}
+		for _, s := range g.members() {
 			v.MemberIDs = append(v.MemberIDs, s.id)
 			if memberMatches(fm, s.pat) {
 				v.ExactIDs = append(v.ExactIDs, s.id)
 				stats.MatchedPatterns++
 			}
 		}
-		sortIDs(v.MemberIDs)
-		sortIDs(v.ExactIDs)
 		if v.Matched {
 			ex.MatchedCommunities++
 			ex.Deliveries = append(ex.Deliveries, v.MemberIDs...)
@@ -140,12 +133,8 @@ func (e *Engine) Explain(t *xmltree.Tree) (*Explanation, error) {
 		ex.Communities[comm] = v
 	}
 	ex.Shards = []ShardExplainStats{stats}
-	sortIDs(ex.Deliveries)
+	slices.Sort(ex.Deliveries)
 	return ex, nil
-}
-
-func sortIDs(ids []uint64) {
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 }
 
 // CommunityInfo is one community row of IntrospectCommunities.
@@ -173,11 +162,11 @@ func (e *Engine) IntrospectCommunities() []CommunityInfo {
 	defer e.mu.RUnlock()
 	out := make([]CommunityInfo, 0, len(e.groups))
 	for g, rg := range e.groups {
-		ci := CommunityInfo{Community: g, Size: rg.end - rg.start, RepID: rg.rep.id, RepExpr: rg.rep.expr}
-		for _, s := range e.members[rg.start:rg.end] {
+		ci := CommunityInfo{Community: g, RepID: rg.rep.id, RepExpr: rg.rep.expr}
+		for _, s := range rg.members() {
 			ci.MemberIDs = append(ci.MemberIDs, s.id)
 		}
-		sortIDs(ci.MemberIDs)
+		ci.Size = len(ci.MemberIDs)
 		ci.LogEntries, ci.SlowestLag = rg.log.lag()
 		out = append(out, ci)
 	}
@@ -222,9 +211,13 @@ type SubscriptionInfo struct {
 func (e *Engine) IntrospectSubscriptions() []SubscriptionInfo {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	out := make([]SubscriptionInfo, 0, len(e.subs))
-	for idx, s := range e.subs {
-		si := SubscriptionInfo{ID: s.id, Pattern: s.expr, Community: e.comms.Find(idx), Mode: s.mode.String()}
+	community := make(map[*routeGroup]int, len(e.groups))
+	for g, rg := range e.groups {
+		community[rg] = g
+	}
+	out := make([]SubscriptionInfo, 0, len(e.byID))
+	for _, s := range e.registryLocked() {
+		si := SubscriptionInfo{ID: s.id, Pattern: s.expr, Community: community[s.group], Mode: s.mode.String()}
 		if s.q == nil {
 			si.Pending, si.Dropped = s.cur.info()
 		} else {
@@ -234,6 +227,5 @@ func (e *Engine) IntrospectSubscriptions() []SubscriptionInfo {
 		}
 		out = append(out, si)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }

@@ -9,57 +9,60 @@ import (
 	"treesim/internal/xmltree"
 )
 
-// checkForests asserts the routing table's invariant over its one
-// record per community: the forest holds exactly one pattern per
-// community (Live() == len(e.groups)), no two communities share a
-// handle, each record's representative is the clustering's, its member
-// range holds exactly the community's members, at-most-once first, and
-// every at-most-once member's cursor stands on its community's log. A
-// community's handle IS its representative's pattern: its verdict on
-// each probe equals the oracle's, which FuzzEngineVsMatches pins to a
-// fresh Add's. Besides the caller's probes, every representative is
-// probed with a document built to match it — its witness must fire the
-// community's own handle — so a dead, stale or swapped handle cannot
-// hide behind probes nobody matches. Safe beside concurrent traffic (it
-// holds the registry read lock, under which neither the forest nor the
-// table changes), so it reports with Errorf only.
+// checkForests asserts the routing table's invariants over its one
+// record per community, which is the clustering: the forest holds
+// exactly one pattern per community (Live() == len(e.groups)), no two
+// communities share a handle, every record is nonempty, lists its
+// at-most-once and at-least-once members each in ascending id order on
+// the mode's own list, and names a member as representative; every
+// member points back at its record, every at-most-once member's cursor
+// stands on the record's log, and the records hold every live
+// subscription exactly once. A community's handle IS its
+// representative's pattern: its verdict on each probe equals the
+// oracle's, which FuzzEngineVsMatches pins to a fresh Add's. Besides the
+// caller's probes, every representative is probed with a document built
+// to match it — its witness must fire the community's own handle — so a
+// dead, stale or swapped handle cannot hide behind probes nobody
+// matches. Safe beside concurrent traffic (it holds the registry read
+// lock, under which neither the forest nor the table changes), so it
+// reports with Errorf only.
 func checkForests(t testing.TB, e *Engine, probes ...*xmltree.Tree) {
 	t.Helper()
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	n := len(e.comms.Groups)
-	if len(e.groups) != n {
-		t.Errorf("routing table has %d groups for %d communities", len(e.groups), n)
-		return
-	}
-	if live := e.forest.Live(); live != n {
-		t.Errorf("forest holds %d patterns for %d communities", live, n)
+	if live := e.forest.Live(); live != len(e.groups) {
+		t.Errorf("forest holds %d patterns for %d communities", live, len(e.groups))
 	}
 	owner := map[int]int{}
+	members := 0
 	for g, rg := range e.groups {
 		if og, dup := owner[rg.fh]; dup {
 			t.Errorf("communities %d and %d share handle %d", og, g, rg.fh)
 		}
 		owner[rg.fh] = g
-		if want := e.subs[e.comms.Reps[g]]; rg.rep != want {
-			t.Errorf("community %d: the record's representative is %d, the clustering's %d", g, rg.rep.id, want.id)
+		if len(rg.amo)+len(rg.alo) == 0 {
+			t.Errorf("community %d is empty", g)
+			continue
 		}
-		var want, got []uint64
-		for _, idx := range e.comms.Groups[g] {
-			want = append(want, e.subs[idx].id)
+		if rg.rep == nil || rg.rep.group != rg || !slices.Contains(rg.members(), rg.rep) {
+			t.Errorf("community %d: its representative is not one of its members", g)
 		}
-		for i, s := range e.members[rg.start:rg.end] {
-			got = append(got, s.id)
-			if amo := rg.start+i < rg.amo; amo != (s.q == nil) {
-				t.Errorf("community %d: member %d (%s) is outside its mode's range", g, s.id, s.mode)
-			} else if amo && s.cur.log != rg.log {
-				t.Errorf("community %d: at-most-once member %d's cursor is not on the community's log", g, s.id)
+		for amo, list := range map[bool][]*subscriber{true: rg.amo, false: rg.alo} {
+			members += len(list)
+			for i, s := range list {
+				switch {
+				case i > 0 && list[i-1].id >= s.id:
+					t.Errorf("community %d: member list %v not in strictly ascending id order", g, ids(list))
+				case e.byID[s.id] != s:
+					t.Errorf("community %d: member %d is not live", g, s.id)
+				case s.group != rg:
+					t.Errorf("community %d: member %d points at another record", g, s.id)
+				case amo != (s.q == nil):
+					t.Errorf("community %d: member %d (%s) is on the other mode's list", g, s.id, s.mode)
+				case amo && s.cur.log != rg.log:
+					t.Errorf("community %d: at-most-once member %d's cursor is not on the community's log", g, s.id)
+				}
 			}
-		}
-		sortIDs(want)
-		sortIDs(got)
-		if !slices.Equal(got, want) {
-			t.Errorf("community %d: member range holds %v, the clustering %v", g, got, want)
 		}
 		if w := witness(rg.rep.pat); w != nil {
 			ms := e.forest.Match(w)
@@ -80,6 +83,18 @@ func checkForests(t testing.TB, e *Engine, probes ...*xmltree.Tree) {
 		}
 		ms.Release()
 	}
+	if members != len(e.byID) {
+		t.Errorf("the records hold %d members for %d live subscriptions", members, len(e.byID))
+	}
+}
+
+// ids lists the subscriptions' ids.
+func ids(subs []*subscriber) []uint64 {
+	out := make([]uint64, len(subs))
+	for i, s := range subs {
+		out[i] = s.id
+	}
+	return out
 }
 
 // witness builds a document that matches p, for the patterns it knows
@@ -203,7 +218,7 @@ func TestRepresentativeUnsubscribeHandsOver(t *testing.T) {
 	// Communities dissolve with their last member, handle and all; the
 	// next founder's Add gets a freed handle back.
 	e.mu.RLock()
-	freed := e.groups[e.comms.Find(e.byID[lone])].fh
+	freed := e.byID[lone].group.fh
 	e.mu.RUnlock()
 	unsub(lone)
 	unsub(heir)

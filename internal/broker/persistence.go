@@ -4,9 +4,9 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"slices"
 	"sync/atomic"
 
-	"treesim/internal/cluster"
 	"treesim/internal/core"
 	"treesim/internal/pattern"
 	"treesim/internal/persist"
@@ -34,7 +34,7 @@ import (
 const stateFormat = 1
 
 // SubEntry is one subscription in a State, identified by its stable id
-// and pattern expression (registry order is the State.Subs order).
+// and pattern expression (State.Subs lists the registry in id order).
 // The at-least-once fields (Mode 1) carry the delivery contract's
 // durable half: the committed cursor, the cursor high-water mark, and
 // the undischarged log entries. Zero values decode older snapshots as
@@ -80,9 +80,10 @@ type QueuedDelivery struct {
 type State struct {
 	// Format is the state format version (stateFormat).
 	Format int
-	// Subs is the registry in index order.
+	// Subs is the registry in id order.
 	Subs []SubEntry
-	// Groups/Reps are the community partition over registry indices.
+	// Groups/Reps are the community partition over indices into Subs,
+	// Groups[g] ascending, community g at index g.
 	Groups [][]int
 	Reps   []int
 	// NextID is the id watermark; Stale the churn count since the last
@@ -152,17 +153,20 @@ func (e *Engine) State() (*State, error) {
 	// effects precede appends — before every copy below.
 	dLSN := e.deliveryLSN.Load()
 	e.mu.RLock()
+	subs := e.registryLocked()
 	st := &State{
 		Format: stateFormat,
-		Subs:   make([]SubEntry, len(e.subs)),
-		Groups: make([][]int, len(e.comms.Groups)),
-		Reps:   append([]int(nil), e.comms.Reps...),
+		Subs:   make([]SubEntry, len(subs)),
+		Groups: make([][]int, len(e.groups)),
+		Reps:   make([]int, len(e.groups)),
 		NextID: e.nextID,
 		Stale:  e.stale,
 		WalLSN: e.walLSN,
 	}
 	var docSeqs []uint64
-	for i, s := range e.subs {
+	index := make(map[*subscriber]int, len(subs))
+	for i, s := range subs {
+		index[s] = i
 		se := SubEntry{ID: s.id, Expr: s.expr, Mode: uint8(s.mode)}
 		if s.mode == AtLeastOnce {
 			se.Committed, se.LastCursor, se.Queued = s.q.snapshotEntries()
@@ -172,8 +176,11 @@ func (e *Engine) State() (*State, error) {
 		}
 		st.Subs[i] = se
 	}
-	for g, members := range e.comms.Groups {
-		st.Groups[g] = append([]int(nil), members...)
+	for g, rg := range e.groups {
+		for _, s := range rg.members() {
+			st.Groups[g] = append(st.Groups[g], index[s])
+		}
+		st.Reps[g] = index[rg.rep]
 	}
 	e.mu.RUnlock()
 	if dLSN > st.WalLSN {
@@ -226,14 +233,13 @@ func (e *Engine) WriteSnapshot(store *persist.Store, advertVersion, pubSeq uint6
 // community, and the forest and routing table are rebuilt directly from
 // the saved partition — no similarity computation and no greedy
 // re-clustering on the recovery path.
-func Restore(cfg Config, st *State) (*Engine, error) {
+func Restore(cfg Config, st *State) (_ *Engine, err error) {
 	cfg = cfg.withDefaults()
 	if st == nil {
 		return nil, fmt.Errorf("broker: restore: nil state")
 	}
 	var est *core.Estimator
 	if len(st.Estimator) > 0 {
-		var err error
 		est, err = core.LoadEstimator(bytes.NewReader(st.Estimator))
 		if err != nil {
 			return nil, fmt.Errorf("broker: restore estimator: %w", err)
@@ -242,14 +248,12 @@ func Restore(cfg Config, st *State) (*Engine, error) {
 	} else {
 		est = core.NewEstimator(cfg.Estimator)
 	}
-	comms, err := cluster.FromGroups(cfg.Threshold, st.Groups, st.Reps)
-	if err != nil {
-		return nil, fmt.Errorf("broker: restore clustering: %w", err)
-	}
-	if comms.Len() != len(st.Subs) {
-		return nil, fmt.Errorf("broker: restore: partition covers %d items, registry has %d", comms.Len(), len(st.Subs))
-	}
 	e := newEngine(cfg, est)
+	defer func() {
+		if err != nil {
+			e.Close()
+		}
+	}()
 	// Pinned documents are pinned as the snapshot holds them; the text of
 	// an older snapshot is parsed and packed once per document first.
 	docs := st.Packed
@@ -263,12 +267,17 @@ func Restore(cfg Config, st *State) (*Engine, error) {
 			docs[seq] = doc
 		}
 	}
+	subs := make([]*subscriber, len(st.Subs))
+	e.nextID = st.NextID
 	for i, se := range st.Subs {
 		p, err := pattern.Parse(se.Expr)
+		if err == nil {
+			err = checkMode(DeliveryMode(se.Mode))
+		}
 		if err != nil {
 			return nil, fmt.Errorf("broker: restore subscription %d: %w", se.ID, err)
 		}
-		if _, dup := e.byID[se.ID]; dup {
+		if e.byID[se.ID] != nil {
 			return nil, fmt.Errorf("broker: restore: duplicate subscription id %d", se.ID)
 		}
 		s := e.newSubscriber(se.ID, p, se.Expr, DeliveryMode(se.Mode))
@@ -283,19 +292,22 @@ func Restore(cfg Config, st *State) (*Engine, error) {
 				e.docs.pin(qd.Doc, docs[qd.Doc])
 			}
 		}
-		e.byID[se.ID] = i
-		e.subs = append(e.subs, s)
-		if se.ID > e.nextID {
-			e.nextID = se.ID
-		}
-	}
-	if st.NextID > e.nextID {
-		e.nextID = st.NextID
+		e.byID[se.ID], subs[i] = s, s
+		e.nextID = max(e.nextID, se.ID)
 	}
 	// The engine is not yet shared with any other goroutine, so the
 	// registry lock is not taken; the clustering goes in as a rebuild's
 	// does, over the empty one every community is new to.
-	e.replaceClusteringLocked(comms)
+	groups, reps, err := partition(st.Groups, st.Reps, len(subs), func(i int) *subscriber {
+		if i < 0 || i >= len(subs) {
+			return nil
+		}
+		return subs[i]
+	})
+	if err != nil {
+		return nil, fmt.Errorf("broker: restore clustering: %w", err)
+	}
+	e.installLocked(groups, reps)
 	e.stale = st.Stale
 	e.pubSeq.Store(st.PubSeq)
 	return e, nil
@@ -430,15 +442,13 @@ func storeMax(a *atomic.Uint64, v uint64) {
 // subscription ids (the OpRebuild journal payload). Caller holds the
 // registry lock.
 func (e *Engine) partitionIDsLocked() (groups [][]uint64, reps []uint64) {
-	groups = make([][]uint64, len(e.comms.Groups))
-	reps = make([]uint64, len(e.comms.Reps))
-	for g, members := range e.comms.Groups {
-		ids := make([]uint64, len(members))
-		for i, idx := range members {
-			ids[i] = e.subs[idx].id
+	groups = make([][]uint64, len(e.groups))
+	reps = make([]uint64, len(e.groups))
+	for g, rg := range e.groups {
+		for _, s := range rg.members() {
+			groups[g] = append(groups[g], s.id)
 		}
-		groups[g] = ids
-		reps[g] = e.subs[e.comms.Reps[g]].id
+		reps[g] = rg.rep.id
 	}
 	return groups, reps
 }
@@ -449,8 +459,9 @@ func (e *Engine) partitionIDsLocked() (groups [][]uint64, reps []uint64) {
 // nothing. Use only during recovery, before traffic.
 //
 //   - OpSubscribe re-enters the subscription into exactly the community
-//     the original commit chose (cluster.PlaceAt), with no similarity
-//     computation; an id already live is skipped.
+//     the original commit chose — an index up to the community count,
+//     which founds one — with no similarity computation; an id already
+//     live is skipped.
 //   - OpUnsubscribe removes the id; an unknown id is a no-op.
 //   - OpRebuild replaces the partition wholesale with the recorded one,
 //     keyed by subscription ids, exactly as the original rebuild did.
@@ -477,7 +488,9 @@ func (e *Engine) Apply(rec persist.Record) error {
 	case persist.OpBootEpoch:
 		return nil
 	case persist.OpSubscribe:
-		p, err = pattern.Parse(rec.Expr)
+		if p, err = pattern.Parse(rec.Expr); err == nil {
+			err = checkMode(DeliveryMode(rec.Mode))
+		}
 	case persist.OpDeliver:
 		switch {
 		case len(rec.Subs) != len(rec.Cursors) || len(rec.Subs) != len(rec.Comms):
@@ -498,18 +511,24 @@ func (e *Engine) Apply(rec persist.Record) error {
 	}
 	switch rec.Op {
 	case persist.OpSubscribe:
-		if _, ok := e.byID[rec.ID]; ok {
+		if e.byID[rec.ID] != nil {
 			return nil // already present (snapshot covered this record)
 		}
-		if err := e.comms.PlaceAt(rec.Group); err != nil {
-			return fmt.Errorf("broker: replay subscribe %d: %w", rec.ID, err)
+		if rec.Group < 0 || rec.Group > len(e.groups) {
+			return fmt.Errorf("broker: replay subscribe %d: community %d of %d", rec.ID, rec.Group, len(e.groups))
 		}
 		e.nextID = max(e.nextID, rec.ID)
 		e.installSubLocked(rec.ID, p, rec.Expr, rec.Group, DeliveryMode(rec.Mode))
 	case persist.OpUnsubscribe:
 		e.removeSubLocked(rec.ID)
 	case persist.OpRebuild:
-		return e.applyRebuildLocked(rec.Groups, rec.Reps)
+		groups, reps, err := partition(rec.Groups, rec.Reps, len(e.byID), func(id uint64) *subscriber { return e.byID[id] })
+		if err != nil {
+			return fmt.Errorf("broker: replay rebuild: %w", err)
+		}
+		e.installLocked(groups, reps)
+		e.stale = 0
+		e.regVer++
 	case persist.OpDeliver:
 		// Keep the sequence watermark ahead of every replayed document so
 		// a recovered engine never reassigns a pinned sequence.
@@ -546,8 +565,8 @@ func (e *Engine) Apply(rec persist.Record) error {
 // not live or the subscription is at-most-once. Caller holds the
 // registry lock.
 func (e *Engine) ackedQueueLocked(id uint64) *queue {
-	if idx, ok := e.byID[id]; ok {
-		return e.subs[idx].q
+	if s := e.byID[id]; s != nil {
+		return s.q
 	}
 	return nil
 }
@@ -558,38 +577,37 @@ func packXML(xml string, opts xmltree.ParseOptions) ([]byte, error) {
 	return xmltree.Pack(t), err
 }
 
-// applyRebuildLocked applies an OpRebuild record. Caller holds the
-// registry lock exclusively.
-func (e *Engine) applyRebuildLocked(groups [][]uint64, reps []uint64) error {
-	if len(groups) != len(reps) {
-		return fmt.Errorf("broker: replay rebuild: %d groups, %d reps", len(groups), len(reps))
+// partition resolves a snapshotted or journaled partition — members and
+// representatives named by key, a registry index or a subscription id,
+// which lookup maps to the live subscription or nil — into installLocked's
+// form, and checks that it is one: each of the live subscriptions in
+// exactly one nonempty community, each representative one of its
+// members.
+func partition[K comparable](keys [][]K, repKeys []K, live int, lookup func(K) *subscriber) ([][]*subscriber, []*subscriber, error) {
+	if len(keys) != len(repKeys) {
+		return nil, nil, fmt.Errorf("%d groups, %d representatives", len(keys), len(repKeys))
 	}
-	idxGroups := make([][]int, len(groups))
-	idxReps := make([]int, len(reps))
-	for g, ids := range groups {
-		idxGroups[g] = make([]int, len(ids))
-		for i, id := range ids {
-			idx, ok := e.byID[id]
-			if !ok {
-				return fmt.Errorf("broker: replay rebuild: unknown subscription id %d", id)
+	groups, reps := make([][]*subscriber, len(keys)), make([]*subscriber, len(keys))
+	seen := make(map[*subscriber]bool, live)
+	for g, members := range keys {
+		for _, k := range members {
+			s := lookup(k)
+			if s == nil || seen[s] {
+				return nil, nil, fmt.Errorf("group %d: member %v unknown or in another group", g, k)
 			}
-			idxGroups[g][i] = idx
+			seen[s] = true
+			groups[g] = append(groups[g], s)
+			if k == repKeys[g] {
+				reps[g] = s
+			}
 		}
-		idx, ok := e.byID[reps[g]]
-		if !ok {
-			return fmt.Errorf("broker: replay rebuild: unknown representative id %d", reps[g])
+		if reps[g] == nil {
+			return nil, nil, fmt.Errorf("group %d: representative %v not a member", g, repKeys[g])
 		}
-		idxReps[g] = idx
+		slices.SortFunc(groups[g], idOrder)
 	}
-	comms, err := cluster.FromGroups(e.cfg.Threshold, idxGroups, idxReps)
-	if err != nil {
-		return fmt.Errorf("broker: replay rebuild: %w", err)
+	if len(seen) != live {
+		return nil, nil, fmt.Errorf("partition covers %d of %d subscriptions", len(seen), live)
 	}
-	if comms.Len() != len(e.subs) {
-		return fmt.Errorf("broker: replay rebuild: partition covers %d of %d subscriptions", comms.Len(), len(e.subs))
-	}
-	e.replaceClusteringLocked(comms)
-	e.stale = 0
-	e.regVer++
-	return nil
+	return groups, reps, nil
 }

@@ -1,46 +1,91 @@
 package broker
 
 import (
+	"cmp"
+	"slices"
 	"sync"
 	"time"
 
-	"treesim/internal/cluster"
 	"treesim/internal/matching"
 	"treesim/internal/pattern"
 	"treesim/internal/persist"
 	"treesim/internal/xmltree"
 )
 
-// This file is the matching plane: one forest, one routing table, one
-// lock. The forest holds exactly one pattern per community — its
-// representative's — so a publish evaluates what routes and nothing
-// else, and one walk of the document decides every community. The
-// table holds one record per community (routeGroup), read by publishes
-// and Explain alike: its forest handle and at-most-once delivery log
-// (commlog.go), set up when it is founded, kept when the representative
-// leaves — the handle re-pointed at the successor's pattern — and
-// dropped when it dissolves or a rebuild re-seeds it; and its
-// representative and member range, recomputed by every edit, which also
-// puts each subscription's cursor on its community's log.
+// This file is the matching plane and the clustering it routes on: one
+// forest, one routing table, one lock. The table holds one record per
+// community (routeGroup), and the records are the clustering: a
+// community's index is its position in the table (reported in
+// deliveries, journaled, snapshotted). The forest holds exactly one
+// pattern per community — its representative's — so a publish evaluates
+// what routes and nothing else, and one walk of the document decides
+// every community.
 //
-// Locking: e.groups and e.members are written only inside
-// editRoutingLocked, with the registry lock (Engine.mu) and routeMu both
-// held exclusively, so a reader may hold either. A publish and Explain
-// hold routeMu shared across their match and walk, on the calling
-// goroutine — concurrent publishers share it, and Forest.Match is
-// re-entrant — and never take the registry lock. The registry lock is
-// always acquired first when both are held.
+// A subscribe or unsubscribe edits only its own record: a joiner enters
+// its member list; a founder appends a record with a new forest handle
+// and delivery log (commlog.go); a leaving member leaves its list, and a
+// leaving representative hands the handle to the smallest surviving id
+// or, as the last member, dissolves the record, which shifts every later
+// community's index down by one. A rebuild, Restore and Apply's OpRebuild
+// install a whole partition at once (installLocked), keeping the record
+// — handle and log — of every representative that stands again.
+//
+// Locking: e.groups and the records are written only with the registry
+// lock (Engine.mu) and routeMu both held exclusively, so a reader may
+// hold either. A publish and Explain hold routeMu shared across their
+// match and walk, on the calling goroutine — concurrent publishers share
+// it, and Forest.Match is re-entrant — and never take the registry lock.
+// The registry lock is always acquired first when both are held.
 
-// routeGroup is one community, at its index in the clustering (reported
-// in deliveries): the forest handle of its representative's pattern, its
-// at-most-once delivery log, its representative, and its member range in
-// the member arena — at-most-once members in [start, amo), at-least-once
-// in [amo, end).
+// routeGroup is one community: the forest handle of its representative's
+// pattern, its at-most-once delivery log, its representative, and its
+// at-most-once (amo) and at-least-once (alo) members, each list in id
+// order. Every member's group points back at it.
 type routeGroup struct {
-	fh              int
-	log             *commLog
-	rep             *subscriber
-	start, amo, end int
+	fh       int
+	log      *commLog
+	rep      *subscriber
+	amo, alo []*subscriber
+}
+
+// idOrder orders subscriptions by id, the order a record lists its members
+// in and a rebuild clusters the registry in.
+func idOrder(a, b *subscriber) int { return cmp.Compare(a.id, b.id) }
+
+// list is the member list s belongs on.
+func (g *routeGroup) list(s *subscriber) *[]*subscriber {
+	if s.q != nil {
+		return &g.alo
+	}
+	return &g.amo
+}
+
+// add enters s into g in id order and puts an at-most-once cursor on g's
+// log, returning how many pending deliveries the move lost (only a
+// re-clustered subscription carries any).
+func (g *routeGroup) add(s *subscriber) int {
+	l := g.list(s)
+	i, _ := slices.BinarySearchFunc(*l, s, idOrder)
+	*l = slices.Insert(*l, i, s)
+	s.group = g
+	if s.cur != nil && s.cur.log != g.log {
+		return s.cur.move(g.log)
+	}
+	return 0
+}
+
+// remove takes s off its member list.
+func (g *routeGroup) remove(s *subscriber) {
+	l := g.list(s)
+	i, _ := slices.BinarySearchFunc(*l, s, idOrder)
+	*l = slices.Delete(*l, i, i+1)
+}
+
+// members is every member in id order (a copy).
+func (g *routeGroup) members() []*subscriber {
+	out := slices.Concat(g.amo, g.alo)
+	slices.SortFunc(out, idOrder)
+	return out
 }
 
 // routeScratch is the pooled per-publish scratch: the flattened
@@ -109,9 +154,10 @@ func (e *Engine) routeDoc(t *xmltree.Tree, doc []byte, res *PublishResult) {
 	c.filterEvals.Add(uint64(len(e.groups)))
 	sc.subs, sc.cursors, sc.comms = sc.subs[:0], sc.cursors[:0], sc.comms[:0]
 	var fm *pattern.FlatMatcher
-	// delivered counts n deliveries, to members[at:at+n], and checks the
-	// ones the counter numbers with a multiple of the sample interval.
-	delivered := func(at, n int) {
+	// delivered counts a delivery to each of to, and checks the ones the
+	// counter numbers with a multiple of the sample interval.
+	delivered := func(to []*subscriber) {
+		n := len(to)
 		res.Deliveries += n
 		last := c.delivered.Add(uint64(n))
 		if sample := uint64(e.cfg.PrecisionSample); e.cfg.PrecisionSample > 0 {
@@ -121,7 +167,7 @@ func (e *Engine) routeDoc(t *xmltree.Tree, doc []byte, res *PublishResult) {
 					fm.LoadFlat(&sc.flat)
 				}
 				c.sampled.Add(1)
-				if memberMatches(fm, e.members[at+i].pat) {
+				if memberMatches(fm, to[i].pat) {
 					c.sampledHits.Add(1)
 				}
 			}
@@ -140,12 +186,11 @@ func (e *Engine) routeDoc(t *xmltree.Tree, doc []byte, res *PublishResult) {
 			continue
 		}
 		res.Matched++
-		if n := g.amo - g.start; n > 0 {
+		if len(g.amo) > 0 {
 			dropped(g.log.append(seq, comm))
-			delivered(g.start, n)
+			delivered(g.amo)
 		}
-		for i := g.amo; i < g.end; i++ {
-			m := e.members[i]
+		for i, m := range g.alo {
 			cursor, shedDoc, shed, enqueued := m.q.pushAcked(seq, comm)
 			if shed {
 				c.ackShed.Add(1)
@@ -157,7 +202,7 @@ func (e *Engine) routeDoc(t *xmltree.Tree, doc []byte, res *PublishResult) {
 			if enqueued {
 				e.docs.pin(seq, doc)
 				sc.subs, sc.cursors, sc.comms = append(sc.subs, m.id), append(sc.cursors, cursor), append(sc.comms, comm)
-				delivered(i, 1)
+				delivered(g.alo[i : i+1])
 			}
 		}
 	}
@@ -180,66 +225,40 @@ func (e *Engine) routeDoc(t *xmltree.Tree, doc []byte, res *PublishResult) {
 	e.scratchPool.Put(sc)
 }
 
-// editRoutingLocked runs edit — forest Adds/Removes and changes to comms
-// and to e.groups' records — and rebuilds the routing table in ONE
-// critical section no publish can straddle: once a handle is freed or
-// re-issued, a stale table would skip the community (freed) or deliver
-// to the old one's members (reused by another pattern). The rebuild
-// recomputes each record's representative and member range in place,
-// into the reused member arena, so steady-state churn does not allocate,
-// and puts every at-most-once cursor that is not on its community's log
-// — a new subscription's, or one a re-clustering moved — on it. Caller
-// holds the registry lock exclusively.
-func (e *Engine) editRoutingLocked(edit func()) {
+// installLocked replaces the clustering with a partition — members in
+// id order, a representative each, every live subscription exactly once
+// — and moves the representatives' patterns to match: a representative
+// that still stands for a community keeps its record, handle and log;
+// every other old handle is removed and every other new representative
+// added, with a new log. Caller holds the registry lock exclusively.
+func (e *Engine) installLocked(groups [][]*subscriber, reps []*subscriber) {
 	e.routeMu.Lock()
 	defer e.routeMu.Unlock()
-	edit()
-	e.members = e.members[:0]
-	for g, members := range e.comms.Groups {
-		rg := &e.groups[g]
-		rg.rep, rg.start = e.subs[e.comms.Reps[g]], len(e.members)
-		for _, idx := range members {
-			if s := e.subs[idx]; s.q == nil {
-				e.members = append(e.members, s)
-				if s.cur.log != rg.log {
-					e.counters.dropped.Add(uint64(s.cur.move(rg.log)))
-				}
-			}
+	next := make([]*routeGroup, len(groups))
+	kept := make(map[*routeGroup]bool, len(reps))
+	for g, rep := range reps {
+		if old := rep.group; old != nil && old.rep == rep {
+			next[g], kept[old] = old, true
 		}
-		rg.amo = len(e.members)
-		for _, idx := range members {
-			if s := e.subs[idx]; s.q != nil {
-				e.members = append(e.members, s)
-			}
-		}
-		rg.end = len(e.members)
 	}
-}
-
-// replaceClusteringLocked installs a freshly built clustering and moves
-// the representatives' patterns to match: a representative that still
-// stands for a community keeps its record — handle and log; every other
-// old handle is removed and every other new representative added, with
-// a new log. Caller holds the registry lock exclusively.
-func (e *Engine) replaceClusteringLocked(comms *cluster.Communities) {
-	e.editRoutingLocked(func() {
-		groups := make([]routeGroup, len(comms.Groups))
-		newComm := make(map[int]int, len(comms.Reps)) // representative -> new community
-		for g, rep := range comms.Reps {
-			newComm[rep] = g
+	for _, old := range e.groups {
+		if !kept[old] {
+			e.forest.Remove(old.fh)
 		}
-		for og, rep := range e.comms.Reps {
-			if g, ok := newComm[rep]; ok {
-				groups[g] = e.groups[og]
-			} else {
-				e.forest.Remove(e.groups[og].fh)
-			}
+	}
+	for g, rg := range next {
+		if rg == nil {
+			rg = &routeGroup{fh: e.forest.Add(reps[g].pat), log: e.newCommLog()}
+			next[g] = rg
 		}
-		for g, rep := range comms.Reps {
-			if groups[g].log == nil {
-				groups[g] = routeGroup{fh: e.forest.Add(e.subs[rep].pat), log: e.newCommLog()}
-			}
+		rg.rep, rg.amo, rg.alo = reps[g], nil, nil
+	}
+	lost := 0
+	for g, members := range groups {
+		for _, s := range members {
+			lost += next[g].add(s)
 		}
-		e.comms, e.groups = comms, groups
-	})
+	}
+	e.counters.dropped.Add(uint64(lost))
+	e.groups = next
 }

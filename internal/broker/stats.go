@@ -69,7 +69,7 @@ func (e *Engine) registerGauges() {
 	e.tel.GaugeFunc("treesim_broker_communities", "Current community count.", func() float64 {
 		e.mu.RLock()
 		defer e.mu.RUnlock()
-		return float64(len(e.comms.Groups))
+		return float64(len(e.groups))
 	})
 	e.tel.GaugeFunc("treesim_broker_ingest_pending", "Synopsis ingest pipeline backlog.", func() float64 {
 		return float64(e.ingestPending())
@@ -78,7 +78,7 @@ func (e *Engine) registerGauges() {
 		e.mu.RLock()
 		defer e.mu.RUnlock()
 		total := 0
-		for _, s := range e.subs {
+		for _, s := range e.byID {
 			total += s.pending()
 		}
 		return float64(total)
@@ -206,11 +206,11 @@ type Stats struct {
 // telemetry registry handle GET /metrics scrapes.
 func (e *Engine) Stats() Stats {
 	e.mu.RLock()
-	live := len(e.subs)
-	groups := len(e.comms.Groups)
+	live := len(e.byID)
+	groups := len(e.groups)
 	singles := 0
-	for _, g := range e.comms.Groups {
-		if len(g) == 1 {
+	for _, g := range e.groups {
+		if len(g.amo)+len(g.alo) == 1 {
 			singles++
 		}
 	}

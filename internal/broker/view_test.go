@@ -127,10 +127,47 @@ func TestSimilarityViewDoublingRule(t *testing.T) {
 	}
 }
 
+// partitionOf is the engine's clustering over its registry: the live
+// patterns in id order, and each community's members and representative
+// as indices into them.
+func partitionOf(e *Engine) (live []*pattern.Pattern, groups [][]int, reps []int) {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	index := map[*subscriber]int{}
+	for i, s := range e.registryLocked() {
+		index[s] = i
+		live = append(live, s.pat)
+	}
+	for _, g := range e.groups {
+		var members []int
+		for _, s := range g.members() {
+			members = append(members, index[s])
+		}
+		groups, reps = append(groups, members), append(reps, index[g.rep])
+	}
+	return live, groups, reps
+}
+
+// placeByRow is the community cluster.Place picks for a pattern given its
+// similarity row against the registry: len(reps) when it founds one.
+func placeByRow(row []float64, reps []int, threshold float64) int {
+	if g := cluster.Place(len(reps), threshold, func(g int) float64 { return row[reps[g]] }); g != -1 {
+		return g
+	}
+	return len(reps)
+}
+
+// communityOf is the index of subscription id's community.
+func communityOf(e *Engine, id uint64) int {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	return slices.Index(e.groups, e.byID[id].group)
+}
+
 // TestSubscribeOnFreshViewMatchesLiveAssign is the differential for the
 // frame a row is computed in: at the instant after a refresh — by the
 // doubling rule or by a forced Rebuild — Subscribe places a pattern in
-// the community cluster.Assign picks over a live SimilarityRow, taken
+// the community cluster.Place picks over a live SimilarityRow, taken
 // here from a second estimator fed the same stream.
 func TestSubscribeOnFreshViewMatchesLiveAssign(t *testing.T) {
 	docs, pats := benchWorkload(256, 120)
@@ -149,26 +186,19 @@ func TestSubscribeOnFreshViewMatchesLiveAssign(t *testing.T) {
 	// place subscribes p and compares its community with the reference.
 	place := func(p *pattern.Pattern) {
 		t.Helper()
-		e.mu.RLock()
-		live := e.patternsLocked(nil)
-		want, err := cluster.FromGroups(e.cfg.Threshold, e.comms.Groups, e.comms.Reps)
-		e.mu.RUnlock()
-		if err != nil {
-			t.Fatal(err)
-		}
-		g := want.Assign(ref.SimilarityRow(e.cfg.Metric, p, live))
+		live, _, reps := partitionOf(e)
+		g := placeByRow(ref.SimilarityRow(e.cfg.Metric, p, live), reps, e.cfg.Threshold)
 		refreshes := e.counters.viewRefreshes.Load()
-		if _, err := e.SubscribePattern(p, ""); err != nil {
+		id, err := e.SubscribePattern(p, "")
+		if err != nil {
 			t.Fatal(err)
 		}
 		if e.counters.viewRefreshes.Load() == refreshes && currentView(e).Docs() != observed {
 			t.Fatalf("subscribe at %d docs ran on a view of %d: not the instant after a refresh", observed, currentView(e).Docs())
 		}
-		e.mu.RLock()
-		defer e.mu.RUnlock()
-		if got := e.comms.Find(len(e.subs) - 1); got != g || len(e.comms.Groups) != len(want.Groups) {
-			t.Errorf("at %d docs, %d live: subscribed into community %d of %d, live Assign picks %d of %d",
-				observed, len(live), got, len(e.comms.Groups), g, len(want.Groups))
+		if got, n := communityOf(e, id), e.Stats().Communities; got != g || n != max(len(reps), g+1) {
+			t.Errorf("at %d docs, %d live: subscribed into community %d of %d, live placement picks %d of %d",
+				observed, len(live), got, n, g, max(len(reps), g+1))
 		}
 	}
 
@@ -211,7 +241,7 @@ func (j *hookJournal) Append(r persist.Record) (uint64, error) {
 // TestSubscribeOnRepresentativesMatchesFullRow is the differential for
 // the representatives-only row: at the daemon's defaults, policy
 // rebuilds included, 1000 generated NITF patterns subscribed after 500
-// warm documents each land in the community cluster.Assign picks over
+// warm documents each land in the community cluster.Place picks over
 // the full SimilarityRow against the registry.
 func TestSubscribeOnRepresentativesMatchesFullRow(t *testing.T) {
 	nDocs, nSubs := 500, 1000
@@ -224,20 +254,14 @@ func TestSubscribeOnRepresentativesMatchesFullRow(t *testing.T) {
 	e.SetJournal(&hookJournal{subscribed: func(g int) { got = g }})
 	publishFlushed(t, e, docs)
 	for i, p := range pats {
-		e.mu.RLock()
-		live := e.patternsLocked(nil)
-		ref, err := cluster.FromGroups(e.cfg.Threshold, e.comms.Groups, e.comms.Reps)
-		e.mu.RUnlock()
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := ref.Assign(e.est.SimilarityRow(e.cfg.Metric, p, live))
+		live, _, reps := partitionOf(e)
+		want := placeByRow(e.est.SimilarityRow(e.cfg.Metric, p, live), reps, e.cfg.Threshold)
 		if _, err := e.SubscribePattern(p, ""); err != nil {
 			t.Fatal(err)
 		}
 		if got != want {
-			t.Fatalf("subscription %d placed in community %d of %d, Assign over the full row picks %d",
-				i, got, len(ref.Groups), want)
+			t.Fatalf("subscription %d placed in community %d of %d, placement over the full row picks %d",
+				i, got, len(reps), want)
 		}
 	}
 	if st := e.Stats(); st.Rebuilds == 0 || st.Communities >= st.Live {
@@ -317,11 +341,10 @@ func TestSubscribeBesideRebuildPlacesOnCurrentReps(t *testing.T) {
 				matrix[i][j] = sim[index[p]][index[q]]
 			}
 		}
-		rebuilt := cluster.BuildGreedy(matrix, def.Threshold)
+		_, seeds := cluster.GreedySeeded(matrix, def.Threshold)
 		var racer *pattern.Pattern
 		for i, p := range candidates {
-			c, _ := cluster.FromGroups(def.Threshold, rebuilt.Groups, rebuilt.Reps)
-			if g := c.Assign(row(members, p)); g < len(rebuilt.Reps) && !slices.Contains(incremental.Reps, rebuilt.Reps[g]) {
+			if g := placeByRow(row(members, p), seeds, def.Threshold); g < len(seeds) && !slices.Contains(incremental.Reps, seeds[g]) {
 				racer, candidates = p, slices.Delete(candidates, i, i+1)
 				break
 			}
@@ -335,15 +358,15 @@ func TestSubscribeBesideRebuildPlacesOnCurrentReps(t *testing.T) {
 		e.est.ObserveTrees(docs)
 		e.SetJournal(&hookJournal{subscribed: func(g int) {
 			commits++
-			idx := len(e.subs) - 1
-			col := index[e.subs[idx].pat]
+			s := e.byID[e.nextID] // the subscription committing
+			col := index[s.pat]
 			want, best := -1, 0.0
-			for h, rep := range e.comms.Reps {
-				if s := sim[index[e.subs[rep].pat]][col]; rep != idx && s >= def.Threshold && (want == -1 || s > best) {
-					want, best = h, s
+			for h, rg := range e.groups {
+				if v := sim[index[rg.rep.pat]][col]; rg.rep != s && v >= def.Threshold && (want == -1 || v > best) {
+					want, best = h, v
 				}
 			}
-			if founded := e.comms.Reps[g] == idx; (want == -1) != founded || (!founded && g != want) {
+			if founded := e.groups[g].rep == s; (want == -1) != founded || (!founded && g != want) {
 				bad++
 				t.Errorf("round %d: pattern %d committed into community %d (founded %v); over the representatives it commits into, Assign picks %d",
 					r, col, g, founded, want)
@@ -427,7 +450,7 @@ func (h *reclusterLog) Handle(_ context.Context, r slog.Record) error {
 // TestRebuildGraphMatchesFullMatrix is the differential for rebuilds on
 // the view's graph: at the daemon's defaults, 1000 generated NITF
 // patterns subscribed after 500 warm documents, the partition and
-// representatives after every rebuild are what cluster.BuildGreedy makes
+// representatives after every rebuild are what cluster.GreedySeeded makes
 // of the full SimilarityMatrix of the registry on the same view. Every
 // rebuild after the first evaluates only the pairs with a pattern
 // subscribed since the one before: the events' pairs_computed and
@@ -451,16 +474,12 @@ func TestRebuildGraphMatchesFullMatrix(t *testing.T) {
 		if !ev.Rebuilt {
 			return
 		}
-		e.mu.RLock()
-		live := e.patternsLocked(nil)
-		e.mu.RUnlock()
-		want := cluster.BuildGreedy(currentView(e).SimilarityMatrix(e.cfg.Metric, live), e.cfg.Threshold)
-		e.mu.RLock()
-		if !reflect.DeepEqual(e.comms.Groups, want.Groups) || !reflect.DeepEqual(e.comms.Reps, want.Reps) {
+		live, groups, reps := partitionOf(e)
+		want, seeds := cluster.GreedySeeded(currentView(e).SimilarityMatrix(e.cfg.Metric, live), e.cfg.Threshold)
+		if !reflect.DeepEqual(groups, want) || !reflect.DeepEqual(reps, seeds) {
 			t.Errorf("rebuild at %d live: %d communities, not the %d (or not the members and representatives) the full matrix's greedy makes",
-				len(live), len(e.comms.Groups), len(want.Groups))
+				len(live), len(groups), len(want))
 		}
-		e.mu.RUnlock()
 		n := len(live)
 		reused += int64(prev * (prev - 1) / 2)
 		computed += int64(n*(n-1)/2 - prev*(prev-1)/2)

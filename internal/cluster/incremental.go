@@ -1,27 +1,36 @@
-// Incremental community maintenance: a live broker cannot afford a
-// global re-clustering on every subscription change, so communities are
-// kept as an explicit structure that supports placing a new item into
-// the best existing community (Assign) and deleting an item (Remove)
-// in O(n) without touching the similarity matrix of the survivors. A
-// full rebuild (BuildGreedy) remains the periodic ground truth; the
-// broker's rebuild policy decides when staleness has accumulated enough
-// to pay for one.
+// Incremental placement: a live broker cannot afford a global
+// re-clustering on every subscription change, so a new item joins the
+// best existing community by Place, the one placement rule, and a full
+// greedy rebuild (GreedyRows) remains the periodic ground truth. The
+// broker keeps its communities itself; Communities is the same rule over
+// index sets, for callers that cluster items 0..n-1 in arrival order.
 package cluster
 
-import (
-	"fmt"
-	"math/bits"
-	"sort"
-)
+import "math/bits"
 
-// Communities is a maintained clustering over items 0..n-1. Groups are
-// index sets (each sorted ascending); Reps holds the representative
+// Place is the placement rule: of k communities, the one whose
+// representative's similarity to the new item, sim(g), is highest,
+// provided it reaches threshold — the membership criterion greedy
+// absorption uses — breaking ties toward the earlier community. It
+// returns -1 when none reaches it: the item founds a new community and
+// becomes its representative.
+func Place(k int, threshold float64, sim func(g int) float64) int {
+	best, bestSim := -1, 0.0
+	for g := range k {
+		if s := sim(g); s >= threshold && (best == -1 || s > bestSim) {
+			best, bestSim = g, s
+		}
+	}
+	return best
+}
+
+// Communities is a clustering over items 0..n-1 grown by Assign. Groups
+// are index sets (each sorted ascending); Reps holds the representative
 // (seed) of each group — the member whose subscription stands for the
 // group when a router tests a document against the community.
 //
 // The zero value with a Threshold is an empty clustering ready for
-// Assign. Communities is not safe for concurrent use; callers
-// serialize externally (the broker holds its registry lock).
+// Assign. Communities is not safe for concurrent use.
 type Communities struct {
 	// Threshold is the minimum similarity to a group's representative
 	// for membership.
@@ -34,181 +43,30 @@ type Communities struct {
 	n int // number of items clustered
 }
 
-// BuildGreedy clusters all n items with the seeded greedy algorithm and
-// returns the result as a maintainable Communities value whose
-// representatives are the greedy seeds. O(n²) time, the cost of
-// GreedySeeded; computing sim is the caller's O(n²) cell evaluations.
-func BuildGreedy(sim [][]float64, threshold float64) *Communities {
-	groups, seeds := GreedySeeded(sim, threshold)
-	return &Communities{Threshold: threshold, Groups: groups, Reps: seeds, n: len(sim)}
-}
-
-// BuildGreedyRows is BuildGreedy over the thresholded similarity graph
-// as bit rows (see GreedyRows); threshold is the one the graph was cut at.
-func BuildGreedyRows(n int, row func(i int) []uint64, threshold float64) *Communities {
-	groups, seeds := GreedyRows(n, row)
-	return &Communities{Threshold: threshold, Groups: groups, Reps: seeds, n: n}
-}
-
 // Len returns the number of items currently clustered.
 func (c *Communities) Len() int { return c.n }
 
-// Assign places a new item (index c.Len()) given its similarity column
-// against the existing items: row[i] = sim(i, new), the direction
-// greedy absorption tests (sim[seed][candidate]; the distinction
-// matters for asymmetric metrics like M1). The item joins the group
-// whose representative-to-item similarity is highest, provided it
-// reaches the threshold — the same membership criterion greedy
-// absorption uses — breaking ties toward the earlier group. Otherwise
-// it founds a new singleton group (and becomes its representative).
-// Returns the group index the item landed in.
+// Assign places a new item (index c.Len()) by Place, given its
+// similarity column against the existing items: row[i] = sim(i, new),
+// the direction greedy absorption tests (sim[seed][candidate]; the
+// distinction matters for asymmetric metrics like M1). It returns the
+// group index the item landed in, a new singleton group's when it
+// founded one.
 //
 // Assign reads only row[rep] for each representative rep in c.Reps; the
-// other entries may hold anything. A caller may therefore compute the
-// similarities to the representatives alone, provided they are the
-// representatives Assign sees — a row computed against an earlier
-// clustering's representatives is not a row for this one.
+// other entries may hold anything.
 func (c *Communities) Assign(row []float64) int {
 	idx := c.n
 	c.n++
-	best, bestSim := -1, 0.0
-	for g, rep := range c.Reps {
-		if s := row[rep]; s >= c.Threshold && (best == -1 || s > bestSim) {
-			best, bestSim = g, s
-		}
-	}
-	if best == -1 {
+	g := Place(len(c.Reps), c.Threshold, func(g int) float64 { return row[c.Reps[g]] })
+	if g == -1 {
 		c.Groups = append(c.Groups, []int{idx})
 		c.Reps = append(c.Reps, idx)
 		return len(c.Groups) - 1
 	}
 	// idx is the largest index so far; appending keeps the group sorted.
-	c.Groups[best] = append(c.Groups[best], idx)
-	return best
-}
-
-// PlaceAt inserts the next item (index c.Len()) into group g, or
-// founds a new singleton group (with the item as representative) when
-// g == len(c.Groups). It is the deterministic-replay counterpart of
-// Assign: a broker journals the group Assign chose and recovery applies
-// that recorded decision instead of re-deriving it from similarities,
-// which may have drifted since the snapshot.
-func (c *Communities) PlaceAt(g int) error {
-	if g < 0 || g > len(c.Groups) {
-		return fmt.Errorf("cluster: place at group %d with %d groups", g, len(c.Groups))
-	}
-	idx := c.n
-	c.n++
-	if g == len(c.Groups) {
-		c.Groups = append(c.Groups, []int{idx})
-		c.Reps = append(c.Reps, idx)
-		return nil
-	}
-	// idx is the largest index so far; appending keeps the group sorted.
 	c.Groups[g] = append(c.Groups[g], idx)
-	return nil
-}
-
-// FromGroups reconstructs a maintained clustering from explicit member
-// sets and representatives — the restore path for a persisted
-// clustering. It validates the partition (every index 0..n-1 appears
-// exactly once, each representative is a member of its group) and sorts
-// each group's members.
-func FromGroups(threshold float64, groups [][]int, reps []int) (*Communities, error) {
-	if len(groups) != len(reps) {
-		return nil, fmt.Errorf("cluster: %d groups but %d representatives", len(groups), len(reps))
-	}
-	n := 0
-	for _, g := range groups {
-		n += len(g)
-	}
-	seen := make([]bool, n)
-	c := &Communities{Threshold: threshold, n: n}
-	for gi, g := range groups {
-		if len(g) == 0 {
-			return nil, fmt.Errorf("cluster: group %d is empty", gi)
-		}
-		members := make([]int, len(g))
-		copy(members, g)
-		sort.Ints(members)
-		repOK := false
-		for _, m := range members {
-			if m < 0 || m >= n {
-				return nil, fmt.Errorf("cluster: group %d member %d outside [0,%d)", gi, m, n)
-			}
-			if seen[m] {
-				return nil, fmt.Errorf("cluster: item %d in more than one group", m)
-			}
-			seen[m] = true
-			if m == reps[gi] {
-				repOK = true
-			}
-		}
-		if !repOK {
-			return nil, fmt.Errorf("cluster: representative %d not a member of group %d", reps[gi], gi)
-		}
-		c.Groups = append(c.Groups, members)
-		c.Reps = append(c.Reps, reps[gi])
-	}
-	return c, nil
-}
-
-// Remove deletes item idx from the clustering. Remaining items with a
-// larger index are renumbered down by one, mirroring deletion from the
-// broker's dense subscription slice. If the removed item was a group's
-// representative, the smallest surviving member is promoted; an emptied
-// group disappears.
-func (c *Communities) Remove(idx int) {
-	g := c.Find(idx)
-	if g < 0 {
-		return
-	}
-	members := c.Groups[g]
-	pos := sort.SearchInts(members, idx)
-	members = append(members[:pos], members[pos+1:]...)
-	if len(members) == 0 {
-		c.Groups = append(c.Groups[:g], c.Groups[g+1:]...)
-		c.Reps = append(c.Reps[:g], c.Reps[g+1:]...)
-	} else {
-		c.Groups[g] = members
-		if c.Reps[g] == idx {
-			c.Reps[g] = members[0]
-		}
-	}
-	for _, grp := range c.Groups {
-		for i, m := range grp {
-			if m > idx {
-				grp[i] = m - 1
-			}
-		}
-	}
-	for i, r := range c.Reps {
-		if r > idx {
-			c.Reps[i] = r - 1
-		}
-	}
-	c.n--
-}
-
-// Find returns the index of the group containing item idx, or -1.
-func (c *Communities) Find(idx int) int {
-	for g, members := range c.Groups {
-		pos := sort.SearchInts(members, idx)
-		if pos < len(members) && members[pos] == idx {
-			return g
-		}
-	}
-	return -1
-}
-
-// Sorted returns the groups ordered largest-first (ties by first
-// member), the ordering Greedy reports — handy for display and for
-// comparing against a batch clustering.
-func (c *Communities) Sorted() [][]int {
-	out := make([][]int, len(c.Groups))
-	copy(out, c.Groups)
-	sort.SliceStable(out, func(i, j int) bool { return len(out[i]) > len(out[j]) })
-	return out
+	return g
 }
 
 // GreedySeeded is Greedy exposing each community's seed: the item that

@@ -235,57 +235,47 @@ func TestAssignPrefersMostSimilarRep(t *testing.T) {
 	}
 }
 
-func TestRemoveRenumbersAndPromotes(t *testing.T) {
-	c := &Communities{Threshold: 0.5}
-	c.Assign(nil)                      // 0 → group 0 (rep 0)
-	c.Assign([]float64{0.9})           // 1 → group 0
-	c.Assign([]float64{0.1, 0.2})      // 2 → group 1 (rep 2)
-	c.Assign([]float64{0.8, 0.7, 0.0}) // 3 → group 0
-
-	// Removing the representative of group 0 promotes the smallest
-	// surviving member and renumbers 2→1, 3→2.
-	c.Remove(0)
-	if c.Len() != 3 {
-		t.Fatalf("n=%d, want 3", c.Len())
-	}
-	want := [][]int{{0, 2}, {1}}
-	if !reflect.DeepEqual(c.Groups, want) {
-		t.Fatalf("groups %v, want %v", c.Groups, want)
-	}
-	if c.Reps[0] != 0 || c.Reps[1] != 1 {
-		t.Fatalf("reps %v, want [0 1]", c.Reps)
-	}
-
-	// Removing the last member of a group deletes the group.
-	c.Remove(1)
-	if len(c.Groups) != 1 || !reflect.DeepEqual(c.Groups[0], []int{0, 1}) {
-		t.Fatalf("groups %v, want [[0 1]]", c.Groups)
-	}
-	if c.Find(5) != -1 {
-		t.Fatalf("Find(5) found a group for a nonexistent item")
-	}
-}
-
-// TestChurnKeepsPartitionConsistent hammers Assign/Remove with random
-// churn and checks structural invariants after every operation.
+// TestChurnKeepsPartitionConsistent drives Communities through the
+// lifecycle a live broker gives its clustering — a long seeded run of
+// Assigns with a greedy rebuild (GreedySeeded over every item so far)
+// now and then — and checks the partition after every operation: each
+// group nonempty, sorted and holding its representative, every item in
+// exactly one group, every member at or above the threshold from its
+// representative, and a founder below it from every earlier one.
+// Departures are the broker's (TestChurnReplaysToSamePlacement there).
 func TestChurnKeepsPartitionConsistent(t *testing.T) {
+	const n, threshold = 400, 0.55
 	rng := rand.New(rand.NewSource(3))
-	c := &Communities{Threshold: 0.55}
-	live := 0
-	for op := 0; op < 2000; op++ {
-		if live == 0 || rng.Float64() < 0.6 {
-			row := make([]float64, live)
-			for i := range row {
-				row[i] = rng.Float64()
+	sim := randomSim(n, rng, false)
+	c := &Communities{Threshold: threshold}
+	rebuilds := 0
+	for op := 0; c.Len() < n; op++ {
+		if c.Len() > 0 && rng.Float64() < 0.05 {
+			sub := make([][]float64, c.Len())
+			for i := range sub {
+				sub[i] = sim[i][:c.Len()]
 			}
-			c.Assign(row)
-			live++
+			groups, seeds := GreedySeeded(sub, threshold)
+			c = &Communities{Threshold: threshold, Groups: groups, Reps: seeds, n: c.Len()}
+			rebuilds++
 		} else {
-			c.Remove(rng.Intn(live))
-			live--
+			idx := c.Len()
+			row := make([]float64, idx)
+			for i := range row {
+				row[i] = sim[i][idx]
+			}
+			reps := append([]int{}, c.Reps...)
+			if g := c.Assign(row); g == len(reps) {
+				for _, r := range reps {
+					if row[r] >= threshold {
+						t.Fatalf("op %d: item %d founded a group though rep %d is at %.3f", op, idx, r, row[r])
+					}
+				}
+			}
 		}
-		if c.Len() != live {
-			t.Fatalf("op %d: Len=%d, want %d", op, c.Len(), live)
+		live := c.Len()
+		if len(c.Reps) != len(c.Groups) {
+			t.Fatalf("op %d: %d reps for %d groups", op, len(c.Reps), len(c.Groups))
 		}
 		seen := make(map[int]bool)
 		for g, members := range c.Groups {
@@ -295,7 +285,7 @@ func TestChurnKeepsPartitionConsistent(t *testing.T) {
 			if !sort.IntsAreSorted(members) {
 				t.Fatalf("op %d: group %d not sorted: %v", op, g, members)
 			}
-			repMember := false
+			rep, repMember := c.Reps[g], false
 			for _, m := range members {
 				if m < 0 || m >= live {
 					t.Fatalf("op %d: member %d out of range [0,%d)", op, m, live)
@@ -304,37 +294,57 @@ func TestChurnKeepsPartitionConsistent(t *testing.T) {
 					t.Fatalf("op %d: item %d in two groups", op, m)
 				}
 				seen[m] = true
-				if m == c.Reps[g] {
+				if m == rep {
 					repMember = true
+				} else if sim[rep][m] < threshold {
+					t.Fatalf("op %d: member %d of group %d at %.3f from rep %d", op, m, g, sim[rep][m], rep)
 				}
 			}
 			if !repMember {
-				t.Fatalf("op %d: rep %d not a member of group %d %v", op, c.Reps[g], g, members)
+				t.Fatalf("op %d: rep %d not a member of group %d %v", op, rep, g, members)
 			}
 		}
 		if len(seen) != live {
 			t.Fatalf("op %d: %d items covered, want %d", op, len(seen), live)
 		}
 	}
+	if rebuilds == 0 {
+		t.Fatal("the run made no rebuild")
+	}
 }
 
+// TestSortedLargestFirst: Greedy returns GreedySeeded's communities
+// sorted largest first, and communities of equal size keep their
+// seeding order.
 func TestSortedLargestFirst(t *testing.T) {
-	c := &Communities{Threshold: 0.5}
-	c.Assign(nil)
-	c.Assign([]float64{0.1})
-	c.Assign([]float64{0.1, 0.9})
-	c.Assign([]float64{0.1, 0.9, 0.9})
-	s := c.Sorted()
-	for i := 1; i < len(s); i++ {
-		if len(s[i]) > len(s[i-1]) {
-			t.Fatalf("Sorted not largest-first: %v", s)
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 40; trial++ {
+		sim := randomSim(1+rng.Intn(60), rng, trial%2 == 0)
+		threshold := rng.Float64()
+		got := Greedy(sim, threshold)
+		seeded, _ := GreedySeeded(sim, threshold)
+		order := make(map[int]int, len(seeded)) // first member → seeding position
+		for g, members := range seeded {
+			order[members[0]] = g
+		}
+		for i := 1; i < len(got); i++ {
+			if len(got[i]) > len(got[i-1]) {
+				t.Fatalf("trial %d: not largest first: %v", trial, got)
+			}
+			if len(got[i]) == len(got[i-1]) && order[got[i][0]] < order[got[i-1][0]] {
+				t.Fatalf("trial %d: equal-size communities out of seeding order: %v (seeded %v)", trial, got, seeded)
+			}
 		}
 	}
 }
 
+// TestPlaceAtReplaysAssign: a caller that keeps its own communities and
+// places each item by Place over its own representatives — as the
+// broker's subscribe does — makes Assign's decisions, and replaying the
+// recorded decisions alone (join g, or found the next community when g
+// is the community count — as the broker replays its journal) rebuilds
+// the same partition with the same representatives.
 func TestPlaceAtReplaysAssign(t *testing.T) {
-	// Drive one clustering with Assign and a twin with the recorded
-	// group decisions via PlaceAt: identical structure must come out.
 	rows := [][]float64{
 		nil,
 		{0.9},
@@ -343,122 +353,72 @@ func TestPlaceAtReplaysAssign(t *testing.T) {
 		{0.1, 0.1, 0.9, 0.1},
 		{0.1, 0.1, 0.1, 0.1, 0.1},
 	}
+	rng := rand.New(rand.NewSource(9))
+	for len(rows) < 80 {
+		row := make([]float64, len(rows))
+		for i := range row {
+			row[i] = rng.Float64()
+		}
+		rows = append(rows, row)
+	}
 	orig := &Communities{Threshold: 0.5}
-	var decisions []int
-	for _, row := range rows {
-		decisions = append(decisions, orig.Assign(row))
-	}
-	replay := &Communities{Threshold: 0.5}
-	for i, g := range decisions {
-		if err := replay.PlaceAt(g); err != nil {
-			t.Fatalf("PlaceAt op %d: %v", i, err)
+	var placedGroups [][]int
+	var placedReps, decisions []int
+	for idx, row := range rows {
+		g := Place(len(placedReps), 0.5, func(g int) float64 { return row[placedReps[g]] })
+		if g == -1 {
+			g = len(placedGroups)
+			placedGroups, placedReps = append(placedGroups, nil), append(placedReps, idx)
 		}
-	}
-	if replay.Len() != orig.Len() {
-		t.Fatalf("Len = %d, want %d", replay.Len(), orig.Len())
-	}
-	if len(replay.Groups) != len(orig.Groups) {
-		t.Fatalf("groups = %v, want %v", replay.Groups, orig.Groups)
-	}
-	for g := range orig.Groups {
-		if replay.Reps[g] != orig.Reps[g] {
-			t.Fatalf("rep[%d] = %d, want %d", g, replay.Reps[g], orig.Reps[g])
+		placedGroups[g] = append(placedGroups[g], idx)
+		if want := orig.Assign(row); g != want {
+			t.Fatalf("item %d: Place chose %d, Assign %d", idx, g, want)
 		}
-		if len(replay.Groups[g]) != len(orig.Groups[g]) {
-			t.Fatalf("group %d = %v, want %v", g, replay.Groups[g], orig.Groups[g])
+		decisions = append(decisions, g)
+	}
+	var replayGroups [][]int
+	var replayReps []int
+	for idx, g := range decisions {
+		if g == len(replayGroups) {
+			replayGroups, replayReps = append(replayGroups, nil), append(replayReps, idx)
 		}
-		for i := range orig.Groups[g] {
-			if replay.Groups[g][i] != orig.Groups[g][i] {
-				t.Fatalf("group %d = %v, want %v", g, replay.Groups[g], orig.Groups[g])
-			}
-		}
+		replayGroups[g] = append(replayGroups[g], idx)
 	}
-}
-
-func TestPlaceAtRejectsOutOfRange(t *testing.T) {
-	c := &Communities{Threshold: 0.5}
-	if err := c.PlaceAt(1); err == nil {
-		t.Fatal("PlaceAt(1) on empty clustering should error")
-	}
-	if err := c.PlaceAt(-1); err == nil {
-		t.Fatal("PlaceAt(-1) should error")
-	}
-	if err := c.PlaceAt(0); err != nil { // founds the first group
-		t.Fatalf("PlaceAt(0): %v", err)
-	}
-	if c.Len() != 1 || len(c.Groups) != 1 || c.Reps[0] != 0 {
-		t.Fatalf("after founding: %+v", c)
-	}
-}
-
-func TestFromGroupsValidates(t *testing.T) {
-	ok, err := FromGroups(0.5, [][]int{{2, 0}, {1}}, []int{0, 1})
-	if err != nil {
-		t.Fatalf("valid partition rejected: %v", err)
-	}
-	if ok.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", ok.Len())
-	}
-	if g := ok.Groups[0]; g[0] != 0 || g[1] != 2 {
-		t.Fatalf("members not sorted: %v", g)
-	}
-	if ok.Find(2) != 0 || ok.Find(1) != 1 {
-		t.Fatal("Find disagrees with restored partition")
-	}
-
-	cases := []struct {
+	for _, got := range []struct {
 		name   string
 		groups [][]int
 		reps   []int
-	}{
-		{"rep count mismatch", [][]int{{0}}, []int{0, 0}},
-		{"empty group", [][]int{{0}, {}}, []int{0, 0}},
-		{"duplicate item", [][]int{{0, 1}, {1}}, []int{0, 1}},
-		{"missing item", [][]int{{0}, {2}}, []int{0, 2}},
-		{"rep not member", [][]int{{0}, {1}}, []int{0, 0}},
-		{"negative index", [][]int{{-1, 0}}, []int{0}},
-	}
-	for _, tc := range cases {
-		if _, err := FromGroups(0.5, tc.groups, tc.reps); err == nil {
-			t.Errorf("%s: no error", tc.name)
+	}{{"Place", placedGroups, placedReps}, {"replay", replayGroups, replayReps}} {
+		if !reflect.DeepEqual(got.groups, orig.Groups) || !reflect.DeepEqual(got.reps, orig.Reps) {
+			t.Fatalf("%s: groups %v reps %v, Assign %v reps %v", got.name, got.groups, got.reps, orig.Groups, orig.Reps)
 		}
 	}
 }
 
-func TestFromGroupsThenMaintain(t *testing.T) {
-	// A restored clustering keeps working: PlaceAt and Remove maintain
-	// the partition invariants on top of FromGroups.
-	c, err := FromGroups(0.5, [][]int{{0, 2}, {1, 3}}, []int{0, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.PlaceAt(0); err != nil { // item 4 joins group 0
-		t.Fatal(err)
-	}
-	if err := c.PlaceAt(2); err != nil { // item 5 founds group 2
-		t.Fatal(err)
-	}
-	c.Remove(3) // group 1's rep; item 1 promoted, 4→3 5→4 renumber
-	if c.Len() != 5 {
-		t.Fatalf("Len = %d, want 5", c.Len())
-	}
-	seen := map[int]bool{}
-	for g, members := range c.Groups {
-		repMember := false
-		for _, m := range members {
-			if seen[m] {
-				t.Fatalf("item %d in two groups: %v", m, c.Groups)
+// TestPlaceAtRejectsOutOfRange: Place reads sim only for communities
+// 0..k-1 and answers -1 or one of them — -1 with no community to join,
+// or none at the threshold; a similarity exactly at the threshold
+// joins, and a tie goes to the earlier community.
+func TestPlaceAtRejectsOutOfRange(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		sims []float64
+		want int
+	}{
+		{"no communities", nil, -1},
+		{"all below", []float64{0.1, 0.49, 0}, -1},
+		{"at the threshold", []float64{0.1, 0.5}, 1},
+		{"most similar", []float64{0.6, 0.9, 0.7}, 1},
+		{"tie to the earlier", []float64{0.2, 0.8, 0.8}, 1},
+	} {
+		got := Place(len(tc.sims), 0.5, func(g int) float64 {
+			if g < 0 || g >= len(tc.sims) {
+				t.Fatalf("%s: sim(%d) read outside [0,%d)", tc.name, g, len(tc.sims))
 			}
-			seen[m] = true
-			if m == c.Reps[g] {
-				repMember = true
-			}
+			return tc.sims[g]
+		})
+		if got != tc.want {
+			t.Errorf("%s: Place = %d, want %d", tc.name, got, tc.want)
 		}
-		if !repMember {
-			t.Fatalf("rep %d not in group %d: %v", c.Reps[g], g, c.Groups)
-		}
-	}
-	if len(seen) != 5 {
-		t.Fatalf("partition covers %d items, want 5: %v", len(seen), c.Groups)
 	}
 }

@@ -221,9 +221,6 @@ type (
 	// batch cursor, committed floor, redelivery count, and (in
 	// at-most-once mode) the explicit loss gap.
 	DrainResult = broker.DrainResult
-	// CommunitySet is an incrementally maintained clustering
-	// (package internal/cluster).
-	CommunitySet = cluster.Communities
 )
 
 // Delivery-mode constants, re-exported for SubscribeOptions.
@@ -319,14 +316,6 @@ func NewEventRing(capacity int) *EventRing { return telemetry.NewEventRing(capac
 // captured into ring, regardless of the wrapped handler's own level.
 func TeeEvents(next slog.Handler, ring *EventRing, min slog.Level) slog.Handler {
 	return telemetry.TeeEvents(next, ring, min)
-}
-
-// BuildCommunities clusters a similarity matrix into an incrementally
-// maintainable CommunitySet (greedy seeding; representatives are the
-// seeds). Use CommunitySet.Assign/Remove for churn without a global
-// re-clustering.
-func BuildCommunities(sim [][]float64, threshold float64) *CommunitySet {
-	return cluster.BuildGreedy(sim, threshold)
 }
 
 // Communities clusters subscriptions into semantic communities: each
