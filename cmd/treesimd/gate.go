@@ -22,21 +22,16 @@ const (
 	phaseDraining        // shutdown in progress, reads still allowed
 )
 
-// serverGate is the daemon's root handler. It owns /healthz
-// (liveness always answers; readiness is the status code) and routes
-// everything else to the installed handler according to phase:
-// starting refuses all traffic, draining refuses state-changing and
-// federation requests but lets consumers keep reading.
+// serverGate is the daemon's root handler. It answers /healthz until
+// the daemon is ready (liveness always answers; readiness is the status
+// code) and routes everything else to the installed handler according
+// to phase: starting refuses all traffic, draining refuses
+// state-changing and federation requests but lets consumers keep
+// reading.
 type serverGate struct {
 	phase  atomic.Int32
 	reason atomic.Pointer[string]
 	inner  atomic.Pointer[http.Handler]
-	// degraded, when set, is consulted in phaseReady: a true result
-	// turns /healthz into 503 "degraded" (with the returned reason)
-	// while every other route keeps serving — the daemon is wounded,
-	// not dead, and load balancers should drain it without killing the
-	// consumers still reading from it.
-	degraded atomic.Pointer[func() (bool, string)]
 }
 
 func newServerGate() *serverGate {
@@ -58,11 +53,6 @@ func (g *serverGate) setReady(h http.Handler) {
 	g.phase.Store(phaseReady)
 }
 
-// setDegradedCheck installs the health probe consulted while ready.
-func (g *serverGate) setDegradedCheck(f func() (bool, string)) {
-	g.degraded.Store(&f)
-}
-
 func (g *serverGate) setDraining() {
 	reason := "shutting down"
 	g.reason.Store(&reason)
@@ -71,8 +61,15 @@ func (g *serverGate) setDraining() {
 
 func (g *serverGate) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	phase := g.phase.Load()
-	if r.URL.Path == "/healthz" {
-		g.serveHealthz(w, phase)
+	if r.URL.Path == "/healthz" && phase != phaseReady {
+		// 503 with the phase and reason, so an operator can tell a
+		// recovering daemon from a draining one. While ready the
+		// handler answers (daemon.healthz).
+		state := "starting"
+		if phase == phaseDraining {
+			state = "draining"
+		}
+		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": state, "reason": g.reasonString()})
 		return
 	}
 	switch phase {
@@ -86,29 +83,6 @@ func (g *serverGate) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	(*g.inner.Load()).ServeHTTP(w, r)
-}
-
-// serveHealthz reports liveness (it always answers) and readiness
-// (200 only in phaseReady; otherwise 503 with the phase and reason so
-// an operator can tell a recovering daemon from a draining one).
-func (g *serverGate) serveHealthz(w http.ResponseWriter, phase int32) {
-	switch phase {
-	case phaseReady:
-		if f := g.degraded.Load(); f != nil {
-			if bad, reason := (*f)(); bad {
-				writeJSON(w, http.StatusServiceUnavailable,
-					map[string]string{"status": "degraded", "reason": reason})
-				return
-			}
-		}
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-	case phaseDraining:
-		writeJSON(w, http.StatusServiceUnavailable,
-			map[string]string{"status": "draining", "reason": g.reasonString()})
-	default:
-		writeJSON(w, http.StatusServiceUnavailable,
-			map[string]string{"status": "starting", "reason": g.reasonString()})
-	}
 }
 
 func (g *serverGate) reasonString() string {

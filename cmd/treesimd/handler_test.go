@@ -29,7 +29,8 @@ func testHandler(t *testing.T) (http.Handler, *broker.Engine, *telemetry.EventRi
 	t.Cleanup(func() { eng.Close() })
 	events := telemetry.NewEventRing(16)
 	logger := slog.New(slog.DiscardHandler)
-	return newHandler(eng, nil, reg, events, testMaxBody, time.Second, broker.AtMostOnce, logger), eng, events
+	d := &daemon{eng: eng, reg: reg, events: events, logger: logger, maxBody: testMaxBody, peerTimeout: time.Second, mode: broker.AtMostOnce}
+	return d.handler(), eng, events
 }
 
 // testMaxBody is the -max-body testHandler runs with.
@@ -79,6 +80,9 @@ func TestHandlerErrorPaths(t *testing.T) {
 	if _, err := eng.Subscribe("/a/b"); err != nil { // id 1, keeps /deliveries/1 valid
 		t.Fatal(err)
 	}
+	if _, err := eng.SubscribeOpts("/a/c", broker.SubscribeOptions{Mode: broker.AtLeastOnce}); err != nil { // id 2
+		t.Fatal(err)
+	}
 
 	cases := []struct {
 		name       string
@@ -106,8 +110,19 @@ func TestHandlerErrorPaths(t *testing.T) {
 		{"explain malformed xml", "POST", "/explain", "", "<unclosed>", http.StatusBadRequest, ""},
 		{"introspect routes without overlay", "GET", "/introspect/routes", "", "", http.StatusNotFound, "routing tables live on the overlay"},
 		{"introspect links without overlay", "GET", "/introspect/links", "", "", http.StatusNotFound, "links live on the overlay"},
+		{"ack malformed id", "POST", "/ack/zz", "application/json", `{"cursor": 1}`, http.StatusBadRequest, "bad id"},
+		{"ack malformed body", "POST", "/ack/2", "application/json", "{not json", http.StatusBadRequest, "bad request body"},
+		{"ack unknown id", "POST", "/ack/424242", "application/json", `{"cursor": 1}`, http.StatusNotFound, "unknown subscription"},
+		{"ack at-most-once subscription", "POST", "/ack/1", "application/json", `{"cursor": 1}`, http.StatusConflict, "not at-least-once"},
+		{"ack unissued cursor", "POST", "/ack/2", "application/json", `{"cursor": 99}`, http.StatusBadRequest, "never issued"},
+		{"ack on a closed engine", "POST", "/ack/2", "application/json", `{"cursor": 0}`, http.StatusServiceUnavailable, "engine closed"},
+		{"publish on a closed engine", "POST", "/publish", "application/xml", "<a><b/></a>", http.StatusServiceUnavailable, "engine closed"},
+		{"explain on a closed engine", "POST", "/explain", "application/xml", "<a><b/></a>", http.StatusServiceUnavailable, "engine closed"},
 	}
 	for _, tc := range cases {
+		if strings.HasSuffix(tc.name, "on a closed engine") { // these rows come last
+			eng.Close()
+		}
 		t.Run(tc.name, func(t *testing.T) {
 			var w *httptest.ResponseRecorder
 			if tc.name == "publish json batch all invalid" {
@@ -516,19 +531,23 @@ func federatedDaemon(t *testing.T, id string) (*overlay.Node, string) {
 	})
 	t.Cleanup(node.Close)
 	logger := slog.New(slog.DiscardHandler)
-	gate.setReady(newHandler(eng, node, reg, telemetry.NewEventRing(16), testMaxBody, time.Second, broker.AtMostOnce, logger))
+	d := &daemon{eng: eng, node: node, reg: reg, events: telemetry.NewEventRing(16), logger: logger, maxBody: testMaxBody, peerTimeout: time.Second, mode: broker.AtMostOnce}
+	gate.setReady(d.handler())
 	return node, srv.URL
 }
 
-// TestExplainScenarioStatus: on a federated daemon, POST /explain
-// answers 400 for a scenario no publication can be in — an arrival
-// link without an origin, or one the node does not have — and 503 only
-// once the node is closed.
+// TestExplainScenarioStatus: POST /explain answers 400 for a scenario
+// no publication can be in — an arrival link without an origin, or one
+// the node does not have, and on a standalone daemon, which has no
+// links, any arrival link — and 503 only once the node is closed.
 func TestExplainScenarioStatus(t *testing.T) {
 	node, url := federatedDaemon(t, "A")
-	explain := func(query string) (int, string) {
+	h, _, _ := testHandler(t)
+	standalone := httptest.NewServer(h)
+	t.Cleanup(standalone.Close)
+	explain := func(base, query string) (int, string) {
 		t.Helper()
-		resp, err := http.Post(url+"/explain"+query, "application/xml", strings.NewReader("<x><y/></x>"))
+		resp, err := http.Post(base+"/explain"+query, "application/xml", strings.NewReader("<x><y/></x>"))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -537,19 +556,22 @@ func TestExplainScenarioStatus(t *testing.T) {
 		return resp.StatusCode, string(data)
 	}
 	for _, tc := range []struct {
-		name, query string
-		wantStatus  int
+		name, base, query string
+		wantStatus        int
+		wantSubstr        string
 	}{
-		{"local publication", "", http.StatusOK},
-		{"from without origin", "?from=B", http.StatusBadRequest},
-		{"from naming no link", "?origin=B&from=B", http.StatusBadRequest},
+		{"local publication", url, "", http.StatusOK, ""},
+		{"from without origin", url, "?from=B", http.StatusBadRequest, ""},
+		{"from naming no link", url, "?origin=B&from=B", http.StatusBadRequest, `from \"B\" names no attached link`},
+		{"standalone from", standalone.URL, "?from=B", http.StatusBadRequest, `from \"B\" names no attached link`},
+		{"standalone origin alone", standalone.URL, "?origin=B", http.StatusOK, `"local"`},
 	} {
-		if code, body := explain(tc.query); code != tc.wantStatus {
-			t.Errorf("%s: POST /explain%s = %d %s, want %d", tc.name, tc.query, code, body, tc.wantStatus)
+		if code, body := explain(tc.base, tc.query); code != tc.wantStatus || !strings.Contains(body, tc.wantSubstr) {
+			t.Errorf("%s: POST /explain%s = %d %s, want %d mentioning %s", tc.name, tc.query, code, body, tc.wantStatus, tc.wantSubstr)
 		}
 	}
 	node.Close()
-	if code, body := explain(""); code != http.StatusServiceUnavailable {
+	if code, body := explain(url, ""); code != http.StatusServiceUnavailable {
 		t.Errorf("closed node: POST /explain = %d %s, want 503", code, body)
 	}
 }

@@ -28,13 +28,14 @@
 //	GET    /metrics                                       → Prometheus text exposition
 //	GET    /trace/{id}                                    → this node's spans for a publication trace
 //	POST   /explain            raw XML document           → routing decision record (nothing published)
-//	GET    /introspect/communities                        → clustering snapshot (id, shard, rep, members, log_entries, slowest_lag)
+//	GET    /introspect/communities                        → clustering snapshot (community, shard, size, rep_id, rep,
+//	                                                         members, log_entries, slowest_lag)
 //	GET    /introspect/subscriptions                      → live subscriptions with queue depth
 //	GET    /introspect/routes                             → per-origin advert routing table (federated)
 //	GET    /introspect/links                              → per-link health and backoff (federated)
 //	GET    /events                                        → recent WARN+ operational events (bounded ring)
 //	GET    /healthz                                       → {"status":"ok"} when ready;
-//	                                                        503 {"status":"starting"|"draining","reason":...}
+//	                                                        503 {"status":"starting"|"degraded"|"draining","reason":...}
 //	GET    /peer/stream        Upgrade: treesim-peer/1    → 101, then the peer link's frames (federation):
 //	                           publications and advert batches in, one ack per frame out
 //	                           (ok | busy | closed | bad)
@@ -43,6 +44,16 @@
 // /deliveries long-polls: with wait set and an empty queue it blocks up
 // to that duration for the first delivery. Flags configure the
 // estimator, clustering, queue and federation knobs; see -h.
+//
+// Errors answer {"error": "..."}: 503 when the engine or node is closed
+// or a durable subscribe meets a degraded journal (retry later,
+// elsewhere), 404 for an unknown subscription or document and for an
+// overlay surface on a standalone daemon, 409 for an ack on an
+// at-most-once subscription, 413 for a publish or explain body over
+// -max-body, and 400 for the rest — among them a document that is not
+// XML or whose elements nest deeper than xmltree.MaxDepth − 2 = 2046
+// (matching sizes scratch per level, so depth is bounded where bytes
+// enter: here and on peer frames).
 //
 // Every subsystem reports into one telemetry registry, so GET /metrics
 // is the single scrape covering broker, persistence, and overlay (the
@@ -81,19 +92,16 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"log/slog"
 	"net"
 	"net/http"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
-	"sync/atomic"
+	"sync"
 	"syscall"
 	"time"
 
@@ -104,290 +112,157 @@ import (
 	"treesim/internal/overlay"
 	"treesim/internal/persist"
 	"treesim/internal/telemetry"
-	"treesim/internal/xmltree"
 )
 
 func main() {
-	var (
-		addr      = flag.String("addr", "127.0.0.1:8690", "listen address")
-		rep       = flag.String("representation", "hashes", "matching-set representation: counters|sets|hashes")
-		hcap      = flag.Int("hash-capacity", 1000, "per-node sample bound for hashes")
-		scap      = flag.Int("set-capacity", 1000, "reservoir size for sets")
-		seed      = flag.Int64("seed", 1, "sampling seed")
-		metric    = flag.String("metric", "m3", "clustering metric: m1|m2|m3")
-		threshold = flag.Float64("threshold", 0.5, "community similarity threshold")
-		queueCap  = flag.Int("queue", 256, "per-consumer delivery queue capacity")
-		dmode     = flag.String("delivery-mode", "at-most-once", "default delivery contract for new subscriptions: at-most-once|at-least-once")
-		ackLease  = flag.Duration("ack-lease", 30*time.Second, "redelivery lease for drained-but-unacked at-least-once deliveries")
-		ingestQ   = flag.Int("ingest-queue", 1024, "publish ingest pipeline depth")
-		maxStale  = flag.Int("rebuild-stale", 0, "rebuild after N mutations (0: use -rebuild-fraction)")
-		fraction  = flag.Float64("rebuild-fraction", 0.25, "rebuild when churn exceeds this fraction of live subscriptions")
-		maxBody   = flag.Int64("max-body", 1<<20, "maximum request body bytes; a larger publish or explain body answers 413")
-
-		federate  = flag.Bool("federate", false, "serve overlay peer endpoints even with no -peers")
-		peers     = flag.String("peers", "", "comma-separated peer base URLs to federate with (implies -federate)")
-		nodeID    = flag.String("id", "", "overlay node id (default: the listen address)")
-		peerAddr  = flag.String("peer-addr", "", "callback base URL advertised to peers (default: http://<listen address>)")
-		ttl       = flag.Int("ttl", 16, "forwarding hop budget for locally published documents")
-		advStale  = flag.Int("advert-stale", 0, "re-advertise after N subscription mutations (0: 10% churn, min 1)")
-		advMaxPat = flag.Int("advert-max-nodes", 0, "coarsen advertised patterns to at most N nodes (0: exact covers)")
-		advertTTL = flag.Duration("advert-ttl", time.Minute, "soft-state TTL for peer adverts (negative disables expiry and keepalive refresh)")
-		peerTO    = flag.Duration("peer-timeout", 5*time.Second, "bound on a peer link's handshake, writes, and each frame's wait for its ack (on expiry the link is marked down and probed)")
-
-		dataDir   = flag.String("data-dir", "", "durable state directory (snapshot + WAL); empty runs in-memory only")
-		snapEvery = flag.Duration("snapshot-interval", time.Minute, "periodic snapshot period with -data-dir (0 disables; shutdown still snapshots)")
-		walSync   = flag.Bool("wal-sync", false, "fsync the WAL after every subscription mutation (power-loss durability)")
-		faultDisk = flag.String("fault-disk", "", "TESTING ONLY: inject disk faults, comma-separated point:mode[@nth] terms (e.g. wal.sync:fail@2); points wal.{write,sync,truncate}, snapshot.{write,sync,rename}; modes fail|short|enospc")
-
-		debugAddr = flag.String("debug-addr", "", "serve net/http/pprof and expvar on this address (empty disables)")
-		traceCap  = flag.Int("trace-capacity", 0, "publication-trace spans retained per node (0: default 4096, negative disables tracing)")
-
-		logLevel  = flag.String("log-level", "info", "minimum log level: debug|info|warn|error")
-		logFormat = flag.String("log-format", "text", "log record format: text|json")
-		eventCap  = flag.Int("event-capacity", 0, "operational events retained for GET /events (0: default 256)")
-	)
-	flag.Parse()
-
-	cfg, err := buildConfig(*rep, *metric, *hcap, *scap, *seed, *threshold, *queueCap, *ingestQ, *maxStale, *fraction)
+	d, err := newDaemon(flag.CommandLine, os.Args[1:]) // -h exits 0, a bad flag 2
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "treesimd:", err)
 		os.Exit(2)
 	}
-	cfg.AckLease = *ackLease
-	defaultMode, err := broker.ParseDeliveryMode(*dmode)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "treesimd:", err)
-		os.Exit(2)
-	}
-	// One registry for the whole process: engine, store, and overlay
-	// node all report into it, and GET /metrics is the single scrape.
-	reg := telemetry.NewRegistry()
-	cfg.Telemetry = reg
-
-	// Bind before recovery: the daemon is live (healthz answers) while
-	// readiness waits for the engine. Serving starts immediately behind
-	// the gate, which refuses everything but /healthz until setReady.
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	if err := d.run(ctx); err != nil {
 		fmt.Fprintln(os.Stderr, "treesimd:", err)
 		os.Exit(1)
 	}
-	// The logger and event ring exist before any subsystem: every record
-	// flows through one handler chain (level filter + format + WARN-tee
-	// into the ring GET /events serves), stamped with the node identity.
-	nodeName := *nodeID
-	if nodeName == "" {
-		nodeName = ln.Addr().String()
-	}
-	logger, events, err := buildLogger(*logLevel, *logFormat, *eventCap, nodeName)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "treesimd:", err)
-		os.Exit(2)
-	}
-	cfg.Logger = logger.With("component", "broker")
-
-	gate := newServerGate()
-	srv := &http.Server{
-		Handler: gate,
-		// The daemon serves untrusted input: bound header reads and
-		// idle keep-alives so dribbling clients cannot pin goroutines.
-		// WriteTimeout stays above the 30s long-poll cap on /deliveries.
-		ReadHeaderTimeout: 10 * time.Second,
-		IdleTimeout:       2 * time.Minute,
-		WriteTimeout:      60 * time.Second,
-	}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- srv.Serve(ln) }()
-
-	if *debugAddr != "" {
-		dbg, err := serveDebug(*debugAddr, logger)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "treesimd:", err)
-			os.Exit(1)
-		}
-		logger.Info("debug endpoints (pprof, expvar) up", "url", "http://"+dbg+"/debug/")
-	}
-
-	var (
-		eng      *broker.Engine
-		pers     *daemonPersist
-		minEpoch uint64
-	)
-	if *dataDir != "" {
-		var fsys persist.FS
-		if *faultDisk != "" {
-			inj, err := fault.ParseSpec(*faultDisk)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "treesimd:", err)
-				os.Exit(2)
-			}
-			fsys = fault.NewFS(inj)
-			logger.Warn("disk fault injection armed", "schedule", *faultDisk)
-		}
-		gate.setStarting(fmt.Sprintf("recovering snapshot and WAL from %s", *dataDir))
-		pers, eng, minEpoch, err = openDataDir(*dataDir, cfg, *walSync, fsys, reg, logger.With("component", "persist"))
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "treesimd:", err)
-			os.Exit(1)
-		}
-		go pers.run(*snapEvery)
-	} else {
-		if *faultDisk != "" {
-			fmt.Fprintln(os.Stderr, "treesimd: -fault-disk requires -data-dir")
-			os.Exit(2)
-		}
-		eng = broker.New(cfg)
-	}
-	defer eng.Close()
-
-	var stopping atomic.Bool
-	peerList := splitPeers(*peers)
-	var node *overlay.Node
-	if *federate || len(peerList) > 0 {
-		ocfg := overlay.Config{
-			ID:              *nodeID,
-			Addr:            *peerAddr,
-			TTL:             *ttl,
-			MaxPatternNodes: *advMaxPat,
-			AdvertTTL:       *advertTTL,
-			MinEpoch:        minEpoch,
-			Telemetry:       reg,
-			TraceCapacity:   *traceCap,
-			Logger:          logger.With("component", "overlay"),
-		}
-		if ocfg.ID == "" {
-			ocfg.ID = ln.Addr().String()
-		}
-		if ocfg.Addr == "" {
-			ocfg.Addr = "http://" + ln.Addr().String()
-		}
-		if *advStale > 0 {
-			ocfg.AdvertPolicy = broker.Staleness{MaxStale: *advStale}
-		}
-		node = overlay.New(eng, ocfg)
-		if pers != nil {
-			pers.setNode(node)
-		}
-		for _, u := range peerList {
-			go dialPeer(node, u, *peerTO, &stopping, logger)
-		}
-	}
-
-	// Ready-phase health: a failed store (or a journal error latching
-	// the engine degraded) turns /healthz into 503 "degraded" while the
-	// daemon keeps serving reads and at-most-once traffic.
-	persRef := pers
-	engRef := eng
-	gate.setDegradedCheck(func() (bool, string) {
-		if persRef != nil && persRef.store.Failed() {
-			return true, "persistent store failed (fail-stop); serving without durability"
-		}
-		if engRef.Degraded() {
-			return true, "journal append failed; serving without durability"
-		}
-		return false, ""
-	})
-	gate.setReady(newHandler(eng, node, reg, events, *maxBody, *peerTO, defaultMode, logger))
-	// Recovery ran on the runtime's default Ps; serving starts on one.
-	startProcsGovernor(reg, logger)
-	shutdownDone := make(chan struct{})
-	go func() {
-		defer close(shutdownDone)
-		sig := make(chan os.Signal, 1)
-		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-		<-sig
-		logger.Info("shutdown signal, draining")
-		// Ordered shutdown: refuse new ingress (drain gate), detach the
-		// overlay (peer traffic answered 503, no further forwards), close
-		// the engine — which waits out in-flight handlers' commits, drains
-		// the ingest pipeline and closes every delivery queue, waking all
-		// long-polls — and only then take the final snapshot and close the
-		// store. The engine must close before the store: handlers already
-		// past the drain gate can commit (and journal) churn right up to
-		// Engine.Close, so snapshotting first would let acked churn
-		// post-date the final snapshot and journal against a closed store.
-		// Shutdown closes the listener right away, so Serve returns while
-		// handlers may still be writing; main blocks on shutdownDone
-		// rather than exiting under them.
-		stopping.Store(true)
-		gate.setDraining()
-		if node != nil {
-			node.Close()
-		}
-		eng.Close()
-		if pers != nil {
-			pers.shutdown()
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
-		defer cancel()
-		if err := srv.Shutdown(ctx); err != nil {
-			srv.Close()
-		}
-	}()
-	mode := "standalone"
-	if node != nil {
-		mode = fmt.Sprintf("federated id=%s peers=%d", node.ID(), len(peerList))
-	}
-	logger.Info("listening", "addr", ln.Addr().String(),
-		"representation", *rep, "metric", *metric, "threshold", *threshold, "mode", mode)
-	if err := <-serveErr; err != nil && err != http.ErrServerClosed {
-		fmt.Fprintln(os.Stderr, "treesimd:", err)
-		os.Exit(1)
-	}
-	if stopping.Load() {
-		<-shutdownDone // let in-flight responses finish before exiting
-	}
 }
 
-// dialPeer resolves a configured peer URL to its node id and links it,
-// retrying while the peer daemon comes up.
-func dialPeer(node *overlay.Node, base string, timeout time.Duration, stopping *atomic.Bool, logger *slog.Logger) {
-	deadline := time.Now().Add(60 * time.Second)
-	for !stopping.Load() {
-		err := overlay.DialPeer(node, base, timeout)
-		if err == nil {
-			logger.Info("federated with peer", "peer", base)
-			return
-		}
-		if time.Now().After(deadline) {
-			logger.Warn("giving up on peer", "peer", base, "err", err.Error())
-			return
-		}
-		time.Sleep(500 * time.Millisecond)
-	}
+// daemon is one treesimd process: its settings, the engine, the overlay
+// node and the store it runs, and the registry and logger they all
+// report into. newDaemon fills the settings; run fills the rest.
+type daemon struct {
+	cfg  broker.Config
+	ocfg overlay.Config // used with -federate or -peers
+
+	addr, dataDir, debugAddr, faultDisk string
+	peers                               []string
+	federate, walSync                   bool
+	fsys                                persist.FS // nil: the real filesystem; -fault-disk arms failpoints
+	snapEvery, peerTimeout              time.Duration
+	maxBody                             int64
+	mode                                broker.DeliveryMode // for subscribes that name none
+
+	reg    *telemetry.Registry
+	logger *slog.Logger
+	events *telemetry.EventRing
+	eng    *broker.Engine
+	node   *overlay.Node  // nil when standalone
+	store  *persist.Store // nil without -data-dir
+
+	// listening, when set, is called with the bound address once the
+	// gate serves and before recovery starts: a test learns a :0 port
+	// and sees the starting phase through it.
+	listening func(addr string)
 }
 
-// buildLogger assembles the daemon's one logging pipeline: a level-
-// filtered text or JSON handler on stderr, wrapped so WARN+ records
-// also land in the bounded event ring behind GET /events (capture into
-// the ring ignores the console level — a daemon logging at error still
-// retains warnings for scrapes). Every record carries the node id.
-func buildLogger(level, format string, eventCap int, node string) (*slog.Logger, *telemetry.EventRing, error) {
-	var lv slog.Level
-	switch strings.ToLower(level) {
-	case "debug":
-		lv = slog.LevelDebug
-	case "info", "":
-		lv = slog.LevelInfo
-	case "warn", "warning":
-		lv = slog.LevelWarn
-	case "error":
-		lv = slog.LevelError
-	default:
-		return nil, nil, fmt.Errorf("unknown log level %q", level)
+var (
+	representations = map[string]core.Representation{"counters": core.Counters, "sets": core.Sets, "hashes": core.Hashes}
+	metricNames     = map[string]metrics.Metric{"m1": metrics.M1, "m2": metrics.M2, "m3": metrics.M3}
+	logLevels       = map[string]slog.Level{"debug": slog.LevelDebug, "info": slog.LevelInfo, "": slog.LevelInfo,
+		"warn": slog.LevelWarn, "warning": slog.LevelWarn, "error": slog.LevelError}
+)
+
+// newDaemon parses args with fs straight into the daemon's broker and
+// overlay configs and its own settings. Its errors are configuration
+// errors; with fs's ExitOnError, as main uses it, -h and a bad flag
+// exit inside Parse instead.
+func newDaemon(fs *flag.FlagSet, args []string) (*daemon, error) {
+	d := &daemon{reg: telemetry.NewRegistry()}
+	c, o := &d.cfg, &d.ocfg
+	fs.StringVar(&d.addr, "addr", "127.0.0.1:8690", "listen address")
+	rep := fs.String("representation", "hashes", "matching-set representation: counters|sets|hashes")
+	fs.IntVar(&c.Estimator.HashCapacity, "hash-capacity", 1000, "per-node sample bound for hashes")
+	fs.IntVar(&c.Estimator.SetCapacity, "set-capacity", 1000, "reservoir size for sets")
+	fs.Int64Var(&c.Estimator.Seed, "seed", 1, "sampling seed")
+	metric := fs.String("metric", "m3", "clustering metric: m1|m2|m3")
+	fs.Float64Var(&c.Threshold, "threshold", 0.5, "community similarity threshold")
+	fs.IntVar(&c.QueueCapacity, "queue", 256, "per-consumer delivery queue capacity")
+	mode := fs.String("delivery-mode", "at-most-once", "default delivery contract for new subscriptions: at-most-once|at-least-once")
+	fs.DurationVar(&c.AckLease, "ack-lease", 30*time.Second, "redelivery lease for drained-but-unacked at-least-once deliveries")
+	fs.IntVar(&c.IngestQueue, "ingest-queue", 1024, "publish ingest pipeline depth")
+	maxStale := fs.Int("rebuild-stale", 0, "rebuild after N mutations (0: use -rebuild-fraction)")
+	fraction := fs.Float64("rebuild-fraction", 0.25, "rebuild when churn exceeds this fraction of live subscriptions")
+	fs.Int64Var(&d.maxBody, "max-body", 1<<20, "maximum request body bytes; a larger publish or explain body answers 413")
+
+	fs.BoolVar(&d.federate, "federate", false, "serve overlay peer endpoints even with no -peers")
+	peers := fs.String("peers", "", "comma-separated peer base URLs to federate with (implies -federate)")
+	fs.StringVar(&o.ID, "id", "", "overlay node id (default: the listen address)")
+	fs.StringVar(&o.Addr, "peer-addr", "", "callback base URL advertised to peers (default: http://<listen address>)")
+	fs.IntVar(&o.TTL, "ttl", 16, "forwarding hop budget for locally published documents")
+	advStale := fs.Int("advert-stale", 0, "re-advertise after N subscription mutations (0: 10% churn, min 1)")
+	fs.IntVar(&o.MaxPatternNodes, "advert-max-nodes", 0, "coarsen advertised patterns to at most N nodes (0: exact covers)")
+	fs.DurationVar(&o.AdvertTTL, "advert-ttl", time.Minute, "soft-state TTL for peer adverts (negative disables expiry and keepalive refresh)")
+	fs.DurationVar(&d.peerTimeout, "peer-timeout", 5*time.Second, "bound on a peer link's handshake, writes, and each frame's wait for its ack (on expiry the link is marked down and probed)")
+
+	fs.StringVar(&d.dataDir, "data-dir", "", "durable state directory (snapshot + WAL); empty runs in-memory only")
+	fs.DurationVar(&d.snapEvery, "snapshot-interval", time.Minute, "periodic snapshot period with -data-dir (0 disables; shutdown still snapshots)")
+	fs.BoolVar(&d.walSync, "wal-sync", false, "fsync the WAL after every subscription mutation (power-loss durability)")
+	fs.StringVar(&d.faultDisk, "fault-disk", "", "TESTING ONLY: inject disk faults, comma-separated point:mode[@nth] terms (e.g. wal.sync:fail@2); points wal.{write,sync,truncate}, snapshot.{write,sync,rename}; modes fail|short|enospc")
+
+	fs.StringVar(&d.debugAddr, "debug-addr", "", "serve net/http/pprof and expvar on this address (empty disables)")
+	fs.IntVar(&o.TraceCapacity, "trace-capacity", 0, "publication-trace spans retained per node (0: default 4096, negative disables tracing)")
+
+	level := fs.String("log-level", "info", "minimum log level: debug|info|warn|error")
+	format := fs.String("log-format", "text", "log record format: text|json")
+	eventCap := fs.Int("event-capacity", 0, "operational events retained for GET /events (0: default 256)")
+	if err := fs.Parse(args); err != nil {
+		return nil, err
 	}
-	opts := &slog.HandlerOptions{Level: lv}
+
+	var ok bool
+	if c.Estimator.Representation, ok = representations[strings.ToLower(*rep)]; !ok {
+		return nil, fmt.Errorf("unknown representation %q", *rep)
+	}
+	if c.Metric, ok = metricNames[strings.ToLower(*metric)]; !ok {
+		return nil, fmt.Errorf("unknown metric %q", *metric)
+	}
+	c.Rebuild = broker.DirtyFraction{Fraction: *fraction, MinStale: 64}
+	if *maxStale > 0 {
+		c.Rebuild = broker.Staleness{MaxStale: *maxStale}
+	}
+	if *advStale > 0 {
+		o.AdvertPolicy = broker.Staleness{MaxStale: *advStale}
+	}
+	var err error
+	if d.mode, err = broker.ParseDeliveryMode(*mode); err != nil {
+		return nil, err
+	}
+	d.peers = splitPeers(*peers)
+	if d.faultDisk != "" {
+		if d.dataDir == "" {
+			return nil, errors.New("-fault-disk requires -data-dir")
+		}
+		inj, err := fault.ParseSpec(d.faultDisk)
+		if err != nil {
+			return nil, err
+		}
+		d.fsys = fault.NewFS(inj)
+	}
+
+	// One logging pipeline: a level-filtered text or JSON handler on
+	// stderr, wrapped so WARN+ records also land in the bounded event
+	// ring behind GET /events (capture into the ring ignores the console
+	// level — a daemon logging at error still retains warnings).
+	lv, ok := logLevels[strings.ToLower(*level)]
+	if !ok {
+		return nil, fmt.Errorf("unknown log level %q", *level)
+	}
 	var h slog.Handler
-	switch strings.ToLower(format) {
+	switch strings.ToLower(*format) {
 	case "text", "":
-		h = slog.NewTextHandler(os.Stderr, opts)
+		h = slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: lv})
 	case "json":
-		h = slog.NewJSONHandler(os.Stderr, opts)
+		h = slog.NewJSONHandler(os.Stderr, &slog.HandlerOptions{Level: lv})
 	default:
-		return nil, nil, fmt.Errorf("unknown log format %q", format)
+		return nil, fmt.Errorf("unknown log format %q", *format)
 	}
-	events := telemetry.NewEventRing(eventCap)
-	return slog.New(telemetry.TeeEvents(h, events, slog.LevelWarn)).With("node", node), events, nil
+	d.events = telemetry.NewEventRing(*eventCap)
+	d.logger = slog.New(telemetry.TeeEvents(h, d.events, slog.LevelWarn))
+	// One registry for the whole process: engine, store and overlay node
+	// all report into it, and GET /metrics is the single scrape.
+	c.Telemetry, o.Telemetry = d.reg, d.reg
+	return d, nil
 }
 
 func splitPeers(s string) []string {
@@ -400,491 +275,133 @@ func splitPeers(s string) []string {
 	return out
 }
 
-func buildConfig(rep, metric string, hcap, scap int, seed int64, threshold float64, queueCap, ingestQ, maxStale int, fraction float64) (broker.Config, error) {
-	cfg := broker.Config{
-		Estimator:     core.Config{HashCapacity: hcap, SetCapacity: scap, Seed: seed},
-		Threshold:     threshold,
-		QueueCapacity: queueCap,
-		IngestQueue:   ingestQ,
+// run serves until ctx ends, then shuts down in order. The listener
+// binds before recovery, so the daemon is live (/healthz answers) while
+// readiness waits for the engine: the gate refuses everything but
+// /healthz until the engine has recovered, the node is attached and the
+// full handler is installed.
+func (d *daemon) run(ctx context.Context) error {
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel() // stops the peer dialers and the snapshot loop on every return
+	ln, err := net.Listen("tcp", d.addr)
+	if err != nil {
+		return err
 	}
-	switch strings.ToLower(rep) {
-	case "counters":
-		cfg.Estimator.Representation = core.Counters
-	case "sets":
-		cfg.Estimator.Representation = core.Sets
-	case "hashes":
-		cfg.Estimator.Representation = core.Hashes
-	default:
-		return cfg, fmt.Errorf("unknown representation %q", rep)
+	addr := ln.Addr().String()
+	if d.ocfg.ID == "" {
+		d.ocfg.ID = addr
 	}
-	switch strings.ToLower(metric) {
-	case "m1":
-		cfg.Metric = metrics.M1
-	case "m2":
-		cfg.Metric = metrics.M2
-	case "m3":
-		cfg.Metric = metrics.M3
-	default:
-		return cfg, fmt.Errorf("unknown metric %q", metric)
+	if d.ocfg.Addr == "" {
+		d.ocfg.Addr = "http://" + addr
 	}
-	if maxStale > 0 {
-		cfg.Rebuild = broker.Staleness{MaxStale: maxStale}
-	} else {
-		cfg.Rebuild = broker.DirtyFraction{Fraction: fraction, MinStale: 64}
+	d.logger = d.logger.With("node", d.ocfg.ID)
+	d.cfg.Logger = d.logger.With("component", "broker")
+	d.ocfg.Logger = d.logger.With("component", "overlay")
+	plog := d.logger.With("component", "persist")
+
+	gate := newServerGate()
+	srv := &http.Server{
+		Handler: gate,
+		// The daemon serves untrusted input: bound header reads and
+		// idle keep-alives so dribbling clients cannot pin goroutines.
+		// WriteTimeout stays above the 30s long-poll cap on /deliveries.
+		ReadHeaderTimeout: 10 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+		WriteTimeout:      60 * time.Second,
 	}
-	return cfg, nil
+	defer srv.Close() // on the error paths; after Shutdown it has nothing left to close
+	serveErr := make(chan error, 1)
+	go func() { serveErr <- srv.Serve(ln) }()
+	if d.listening != nil {
+		d.listening(addr)
+	}
+	if d.debugAddr != "" {
+		dbg, err := serveDebug(d.debugAddr, d.logger)
+		if err != nil {
+			return err
+		}
+		d.logger.Info("debug endpoints (pprof, expvar) up", "url", "http://"+dbg+"/debug/")
+	}
+
+	minEpoch, err := d.openEngine(gate, plog)
+	if err != nil {
+		return err
+	}
+	if d.federate || len(d.peers) > 0 {
+		d.ocfg.MinEpoch = minEpoch
+		d.node = overlay.New(d.eng, d.ocfg)
+		if d.store != nil {
+			d.journalBootEpoch(plog)
+		}
+		for _, u := range d.peers {
+			go d.dialPeer(ctx, u)
+		}
+	}
+	// The loop starts after the node exists, so its snapshots carry the
+	// node's epoch watermarks from the first one on.
+	var snapshots sync.WaitGroup
+	if d.store != nil {
+		snapshots.Add(1)
+		go func() {
+			defer snapshots.Done()
+			d.snapshotEvery(ctx, plog)
+		}()
+	}
+	gate.setReady(d.handler())
+	// Recovery ran on the runtime's default Ps; serving starts on one.
+	startProcsGovernor(d.reg, d.logger)
+	mode := "standalone"
+	if d.node != nil {
+		mode = fmt.Sprintf("federated id=%s peers=%d", d.node.ID(), len(d.peers))
+	}
+	d.logger.Info("listening", "addr", addr, "representation", strings.ToLower(d.cfg.Estimator.Representation.String()),
+		"metric", strings.ToLower(d.cfg.Metric.String()), "threshold", d.cfg.Threshold, "mode", mode)
+
+	select {
+	case err := <-serveErr:
+		return err
+	case <-ctx.Done():
+	}
+	// Ordered shutdown: refuse new ingress (drain gate), detach the
+	// overlay (peer traffic answered 503, no further forwards), close
+	// the engine — which waits out in-flight handlers' commits, drains
+	// the ingest pipeline and closes every delivery queue, waking all
+	// long-polls — and only then take the final snapshot and close the
+	// store. The engine must close before the store: handlers already
+	// past the drain gate can commit (and journal) churn right up to
+	// Engine.Close, so snapshotting first would let acked churn
+	// post-date the final snapshot and journal against a closed store.
+	// Last, the HTTP server waits out the in-flight handlers.
+	d.logger.Info("shutdown signal, draining")
+	gate.setDraining()
+	if d.node != nil {
+		d.node.Close()
+	}
+	d.eng.Close()
+	if d.store != nil {
+		snapshots.Wait()
+		d.closeStore(plog)
+	}
+	sctx, scancel := context.WithTimeout(context.WithoutCancel(ctx), 15*time.Second)
+	defer scancel()
+	_ = srv.Shutdown(sctx) // past the timeout the deferred Close cuts what is left
+	return nil
 }
 
-// publishResponse is the POST /publish payload: the local routing
-// summary plus how many overlay links the document was forwarded on
-// and, when federated with tracing enabled, the trace ID under which
-// GET /trace/{id} retrieves the hop spans at every broker it reached.
-type publishResponse struct {
-	broker.PublishResult
-	Forwarded int    `json:"forwarded"`
-	Trace     string `json:"trace,omitempty"`
-}
-
-// newHandler wires the broker (and overlay node, when federated) into a
-// net/http mux (method-and-path patterns, Go ≥ 1.22).
-func newHandler(eng *broker.Engine, node *overlay.Node, reg *telemetry.Registry, events *telemetry.EventRing, maxBody int64, peerTimeout time.Duration, defaultMode broker.DeliveryMode, logger *slog.Logger) http.Handler {
-	mux := http.NewServeMux()
-
-	mux.HandleFunc("POST /subscribe", func(w http.ResponseWriter, r *http.Request) {
-		var req struct {
-			Pattern string `json:"pattern"`
-			Mode    string `json:"mode"`
-		}
-		if err := json.NewDecoder(bodyReader(r, maxBody)).Decode(&req); err != nil {
-			httpError(w, http.StatusBadRequest, "bad request body: %v", err)
+// dialPeer resolves a configured peer URL to its node id and links it,
+// retrying for a minute while the peer daemon comes up.
+func (d *daemon) dialPeer(ctx context.Context, base string) {
+	deadline := time.Now().Add(60 * time.Second)
+	for ctx.Err() == nil {
+		err := overlay.DialPeer(d.node, base, d.peerTimeout)
+		if err == nil {
+			d.logger.Info("federated with peer", "peer", base)
 			return
 		}
-		mode := defaultMode
-		if req.Mode != "" {
-			var err error
-			if mode, err = broker.ParseDeliveryMode(req.Mode); err != nil {
-				httpError(w, http.StatusBadRequest, "%v", err)
-				return
-			}
-		}
-		id, err := eng.SubscribeOpts(req.Pattern, broker.SubscribeOptions{Mode: mode})
-		if err != nil {
-			status := http.StatusBadRequest
-			if errors.Is(err, broker.ErrClosed) || errors.Is(err, broker.ErrDegraded) {
-				status = http.StatusServiceUnavailable // retry later, elsewhere
-			}
-			httpError(w, status, "%v", err)
+		if time.Now().After(deadline) {
+			d.logger.Warn("giving up on peer", "peer", base, "err", err.Error())
 			return
 		}
-		writeJSON(w, http.StatusOK, map[string]any{"id": id, "mode": mode.String()})
-	})
-
-	mux.HandleFunc("DELETE /subscribe/{id}", func(w http.ResponseWriter, r *http.Request) {
-		id, err := strconv.ParseUint(r.PathValue("id"), 10, 64)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, "bad id: %v", err)
-			return
-		}
-		if !eng.Unsubscribe(id) {
-			httpError(w, http.StatusNotFound, "unknown subscription %d", id)
-			return
-		}
-		w.WriteHeader(http.StatusNoContent)
-	})
-
-	mux.HandleFunc("POST /publish", func(w http.ResponseWriter, r *http.Request) {
-		if strings.HasPrefix(r.Header.Get("Content-Type"), "application/json") {
-			handlePublishBatch(w, r, eng, node, maxBody)
-			return
-		}
-		t, err := xmltree.Parse(bodyReader(r, maxBody), eng.Estimator().Config().ParseOptions)
-		if err != nil {
-			httpError(w, bodyStatus(err), "treesimd: publish: %v", err)
-			return
-		}
-		resp := publishResponse{}
-		if node != nil {
-			resp.PublishResult, resp.Forwarded, resp.Trace, err = node.PublishTraced(t)
-		} else {
-			resp.PublishResult, err = eng.Publish(t)
-		}
-		if err != nil {
-			status := bodyStatus(err)
-			if err == broker.ErrClosed || err == overlay.ErrClosed {
-				status = http.StatusServiceUnavailable
-			}
-			httpError(w, status, "%v", err)
-			return
-		}
-		writeJSON(w, http.StatusOK, resp)
-	})
-
-	mux.HandleFunc("GET /deliveries/{id}", func(w http.ResponseWriter, r *http.Request) {
-		id, err := strconv.ParseUint(r.PathValue("id"), 10, 64)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, "bad id: %v", err)
-			return
-		}
-		max := 1000
-		if s := r.URL.Query().Get("max"); s != "" {
-			if max, err = strconv.Atoi(s); err != nil || max <= 0 {
-				httpError(w, http.StatusBadRequest, "bad max %q", s)
-				return
-			}
-		}
-		var wait time.Duration
-		if s := r.URL.Query().Get("wait"); s != "" {
-			if wait, err = time.ParseDuration(s); err != nil || wait < 0 {
-				httpError(w, http.StatusBadRequest, "bad wait %q", s)
-				return
-			}
-			if wait > 30*time.Second {
-				wait = 30 * time.Second
-			}
-		}
-		res, err := eng.DrainBatch(id, max, wait)
-		if err != nil {
-			httpError(w, http.StatusNotFound, "%v", err)
-			return
-		}
-		ds := res.Deliveries
-		if ds == nil {
-			ds = []broker.Delivery{}
-		}
-		resp := map[string]any{
-			"deliveries": ds,
-			"pending":    eng.Pending(id),
-			"mode":       res.Mode.String(),
-		}
-		if res.Mode == broker.AtLeastOnce {
-			// Batch bookkeeping for the ack protocol: cursor is what the
-			// consumer acks after processing, committed its durable floor.
-			resp["cursor"] = res.Cursor
-			resp["committed"] = res.Committed
-			if res.Redelivered > 0 {
-				resp["redelivered"] = res.Redelivered
-			}
-		} else {
-			// Explicit loss marker: deliveries evicted (drop-oldest) since
-			// the previous poll observed the queue.
-			resp["gap"] = res.Gap
-		}
-		writeJSON(w, http.StatusOK, resp)
-	})
-
-	// POST /ack/{id} commits an at-least-once consumer's progress: every
-	// delivery with cursor ≤ the posted cursor is discharged, never to be
-	// redelivered, and its document's retention pin drops. Acks are
-	// idempotent; re-acking a committed cursor is a 200 with acked 0.
-	mux.HandleFunc("POST /ack/{id}", func(w http.ResponseWriter, r *http.Request) {
-		id, err := strconv.ParseUint(r.PathValue("id"), 10, 64)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, "bad id: %v", err)
-			return
-		}
-		var req struct {
-			Cursor uint64 `json:"cursor"`
-		}
-		if err := json.NewDecoder(bodyReader(r, maxBody)).Decode(&req); err != nil {
-			httpError(w, http.StatusBadRequest, "bad request body: %v", err)
-			return
-		}
-		acked, err := eng.Ack(id, req.Cursor)
-		if err != nil {
-			status := http.StatusBadRequest // ErrBadCursor: cursor never issued
-			switch {
-			case errors.Is(err, broker.ErrNotFound):
-				status = http.StatusNotFound
-			case errors.Is(err, broker.ErrWrongMode):
-				status = http.StatusConflict
-			case errors.Is(err, broker.ErrClosed):
-				status = http.StatusServiceUnavailable
-			}
-			httpError(w, status, "%v", err)
-			return
-		}
-		writeJSON(w, http.StatusOK, map[string]any{"acked": acked})
-	})
-
-	mux.HandleFunc("GET /doc/{seq}", func(w http.ResponseWriter, r *http.Request) {
-		seq, err := strconv.ParseUint(r.PathValue("seq"), 10, 64)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, "bad seq: %v", err)
-			return
-		}
-		t := eng.Document(seq)
-		if t == nil {
-			httpError(w, http.StatusNotFound, "document %d not retained", seq)
-			return
-		}
-		w.Header().Set("Content-Type", "application/xml")
-		xmltree.WriteXML(w, t, false)
-	})
-
-	mux.HandleFunc("GET /stats", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, eng.Stats())
-	})
-
-	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		if err := reg.WritePrometheus(w); err != nil {
-			logger.Error("/metrics write failed", "err", err.Error())
-		}
-	})
-
-	// POST /explain dry-runs the routing decision for a document without
-	// publishing it: the body is raw XML exactly as POST /publish takes
-	// it, the response the structured decision record. Federated daemons
-	// include the per-link forward plan; ?origin= and ?from= re-run the
-	// plan as if the document were a forwarded publication from that
-	// origin arriving on that link; a from without an origin, or naming
-	// no attached link, answers 400.
-	mux.HandleFunc("POST /explain", func(w http.ResponseWriter, r *http.Request) {
-		t, err := xmltree.Parse(bodyReader(r, maxBody), eng.Estimator().Config().ParseOptions)
-		if err != nil {
-			httpError(w, bodyStatus(err), "treesimd: explain: %v", err)
-			return
-		}
-		if node != nil {
-			ex, err := node.ExplainForward(t, r.URL.Query().Get("origin"), r.URL.Query().Get("from"))
-			if err != nil {
-				status := http.StatusServiceUnavailable // the node or engine is closed
-				if errors.Is(err, overlay.ErrScenario) {
-					status = http.StatusBadRequest
-				}
-				httpError(w, status, "%v", err)
-				return
-			}
-			writeJSON(w, http.StatusOK, ex)
-			return
-		}
-		ex, err := eng.Explain(t)
-		if err != nil {
-			httpError(w, http.StatusServiceUnavailable, "%v", err)
-			return
-		}
-		// Same envelope shape as the federated answer, minus the plan.
-		writeJSON(w, http.StatusOK, map[string]any{"local": ex})
-	})
-
-	mux.HandleFunc("GET /introspect/communities", func(w http.ResponseWriter, r *http.Request) {
-		cs := eng.IntrospectCommunities()
-		if cs == nil {
-			cs = []broker.CommunityInfo{}
-		}
-		writeJSON(w, http.StatusOK, map[string]any{"communities": cs})
-	})
-
-	mux.HandleFunc("GET /introspect/subscriptions", func(w http.ResponseWriter, r *http.Request) {
-		ss := eng.IntrospectSubscriptions()
-		if ss == nil {
-			ss = []broker.SubscriptionInfo{}
-		}
-		writeJSON(w, http.StatusOK, map[string]any{"subscriptions": ss})
-	})
-
-	mux.HandleFunc("GET /introspect/routes", func(w http.ResponseWriter, r *http.Request) {
-		if node == nil {
-			httpError(w, http.StatusNotFound, "routing tables live on the overlay; start with -federate or -peers")
-			return
-		}
-		rs := node.IntrospectRoutes()
-		if rs == nil {
-			rs = []overlay.RouteInfo{}
-		}
-		writeJSON(w, http.StatusOK, map[string]any{"node": node.ID(), "routes": rs})
-	})
-
-	mux.HandleFunc("GET /introspect/links", func(w http.ResponseWriter, r *http.Request) {
-		if node == nil {
-			httpError(w, http.StatusNotFound, "links live on the overlay; start with -federate or -peers")
-			return
-		}
-		ls := node.IntrospectLinks()
-		if ls == nil {
-			ls = []overlay.LinkInfo{}
-		}
-		writeJSON(w, http.StatusOK, map[string]any{"node": node.ID(), "links": ls})
-	})
-
-	mux.HandleFunc("GET /events", func(w http.ResponseWriter, r *http.Request) {
-		evs := events.Snapshot()
-		if evs == nil {
-			evs = []telemetry.Event{}
-		}
-		writeJSON(w, http.StatusOK, map[string]any{"events": evs, "total": events.Total()})
-	})
-
-	mux.HandleFunc("GET /trace/{id}", func(w http.ResponseWriter, r *http.Request) {
-		if node == nil {
-			httpError(w, http.StatusNotFound, "tracing runs on the overlay; start with -federate or -peers")
-			return
-		}
-		id := r.PathValue("id")
-		spans := node.TraceSpans(id)
-		if spans == nil {
-			spans = []telemetry.Span{}
-		}
-		writeJSON(w, http.StatusOK, map[string]any{"trace": id, "node": node.ID(), "spans": spans})
-	})
-
-	// /healthz is owned by the server gate, which answers before the
-	// mux exists; nothing to register here.
-
-	if node != nil {
-		overlay.RegisterHTTP(mux, node, maxBody, peerTimeout)
+		time.Sleep(500 * time.Millisecond)
 	}
-
-	return mux
-}
-
-// batchResponse summarizes a batched POST /publish: aggregate routing
-// counts across the batch, plus per-batch error accounting (documents
-// that fail to parse are skipped and counted, the rest are published).
-type batchResponse struct {
-	Published  int    `json:"published"`
-	Matched    int    `json:"matched"`
-	Deliveries int    `json:"deliveries"`
-	Dropped    int    `json:"dropped"`
-	Forwarded  int    `json:"forwarded"`
-	Errors     int    `json:"errors"`
-	FirstError string `json:"first_error,omitempty"`
-}
-
-// handlePublishBatch is the batched publish pipeline: the request body
-// is a JSON array of XML document strings (either bare or wrapped as
-// {"docs": [...]}), decoded and parsed on one goroutine while a second
-// stage routes already-parsed documents — XML decoding overlaps
-// matching, and the broker sees PublishBatch chunks instead of one
-// engine entry per document. Federated daemons route per document
-// through the overlay node (forwarding is a per-document decision) but
-// keep the same parse/route overlap.
-func handlePublishBatch(w http.ResponseWriter, r *http.Request, eng *broker.Engine, node *overlay.Node, maxBody int64) {
-	var raw json.RawMessage
-	if err := json.NewDecoder(bodyReader(r, maxBody)).Decode(&raw); err != nil {
-		httpError(w, bodyStatus(err), "bad request body: %v", err)
-		return
-	}
-	var docs []string
-	if err := json.Unmarshal(raw, &docs); err != nil {
-		var wrapped struct {
-			Docs []string `json:"docs"`
-		}
-		if err := json.Unmarshal(raw, &wrapped); err != nil {
-			httpError(w, http.StatusBadRequest, "want a JSON array of XML strings or {\"docs\": [...]}: %v", err)
-			return
-		}
-		docs = wrapped.Docs
-	}
-	resp := batchResponse{}
-	if len(docs) == 0 {
-		writeJSON(w, http.StatusOK, resp)
-		return
-	}
-
-	// Stage 1: parse/flatten. The small buffer lets decoding run ahead
-	// of routing without holding the whole batch as trees.
-	parsed := make(chan *xmltree.Tree, 64)
-	var parseErrs atomic.Int64
-	var firstErr atomic.Pointer[string]
-	opts := eng.Estimator().Config().ParseOptions
-	go func() {
-		defer close(parsed)
-		for i, d := range docs {
-			t, err := xmltree.ParseString(d, opts)
-			if err != nil {
-				parseErrs.Add(1)
-				msg := fmt.Sprintf("doc %d: %v", i, err)
-				firstErr.CompareAndSwap(nil, &msg)
-				continue
-			}
-			parsed <- t
-		}
-	}()
-
-	// Stage 2: route in engine-sized chunks.
-	const chunk = 32
-	batch := make([]*xmltree.Tree, 0, chunk)
-	flush := func() bool {
-		if len(batch) == 0 {
-			return true
-		}
-		if node != nil {
-			for _, t := range batch {
-				res, fwd, err := node.Publish(t)
-				if err != nil {
-					return false
-				}
-				resp.Published++
-				resp.Matched += res.Matched
-				resp.Deliveries += res.Deliveries
-				resp.Dropped += res.Dropped
-				resp.Forwarded += fwd
-			}
-		} else {
-			rs, err := eng.PublishBatch(batch)
-			if err != nil {
-				return false
-			}
-			for _, res := range rs {
-				resp.Published++
-				resp.Matched += res.Matched
-				resp.Deliveries += res.Deliveries
-				resp.Dropped += res.Dropped
-			}
-		}
-		batch = batch[:0]
-		return true
-	}
-	for t := range parsed {
-		batch = append(batch, t)
-		if len(batch) >= chunk {
-			if !flush() {
-				// Engine closed mid-batch: drain the parser and report
-				// what landed.
-				for range parsed {
-				}
-				httpError(w, http.StatusServiceUnavailable, "%v", broker.ErrClosed)
-				return
-			}
-		}
-	}
-	if !flush() {
-		httpError(w, http.StatusServiceUnavailable, "%v", broker.ErrClosed)
-		return
-	}
-	resp.Errors = int(parseErrs.Load())
-	if p := firstErr.Load(); p != nil {
-		resp.FirstError = *p
-	}
-	status := http.StatusOK
-	if resp.Published == 0 && resp.Errors > 0 {
-		status = http.StatusBadRequest
-	}
-	writeJSON(w, status, resp)
-}
-
-// bodyReader bounds a request body.
-func bodyReader(r *http.Request, maxBody int64) io.ReadCloser {
-	return http.MaxBytesReader(nil, r.Body, maxBody)
-}
-
-// bodyStatus is the status for a request body that failed to read or
-// parse: 413 when it ran past -max-body, 400 otherwise.
-func bodyStatus(err error) int {
-	var tooLarge *http.MaxBytesError
-	if errors.As(err, &tooLarge) {
-		return http.StatusRequestEntityTooLarge
-	}
-	return http.StatusBadRequest
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
-}
-
-func httpError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
