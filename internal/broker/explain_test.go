@@ -1,11 +1,13 @@
 package broker
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
 	"treesim/internal/core"
 	"treesim/internal/dtd"
+	"treesim/internal/persist"
 	"treesim/internal/querygen"
 	"treesim/internal/xmlgen"
 )
@@ -95,6 +97,80 @@ func TestExplainDifferentialSingleShard(t *testing.T) {
 	st := e.Stats()
 	if got, want := st.Published-preStats.Published, uint64(checked); got != want {
 		t.Fatalf("published delta %d, want %d (Explain published something?)", got, want)
+	}
+}
+
+// TestBatchInstallKeepsVerdicts reinstalls the engine's own partition
+// after subscribe/unsubscribe churn has left forest ids out of label
+// order, so the batch install renumbers the forest under unchanged
+// communities: every Explain verdict and every publish's matched and
+// delivered counts must come out as before.
+func TestBatchInstallKeepsVerdicts(t *testing.T) {
+	d := dtd.Media()
+	docs := xmlgen.New(d, xmlgen.Calibrate(d, 100, 7)).GenerateN(100)
+	subs := querygen.New(d, querygen.Defaults(13)).GenerateDistinct(120)
+	e := newTestEngine(t, Config{
+		Estimator:     core.Config{Representation: core.Hashes, HashCapacity: 256, Seed: 5},
+		QueueCapacity: 4096,
+	})
+	e.est.ObserveTrees(docs[:40])
+	var ids []uint64
+	for _, p := range subs[:80] {
+		id, err := e.SubscribePattern(p, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+	}
+	e.Rebuild()
+	for i, id := range ids {
+		if i%4 == 0 {
+			e.Unsubscribe(id)
+		}
+	}
+	for _, p := range subs[80:] {
+		if _, err := e.SubscribePattern(p, ""); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	type verdict struct {
+		ex                  *Explanation
+		matched, deliveries int
+	}
+	verdicts := func() []verdict {
+		var vs []verdict
+		for _, doc := range docs[40:] {
+			ex, err := e.Explain(doc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := e.Publish(doc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ex.Shards = nil // sizes and timings, not verdicts
+			vs = append(vs, verdict{ex, res.Matched, res.Deliveries})
+		}
+		return vs
+	}
+	before := verdicts()
+	e.mu.RLock()
+	groups, reps := e.partitionIDsLocked()
+	e.mu.RUnlock()
+	if err := e.Apply(persist.Record{Op: persist.OpRebuild, Groups: groups, Reps: reps}); err != nil {
+		t.Fatal(err)
+	}
+	after := verdicts()
+	matched := 0
+	for i := range before {
+		if !reflect.DeepEqual(before[i], after[i]) {
+			t.Fatalf("doc %d: before the install %+v, after %+v", i, before[i], after[i])
+		}
+		matched += before[i].matched
+	}
+	if matched == 0 {
+		t.Fatal("no document matched a community; the test proves nothing")
 	}
 }
 

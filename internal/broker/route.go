@@ -227,10 +227,11 @@ func (e *Engine) routeDoc(t *xmltree.Tree, doc []byte, res *PublishResult) {
 
 // installLocked replaces the clustering with a partition — members in
 // id order, a representative each, every live subscription exactly once
-// — and moves the representatives' patterns to match: a representative
-// that still stands for a community keeps its record, handle and log;
-// every other old handle is removed and every other new representative
-// added, with a new log. Caller holds the registry lock exclusively.
+// — and moves the representatives' patterns to match in one batch
+// install of the forest: a representative that still stands for a
+// community keeps its record, handle and log; every other old handle is
+// removed and every other new representative added, with a new log.
+// Caller holds the registry lock exclusively.
 func (e *Engine) installLocked(groups [][]*subscriber, reps []*subscriber) {
 	e.routeMu.Lock()
 	defer e.routeMu.Unlock()
@@ -241,14 +242,22 @@ func (e *Engine) installLocked(groups [][]*subscriber, reps []*subscriber) {
 			next[g], kept[old] = old, true
 		}
 	}
+	var drop []int
 	for _, old := range e.groups {
 		if !kept[old] {
-			e.forest.Remove(old.fh)
+			drop = append(drop, old.fh)
 		}
 	}
+	var add []*pattern.Pattern
 	for g, rg := range next {
 		if rg == nil {
-			rg = &routeGroup{fh: e.forest.Add(reps[g].pat), log: e.newCommLog()}
+			add = append(add, reps[g].pat)
+		}
+	}
+	hs := e.forest.Replace(drop, add)
+	for g, rg := range next {
+		if rg == nil {
+			rg, hs = &routeGroup{fh: hs[0], log: e.newCommLog()}, hs[1:]
 			next[g] = rg
 		}
 		rg.rep, rg.amo, rg.alo = reps[g], nil, nil

@@ -23,15 +23,40 @@ func benchWorkload(nDocs, nSubs int) ([]*xmltree.Tree, []*pattern.Pattern) {
 var benchSubTiers = []int{64, 1024, 8192}
 
 // BenchmarkEngineMatch measures the single-pass forest engine: one
-// document against the whole registered pattern set, reporting the
-// matches decided per operation, the forest's size, and the answer the
-// kernel's work should follow — NS and SAT bits raised per document
-// node — rather than that size.
+// document against the whole pattern set, registered by one batch
+// install (ids in label order), reporting the matches decided per
+// operation, the forest's size, and the answer the kernel's work should
+// follow — NS and SAT bits raised per document node — rather than that
+// size.
 func BenchmarkEngineMatch(b *testing.B) {
 	for _, n := range benchSubTiers {
 		b.Run(fmt.Sprintf("subs=%d", n), func(b *testing.B) {
 			docs, subs := benchWorkload(64, n)
-			benchMatch(b, docs, subs)
+			benchMatch(b, docs, subs, nil)
+		})
+	}
+}
+
+// BenchmarkEngineMatchChurned is BenchmarkEngineMatch after 30 % of the
+// patterns were removed and added again one by one since the install:
+// the re-added nodes take whatever ids are free, so the gap to
+// BenchmarkEngineMatch prices the label order lost between installs.
+func BenchmarkEngineMatchChurned(b *testing.B) {
+	for _, n := range benchSubTiers {
+		b.Run(fmt.Sprintf("subs=%d", n), func(b *testing.B) {
+			docs, subs := benchWorkload(64, n)
+			benchMatch(b, docs, subs, func(f *Forest, hs []int) {
+				for i := 0; i < len(hs); i += 10 {
+					for j := i; j < min(i+3, len(hs)); j++ {
+						f.Remove(hs[j])
+					}
+				}
+				for i := 0; i < len(hs); i += 10 {
+					for j := i; j < min(i+3, len(hs)); j++ {
+						hs[j] = f.Add(subs[j])
+					}
+				}
+			})
 		})
 	}
 }
@@ -43,16 +68,19 @@ func BenchmarkEngineMatch(b *testing.B) {
 // verdict loop); a dense kernel pays ~9x.
 func BenchmarkEngineMatchUnfired(b *testing.B) {
 	docs, fired, unfired := unfiredWorkload(b, 64, 1000, 8000)
-	b.Run("nitf=1000", func(b *testing.B) { benchMatch(b, docs, fired) })
+	b.Run("nitf=1000", func(b *testing.B) { benchMatch(b, docs, fired, nil) })
 	b.Run("nitf=1000+xcbl=8000", func(b *testing.B) {
-		benchMatch(b, docs, append(fired[:len(fired):len(fired)], unfired...))
+		benchMatch(b, docs, append(fired[:len(fired):len(fired)], unfired...), nil)
 	})
 }
 
-func benchMatch(b *testing.B, docs []*xmltree.Tree, subs []*pattern.Pattern) {
+// benchMatch installs subs in one batch, lets churn (if any) edit the
+// forest, and matches docs round-robin.
+func benchMatch(b *testing.B, docs []*xmltree.Tree, subs []*pattern.Pattern, churn func(*Forest, []int)) {
 	f := NewForest()
-	for _, p := range subs {
-		f.Add(p)
+	hs := f.Replace(nil, subs)
+	if churn != nil {
+		churn(f, hs)
 	}
 	var matched uint64
 	b.ReportAllocs()

@@ -58,14 +58,19 @@ func (f *Forest) FiredBits(t *xmltree.Tree) (fired, docNodes int) {
 // stack ran the remaining-kids check on.
 func (fr *FrameStack) Examined() int { return fr.examined }
 
+// Lists is the number of first-kid runs every match on this stack
+// read.
+func (fr *FrameStack) Lists() int { return fr.lists }
+
 // CandidateWork recounts, from the nodes themselves rather than the
 // index, what the first-kid loop owes for t: over every document node
 // and every first kid fired there, the tag/"*" nodes with that lowest
 // kid whose label the document node admits — split into those whose
 // remaining kids all fired (accepted) and the rest (kidRejected) — and,
 // for scale, the ones a label-blind scan would also have loaded
-// (labelRejected).
-func (f *Forest) CandidateWork(t *xmltree.Tree) (accepted, kidRejected, labelRejected int) {
+// (labelRejected). lists counts the runs — one per fired kid and label
+// index — holding an admissible candidate: the runs the loop must read.
+func (f *Forest) CandidateWork(t *xmltree.Tree) (accepted, kidRejected, labelRejected, lists int) {
 	byKid := map[uint32][]uint32{}
 	for id := range f.nodes {
 		if n := &f.nodes[id]; n.refs > 0 && (n.kind == kindTag || n.kind == kindWild) && len(n.kids) > 0 {
@@ -87,57 +92,102 @@ func (f *Forest) CandidateWork(t *xmltree.Tree) (accepted, kidRejected, labelRej
 			if !root.sat.has(k) {
 				continue
 			}
+			var admitted [2]bool // by kind: a tag run, a "*" run
 			for _, id := range ids {
 				n := &f.nodes[id]
 				switch {
 				case n.kind == kindTag && n.sym != doc.Syms[i]:
 					labelRejected++
+					continue
 				case allIn(n.kids[1:], &root.sat):
 					accepted++
 				default:
 					kidRejected++
 				}
+				admitted[n.kind] = true
+			}
+			for _, a := range admitted {
+				if a {
+					lists++
+				}
 			}
 		}
 	}
-	return accepted, kidRejected, labelRejected
+	return accepted, kidRejected, labelRejected, lists
 }
 
-// checkIndex asserts the first-kid index's invariants: every tag/"*"
-// node with kids is listed exactly once, under its lowest kid, with its
-// own symbol (wildSym for "*") and remaining kids inline; each list is
-// sorted by symbol, so the "*" run comes last; and the mask mirrors
-// which lists are non-empty.
+// checkIndex asserts the kid indexes' invariants: every node with kids
+// is listed exactly once, in its label's index (wildKids for "*",
+// descKids and rdKids for "//") under its lowest kid, with its
+// remaining kids inline; in every index a kid is marked exactly when
+// its run is non-empty, the runs tile the candidates in kid order, and
+// base counts the marks below each word; and while no node was created
+// or freed since the last batch install, ids are dense and in (kind,
+// label) order.
 func checkIndex(tb testing.TB, f *Forest) {
 	tb.Helper()
 	listed := 0
-	for kid, l := range f.byFirstKid {
-		if (len(l) > 0) != f.firstKidMask.Contains(kid) {
-			tb.Errorf("kid %d: %d candidates, mask says %v", kid, len(l), f.firstKidMask.Contains(kid))
+	check := func(kind nodeKind, sym uint32, x *kidIndex) {
+		kids := x.kids.Elements()
+		if len(x.off) != len(kids)+1 || x.off[0] != 0 || int(x.off[len(kids)]) != len(x.cands) {
+			tb.Errorf("label %d: %d marked kids, %d offsets, %d candidates", sym, len(kids), len(x.off), len(x.cands))
+			return
 		}
-		for j, c := range l {
-			listed++
-			if j > 0 && l[j-1].sym > c.sym {
-				tb.Errorf("kid %d: symbol %d before %d", kid, l[j-1].sym, c.sym)
+		marked := uint32(0)
+		for w := range x.base {
+			if x.base[w] != marked {
+				tb.Errorf("label %d: base[%d] = %d, %d kids marked below", sym, w, x.base[w], marked)
 			}
-			n := &f.nodes[c.id]
-			want := n.sym
-			if n.kind == kindWild {
-				want = wildSym
+			marked += uint32(bits.OnesCount64(x.kids.Word(w)))
+		}
+		for r, k := range kids {
+			if x.rank(uint32(k)) != r || x.off[r] >= x.off[r+1] {
+				tb.Errorf("label %d kid %d: rank %d (want %d), run %d..%d", sym, k, x.rank(uint32(k)), r, x.off[r], x.off[r+1])
+				continue
 			}
-			if n.refs <= 0 || (n.kind != kindTag && n.kind != kindWild) || len(n.kids) == 0 ||
-				n.kids[0] != uint32(kid) || c.sym != want || !slices.Equal(c.rest, n.kids[1:]) {
-				tb.Errorf("kid %d entry %+v does not describe node %d %+v", kid, c, c.id, *n)
+			for _, c := range x.run(uint32(k)) {
+				listed++
+				n := &f.nodes[c.id]
+				if n.refs <= 0 || n.kind != kind || (kind == kindTag && n.sym != sym) || len(n.kids) == 0 ||
+					n.kids[0] != uint32(k) || !slices.Equal(c.rest, n.kids[1:]) {
+					tb.Errorf("label %d kid %d entry %+v does not describe node %d %+v", sym, k, c, c.id, *n)
+				}
 			}
+		}
+	}
+	check(kindWild, 0, f.wildKids)
+	check(kindDesc, 0, f.descKids)
+	check(kindRootDesc, 0, f.rdKids)
+	for sym, x := range f.tagKids {
+		if x != nil {
+			check(kindTag, uint32(sym), x)
 		}
 	}
 	nodes := 0
 	for id := range f.nodes {
-		if n := &f.nodes[id]; n.refs > 0 && (n.kind == kindTag || n.kind == kindWild) && len(n.kids) > 0 {
+		if n := &f.nodes[id]; n.refs > 0 && len(n.kids) > 0 {
 			nodes++
 		}
 	}
 	if listed != nodes {
-		tb.Errorf("%d index entries for %d tag/* nodes with kids", listed, nodes)
+		tb.Errorf("%d index entries for %d nodes with kids", listed, nodes)
+	}
+	if !f.ordered {
+		return
+	}
+	if len(f.freeIDs) != 0 {
+		tb.Errorf("ordered forest has %d free ids", len(f.freeIDs))
+	}
+	for id := range f.nodes {
+		n := &f.nodes[id]
+		if n.refs <= 0 {
+			tb.Errorf("ordered forest: id %d is dead", id)
+		}
+		if id > 0 {
+			p := &f.nodes[id-1]
+			if p.kind > n.kind || p.kind == n.kind && p.sym > n.sym {
+				tb.Errorf("ordered forest: id %d (kind %d, label %d) follows (kind %d, label %d)", id, n.kind, n.sym, p.kind, p.sym)
+			}
+		}
 	}
 }

@@ -5,10 +5,9 @@
 package matching
 
 import (
+	"encoding/binary"
 	"math/bits"
 	"slices"
-	"sort"
-	"strconv"
 	"sync"
 
 	"treesim/internal/bitset"
@@ -50,17 +49,21 @@ import (
 // Both are computed from the children's vectors with unions; leaf
 // constraints are raised by id from the document node's label, and
 // nodes with child constraints are found through an inverse index keyed
-// by their lowest kid AND their label: when a kid's bit fires, only the
-// candidates labelled like the document node (and the "*" ones) are
-// visited, each carrying its remaining kids inline, so a label mismatch
-// costs nothing and a one-kid candidate is accepted without loading its
-// node. A pattern matches iff all its root children's bits are set in
-// the root's vectors ("//" root children re-root and use a separate
-// node kind, kindRootDesc).
+// by their label AND their lowest kid: a document node visits only the
+// fired kids with a candidate of its own label or "*", and reads only
+// those candidates, each carrying its remaining kids inline. A pattern
+// matches iff all its root children's bits are set in the root's
+// vectors ("//" root children re-root and use a separate node kind,
+// kindRootDesc).
+//
+// Id order: Replace, the batch install, renumbers the live nodes
+// densely in (kind, label) order, so the bits one document label fires
+// share frame words. Add and Remove between installs take and free ids
+// where they find them; the next batch install restores the order.
 //
 // Concurrency: Match may run concurrently with Match (scratch is
-// pooled per call); Add and Remove require external exclusion against
-// both each other and Match — the callers (broker routing lock,
+// pooled per call); Add, Remove and Replace require external exclusion
+// against each other and Match — the callers (broker routing lock,
 // overlay forwarding-index lock) already hold exactly that.
 type Forest struct {
 	tbl *intern.Table
@@ -68,6 +71,9 @@ type Forest struct {
 	nodes   []forestNode
 	freeIDs []uint32
 	index   map[string]uint32 // canonical key -> node id (hash-consing)
+	// ordered: no node was created or freed since ids were last
+	// renumbered, so they still run densely in (kind, label) order.
+	ordered bool
 
 	// Match-path indexes, maintained by compile/release. All are dense
 	// slices — symbols and node ids are dense, and the match loop
@@ -75,7 +81,7 @@ type Forest struct {
 	// lookup (hash + probe) there costs more than the whole word-scan
 	// around it. The masks are dense, read-only on the match path, and
 	// share the node-id universe (grown under Add's exclusivity, never
-	// from Match, which runs concurrently with itself):
+	// from Match, which runs concurrently with itself; grown by quarters):
 	//
 	//	leafTag[sym]: the kindTag node with that label and no kids (one
 	//	              at most: they hash-cons to one key) — node-satisfied
@@ -84,35 +90,32 @@ type Forest struct {
 	//	              interned after the slice last grew, so readers
 	//	              bounds-check.
 	//	wildLeaf:     the childless kindWild node — satisfied anywhere.
-	//	byFirstKid:   tag/wild nodes with kids, indexed by their lowest
-	//	              kid id; consulted only when that kid's bit fires.
-	//	              Each list is sorted by label symbol, the "*" run
-	//	              last (kidCand), so a document node reads only the
-	//	              run for its own label plus the "*" run.
-	//	byDescKid / byRdKid: kindDesc / kindRootDesc nodes by kid.
+	//	tagKids[sym]: tag nodes with that label and kids, by lowest kid
+	//	              (kidIndex); nil for labels no such node carries.
+	//	wildKids:     the same for "*" nodes with kids. A document node
+	//	              reads only these two: its own label's and "*"'s.
+	//	descKids / rdKids: kindDesc / kindRootDesc nodes by kid.
 	//	slashMask:    "//" nodes of both kinds by own id — the bits a
 	//	              document node inherits from its children's SAT.
 	//	byRootKid:    pattern handles by their first root child's id;
 	//	              a verdict is examined only when that bit fires at
 	//	              the document root.
-	leafTag      []uint32
-	wildLeaf     uint32
-	byFirstKid   [][]kidCand
-	firstKidMask *bitset.Set
-	byDescKid    [][]uint32
-	descKidMask  *bitset.Set
-	byRdKid      [][]uint32
-	rdKidMask    *bitset.Set
-	slashMask    *bitset.Set
-	byRootKid    [][]uint32
-	rootKidMask  *bitset.Set
+	leafTag     []uint32
+	wildLeaf    uint32
+	tagKids     []*kidIndex
+	wildKids    *kidIndex
+	descKids    *kidIndex
+	rdKids      *kidIndex
+	slashMask   *bitset.Set
+	byRootKid   [][]uint32
+	rootKidMask *bitset.Set
 
 	pats     []patEntry
 	freePats []int
 	// unindexed holds the handles byRootKid cannot: empty patterns
 	// (nothing to fire) and oracle-path patterns. Decided per document.
 	unindexed []uint32
-	grownTo   int // universe size the masks were last grown to
+	grownTo   int // universe size the masks are grown to, ≥ len(nodes)
 
 	frames  sync.Pool // *frameStack
 	msPool  sync.Pool // *MatchSet
@@ -123,25 +126,100 @@ type Forest struct {
 // noNode marks an absent leafTag/wildLeaf entry.
 const noNode = ^uint32(0)
 
-// kidCand is one byFirstKid entry: a tag/"*" node whose lowest kid is
-// the list's key, with everything eval needs to decide it inline — its
-// label symbol (wildSym for "*") and its kids after the first (aliasing
-// the node's own kid slice).
+// kidIndex holds one label's nodes with kids (or "*"'s, or one "//"
+// kind's) by lowest kid. kids marks the lowest kids; their runs lie in
+// cands in kid order, run r being cands[off[r]:off[r+1]], and base[w]
+// counts the marks below word w, so a marked kid's run is a popcount
+// away, in memory the label's candidates share.
+type kidIndex struct {
+	kids  *bitset.Set
+	base  []uint32
+	off   []uint32
+	cands []kidCand
+}
+
+// kidCand is one candidate: a node id with its kids after the first
+// (aliasing the node's own kid slice), so eval decides it inline.
 type kidCand struct {
-	sym  uint32
 	id   uint32
 	rest []uint32
 }
 
-// wildSym is the label key of "*" candidates: above every interned
-// symbol, so the "*" run sorts to the end of its list.
-const wildSym = ^uint32(0)
+func newKidIndex(n int) *kidIndex {
+	x := &kidIndex{kids: bitset.New(0), off: []uint32{0}}
+	x.grow(n)
+	return x
+}
 
-// scanMax is the longest candidate list searched by linear scan rather
-// than binary search: eight 32-byte entries are four cache lines read
-// in order, which costs less than the three dependent, unpredictable
-// probes a binary search of the same list makes.
-const scanMax = 8
+// grow extends the index to a universe of n ids.
+func (x *kidIndex) grow(n int) {
+	x.kids.Grow(n)
+	for len(x.base) < (n+63)>>6 {
+		x.base = append(x.base, uint32(len(x.off)-1))
+	}
+}
+
+// rank is the number of marked kids below kid.
+func (x *kidIndex) rank(kid uint32) int {
+	w := kid >> 6
+	return int(x.base[w]) + bits.OnesCount64(x.kids.Word(int(w))&(1<<(kid&63)-1))
+}
+
+// run returns the candidates of a marked kid.
+func (x *kidIndex) run(kid uint32) []kidCand {
+	r := x.rank(kid)
+	return x.cands[x.off[r]:x.off[r+1]]
+}
+
+// add enters c under kid in O(candidates + words).
+func (x *kidIndex) add(kid uint32, c kidCand) {
+	r := x.rank(kid)
+	if !x.kids.Contains(int(kid)) {
+		x.kids.Add(int(kid))
+		x.off = slices.Insert(x.off, r, x.off[r])
+		x.rebase()
+	}
+	x.cands = slices.Insert(x.cands, int(x.off[r+1]), c)
+	for i := r + 1; i < len(x.off); i++ {
+		x.off[i]++
+	}
+}
+
+// drop removes node id from kid's run, unmarking kid if it empties.
+func (x *kidIndex) drop(kid, id uint32) {
+	r := x.rank(kid)
+	lo, hi := int(x.off[r]), int(x.off[r+1])
+	j := lo + slices.IndexFunc(x.cands[lo:hi], func(c kidCand) bool { return c.id == id })
+	x.cands = slices.Delete(x.cands, j, j+1)
+	for i := r + 1; i < len(x.off); i++ {
+		x.off[i]--
+	}
+	if hi-lo == 1 {
+		x.kids.Remove(int(kid))
+		x.off = slices.Delete(x.off, r, r+1)
+		x.rebase()
+	}
+}
+
+// push appends c under kid, at or past every marked kid, leaving base
+// to rebase: renumber's bulk build.
+func (x *kidIndex) push(kid uint32, c kidCand) {
+	if !x.kids.Contains(int(kid)) {
+		x.kids.Add(int(kid))
+		x.off = append(x.off, x.off[len(x.off)-1])
+	}
+	x.cands = append(x.cands, c)
+	x.off[len(x.off)-1]++
+}
+
+// rebase recounts base from the marks.
+func (x *kidIndex) rebase() {
+	below := uint32(0)
+	for w := range x.base {
+		x.base[w] = below
+		below += uint32(bits.OnesCount64(x.kids.Word(w)))
+	}
+}
 
 type nodeKind uint8
 
@@ -193,15 +271,16 @@ func (e *patEntry) holdsAt(root *frameSlot) bool {
 // NewForest returns an empty forest with its own label table.
 func NewForest() *Forest {
 	return &Forest{
-		tbl:          intern.NewTable(),
-		index:        make(map[string]uint32),
-		wildLeaf:     noNode,
-		firstKidMask: bitset.New(0),
-		descKidMask:  bitset.New(0),
-		rdKidMask:    bitset.New(0),
-		slashMask:    bitset.New(0),
-		rootKidMask:  bitset.New(0),
-		frames:       sync.Pool{New: func() any { return new(frameStack) }},
+		tbl:         intern.NewTable(),
+		index:       make(map[string]uint32),
+		ordered:     true,
+		wildLeaf:    noNode,
+		wildKids:    newKidIndex(0),
+		descKids:    newKidIndex(0),
+		rdKids:      newKidIndex(0),
+		slashMask:   bitset.New(0),
+		rootKidMask: bitset.New(0),
+		frames:      sync.Pool{New: func() any { return new(frameStack) }},
 	}
 }
 
@@ -259,6 +338,22 @@ func (f *Forest) Remove(h int) {
 	f.freePats = append(f.freePats, h)
 }
 
+// Replace is the batch install: it adds add (returning its handles in
+// order), then removes drop, so a pattern in both keeps its nodes, then
+// renumbers the live nodes densely in (kind, label) order in O(nodes)
+// if any node was created or freed since the last time.
+func (f *Forest) Replace(drop []int, add []*pattern.Pattern) []int {
+	hs := make([]int, len(add))
+	for i, p := range add {
+		hs[i] = f.Add(p)
+	}
+	for _, h := range drop {
+		f.Remove(h)
+	}
+	f.renumber()
+	return hs
+}
+
 // Live returns the number of registered patterns.
 func (f *Forest) Live() int { return len(f.pats) - len(f.freePats) }
 
@@ -288,20 +383,8 @@ func (f *Forest) compile(v *pattern.Node, root bool) uint32 {
 		// child of a root "//" (it becomes a plain root constraint).
 		kids[i] = f.compile(c, false)
 	}
-	// Canonical key: kind, sym, sorted kid ids. Hash-consed children
-	// make structurally equal subtrees share one id, so sorting the id
-	// list canonicalizes the unordered child set.
 	insertionSortU32(kids)
-	b := f.keyBuf[:0]
-	b = strconv.AppendUint(b, uint64(kind), 10)
-	b = append(b, '.')
-	b = strconv.AppendUint(b, uint64(sym), 10)
-	for _, k := range kids {
-		b = append(b, ',')
-		b = strconv.AppendUint(b, uint64(k), 10)
-	}
-	f.keyBuf = b
-	key := string(b)
+	key := f.key(kind, sym, kids)
 	if id, ok := f.index[key]; ok {
 		// Sharing an existing node: the fresh kid references are
 		// already counted in it, so give them back.
@@ -321,87 +404,194 @@ func (f *Forest) compile(v *pattern.Node, root bool) uint32 {
 	}
 	f.nodes[id] = forestNode{kind: kind, sym: sym, kids: kids, refs: 1, key: key}
 	f.index[key] = id
+	f.ordered = false
 	f.growUniverse()
 	f.register(id)
 	return id
 }
 
-// growUniverse extends every mask to the current node-id universe.
-// Only called under Add's exclusivity: Match runs concurrently with
-// Match and must never observe a mask mid-grow. Freed-id reuse keeps
-// the universe stable, so the common churn case returns immediately.
+// key is a node's canonical hash-consing key: kind, sym and sorted kid
+// ids, four bytes each. Hash-consed children make structurally equal
+// subtrees share one id, so sorting the id list canonicalizes the
+// unordered child set.
+func (f *Forest) key(kind nodeKind, sym uint32, kids []uint32) string {
+	b := append(f.keyBuf[:0], byte(kind))
+	b = binary.LittleEndian.AppendUint32(b, sym)
+	for _, k := range kids {
+		b = binary.LittleEndian.AppendUint32(b, k)
+	}
+	f.keyBuf = b
+	return string(b)
+}
+
+// growUniverse extends every mask and index to cover the node-id
+// universe, by a quarter more when it runs out. Only called under Add's
+// exclusivity: Match runs concurrently with Match and must never
+// observe a mask mid-grow.
 func (f *Forest) growUniverse() {
-	n := len(f.nodes)
-	if n == f.grownTo {
+	if len(f.nodes) <= f.grownTo {
 		return
 	}
+	n := max(len(f.nodes), f.grownTo+f.grownTo/4, 64)
 	f.grownTo = n
-	f.firstKidMask.Grow(n)
-	f.descKidMask.Grow(n)
-	f.rdKidMask.Grow(n)
 	f.slashMask.Grow(n)
 	f.rootKidMask.Grow(n)
-	for len(f.byFirstKid) < n {
-		f.byFirstKid = append(f.byFirstKid, nil)
-		f.byDescKid = append(f.byDescKid, nil)
-		f.byRdKid = append(f.byRdKid, nil)
-		f.byRootKid = append(f.byRootKid, nil)
+	for _, x := range f.kidIndexes() {
+		x.grow(n)
+	}
+	f.byRootKid = append(f.byRootKid, make([][]uint32, n-len(f.byRootKid))...)
+}
+
+// kidIndexes lists the kid indexes made so far.
+func (f *Forest) kidIndexes() []*kidIndex {
+	xs := []*kidIndex{f.wildKids, f.descKids, f.rdKids}
+	for _, x := range f.tagKids {
+		if x != nil {
+			xs = append(xs, x)
+		}
+	}
+	return xs
+}
+
+// kidIndex returns the kid index of node n, made on first use.
+func (f *Forest) kidIndex(n *forestNode) *kidIndex {
+	switch n.kind {
+	case kindWild:
+		return f.wildKids
+	case kindDesc:
+		return f.descKids
+	case kindRootDesc:
+		return f.rdKids
+	}
+	if int(n.sym) >= len(f.tagKids) {
+		f.tagKids = append(f.tagKids, make([]*kidIndex, int(n.sym)+1-len(f.tagKids))...)
+	}
+	if f.tagKids[n.sym] == nil {
+		f.tagKids[n.sym] = newKidIndex(f.grownTo)
+	}
+	return f.tagKids[n.sym]
+}
+
+// renumber gives the live nodes dense ids in (kind, label) order, ties
+// in their old order, and rebuilds the hash-consing keys, every
+// match-path index and the patterns' root kids from them.
+func (f *Forest) renumber() {
+	if f.ordered {
+		return
+	}
+	f.ordered = true
+	// Sort keys: (kind, label) slot, then id — tag labels first, then
+	// the other kinds, each above every symbol.
+	var order []uint64
+	for id := range f.nodes {
+		if n := &f.nodes[id]; n.refs > 0 {
+			slot := uint64(n.sym)
+			if n.kind != kindTag {
+				slot = uint64(f.tbl.Len()) + uint64(n.kind)
+			}
+			order = append(order, slot<<32|uint64(id))
+		}
+	}
+	slices.Sort(order)
+	to := make([]uint32, len(f.nodes))
+	for i, k := range order {
+		to[uint32(k)] = uint32(i)
+	}
+	nodes := make([]forestNode, len(order))
+	clear(f.index)
+	for i, k := range order {
+		n := f.nodes[uint32(k)]
+		for j, kid := range n.kids {
+			n.kids[j] = to[kid]
+		}
+		insertionSortU32(n.kids)
+		n.key = f.key(n.kind, n.sym, n.kids)
+		f.index[n.key] = uint32(i)
+		nodes[i] = n
+	}
+	f.nodes, f.freeIDs = nodes, f.freeIDs[:0]
+
+	for i := range f.leafTag {
+		f.leafTag[i] = noNode
+	}
+	f.wildLeaf = noNode
+	for i := range f.byRootKid {
+		f.byRootKid[i] = f.byRootKid[i][:0]
+	}
+	f.slashMask.Reset()
+	f.rootKidMask.Reset()
+	for _, x := range f.kidIndexes() {
+		x.kids.Reset()
+		x.off, x.cands = x.off[:1], x.cands[:0]
+	}
+	// Nodes with kids go into their kid indexes by lowest kid, each past
+	// every kid already marked there.
+	order = order[:0]
+	for id := range f.nodes {
+		if n := &f.nodes[id]; len(n.kids) > 0 {
+			order = append(order, uint64(n.kids[0])<<32|uint64(id))
+		} else {
+			f.register(uint32(id))
+		}
+	}
+	slices.Sort(order)
+	for _, k := range order {
+		n := &f.nodes[uint32(k)]
+		f.kidIndex(n).push(n.kids[0], kidCand{id: uint32(k), rest: n.kids[1:]})
+		if n.kind >= kindDesc {
+			f.slashMask.Add(int(uint32(k)))
+		}
+	}
+	for _, x := range f.kidIndexes() {
+		x.rebase()
+	}
+	for h := range f.pats {
+		e := &f.pats[h]
+		for j, k := range e.rootKids {
+			e.rootKids[j] = to[k>>1]<<1 | k&1
+		}
+		if len(e.rootKids) > 0 {
+			addKidIndex(f.byRootKid, f.rootKidMask, e.rootKids[0]>>1, uint32(h))
+		}
 	}
 }
 
 // register enters a fresh node into the match-path indexes.
 func (f *Forest) register(id uint32) {
 	n := &f.nodes[id]
-	switch n.kind {
-	case kindTag, kindWild:
-		if len(n.kids) == 0 {
-			if n.kind == kindWild {
-				f.wildLeaf = id
-				return
-			}
-			for len(f.leafTag) <= int(n.sym) {
-				f.leafTag = append(f.leafTag, noNode)
-			}
-			f.leafTag[n.sym] = id
-			return
+	switch {
+	case len(n.kids) > 0:
+		f.kidIndex(n).add(n.kids[0], kidCand{id: id, rest: n.kids[1:]})
+		if n.kind >= kindDesc {
+			f.slashMask.Add(int(id))
 		}
-		f.addFirstKid(n, id)
-	case kindDesc:
-		f.slashMask.Add(int(id))
-		addKidIndex(f.byDescKid, f.descKidMask, n.kids[0], id)
-	case kindRootDesc:
-		f.slashMask.Add(int(id))
-		addKidIndex(f.byRdKid, f.rdKidMask, n.kids[0], id)
+	case n.kind == kindWild:
+		f.wildLeaf = id
+	default:
+		for len(f.leafTag) <= int(n.sym) {
+			f.leafTag = append(f.leafTag, noNode)
+		}
+		f.leafTag[n.sym] = id
 	}
 }
 
 // unregister removes a dying node from the match-path indexes.
 func (f *Forest) unregister(id uint32) {
 	n := &f.nodes[id]
-	switch n.kind {
-	case kindTag, kindWild:
-		if len(n.kids) == 0 {
-			if n.kind == kindWild {
-				f.wildLeaf = noNode
-			} else {
-				f.leafTag[n.sym] = noNode
-			}
-			return
-		}
-		f.dropFirstKid(n.kids[0], id)
-	case kindDesc:
+	switch {
+	case len(n.kids) > 0:
+		f.kidIndex(n).drop(n.kids[0], id)
 		f.slashMask.Remove(int(id))
-		dropKidIndex(f.byDescKid, f.descKidMask, n.kids[0], id)
-	case kindRootDesc:
-		f.slashMask.Remove(int(id))
-		dropKidIndex(f.byRdKid, f.rdKidMask, n.kids[0], id)
+	case n.kind == kindWild:
+		f.wildLeaf = noNode
+	default:
+		f.leafTag[n.sym] = noNode
 	}
 }
 
-// addKidIndex/dropKidIndex maintain a dense inverse-kid index (entries
-// — node ids, or pattern handles in byRootKid — indexed by kid node id;
-// growUniverse has already sized the slice; the mask mirrors which
-// entries are non-empty).
+// addKidIndex/dropKidIndex maintain byRootKid, pattern handles indexed
+// by root kid id (growUniverse has already sized the slice; the mask
+// mirrors which entries are non-empty).
 func addKidIndex(m [][]uint32, mask *bitset.Set, kid, id uint32) {
 	m[kid] = append(m[kid], id)
 	mask.Add(int(kid))
@@ -415,32 +605,6 @@ func dropKidIndex(m [][]uint32, mask *bitset.Set, kid, id uint32) {
 	}
 }
 
-// addFirstKid enters tag/"*" node n (id) into its lowest kid's
-// candidate list, keeping the list sorted by label symbol.
-func (f *Forest) addFirstKid(n *forestNode, id uint32) {
-	c := kidCand{sym: n.sym, id: id, rest: n.kids[1:]}
-	if n.kind == kindWild {
-		c.sym = wildSym
-	}
-	kid := n.kids[0]
-	l := f.byFirstKid[kid]
-	at := sort.Search(len(l), func(i int) bool { return l[i].sym > c.sym })
-	f.byFirstKid[kid] = slices.Insert(l, at, c)
-	f.firstKidMask.Add(int(kid))
-}
-
-// dropFirstKid removes node id from kid's candidate list, preserving
-// the order of the rest.
-func (f *Forest) dropFirstKid(kid, id uint32) {
-	l := f.byFirstKid[kid]
-	i := slices.IndexFunc(l, func(c kidCand) bool { return c.id == id })
-	l = slices.Delete(l, i, i+1)
-	f.byFirstKid[kid] = l
-	if len(l) == 0 {
-		f.firstKidMask.Remove(int(kid))
-	}
-}
-
 // release drops one reference to a node, freeing it (and its subtree
 // references) when the count reaches zero.
 func (f *Forest) release(id uint32) {
@@ -451,6 +615,7 @@ func (f *Forest) release(id uint32) {
 	}
 	delete(f.index, n.key)
 	f.unregister(id)
+	f.ordered = false
 	kids := n.kids
 	*n = forestNode{}
 	for _, k := range kids {
@@ -552,8 +717,9 @@ func (s *frame) and(mask *bitset.Set) func(yield func(uint32) bool) {
 type frameStack struct {
 	slots []frameSlot
 	// examined counts the first-kid candidates eval ran the remaining-
-	// kids check on — like frame.touched, a unit of work read by tests.
-	examined int
+	// kids check on, lists the first-kid runs it read — like
+	// frame.touched, units of work read by tests.
+	examined, lists int
 }
 
 type frameSlot struct {
@@ -687,9 +853,9 @@ func (f *Forest) eval(doc *xmltree.Flat, fr *frameStack, i int32, d int) {
 		// bits are visited, and bits added mid-iteration are "//" ids,
 		// which never occur in the kid masks.
 		S := &child.ns
-		for k := range S.and(f.descKidMask) {
-			for _, v := range f.byDescKid[k] {
-				S.add(v)
+		for k := range S.and(f.descKids.kids) {
+			for _, c := range f.descKids.run(k) {
+				S.add(c.id)
 			}
 		}
 		for v := range child.sat.and(f.slashMask) {
@@ -697,30 +863,24 @@ func (f *Forest) eval(doc *xmltree.Flat, fr *frameStack, i int32, d int) {
 		}
 
 		// Constraints with kids are examined only when their lowest kid
-		// fired, and of those only the ones this node's label admits. A
-		// long list is first cut down to its run for sym and its "*"
-		// run; the label test below then only filters short lists.
-		for k := range S.and(f.firstKidMask) {
-			cands := f.byFirstKid[k]
-			var wild []kidCand
-			if len(cands) > scanMax {
-				cands, wild = labelRuns(cands, sym)
+		// fired, in the two indexes this node's label admits: its own
+		// and "*"'s.
+		idx := [2]*kidIndex{f.wildKids}
+		if int(sym) < len(f.tagKids) {
+			idx[1] = f.tagKids[sym]
+		}
+		for _, x := range idx {
+			if x == nil {
+				continue
 			}
-			for {
-				for j := range cands {
-					c := &cands[j]
-					if c.sym != sym && c.sym != wildSym {
-						continue
-					}
+			for k := range S.and(x.kids) {
+				fr.lists++
+				for _, c := range x.run(k) {
 					fr.examined++
 					if allIn(c.rest, S) {
 						N.add(c.id)
 					}
 				}
-				if len(wild) == 0 {
-					break
-				}
-				cands, wild = wild, nil
 			}
 		}
 		up.sat.unionWith(S)
@@ -728,9 +888,9 @@ func (f *Forest) eval(doc *xmltree.Flat, fr *frameStack, i int32, d int) {
 
 	// Root "//" re-roots at some descendant-or-self: node-satisfaction
 	// of its kid here (or, above, the bit already raised below).
-	for k := range N.and(f.rdKidMask) {
-		for _, v := range f.byRdKid[k] {
-			up.sat.add(v)
+	for k := range N.and(f.rdKids.kids) {
+		for _, c := range f.rdKids.run(k) {
+			up.sat.add(c.id)
 		}
 	}
 	up.ns.unionWith(N)
@@ -748,28 +908,6 @@ func oracleMatches(t *xmltree.Tree, p *pattern.Pattern) (res bool) {
 		}
 	}()
 	return pattern.Matches(t, p)
-}
-
-// labelRuns cuts a candidate list (sorted by symbol, "*" last) down to
-// the run labelled sym and the "*" run. A document label no pattern
-// uses is NoSym, below every candidate's symbol: an empty run.
-func labelRuns(cands []kidCand, sym uint32) (tagged, wild []kidCand) {
-	n := len(cands)
-	for n > 0 && cands[n-1].sym == wildSym {
-		n--
-	}
-	lo, hi := 0, n
-	for lo < hi {
-		if m := int(uint(lo+hi) >> 1); cands[m].sym < sym {
-			lo = m + 1
-		} else {
-			hi = m
-		}
-	}
-	for hi < n && cands[hi].sym == sym {
-		hi++
-	}
-	return cands[lo:hi], cands[n:]
 }
 
 // allIn reports whether every listed child constraint is in S.

@@ -13,7 +13,10 @@ import (
 // engine against the pattern.Matches oracle: a random document in
 // compact form and a newline-separated pattern set must produce
 // identical match sets, including after removal/re-add churn
-// (exercising the forest's hash-cons reference counting).
+// (exercising the forest's hash-cons reference counting). One of the
+// three steps — install, removal, re-add — is a batch install
+// (Replace), chosen by the pattern text's length, so the renumbering
+// runs on fresh, shrunk and regrown forests.
 func FuzzEngineVsMatches(f *testing.F) {
 	seeds := [][2]string{
 		{"a(b,c)", "/a/b\n//c\n/a[b][c]\n/x\n/*"},
@@ -58,11 +61,48 @@ func FuzzEngineVsMatches(f *testing.F) {
 			want[i] = pattern.Matches(doc, p)
 		}
 
+		batch := len(patsStr) % 3
 		forest := NewForest()
 		hs := make([]int, len(pats))
-		for i, p := range pats {
-			hs[i] = forest.Add(p)
+		// edit applies one step: drop the handles at the odd indexes or
+		// add the patterns there (all of them at step 0), one by one or,
+		// at the batch step, as one Replace.
+		edit := func(step int, drop bool) {
+			var idx []int
+			for i := range pats {
+				if step == 0 || i%2 == 1 {
+					idx = append(idx, i)
+				}
+			}
+			if step != batch {
+				for _, i := range idx {
+					if drop {
+						forest.Remove(hs[i])
+						hs[i] = -1
+					} else {
+						hs[i] = forest.Add(pats[i])
+					}
+				}
+				return
+			}
+			var dropHs []int
+			var add []*pattern.Pattern
+			for _, i := range idx {
+				if drop {
+					dropHs = append(dropHs, hs[i])
+					hs[i] = -1
+				} else {
+					add = append(add, pats[i])
+				}
+			}
+			for j, h := range forest.Replace(dropHs, add) {
+				hs[idx[j]] = h
+			}
+			if !forest.ordered {
+				t.Fatalf("step %d: a batch install left ids out of label order", step)
+			}
 		}
+		edit(0, false)
 		check := func(stage string) {
 			checkIndex(t, forest)
 			ms := forest.Match(doc)
@@ -78,14 +118,9 @@ func FuzzEngineVsMatches(f *testing.F) {
 			}
 		}
 		check("initial")
-		for i := 1; i < len(pats); i += 2 {
-			forest.Remove(hs[i])
-			hs[i] = -1
-		}
+		edit(1, true)
 		check("after churn")
-		for i := 1; i < len(pats); i += 2 {
-			hs[i] = forest.Add(pats[i])
-		}
+		edit(2, false)
 		check("after re-add")
 	})
 }

@@ -168,30 +168,42 @@ func TestPooledFramesAcrossGrowthAndReuse(t *testing.T) {
 // index's cost model without a clock: on the NITF workload, every
 // candidate the kernel examines is one the document node's label admits
 // — accepted or rejected on its remaining kids, never on its label —
-// while a label-blind scan of the same lists would also load the
-// label-rejected ones (most of them).
+// and every list it reads holds one, while a label-blind scan of the
+// same lists would also load the label-rejected ones (most of them).
+// It holds on ids in label order (after a batch install) and on ids
+// churned out of it.
 func TestFirstKidLoopExaminesOnlyAdmissibleCandidates(t *testing.T) {
 	docs, subs := benchWorkload(8, 1000)
 	f := NewForest()
-	for _, p := range subs {
-		f.Add(p)
+	hs := f.Replace(nil, subs)
+	checkIndex(t, f)
+	count := func(stage string) {
+		var examined, accepted, kidRejected, labelRejected int
+		for _, d := range docs {
+			fr := &FrameStack{}
+			f.MatchOn(fr, d).Release()
+			a, k, l, lists := f.CandidateWork(d)
+			if fr.Examined() != a+k {
+				t.Errorf("%s: examined %d candidates; %d accepted + %d kid-rejected are label-admissible", stage, fr.Examined(), a, k)
+			}
+			if fr.Lists() != lists {
+				t.Errorf("%s: read %d candidate lists; %d hold an admissible candidate", stage, fr.Lists(), lists)
+			}
+			examined, accepted, kidRejected, labelRejected = examined+fr.Examined(), accepted+a, kidRejected+k, labelRejected+l
+		}
+		if accepted == 0 || kidRejected == 0 || labelRejected < examined {
+			t.Fatalf("%s: workload exercises too little: %d accepted, %d kid-rejected, %d label-rejected", stage, accepted, kidRejected, labelRejected)
+		}
+		t.Logf("%s, per document: %d examined (%d accepted, %d kid-rejected); a label-blind scan loads %d more",
+			stage, examined/len(docs), accepted/len(docs), kidRejected/len(docs), labelRejected/len(docs))
+	}
+	count("installed")
+	for i := 0; i < len(hs); i += 3 {
+		f.Remove(hs[i])
+		hs[i] = f.Add(subs[i])
 	}
 	checkIndex(t, f)
-	var examined, accepted, kidRejected, labelRejected int
-	for _, d := range docs {
-		fr := &FrameStack{}
-		f.MatchOn(fr, d).Release()
-		a, k, l := f.CandidateWork(d)
-		if fr.Examined() != a+k {
-			t.Errorf("examined %d candidates; %d accepted + %d kid-rejected are label-admissible", fr.Examined(), a, k)
-		}
-		examined, accepted, kidRejected, labelRejected = examined+fr.Examined(), accepted+a, kidRejected+k, labelRejected+l
-	}
-	if accepted == 0 || kidRejected == 0 || labelRejected < examined {
-		t.Fatalf("workload exercises too little: %d accepted, %d kid-rejected, %d label-rejected", accepted, kidRejected, labelRejected)
-	}
-	t.Logf("per document: %d examined (%d accepted, %d kid-rejected); a label-blind scan loads %d more",
-		examined/len(docs), accepted/len(docs), kidRejected/len(docs), labelRejected/len(docs))
+	count("churned")
 }
 
 // TestFirstKidIndexUnderChurn replays BenchmarkForestChurn's add/remove

@@ -60,20 +60,18 @@ func parseAdvert(a wire.Advert) ([]*pattern.Pattern, error) {
 }
 
 // indexLocked makes pats origin's patterns in the remote forest, in
-// place of those e holds (nil: none). Caller holds fmu and mu.
+// place of those e holds (nil: none), as one batch install. Caller
+// holds fmu and mu.
 func (n *Node) indexLocked(origin string, e *originEntry, pats []*pattern.Pattern) {
 	for _, h := range e.hs {
-		n.remote.Remove(h)
 		n.owner[h] = ""
 	}
-	e.hs = e.hs[:0]
-	for _, p := range pats {
-		h := n.remote.Add(p)
+	e.hs = n.remote.Replace(e.hs, pats)
+	for _, h := range e.hs {
 		for h >= len(n.owner) {
 			n.owner = append(n.owner, "")
 		}
 		n.owner[h] = origin
-		e.hs = append(e.hs, h)
 	}
 }
 
