@@ -11,7 +11,6 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"treesim/internal/broker"
@@ -175,14 +174,10 @@ func (b *batchResponse) add(res broker.PublishResult, forwarded int) {
 	b.Forwarded += forwarded
 }
 
-// publishBatch is the batched publish pipeline: the request body is a
-// JSON array of XML document strings (either bare or wrapped as
-// {"docs": [...]}), decoded and parsed on one goroutine while a second
-// stage routes already-parsed documents — XML decoding overlaps
-// matching, and the broker sees PublishBatch chunks instead of one
-// engine entry per document. Federated daemons route per document
-// through the overlay node (forwarding is a per-document decision) but
-// keep the same parse/route overlap.
+// publishBatch publishes a JSON array of XML document strings (bare, or
+// wrapped as {"docs": [...]}) one document at a time through the single
+// publish path. A document that fails to parse is skipped and counted;
+// the batch is a 400 only when every document failed.
 func (d *daemon) publishBatch(w http.ResponseWriter, r *http.Request) {
 	var raw json.RawMessage
 	if err := json.NewDecoder(d.body(r)).Decode(&raw); err != nil {
@@ -201,74 +196,27 @@ func (d *daemon) publishBatch(w http.ResponseWriter, r *http.Request) {
 		docs = wrapped.Docs
 	}
 	resp := batchResponse{}
-	if len(docs) == 0 {
-		writeJSON(w, http.StatusOK, resp)
-		return
-	}
-
-	// Stage 1: parse/flatten. The small buffer lets decoding run ahead
-	// of routing without holding the whole batch as trees.
-	parsed := make(chan *xmltree.Tree, 64)
-	var parseErrs atomic.Int64
-	var firstErr atomic.Pointer[string]
 	opts := d.eng.Estimator().Config().ParseOptions
-	go func() {
-		defer close(parsed)
-		for i, doc := range docs {
-			t, err := xmltree.ParseString(doc, opts)
-			if err != nil {
-				parseErrs.Add(1)
-				msg := fmt.Sprintf("doc %d: %v", i, err)
-				firstErr.CompareAndSwap(nil, &msg)
-				continue
-			}
-			parsed <- t
-		}
-	}()
-
-	// Stage 2: route in engine-sized chunks.
-	const chunk = 32
-	batch := make([]*xmltree.Tree, 0, chunk)
-	flush := func() error {
-		if d.node != nil {
-			for _, t := range batch {
-				res, fwd, err := d.node.Publish(t)
-				if err != nil {
-					return err
-				}
-				resp.add(res, fwd)
-			}
-		} else {
-			rs, err := d.eng.PublishBatch(batch)
-			if err != nil {
-				return err
-			}
-			for _, res := range rs {
-				resp.add(res, 0)
-			}
-		}
-		batch = batch[:0]
-		return nil
-	}
-	var err error
-	for t := range parsed {
+	for i, doc := range docs {
+		t, err := xmltree.ParseString(doc, opts)
 		if err != nil {
-			continue // closed mid-batch: drain the parser, then report
+			if resp.Errors++; resp.Errors == 1 {
+				resp.FirstError = fmt.Sprintf("doc %d: %v", i, err)
+			}
+			continue
 		}
-		if batch = append(batch, t); len(batch) == chunk {
-			err = flush()
+		var res broker.PublishResult
+		fwd := 0
+		if d.node != nil {
+			res, fwd, err = d.node.Publish(t)
+		} else {
+			res, err = d.eng.Publish(t)
 		}
-	}
-	if err == nil && len(batch) > 0 {
-		err = flush()
-	}
-	if err != nil {
-		httpError(w, status(err), "%v", err)
-		return
-	}
-	resp.Errors = int(parseErrs.Load())
-	if p := firstErr.Load(); p != nil {
-		resp.FirstError = *p
+		if err != nil {
+			httpError(w, status(err), "%v", err)
+			return
+		}
+		resp.add(res, fwd)
 	}
 	code := http.StatusOK
 	if resp.Published == 0 && resp.Errors > 0 {

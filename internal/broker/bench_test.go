@@ -193,33 +193,6 @@ func BenchmarkBrokerPublishParallel(b *testing.B) {
 	b.ReportMetric(float64(st.Deliveries)/float64(b.N), "deliveries/op")
 }
 
-// BenchmarkBrokerPublishBatch measures the batched pipeline: one
-// PublishBatch call per 32 documents (the daemon's batched POST
-// /publish path). ns/op is still per document.
-func BenchmarkBrokerPublishBatch(b *testing.B) {
-	const batchSize = 32
-	docs, subs := benchWorkload(200, 256)
-	e := benchEngine(b, docs, subs)
-	ids := liveIDs(e)
-	batch := make([]*xmltree.Tree, batchSize)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i += batchSize {
-		for j := range batch {
-			batch[j] = docs[(i+j)%len(docs)]
-		}
-		if _, err := e.PublishBatch(batch); err != nil {
-			b.Fatal(err)
-		}
-		if i%1024 == 0 && i > 0 {
-			b.StopTimer()
-			e.Flush()
-			drainAll(e, ids)
-			b.StartTimer()
-		}
-	}
-}
-
 // BenchmarkBrokerSubscribeChurn measures steady-state churn at 256 live
 // subscriptions: each op subscribes a fresh pattern (incremental
 // similarity row + community assignment, amortized policy rebuilds) and

@@ -286,11 +286,6 @@ type Engine struct {
 	// regVer moves on every registry or clustering change: a row or
 	// graph computed off-lock commits only at the version it read.
 	regVer uint64
-	// walLSN is the LSN of the newest successfully journaled mutation
-	// (see Journal). Updated inside the same registry critical sections
-	// that commit and journal, so a State cut under the registry lock
-	// reads a watermark exactly consistent with the registry it copies.
-	walLSN uint64
 	closed bool
 
 	// routeMu guards the matching plane (route.go): the forest, the
@@ -340,24 +335,16 @@ type Engine struct {
 	scratchPool sync.Pool
 	subPool     sync.Pool
 
-	// journal, when set, records committed registry mutations for crash
-	// recovery (SetJournal). Append failures are counted and latch
-	// degraded: the store underneath is fail-stop, so the first error
-	// means every later append would fail too — the engine keeps
-	// serving reads and at-most-once traffic but refuses new
-	// at-least-once subscriptions, whose redelivery contract it could
-	// no longer honor across a crash.
-	journal  atomic.Pointer[Journal]
+	// wal, when set, records committed mutations for crash recovery
+	// (SetJournal). Append failures are counted and latch degraded: the
+	// store underneath is fail-stop, so the first error means every later
+	// append would fail too — the engine keeps serving reads and
+	// at-most-once traffic but refuses new at-least-once subscriptions,
+	// whose redelivery contract it could no longer honor across a crash.
+	// lsn is the highest LSN it has returned (State.WalLSN).
+	wal      atomic.Pointer[Journal]
 	degraded atomic.Bool
-
-	// deliveryLSN is the highest journaled delivery-plane LSN
-	// (OpDeliver/OpAck/OpDrained), maintained as a CAS max. Delivery
-	// records are journaled outside the registry lock, so they get
-	// their own watermark; State folds it into WalLSN, reading it
-	// BEFORE copying any queue — every delivery record at or below the
-	// fold provably has its queue effect in the cut (effects precede
-	// appends), and everything above it replays idempotently.
-	deliveryLSN atomic.Uint64
+	lsn      atomic.Uint64
 
 	// sweepStop/sweepWG bound the background lease sweeper that
 	// returns lapsed at-least-once leases to redeliverable and wakes
@@ -613,12 +600,15 @@ func (e *Engine) SubscribePattern(p *pattern.Pattern, expr string) (uint64, erro
 // representatives, all that placement reads. It is computed on the
 // engine's similarity view from a snapshot of the representatives
 // without holding the registry lock, so concurrent publishes and drains
-// keep flowing; the result commits only if the registry and clustering
-// have not changed meanwhile (regVer). After bounded retries under
-// sustained churn it falls back to computing under the exclusive lock,
-// guaranteeing progress — on the same view, which the earlier attempts
-// left warm for all but the representatives that changed, so the lock
-// is never held across a view refresh or a cold pass.
+// keep flowing; the result commits if the registry and clustering have
+// not changed meanwhile (regVer). Otherwise the row is recomputed under
+// the exclusive lock, on the same view, which the first pass left warm
+// for all but the representatives that changed, so the lock is never
+// held across a view refresh or a cold pass.
+//
+// An empty expr registers p.String(): the expression is what the
+// journal, snapshots and introspection keep, and "" parses as the
+// match-all pattern.
 func (e *Engine) SubscribePatternOpts(p *pattern.Pattern, expr string, opt SubscribeOptions) (uint64, error) {
 	if err := checkMode(opt.Mode); err != nil {
 		return 0, err
@@ -630,6 +620,9 @@ func (e *Engine) SubscribePatternOpts(p *pattern.Pattern, expr string, opt Subsc
 		// but new contracts are refused.
 		return 0, ErrDegraded
 	}
+	if expr == "" {
+		expr = p.String()
+	}
 	start := time.Now()
 	sc, _ := e.subPool.Get().(*subScratch)
 	if sc == nil {
@@ -640,48 +633,28 @@ func (e *Engine) SubscribePatternOpts(p *pattern.Pattern, expr string, opt Subsc
 		e.subPool.Put(sc)
 	}()
 	view := e.similarityView(false)
-	// finish commits sc.sims under the registry lock (held by the caller)
-	// and releases it.
-	finish := func() (uint64, error) {
-		id := e.commitSubscribeLocked(p, expr, sc.sims, opt)
-		ev := ChurnEvent{Stale: e.stale, Live: len(e.byID)}
-		e.mu.Unlock()
-		e.subLat.ObserveDuration(time.Since(start).Nanoseconds())
-		e.notifyChurn(ev)
-		e.maybeRebuild(false)
-		return id, nil
-	}
-	for attempt := 0; attempt < 3; attempt++ {
-		e.mu.RLock()
-		if e.closed {
-			e.mu.RUnlock()
-			return 0, ErrClosed
-		}
-		ver := e.regVer
-		sc.snapshotLocked(e)
-		e.mu.RUnlock()
-
-		sc.fill(view, e.cfg.Metric, e.cfg.Threshold, p)
-
-		e.mu.Lock()
-		if e.closed {
-			e.mu.Unlock()
-			return 0, ErrClosed
-		}
-		if e.regVer == ver {
-			return finish()
-		}
-		e.mu.Unlock() // registry churned mid-compute; re-snapshot
-	}
+	e.mu.RLock()
+	ver := e.regVer
+	sc.snapshotLocked(e)
+	e.mu.RUnlock()
+	sc.fill(view, e.cfg.Metric, e.cfg.Threshold, p)
 
 	e.mu.Lock()
 	if e.closed {
 		e.mu.Unlock()
 		return 0, ErrClosed
 	}
-	sc.snapshotLocked(e)
-	sc.fill(view, e.cfg.Metric, e.cfg.Threshold, p)
-	return finish()
+	if e.regVer != ver { // the registry churned mid-compute
+		sc.snapshotLocked(e)
+		sc.fill(view, e.cfg.Metric, e.cfg.Threshold, p)
+	}
+	id := e.commitSubscribeLocked(p, expr, sc.sims, opt)
+	ev := ChurnEvent{Stale: e.stale, Live: len(e.byID)}
+	e.mu.Unlock()
+	e.subLat.ObserveDuration(time.Since(start).Nanoseconds())
+	e.notifyChurn(ev)
+	e.maybeRebuild(false)
+	return id, nil
 }
 
 // subScratch is one subscribe's pooled buffers: the representatives'
@@ -760,12 +733,9 @@ func (e *Engine) commitSubscribeLocked(p *pattern.Pattern, expr string, sims []f
 	}
 	e.nextID++
 	id := e.nextID
+	e.journal(persist.Record{Op: persist.OpSubscribe, ID: id, Expr: expr, Group: g, Mode: uint8(opt.Mode)})
 	e.installSubLocked(id, p, expr, g, opt.Mode)
 	e.counters.subscribes.Add(1)
-	// Journal inside the registry critical section so the WAL order is
-	// the commit order (a µs-scale write syscall; fsync policy lives in
-	// the journal implementation).
-	e.journalLocked(persist.Record{Op: persist.OpSubscribe, ID: id, Expr: expr, Group: g, Mode: uint8(opt.Mode)})
 	return id
 }
 
@@ -792,16 +762,13 @@ func (e *Engine) installSubLocked(id uint64, p *pattern.Pattern, expr string, g 
 // nothing and reports false.
 func (e *Engine) Unsubscribe(id uint64) bool {
 	e.mu.Lock()
-	var s *subscriber
-	if !e.closed {
-		s = e.removeSubLocked(id)
-	}
-	if s == nil {
+	if e.closed || e.byID[id] == nil {
 		e.mu.Unlock()
 		return false
 	}
+	e.journal(persist.Record{Op: persist.OpUnsubscribe, ID: id})
+	s := e.removeSubLocked(id)
 	e.counters.unsubscribes.Add(1)
-	e.journalLocked(persist.Record{Op: persist.OpUnsubscribe, ID: id})
 	ev := ChurnEvent{Stale: e.stale, Live: len(e.byID)}
 	e.mu.Unlock()
 	e.viewMu.Lock()
@@ -894,23 +861,25 @@ func (e *Engine) maybeRebuild(force bool) {
 		g := view.SimilarityGraph(e.cfg.Metric, e.cfg.Threshold, pats)
 		idx, seeds := cluster.GreedyRows(g.Len(), g.Row)
 		groups, reps := make([][]*subscriber, len(idx)), make([]*subscriber, len(seeds))
+		rec := persist.Record{Op: persist.OpRebuild, Groups: make([][]uint64, len(idx)), Reps: make([]uint64, len(seeds))}
 		for c, members := range idx {
 			for _, i := range members {
 				groups[c] = append(groups[c], subs[i])
+				rec.Groups[c] = append(rec.Groups[c], subs[i].id)
 			}
 			reps[c] = subs[seeds[c]]
+			rec.Reps[c] = reps[c].id
 		}
 
 		e.mu.Lock()
 		if e.regVer == ver && !e.closed {
+			e.journal(rec)
 			e.installLocked(groups, reps)
 			e.stale = 0
 			// New representatives: a subscribe row computed against the
 			// superseded ones must not commit.
 			e.regVer++
 			e.counters.rebuilds.Add(1)
-			groups, reps := e.partitionIDsLocked()
-			e.journalLocked(persist.Record{Op: persist.OpRebuild, Groups: groups, Reps: reps})
 			live := len(e.byID)
 			communities := len(e.groups)
 			e.mu.Unlock()
@@ -1014,7 +983,7 @@ func (e *Engine) DrainBatch(id uint64, max int, wait time.Duration) (DrainResult
 			// lost OpDrained only costs the redelivered flag, never the
 			// redelivery itself.
 			if !closed {
-				e.journalDelivery(persist.Record{Op: persist.OpDrained, ID: id, Cursor: r.Cursor})
+				e.journal(persist.Record{Op: persist.OpDrained, ID: id, Cursor: r.Cursor})
 			}
 		}
 		return r, nil
@@ -1053,7 +1022,7 @@ func (e *Engine) Ack(id uint64, upto uint64) (int, error) {
 		e.counters.acked.Add(uint64(acked))
 	}
 	if advanced {
-		e.journalDelivery(persist.Record{Op: persist.OpAck, ID: id, Cursor: upto})
+		e.journal(persist.Record{Op: persist.OpAck, ID: id, Cursor: upto})
 	}
 	return acked, nil
 }

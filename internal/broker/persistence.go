@@ -91,14 +91,12 @@ type State struct {
 	NextID uint64
 	Stale  int
 	PubSeq uint64
-	// WalLSN is the LSN of the last journal record whose effect this
-	// state includes (0 when nothing has been journaled). Registry
-	// records are watermarked inside the same critical sections that
-	// journal them; delivery-plane records (OpDeliver/OpAck/OpDrained)
-	// are folded in from a watermark read BEFORE any queue is copied,
-	// so a record at or below WalLSN provably has its effect in the
-	// cut and everything above replays (idempotently — cursors dedupe).
-	// Pass it to persist.Store.WriteSnapshot.
+	// WalLSN is the journal watermark the cut was taken at (0 when
+	// nothing has been journaled): every record at or below it has its
+	// effect in this state, and every record above it replays over it —
+	// a registry record's effect is not in the state, a delivery record's
+	// may be and replays idempotently by cursor (see Journal). Pass it to
+	// persist.Store.WriteSnapshot.
 	WalLSN uint64
 	// Packed maps publish sequence → the document as retention holds it
 	// (xmltree.Pack bytes) for every document referenced by a Queued
@@ -147,11 +145,8 @@ func DecodeState(data []byte) (*State, error) {
 // which is exactly what an ordered shutdown wants for its final
 // snapshot — close the engine first, then snapshot what it settled on.
 func (e *Engine) State() (*State, error) {
-	// Read the delivery-plane watermark BEFORE copying any queue: a
-	// delivery record journaled after this read gets a higher LSN and
-	// replays; one at or below it was appended — and therefore applied,
-	// effects precede appends — before every copy below.
-	dLSN := e.deliveryLSN.Load()
+	// The watermark is read under the registry lock and before any queue
+	// is copied, which is what makes it exact (see Journal).
 	e.mu.RLock()
 	subs := e.registryLocked()
 	st := &State{
@@ -161,7 +156,7 @@ func (e *Engine) State() (*State, error) {
 		Reps:   make([]int, len(e.groups)),
 		NextID: e.nextID,
 		Stale:  e.stale,
-		WalLSN: e.walLSN,
+		WalLSN: e.lsn.Load(),
 	}
 	var docSeqs []uint64
 	index := make(map[*subscriber]int, len(subs))
@@ -183,9 +178,6 @@ func (e *Engine) State() (*State, error) {
 		st.Reps[g] = index[rg.rep]
 	}
 	e.mu.RUnlock()
-	if dLSN > st.WalLSN {
-		st.WalLSN = dLSN
-	}
 	st.PubSeq = e.pubSeq.Load()
 	// Take the referenced documents (pins keep them retrievable; a
 	// concurrent ack can discharge one between the cut and here, but its
@@ -285,7 +277,7 @@ func Restore(cfg Config, st *State) (_ *Engine, err error) {
 			// The engine is not shared yet; fields are set directly. All
 			// recovered entries are redeliverable (no surviving leases).
 			q.committed = se.Committed
-			q.lastCursor = se.LastCursor
+			q.lastCursor, q.floor = se.LastCursor, se.LastCursor
 			for _, qd := range se.Queued {
 				q.entries = append(q.entries, ackEntry{cursor: qd.Cursor, doc: qd.Doc, comm: qd.Community, attempts: qd.Attempts})
 				q.stats.delivered++
@@ -318,9 +310,8 @@ func Restore(cfg Config, st *State) (_ *Engine, err error) {
 // tests. It restores the snapshot (a fresh engine when there is none),
 // replays the WAL tail above the snapshot's watermark through Apply,
 // and only then installs the store as the journal, so replayed records
-// never re-enter the WAL. The registry watermark starts at the store's
-// last LSN: every snapshot the engine writes covers the replayed
-// prefix.
+// never re-enter the WAL. The watermark starts at the store's last LSN:
+// every snapshot the engine writes covers the replayed prefix.
 //
 // The returned epoch floor is the overlay epoch a restarted node must
 // boot above: the maximum of the snapshot's advert version, its
@@ -367,23 +358,27 @@ func Recover(cfg Config, store *persist.Store) (*Engine, uint64, error) {
 		e.Close()
 		return nil, 0, fmt.Errorf("broker: recover %s: %w", store.Dir(), err)
 	}
-	e.mu.Lock()
-	e.walLSN = store.LastLSN()
-	e.mu.Unlock()
+	e.lsn.Store(store.LastLSN())
 	e.SetJournal(store)
 	return e, floor, nil
 }
 
-// Journal is the engine's write-ahead log: each committed mutation
-// arrives as one persist.Record, in commit order, and Append returns the
-// log sequence number the record was assigned. *persist.Store is the
-// implementation. Registry records (OpSubscribe, OpUnsubscribe,
-// OpRebuild) are appended inside the registry critical section, so the
-// engine reports the highest one's LSN as State.WalLSN, the watermark a
-// snapshot of that state covers; delivery-plane records (OpDeliver,
-// OpAck, OpDrained) are appended outside it, after their queue effect,
-// and kept as a second watermark State folds in. Append should be fast
-// (an unsynced write is enough for process-death durability) and leave
+// Journal is the engine's write-ahead log: each mutation arrives as one
+// persist.Record and Append returns the log sequence number the record
+// was assigned. *persist.Store is the implementation. One rule orders the
+// log. A registry record (OpSubscribe, OpUnsubscribe, OpRebuild) is
+// appended inside its registry critical section, before the table edit
+// that makes its effect visible to publishes — so a delivery to a new
+// subscription is always logged after the subscription. A delivery
+// record (OpDeliver, OpAck, OpDrained) is appended after its queue
+// effect. The engine keeps the highest LSN Append returned as one
+// watermark, and State reads it under the registry lock before copying
+// any queue: a record at or below it has its effect in the cut; a
+// registry record above it cannot, since its critical section excludes
+// the read; a delivery record above it replays idempotently by cursor.
+// No registry record is appended under the routing lock, so a slow
+// append stalls churn, not publishing. Append should be fast (an
+// unsynced write is enough for process-death durability) and leave
 // fsync policy to its own configuration. An OpDeliver record's slices
 // are the publish's scratch: encode or copy them before returning.
 // Errors are counted in Stats.JournalErrors and latch the engine
@@ -397,33 +392,21 @@ type Journal interface {
 // are not re-journaled. A nil j uninstalls.
 func (e *Engine) SetJournal(j Journal) {
 	if j == nil {
-		e.journal.Store(nil)
+		e.wal.Store(nil)
 		return
 	}
-	e.journal.Store(&j)
+	e.wal.Store(&j)
 }
 
-// journalLocked appends a registry record and raises walLSN to its LSN.
-// Caller holds the registry lock exclusively.
-func (e *Engine) journalLocked(rec persist.Record) {
-	if j := e.journal.Load(); j != nil {
-		if lsn, err := (*j).Append(rec); err != nil {
-			e.noteJournalError()
-		} else if lsn > e.walLSN {
-			e.walLSN = lsn
-		}
-	}
-}
-
-// journalDelivery appends a delivery-plane record and raises
-// deliveryLSN to its LSN — a CAS max, since these appends happen
+// journal appends rec, if a journal is installed, and raises the
+// watermark to its LSN — a CAS max, since delivery records are appended
 // outside the registry lock and can complete out of order.
-func (e *Engine) journalDelivery(rec persist.Record) {
-	if j := e.journal.Load(); j != nil {
+func (e *Engine) journal(rec persist.Record) {
+	if j := e.wal.Load(); j != nil {
 		if lsn, err := (*j).Append(rec); err != nil {
 			e.noteJournalError()
 		} else {
-			storeMax(&e.deliveryLSN, lsn)
+			storeMax(&e.lsn, lsn)
 		}
 	}
 }
@@ -466,8 +449,8 @@ func (e *Engine) partitionIDsLocked() (groups [][]uint64, reps []uint64) {
 //   - OpRebuild replaces the partition wholesale with the recorded one,
 //     keyed by subscription ids, exactly as the original rebuild did.
 //   - OpDeliver re-enters each (subscription, cursor) pair into that
-//     subscription's cursor log unless the cursor was already seen —
-//     cursors are monotonic and never reused — and repins the document
+//     subscription's cursor log, in cursor order, unless the cursor was
+//     already seen — cursors are never reused — and repins the document
 //     the record carries (packed, or the XML text of a log written
 //     before records carried it packed). Unknown and at-most-once ids
 //     are skipped (unsubscribed later in the WAL, or never durable).

@@ -10,9 +10,9 @@ import (
 )
 
 // This file is the document plane: the publish entry points, the
-// batched publish pipeline, the background synopsis ingester, and the
-// recent-document retention ring. Routing state lives in route.go; the
-// subscription registry in broker.go.
+// background synopsis ingester, and the recent-document retention ring.
+// Routing state lives in route.go; the subscription registry in
+// broker.go.
 
 // ingestItem is one unit of the publish→synopsis pipeline: a document
 // to ingest, or a flush marker (nil tree) whose done channel is closed
@@ -94,59 +94,19 @@ func (e *Engine) InjectRemote(t *xmltree.Tree, doc []byte) (PublishResult, error
 	return res, err
 }
 
-// publish is Publish and InjectRemote: accept, then route.
+// publish is Publish and InjectRemote: once accept has queued the
+// document for the synopsis, it gets its sequence number, enters
+// retention and is routed. The time accept took is ingest-queue wait,
+// the remainder routing; both land in the result and the latency
+// histograms.
 func (e *Engine) publish(t *xmltree.Tree, doc []byte, block bool) (PublishResult, error) {
 	start := time.Now()
-	if err := e.accept(block, t); err != nil {
+	if err := e.accept(t, block); err != nil {
 		return PublishResult{}, err
 	}
+	enqueued := time.Now()
 	e.routeMu.RLock()
 	defer e.routeMu.RUnlock()
-	return e.publishLocked(t, doc, start, time.Now()), nil
-}
-
-// accept is the ingest gate of every publish entry point: it refuses a
-// tree deeper than xmltree.MaxDepth and a closed engine, then queues ts
-// for synopsis ingestion before any routing lock is taken, so a full
-// pipeline stalls only publishers (and Close), never Drain/Stats. With
-// block a full pipeline is waited out (backpressure); without, the first
-// document that does not fit is shed, counted, and ErrBusy returned.
-func (e *Engine) accept(block bool, ts ...*xmltree.Tree) error {
-	for _, t := range ts {
-		if t != nil && t.Root != nil && deeper(t.Root, xmltree.MaxDepth) {
-			return ErrTooDeep
-		}
-	}
-	e.pipeMu.RLock()
-	defer e.pipeMu.RUnlock()
-	if e.pipeClosed {
-		return ErrClosed
-	}
-	for _, t := range ts {
-		if block {
-			e.counters.ingestQueued.Add(1)
-			e.ingest <- ingestItem{tree: t}
-			continue
-		}
-		select {
-		case e.ingest <- ingestItem{tree: t}:
-			e.counters.ingestQueued.Add(1)
-		default:
-			e.counters.remoteShed.Add(1)
-			e.logShed()
-			return ErrBusy
-		}
-	}
-	return nil
-}
-
-// publishLocked is every publish entry point's per-document body: the
-// accepted document gets its sequence number, enters retention and is
-// routed. start is when the publish entered the engine, enqueued when
-// the pipeline accepted it — the gap is ingest-queue wait, the remainder
-// routing; both land in the result and the latency histograms. Caller
-// holds routeMu shared.
-func (e *Engine) publishLocked(t *xmltree.Tree, doc []byte, start, enqueued time.Time) PublishResult {
 	res := PublishResult{Seq: e.pubSeq.Add(1)}
 	doc = e.docs.put(res.Seq, t, doc)
 	// A publish that raced Close past the pipeline check was already
@@ -161,33 +121,38 @@ func (e *Engine) publishLocked(t *xmltree.Tree, doc []byte, start, enqueued time
 	res.MatchNS = end.Sub(enqueued).Nanoseconds()
 	e.ingestWait.ObserveDuration(res.IngestWaitNS)
 	e.pubLat.ObserveDuration(end.Sub(start).Nanoseconds())
-	return res
+	return res, nil
 }
 
-// PublishBatch routes a batch of documents with amortized overhead: one
-// pass through the ingest gate and one routing epoch for the whole
-// batch, whose pipeline wait is charged to its first document. Results
-// are index-aligned with ts. An empty batch is a no-op. This is the
-// engine half of the daemon's batched POST /publish; load generators use
-// it to amortize per-request costs the same way.
-func (e *Engine) PublishBatch(ts []*xmltree.Tree) ([]PublishResult, error) {
-	out := make([]PublishResult, len(ts))
-	if len(ts) == 0 {
-		return out, nil
+// accept is the ingest gate of every publish entry point: it refuses a
+// tree deeper than xmltree.MaxDepth and a closed engine, then queues t
+// for synopsis ingestion before any routing lock is taken, so a full
+// pipeline stalls only publishers (and Close), never Drain/Stats. With
+// block a full pipeline is waited out (backpressure); without, a
+// document that does not fit is shed, counted, and ErrBusy returned.
+func (e *Engine) accept(t *xmltree.Tree, block bool) error {
+	if t != nil && t.Root != nil && deeper(t.Root, xmltree.MaxDepth) {
+		return ErrTooDeep
 	}
-	start := time.Now()
-	if err := e.accept(true, ts...); err != nil {
-		return nil, err
+	e.pipeMu.RLock()
+	defer e.pipeMu.RUnlock()
+	if e.pipeClosed {
+		return ErrClosed
 	}
-	enqueued := time.Now()
-	e.routeMu.RLock()
-	defer e.routeMu.RUnlock()
-	for i, t := range ts {
-		out[i] = e.publishLocked(t, nil, start, enqueued)
-		start = time.Now()
-		enqueued = start
+	if block {
+		e.counters.ingestQueued.Add(1)
+		e.ingest <- ingestItem{tree: t}
+		return nil
 	}
-	return out, nil
+	select {
+	case e.ingest <- ingestItem{tree: t}:
+		e.counters.ingestQueued.Add(1)
+		return nil
+	default:
+		e.counters.remoteShed.Add(1)
+		e.logShed()
+		return ErrBusy
+	}
 }
 
 // ingestBatch is the most documents runIngest feeds the estimator per

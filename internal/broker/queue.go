@@ -1,6 +1,8 @@
 package broker
 
 import (
+	"cmp"
+	"slices"
 	"sync"
 	"time"
 )
@@ -16,22 +18,25 @@ import (
 // one dead consumer cannot pin the broker's memory forever.
 //
 // Draining long-polls: an empty drain waits for a redeliverable entry,
-// the queue closing, or the deadline. The wake channel implements the
-// wait: it is closed (waking every waiter) and replaced whenever a
-// redeliverable delivery appears or the queue closes.
+// the queue closing, or the deadline. It parks as on a community log
+// (commlog.go): on the wake channel, which exists only while a drain is
+// parked, and which a redeliverable delivery or the close closes.
 type queue struct {
 	mu     sync.Mutex
 	closed bool
-	wake   chan struct{}
+	wake   chan struct{} // non-nil only while a drain is parked
 
 	// entries is cursor-ordered; lastCursor the highest cursor assigned;
 	// committed the highest acked cursor; inflight the number of entries
 	// currently under a consumer lease. The log starts empty and grows to
-	// capacity: a well-behaved consumer keeps it near-empty.
+	// capacity: a well-behaved consumer keeps it near-empty. floor is the
+	// lastCursor of the snapshot the queue was restored from: the fate of
+	// every cursor at or below it is in that snapshot.
 	capacity   int
 	entries    []ackEntry
 	lastCursor uint64
 	committed  uint64
+	floor      uint64
 	inflight   int
 	stats      ackStats
 }
@@ -59,13 +64,15 @@ type ackStats struct {
 }
 
 func newAckQueue(capacity int) *queue {
-	return &queue{capacity: capacity, wake: make(chan struct{})}
+	return &queue{capacity: capacity}
 }
 
 // wakeLocked wakes every parked drainer. Caller holds q.mu.
 func (q *queue) wakeLocked() {
-	close(q.wake)
-	q.wake = make(chan struct{})
+	if q.wake != nil {
+		close(q.wake)
+		q.wake = nil
+	}
 }
 
 // pushAcked appends one at-least-once delivery and assigns its cursor.
@@ -98,32 +105,37 @@ func (q *queue) pushAcked(doc uint64, comm int) (cursor, shedDoc uint64, shed, e
 	return cursor, shedDoc, shed, true
 }
 
-// restore re-inserts a delivery during crash recovery (snapshot load or
-// OpDeliver replay). Cursors are assigned monotonically and never
-// reused, so an entry at or below the log's high-water mark — or below
-// the committed cursor — was already seen (snapshot/WAL overlap) and is
-// skipped, making replay exactly idempotent. Returns whether the entry
-// was inserted and, like pushAcked, any shed overflow victim.
+// restore re-inserts a delivery during crash recovery (OpDeliver
+// replay) in cursor order: concurrent publishes journal their deliveries
+// in the order their appends complete, so a record can carry a lower
+// cursor than one replayed before it. A cursor at or below the floor or
+// the committed cursor, or one already held, was already seen
+// (snapshot/WAL overlap, an ack, a duplicate) and is skipped, making
+// replay idempotent. A log over capacity sheds its lowest cursor, as the
+// live log did when it assigned the higher ones — possibly the entry
+// just restored, which then counts as not inserted. Returns whether the
+// entry was inserted and, like pushAcked, any shed overflow victim.
 func (q *queue) restore(cursor, doc uint64, comm int, attempts int) (shedDoc uint64, shed, inserted bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if q.closed || cursor <= q.lastCursor || cursor <= q.committed {
+	i, held := slices.BinarySearchFunc(q.entries, cursor, func(e ackEntry, c uint64) int { return cmp.Compare(e.cursor, c) })
+	if q.closed || held || cursor <= q.floor || cursor <= q.committed {
 		return 0, false, false
 	}
-	if len(q.entries) >= q.capacity {
+	q.entries = slices.Insert(q.entries, i, ackEntry{cursor: cursor, doc: doc, comm: comm, attempts: attempts})
+	q.lastCursor = max(q.lastCursor, cursor)
+	q.stats.delivered++
+	if len(q.entries) > q.capacity {
 		e := q.entries[0]
 		q.entries = q.entries[:copy(q.entries, q.entries[1:])]
 		if !e.deadline.IsZero() {
 			q.inflight--
 		}
 		q.stats.shed++
+		if i == 0 {
+			return 0, false, false
+		}
 		shedDoc, shed = e.doc, true
-	}
-	q.lastCursor = cursor
-	q.entries = append(q.entries, ackEntry{cursor: cursor, doc: doc, comm: comm, attempts: attempts})
-	q.stats.delivered++
-	if len(q.entries)-q.inflight == 1 {
-		q.wakeLocked()
 	}
 	return shedDoc, shed, true
 }
@@ -193,6 +205,9 @@ func (q *queue) drainAcked(max int, wait, lease time.Duration, c *counters) (out
 		if q.closed {
 			q.mu.Unlock()
 			return nil, committed, 0
+		}
+		if q.wake == nil {
+			q.wake = make(chan struct{})
 		}
 		w := q.wake
 		q.mu.Unlock()
@@ -320,7 +335,7 @@ func (q *queue) close() (unpin []uint64) {
 	q.mu.Lock()
 	if !q.closed {
 		q.closed = true
-		close(q.wake)
+		q.wakeLocked()
 		for _, e := range q.entries {
 			unpin = append(unpin, e.doc)
 		}

@@ -220,7 +220,7 @@ func (e *Engine) routeDoc(t *xmltree.Tree, doc []byte, res *PublishResult) {
 	// on — so a crash in between loses only publishes whose callers never
 	// saw success.
 	if len(sc.subs) > 0 {
-		e.journalDelivery(persist.Record{Op: persist.OpDeliver, Seq: seq, Doc: doc, Subs: sc.subs, Cursors: sc.cursors, Comms: sc.comms})
+		e.journal(persist.Record{Op: persist.OpDeliver, Seq: seq, Doc: doc, Subs: sc.subs, Cursors: sc.cursors, Comms: sc.comms})
 	}
 	e.scratchPool.Put(sc)
 }

@@ -53,19 +53,6 @@ func TestConcurrentPublishChurnDrain(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed))
 			for i := 0; i < 200; i++ {
-				if rng.Intn(4) == 0 { // batches exercise PublishBatch too
-					batch := []*xmltree.Tree{docs[rng.Intn(len(docs))], docs[rng.Intn(len(docs))]}
-					rs, err := e.PublishBatch(batch)
-					if err != nil {
-						t.Error(err)
-						return
-					}
-					for _, r := range rs {
-						resDelivered.Add(uint64(r.Deliveries))
-						resDropped.Add(uint64(r.Dropped))
-					}
-					continue
-				}
 				r, err := e.Publish(docs[rng.Intn(len(docs))])
 				if err != nil {
 					t.Error(err)
@@ -168,9 +155,10 @@ func TestConcurrentPublishChurnDrain(t *testing.T) {
 	}
 }
 
-// TestPublishBatch covers the batched entry point: results align with
-// the inputs, sequences are consecutive, deliveries match the
-// per-document path, and the batch feeds the synopsis.
+// TestPublishBatch covers a run of publishes, which is what the
+// daemon's batched POST /publish makes of a batch: sequences are
+// consecutive, deliveries follow each document, and the run feeds the
+// synopsis.
 func TestPublishBatch(t *testing.T) {
 	e := newTestEngine(t, Config{})
 	id, err := e.Subscribe("//b")
@@ -178,12 +166,11 @@ func TestPublishBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	batch := []*xmltree.Tree{doc(t, "a(b)"), doc(t, "zzz"), doc(t, "a(b(c))")}
-	rs, err := e.PublishBatch(batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rs) != 3 {
-		t.Fatalf("got %d results, want 3", len(rs))
+	rs := make([]PublishResult, len(batch))
+	for i, d := range batch {
+		if rs[i], err = e.Publish(d); err != nil {
+			t.Fatal(err)
+		}
 	}
 	for i := 1; i < len(rs); i++ {
 		if rs[i].Seq != rs[i-1].Seq+1 {
@@ -204,11 +191,8 @@ func TestPublishBatch(t *testing.T) {
 	if got := e.Stats().DocsObserved; got != 3 {
 		t.Fatalf("DocsObserved = %d, want 3", got)
 	}
-	if rs, err := e.PublishBatch(nil); err != nil || len(rs) != 0 {
-		t.Fatalf("empty batch = %v, %v", rs, err)
-	}
 	e.Close()
-	if _, err := e.PublishBatch(batch); err != ErrClosed {
-		t.Fatalf("PublishBatch after Close: %v, want ErrClosed", err)
+	if _, err := e.Publish(batch[0]); err != ErrClosed {
+		t.Fatalf("Publish after Close: %v, want ErrClosed", err)
 	}
 }

@@ -223,17 +223,17 @@ func TestSubscribeOnFreshViewMatchesLiveAssign(t *testing.T) {
 	}
 }
 
-// hookJournal is memJournal calling subscribed with the group each
-// subscription was placed in, inside the registry critical section
-// that commits it.
+// hookJournal is memJournal calling subscribed with each OpSubscribe
+// record, inside the registry critical section that commits it and
+// before the subscription is installed.
 type hookJournal struct {
 	memJournal
-	subscribed func(group int)
+	subscribed func(rec persist.Record)
 }
 
 func (j *hookJournal) Append(r persist.Record) (uint64, error) {
 	if r.Op == persist.OpSubscribe {
-		j.subscribed(r.Group)
+		j.subscribed(r)
 	}
 	return j.memJournal.Append(r)
 }
@@ -251,7 +251,7 @@ func TestSubscribeOnRepresentativesMatchesFullRow(t *testing.T) {
 	docs, pats := benchWorkload(nDocs, nSubs)
 	e := newTestEngine(t, Config{Estimator: core.Config{Representation: core.Hashes, HashCapacity: 1000, Seed: 1}})
 	got := -1
-	e.SetJournal(&hookJournal{subscribed: func(g int) { got = g }})
+	e.SetJournal(&hookJournal{subscribed: func(rec persist.Record) { got = rec.Group }})
 	publishFlushed(t, e, docs)
 	for i, p := range pats {
 		live, _, reps := partitionOf(e)
@@ -356,28 +356,30 @@ func TestSubscribeBesideRebuildPlacesOnCurrentReps(t *testing.T) {
 
 		e := New(cfg)
 		e.est.ObserveTrees(docs)
-		e.SetJournal(&hookJournal{subscribed: func(g int) {
+		var subscribing *pattern.Pattern // the pattern whose subscribe is committing
+		e.SetJournal(&hookJournal{subscribed: func(rec persist.Record) {
 			commits++
-			s := e.byID[e.nextID] // the subscription committing
-			col := index[s.pat]
+			g, col := rec.Group, index[subscribing]
 			want, best := -1, 0.0
 			for h, rg := range e.groups {
-				if v := sim[index[rg.rep.pat]][col]; rg.rep != s && v >= def.Threshold && (want == -1 || v > best) {
+				if v := sim[index[rg.rep.pat]][col]; v >= def.Threshold && (want == -1 || v > best) {
 					want, best = h, v
 				}
 			}
-			if founded := e.groups[g].rep == s; (want == -1) != founded || (!founded && g != want) {
+			if founded := g == len(e.groups); (want == -1) != founded || (!founded && g != want) {
 				bad++
 				t.Errorf("round %d: pattern %d committed into community %d (founded %v); over the representatives it commits into, Assign picks %d",
 					r, col, g, founded, want)
 			}
 		}})
 		for _, p := range members {
+			subscribing = p
 			if _, err := e.SubscribePattern(p, ""); err != nil {
 				t.Fatal(err)
 			}
 		}
 
+		subscribing = racer
 		e.viewMu.Lock()
 		e.view = coldView
 		e.viewMu.Unlock()
