@@ -383,8 +383,11 @@ func buildEdges(o options) ([][2]int, error) {
 	return edges, nil
 }
 
+// brokerConfig is every node's engine config: the daemon's estimator, so
+// a -threshold below 1 clusters as treesimd does.
 func brokerConfig(o options) broker.Config {
 	return broker.Config{
+		Estimator:     core.Config{Representation: core.Hashes, HashCapacity: 1000, Seed: 1},
 		Threshold:     o.threshold,
 		QueueCapacity: o.publish + 16,
 		DocCache:      o.publish + 16,
@@ -392,7 +395,6 @@ func brokerConfig(o options) broker.Config {
 		// the harness publishes synchronously and must never shed, so
 		// size the ingest queue past the whole stream.
 		IngestQueue: o.publish + 64,
-		Rebuild:     broker.Never{},
 	}
 }
 
@@ -483,6 +485,13 @@ func runTopology(o options, edges [][2]int, exprs []string, nodeOf []int, docs [
 		})
 		defer eng.Close()
 		defer nodes[i].Close()
+		if o.threshold < 1 {
+			// Communities are equal estimated samples: below threshold 1
+			// each broker first observes a history (the stream's head),
+			// as a daemon does before its consumers arrive, or every
+			// sample is empty and every community a singleton.
+			eng.Estimator().ObserveTrees(docs[:min(200, len(docs))])
+		}
 	}
 	for _, e := range edges {
 		if err := overlay.Connect(nodes[e[0]], nodes[e[1]]); err != nil {

@@ -44,10 +44,10 @@ func TestNewDaemonFlags(t *testing.T) {
 		"advert-ttl=1m0s", "data-dir=", "debug-addr=", "delivery-mode=at-most-once",
 		"event-capacity=0", "fault-disk=", "federate=false", "hash-capacity=1000",
 		"id=", "ingest-queue=1024", "log-format=text", "log-level=info",
-		"max-body=1048576", "metric=m3", "peer-addr=", "peer-timeout=5s",
-		"peers=", "queue=256", "rebuild-fraction=0.25", "rebuild-stale=0",
+		"max-body=1048576", "peer-addr=", "peer-timeout=5s",
+		"peers=", "queue=256", "rebuild-stale=0",
 		"representation=hashes", "seed=1", "set-capacity=1000", "snapshot-interval=1m0s",
-		"threshold=0.5", "trace-capacity=0", "ttl=16", "wal-sync=false",
+		"threshold=0.99", "trace-capacity=0", "ttl=16", "wal-sync=false",
 	}
 	if !slices.Equal(got, want) {
 		t.Errorf("flags and defaults:\n got %v\nwant %v", got, want)
@@ -59,7 +59,8 @@ func TestNewDaemonFlags(t *testing.T) {
 	for _, args := range [][]string{
 		{"-no-such-flag"},
 		{"-representation", "bogus"},
-		{"-metric", "m4"},
+		{"-metric", "m3"},
+		{"-rebuild-fraction", "0.25"},
 		{"-log-level", "loud"},
 		{"-fault-disk", "wal.sync:fail@2"}, // without -data-dir
 	} {
@@ -72,17 +73,22 @@ func TestNewDaemonFlags(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := (broker.DirtyFraction{Fraction: 0.25, MinStale: 64}); d.cfg.Rebuild != want {
-		t.Errorf("default rebuild policy %#v, want %#v", d.cfg.Rebuild, want)
+	if d.cfg.Rebuild != nil || d.ocfg.AdvertPolicy != nil {
+		t.Errorf("default policies %#v, %#v; want the engine's and the overlay's own", d.cfg.Rebuild, d.ocfg.AdvertPolicy)
 	}
-	if d, _, err = parseFlags("-rebuild-stale", "5", "-advert-stale", "3"); err != nil {
-		t.Fatal(err)
-	}
-	if want := (broker.Staleness{MaxStale: 5}); d.cfg.Rebuild != want {
-		t.Errorf("-rebuild-stale 5: rebuild policy %#v, want %#v", d.cfg.Rebuild, want)
-	}
-	if want := (broker.Staleness{MaxStale: 3}); d.ocfg.AdvertPolicy != want {
-		t.Errorf("-advert-stale 3: advert policy %#v, want %#v", d.ocfg.AdvertPolicy, want)
+	for _, c := range []struct {
+		args []string
+		want broker.RebuildPolicy
+	}{
+		{[]string{"-rebuild-stale", "5"}, broker.Staleness{MaxStale: 5}},
+		{[]string{"-rebuild-stale", "5", "-advert-stale", "3"}, broker.Staleness{MaxStale: 3}},
+	} {
+		if d, _, err = parseFlags(c.args...); err != nil {
+			t.Fatal(err)
+		}
+		if d.ocfg.AdvertPolicy != c.want || d.cfg.Rebuild != nil {
+			t.Errorf("%v: advert policy %#v, rebuild policy %#v; want %#v, nil", c.args, d.ocfg.AdvertPolicy, d.cfg.Rebuild, c.want)
+		}
 	}
 }
 

@@ -108,7 +108,6 @@ import (
 	"treesim/internal/broker"
 	"treesim/internal/core"
 	"treesim/internal/fault"
-	"treesim/internal/metrics"
 	"treesim/internal/overlay"
 	"treesim/internal/persist"
 	"treesim/internal/telemetry"
@@ -158,7 +157,6 @@ type daemon struct {
 
 var (
 	representations = map[string]core.Representation{"counters": core.Counters, "sets": core.Sets, "hashes": core.Hashes}
-	metricNames     = map[string]metrics.Metric{"m1": metrics.M1, "m2": metrics.M2, "m3": metrics.M3}
 	logLevels       = map[string]slog.Level{"debug": slog.LevelDebug, "info": slog.LevelInfo, "": slog.LevelInfo,
 		"warn": slog.LevelWarn, "warning": slog.LevelWarn, "error": slog.LevelError}
 )
@@ -171,18 +169,16 @@ func newDaemon(fs *flag.FlagSet, args []string) (*daemon, error) {
 	d := &daemon{reg: telemetry.NewRegistry()}
 	c, o := &d.cfg, &d.ocfg
 	fs.StringVar(&d.addr, "addr", "127.0.0.1:8690", "listen address")
-	rep := fs.String("representation", "hashes", "matching-set representation: counters|sets|hashes")
+	rep := fs.String("representation", "hashes", "matching-set representation: counters|sets|hashes (counters: every subscription its own community)")
 	fs.IntVar(&c.Estimator.HashCapacity, "hash-capacity", 1000, "per-node sample bound for hashes")
 	fs.IntVar(&c.Estimator.SetCapacity, "set-capacity", 1000, "reservoir size for sets")
 	fs.Int64Var(&c.Estimator.Seed, "seed", 1, "sampling seed")
-	metric := fs.String("metric", "m3", "clustering metric: m1|m2|m3")
-	fs.Float64Var(&c.Threshold, "threshold", 0.5, "community similarity threshold")
+	fs.Float64Var(&c.Threshold, "threshold", 0.99, "community rule: below 1, subscriptions with equal estimated samples share a community; 1 or above, every subscription is its own")
 	fs.IntVar(&c.QueueCapacity, "queue", 256, "per-consumer delivery queue capacity")
 	mode := fs.String("delivery-mode", "at-most-once", "default delivery contract for new subscriptions: at-most-once|at-least-once")
 	fs.DurationVar(&c.AckLease, "ack-lease", 30*time.Second, "redelivery lease for drained-but-unacked at-least-once deliveries")
 	fs.IntVar(&c.IngestQueue, "ingest-queue", 1024, "publish ingest pipeline depth")
-	maxStale := fs.Int("rebuild-stale", 0, "rebuild after N mutations (0: use -rebuild-fraction)")
-	fraction := fs.Float64("rebuild-fraction", 0.25, "rebuild when churn exceeds this fraction of live subscriptions")
+	maxStale := fs.Int("rebuild-stale", 0, "re-advertise after N subscription mutations when -advert-stale is unset (0: -advert-stale's default)")
 	fs.Int64Var(&d.maxBody, "max-body", 1<<20, "maximum request body bytes; a larger publish or explain body answers 413")
 
 	fs.BoolVar(&d.federate, "federate", false, "serve overlay peer endpoints even with no -peers")
@@ -214,15 +210,10 @@ func newDaemon(fs *flag.FlagSet, args []string) (*daemon, error) {
 	if c.Estimator.Representation, ok = representations[strings.ToLower(*rep)]; !ok {
 		return nil, fmt.Errorf("unknown representation %q", *rep)
 	}
-	if c.Metric, ok = metricNames[strings.ToLower(*metric)]; !ok {
-		return nil, fmt.Errorf("unknown metric %q", *metric)
-	}
-	c.Rebuild = broker.DirtyFraction{Fraction: *fraction, MinStale: 64}
-	if *maxStale > 0 {
-		c.Rebuild = broker.Staleness{MaxStale: *maxStale}
-	}
 	if *advStale > 0 {
 		o.AdvertPolicy = broker.Staleness{MaxStale: *advStale}
+	} else if *maxStale > 0 {
+		o.AdvertPolicy = broker.Staleness{MaxStale: *maxStale}
 	}
 	var err error
 	if d.mode, err = broker.ParseDeliveryMode(*mode); err != nil {
@@ -355,7 +346,7 @@ func (d *daemon) run(ctx context.Context) error {
 		mode = fmt.Sprintf("federated id=%s peers=%d", d.node.ID(), len(d.peers))
 	}
 	d.logger.Info("listening", "addr", addr, "representation", strings.ToLower(d.cfg.Estimator.Representation.String()),
-		"metric", strings.ToLower(d.cfg.Metric.String()), "threshold", d.cfg.Threshold, "mode", mode)
+		"threshold", d.cfg.Threshold, "mode", mode)
 
 	select {
 	case err := <-serveErr:

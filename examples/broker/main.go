@@ -1,9 +1,11 @@
 // Live broker walkthrough: the daemon's engine driven in-process.
 //
-// A broker is started with an incremental rebuild policy, a population
-// of consumers subscribes at runtime (each subscribe computes only the
-// new similarity row — no O(n²) rebuild), documents are published and
-// fan out community-by-community, some consumers churn away, and the
+// A broker is started as the daemon starts it (a Hashes estimator,
+// threshold 0.99), a population of consumers subscribes at runtime
+// (each subscribe evaluates its pattern once and joins the community
+// whose members carry the same estimated sample — no O(n²) pass),
+// documents are published and fan out community-by-community, some
+// consumers churn away, and the
 // stats snapshot shows the routing economics: filter evaluations scale
 // with communities, not consumers, while the precision proxy tracks
 // how semantically tight the communities are.
@@ -25,13 +27,15 @@ func main() {
 	live := treesim.GenerateDocuments(d, 300, 22)    // published traffic
 
 	b := treesim.NewBroker(treesim.BrokerConfig{
-		Threshold: 0.35,
+		Estimator: treesim.Config{Representation: treesim.Hashes, HashCapacity: 1000, Seed: 1},
+		Threshold: 0.99,
 	})
 	defer b.Close()
 
-	// Warm the estimator with history so early similarities are
-	// meaningful (a cold broker starts everyone in singletons and the
-	// rebuild policy repairs the clustering as evidence accumulates).
+	// Warm the estimator with history so early samples are meaningful
+	// (on an empty stream no pattern carries a sample, and every
+	// consumer starts in a singleton until the stream doubles and the
+	// registry is re-bucketed).
 	for _, doc := range history {
 		if _, err := b.Publish(doc); err != nil {
 			panic(err)

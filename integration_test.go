@@ -6,11 +6,15 @@ package treesim
 
 import (
 	"bytes"
+	"fmt"
+	"maps"
 	"math"
+	"slices"
 	"testing"
 
 	"treesim/internal/broker"
 	"treesim/internal/cluster"
+	"treesim/internal/core"
 	"treesim/internal/dtd"
 	"treesim/internal/matchset"
 	"treesim/internal/metrics"
@@ -156,33 +160,67 @@ func TestCompressionPreservesHighSelectivityAnswers(t *testing.T) {
 	}
 }
 
-// TestClusteringRoutingPipeline checks that communities built from
-// *estimated* similarities route almost as well as communities built
-// from *exact* similarities — the end-to-end claim of the paper — on the
-// shipping broker: both clusterings are installed into one engine over
-// the same subscriptions, and every live document's predicted delivery
-// set is scored against pattern.Matches ground truth.
+// TestClusteringRoutingPipeline checks the end-to-end claim of the
+// paper on the shipping broker: communities built from *estimated*
+// similarities route almost as well as communities built from *exact*
+// ones. The broker (Hashes of 1000, threshold 0.99, as the daemon ships)
+// subscribes a few hundred generated NITF patterns after one pass over
+// the history. Its communities — equal estimated samples — must be the
+// partition cluster.GreedySeeded makes of the estimated M3 matrix at
+// 0.99, group for group; and on fresh documents, scored against
+// pattern.Matches, that partition and greedy partitions of the estimated
+// matrix must route within a small margin of greedy partitions of the
+// exact matrix at the same threshold, installed into the same engine.
 func TestClusteringRoutingPipeline(t *testing.T) {
 	d := dtd.NITFLike()
 	history := GenerateDocuments(d, 300, 51)
-	live := GenerateDocuments(d, 100, 52)
-	var subs []*Pattern
-	for _, p := range GeneratePatterns(d, 300, 53) {
-		for _, doc := range history {
-			if Matches(doc, p) {
-				subs = append(subs, p)
-				break
-			}
-		}
-		if len(subs) == 40 {
-			break
-		}
-	}
-	est := New(Config{Representation: Hashes, HashCapacity: 400, Seed: 13})
+	live := GenerateDocuments(d, 200, 52)
+	subs := GeneratePatterns(d, 300, 53)
+	eng := broker.New(broker.Config{
+		Estimator: core.Config{Representation: Hashes, HashCapacity: 1000, Seed: 13},
+		Threshold: 0.99,
+	})
+	defer eng.Close()
 	for _, doc := range history {
-		est.ObserveTree(doc)
+		if _, err := eng.Publish(doc); err != nil {
+			t.Fatal(err)
+		}
 	}
-	estSim := est.SimilarityMatrix(metrics.M3, subs)
+	eng.Flush()
+	ids := make([]uint64, len(subs))
+	index := make(map[uint64]int, len(subs))
+	for i, p := range subs {
+		id, err := eng.SubscribePattern(p, p.String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids[i], index[id] = id, i
+	}
+	estSim := eng.Estimator().SimilarityMatrix(metrics.M3, subs)
+
+	// asSets is a partition of subs as a set of its groups.
+	asSets := func(groups [][]int) map[string]bool {
+		out := map[string]bool{}
+		for _, g := range groups {
+			out[fmt.Sprint(slices.Sorted(slices.Values(g)))] = true
+		}
+		return out
+	}
+	var samples [][]int
+	for _, g := range eng.CommunityIDs() {
+		var members []int
+		for _, id := range g {
+			members = append(members, index[id])
+		}
+		samples = append(samples, members)
+	}
+	greedy, _ := cluster.GreedySeeded(estSim, 0.99)
+	if !maps.Equal(asSets(samples), asSets(greedy)) {
+		t.Fatalf("%d communities of equal samples, %d greedy groups at M3 0.99 (or other members)", len(samples), len(greedy))
+	}
+	if len(samples) >= len(subs) || len(samples) < len(subs)/4 {
+		t.Fatalf("%d communities for %d subscriptions", len(samples), len(subs))
+	}
 
 	// Exact similarity matrix over the same history.
 	match := make([][]bool, len(subs))
@@ -211,18 +249,6 @@ func TestClusteringRoutingPipeline(t *testing.T) {
 		}
 	}
 
-	// The broker never re-clusters on its own here: each clustering is
-	// installed as a rebuild with the greedy seeds as representatives.
-	eng := broker.New(broker.Config{Threshold: 0.6, Rebuild: broker.Never{}})
-	defer eng.Close()
-	ids := make([]uint64, len(subs))
-	for i, p := range subs {
-		id, err := eng.SubscribePattern(p, p.String())
-		if err != nil {
-			t.Fatal(err)
-		}
-		ids[i] = id
-	}
 	want := make([]map[uint64]bool, len(live))
 	for k, doc := range live {
 		want[k] = map[uint64]bool{}
@@ -240,19 +266,8 @@ func TestClusteringRoutingPipeline(t *testing.T) {
 		}
 		return float64(n) / float64(of)
 	}
-	run := func(sim [][]float64) (recall, precision float64) {
-		idx, seeds := cluster.GreedySeeded(sim, 0.6)
-		groups := make([][]uint64, len(idx))
-		reps := make([]uint64, len(seeds))
-		for g, members := range idx {
-			for _, i := range members {
-				groups[g] = append(groups[g], ids[i])
-			}
-			reps[g] = ids[seeds[g]]
-		}
-		if err := eng.Apply(persist.Record{Op: persist.OpRebuild, Groups: groups, Reps: reps}); err != nil {
-			t.Fatal(err)
-		}
+	// score routes the live documents on the engine's current partition.
+	score := func() (recall, precision float64) {
 		tp, fp, fn := 0, 0, 0
 		for k, doc := range live {
 			ex, err := eng.Explain(doc)
@@ -276,15 +291,45 @@ func TestClusteringRoutingPipeline(t *testing.T) {
 		}
 		return ratio(tp, tp+fn), ratio(tp, tp+fp)
 	}
-	estRecall, estPrecision := run(estSim)
-	exactRecall, exactPrecision := run(exactSim)
-	t.Logf("estimated similarity: recall %.3f precision %.3f; exact similarity: recall %.3f precision %.3f",
-		estRecall, estPrecision, exactRecall, exactPrecision)
-	if estRecall < exactRecall-0.15 {
-		t.Errorf("estimated-similarity routing recall %v far below exact %v", estRecall, exactRecall)
+	// install replaces the engine's partition with the greedy one of sim
+	// at threshold, seeds as representatives, as a journaled rebuild
+	// would.
+	install := func(sim [][]float64, threshold float64) {
+		idx, seeds := cluster.GreedySeeded(sim, threshold)
+		groups := make([][]uint64, len(idx))
+		reps := make([]uint64, len(seeds))
+		for g, members := range idx {
+			for _, i := range members {
+				groups[g] = append(groups[g], ids[i])
+			}
+			reps[g] = ids[seeds[g]]
+		}
+		if err := eng.Apply(persist.Record{Op: persist.OpRebuild, Groups: groups, Reps: reps}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if estPrecision < exactPrecision-0.15 {
-		t.Errorf("estimated-similarity routing precision %v far below exact %v", estPrecision, exactPrecision)
+	sampleRecall, samplePrecision := score()
+	for _, c := range []struct {
+		threshold float64
+		margin    float64
+	}{{0.6, 0.15}, {0.99, 0.01}} {
+		install(estSim, c.threshold)
+		estRecall, estPrecision := score()
+		install(exactSim, c.threshold)
+		exactRecall, exactPrecision := score()
+		t.Logf("threshold %v: estimated similarity recall %.4f precision %.4f; exact similarity recall %.4f precision %.4f",
+			c.threshold, estRecall, estPrecision, exactRecall, exactPrecision)
+		if estRecall < exactRecall-c.margin || estPrecision < exactPrecision-c.margin {
+			t.Errorf("threshold %v: estimated-similarity routing %.4f / %.4f far below exact %.4f / %.4f",
+				c.threshold, estRecall, estPrecision, exactRecall, exactPrecision)
+		}
+		if c.threshold == 0.99 {
+			t.Logf("equal samples: recall %.4f precision %.4f", sampleRecall, samplePrecision)
+			if sampleRecall < exactRecall-c.margin || samplePrecision < exactPrecision-c.margin {
+				t.Errorf("equal-sample routing %.4f / %.4f far below exact similarity at 0.99 %.4f / %.4f",
+					sampleRecall, samplePrecision, exactRecall, exactPrecision)
+			}
+		}
 	}
 }
 

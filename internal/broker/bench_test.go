@@ -34,7 +34,6 @@ func benchEngineSampling(b *testing.B, docs []*xmltree.Tree, subs []*pattern.Pat
 	b.Helper()
 	e := New(Config{
 		Estimator:       core.Config{Representation: core.Hashes, HashCapacity: 256, Seed: 5},
-		Rebuild:         DirtyFraction{Fraction: 0.25, MinStale: 64},
 		PrecisionSample: precisionSample,
 	})
 	b.Cleanup(func() { e.Close() })
@@ -194,9 +193,8 @@ func BenchmarkBrokerPublishParallel(b *testing.B) {
 }
 
 // BenchmarkBrokerSubscribeChurn measures steady-state churn at 256 live
-// subscriptions: each op subscribes a fresh pattern (incremental
-// similarity row + community assignment, amortized policy rebuilds) and
-// unsubscribes the oldest.
+// subscriptions: each op subscribes a fresh pattern (one SEL evaluation
+// and one community lookup) and unsubscribes the oldest.
 func BenchmarkBrokerSubscribeChurn(b *testing.B) {
 	docs, subs := benchWorkload(200, 256)
 	churn := querygen.New(dtd.NITFLike(), querygen.Defaults(97)).GenerateDistinct(512)
@@ -219,20 +217,16 @@ func BenchmarkBrokerSubscribeChurn(b *testing.B) {
 }
 
 // BenchmarkBrokerSubscribePopulation is a daemon filling up at its
-// defaults (Hashes of 1000, M3 at 0.5, rebuild past 25 % churn): 500
-// documents warm the synopsis, then 1000 subscriptions arrive one at a
-// time. One op is the whole population — rows, placements and the
-// policy rebuilds they trigger — on a fresh engine; set-up is untimed.
-// threshold=2 is the exact mode (no two subscriptions share a
-// community), where rows cover every subscription. pruned/op counts the
-// pairs the intersection bound decided without intersecting, in rows
-// and rebuild graphs.
+// defaults (Hashes of 1000, threshold 0.99): 500 documents warm the
+// synopsis, then 1000 subscriptions arrive one at a time. One op is the
+// whole population — an evaluation and a lookup each — on a fresh
+// engine; set-up is untimed. threshold=2 is the exact mode (no two
+// subscriptions share a community).
 func BenchmarkBrokerSubscribePopulation(b *testing.B) {
 	docs, subs := benchWorkload(500, 1000)
-	for _, threshold := range []float64{0.5, 2} {
+	for _, threshold := range []float64{0.99, 2} {
 		b.Run(fmt.Sprintf("threshold=%v", threshold), func(b *testing.B) {
 			var st Stats
-			var pruned int64
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				e := New(Config{
@@ -248,12 +242,10 @@ func BenchmarkBrokerSubscribePopulation(b *testing.B) {
 				}
 				b.StopTimer()
 				st = e.Stats()
-				pruned += currentView(e).Pruned() // one view: no document arrives after the first subscribe
 				e.Close()
 				b.StartTimer()
 			}
 			b.ReportMetric(float64(b.Elapsed())/1e6/float64(b.N), "ms/op")
-			b.ReportMetric(float64(pruned)/float64(b.N), "pruned/op")
 			b.ReportMetric(float64(st.Rebuilds), "rebuilds")
 			b.ReportMetric(float64(st.Communities), "communities")
 		})
@@ -266,8 +258,8 @@ func BenchmarkBrokerSubscribePopulation(b *testing.B) {
 // does in a serving broker. Each op is publish + flush + subscribe +
 // unsubscribe-oldest; subscribe-ns/op is the subscribe alone and
 // evals/op the SEL evaluations it ran on the similarity view (1 on a
-// standing view; the representatives' worth on the first after a
-// refresh).
+// standing view; the registry's worth on the first after a refresh,
+// which re-buckets it).
 func BenchmarkBrokerSubscribeBesideStream(b *testing.B) {
 	docs, subs := benchWorkload(200, 1000)
 	churn := querygen.New(dtd.NITFLike(), querygen.Defaults(97)).GenerateDistinct(512)

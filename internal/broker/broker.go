@@ -7,29 +7,29 @@
 //
 // What makes it live:
 //
-//   - Subscription churn. Subscribe computes only the new pattern's
-//     similarities to the k community representatives — all that
-//     placement reads — and places it into the best existing community
-//     (cluster.Place); a subscribe or unsubscribe then edits only that
-//     community's record, in time linear in its size. The row
-//     is computed on the engine's similarity view (core.View): a frozen
-//     copy of the synopsis that remembers every pattern's SEL
-//     evaluation, so a subscribe costs one evaluation — the new pattern
-//     — plus k matching-set intersections, however many documents were
-//     published since the last one. Similarity is a property of the
-//     stream's distribution, estimated from bounded samples, so the
-//     view is re-taken only when the stream has doubled since it was
-//     taken (or on a forced Rebuild): O(log N) cold passes over a
-//     stream of N documents, a frame that always covers more than half
-//     of it, and the new pattern and the old ones always evaluated in
-//     the same frame. A stream whose distribution drifts wants
-//     core.WindowEstimator, not a fresher view.
-//   - Staleness-bounded re-clustering. Incremental placement drifts
-//     from what a fresh greedy clustering would produce; a pluggable
-//     RebuildPolicy watches the mutation count and triggers a greedy
-//     rebuild when enough of the registry has churned. The greedy runs on
-//     the view's thresholded similarity graph (core.Graph), which pays
-//     only for the pairs no earlier rebuild on the same view decided.
+//   - Communities are equal estimated samples. A subscription joins
+//     the community whose members' SEL evaluations carry the same
+//     sample as its own (matchset.SampleKey: a Hashes value's level and
+//     ids), so on the view they all read M3 similarity 1 to each other;
+//     a pattern whose evaluation carries no sample (an empty match, a
+//     Counters estimator), and every pattern at Threshold ≥ 1, founds
+//     its own. A subscribe is one SEL evaluation plus one map lookup,
+//     and a subscribe or unsubscribe edits only its community's record.
+//     Equal samples do not depend on arrival order, so neither does the
+//     partition.
+//   - One similarity view per partition. Evaluations run on the
+//     engine's similarity view (core.View): a frozen copy of the
+//     synopsis that remembers every pattern's SEL evaluation. The
+//     samples are bounded samples of the stream's distribution, so the
+//     view is re-taken only when there is none, when the stream has
+//     doubled since it was taken, or on a forced Rebuild — O(log N)
+//     times over a stream of N documents, a frame that always covers
+//     more than half of it — and taking one re-buckets the whole
+//     registry on it: one cold evaluation per subscription, one
+//     journaled OpRebuild. Every community is therefore keyed on one
+//     view, and nothing drifts between re-buckets. A stream whose
+//     distribution drifts wants core.WindowEstimator, not a fresher
+//     view.
 //   - One matching forest and one routing table. The forest holds
 //     exactly the communities' representatives, and the table one
 //     record per community — forest handle, delivery log,
@@ -55,14 +55,15 @@
 // registry and routing locks both held exclusively, so publishes and
 // Explain read it under the routing lock alone, registry readers under
 // the registry lock alone. Churn takes the routing write lock for one
-// forest edit plus one record's edit. Subscribe, Unsubscribe and policy
-// rebuilds are exclusive on the registry but hold it only for the
-// commit — the similarity row, the rebuild graph and view refreshes
-// happen from snapshots outside the registry lock. Rows and graphs run
-// on the view, never on the live estimator: churn takes the estimator's
-// read lock only to read the stream length and, at a refresh, to copy
-// the synopsis structure (no SEL work), so the ingester is never stalled
-// behind a similarity computation.
+// forest edit plus one record's edit. Subscribe, Unsubscribe and
+// re-buckets are exclusive on the registry but hold it only for the
+// commit — a subscribe evaluates its pattern, and a re-bucket the
+// registry, outside the registry lock; subscribes and re-buckets take
+// turns on their own lock (keyMu), which nothing else takes. Evaluations run on the view,
+// never on the live estimator: churn takes the estimator's read lock
+// only to read the stream length and, at a refresh, to copy the synopsis
+// structure (no SEL work), so the ingester is never stalled behind a
+// similarity computation.
 package broker
 
 import (
@@ -74,9 +75,9 @@ import (
 	"sync/atomic"
 	"time"
 
-	"treesim/internal/cluster"
 	"treesim/internal/core"
 	"treesim/internal/matching"
+	"treesim/internal/matchset"
 	"treesim/internal/metrics"
 	"treesim/internal/pattern"
 	"treesim/internal/persist"
@@ -84,14 +85,19 @@ import (
 	"treesim/internal/xmltree"
 )
 
-// Config configures an Engine. The zero value works: Hashes-backed
-// estimator defaults, metric M3, threshold 0.5.
+// Config configures an Engine. The zero value works, with the
+// estimator's zero value: Counters, whose evaluations carry no sample,
+// so every subscription is its own community. Give the estimator the
+// Hashes representation (as the daemon does) for communities.
 type Config struct {
 	// Estimator configures the underlying streaming estimator.
 	Estimator core.Config
-	// Metric is the proximity metric for clustering (default M3).
+	// Metric is not read by the engine; kept because the frozen harness
+	// sets it (ROADMAP item 6).
 	Metric metrics.Metric
-	// Threshold is the community similarity threshold (default 0.5).
+	// Threshold selects the community rule (default 0.5): below 1,
+	// subscriptions whose evaluations carry equal samples share a
+	// community; 1 or above, every subscription is its own.
 	Threshold float64
 	// QueueCapacity bounds what an at-most-once consumer can have pending
 	// (default 256): the next delivery drops its oldest, counted. An
@@ -126,8 +132,8 @@ type Config struct {
 	// stops polling loses its window after AckLease and a reconnecting
 	// one resumes from the committed cursor with redelivery.
 	AckLease time.Duration
-	// Rebuild decides when accumulated churn warrants a full
-	// re-clustering (default: DirtyFraction{Fraction: 0.25, MinStale: 64}).
+	// Rebuild is not read by the engine; kept because the frozen harness
+	// sets it (ROADMAP item 6).
 	Rebuild RebuildPolicy
 	// Logger receives the engine's operational event records — full
 	// re-clusterings and remote-ingest sheds (the latter rate-limited
@@ -138,9 +144,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Metric == 0 {
-		c.Metric = metrics.M3
-	}
 	if c.Threshold == 0 {
 		c.Threshold = 0.5
 	}
@@ -158,9 +161,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.AckLease <= 0 {
 		c.AckLease = 30 * time.Second
-	}
-	if c.Rebuild == nil {
-		c.Rebuild = DirtyFraction{Fraction: 0.25, MinStale: 64}
 	}
 	if c.Logger == nil {
 		c.Logger = slog.New(slog.DiscardHandler)
@@ -279,36 +279,36 @@ type Engine struct {
 
 	// mu guards the subscription registry and clustering. Publishes do
 	// NOT take it: the routing state they need lives under routeMu.
-	mu     sync.RWMutex
-	byID   map[uint64]*subscriber
-	nextID uint64
-	stale  int // registry mutations since the last full rebuild
-	// regVer moves on every registry or clustering change: a row or
-	// graph computed off-lock commits only at the version it read.
-	regVer uint64
-	closed bool
+	// bySample indexes the communities by their sample's key
+	// (matchset.SampleKey); a community with no sample, or whose key an
+	// older community with another sample holds, is not in it.
+	mu       sync.RWMutex
+	byID     map[uint64]*subscriber
+	bySample map[uint64]*routeGroup
+	nextID   uint64
+	stale    int // registry mutations since the last journaled re-bucket
+	closed   bool
 
 	// routeMu guards the matching plane (route.go): the forest, the
 	// routing table — one record per community, in community-index order,
 	// written under the registry lock too — and routeClosed. Publishes and
 	// Explain hold it shared; table edits and Close exclusively. matchNS
 	// times one match + fan-out (observing is two atomics, no allocation).
+	// founded counts the communities founded since the last batch
+	// install of the forest (installSubLocked).
 	routeMu     sync.RWMutex
 	routeClosed bool
 	forest      *matching.Forest
 	groups      []*routeGroup
+	founded     int
 	matchNS     *telemetry.Histogram
 
-	// rebuildBusy lets exactly one goroutine run the (expensive,
-	// lock-free) similarity-graph phase of a policy rebuild at a time.
-	rebuildBusy atomic.Bool
-
-	// view is the similarity frame every subscribe row and rebuild graph
-	// is computed in (similarityView); viewMu guards the pointer and
-	// serializes refreshes. A leaf lock: never held with the registry
-	// lock.
-	viewMu sync.Mutex
-	view   *core.View
+	// view is the similarity frame the communities are keyed on
+	// (keyedView). keyMu serializes keying: a subscribe's evaluation and
+	// commit, and a re-bucket, which swaps the view. Taken before the
+	// registry lock, never after it.
+	view  atomic.Pointer[core.View]
+	keyMu sync.Mutex
 
 	// shedLogNS is the unix-nano timestamp of the last shed event
 	// record, the CAS gate rate-limiting shed logging to ~1/s — a
@@ -330,10 +330,8 @@ type Engine struct {
 	ingest     chan ingestItem
 	ingestWG   sync.WaitGroup
 
-	// scratchPool recycles the per-publish scratch (routeScratch),
-	// subPool the subscribe path's (subScratch).
+	// scratchPool recycles the per-publish scratch (routeScratch).
 	scratchPool sync.Pool
-	subPool     sync.Pool
 
 	// wal, when set, records committed mutations for crash recovery
 	// (SetJournal). Append failures are counted and latch degraded: the
@@ -357,7 +355,7 @@ type Engine struct {
 	// tel is the metrics registry (cfg.Telemetry or a private one);
 	// pubLat/ingestWait are the publish-path latency histograms, read
 	// back by Stats for p50/p99; subLat is the subscribe latency and
-	// rebuildLat the re-clustering's.
+	// rebuildLat the re-bucketing's.
 	tel        *telemetry.Registry
 	pubLat     *telemetry.Histogram
 	ingestWait *telemetry.Histogram
@@ -384,6 +382,7 @@ func newEngine(cfg Config, est *core.Estimator) *Engine {
 		cfg:       cfg,
 		est:       est,
 		byID:      make(map[uint64]*subscriber),
+		bySample:  make(map[uint64]*routeGroup),
 		forest:    matching.NewForest(),
 		ingest:    make(chan ingestItem, cfg.IngestQueue),
 		tel:       tel,
@@ -393,8 +392,8 @@ func newEngine(cfg Config, est *core.Estimator) *Engine {
 	lb := telemetry.DefaultLatencyBuckets()
 	e.pubLat = tel.Histogram("treesim_broker_publish_ns", "End-to-end publish latency (ingest enqueue + routing), nanoseconds.", lb)
 	e.ingestWait = tel.Histogram("treesim_broker_ingest_wait_ns", "Time a publish spent blocked on the synopsis ingest pipeline, nanoseconds.", lb)
-	e.subLat = tel.Histogram("treesim_broker_subscribe_ns", "Subscribe latency from entry to commit (similarity row, community assignment, journal), nanoseconds.", lb)
-	e.rebuildLat = tel.Histogram("treesim_broker_rebuild_ns", "Re-clustering latency from registry snapshot to commit, retries included (similarity graph, greedy, journal), nanoseconds.", lb)
+	e.subLat = tel.Histogram("treesim_broker_subscribe_ns", "Subscribe latency from entry to commit (SEL evaluation, community lookup, journal), nanoseconds.", lb)
+	e.rebuildLat = tel.Histogram("treesim_broker_rebuild_ns", "Re-bucketing latency on a new similarity view (one SEL evaluation per live subscription, bucketing by sample, journal), nanoseconds.", lb)
 	// The name and the shard label date from the sharded layout; one
 	// series remains (README's metric-name stability promise).
 	e.matchNS = tel.Histogram("treesim_broker_shard_match_ns",
@@ -533,20 +532,20 @@ func (e *Engine) Degraded() bool { return e.degraded.Load() }
 // ChurnEvent describes one committed registry mutation, delivered to
 // the churn hook. The overlay federation layer uses the stream to
 // decide when accumulated churn warrants re-advertising its aggregates
-// to peer brokers (the same staleness calculus as rebuild policies).
+// to peer brokers (its AdvertPolicy).
 type ChurnEvent struct {
 	// Stale is the number of registry mutations since the last full
 	// rebuild, after this event.
 	Stale int
 	// Live is the number of live subscriptions after this event.
 	Live int
-	// Rebuilt marks a completed full re-clustering (community structure
-	// may have changed wholesale; Stale is 0).
+	// Rebuilt marks a completed re-bucketing on a new view (community
+	// structure may have changed wholesale; Stale is 0).
 	Rebuilt bool
 }
 
 // SetChurnHook installs f to be called after every committed registry
-// mutation (subscribe, unsubscribe) and every full rebuild. f runs on
+// mutation (subscribe, unsubscribe) and every re-bucketing. f runs on
 // the mutating goroutine outside all engine locks, so it may call back
 // into the engine (e.g. CommunityViews); it must not block for long —
 // it stalls the mutator that triggered it. A nil f uninstalls the hook.
@@ -572,10 +571,8 @@ type SubscribeOptions struct {
 }
 
 // Subscribe registers a tree-pattern subscription given as an XPath
-// expression and returns its id. The new subscription's similarity row
-// against the live registry is computed incrementally (no full-matrix
-// rebuild) and the subscription joins the best existing community, or
-// founds its own; accumulated churn may then trigger a policy rebuild.
+// expression and returns its id. The subscription joins the community
+// whose sample its SEL evaluation carries, or founds its own.
 func (e *Engine) Subscribe(expr string) (uint64, error) {
 	return e.SubscribeOpts(expr, SubscribeOptions{})
 }
@@ -596,15 +593,12 @@ func (e *Engine) SubscribePattern(p *pattern.Pattern, expr string) (uint64, erro
 
 // SubscribePatternOpts is the full subscribe entry point.
 //
-// The similarity row — the dominant cost — covers only the k community
-// representatives, all that placement reads. It is computed on the
-// engine's similarity view from a snapshot of the representatives
-// without holding the registry lock, so concurrent publishes and drains
-// keep flowing; the result commits if the registry and clustering have
-// not changed meanwhile (regVer). Otherwise the row is recomputed under
-// the exclusive lock, on the same view, which the first pass left warm
-// for all but the representatives that changed, so the lock is never
-// held across a view refresh or a cold pass.
+// The pattern is evaluated on the keyed view (keyedView, which first
+// re-buckets the registry when a new view is due) without holding the
+// registry lock, so concurrent publishes and drains keep flowing; the
+// commit is one map lookup. Subscribes take turns with each other and
+// with re-buckets (keyMu), so every key is from the view the
+// communities are keyed on.
 //
 // An empty expr registers p.String(): the expression is what the
 // journal, snapshots and introspection keep, and "" parses as the
@@ -624,137 +618,124 @@ func (e *Engine) SubscribePatternOpts(p *pattern.Pattern, expr string, opt Subsc
 		expr = p.String()
 	}
 	start := time.Now()
-	sc, _ := e.subPool.Get().(*subScratch)
-	if sc == nil {
-		sc = new(subScratch)
-	}
-	defer func() {
-		clear(sc.pats)
-		e.subPool.Put(sc)
-	}()
-	view := e.similarityView(false)
-	e.mu.RLock()
-	ver := e.regVer
-	sc.snapshotLocked(e)
-	e.mu.RUnlock()
-	sc.fill(view, e.cfg.Metric, e.cfg.Threshold, p)
-
+	e.keyMu.Lock()
+	view, rebuilt := e.keyedView()
+	val := view.Eval(p)
 	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
-		return 0, ErrClosed
+	closed := e.closed
+	var id uint64
+	if !closed {
+		id = e.commitSubscribeLocked(p, expr, e.sample(val), opt)
 	}
-	if e.regVer != ver { // the registry churned mid-compute
-		sc.snapshotLocked(e)
-		sc.fill(view, e.cfg.Metric, e.cfg.Threshold, p)
-	}
-	id := e.commitSubscribeLocked(p, expr, sc.sims, opt)
 	ev := ChurnEvent{Stale: e.stale, Live: len(e.byID)}
 	e.mu.Unlock()
+	e.keyMu.Unlock()
+	if rebuilt != nil {
+		e.notifyChurn(*rebuilt)
+	}
+	if closed {
+		return 0, ErrClosed
+	}
 	e.subLat.ObserveDuration(time.Since(start).Nanoseconds())
 	e.notifyChurn(ev)
-	e.maybeRebuild(false)
 	return id, nil
 }
 
-// subScratch is one subscribe's pooled buffers: the representatives'
-// patterns as snapshotted, in community order, and their similarities
-// to the new pattern.
-type subScratch struct {
-	pats []*pattern.Pattern
-	sims []float64
-}
-
-// snapshotLocked copies the communities' representatives. Caller holds
-// the registry lock.
-func (sc *subScratch) snapshotLocked(e *Engine) {
-	sc.pats = sc.pats[:0]
-	for _, g := range e.groups {
-		sc.pats = append(sc.pats, g.rep.pat)
+// sample is what the community rule keys an evaluation on: the value
+// itself below Threshold 1, nothing (a community of its own) at or
+// above it.
+func (e *Engine) sample(val matchset.Value) matchset.Value {
+	if e.cfg.Threshold >= 1 {
+		return nil
 	}
+	return val
 }
 
-// fill computes p's similarity to each snapshotted representative. The
-// row is thresholded: a representative the intersection bound keeps
-// below threshold reads 0 unintersected, and placement reads only
-// entries ≥ threshold, which are exact — so it places p as on the exact
-// row.
-func (sc *subScratch) fill(view *core.View, m metrics.Metric, threshold float64, p *pattern.Pattern) {
-	sc.sims = view.SimilarityRowInto(sc.sims, m, threshold, p, sc.pats)
-}
-
-// similarityView returns the frame subscribe rows and rebuild graphs
-// are computed in, re-taking it from the estimator first when one is
-// due: there is none yet, the stream has doubled since it was taken, or
-// force (an explicit Rebuild). A stream of N documents therefore pays
-// O(log N) refreshes — each followed by one cold SEL pass over the
-// representatives on the next row (over the registry on the next
-// rebuild graph) — instead of one per subscribe, and the view always
-// covers more than half the stream. Callers hold no engine lock: the
-// refresh copies the synopsis under the estimator's read lock, and
-// between refreshes the estimator's lock is held only to read the
-// stream length.
-func (e *Engine) similarityView(force bool) *core.View {
-	e.viewMu.Lock()
-	defer e.viewMu.Unlock()
-	if docs := e.est.DocsObserved(); e.view == nil || force || (docs > 0 && docs >= 2*e.view.Docs()) {
-		e.view = e.est.View()
-		e.counters.viewRefreshes.Add(1)
+// keyedView returns the view the communities are keyed on, first
+// re-bucketing the registry on a new one (rebucket, whose Rebuilt event
+// it returns) when one is due: there is none yet, or the stream has
+// doubled since it was taken. Reading the stream length is all it takes
+// of the estimator's lock. Caller holds keyMu.
+func (e *Engine) keyedView() (*core.View, *ChurnEvent) {
+	if v := e.view.Load(); v != nil {
+		if docs := e.est.DocsObserved(); docs == 0 || docs < 2*v.Docs() {
+			return v, nil
+		}
 	}
-	return e.view
+	return e.rebucket(false)
 }
 
 // ViewSelectivity returns P(p) on the engine's similarity view: the
-// estimate its clustering uses, and for a representative a cache hit on
-// the SEL evaluation its subscribe row or the last rebuild graph made.
-// It takes a view only if the engine has none and never refreshes one,
-// and it holds no engine lock while it reads, so a caller holding its
-// own lock (an overlay node building an advert) copies no synopsis and,
-// on a warm view, evaluates nothing under it.
+// view its communities are keyed on, and for a live subscription a
+// cache hit on the evaluation its subscribe or the last re-bucket made.
+// Before the first subscribe it reads the estimator's current view
+// without keying anything on it. It never refreshes a view and holds no
+// engine lock while it reads, so a caller holding its own lock (an
+// overlay node building an advert) copies at most one synopsis and, on
+// a warm view, evaluates nothing under it.
 func (e *Engine) ViewSelectivity(p *pattern.Pattern) float64 {
-	e.viewMu.Lock()
-	if e.view == nil {
-		e.view = e.est.View()
-		e.counters.viewRefreshes.Add(1)
+	v := e.view.Load()
+	if v == nil {
+		v = e.est.View()
 	}
-	v := e.view
-	e.viewMu.Unlock()
 	return v.Selectivity(p)
 }
 
-// commitSubscribeLocked installs a new subscription given its
-// similarity to each community's representative, placed by
-// cluster.Place. Caller holds the write lock and has validated the
-// row's registry version.
-func (e *Engine) commitSubscribeLocked(p *pattern.Pattern, expr string, sims []float64, opt SubscribeOptions) uint64 {
-	g := cluster.Place(len(sims), e.cfg.Threshold, func(g int) float64 { return sims[g] })
-	if g == -1 {
-		g = len(e.groups)
+// commitSubscribeLocked installs a new subscription in the community
+// bySample holds for its sample's key, if its representative carries
+// the same sample on the keyed view (a cache hit), or in a new one.
+// Caller holds the registry lock exclusively.
+func (e *Engine) commitSubscribeLocked(p *pattern.Pattern, expr string, sample matchset.Value, opt SubscribeOptions) uint64 {
+	g := len(e.groups)
+	if key, ok := matchset.SampleKey(sample); ok {
+		if rg := e.bySample[key]; rg != nil && matchset.SameSample(e.view.Load().Eval(rg.rep.pat), sample) {
+			g = slices.Index(e.groups, rg)
+		}
 	}
 	e.nextID++
 	id := e.nextID
 	e.journal(persist.Record{Op: persist.OpSubscribe, ID: id, Expr: expr, Group: g, Mode: uint8(opt.Mode)})
-	e.installSubLocked(id, p, expr, g, opt.Mode)
+	e.installSubLocked(id, p, expr, g, opt.Mode, sample)
 	e.counters.subscribes.Add(1)
 	return id
 }
 
 // installSubLocked enters a subscription placed in community g (by
-// placement, or as journaled on replay) into the registry and g's
-// record. g == len(e.groups) means it founded the community: its pattern
-// — it is the representative — enters the forest. A joiner edits no
-// forest. Caller holds the registry lock exclusively.
-func (e *Engine) installSubLocked(id uint64, p *pattern.Pattern, expr string, g int, mode DeliveryMode) {
+// commitSubscribeLocked, or as journaled on replay) into the registry
+// and g's record. g == len(e.groups) means it founded the community: its
+// pattern — it is the representative — enters the forest, and the
+// community is indexed under sample, if it carries one and no community
+// holds its key (replay passes nil). Once the communities founded since
+// the last batch install reach a quarter of all, the forest is
+// renumbered into label order (an empty Forest.Replace), as a
+// re-bucket's install would: a registry that fills up one subscribe at
+// a time matches in label order too. A joiner edits no forest. Caller
+// holds the registry lock exclusively.
+func (e *Engine) installSubLocked(id uint64, p *pattern.Pattern, expr string, g int, mode DeliveryMode, sample matchset.Value) {
 	s := e.newSubscriber(id, p, expr, mode)
 	e.byID[id] = s
 	e.stale++
-	e.regVer++
 	e.routeMu.Lock()
 	defer e.routeMu.Unlock()
 	if g == len(e.groups) {
-		e.groups = append(e.groups, &routeGroup{fh: e.forest.Add(p), log: e.newCommLog(), rep: s})
+		rg := &routeGroup{fh: e.forest.Add(p), log: e.newCommLog(), rep: s}
+		e.groups = append(e.groups, rg)
+		e.index(rg, sample)
+		if e.founded++; 4*e.founded >= len(e.groups) {
+			e.forest.Replace(nil, nil)
+			e.founded = 0
+		}
 	}
 	e.groups[g].add(s)
+}
+
+// index enters rg into bySample under sample's key, unless sample
+// carries none or another community holds the key. Caller holds the
+// registry lock exclusively.
+func (e *Engine) index(rg *routeGroup, sample matchset.Value) {
+	if key, ok := matchset.SampleKey(sample); ok && e.bySample[key] == nil {
+		rg.key, e.bySample[key] = key, rg
+	}
 }
 
 // Unsubscribe removes a subscription and closes its delivery queue.
@@ -771,13 +752,10 @@ func (e *Engine) Unsubscribe(id uint64) bool {
 	e.counters.unsubscribes.Add(1)
 	ev := ChurnEvent{Stale: e.stale, Live: len(e.byID)}
 	e.mu.Unlock()
-	e.viewMu.Lock()
-	if e.view != nil {
-		e.view.Forget(s.pat) // or the view's SEL cache grows with every pattern ever subscribed
+	if v := e.view.Load(); v != nil {
+		v.Forget(s.pat) // or the view's SEL cache grows with every pattern ever subscribed
 	}
-	e.viewMu.Unlock()
 	e.notifyChurn(ev)
-	e.maybeRebuild(false)
 	return true
 }
 
@@ -801,7 +779,6 @@ func (e *Engine) removeSubLocked(id uint64) *subscriber {
 	}
 	delete(e.byID, id)
 	e.stale++
-	e.regVer++
 	e.routeMu.Lock()
 	defer e.routeMu.Unlock()
 	g := s.group
@@ -819,89 +796,98 @@ func (e *Engine) removeSubLocked(id uint64) *subscriber {
 	} else {
 		i := slices.Index(e.groups, g)
 		e.groups = slices.Delete(e.groups, i, i+1)
+		if e.bySample[g.key] == g {
+			delete(e.bySample, g.key)
+		}
 	}
 	return s
 }
 
-// maybeRebuild performs a full greedy re-clustering when the policy
-// (or force) asks for one. The thresholded similarity graph is built on
-// the similarity view, and the greedy run on it, from a registry
-// snapshot WITHOUT holding the registry lock, so publishes and drains
-// keep flowing during a rebuild; the result is swapped in only if the
-// registry has not churned in the meantime (a bounded number of retries
-// otherwise; persistent churn leaves stale set, so the next mutation
-// tries again).
-// A forced rebuild re-takes the view first, so it clusters on the
-// stream as of now; on a standing view the graph build evaluates only
-// the pairs with a pattern the view's previous graph did not cover.
-func (e *Engine) maybeRebuild(force bool) {
-	if !e.rebuildBusy.CompareAndSwap(false, true) {
-		return // another goroutine is already rebuilding
-	}
-	defer e.rebuildBusy.Store(false)
+// rebucket takes a new similarity view from the estimator, keys the
+// communities on it and re-buckets the whole registry on it:
+// subscriptions in id order, each joining the first community with its
+// sample or founding one, its smallest id the representative. The view
+// is swapped first, so the old one and its evaluations are garbage
+// before the cold pass — one SEL evaluation per live subscription — runs,
+// off the registry lock; the commit evaluates again under it (all cache
+// hits: keyMu holds subscribes off, and unsubscribes only leave),
+// journals the partition as one OpRebuild and installs it. Unless forced
+// (Rebuild), a partition that comes out as it was, community for
+// community (an empty registry; singletons at Threshold ≥ 1), is only
+// re-keyed, with nothing to journal. It returns the view and the
+// Rebuilt event to deliver once keyMu is released (nil when nothing was
+// journaled). Caller holds keyMu.
+func (e *Engine) rebucket(force bool) (*core.View, *ChurnEvent) {
 	start := time.Now()
-	var view *core.View
-	for attempt := 0; attempt < 3; attempt++ {
-		e.mu.RLock()
-		if e.closed || (!force && !e.cfg.Rebuild.ShouldRebuild(e.stale, len(e.byID))) {
-			e.mu.RUnlock()
-			return
-		}
-		ver := e.regVer
-		subs := e.registryLocked()
-		e.mu.RUnlock()
-
-		if view == nil {
-			view = e.similarityView(force)
-		}
-		pats := make([]*pattern.Pattern, len(subs))
-		for i, s := range subs {
-			pats[i] = s.pat
-		}
-		g := view.SimilarityGraph(e.cfg.Metric, e.cfg.Threshold, pats)
-		idx, seeds := cluster.GreedyRows(g.Len(), g.Row)
-		groups, reps := make([][]*subscriber, len(idx)), make([]*subscriber, len(seeds))
-		rec := persist.Record{Op: persist.OpRebuild, Groups: make([][]uint64, len(idx)), Reps: make([]uint64, len(seeds))}
-		for c, members := range idx {
-			for _, i := range members {
-				groups[c] = append(groups[c], subs[i])
-				rec.Groups[c] = append(rec.Groups[c], subs[i].id)
-			}
-			reps[c] = subs[seeds[c]]
-			rec.Reps[c] = reps[c].id
-		}
-
-		e.mu.Lock()
-		if e.regVer == ver && !e.closed {
-			e.journal(rec)
-			e.installLocked(groups, reps)
-			e.stale = 0
-			// New representatives: a subscribe row computed against the
-			// superseded ones must not commit.
-			e.regVer++
-			e.counters.rebuilds.Add(1)
-			live := len(e.byID)
-			communities := len(e.groups)
-			e.mu.Unlock()
-			e.rebuildLat.ObserveDuration(time.Since(start).Nanoseconds())
-			e.cfg.Logger.Warn("registry reclustered", "live", live, "communities", communities,
-				"pairs_computed", g.Computed, "pairs_reused", g.Reused, "pairs_pruned", g.Pruned)
-			e.notifyChurn(ChurnEvent{Live: live, Rebuilt: true})
-			return
-		}
-		e.mu.Unlock() // registry churned mid-compute; re-snapshot
+	v := e.est.View()
+	e.view.Store(v)
+	e.counters.viewRefreshes.Add(1)
+	e.mu.RLock()
+	subs := e.registryLocked()
+	e.mu.RUnlock()
+	for _, s := range subs {
+		v.Eval(s.pat)
 	}
+
+	e.mu.Lock()
+	if e.closed {
+		e.mu.Unlock()
+		return v, nil
+	}
+	subs = e.registryLocked()
+	var groups [][]*subscriber
+	var reps []*subscriber
+	var samples []matchset.Value
+	first := make(map[uint64]int) // sample key → the first community with it
+	for _, s := range subs {
+		val := e.sample(v.Eval(s.pat))
+		key, ok := matchset.SampleKey(val)
+		g, hit := first[key]
+		if !ok || !hit || !matchset.SameSample(samples[g], val) {
+			if ok && !hit {
+				first[key] = len(groups)
+			}
+			g = len(groups)
+			groups, reps, samples = append(groups, nil), append(reps, s), append(samples, val)
+		}
+		groups[g] = append(groups[g], s)
+	}
+	rec := persist.Record{Op: persist.OpRebuild, Groups: make([][]uint64, len(groups)), Reps: make([]uint64, len(reps))}
+	for g, members := range groups {
+		for _, s := range members {
+			rec.Groups[g] = append(rec.Groups[g], s.id)
+		}
+		rec.Reps[g] = reps[g].id
+	}
+	if cur, curReps := e.partitionIDsLocked(); !force && slices.EqualFunc(rec.Groups, cur, slices.Equal) && slices.Equal(rec.Reps, curReps) {
+		e.keyLocked(samples)
+		e.mu.Unlock()
+		return v, nil
+	}
+	e.journal(rec)
+	e.installLocked(groups, reps, samples)
+	e.stale = 0
+	e.counters.rebuilds.Add(1)
+	live, communities := len(e.byID), len(e.groups)
+	e.mu.Unlock()
+	e.rebuildLat.ObserveDuration(time.Since(start).Nanoseconds())
+	e.cfg.Logger.Warn("registry reclustered", "live", live, "communities", communities, "view_docs", v.Docs())
+	return v, &ChurnEvent{Live: live, Rebuilt: true}
 }
 
-// Rebuild forces a full re-clustering on a fresh similarity view
-// immediately (ops escape hatch). If a policy rebuild is already in
-// flight, that rebuild serves the request.
+// Rebuild re-buckets the registry on a new similarity view now (ops
+// escape hatch), after any subscribe or re-bucket in flight.
 func (e *Engine) Rebuild() {
-	e.maybeRebuild(true)
+	e.keyMu.Lock()
+	_, ev := e.rebucket(true)
+	e.keyMu.Unlock()
+	if ev != nil {
+		e.notifyChurn(*ev)
+	}
 }
 
 // registryLocked is every live subscription in id order: the order a
-// rebuild clusters the registry in and a State indexes it by. Caller
+// re-bucket takes the registry in and a State indexes it by. Caller
 // holds the registry lock.
 func (e *Engine) registryLocked() []*subscriber {
 	return slices.SortedFunc(maps.Values(e.byID), idOrder)

@@ -178,38 +178,10 @@ func TestDrainLongPollWakesOnPublish(t *testing.T) {
 	}
 }
 
-func TestRebuildPolicyTriggers(t *testing.T) {
-	e := newTestEngine(t, Config{Rebuild: Staleness{MaxStale: 5}, Estimator: core.Config{Representation: core.Sets, Seed: 1}})
-	// Observe history first: similarity over an empty stream is 0, which
-	// would leave even identical subscriptions in singleton communities.
-	for i := 0; i < 4; i++ {
-		if _, err := e.Publish(doc(t, "a(b)")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	e.Flush()
-	for i := 0; i < 12; i++ {
-		if _, err := e.Subscribe("//b"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := e.Stats()
-	if st.Rebuilds != 2 {
-		t.Fatalf("Rebuilds = %d, want 2 (12 mutations / 5)", st.Rebuilds)
-	}
-	if st.StaleOps != 2 {
-		t.Fatalf("StaleOps = %d, want 2", st.StaleOps)
-	}
-	// Identical subscriptions must cluster together after the rebuild.
-	if st.Communities != 1 {
-		t.Fatalf("Communities = %d, want 1 (identical subscriptions)", st.Communities)
-	}
-}
-
 func TestIncrementalAssignJoinsSimilarCommunity(t *testing.T) {
-	// With Never rebuilds, community structure is built purely by
-	// incremental assignment.
-	e := newTestEngine(t, Config{Rebuild: Never{}, Estimator: core.Config{Representation: core.Sets, Seed: 1}})
+	// Community structure is built one subscribe at a time: no re-bucket
+	// runs while the stream stands still.
+	e := newTestEngine(t, Config{Estimator: core.Config{Representation: core.Sets, Seed: 1}})
 	// Observe a stream so similarities are meaningful.
 	for i := 0; i < 8; i++ {
 		if _, err := e.Publish(doc(t, "a(b(x),c)")); err != nil {
@@ -218,7 +190,7 @@ func TestIncrementalAssignJoinsSimilarCommunity(t *testing.T) {
 	}
 	e.Flush()
 	e.Subscribe("/a/b")
-	e.Subscribe("/a/b[x]") // matches the same docs → similarity 1
+	e.Subscribe("/a/b[x]") // matches the same docs → the same sample
 	e.Subscribe("//zzz")   // matches nothing → singleton
 	st := e.Stats()
 	if st.Communities != 2 || st.Singletons != 1 {
@@ -226,7 +198,7 @@ func TestIncrementalAssignJoinsSimilarCommunity(t *testing.T) {
 			st.Communities, st.Singletons, e.CommunityIDs())
 	}
 	if st.Rebuilds != 0 {
-		t.Fatalf("Rebuilds = %d, want 0 under Never", st.Rebuilds)
+		t.Fatalf("Rebuilds = %d, want 0 on a standing stream", st.Rebuilds)
 	}
 	groups := e.CommunityIDs()
 	if len(groups[0]) != 2 {
@@ -341,7 +313,6 @@ func TestClosedEngineErrors(t *testing.T) {
 func TestHammerChurnPublish(t *testing.T) {
 	e := newTestEngine(t, Config{
 		Estimator:     core.Config{Representation: core.Hashes, HashCapacity: 64, Seed: 7},
-		Rebuild:       DirtyFraction{Fraction: 0.3, MinStale: 8},
 		QueueCapacity: 16,
 	})
 	exprs := []string{"/a/b", "/a/c", "//x", "/a[b]//x", "//c", "/a/*/x"}

@@ -71,7 +71,6 @@ func newLogWorld(t *testing.T, seed int64, capacity int) *logWorld {
 	w.e = newTestEngine(t, Config{
 		Estimator:     core.Config{Representation: core.Sets, Seed: 1},
 		QueueCapacity: capacity,
-		Rebuild:       Never{},
 	})
 	for k := 0; k < logLabels; k++ {
 		for i := 0; i < 4; i++ {
@@ -562,7 +561,7 @@ func awaitDrain(t *testing.T, done <-chan DrainResult, what string) DrainResult 
 // follows its subscription to the log a re-clustering moves it to, and
 // returns with the next delivery there — not at its deadline.
 func TestLongPollWokenByMove(t *testing.T) {
-	e := newTestEngine(t, Config{Rebuild: Never{}, Threshold: 2}) // every subscription its own community
+	e := newTestEngine(t, Config{Threshold: 2}) // every subscription its own community
 	a, _ := e.Subscribe("/a")
 	b, _ := e.Subscribe("/b")
 	done := longPoll(t, e, b)
@@ -661,7 +660,8 @@ func TestDeliveryStateIsSmall(t *testing.T) {
 // TestDeliveryLogIntrospection reads the per-community log figures and the
 // two delivery gauges off a community with one member behind.
 func TestDeliveryLogIntrospection(t *testing.T) {
-	e := newTestEngine(t, Config{Threshold: -1, QueueCapacity: 4}) // one community
+	e := newTestEngine(t, Config{Estimator: core.Config{Representation: core.Sets, Seed: 1}, QueueCapacity: 4})
+	publishFlushed(t, e, []*xmltree.Tree{doc(t, "a")}) // so that the two share a sample: one community
 	slow, _ := e.Subscribe("/a")
 	fast, _ := e.Subscribe("/a")
 	check := func(when string, entries, lag, occupancy int) {

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"treesim/internal/core"
 	"treesim/internal/xmltree"
 )
 
@@ -148,10 +149,9 @@ func TestConcurrentDrainUnsubscribe(t *testing.T) {
 }
 
 // TestChurnHookObservesMutations: the hook sees every commit with
-// consistent stale/live numbers and a Rebuilt event when the policy
-// fires.
+// consistent stale/live numbers and a Rebuilt event for a re-bucket.
 func TestChurnHookObservesMutations(t *testing.T) {
-	e := New(Config{Rebuild: Staleness{MaxStale: 3}})
+	e := New(Config{})
 	defer e.Close()
 	var mu sync.Mutex
 	var events []ChurnEvent
@@ -169,6 +169,7 @@ func TestChurnHookObservesMutations(t *testing.T) {
 		ids = append(ids, id)
 	}
 	e.Unsubscribe(ids[0])
+	e.Rebuild()
 	mu.Lock()
 	defer mu.Unlock()
 	if len(events) < 4 {
@@ -187,16 +188,20 @@ func TestChurnHookObservesMutations(t *testing.T) {
 		}
 	}
 	if !rebuilt {
-		t.Fatal("policy fired no Rebuilt event at MaxStale 3")
+		t.Fatal("Rebuild fired no Rebuilt event")
 	}
 }
 
 // TestCommunityViewsSnapshot: views expose representative and members
 // consistently with CommunityIDs.
 func TestCommunityViewsSnapshot(t *testing.T) {
-	e := New(Config{Threshold: -1, Rebuild: Never{}}) // everything clusters together
+	e := New(Config{Estimator: core.Config{Representation: core.Sets, Seed: 1}})
 	defer e.Close()
-	for _, expr := range []string{"/a", "/a/b", "/c"} {
+	if _, err := e.Publish(doc(t, "a(b)")); err != nil {
+		t.Fatal(err)
+	}
+	e.Flush()
+	for _, expr := range []string{"/a", "/a/b", "//b"} { // one match set: one community
 		if _, err := e.Subscribe(expr); err != nil {
 			t.Fatal(err)
 		}

@@ -133,7 +133,6 @@ func witnessInto(ctx *xmltree.Node, v *pattern.Node) {
 // founder — with the invariant holding after every step.
 func TestRepresentativeUnsubscribeHandsOver(t *testing.T) {
 	e := newTestEngine(t, Config{
-		Rebuild:   Never{},
 		Estimator: core.Config{Representation: core.Sets, Seed: 1},
 	})
 	both, onlyB := doc(t, "a(b(x),c)"), doc(t, "a(b)")

@@ -2,6 +2,7 @@ package broker
 
 import (
 	"math/rand"
+	"reflect"
 	"slices"
 	"sync"
 	"testing"
@@ -41,7 +42,7 @@ func checkJournalOrder(t *testing.T, recs []persist.Record) {
 // delivery to it ahead of its record, and replay holds what the live
 // engine holds.
 func TestDeliveryJournaledAfterItsSubscription(t *testing.T) {
-	e := newTestEngine(t, Config{Rebuild: Never{}})
+	e := newTestEngine(t, Config{})
 	published := false
 	j := &hookJournal{subscribed: func(persist.Record) {
 		if !published {
@@ -75,7 +76,6 @@ func TestDeliveryJournaledAfterItsSubscription(t *testing.T) {
 func TestJournalReplaysConcurrentChurn(t *testing.T) {
 	cfg := Config{
 		Estimator:     core.Config{Representation: core.Hashes, HashCapacity: 64, Seed: 7},
-		Rebuild:       DirtyFraction{Fraction: 0.3, MinStale: 8},
 		QueueCapacity: 8,
 	}
 	e := newTestEngine(t, cfg)
@@ -157,6 +157,107 @@ func TestJournalReplaysConcurrentChurn(t *testing.T) {
 	}
 }
 
+// TestRebucketBesidePublishAndChurn runs publishers, subscribes and
+// unsubscribes in both modes, and re-buckets — forced, and by the
+// doubling rule as the stream grows — concurrently on one journaled
+// engine (meant for -race). Throughout, Explain predicts what Publish
+// does on the same partition; afterwards no delivery record precedes its
+// subscription's record, and applying the journal to a fresh engine
+// reproduces the final partition.
+func TestRebucketBesidePublishAndChurn(t *testing.T) {
+	cfg := Config{Estimator: core.Config{Representation: core.Hashes, HashCapacity: 64, Seed: 7}, QueueCapacity: 1024}
+	e := newTestEngine(t, cfg)
+	j := new(memJournal)
+	e.SetJournal(j)
+	docs, pats := benchWorkload(600, 60)
+	publishFlushed(t, e, docs[:20])
+
+	var wg sync.WaitGroup
+	for w := range 2 { // publishers: the stream grows 30-fold, so views move
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 20 + w; i < len(docs); i += 2 {
+				if _, err := e.Publish(docs[i]); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	for w := range 2 { // churners
+		wg.Add(1)
+		go func(rng *rand.Rand) {
+			defer wg.Done()
+			var mine []uint64
+			for range 80 {
+				if len(mine) < 3 || rng.Intn(3) > 0 {
+					id, err := e.SubscribePattern(pats[rng.Intn(len(pats))], "")
+					if err == nil && rng.Intn(2) == 0 {
+						e.Unsubscribe(id)
+						id, err = e.SubscribeOpts(pats[rng.Intn(len(pats))].String(), SubscribeOptions{Mode: AtLeastOnce})
+					}
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					mine = append(mine, id)
+					continue
+				}
+				k := rng.Intn(len(mine))
+				e.Unsubscribe(mine[k])
+				mine = slices.Delete(mine, k, k+1)
+			}
+		}(rand.New(rand.NewSource(int64(400 + w))))
+	}
+	wg.Add(2)
+	go func() { // forced re-buckets
+		defer wg.Done()
+		for range 20 {
+			e.Rebuild()
+		}
+	}()
+	compared := 0
+	go func() { // Explain against Publish, the registry held still between them
+		defer wg.Done()
+		for i := range 100 {
+			d := docs[i]
+			e.mu.RLock()
+			ex, err := e.Explain(d)
+			res, perr := e.Publish(d)
+			e.mu.RUnlock()
+			if err != nil || perr != nil {
+				t.Error(err, perr)
+				return
+			}
+			if ex.MatchedCommunities != res.Matched || len(ex.Deliveries) != res.Deliveries {
+				t.Errorf("Explain predicted %d communities and %d deliveries, Publish made %d and %d",
+					ex.MatchedCommunities, len(ex.Deliveries), res.Matched, res.Deliveries)
+			}
+			compared++
+		}
+	}()
+	wg.Wait()
+
+	recs := j.records()
+	checkJournalOrder(t, recs)
+	rebuilds := 0
+	for _, r := range recs {
+		if r.Op == persist.OpRebuild {
+			rebuilds++
+		}
+	}
+	rec := newTestEngine(t, cfg)
+	applyRecords(t, rec, recs)
+	if got, want := placement(rec), placement(e); !reflect.DeepEqual(got, want) {
+		t.Fatalf("the journal replays to %v, the engine holds %v", got, want)
+	}
+	if compared != 100 || rebuilds < 20 || e.Stats().Communities >= e.Live() {
+		t.Fatalf("%d Explain/Publish pairs compared, %d re-buckets journaled, %d communities for %d live",
+			compared, rebuilds, e.Stats().Communities, e.Live())
+	}
+}
+
 // TestEmptyExprKeepsItsPattern: a subscription made from a parsed
 // pattern with no expression keeps the pattern's text, so introspection
 // shows it and replay and Restore route it like the live engine — the
@@ -166,7 +267,7 @@ func TestEmptyExprKeepsItsPattern(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := newTestEngine(t, Config{Rebuild: Never{}})
+	e := newTestEngine(t, Config{})
 	j := new(memJournal)
 	e.SetJournal(j)
 	id, err := e.SubscribePattern(p, "")
@@ -180,7 +281,7 @@ func TestEmptyExprKeepsItsPattern(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	restored, err := Restore(Config{Rebuild: Never{}}, st)
+	restored, err := Restore(Config{}, st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +326,7 @@ func TestReplayRestoresDeliveriesInCursorOrder(t *testing.T) {
 	st := &State{Format: stateFormat, NextID: 1, Groups: [][]int{{0}}, Reps: []int{0}, Subs: []SubEntry{
 		{ID: 1, Expr: "/a", Mode: uint8(AtLeastOnce), LastCursor: 5, Queued: []QueuedDelivery{{Cursor: 5, Doc: 5}}},
 	}}
-	e, err := Restore(Config{Rebuild: Never{}}, st)
+	e, err := Restore(Config{}, st)
 	if err != nil {
 		t.Fatal(err)
 	}

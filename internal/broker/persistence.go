@@ -299,7 +299,7 @@ func Restore(cfg Config, st *State) (_ *Engine, err error) {
 	if err != nil {
 		return nil, fmt.Errorf("broker: restore clustering: %w", err)
 	}
-	e.installLocked(groups, reps)
+	e.installLocked(groups, reps, nil)
 	e.stale = st.Stale
 	e.pubSeq.Store(st.PubSeq)
 	return e, nil
@@ -501,7 +501,7 @@ func (e *Engine) Apply(rec persist.Record) error {
 			return fmt.Errorf("broker: replay subscribe %d: community %d of %d", rec.ID, rec.Group, len(e.groups))
 		}
 		e.nextID = max(e.nextID, rec.ID)
-		e.installSubLocked(rec.ID, p, rec.Expr, rec.Group, DeliveryMode(rec.Mode))
+		e.installSubLocked(rec.ID, p, rec.Expr, rec.Group, DeliveryMode(rec.Mode), nil)
 	case persist.OpUnsubscribe:
 		e.removeSubLocked(rec.ID)
 	case persist.OpRebuild:
@@ -509,9 +509,8 @@ func (e *Engine) Apply(rec persist.Record) error {
 		if err != nil {
 			return fmt.Errorf("broker: replay rebuild: %w", err)
 		}
-		e.installLocked(groups, reps)
+		e.installLocked(groups, reps, nil)
 		e.stale = 0
-		e.regVer++
 	case persist.OpDeliver:
 		// Keep the sequence watermark ahead of every replayed document so
 		// a recovered engine never reassigns a pinned sequence.

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"treesim/internal/core"
 	"treesim/internal/persist"
 )
 
@@ -28,7 +29,7 @@ func placement(e *Engine) []placed {
 // replayed is a fresh engine that has applied recs.
 func replayed(t *testing.T, recs []persist.Record) *Engine {
 	t.Helper()
-	e := newTestEngine(t, Config{Rebuild: Never{}})
+	e := newTestEngine(t, Config{})
 	for _, r := range recs {
 		if err := e.Apply(r); err != nil {
 			t.Fatalf("replay %s %d: %v", r.Op, r.ID, err)
@@ -91,6 +92,11 @@ func TestUnsubscribePromotesSmallestIDAndShiftsIndices(t *testing.T) {
 			t.Fatalf("introspection puts 5 in community %d, want 1", s.Community)
 		}
 	}
+	// The view a first subscribe would take and re-bucket the replayed
+	// communities on, taken here without re-bucketing: the subscribe
+	// below is a plain placement.
+	e.Flush()
+	e.view.Store(e.est.View())
 	if _, err := e.Subscribe("//zzz"); err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +145,7 @@ func restoredState() *State {
 // the placement that state describes.
 func restored(t *testing.T) (*Engine, []placed) {
 	t.Helper()
-	e, err := Restore(Config{Rebuild: Never{}}, restoredState())
+	e, err := Restore(Config{}, restoredState())
 	if err != nil {
 		t.Fatalf("valid partition rejected: %v", err)
 	}
@@ -241,7 +247,7 @@ func TestChurnReplaysToSamePlacement(t *testing.T) {
 		steps = 60
 	}
 	docs, pats := benchWorkload(120, steps)
-	e := newTestEngine(t, Config{Rebuild: Never{}})
+	e := newTestEngine(t, Config{Estimator: core.Config{Representation: core.Hashes, HashCapacity: 64, Seed: 7}})
 	j := new(memJournal)
 	e.SetJournal(j)
 	publishFlushed(t, e, docs)

@@ -155,9 +155,6 @@ func assertSameRouting(t *testing.T, orig, rec *Engine, ids []uint64) {
 func recoveryConfig() Config {
 	return Config{
 		Estimator: core.Config{Representation: core.Sets, Seed: 7},
-		// Small thresholds so the churn below actually crosses the rebuild
-		// policy and exercises the OpRebuild journal path.
-		Rebuild: DirtyFraction{Fraction: 0.5, MinStale: 6},
 	}
 }
 
@@ -290,7 +287,6 @@ func TestRecoveryWALOnly(t *testing.T) {
 // straggler's record stays above it and replays.
 func TestSnapshotWatermarkExcludesConcurrentChurn(t *testing.T) {
 	cfg := recoveryConfig()
-	cfg.Rebuild = Never{}
 	store, err := persist.Open(t.TempDir(), persist.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -516,7 +512,6 @@ func TestInjectRemoteShedsWhenFull(t *testing.T) {
 // indices.
 func TestJournalRecordsDecisions(t *testing.T) {
 	cfg := recoveryConfig()
-	cfg.Rebuild = Never{}
 	store, err := persist.Open(t.TempDir(), persist.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -595,7 +590,7 @@ func textOf(t *testing.T, doc []byte) string {
 // are half JSON with an xml field, half binary. Both must recover to the
 // same cursors, redelivery flags, pins and documents.
 func TestRecoveryFromOlderFormats(t *testing.T) {
-	cfg := Config{Estimator: core.Config{Representation: core.Sets, Seed: 7}, Threshold: 2, Rebuild: Never{}, DocCache: 4}
+	cfg := Config{Estimator: core.Config{Representation: core.Sets, Seed: 7}, Threshold: 2, DocCache: 4}
 	type outcome struct {
 		drains map[uint64]DrainResult
 		pinned int

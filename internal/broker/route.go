@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"treesim/internal/matching"
+	"treesim/internal/matchset"
 	"treesim/internal/pattern"
 	"treesim/internal/persist"
 	"treesim/internal/xmltree"
@@ -26,9 +27,10 @@ import (
 // and delivery log (commlog.go); a leaving member leaves its list, and a
 // leaving representative hands the handle to the smallest surviving id
 // or, as the last member, dissolves the record, which shifts every later
-// community's index down by one. A rebuild, Restore and Apply's OpRebuild
-// install a whole partition at once (installLocked), keeping the record
-// — handle and log — of every representative that stands again.
+// community's index down by one. A re-bucket, Restore and Apply's
+// OpRebuild install a whole partition at once (installLocked), keeping
+// the record — handle and log — of every representative that stands
+// again.
 //
 // Locking: e.groups and the records are written only with the registry
 // lock (Engine.mu) and routeMu both held exclusively, so a reader may
@@ -38,18 +40,20 @@ import (
 // The registry lock is always acquired first when both are held.
 
 // routeGroup is one community: the forest handle of its representative's
-// pattern, its at-most-once delivery log, its representative, and its
+// pattern, its at-most-once delivery log, its representative, its
 // at-most-once (amo) and at-least-once (alo) members, each list in id
-// order. Every member's group points back at it.
+// order, and the key it is indexed under in Engine.bySample, if
+// bySample[key] is this record. Every member's group points back at it.
 type routeGroup struct {
 	fh       int
 	log      *commLog
 	rep      *subscriber
 	amo, alo []*subscriber
+	key      uint64
 }
 
 // idOrder orders subscriptions by id, the order a record lists its members
-// in and a rebuild clusters the registry in.
+// in and a re-bucket takes the registry in.
 func idOrder(a, b *subscriber) int { return cmp.Compare(a.id, b.id) }
 
 // list is the member list s belongs on.
@@ -231,8 +235,10 @@ func (e *Engine) routeDoc(t *xmltree.Tree, doc []byte, res *PublishResult) {
 // install of the forest: a representative that still stands for a
 // community keeps its record, handle and log; every other old handle is
 // removed and every other new representative added, with a new log.
-// Caller holds the registry lock exclusively.
-func (e *Engine) installLocked(groups [][]*subscriber, reps []*subscriber) {
+// bySample is rebuilt from samples, community g's sample (nil: an
+// unindexed partition, as Restore and replay install). Caller holds the
+// registry lock exclusively.
+func (e *Engine) installLocked(groups [][]*subscriber, reps []*subscriber, samples []matchset.Value) {
 	e.routeMu.Lock()
 	defer e.routeMu.Unlock()
 	next := make([]*routeGroup, len(groups))
@@ -255,6 +261,7 @@ func (e *Engine) installLocked(groups [][]*subscriber, reps []*subscriber) {
 		}
 	}
 	hs := e.forest.Replace(drop, add)
+	e.founded = 0
 	for g, rg := range next {
 		if rg == nil {
 			rg, hs = &routeGroup{fh: hs[0], log: e.newCommLog()}, hs[1:]
@@ -270,4 +277,17 @@ func (e *Engine) installLocked(groups [][]*subscriber, reps []*subscriber) {
 	}
 	e.counters.dropped.Add(uint64(lost))
 	e.groups = next
+	e.keyLocked(samples)
+}
+
+// keyLocked rebuilds bySample over the installed communities, community
+// g under samples[g]'s key; nil samples index none. Caller holds the
+// registry lock exclusively.
+func (e *Engine) keyLocked(samples []matchset.Value) {
+	clear(e.bySample)
+	for g, rg := range e.groups {
+		if samples != nil {
+			e.index(rg, samples[g])
+		}
+	}
 }

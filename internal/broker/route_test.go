@@ -23,7 +23,6 @@ import (
 func TestConcurrentPublishChurnDrain(t *testing.T) {
 	e := newTestEngine(t, Config{
 		Estimator:     core.Config{Representation: core.Hashes, HashCapacity: 64, Seed: 7},
-		Rebuild:       DirtyFraction{Fraction: 0.3, MinStale: 8},
 		QueueCapacity: 32,
 	})
 	exprs := []string{"/a/b", "/a/c", "//x", "/a[b]//x", "//c", "/a/*/x"}

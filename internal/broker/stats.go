@@ -44,7 +44,7 @@ func newCounters(reg *telemetry.Registry) counters {
 		filterEvals:    reg.Counter("treesim_broker_filter_evals_total", "Community-representative match tests (the clustered routing cost): per publish, exactly the patterns the forest holds and evaluates."),
 		subscribes:     reg.Counter("treesim_broker_subscribes_total", "Committed subscriptions."),
 		unsubscribes:   reg.Counter("treesim_broker_unsubscribes_total", "Committed unsubscriptions."),
-		rebuilds:       reg.Counter("treesim_broker_rebuilds_total", "Full community re-clusterings."),
+		rebuilds:       reg.Counter("treesim_broker_rebuilds_total", "Re-buckets on a new similarity view that journaled a partition (forced, or one the new view moved)."),
 		ingestQueued:   reg.Counter("treesim_broker_ingest_queued_total", "Documents accepted into the synopsis ingest pipeline."),
 		ingested:       reg.Counter("treesim_broker_ingested_total", "Documents the background ingester fed to the estimator."),
 		remoteInjected: reg.Counter("treesim_broker_remote_injected_total", "Documents injected by peer brokers via the overlay."),
@@ -56,7 +56,7 @@ func newCounters(reg *telemetry.Registry) counters {
 		redeliveries:   reg.Counter("treesim_broker_redeliveries_total", "At-least-once deliveries handed out more than once (lease lapse or crash recovery)."),
 		leaseExpiries:  reg.Counter("treesim_broker_lease_expiries_total", "Consumer lease lapses returning in-flight deliveries to redeliverable."),
 		ackShed:        reg.Counter("treesim_broker_ack_shed_total", "At-least-once deliveries shed by cursor-log capacity overflow (oldest first; counted loss)."),
-		viewRefreshes:  reg.Counter("treesim_broker_similarity_view_refreshes_total", "Similarity views taken from the estimator (first use, stream doubled, forced rebuild); each is followed by one cold SEL pass over the representatives."),
+		viewRefreshes:  reg.Counter("treesim_broker_similarity_view_refreshes_total", "Similarity views taken from the estimator (first subscribe, stream doubled, forced rebuild); the registry is re-bucketed on each, one cold SEL evaluation per live subscription."),
 	}
 }
 
@@ -94,12 +94,10 @@ func (e *Engine) registerGauges() {
 		return float64(total)
 	})
 	e.tel.GaugeFunc("treesim_broker_similarity_view_docs", "Stream length the current similarity view covers (0 before the first subscribe); docs observed minus this is its staleness.", func() float64 {
-		e.viewMu.Lock()
-		defer e.viewMu.Unlock()
-		if e.view == nil {
-			return 0
+		if v := e.view.Load(); v != nil {
+			return float64(v.Docs())
 		}
-		return float64(e.view.Docs())
+		return 0
 	})
 	e.tel.GaugeFunc("treesim_broker_pinned_docs", "Documents pinned in retention by unacked at-least-once deliveries.", func() float64 {
 		return float64(e.docs.pinnedCount())
@@ -134,8 +132,8 @@ type Stats struct {
 	Live        int `json:"live"`
 	Communities int `json:"communities"`
 	Singletons  int `json:"singletons"`
-	// StaleOps counts registry mutations since the last full rebuild;
-	// Rebuilds counts full re-clusterings.
+	// StaleOps counts registry mutations since the last journaled
+	// re-bucket; Rebuilds counts those re-buckets.
 	StaleOps int    `json:"stale_ops"`
 	Rebuilds uint64 `json:"rebuilds"`
 

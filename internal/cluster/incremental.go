@@ -1,9 +1,9 @@
-// Incremental placement: a live broker cannot afford a global
-// re-clustering on every subscription change, so a new item joins the
-// best existing community by Place, the one placement rule, and a full
-// greedy rebuild (GreedyRows) remains the periodic ground truth. The
-// broker keeps its communities itself; Communities is the same rule over
-// index sets, for callers that cluster items 0..n-1 in arrival order.
+// Incremental placement: a new item joins the best existing community
+// by Place, the one placement rule, and a greedy clustering
+// (GreedySeeded) is the ground truth it approximates. Communities is the
+// rule over index sets, for callers that cluster items 0..n-1 in arrival
+// order. (The broker keys its communities on equal estimated samples
+// instead, which at threshold 0.99 is GreedySeeded's partition.)
 package cluster
 
 import "math/bits"
@@ -74,7 +74,15 @@ func (c *Communities) Assign(row []float64) int {
 // and community-based routing use as the group representative. Unlike
 // Greedy it does not reorder communities by size: community g was
 // seeded before community g+1, the invariant the incremental replay of
-// Assign relies on. It is GreedyRows over sim cut at threshold.
+// Assign relies on. Groups are ascending.
+//
+// The greedy reads only whether a similarity reaches the threshold, so
+// it runs on the matrix cut into bit rows: O(n²) word operations at
+// worst and O(n) extra space besides the rows. Each item's degree (its
+// unassigned neighbours i→j, j ≠ i) is a popcount of its row, a
+// community is its seed's row masked by the unassigned items, and it
+// shortens each unassigned item's degree by a popcount over the words
+// it touched (at most its size), instead of recounting all degrees.
 func GreedySeeded(sim [][]float64, threshold float64) (groups [][]int, seeds []int) {
 	n := len(sim)
 	words := (n + 63) / 64
@@ -86,21 +94,7 @@ func GreedySeeded(sim [][]float64, threshold float64) (groups [][]int, seeds []i
 			}
 		}
 	}
-	return GreedyRows(n, func(i int) []uint64 { return rows[i*words : (i+1)*words] })
-}
-
-// GreedyRows is the seeded greedy over the thresholded similarity graph
-// of n items as bit rows: bit j%64 of row(i)[j/64] is set iff sim[i][j]
-// reaches the threshold, which is all the greedy reads of a similarity.
-// It returns GreedySeeded's groups (ascending) and seeds.
-//
-// O(n²) word operations at worst and O(n) extra space: each item's
-// degree (its unassigned neighbours i→j, j ≠ i) is a popcount of its
-// row, a community is its seed's row masked by the unassigned items, and
-// it shortens each unassigned item's degree by a popcount over the words
-// it touched (at most its size), instead of recounting all degrees.
-func GreedyRows(n int, row func(i int) []uint64) (groups [][]int, seeds []int) {
-	words := (n + 63) / 64
+	row := func(i int) []uint64 { return rows[i*words : (i+1)*words] }
 	free, taken := make([]uint64, words), make([]uint64, words)
 	deg := make([]int, n)
 	for i := range n {

@@ -365,7 +365,7 @@ func TestSimilarityRowInto(t *testing.T) {
 	p := pattern.MustParse("//b")
 	want := e.SimilarityRow(metrics.M3, p, subs)
 	buf := make([]float64, 0, 1) // too small: must be replaced
-	got := e.View().SimilarityRowInto(buf, metrics.M3, 0, p, subs)
+	got := e.View().SimilarityRowInto(buf, metrics.M3, p, subs)
 	if len(got) != len(want) {
 		t.Fatalf("row length %d, want %d", len(got), len(want))
 	}
@@ -375,7 +375,7 @@ func TestSimilarityRowInto(t *testing.T) {
 		}
 	}
 	big := make([]float64, 16)
-	got = e.View().SimilarityRowInto(big, metrics.M3, 0, p, subs)
+	got = e.View().SimilarityRowInto(big, metrics.M3, p, subs)
 	if len(got) != len(subs) || &got[0] != &big[0] {
 		t.Fatal("SimilarityRowInto did not reuse an adequate buffer")
 	}

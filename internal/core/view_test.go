@@ -32,7 +32,7 @@ func viewCases() map[string]Config {
 func checkViewAgainstLive(t *testing.T, e *Estimator, v *View, p *pattern.Pattern, subs []*pattern.Pattern) {
 	t.Helper()
 	for _, m := range metrics.All {
-		row := v.SimilarityRowInto(nil, m, 0, p, subs)
+		row := v.SimilarityRowInto(nil, m, p, subs)
 		for i, q := range subs {
 			if want := e.Similarity(m, q, p); math.Abs(row[i]-want) > 1e-12 {
 				t.Errorf("%s row[%d] = %v, live pairwise = %v", m, i, row[i], want)
@@ -76,7 +76,7 @@ func TestViewIsFrozenAtSnapshot(t *testing.T) {
 				t.Error("a second View of an unchanged estimator is a different frame")
 			}
 			checkViewAgainstLive(t, e, v, p, subs)
-			row := v.SimilarityRowInto(nil, metrics.M1, 0, p, subs)
+			row := v.SimilarityRowInto(nil, metrics.M1, p, subs)
 			mat := v.SimilarityMatrix(metrics.M1, subs)
 			evals := v.Evals()
 
@@ -84,7 +84,7 @@ func TestViewIsFrozenAtSnapshot(t *testing.T) {
 			if v.Docs() != 60 || e.DocsObserved() != 660 {
 				t.Fatalf("view/live cover %d/%d documents, want 60/660", v.Docs(), e.DocsObserved())
 			}
-			row2 := v.SimilarityRowInto(nil, metrics.M1, 0, p, subs)
+			row2 := v.SimilarityRowInto(nil, metrics.M1, p, subs)
 			mat2 := v.SimilarityMatrix(metrics.M1, subs)
 			for i := range row {
 				if row[i] != row2[i] {
@@ -100,7 +100,7 @@ func TestViewIsFrozenAtSnapshot(t *testing.T) {
 				t.Errorf("repeating a row and a matrix on a warm view ran %d SEL evaluations", v.Evals()-evals)
 			}
 			// A fresh pattern on the old frame costs exactly one evaluation.
-			v.SimilarityRowInto(nil, metrics.M1, 0, pattern.MustParse("//title"), subs)
+			v.SimilarityRowInto(nil, metrics.M1, pattern.MustParse("//title"), subs)
 			if got := v.Evals() - evals; got != 1 {
 				t.Errorf("a new pattern on a warm view ran %d SEL evaluations, want 1", got)
 			}
@@ -111,7 +111,7 @@ func TestViewIsFrozenAtSnapshot(t *testing.T) {
 			}
 			checkViewAgainstLive(t, e, live, p, subs)
 			moved := false
-			for i, x := range live.SimilarityRowInto(nil, metrics.M1, 0, p, subs) {
+			for i, x := range live.SimilarityRowInto(nil, metrics.M1, p, subs) {
 				moved = moved || x != row[i]
 			}
 			if !moved {
@@ -150,64 +150,44 @@ func TestViewAfterCompress(t *testing.T) {
 	}
 }
 
-// TestSimilarityRowPrunesOnlyBelowThreshold is the differential for the
-// intersection bound: on every representation and the schema filter
-// (with a pattern the schema rejects), for every metric and thresholds
-// that prune nothing (0), some (0.5, 1) and nearly everything (2), the
-// thresholded row agrees with the exact row bit for bit on every entry
-// either reads ≥ threshold, and both read every other entry below it.
-func TestSimilarityRowPrunesOnlyBelowThreshold(t *testing.T) {
+// TestEqualSamplesAreM3One ties the broker's community rule to the
+// paper's metric: on every representation and the schema filter (with
+// a pattern the schema rejects), two patterns whose SEL evaluations on
+// a view carry the same sample are M3-similar 1 on that view's matrix,
+// and a pattern whose evaluation carries none (Counters, an empty
+// match, a rejected pattern) shares it with nothing.
+func TestEqualSamplesAreM3One(t *testing.T) {
 	d := dtd.Media()
 	docs := xmlgen.New(d, xmlgen.Options{Seed: 4}).GenerateN(120)
-	pats := querygen.New(d, querygen.Defaults(9)).GenerateDistinct(24)
+	pats := querygen.New(d, querygen.Defaults(9)).GenerateDistinct(40)
 	pats = append(pats, pattern.MustParse("//composer/title")) // infeasible under the DTD
 	for name, cfg := range viewCases() {
 		t.Run(name, func(t *testing.T) {
 			e := NewEstimator(cfg)
 			e.ObserveTrees(docs)
 			v := e.View()
-			for _, m := range metrics.All {
-				for _, threshold := range []float64{0, 0.5, 1, 2} {
-					before := v.Pruned()
-					for k, p := range pats {
-						subs := append(append([]*pattern.Pattern(nil), pats[:k]...), pats[k+1:]...)
-						exact := v.SimilarityRowInto(nil, m, 0, p, subs)
-						row := v.SimilarityRowInto(nil, m, threshold, p, subs)
-						for i := range subs {
-							if (exact[i] >= threshold || row[i] >= threshold) && exact[i] != row[i] {
-								t.Errorf("%s threshold %v row(%d)[%d] = %v, exact %v", m, threshold, k, i, row[i], exact[i])
-							}
+			sim := v.SimilarityMatrix(metrics.M3, pats)
+			pairs := 0
+			for i, p := range pats {
+				pv := v.Eval(p)
+				if _, ok := matchset.SampleKey(pv); !ok && matchset.SameSample(pv, pv) {
+					t.Errorf("%s: no sample, yet the same sample as itself", p)
+				}
+				for j := i + 1; j < len(pats); j++ {
+					if matchset.SameSample(pv, v.Eval(pats[j])) {
+						pairs++
+						if sim[i][j] != 1 {
+							t.Errorf("%s and %s share a sample, M3 %v", p, pats[j], sim[i][j])
 						}
-					}
-					pruned := v.Pruned() - before
-					if threshold == 0 && pruned != 0 {
-						t.Errorf("%s: threshold 0 pruned %d pairs", m, pruned)
-					}
-					if name != "counters" && threshold == 2 && pruned == 0 {
-						t.Errorf("%s: threshold 2 pruned nothing: the differential exercised no pruning", m)
 					}
 				}
 			}
+			if name != "counters" && pairs == 0 {
+				t.Error("no two patterns share a sample: the test exercised nothing")
+			}
+			if name == "counters" && pairs != 0 {
+				t.Errorf("%d pairs share a Counters sample", pairs)
+			}
 		})
-	}
-}
-
-// TestCannotReachKeepsM3PastTheUnion: M3 = And / (P + Q − And) grows with And
-// only while And < P + Q, so a bound at or past P + Q decides nothing —
-// however small M3 reads at the bound itself (its union is ≤ 0 there).
-func TestCannotReachKeepsM3PastTheUnion(t *testing.T) {
-	ids := make([]uint64, 50)
-	for i := range ids {
-		ids[i] = uint64(i)
-	}
-	a, b := matchset.NewSetValue(ids...), matchset.NewSetValue(ids...)
-	// The bound reads And ≤ 0.5 against P = Q = 0.1 (inconsistent
-	// probabilities an estimator may still hand over): an And of 0.15
-	// would give M3 = 3.
-	if cannotReach(metrics.M3, 0.5, 0.1, 0.1, a, b, 100) {
-		t.Error("M3 pruned with its bound past P + Q")
-	}
-	if !cannotReach(metrics.M1, 6, 0.1, 0.1, a, b, 100) || cannotReach(metrics.M1, 5, 0.1, 0.1, a, b, 100) {
-		t.Error("M1 at the bound is 5: prune at threshold 6, not at 5")
 	}
 }

@@ -36,7 +36,7 @@ var exprPool = []struct{ expr, probe string }{
 }
 
 func brokerCfg() broker.Config {
-	return broker.Config{Threshold: 2, Rebuild: broker.Never{}}
+	return broker.Config{Threshold: 2}
 }
 
 // recoverDir opens dir and recovers an engine from it the way

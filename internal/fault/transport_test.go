@@ -14,7 +14,6 @@ func newNode(t *testing.T, id string) *overlay.Node {
 	t.Helper()
 	eng := broker.New(broker.Config{
 		Threshold: 2, // exact mode: singleton communities, no false positives
-		Rebuild:   broker.Never{},
 	})
 	t.Cleanup(func() { eng.Close() })
 	n := overlay.New(eng, overlay.Config{ID: id, AdvertPolicy: broker.Staleness{MaxStale: 1}})

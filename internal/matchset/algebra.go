@@ -142,8 +142,8 @@ func intersectInto(dst, a, b []uint64) int {
 
 // intersectCount returns the size of the intersection of two sorted
 // slices without writing the result anywhere — the allocation-free
-// kernel behind IntersectCard, for callers (similarity rows, matrix
-// rebuilds) that need only |a ∩ b| and would discard a materialized
+// kernel behind IntersectCard, for callers (similarity rows and
+// matrices) that need only |a ∩ b| and would discard a materialized
 // result immediately.
 //
 // The merge step branches. A branch-free step (three conditional

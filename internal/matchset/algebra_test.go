@@ -2,7 +2,6 @@ package matchset
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -315,45 +314,38 @@ func TestIntersectCardDifferential(t *testing.T) {
 	}
 }
 
-// TestIntersectCardBound: IntersectCardBound never reads below
-// IntersectCard — on Sets, on Hashes at mixed levels, with empty
-// operands (the shared empties and empty samples at a level) and for a
-// value intersected with itself, where the bound is tight — and is +Inf
-// under Counters.
-func TestIntersectCardBound(t *testing.T) {
+// TestSampleKey: equal samples key equal and are the same sample;
+// a Hashes value at another level, or with other ids, is not, and
+// neither is a Sets value with the same ids at level 0; empty values
+// and Counters values carry no sample.
+func TestSampleKey(t *testing.T) {
 	h := sampling.NewHasher(7)
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		aIDs, _ := randomIDs(rng, rng.Intn(3)*rng.Intn(150), 400)
-		bIDs, _ := randomIDs(rng, rng.Intn(3)*rng.Intn(150), 400)
-		la, lb := rng.Intn(4), rng.Intn(4)
-		vals := [][2]Value{
-			{NewSetValue(aIDs...), NewSetValue(bIDs...)},
-			{NewHashValue(h, la, aIDs...), NewHashValue(h, lb, bIDs...)},
-			{emptySetValue, NewSetValue(bIDs...)},
-			{emptyHashValue, NewHashValue(h, lb, bIDs...)},
-			{NewHashValue(h, la), NewHashValue(h, lb, bIDs...)},
-		}
-		for _, p := range vals {
-			for _, ab := range [][2]Value{p, {p[1], p[0]}, {p[0], p[0]}} {
-				a, b := ab[0], ab[1]
-				card, bound := IntersectCard(a, b), IntersectCardBound(a, b)
-				if bound < card || (a == b && bound != card) {
-					t.Logf("%s: bound %v, card %v (self %v)", a.Kind(), bound, card, a == b)
-					return false
-				}
-			}
-		}
-		return true
+	a := NewHashValue(h, 0, 1, 2, 3, 5)
+	same := NewHashValue(h, 0, 5, 3, 2, 1)
+	ka, ok := SampleKey(a)
+	if kb, okb := SampleKey(same); !ok || !okb || ka != kb || !SameSample(a, same) {
+		t.Fatalf("equal samples: keys %x/%v and %x/%v, same %v", ka, ok, kb, okb, SameSample(a, same))
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Error(err)
+	set := NewSetValue(1, 2, 3, 5)
+	if !SameSample(set, NewSetValue(5, 3, 2, 1)) {
+		t.Error("equal Sets samples differ")
 	}
 	c := counterFactory(10)
 	s := c.NewStore()
 	s.Add(1)
-	if b := IntersectCardBound(s.Value(), c.EmptyValue()); !math.IsInf(b, 1) {
-		t.Errorf("Counters bound = %v, want +Inf", b)
+	for name, v := range map[string]Value{
+		"other ids": NewHashValue(h, 0, 1, 2, 3), "other level": &hashValue{level: 1, ids: a.(*hashValue).ids, hasher: h},
+		"sets": set, "empty hashes": emptyHashValue, "empty sets": emptySetValue, "counters": s.Value(), "nil": nil,
+	} {
+		if SameSample(a, v) || SameSample(v, a) {
+			t.Errorf("%s: same sample as %v", name, a)
+		}
+	}
+	for name, v := range map[string]Value{"empty hashes": emptyHashValue, "empty at a level": NewHashValue(h, 3),
+		"empty sets": emptySetValue, "counters": s.Value(), "nil": nil} {
+		if _, ok := SampleKey(v); ok || SameSample(v, v) {
+			t.Errorf("%s carries a sample", name)
+		}
 	}
 }
 

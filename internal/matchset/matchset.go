@@ -21,7 +21,6 @@ package matchset
 
 import (
 	"fmt"
-	"math"
 	"slices"
 
 	"treesim/internal/sampling"
@@ -72,13 +71,11 @@ type Value interface {
 }
 
 // cardIntersecter is implemented by values that can compute the
-// cardinality of an intersection without materializing the result, and
-// bound it without computing it. Every built-in representation
-// implements it; the interface exists so hand-rolled test Values that
-// only satisfy Value keep working.
+// cardinality of an intersection without materializing the result.
+// Every built-in representation implements it; the interface exists so
+// hand-rolled test Values that only satisfy Value keep working.
 type cardIntersecter interface {
 	intersectCard(Value) float64
-	intersectCardBound(Value) float64
 }
 
 // IntersectCard returns a.Intersect(b).Card() without allocating the
@@ -92,17 +89,41 @@ func IntersectCard(a, b Value) float64 {
 	return a.Intersect(b).Card()
 }
 
-// IntersectCardBound returns an upper bound on IntersectCard(a, b) in
-// O(1): the shorter sample scaled as the intersection would be (Sets:
-// the smaller set; Hashes: the smaller sample at the larger level),
-// because the intersection keeps a subset of either operand. Counters
-// and values outside this package bound nothing (+Inf). A similarity
-// loop reads it to skip intersections that cannot reach a threshold.
-func IntersectCardBound(a, b Value) float64 {
-	if ci, ok := a.(cardIntersecter); ok {
-		return ci.intersectCardBound(b)
+// sample is the sample v carries: a Hashes value's level and ids, a Sets
+// value's ids at level 0. ok is false for a value that carries none — an
+// empty one, a Counters one, or nil.
+func sample(v Value) (level int, ids []uint64, ok bool) {
+	switch v := v.(type) {
+	case *hashValue:
+		return v.level, v.ids, len(v.ids) > 0
+	case *setValue:
+		return 0, v.ids, len(v.ids) > 0
 	}
-	return math.Inf(1)
+	return 0, nil, false
+}
+
+// SampleKey hashes the sample v carries (FNV-1a, word by word, over its
+// level and ids), so that values with equal samples get equal keys; ok
+// is false when v carries none. Keys can collide: SameSample tells them
+// apart.
+func SampleKey(v Value) (key uint64, ok bool) {
+	level, ids, ok := sample(v)
+	if !ok {
+		return 0, false
+	}
+	key = (14695981039346656037 ^ uint64(level)) * 1099511628211
+	for _, id := range ids {
+		key = (key ^ id) * 1099511628211
+	}
+	return key, true
+}
+
+// SameSample reports whether a and b both carry a sample and it is the
+// same one: one kind, equal levels and equal ids.
+func SameSample(a, b Value) bool {
+	la, ia, oka := sample(a)
+	lb, ib, okb := sample(b)
+	return oka && okb && a.Kind() == b.Kind() && la == lb && slices.Equal(ia, ib)
 }
 
 // Store is the mutable matching-set state attached to a synopsis node.

@@ -13,23 +13,45 @@ import (
 	"treesim/internal/xmltree"
 )
 
+// sampleEngine is an engine whose communities are equal samples, as the
+// daemon's are, warmed with the given documents: patterns matching the
+// same of them share a community.
+func sampleEngine(t *testing.T, docs ...string) *broker.Engine {
+	t.Helper()
+	eng := broker.New(broker.Config{Estimator: core.Config{Representation: core.Hashes, HashCapacity: 1000, Seed: 1}})
+	t.Cleanup(func() { eng.Close() })
+	for _, s := range docs {
+		if _, err := eng.Publish(doc(t, s)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	eng.Flush()
+	return eng
+}
+
+// subscribeOneCommunity subscribes exprs and fails unless they form one
+// community.
+func subscribeOneCommunity(t *testing.T, eng *broker.Engine, exprs ...string) {
+	t.Helper()
+	for _, expr := range exprs {
+		if _, err := eng.Subscribe(expr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if ids := eng.CommunityIDs(); len(ids) != 1 {
+		t.Fatalf("%v form communities %v, want one", exprs, ids)
+	}
+}
+
 // TestAdvertUsesCoveringSubset: a community holding both /a and /a/b
 // advertises only /a — the containment cover — and the advert still
 // attracts documents matching either member.
 func TestAdvertUsesCoveringSubset(t *testing.T) {
-	// Negative threshold: any similarity (the empty synopsis yields 0)
-	// merges, so both subscriptions land in one community.
-	eng := broker.New(broker.Config{Threshold: -1, Rebuild: broker.Never{}})
-	defer eng.Close()
+	// Every document has an a/b: both subscriptions match all of them.
+	eng := sampleEngine(t, "<a><b/></a>", "<a><b/><c/></a>")
 	n := New(eng, Config{ID: "x", AdvertPolicy: broker.Staleness{MaxStale: 1}})
 	defer n.Close()
-
-	if _, err := eng.Subscribe("/a"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := eng.Subscribe("/a/b"); err != nil {
-		t.Fatal(err)
-	}
+	subscribeOneCommunity(t, eng, "/a", "/a/b")
 	info := n.Info()
 	total := 0
 	for _, c := range info.LocalAdvert.Communities {
@@ -48,15 +70,10 @@ func TestAdvertUsesCoveringSubset(t *testing.T) {
 // TestAdvertMemberCountsSurviveCovering: covering shrinks patterns, not
 // the member census the digest reports.
 func TestAdvertMemberCountsSurviveCovering(t *testing.T) {
-	eng := broker.New(broker.Config{Threshold: -1, Rebuild: broker.Never{}})
-	defer eng.Close()
+	eng := sampleEngine(t, "<a><b><c/></b></a>")
 	n := New(eng, Config{ID: "x", AdvertPolicy: broker.Staleness{MaxStale: 1}})
 	defer n.Close()
-	for _, expr := range []string{"/a", "/a/b", "/a/b/c"} {
-		if _, err := eng.Subscribe(expr); err != nil {
-			t.Fatal(err)
-		}
-	}
+	subscribeOneCommunity(t, eng, "/a", "/a/b", "/a/b/c")
 	members := 0
 	for _, c := range n.Info().LocalAdvert.Communities {
 		members += c.Members
@@ -116,7 +133,7 @@ func TestTruncateKeepsDescendantsPaired(t *testing.T) {
 // TestSelectivityDigestTracksStream: after observing a stream, the
 // advertised digest reflects the representative's selectivity estimate.
 func TestSelectivityDigestTracksStream(t *testing.T) {
-	eng := broker.New(broker.Config{Threshold: 2, Rebuild: broker.Never{}})
+	eng := broker.New(broker.Config{Threshold: 2})
 	defer eng.Close()
 	n := New(eng, Config{ID: "x", AdvertPolicy: broker.Staleness{MaxStale: 1}})
 	defer n.Close()

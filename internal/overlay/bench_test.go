@@ -98,7 +98,7 @@ func BenchmarkAdvertBuild(b *testing.B) {
 		if len(pats) < subs+64 {
 			b.Fatalf("%d patterns stay within their schema, want %d", len(pats), subs+64)
 		}
-		eng := broker.New(broker.Config{Threshold: 2, Rebuild: broker.Never{}})
+		eng := broker.New(broker.Config{Threshold: 2})
 		defer eng.Close()
 		for i, p := range pats[:subs] { // the replay path: no similarity rows
 			if err := eng.Apply(persist.Record{Op: persist.OpSubscribe, ID: uint64(i + 1), Expr: p.String(), Group: i}); err != nil {

@@ -8,6 +8,7 @@ import (
 
 	"treesim/internal/broker"
 	"treesim/internal/cluster"
+	"treesim/internal/core"
 	"treesim/internal/dtd"
 	"treesim/internal/overlay/wire"
 	"treesim/internal/pattern"
@@ -27,11 +28,12 @@ func genDocs(d *dtd.DTD, n int, seed int64) []*xmltree.Tree {
 	return xmlgen.New(d, xmlgen.Calibrate(d, 100, seed)).GenerateN(n)
 }
 
-// coverNode is a node over an engine at the given threshold that
-// re-advertises on every churn operation, with liveness off.
+// coverNode is a node over an engine like the daemon's (Hashes of 1000)
+// at the given threshold that re-advertises on every churn operation,
+// with liveness off.
 func coverNode(t testing.TB, id string, threshold float64, cfg Config) *Node {
 	t.Helper()
-	eng := broker.New(broker.Config{Threshold: threshold, Rebuild: broker.Never{}})
+	eng := broker.New(broker.Config{Estimator: core.Config{Representation: core.Hashes, HashCapacity: 1000, Seed: 1}, Threshold: threshold})
 	t.Cleanup(func() { eng.Close() })
 	cfg.ID = id
 	if cfg.AdvertPolicy == nil {
@@ -226,6 +228,9 @@ func TestAdvertCoverDifferential(t *testing.T) {
 						if err := n.Advertise(); err != nil {
 							t.Fatal(err)
 						}
+						if st := n.Engine().Stats(); threshold < 1 && st.Communities >= st.Live {
+							t.Fatalf("%d communities for %d subscriptions at threshold %v", st.Communities, st.Live, threshold)
+						}
 						adv := n.Info().LocalAdvert
 						if got := advertMembers(adv); got != len(pats) {
 							t.Fatalf("Σ Members = %d, want %d", got, len(pats))
@@ -285,6 +290,9 @@ func TestAdvertCoverInvariantsUnderChurn(t *testing.T) {
 			}
 			for _, p := range pats[:100] {
 				subscribe(p)
+			}
+			if st := n.Engine().Stats(); st.Communities >= st.Live {
+				t.Fatalf("%d communities for %d subscriptions", st.Communities, st.Live)
 			}
 			checkCover(t, n)
 			for step, p := range pats[100:] {
@@ -462,7 +470,7 @@ func TestAdvertCoverIsIncremental(t *testing.T) {
 // takes the ordinary path through the churn hook.
 func TestAdvertRepacksBeyondWireCaps(t *testing.T) {
 	const subs = 5000
-	eng := broker.New(broker.Config{Threshold: 2, Rebuild: broker.Never{}})
+	eng := broker.New(broker.Config{Threshold: 2})
 	t.Cleanup(func() { eng.Close() })
 	for i := 0; i < subs-1; i++ {
 		if err := eng.Apply(persist.Record{Op: persist.OpSubscribe, ID: uint64(i + 1), Expr: fmt.Sprintf("/r/l%04d", i), Group: i}); err != nil {

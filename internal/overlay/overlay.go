@@ -22,8 +22,8 @@
 // hop toward the origin, and re-gossips to its other links. Each
 // version thus spans the network along its own broadcast tree, and
 // publications flow down the reverse edges. A node whose subscriptions
-// churn past its advertisement policy (the broker's rebuild-policy
-// calculus) re-advertises under the next version; an origin with no
+// churn past its advertisement policy (a broker.RebuildPolicy)
+// re-advertises under the next version; an origin with no
 // subscriptions advertises an empty aggregate (a tombstone), closing
 // the routes toward it.
 //
@@ -84,12 +84,11 @@ type Config struct {
 	SeenCapacity int
 	// AdvertPolicy decides when accumulated subscription churn warrants
 	// re-advertising the local aggregate, consulted with the churn count
-	// since the last advertisement and the live subscription count —
-	// the same calculus as broker rebuild policies (default
-	// broker.DirtyFraction{Fraction: 0.10, MinStale: 1}, so a lone
-	// first subscription advertises immediately while a big registry
-	// batches 10% of churn per advert). A full re-clustering always
-	// re-advertises.
+	// since the last advertisement and the live subscription count
+	// (default broker.DirtyFraction{Fraction: 0.10, MinStale: 1}, so a
+	// lone first subscription advertises immediately while a big
+	// registry batches 10% of churn per advert). A re-bucketing of the
+	// registry (broker.ChurnEvent.Rebuilt) always re-advertises.
 	AdvertPolicy broker.RebuildPolicy
 	// MaxPatternNodes, when positive, coarsens advertised patterns to at
 	// most that many nodes by dropping whole subtrees — the truncated
@@ -429,7 +428,7 @@ func closeTransport(tr Transport) {
 }
 
 // onChurn is the engine hook: accumulate churn and re-advertise when
-// the policy (or a completed re-clustering) says so.
+// the policy (or a completed re-bucketing) says so.
 func (n *Node) onChurn(ev broker.ChurnEvent) {
 	n.mu.Lock()
 	if n.closed {

@@ -20,8 +20,7 @@ func wire_batch(n *Node) wire.AdvertBatch {
 func newNode(t *testing.T, id string, cfg Config) *Node {
 	t.Helper()
 	eng := broker.New(broker.Config{
-		Threshold: 2, // unreachable similarity: singleton communities
-		Rebuild:   broker.Never{},
+		Threshold: 2, // exact mode: every subscription its own community
 	})
 	t.Cleanup(func() { eng.Close() })
 	cfg.ID = id

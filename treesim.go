@@ -197,7 +197,7 @@ func XMLString(t *Tree) (string, error) { return xmltree.XMLString(t, false) }
 // internal/broker; served over HTTP by cmd/treesimd).
 type (
 	// Broker is the live pub/sub engine: runtime subscription churn
-	// with incremental similarity maintenance, community-based
+	// into communities of equal estimated samples, community-based
 	// dissemination, bounded per-consumer delivery queues.
 	Broker = broker.Engine
 	// BrokerConfig configures a Broker.
@@ -208,7 +208,8 @@ type (
 	Delivery = broker.Delivery
 	// PublishResult summarizes the routing of one published document.
 	PublishResult = broker.PublishResult
-	// RebuildPolicy decides when churn warrants full re-clustering.
+	// RebuildPolicy decides when churn warrants a wholesale refresh
+	// (an overlay node's re-advertisement).
 	RebuildPolicy = broker.RebuildPolicy
 	// DeliveryMode selects a subscription's delivery contract:
 	// AtMostOnce (bounded ring, counted loss) or AtLeastOnce
