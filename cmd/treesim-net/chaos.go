@@ -44,6 +44,9 @@ type chaosResult struct {
 
 func runChaos(o options) (chaosResult, error) {
 	var res chaosResult
+	if o.threshold != 2 {
+		return res, fmt.Errorf("-chaos requires -threshold 2 (exact mode): recall 1.0 is only an invariant without similarity clustering")
+	}
 	if o.nodes < 4 {
 		return res, fmt.Errorf("-chaos needs at least 4 nodes (have %d): one victim plus a severable survivor link", o.nodes)
 	}

@@ -22,6 +22,9 @@ import (
 )
 
 func runFaults(o options) (tally, error) {
+	if o.threshold != 2 {
+		return tally{}, fmt.Errorf("-faults requires -threshold 2 (exact mode): recall 1.0 is only an invariant without similarity clustering")
+	}
 	if o.nodes < 3 {
 		return tally{}, fmt.Errorf("-faults needs at least 3 nodes (have %d)", o.nodes)
 	}

@@ -1,10 +1,11 @@
 package main
 
-// The federation is the one in-process overlay both fault schedules run
-// on: -chaos (chaos.go) plays a fixed list of its steps, -faults
-// (faults.go) a seeded random one. K brokers are wired per the topology
-// through fault.Transport links (clean for -chaos; duplicating,
-// reordering and delaying for -faults), the workload's subscriptions are
+// The federation is the one in-process overlay every schedule runs on:
+// steady (steady.go) publishes the whole stream once, -chaos (chaos.go)
+// plays a fixed list of its steps, -faults (faults.go) a seeded random
+// one. K brokers are wired per the topology through fault.Transport
+// links (clean for steady and -chaos; duplicating, reordering and
+// delaying for -faults), the workload's subscriptions are
 // loaded, and one broker, the victim, journals into a data directory
 // through a fault-injectable filesystem. One subscription ledger is the
 // ground-truth model, and the steps check the contract as they go:
@@ -25,8 +26,9 @@ package main
 //     the crash and never acked comes back exactly once (flagged
 //     Redelivered), and nothing journal-acked ever does.
 //
-// Both schedules require -threshold 2 (exact mode): recall 1.0 is only an
-// invariant without similarity clustering.
+// The fault schedules require -threshold 2 (exact mode): recall 1.0 is
+// only an invariant without similarity clustering. Steady below
+// threshold 1 publishes unverified and reports the recall it got.
 
 import (
 	"errors"
@@ -76,7 +78,7 @@ type tally struct {
 type federation struct {
 	o     options
 	w     *workload
-	mode  string // the schedule's flag, for replay hints
+	mode  string // the schedule's flag (steady's: the command), for replay hints
 	tmp   string
 	dir   string // the victim's data directory
 	popts persist.Options
@@ -102,14 +104,11 @@ type federation struct {
 // loaded and advertised, and an initial snapshot — so every recovery has
 // an epoch watermark to floor the restarted node's clock against.
 func newFederation(o options, mode string, linkOpts fault.TransportOptions) (f *federation, err error) {
-	if o.threshold != 2 {
-		return nil, fmt.Errorf("%s requires -threshold 2 (exact mode): recall 1.0 is only an invariant without similarity clustering", mode)
-	}
 	w, err := buildWorkload(o)
 	if err != nil {
 		return nil, err
 	}
-	tmp, err := os.MkdirTemp("", "treesim"+mode+"-*")
+	tmp, err := os.MkdirTemp("", "treesim-net-*")
 	if err != nil {
 		return nil, err
 	}
@@ -124,7 +123,7 @@ func newFederation(o options, mode string, linkOpts fault.TransportOptions) (f *
 		links:   make([][2]*fault.Transport, len(w.edges)),
 	}
 	for i := range f.nodes {
-		f.engines[i], f.nodes[i] = newNode(o, nodeConfig(o, i, 0))
+		f.engines[i], f.nodes[i] = newNode(o, w, nodeConfig(o, i, 0))
 	}
 	defer func() {
 		if err != nil {
@@ -284,8 +283,22 @@ func (f *federation) snapshot() error {
 	return f.engines[victim].WriteSnapshot(f.store, advertVersion, pubSeq)
 }
 
-// batch is one published batch against its ground truth.
-type batch struct{ docs, want, got, lost, extra int }
+// batch is one published batch against its ground truth, with each
+// document's trace id and the time publishing took until the links were
+// quiet.
+type batch struct {
+	docs, want, got, lost, extra int
+	trace                        []string
+	elapsed                      time.Duration
+}
+
+// recall is the share of ground-truth deliveries that arrived.
+func (b batch) recall() float64 {
+	if b.want == 0 {
+		return 1
+	}
+	return float64(b.want-b.lost) / float64(b.want)
+}
 
 // publish publishes the next n documents of the stream round-robin from
 // the up nodes, quiesces the links, drains every live subscription on an
@@ -307,6 +320,7 @@ func (f *federation) publish(n int, ack func() bool, verify bool) (batch, error)
 	}
 	origin := make([]int, len(docs))
 	trace := make([]string, len(docs))
+	start := time.Now()
 	for i, d := range docs {
 		origin[i] = up[i%len(up)]
 		var err error
@@ -317,7 +331,7 @@ func (f *federation) publish(n int, ack func() bool, verify bool) (batch, error)
 	f.published += len(docs)
 	f.flush()
 
-	b := batch{docs: len(docs)}
+	b := batch{docs: len(docs), trace: trace, elapsed: time.Since(start)}
 	comp := f.component()
 	want, got := map[pairKey]int{}, map[pairKey]int{}
 	for di, d := range docs {

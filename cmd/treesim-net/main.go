@@ -3,36 +3,33 @@
 // random, a DTD-derived subscription workload, and a document stream
 // published round-robin from the nodes. In-process links run the real
 // wire codec (encode+decode per message), so the measured message counts
-// are exactly what HTTP peers would exchange. One harness, three
-// schedules:
+// are exactly what HTTP peers would exchange.
 //
-//   - steady (the default) compares the content-based overlay against
-//     two references: a flooding baseline (same topology, aggregates
-//     ignored) for the inter-broker forward count, and a single broker
-//     holding every subscription for delivery ground truth
-//     (recall/lost/extra are multiset comparisons over (subscription,
-//     document) pairs);
+// One federation (federation.go) runs three schedules, and checks every
+// published batch against pattern.Matches ground truth (recall, lost and
+// extra are multiset comparisons over (subscription, document) pairs):
+//
+//   - steady (the default, steady.go) publishes the whole stream once
+//     and compares the overlay's inter-broker forwards with flooding's,
+//     a closed form on a connected topology;
 //   - -chaos (chaos.go) is a fixed fault schedule: consumers killed
 //     mid-window, a broker crashed and recovered, a link severed and
 //     healed;
 //   - -faults (faults.go) is a seeded random schedule of the same steps
 //     over duplicating, reordering links, with injected disk faults.
 //
-// Both fault schedules run on one federation (federation.go) that checks
-// every verified batch against pattern.Matches ground truth.
-//
 // The default -threshold 2 runs every broker in exact mode (similarity
 // never reaches 2, so each subscription is its own community): local
 // delivery is exact matching, the overlay's covering aggregates are
 // recall-preserving by construction, and the run must achieve recall
 // 1.0 with zero lost deliveries — the harness exits nonzero otherwise
-// (see -check). Lower thresholds turn on similarity clustering; each
-// broker then routes per community representative and the harness
-// simply reports the recall/precision trade honestly.
+// (see -check). Below threshold 1 each broker clusters equal estimated
+// samples and routes per community representative; steady then
+// reports the recall/precision trade, and the fault schedules refuse
+// to run.
 //
-// Output is `go test -bench` shaped: one line each for the overlay, the
-// flooding baseline and the ground truth, with forwards, deliveries and
-// recall as named metrics, then a one-line `# overlay:` summary.
+// Output is `go test -bench` shaped: one benchmark line per schedule
+// with its counts as named metrics, then `#` summary lines.
 package main
 
 import (
@@ -157,24 +154,6 @@ type pairKey struct {
 	doc string
 }
 
-// runResult is one topology execution.
-type runResult struct {
-	forwards   uint64
-	duplicates uint64
-	deliveries map[pairKey]int
-	delivered  int
-	advertised uint64 // advert messages sent
-	advertPats int    // patterns in the final local adverts, all nodes
-	elapsed    time.Duration
-
-	// Publication tracing: every traced publish's forwarding tree is
-	// re-assembled from the per-node span rings after the run (what an
-	// operator does across daemons with GET /trace/{id}) and checked
-	// for structural consistency.
-	tracesChecked int
-	traceProblems []string
-}
-
 // workload is everything one execution needs: the generated
 // subscription patterns, the document stream, the topology edges, and
 // the subscriber placement. The generator is kept so chaos runs can
@@ -237,101 +216,6 @@ func buildWorkload(o options) (*workload, error) {
 		return nil, err
 	}
 	return w, nil
-}
-
-// steadyResult is one steady run: the overlay, the flooding baseline and
-// the single-broker ground truth.
-type steadyResult struct{ overlay, flood, truth runResult }
-
-func run(o options) (steadyResult, error) {
-	var res steadyResult
-	w, err := buildWorkload(o)
-	if err != nil {
-		return res, err
-	}
-	exprs, docs, edges, nodeOf := w.exprs, w.docs, w.edges, w.nodeOf
-
-	truth, err := singleBroker(o, exprs, docs)
-	if err != nil {
-		return res, fmt.Errorf("single-broker reference: %w", err)
-	}
-	ovl, err := runTopology(o, edges, exprs, nodeOf, docs, false)
-	if err != nil {
-		return res, fmt.Errorf("overlay run: %w", err)
-	}
-	fld, err := runTopology(o, edges, exprs, nodeOf, docs, true)
-	if err != nil {
-		return res, fmt.Errorf("flooding run: %w", err)
-	}
-	res = steadyResult{overlay: ovl, flood: fld, truth: truth}
-
-	matched, lost, extra := compare(truth.deliveries, ovl.deliveries)
-	recall := 1.0
-	if truth.delivered > 0 {
-		recall = float64(matched) / float64(truth.delivered)
-	}
-	savings := 0.0
-	if fld.forwards > 0 {
-		savings = 1 - float64(ovl.forwards)/float64(fld.forwards)
-	}
-	_, floodLost, floodExtra := compare(fld.deliveries, ovl.deliveries)
-
-	name := fmt.Sprintf("topo=%s/nodes=%d/subs=%d/docs=%d", o.topology, o.nodes, o.subs, o.publish)
-	if o.threshold != 2 {
-		name += fmt.Sprintf("/threshold=%g", o.threshold)
-	}
-	if o.maxPat > 0 {
-		name += fmt.Sprintf("/coarse=%d", o.maxPat)
-	}
-	if o.placement != "clustered" {
-		name += "/placement=" + o.placement
-	}
-	perPub := func(r runResult) int64 {
-		if o.publish == 0 {
-			return 0
-		}
-		return r.elapsed.Nanoseconds() / int64(o.publish)
-	}
-	fmt.Printf("BenchmarkOverlayNet/%s \t%d\t%d ns/op\t%d forwards\t%d deliveries\t%d advert_msgs\t%d advert_patterns\t%.4f recall\t%d lost\t%d extra\t%.1f savings_pct\t%d traces_ok\n",
-		name, o.publish, perPub(ovl), ovl.forwards, ovl.delivered, ovl.advertised, ovl.advertPats, recall, lost, extra, savings*100, ovl.tracesChecked-len(ovl.traceProblems))
-	fmt.Printf("BenchmarkOverlayNetFlood/%s \t%d\t%d ns/op\t%d forwards\t%d deliveries\t%d duplicates\n",
-		name, o.publish, perPub(fld), fld.forwards, fld.delivered, fld.duplicates)
-	fmt.Printf("BenchmarkOverlayNetTruth/%s \t%d\t%d ns/op\t%d deliveries\n",
-		name, o.publish, perPub(truth), truth.delivered)
-
-	fmt.Printf("# overlay: %d forwards vs %d flooding (%.1f%% saved), recall %.4f (%d lost, %d extra of %d ground-truth deliveries), %d advert msgs carrying %d patterns for %d raw subs\n",
-		ovl.forwards, fld.forwards, savings*100, recall, lost, extra, truth.delivered, ovl.advertised, ovl.advertPats, o.subs)
-	fmt.Printf("# traces: %d forwarding trees assembled from per-node spans, %d inconsistent\n",
-		ovl.tracesChecked, len(ovl.traceProblems))
-	for _, p := range ovl.traceProblems {
-		fmt.Printf("# TRACE PROBLEM: %s\n", p)
-	}
-	if floodLost != 0 || floodExtra != 0 {
-		fmt.Printf("# WARNING: overlay and flooding delivery sets differ (lost %d, extra %d vs flood)\n", floodLost, floodExtra)
-	}
-
-	if o.check {
-		if lost != 0 {
-			return res, fmt.Errorf("lost %d deliveries vs single-broker ground truth (recall %.4f)", lost, recall)
-		}
-		if extra != 0 {
-			return res, fmt.Errorf("%d extra deliveries vs single-broker ground truth (duplicate routing)", extra)
-		}
-		if floodLost != 0 || floodExtra != 0 {
-			return res, fmt.Errorf("overlay and flooding delivery sets differ (lost %d, extra %d)", floodLost, floodExtra)
-		}
-		if savings < o.minSave {
-			return res, fmt.Errorf("savings %.1f%% below required %.1f%%", savings*100, o.minSave*100)
-		}
-		if len(ovl.traceProblems) > 0 {
-			return res, fmt.Errorf("%d of %d publication traces inconsistent: %s",
-				len(ovl.traceProblems), ovl.tracesChecked, ovl.traceProblems[0])
-		}
-		if ovl.tracesChecked != o.publish {
-			return res, fmt.Errorf("traced %d of %d publications", ovl.tracesChecked, o.publish)
-		}
-	}
-	return res, nil
 }
 
 // buildEdges returns the undirected topology as index pairs.
@@ -398,12 +282,13 @@ func brokerConfig(o options) broker.Config {
 	}
 }
 
-// nodeConfig is node i's overlay config in the -chaos and -faults
-// scenarios: aggressive liveness timings so a scenario converges in
-// seconds (a production daemon runs the same machinery with 60s TTLs),
-// and minEpoch, the floor a recovered node's epoch boots above.
+// nodeConfig is node i's overlay config in every schedule: aggressive
+// liveness timings so a fault schedule converges in seconds (a
+// production daemon runs the same machinery with 60s TTLs), a trace
+// ring sized past the whole stream, and minEpoch, the floor a recovered
+// node's epoch boots above.
 func nodeConfig(o options, i int, minEpoch uint64) overlay.Config {
-	return overlay.Config{
+	cfg := overlay.Config{
 		ID:              fmt.Sprintf("n%02d", i),
 		TTL:             o.ttl,
 		SeenCapacity:    2 * (o.publish + 16),
@@ -413,8 +298,16 @@ func nodeConfig(o options, i int, minEpoch uint64) overlay.Config {
 		Maintenance:     50 * time.Millisecond,
 		RetryBase:       50 * time.Millisecond,
 		RetryMax:        500 * time.Millisecond,
+		TraceCapacity:   o.publish + 16,
 		MinEpoch:        minEpoch,
 	}
+	if !o.chaos && !o.faults {
+		// Steady heals nothing, and a keepalive refresh landing mid-run can
+		// move a route onto a shorter path: liveness off keeps the
+		// set-up's routes, and the counts a function of the seed.
+		cfg.AdvertTTL = -1
+	}
+	return cfg
 }
 
 // placeSubscribers decides which broker hosts each subscription.
@@ -458,108 +351,6 @@ func placeSubscribers(o options, d *dtd.DTD, subs []*pattern.Pattern, xopts xmlg
 	default:
 		return nil, fmt.Errorf("unknown placement %q", o.placement)
 	}
-}
-
-// runTopology executes one federation run and collects its delivery
-// multiset.
-func runTopology(o options, edges [][2]int, exprs []string, nodeOf []int, docs []*xmltree.Tree, flood bool) (runResult, error) {
-	res := runResult{deliveries: make(map[pairKey]int)}
-	nodes := make([]*overlay.Node, o.nodes)
-	for i := range nodes {
-		// The flooding baseline runs untraced so its forward counts and
-		// timings stay a pure reference; the overlay run retains every
-		// publication's spans (the ring is sized past the stream).
-		traceCap := o.publish + 16
-		if flood {
-			traceCap = -1
-		}
-		var eng *broker.Engine
-		eng, nodes[i] = newNode(o, overlay.Config{
-			ID:              fmt.Sprintf("n%02d", i),
-			TTL:             o.ttl,
-			SeenCapacity:    2 * (o.publish + 16),
-			AdvertPolicy:    broker.Never{}, // harness advertises explicitly once loaded
-			MaxPatternNodes: o.maxPat,
-			Flood:           flood,
-			TraceCapacity:   traceCap,
-		})
-		defer eng.Close()
-		defer nodes[i].Close()
-		if o.threshold < 1 {
-			// Communities are equal estimated samples: below threshold 1
-			// each broker first observes a history (the stream's head),
-			// as a daemon does before its consumers arrive, or every
-			// sample is empty and every community a singleton.
-			eng.Estimator().ObserveTrees(docs[:min(200, len(docs))])
-		}
-	}
-	for _, e := range edges {
-		if err := overlay.Connect(nodes[e[0]], nodes[e[1]]); err != nil {
-			return res, err
-		}
-	}
-
-	// Load subscriptions onto their placed brokers (nodeOf, from
-	// placeSubscribers: similarity-clustered by default) and remember
-	// each one's home.
-	type home struct {
-		node int
-		id   uint64
-	}
-	homes := make([]home, len(exprs))
-	for i, expr := range exprs {
-		n := nodeOf[i]
-		id, err := nodes[n].Engine().Subscribe(expr)
-		if err != nil {
-			return res, fmt.Errorf("subscribe %q: %w", expr, err)
-		}
-		homes[i] = home{node: n, id: id}
-	}
-	// One advertisement round; synchronous gossip converges before the
-	// call returns, so routing state is complete when publishing starts.
-	for _, n := range nodes {
-		if err := n.Advertise(); err != nil {
-			return res, err
-		}
-	}
-
-	start := time.Now()
-	traceIDs := make([]string, 0, len(docs))
-	for i, doc := range docs {
-		_, _, id, err := nodes[i%o.nodes].PublishTraced(doc)
-		if err != nil {
-			return res, fmt.Errorf("publish %d: %w", i, err)
-		}
-		if id != "" {
-			traceIDs = append(traceIDs, id)
-		}
-	}
-	res.elapsed = time.Since(start)
-
-	// Account: forwards and advert traffic from node counters, the
-	// delivery multiset from draining every subscription and resolving
-	// each delivery's document out of the home engine's retention ring.
-	for _, n := range nodes {
-		info := n.Info()
-		res.forwards += info.ForwardsSent
-		res.duplicates += info.Duplicates
-		res.advertised += info.AdvertsSent
-		for _, c := range info.LocalAdvert.Communities {
-			res.advertPats += len(c.Patterns)
-		}
-	}
-	for gi, h := range homes {
-		keys, _, err := drainKeys(nodes[h.node].Engine(), h.id)
-		if err != nil {
-			return res, fmt.Errorf("n%02d: %w", h.node, err)
-		}
-		for _, k := range keys {
-			res.deliveries[pairKey{sub: gi, doc: k}]++
-		}
-		res.delivered += len(keys)
-	}
-	res.tracesChecked, res.traceProblems = verifyTraces(nodes, traceIDs)
-	return res, nil
 }
 
 // verifyTraces re-assembles each publication's forwarding tree from
@@ -627,43 +418,16 @@ func verifyTraces(nodes []*overlay.Node, ids []string) (int, []string) {
 	return checked, problems
 }
 
-// singleBroker runs the all-subscriptions-on-one-broker reference.
-func singleBroker(o options, exprs []string, docs []*xmltree.Tree) (runResult, error) {
-	res := runResult{deliveries: make(map[pairKey]int)}
-	eng := broker.New(brokerConfig(o))
-	defer eng.Close()
-	ids := make([]uint64, len(exprs))
-	for i, expr := range exprs {
-		id, err := eng.Subscribe(expr)
-		if err != nil {
-			return res, err
-		}
-		ids[i] = id
-	}
-	start := time.Now()
-	for i, doc := range docs {
-		if _, err := eng.Publish(doc); err != nil {
-			return res, fmt.Errorf("publish %d: %w", i, err)
-		}
-	}
-	res.elapsed = time.Since(start)
-	for gi, id := range ids {
-		keys, _, err := drainKeys(eng, id)
-		if err != nil {
-			return res, err
-		}
-		for _, k := range keys {
-			res.deliveries[pairKey{sub: gi, doc: k}]++
-		}
-		res.delivered += len(keys)
-	}
-	return res, nil
-}
-
 // newNode starts one broker under the harness's broker config and its
-// overlay node under cfg.
-func newNode(o options, cfg overlay.Config) (*broker.Engine, *overlay.Node) {
+// overlay node under cfg. Communities are equal estimated samples, so
+// below threshold 1 the broker first observes a history (the stream's
+// head), as a daemon does before its consumers arrive, or every sample
+// is empty and every community a singleton.
+func newNode(o options, w *workload, cfg overlay.Config) (*broker.Engine, *overlay.Node) {
 	eng := broker.New(brokerConfig(o))
+	if o.threshold < 1 {
+		eng.Estimator().ObserveTrees(w.docs[:min(200, len(w.docs))])
+	}
 	return eng, overlay.New(eng, cfg)
 }
 

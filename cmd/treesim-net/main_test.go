@@ -1,6 +1,8 @@
 package main
 
 import (
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 )
@@ -82,14 +84,74 @@ func TestPinnedRuns(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ovl := res.overlay
 		checkPins(t, []pin{
-			{"overlay forwards", int(ovl.forwards), 2143},
-			{"flooding forwards", int(res.flood.forwards), 5200},
-			{"deliveries", ovl.delivered, 4844},
-			{"advert messages", int(ovl.advertised), 106},
-			{"advert patterns", ovl.advertPats, 41},
-			{"traces ok", ovl.tracesChecked - len(ovl.traceProblems), 400},
+			{"overlay forwards", int(res.forwards), 2143},
+			{"flooding forwards", int(res.flooding), 5200},
+			{"deliveries", res.got, 4844},
+			{"ground truth", res.want, 4844},
+			{"lost", res.lost, 0},
+			{"extra", res.extra, 0},
+			{"advert messages", int(res.advertised), 106},
+			{"advert patterns", res.advertPats, 41},
+			{"traces ok", res.tracesOK, 400},
 		})
 	})
+	// Below threshold 1 each broker routes per community and publishes
+	// unverified: the pins are the trade against pattern.Matches.
+	t.Run("steady clustered", func(t *testing.T) {
+		res, err := run(args(t, "-topology ring -placement roundrobin -threshold 0.5 -check=false -nodes 8 -subs 256 -publish 400"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkPins(t, []pin{
+			{"ground truth", res.want, 15378},
+			{"lost", res.lost, 11},
+			{"extra", res.extra, 8},
+			{"recall ×10⁴", int(math.Round(res.recall() * 1e4)), 9993},
+			{"overlay forwards", int(res.forwards), 3600},
+			{"flooding forwards", int(res.flooding), 3600},
+		})
+	})
+}
+
+// TestFloodForwards: the closed-form flooding baseline against hand
+// counts of one flood, in which every broker forwards once, on first
+// receipt, on every link but its arrival one — from an origin at an end
+// of the topology and from one in its middle.
+func TestFloodForwards(t *testing.T) {
+	for _, c := range []struct {
+		topology    string
+		nodes       int
+		end, middle int
+	}{
+		// 0-1-2-3-4. From 4: 4→3, 3→2, 2→1, 1→0. From 2: 2→1, 2→3,
+		// 1→0, 3→4.
+		{"line", 5, 4, 4},
+		// 0-1: one send either way.
+		{"line", 2, 1, 1},
+		// Hub 0, leaves 1-4. From leaf 4: 4→0, then 0→1, 0→2, 0→3. From
+		// the hub: 0→1, 0→2, 0→3, 0→4.
+		{"star", 5, 4, 4},
+		// 0-1-2-3-4-0 has no end; from any node: 2 sends from the origin,
+		// one onward from each of the other 4, the last two of them into
+		// a node the other wave already reached.
+		{"ring", 5, 6, 6},
+		// 0-1-2-0: 0→1, 0→2, then 1→2 and 2→1, both already reached.
+		{"ring", 3, 4, 4},
+	} {
+		o := args(t, fmt.Sprintf("-topology %s -nodes %d", c.topology, c.nodes))
+		edges, err := buildEdges(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := floodForwards(c.nodes, edges); got != c.end || got != c.middle {
+			t.Errorf("%s of %d: %d forwards per publication, want %d from an end and %d from the middle",
+				c.topology, c.nodes, got, c.end, c.middle)
+		}
+	}
+	// A hop budget below the node count can stop a flood short of a
+	// broker, and the closed form with it.
+	if _, err := run(args(t, "-nodes 6 -ttl 5")); err == nil || !strings.Contains(err.Error(), "-ttl 5 is below -nodes 6") {
+		t.Fatalf("steady with -ttl 5 -nodes 6: %v, want the -ttl rejection", err)
+	}
 }

@@ -286,7 +286,6 @@ type Engine struct {
 	byID     map[uint64]*subscriber
 	bySample map[uint64]*routeGroup
 	nextID   uint64
-	stale    int // registry mutations since the last journaled re-bucket
 	closed   bool
 
 	// routeMu guards the matching plane (route.go): the forest, the
@@ -534,13 +533,10 @@ func (e *Engine) Degraded() bool { return e.degraded.Load() }
 // decide when accumulated churn warrants re-advertising its aggregates
 // to peer brokers (its AdvertPolicy).
 type ChurnEvent struct {
-	// Stale is the number of registry mutations since the last full
-	// rebuild, after this event.
-	Stale int
 	// Live is the number of live subscriptions after this event.
 	Live int
 	// Rebuilt marks a completed re-bucketing on a new view (community
-	// structure may have changed wholesale; Stale is 0).
+	// structure may have changed wholesale).
 	Rebuilt bool
 }
 
@@ -627,7 +623,7 @@ func (e *Engine) SubscribePatternOpts(p *pattern.Pattern, expr string, opt Subsc
 	if !closed {
 		id = e.commitSubscribeLocked(p, expr, e.sample(val), opt)
 	}
-	ev := ChurnEvent{Stale: e.stale, Live: len(e.byID)}
+	ev := ChurnEvent{Live: len(e.byID)}
 	e.mu.Unlock()
 	e.keyMu.Unlock()
 	if rebuilt != nil {
@@ -714,7 +710,6 @@ func (e *Engine) commitSubscribeLocked(p *pattern.Pattern, expr string, sample m
 func (e *Engine) installSubLocked(id uint64, p *pattern.Pattern, expr string, g int, mode DeliveryMode, sample matchset.Value) {
 	s := e.newSubscriber(id, p, expr, mode)
 	e.byID[id] = s
-	e.stale++
 	e.routeMu.Lock()
 	defer e.routeMu.Unlock()
 	if g == len(e.groups) {
@@ -750,7 +745,7 @@ func (e *Engine) Unsubscribe(id uint64) bool {
 	e.journal(persist.Record{Op: persist.OpUnsubscribe, ID: id})
 	s := e.removeSubLocked(id)
 	e.counters.unsubscribes.Add(1)
-	ev := ChurnEvent{Stale: e.stale, Live: len(e.byID)}
+	ev := ChurnEvent{Live: len(e.byID)}
 	e.mu.Unlock()
 	if v := e.view.Load(); v != nil {
 		v.Forget(s.pat) // or the view's SEL cache grows with every pattern ever subscribed
@@ -778,7 +773,6 @@ func (e *Engine) removeSubLocked(id uint64) *subscriber {
 		e.docs.unpin(s.q.close()...)
 	}
 	delete(e.byID, id)
-	e.stale++
 	e.routeMu.Lock()
 	defer e.routeMu.Unlock()
 	g := s.group
@@ -866,7 +860,6 @@ func (e *Engine) rebucket(force bool) (*core.View, *ChurnEvent) {
 	}
 	e.journal(rec)
 	e.installLocked(groups, reps, samples)
-	e.stale = 0
 	e.counters.rebuilds.Add(1)
 	live, communities := len(e.byID), len(e.groups)
 	e.mu.Unlock()

@@ -149,7 +149,7 @@ func TestConcurrentDrainUnsubscribe(t *testing.T) {
 }
 
 // TestChurnHookObservesMutations: the hook sees every commit with
-// consistent stale/live numbers and a Rebuilt event for a re-bucket.
+// consistent live numbers and a Rebuilt event for a re-bucket.
 func TestChurnHookObservesMutations(t *testing.T) {
 	e := New(Config{})
 	defer e.Close()
@@ -175,17 +175,12 @@ func TestChurnHookObservesMutations(t *testing.T) {
 	if len(events) < 4 {
 		t.Fatalf("saw %d events, want at least 4 (3 subscribes + 1 unsubscribe)", len(events))
 	}
-	if events[0].Stale != 1 || events[0].Live != 1 || events[0].Rebuilt {
-		t.Fatalf("first event %+v, want stale=1 live=1", events[0])
+	if events[0].Live != 1 || events[0].Rebuilt {
+		t.Fatalf("first event %+v, want live=1", events[0])
 	}
 	rebuilt := false
 	for _, ev := range events {
-		if ev.Rebuilt {
-			rebuilt = true
-			if ev.Stale != 0 {
-				t.Fatalf("rebuild event carries stale=%d, want 0", ev.Stale)
-			}
-		}
+		rebuilt = rebuilt || ev.Rebuilt
 	}
 	if !rebuilt {
 		t.Fatal("Rebuild fired no Rebuilt event")

@@ -86,10 +86,8 @@ type State struct {
 	// Groups[g] ascending, community g at index g.
 	Groups [][]int
 	Reps   []int
-	// NextID is the id watermark; Stale the churn count since the last
-	// rebuild; PubSeq the publish sequence watermark.
+	// NextID is the id watermark; PubSeq the publish sequence watermark.
 	NextID uint64
-	Stale  int
 	PubSeq uint64
 	// WalLSN is the journal watermark the cut was taken at (0 when
 	// nothing has been journaled): every record at or below it has its
@@ -155,7 +153,6 @@ func (e *Engine) State() (*State, error) {
 		Groups: make([][]int, len(e.groups)),
 		Reps:   make([]int, len(e.groups)),
 		NextID: e.nextID,
-		Stale:  e.stale,
 		WalLSN: e.lsn.Load(),
 	}
 	var docSeqs []uint64
@@ -300,7 +297,6 @@ func Restore(cfg Config, st *State) (_ *Engine, err error) {
 		return nil, fmt.Errorf("broker: restore clustering: %w", err)
 	}
 	e.installLocked(groups, reps, nil)
-	e.stale = st.Stale
 	e.pubSeq.Store(st.PubSeq)
 	return e, nil
 }
@@ -510,7 +506,6 @@ func (e *Engine) Apply(rec persist.Record) error {
 			return fmt.Errorf("broker: replay rebuild: %w", err)
 		}
 		e.installLocked(groups, reps, nil)
-		e.stale = 0
 	case persist.OpDeliver:
 		// Keep the sequence watermark ahead of every replayed document so
 		// a recovered engine never reassigns a pinned sequence.

@@ -391,7 +391,8 @@ func TestReplayIdempotent(t *testing.T) {
 }
 
 // legacyState is State as the sharded layout wrote it: the same fields
-// plus the shard count and the per-community shard pins.
+// plus the shard count, the per-community shard pins and the churn
+// count since the last rebuild.
 type legacyState struct {
 	Format    int
 	Shards    int
@@ -408,8 +409,8 @@ type legacyState struct {
 }
 
 // TestRestoreShardSkew restores a snapshot written by the sharded
-// layout (Shards: 2 and a CommShard, gob-encoded from a struct that
-// still has those fields) and one written without them: both must
+// layout (Shards: 2, a CommShard and a Stale count, gob-encoded from a
+// struct that still has those fields) and one written without them: both must
 // recover the same partition and route like the engine that was built
 // by subscribing.
 func TestRestoreShardSkew(t *testing.T) {
@@ -436,7 +437,7 @@ func TestRestoreShardSkew(t *testing.T) {
 	old := legacyState{
 		Format: st.Format, Shards: 2, Subs: st.Subs, Groups: st.Groups, Reps: st.Reps,
 		CommShard: make([]int, len(st.Groups)),
-		NextID:    st.NextID, Stale: st.Stale, PubSeq: st.PubSeq, WalLSN: st.WalLSN,
+		NextID:    st.NextID, Stale: 3, PubSeq: st.PubSeq, WalLSN: st.WalLSN,
 		Docs: st.Docs, Estimator: st.Estimator,
 	}
 	for g := range old.CommShard {

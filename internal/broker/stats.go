@@ -132,9 +132,7 @@ type Stats struct {
 	Live        int `json:"live"`
 	Communities int `json:"communities"`
 	Singletons  int `json:"singletons"`
-	// StaleOps counts registry mutations since the last journaled
-	// re-bucket; Rebuilds counts those re-buckets.
-	StaleOps int    `json:"stale_ops"`
+	// Rebuilds counts journaled re-buckets.
 	Rebuilds uint64 `json:"rebuilds"`
 
 	// CPUs is GOMAXPROCS when the stats were taken — the parallelism
@@ -212,7 +210,6 @@ func (e *Engine) Stats() Stats {
 			singles++
 		}
 	}
-	stale := e.stale
 	e.mu.RUnlock()
 
 	c := &e.counters
@@ -220,7 +217,6 @@ func (e *Engine) Stats() Stats {
 		Live:             live,
 		Communities:      groups,
 		Singletons:       singles,
-		StaleOps:         stale,
 		Shards:           1,
 		CPUs:             runtime.GOMAXPROCS(0),
 		Rebuilds:         c.rebuilds.Load(),

@@ -35,8 +35,6 @@ type OriginMatch struct {
 const (
 	// ReasonMatch: some reachable origin's aggregate matched — forward.
 	ReasonMatch = "match"
-	// ReasonFlood: flood mode forwards on every eligible link.
-	ReasonFlood = "flood"
 	// ReasonNoMatch: aggregates were consulted and none matched.
 	ReasonNoMatch = "no-match"
 	// ReasonNoAggregates: no origin (besides the publication's own) is
@@ -55,8 +53,8 @@ type ForwardVerdict struct {
 	// Peer is the link's peer node id.
 	Peer string `json:"peer"`
 	// Forward reports whether the document would be sent on this link;
-	// Reason says why (ReasonMatch/ReasonFlood when forwarding, else
-	// the skip cause).
+	// Reason says why (ReasonMatch when forwarding, else the skip
+	// cause).
 	Forward bool   `json:"forward"`
 	Reason  string `json:"reason"`
 	// Matched lists the origins whose adverts matched (reason "match"),
@@ -135,8 +133,6 @@ func (n *Node) verdictLocked(id, origin, from string, links []*link, hits []orig
 		v.Reason = ReasonArrival
 	case !slices.ContainsFunc(links, func(l *link) bool { return l.id == id }):
 		v.Reason = ReasonDown
-	case n.cfg.Flood:
-		v.Forward, v.Reason = true, ReasonFlood
 	default:
 		for _, h := range hits {
 			if h.via == id {

@@ -96,11 +96,6 @@ type Config struct {
 	// forwarding precision is traded for smaller adverts. 0 advertises
 	// exact covering patterns.
 	MaxPatternNodes int
-	// Flood disables aggregate matching: publications are forwarded on
-	// every link except the arrival one (TTL and duplicate suppression
-	// still apply). This is the measurement baseline, not a mode for
-	// production use.
-	Flood bool
 
 	// Telemetry is the metrics registry the node reports forwarding,
 	// gossip, liveness, and per-link counters into (nil: a private
@@ -818,15 +813,14 @@ func (n *Node) HandlePublish(pub wire.Publication) error {
 // forward is the forwarding decision local publish, forwarded publish
 // and ExplainForward share: the healthy links other than from, in id
 // order, via which some origin other than the publication's own
-// advertises an aggregate the document matches (flood mode: all of
-// them). ex, when non-nil, receives every link's verdict. The remote
+// advertises an aggregate the document matches. ex, when non-nil, receives every link's verdict. The remote
 // forest is matched once, under fmu shared, and only if some link
 // carries another origin's aggregates; the node lock is taken before
 // the match (links) and after it (routes), never with fmu.
 func (n *Node) forward(t *xmltree.Tree, origin, from string, ex *ForwardExplanation) []*link {
 	n.mu.Lock()
 	links := n.linksLocked(from)
-	worth := !n.cfg.Flood && slices.ContainsFunc(links, func(l *link) bool { return n.carriesLocked(l.id, origin) })
+	worth := slices.ContainsFunc(links, func(l *link) bool { return n.carriesLocked(l.id, origin) })
 	n.mu.Unlock()
 	var hits []originHit
 	if worth {
@@ -845,9 +839,6 @@ func (n *Node) forward(t *xmltree.Tree, origin, from string, ex *ForwardExplanat
 			}
 		}
 		n.mu.Unlock()
-	}
-	if n.cfg.Flood {
-		return links
 	}
 	return slices.DeleteFunc(links, func(l *link) bool {
 		return !slices.ContainsFunc(hits, func(h originHit) bool { return h.via == l.id })

@@ -293,23 +293,6 @@ func TestTTLBoundsPropagation(t *testing.T) {
 	}
 }
 
-// TestFloodModeForwardsEverywhere: the measurement baseline ignores
-// aggregates and pushes every publication over every link.
-func TestFloodModeForwardsEverywhere(t *testing.T) {
-	a := newNode(t, "a", Config{Flood: true})
-	b := newNode(t, "b", Config{Flood: true})
-	c := newNode(t, "c", Config{Flood: true})
-	connect(t, a, b)
-	connect(t, b, c)
-
-	if _, sent, _ := a.Publish(doc(t, "<nobody-wants-this/>")); sent != 1 {
-		t.Fatalf("flood publish forwarded %d times from a, want 1", sent)
-	}
-	if got := c.Info().ForwardsRecv; got != 1 {
-		t.Fatalf("flooded doc did not reach c (recv=%d)", got)
-	}
-}
-
 // TestInjectRemoteCounted: overlay-delivered documents show up in the
 // broker's RemoteInjected stat, separating federated from local load.
 func TestInjectRemoteCounted(t *testing.T) {
