@@ -174,7 +174,7 @@ func newDaemon(fs *flag.FlagSet, args []string) (*daemon, error) {
 	fs.IntVar(&c.Estimator.SetCapacity, "set-capacity", 1000, "reservoir size for sets")
 	fs.Int64Var(&c.Estimator.Seed, "seed", 1, "sampling seed")
 	fs.Float64Var(&c.Threshold, "threshold", 0.99, "community rule: below 1, subscriptions with equal estimated samples share a community; 1 or above, every subscription is its own")
-	fs.IntVar(&c.QueueCapacity, "queue", 256, "per-consumer delivery queue capacity")
+	fs.IntVar(&c.QueueCapacity, "queue", 256, "per-consumer delivery capacity: an at-most-once consumer keeps the newest this many, an at-least-once one up to 4× this many unacked")
 	mode := fs.String("delivery-mode", "at-most-once", "default delivery contract for new subscriptions: at-most-once|at-least-once")
 	fs.DurationVar(&c.AckLease, "ack-lease", 30*time.Second, "redelivery lease for drained-but-unacked at-least-once deliveries")
 	fs.IntVar(&c.IngestQueue, "ingest-queue", 1024, "publish ingest pipeline depth")

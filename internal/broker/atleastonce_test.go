@@ -5,10 +5,13 @@ import (
 	"math/rand"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"treesim/internal/core"
 	"treesim/internal/persist"
+	"treesim/internal/xmltree"
 )
 
 // memJournal records delivery-plane WAL records in memory with
@@ -509,4 +512,204 @@ func TestAckedConservationHammer(t *testing.T) {
 	if st.LeaseExpiries == 0 || st.Redeliveries == 0 {
 		t.Fatalf("hammer never exercised lease expiry/redelivery (expiries %d, redeliveries %d)", st.LeaseExpiries, st.Redeliveries)
 	}
+}
+
+// TestAckedConservationHammerSharedLog is the hammer on one community:
+// four at-least-once subscribers and one at-most-once subscriber read one
+// log (a Sets view on one observed document gives all five one sample),
+// where TestAckedConservationHammer's Counters default gives each its
+// own. Beside publishers, consumers and the sweeper, one goroutine forces
+// Rebuild — each after a split of the community, so that the rebuild
+// moves members back with leased and unleased deliveries — and another
+// unsubscribes and re-subscribes the representative, so the forest handle
+// passes to a successor. The ledger and expiry assertions are the same.
+func TestAckedConservationHammerSharedLog(t *testing.T) {
+	e := newTestEngine(t, Config{Estimator: core.Config{Representation: core.Sets, Seed: 1}, QueueCapacity: 8})
+	publishFlushed(t, e, []*xmltree.Tree{doc(t, "a(b)")})
+	var (
+		mu   sync.Mutex // ids, amo
+		ids  []uint64
+		amo  uint64
+		opts = map[bool]SubscribeOptions{true: {Mode: AtLeastOnce}}
+	)
+	for i := 0; i < 5; i++ {
+		id, err := e.SubscribeOpts("//b", opts[i < 4])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i < 4 {
+			ids = append(ids, id)
+		} else {
+			amo = id
+		}
+	}
+	if n := len(e.CommunityIDs()); n != 1 {
+		t.Fatalf("%d communities, want the five in one", n)
+	}
+	pick := func(k int) (uint64, uint64) {
+		mu.Lock()
+		defer mu.Unlock()
+		return ids[k%len(ids)], amo
+	}
+	gone := func(err error) bool { return err != nil && !errors.Is(err, ErrNotFound) }
+
+	const docs = 300
+	var (
+		wg               sync.WaitGroup
+		rebuilds, churns atomic.Int64
+	)
+	stop := make(chan struct{})
+	loop := func(f func(k int) bool) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := 0; ; k++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if !f(k) {
+					return
+				}
+			}
+		}()
+	}
+	for p := 0; p < 2; p++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < docs/2; i++ {
+				if _, err := e.Publish(doc(t, "a(b)")); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	for w := 0; w < 2; w++ {
+		rng := rand.New(rand.NewSource(int64(w)))
+		loop(func(k int) bool {
+			id, amo := pick(k)
+			r, err := e.DrainBatch(id, 8, time.Millisecond)
+			if gone(err) {
+				t.Error(err)
+				return false
+			}
+			// Half the batches ack; the rest stall and must be reclaimed
+			// by the sweeper.
+			if len(r.Deliveries) > 0 && rng.Intn(2) == 0 {
+				if _, err := e.Ack(id, r.Cursor); gone(err) {
+					t.Error(err)
+					return false
+				}
+			}
+			if k%7 == 0 {
+				if _, err := e.Drain(amo, 8, 0); gone(err) {
+					t.Error(err)
+					return false
+				}
+			}
+			return true
+		})
+	}
+	loop(func(int) bool {
+		e.SweepLeases(time.Now().Add(time.Hour))
+		time.Sleep(time.Millisecond)
+		return true
+	})
+	loop(func(int) bool { // the rebuilder: split, then Rebuild merges the halves back
+		var halves [2][]uint64
+		for i, id := range slices.Concat(e.CommunityIDs()...) {
+			halves[i%2] = append(halves[i%2], id)
+		}
+		if len(halves[1]) > 0 {
+			e.Apply(persist.Record{Op: persist.OpRebuild, Groups: halves[:], Reps: []uint64{halves[0][0], halves[1][0]}}) // refused if churn raced it
+		}
+		time.Sleep(time.Millisecond)
+		e.Rebuild()
+		rebuilds.Add(1)
+		return true
+	})
+	loop(func(int) bool { // the churner: the representative leaves and comes back
+		rep := e.IntrospectCommunities()[0].RepID
+		mu.Lock()
+		defer mu.Unlock()
+		k := slices.Index(ids, rep)
+		if !e.Unsubscribe(rep) {
+			t.Errorf("unsubscribe representative %d: not live", rep)
+			return false
+		}
+		id, err := e.SubscribeOpts("//b", opts[k >= 0])
+		if err != nil {
+			t.Error(err)
+			return false
+		}
+		if k >= 0 {
+			ids[k] = id
+		} else {
+			amo = id
+		}
+		churns.Add(1)
+		time.Sleep(200 * time.Microsecond)
+		return true
+	})
+
+	for deadline := time.Now().Add(30 * time.Second); e.Stats().Published < docs+1 || rebuilds.Load() < 20 || churns.Load() < 20; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("after 30s: %d published, %d rebuilds, %d churns", e.Stats().Published, rebuilds.Load(), churns.Load())
+		}
+	}
+	close(stop)
+	wg.Wait()
+
+	// Deterministic epilogue — a full stall → lease-expiry → redelivery
+	// → ack cycle on every subscription, so the expiry assertions below
+	// never depend on how the scheduler interleaved the hammer.
+	for i := 0; i < 4; i++ {
+		if _, err := e.Publish(doc(t, "a(b)")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, id := range ids {
+		if _, err := e.DrainBatch(id, 0, 0); err != nil {
+			t.Fatal(err) // leases everything owed; deliberately unacked
+		}
+	}
+	if n := e.SweepLeases(time.Now().Add(48 * time.Hour)); n == 0 {
+		t.Fatal("epilogue: nothing leased to expire")
+	}
+	for _, id := range ids {
+		r, err := e.DrainBatch(id, 0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(r.Deliveries) == 0 {
+			t.Fatalf("sub %d: stalled window never redelivered", id)
+		}
+		if _, err := e.Ack(id, r.Cursor); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// Quiescent now: no concurrent movers. The ledger must balance per
+	// subscription: delivered == acked + shed + pending + in-flight.
+	for _, si := range e.IntrospectSubscriptions() {
+		if si.Mode != "at-least-once" {
+			continue
+		}
+		owed := si.Acked + si.Shed + uint64(si.Pending) + uint64(si.InFlight)
+		if si.Delivered != owed {
+			t.Fatalf("sub %d conservation broken: delivered %d != acked %d + shed %d + pending %d + inflight %d",
+				si.ID, si.Delivered, si.Acked, si.Shed, si.Pending, si.InFlight)
+		}
+		if si.Delivered == 0 {
+			t.Fatalf("sub %d saw no deliveries; hammer degenerate", si.ID)
+		}
+	}
+	st := e.Stats()
+	if st.LeaseExpiries == 0 || st.Redeliveries == 0 {
+		t.Fatalf("hammer never exercised lease expiry/redelivery (expiries %d, redeliveries %d)", st.LeaseExpiries, st.Redeliveries)
+	}
+	checkForests(t, e)
 }

@@ -92,6 +92,55 @@ func BenchmarkBrokerPublish(b *testing.B) {
 	b.ReportMetric(float64(st.Deliveries)/float64(b.N), "deliveries/op")
 }
 
+// BenchmarkBrokerPublishAcked is BenchmarkBrokerPublish with every 10th
+// subscription at-least-once, as the daemon benchmark's acked-durable
+// population is: those are drained and acked, the rest drained, every
+// 1024 publishes. No journal is installed, so the difference from
+// BenchmarkBrokerPublish is what the acked contract's delivery state costs
+// a publish: cursors, pins and the OpDeliver record's assembly.
+func BenchmarkBrokerPublishAcked(b *testing.B) {
+	docs, subs := benchWorkload(200, 256)
+	e := New(Config{Estimator: core.Config{Representation: core.Hashes, HashCapacity: 256, Seed: 5}})
+	b.Cleanup(func() { e.Close() })
+	e.est.ObserveTrees(docs)
+	for i, p := range subs {
+		opt := SubscribeOptions{}
+		if i%10 == 0 {
+			opt.Mode = AtLeastOnce
+		}
+		if _, err := e.SubscribePatternOpts(p, "", opt); err != nil {
+			b.Fatal(err)
+		}
+	}
+	ids := liveIDs(e)
+
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := e.Publish(docs[i%len(docs)]); err != nil {
+			b.Fatal(err)
+		}
+		if i%1024 == 1023 {
+			b.StopTimer()
+			e.Flush()
+			for _, id := range ids {
+				if r, err := e.DrainBatch(id, 0, 0); err != nil {
+					b.Fatal(err)
+				} else if r.Cursor > 0 {
+					if _, err := e.Ack(id, r.Cursor); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			b.StartTimer()
+		}
+	}
+	b.StopTimer()
+	st := e.Stats()
+	b.ReportMetric(float64(st.FilterEvals)/float64(b.N), "filterevals/op")
+	b.ReportMetric(float64(st.Deliveries)/float64(b.N), "deliveries/op")
+}
+
 // BenchmarkBrokerPublishXML is a publish as the daemon sees it: XML
 // bytes in, 1000 subscriptions. Parse, flatten, match and fan-out are
 // one number here, so the engine-level benchmark no longer leaves out

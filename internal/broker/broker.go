@@ -44,9 +44,11 @@
 //     batches (one lock acquisition per batch); publishing waits on
 //     synopsis maintenance only when the bounded pipeline is full
 //     (backpressure), and even then never stalls drains or stats.
-//   - Delivery shared like routing: one bounded log per community,
-//     read by each at-most-once member through its own cursor (a slow
-//     consumer loses the oldest deliveries, counted), long-polled.
+//   - Delivery shared like routing: one bounded log per community, one
+//     append per matching publish, read by every member through its own
+//     long-polled cursor, whatever its contract: an at-most-once one
+//     loses its oldest deliveries when slow, counted; an at-least-once
+//     one keeps its unacked ones and sheds only past four capacities.
 //
 // Matching and concurrency: parallelism comes from concurrent
 // publishers, not from splitting one publish — they share the routing
@@ -95,15 +97,16 @@ type Config struct {
 	// Metric is not read by the engine; kept because the frozen harness
 	// sets it (ROADMAP item 6).
 	Metric metrics.Metric
-	// Threshold selects the community rule (default 0.5): below 1,
-	// subscriptions whose evaluations carry equal samples share a
-	// community; 1 or above, every subscription is its own.
+	// Threshold selects the community rule: below 1, subscriptions whose
+	// evaluations carry equal samples share a community — the engine's
+	// default 0.5 and the daemon's 0.99 are that one rule — and 1 or
+	// above, every subscription is its own.
 	Threshold float64
 	// QueueCapacity bounds what an at-most-once consumer can have pending
 	// (default 256): the next delivery drops its oldest, counted. An
-	// at-least-once subscription's cursor log holds four times as many,
-	// and a full one sheds its oldest entry — counted, never silent — so a
-	// dead consumer cannot pin unbounded memory.
+	// at-least-once one holds up to four times as many unacked, and past
+	// that sheds its oldest — counted, never silent — so a dead consumer
+	// cannot pin unbounded memory. Both read their community's one log.
 	QueueCapacity int
 	// IngestQueue bounds the publish→synopsis pipeline (default 1024
 	// documents). A full pipeline applies backpressure to publishers.
@@ -218,7 +221,9 @@ func checkMode(m DeliveryMode) error {
 type Delivery struct {
 	// Doc is the broker-assigned publish sequence number.
 	Doc uint64 `json:"doc"`
-	// Community is the community index whose representative matched.
+	// Community is the index, when the document was published, of the
+	// community whose representative matched; a later dissolve shifts
+	// the indices above it (ROADMAP item 4).
 	Community int `json:"community"`
 	// Cursor is the subscription-local delivery cursor (at-least-once
 	// mode only; acking a cursor acknowledges every delivery up to it).
@@ -236,13 +241,13 @@ type PublishResult struct {
 	Matched int `json:"matched"`
 	// Deliveries is the number of subscriptions the document was delivered to.
 	Deliveries int `json:"deliveries"`
-	// Dropped counts older deliveries this document evicted from full
-	// consumer queues (plus deliveries lost to closed queues). The
-	// document itself still reaches a full queue — the oldest entry
+	// Dropped counts older deliveries this document pushed out: each
+	// at-most-once member's past capacity, each at-least-once member's
+	// past four. The document itself still reaches them — the oldest
 	// makes room.
 	Dropped int `json:"dropped"`
 	// IngestWaitNS is time this publish spent blocked on the synopsis
-	// ingest pipeline; MatchNS the time spent in shard routing. Both
+	// ingest pipeline; MatchNS the match and fan-out time. Both
 	// feed the corresponding telemetry histograms and the overlay's
 	// per-hop trace spans. Additive fields: older clients ignore them.
 	IngestWaitNS int64 `json:"ingest_wait_ns,omitempty"`
@@ -254,22 +259,19 @@ type subscriber struct {
 	id   uint64
 	pat  *pattern.Pattern
 	expr string
-	// mode is the delivery contract, fixed at subscribe time: it has cur
-	// (at-most-once) or q.
+	// mode is the delivery contract, fixed at subscribe time; cur is the
+	// subscription's cursor on its community's log, of that mode.
 	mode DeliveryMode
 	cur  *cursor
-	q    *queue
 	// group is the community's record it is a member of (route.go).
 	group *routeGroup
 }
 
 // pending is the number of undischarged deliveries.
 func (s *subscriber) pending() int {
-	if s.q != nil {
-		return s.q.len()
-	}
-	n, _ := s.cur.info()
-	return n
+	var si SubscriptionInfo
+	s.cur.describe(&si)
+	return si.Pending + si.InFlight
 }
 
 // Engine is the live broker. Create with New, stop with Close.
@@ -411,7 +413,7 @@ func newEngine(cfg Config, est *core.Estimator) *Engine {
 
 // runLeaseSweeper reclaims lapsed at-least-once leases every AckLease/4,
 // clamped to [10ms, 1s]. Drains reclaim inline too; the sweeper exists so
-// a long-poller parked on a fully in-flight queue is woken when a lease
+// a long-poller whose deliveries are all in flight is woken when a lease
 // lapses, and so lease-expiry metrics move without consumer traffic.
 func (e *Engine) runLeaseSweeper() {
 	defer e.sweepWG.Done()
@@ -433,20 +435,17 @@ func (e *Engine) runLeaseSweeper() {
 // for deterministic expiry.
 func (e *Engine) SweepLeases(now time.Time) int {
 	e.mu.RLock()
-	var qs []*queue
+	defer e.mu.RUnlock()
+	n := 0
 	for _, g := range e.groups {
 		for _, s := range g.alo {
-			qs = append(qs, s.q)
+			s.cur.poll(0, func(l *commLog) bool {
+				n += s.cur.expireLocked(l, now)
+				return true
+			})
 		}
 	}
-	e.mu.RUnlock()
-	n := 0
-	for _, q := range qs {
-		n += q.expire(now)
-	}
-	if n > 0 {
-		e.counters.leaseExpiries.Add(uint64(n))
-	}
+	e.counters.leaseExpiries.Add(uint64(n))
 	return n
 }
 
@@ -459,8 +458,8 @@ func (e *Engine) Estimator() *core.Estimator { return e.est }
 func (e *Engine) Telemetry() *telemetry.Registry { return e.tel }
 
 // Close stops the ingest pipeline after draining it and closes every
-// delivery queue and log: what they hold still drains, and an empty drain
-// no longer waits. Publish/Subscribe after Close return ErrClosed.
+// delivery log: what the cursors hold still drains, and an empty drain no
+// longer waits. Publish/Subscribe after Close return ErrClosed.
 func (e *Engine) Close() error {
 	e.mu.Lock()
 	if e.closed {
@@ -469,17 +468,12 @@ func (e *Engine) Close() error {
 	}
 	e.closed = true // no registry commit follows: the table stays as it is
 	e.mu.Unlock()
-	// Quiesce the routing plane before closing queues: holding routeMu
+	// Quiesce the routing plane before closing the logs: holding routeMu
 	// exclusively waits out in-flight publishes, so no fan-out races the
-	// queue closes (a post-Close publish routes to nobody). Closing an
-	// at-least-once queue releases its retention pins — the delivery
-	// contract ends with the engine; durable cursors live in the WAL.
+	// closes (a post-Close publish routes to nobody).
 	e.routeMu.Lock()
 	e.routeClosed = true
 	for _, g := range e.groups {
-		for _, s := range g.alo {
-			e.docs.unpin(s.q.close()...)
-		}
 		g.log.close()
 	}
 	e.routeMu.Unlock()
@@ -733,7 +727,7 @@ func (e *Engine) index(rg *routeGroup, sample matchset.Value) {
 	}
 }
 
-// Unsubscribe removes a subscription and closes its delivery queue.
+// Unsubscribe removes a subscription and takes its cursor off its log.
 // It reports whether the id was live; on a closed engine it commits
 // nothing and reports false.
 func (e *Engine) Unsubscribe(id uint64) bool {
@@ -766,20 +760,14 @@ func (e *Engine) removeSubLocked(id uint64) *subscriber {
 	if s == nil {
 		return nil
 	}
-	// Closing the queue discharges any remaining at-least-once entries:
-	// an unsubscribe is the consumer's explicit exit from the delivery
-	// contract, so the documents' retention pins drop with it.
-	if s.q != nil {
-		e.docs.unpin(s.q.close()...)
-	}
 	delete(e.byID, id)
 	e.routeMu.Lock()
 	defer e.routeMu.Unlock()
 	g := s.group
 	g.remove(s)
-	if s.cur != nil {
-		s.cur.move(nil) // here, so a publish's member count is the log's
-	}
+	// Here, so a publish's member count is the log's; the retention pins
+	// of what the consumer held drop with its exit from the contract.
+	s.cur.move(nil)
 	if g.rep != s {
 		return s
 	}
@@ -886,19 +874,17 @@ func (e *Engine) registryLocked() []*subscriber {
 	return slices.SortedFunc(maps.Values(e.byID), idOrder)
 }
 
-// newSubscriber builds a subscription with its mode's delivery state; the
-// routing rebuild puts a cursor on its community's log.
+// newSubscriber builds a subscription with its mode's cursor, on no log
+// yet: joining its community puts it at the log's tail.
 func (e *Engine) newSubscriber(id uint64, p *pattern.Pattern, expr string, mode DeliveryMode) *subscriber {
-	s := &subscriber{id: id, pat: p, expr: expr, mode: mode}
+	s := &subscriber{id: id, pat: p, expr: expr, mode: mode, cur: new(cursor)}
 	if mode == AtLeastOnce {
-		s.q = newAckQueue(4 * e.cfg.QueueCapacity)
-	} else {
-		s.cur = new(cursor)
+		s.cur.ack = &acks{docs: e.docs, off: 1}
 	}
 	return s
 }
 
-func (e *Engine) newCommLog() *commLog { return &commLog{capacity: e.cfg.QueueCapacity} }
+func (e *Engine) newCommLog() *commLog { return &commLog{capacity: e.cfg.QueueCapacity, docs: e.docs} }
 
 // DrainResult is one drain's batch plus the delivery-contract context
 // the plain []Delivery return never carried.
@@ -949,25 +935,17 @@ func (e *Engine) DrainBatch(id uint64, max int, wait time.Duration) (DrainResult
 		max = 1 << 30
 	}
 	if s.mode == AtLeastOnce {
-		ds, committed, redelivered := s.q.drainAcked(max, wait, e.cfg.AckLease, &e.counters)
-		r.Deliveries, r.Committed, r.Redelivered = ds, committed, redelivered
-		if redelivered > 0 {
-			e.counters.redeliveries.Add(uint64(redelivered))
+		e.counters.leaseExpiries.Add(uint64(s.cur.drainAcked(&r, max, wait, e.cfg.AckLease)))
+		e.counters.redeliveries.Add(uint64(r.Redelivered))
+		// Journal the hand-out (skipped on a closed engine — the store may
+		// already be sealed behind the final snapshot). A lost OpDrained
+		// only costs the redelivered flag, never the redelivery itself.
+		if r.Cursor > 0 && !closed {
+			e.journal(persist.Record{Op: persist.OpDrained, ID: id, Cursor: r.Cursor})
 		}
-		if n := len(ds); n > 0 {
-			r.Cursor = ds[n-1].Cursor
-			e.counters.drained.Add(uint64(n))
-			// Journal the hand-out (skipped on a closed engine — the
-			// store may already be sealed behind the final snapshot). A
-			// lost OpDrained only costs the redelivered flag, never the
-			// redelivery itself.
-			if !closed {
-				e.journal(persist.Record{Op: persist.OpDrained, ID: id, Cursor: r.Cursor})
-			}
-		}
-		return r, nil
+	} else {
+		r.Deliveries, r.Gap = s.cur.drain(max, wait)
 	}
-	r.Deliveries, r.Gap = s.cur.drain(max, wait)
 	e.counters.drained.Add(uint64(len(r.Deliveries)))
 	return r, nil
 }
@@ -992,11 +970,10 @@ func (e *Engine) Ack(id uint64, upto uint64) (int, error) {
 	if s.mode != AtLeastOnce {
 		return 0, fmt.Errorf("%w (id %d)", ErrWrongMode, id)
 	}
-	acked, advanced, unpin, err := s.q.ack(upto, true)
+	acked, advanced, err := s.cur.ackUpto(upto, true)
 	if err != nil {
 		return 0, fmt.Errorf("%w (id %d, cursor %d)", err, id, upto)
 	}
-	e.docs.unpin(unpin...)
 	if acked > 0 {
 		e.counters.acked.Add(uint64(acked))
 	}

@@ -53,24 +53,115 @@ func (q *refRing) drain(max int) (out []Delivery, gap uint64) {
 	return out, gap
 }
 
+// refAckLog is the delivery state of an at-least-once subscription,
+// written as a model: a private cursor log of up to four capacities,
+// filled by one push per member and publish, with cumulative acks and a
+// lease per entry. A lease is the ordinal of the drain that handed the
+// entry out, so a sweep at the instant that drain's leases end lapses
+// exactly the entries of it and of the drains before it.
+type refAckLog struct {
+	capacity               int
+	entries                []refAcked
+	last, committed        uint64
+	delivered, acked, shed uint64
+	redelivered, expired   uint64
+}
+
+type refAcked struct {
+	d        Delivery
+	attempts int
+	leased   int // the ordinal of the drain holding it; 0: redeliverable
+}
+
+func (q *refAckLog) push(d Delivery) (shed bool) {
+	q.last++
+	d.Cursor = q.last
+	q.entries = append(q.entries, refAcked{d: d})
+	q.delivered++
+	if len(q.entries) > q.capacity {
+		q.entries = q.entries[1:]
+		q.shed++
+		return true
+	}
+	return false
+}
+
+func (q *refAckLog) drain(max, ordinal int) (out []Delivery, redelivered int) {
+	for i := range q.entries {
+		if e := &q.entries[i]; e.leased == 0 && (max <= 0 || len(out) < max) {
+			e.attempts++
+			e.leased = ordinal
+			d := e.d
+			if d.Redelivered = e.attempts > 1; d.Redelivered {
+				redelivered++
+				q.redelivered++
+			}
+			out = append(out, d)
+		}
+	}
+	return out, redelivered
+}
+
+func (q *refAckLog) ack(upto uint64) (int, error) {
+	if upto > q.last {
+		return 0, ErrBadCursor
+	}
+	n := 0
+	for n < len(q.entries) && q.entries[n].d.Cursor <= upto {
+		n++
+	}
+	q.entries = q.entries[n:]
+	q.acked += uint64(n)
+	q.committed = max(q.committed, upto)
+	return n, nil
+}
+
+// sweep lapses the leases of drain ordinal and the drains before it.
+func (q *refAckLog) sweep(ordinal int) (n int) {
+	for i := range q.entries {
+		if e := &q.entries[i]; e.leased != 0 && e.leased <= ordinal {
+			e.leased = 0
+			n++
+		}
+	}
+	q.expired += uint64(n)
+	return n
+}
+
+func (q *refAckLog) inflight() (n int) {
+	for _, e := range q.entries {
+		if e.leased != 0 {
+			n++
+		}
+	}
+	return n
+}
+
 // logWorld is the population of the differential tests: subscriptions
 // //c0 … //c7 over a stream seeded so that each label is a community, and
 // documents that hold a random subset of the labels, so a publish matches
-// a random subset of the communities.
+// a random subset of the communities. In a mixed world about a third of
+// the subscriptions are at-least-once, sharing the communities.
 type logWorld struct {
-	t   *testing.T
-	e   *Engine
-	rng *rand.Rand
-	ids []uint64
+	t     *testing.T
+	e     *Engine
+	rng   *rand.Rand
+	ids   []uint64
+	mixed bool
 }
 
-const logLabels = 8
+const (
+	logLabels = 8
+	logLease  = time.Hour // no lease lapses but by a sweep
+)
 
-func newLogWorld(t *testing.T, seed int64, capacity int) *logWorld {
-	w := &logWorld{t: t, rng: rand.New(rand.NewSource(seed))}
+func newLogWorld(t *testing.T, seed int64, capacity int, mixed bool) *logWorld {
+	w := &logWorld{t: t, rng: rand.New(rand.NewSource(seed)), mixed: mixed}
 	w.e = newTestEngine(t, Config{
 		Estimator:     core.Config{Representation: core.Sets, Seed: 1},
 		QueueCapacity: capacity,
+		AckLease:      logLease,
+		DocCache:      4, // so that an unacked delivery's document lives on its pin
 	})
 	for k := 0; k < logLabels; k++ {
 		for i := 0; i < 4; i++ {
@@ -81,7 +172,7 @@ func newLogWorld(t *testing.T, seed int64, capacity int) *logWorld {
 	}
 	w.e.Flush()
 	for i := 0; i < 40; i++ {
-		w.subscribe(i % logLabels)
+		w.subscribe(i%logLabels, w.mode())
 	}
 	if got := len(w.e.CommunityIDs()); got != logLabels {
 		t.Fatalf("%d communities, want one per label (%d)", got, logLabels)
@@ -89,8 +180,16 @@ func newLogWorld(t *testing.T, seed int64, capacity int) *logWorld {
 	return w
 }
 
-func (w *logWorld) subscribe(label int) uint64 {
-	id, err := w.e.Subscribe(fmt.Sprintf("//c%d", label))
+// mode draws a new subscription's delivery mode.
+func (w *logWorld) mode() DeliveryMode {
+	if w.mixed && w.rng.Intn(3) == 0 {
+		return AtLeastOnce
+	}
+	return AtMostOnce
+}
+
+func (w *logWorld) subscribe(label int, mode DeliveryMode) uint64 {
+	id, err := w.e.SubscribeOpts(fmt.Sprintf("//c%d", label), SubscribeOptions{Mode: mode})
 	if err != nil {
 		w.t.Fatal(err)
 	}
@@ -132,34 +231,77 @@ func (w *logWorld) publish() (PublishResult, *Explanation) {
 	return res, ex
 }
 
+// describe is c's delivery figures.
+func describe(c *cursor) (si SubscriptionInfo) {
+	c.describe(&si)
+	return si
+}
+
 func randomMax(rng *rand.Rand) int {
 	return []int{0, 1, 2, 5, 40, 1000}[rng.Intn(6)]
 }
 
 // TestCommunityLogMatchesPerSubscriptionRings drives an engine and one
-// reference ring per subscription through the same random publishes,
-// drains, subscribes and unsubscribes, and after every step demands the
-// same of both: each publish's Deliveries and Dropped, each drain's batch
-// (order, Doc, Community) and gap, and every subscription's Pending and
-// lifetime dropped. No re-clustering happens, so nothing is moved: this
-// is the claim that a never-moved subscription cannot tell the shared log
-// from a ring of its own.
+// reference per subscription — a ring at most once, a refAckLog at least
+// once — through the same random publishes, drains, acks, lease sweeps,
+// subscribes and unsubscribes, and after every step demands the same of
+// both: each publish's Deliveries and Dropped; each drain's batch (order,
+// Doc, Community, Cursor, Redelivered), gap, batch cursor, committed
+// cursor and redelivered count; each ack's count and error; each sweep's
+// count; and every subscription's Pending, lifetime dropped, in-flight,
+// delivered, acked and shed. Seeds from 20 on mix at-least-once members
+// into the communities. No re-clustering happens, so nothing is moved:
+// this is the claim that a never-moved subscription of either contract
+// cannot tell the shared log from a private one.
 func TestCommunityLogMatchesPerSubscriptionRings(t *testing.T) {
 	steps := 2000
 	if testing.Short() || raceEnabled { // one goroutine: nothing for the detector
 		steps = 300
 	}
-	for seed := int64(0); seed < 20; seed++ {
+	for seed := int64(0); seed < 40; seed++ {
 		capacity := []int{256, 16, 5, 1}[seed%4]
-		w := newLogWorld(t, seed, capacity)
+		w := newLogWorld(t, seed, capacity, seed >= 20)
 		e, rng := w.e, w.rng
-		rings := map[uint64]*refRing{}
+		rings, logs := map[uint64]*refRing{}, map[uint64]*refAckLog{}
+		track := func(id uint64) {
+			if e.byID[id].mode == AtLeastOnce {
+				logs[id] = &refAckLog{capacity: 4 * capacity}
+			} else {
+				rings[id] = &refRing{buf: make([]Delivery, capacity)}
+			}
+		}
 		for _, id := range w.ids {
-			rings[id] = &refRing{buf: make([]Delivery, capacity)}
+			track(id)
+		}
+		var drains []time.Time // when each at-least-once drain returned
+		ops := 20
+		if w.mixed {
+			ops = 24
 		}
 		for step := 0; step < steps; step++ {
 			at := fmt.Sprintf("seed %d step %d", seed, step)
-			switch op := rng.Intn(20); {
+			switch op := rng.Intn(ops); {
+			case op >= 22 && len(drains) > 0:
+				// The instant the leases of drain k end lapses drain k's and
+				// every earlier one's, and none handed out later.
+				k := 1 + rng.Intn(len(drains))
+				want := 0
+				for _, q := range logs {
+					want += q.sweep(k)
+				}
+				if n := e.SweepLeases(drains[k-1].Add(logLease)); n != want {
+					t.Fatalf("%s: sweeping drain %d's leases lapsed %d, the models %d", at, k, n, want)
+				}
+			case op >= 20:
+				id := w.ids[rng.Intn(len(w.ids))]
+				if q := logs[id]; q != nil {
+					upto := uint64(rng.Int63n(int64(q.last) + 2))
+					n, err := e.Ack(id, upto)
+					wn, werr := q.ack(upto)
+					if n != wn || errors.Is(err, ErrBadCursor) != (werr != nil) || (err != nil) != (werr != nil) {
+						t.Fatalf("%s: Ack(%d, %d) = %d, %v; the model %d, %v", at, id, upto, n, err, wn, werr)
+					}
+				}
 			case op < 9:
 				res, ex := w.publish()
 				deliveries, dropped := 0, 0
@@ -169,16 +311,35 @@ func TestCommunityLogMatchesPerSubscriptionRings(t *testing.T) {
 					}
 					for _, id := range v.MemberIDs {
 						deliveries++
-						if rings[id].push(Delivery{Doc: res.Seq, Community: v.Community}) {
+						d := Delivery{Doc: res.Seq, Community: v.Community}
+						if q := rings[id]; q != nil && q.push(d) || q == nil && logs[id].push(d) {
 							dropped++
 						}
 					}
 				}
 				if res.Deliveries != deliveries || res.Dropped != dropped {
-					t.Fatalf("%s: publish delivered %d and dropped %d, the rings %d and %d", at, res.Deliveries, res.Dropped, deliveries, dropped)
+					t.Fatalf("%s: publish delivered %d and dropped %d, the references %d and %d", at, res.Deliveries, res.Dropped, deliveries, dropped)
 				}
 			case op < 16:
 				id, max := w.ids[rng.Intn(len(w.ids))], randomMax(rng)
+				if q := logs[id]; q != nil {
+					for len(drains) > 0 && !time.Now().After(drains[len(drains)-1]) {
+					}
+					got, err := e.DrainBatch(id, max, 0)
+					drains = append(drains, time.Now())
+					if err != nil {
+						t.Fatalf("%s: %v", at, err)
+					}
+					want, redelivered := q.drain(max, len(drains))
+					var cursor uint64
+					if len(want) > 0 {
+						cursor = want[len(want)-1].Cursor
+					}
+					if !reflect.DeepEqual(got.Deliveries, want) || got.Cursor != cursor || got.Committed != q.committed || got.Redelivered != redelivered {
+						t.Fatalf("%s: drain(%d, max %d) = %+v, the model %v cursor %d committed %d redelivered %d", at, id, max, got, want, cursor, q.committed, redelivered)
+					}
+					break
+				}
 				got, err := e.DrainBatch(id, max, 0)
 				if err != nil {
 					t.Fatalf("%s: %v", at, err)
@@ -188,22 +349,35 @@ func TestCommunityLogMatchesPerSubscriptionRings(t *testing.T) {
 					t.Fatalf("%s: drain(%d, max %d) = %v gap %d, the ring %v gap %d", at, id, max, got.Deliveries, got.Gap, want, gap)
 				}
 			case op < 18 && len(w.ids) < 60:
-				rings[w.subscribe(rng.Intn(logLabels))] = &refRing{buf: make([]Delivery, capacity)}
-			case len(w.ids) > 20:
-				delete(rings, w.unsubscribe(rng.Intn(len(w.ids))))
+				track(w.subscribe(rng.Intn(logLabels), w.mode()))
+			case op < 20 && len(w.ids) > 20:
+				id := w.unsubscribe(rng.Intn(len(w.ids)))
+				delete(rings, id)
+				delete(logs, id)
 			}
 			for _, si := range e.IntrospectSubscriptions() {
-				if q := rings[si.ID]; si.Pending != q.n || si.Dropped != q.dropped {
+				if q := rings[si.ID]; q != nil && (si.Pending != q.n || si.Dropped != q.dropped) {
 					t.Fatalf("%s: subscription %d has %d pending and %d dropped, its ring %d and %d", at, si.ID, si.Pending, si.Dropped, q.n, q.dropped)
+				}
+				if q := logs[si.ID]; q != nil {
+					in := q.inflight()
+					want := SubscriptionInfo{ID: si.ID, Pattern: si.Pattern, Community: si.Community, Mode: si.Mode, Pending: len(q.entries) - in, InFlight: in,
+						Committed: q.committed, LastCursor: q.last, Delivered: q.delivered, Acked: q.acked, Redelivered: q.redelivered, Shed: q.shed, LeaseExpiries: q.expired}
+					if si != want {
+						t.Fatalf("%s: subscription %+v, its model %+v", at, si, want)
+					}
 				}
 			}
 		}
-		var dropped uint64
+		var dropped, shed uint64
 		for _, q := range rings {
 			dropped += q.dropped
 		}
-		if st := e.Stats(); st.Dropped < dropped {
-			t.Fatalf("seed %d: %d drops counted, the live rings alone saw %d", seed, st.Dropped, dropped)
+		for _, q := range logs {
+			shed += q.shed
+		}
+		if st := e.Stats(); st.Dropped < dropped+shed || st.AckShed < shed {
+			t.Fatalf("seed %d: %d drops and %d sheds counted, the live references alone saw %d and %d", seed, st.Dropped, st.AckShed, dropped+shed, shed)
 		}
 		e.Close()
 	}
@@ -233,43 +407,80 @@ func (w *logWorld) randomPartition(n int) {
 // TestCommunityLogAcrossRebuilds adds re-clusterings to the same random
 // traffic — Rebuild, and random partitions so that every one moves
 // subscriptions with deliveries pending — and holds the engine to what a
-// consumer can see: no delivery repeated or out of order, never more than
-// two capacities pending, and at the end every delivery a publish claimed
-// drained, reported in a gap, or still pending, subscription by
-// subscription; and every drop the engine counted is some subscription's.
+// consumer can see. At most once: no delivery repeated or out of order,
+// never more than two capacities pending, and at the end every delivery a
+// publish claimed drained, reported in a gap, or still pending. At least
+// once (seeds from 20 on mix such members in, acking and sweeping leases,
+// so that moves carry leased and unleased entries): cursors strictly
+// increase across moves, a redelivery is of a cursor handed out before,
+// never more than four capacities held, after every step every delivery
+// a publish claimed is acked, shed, pending or in flight and every unacked
+// one's document retrievable, and once all is acked nothing stays pinned.
+// Every drop the engine counted is some subscription's.
 func TestCommunityLogAcrossRebuilds(t *testing.T) {
 	steps := 2000
 	if testing.Short() || raceEnabled { // one goroutine: nothing for the detector
 		steps = 300
 	}
-	for seed := int64(0); seed < 20; seed++ {
+	for seed := int64(0); seed < 40; seed++ {
 		capacity := []int{16, 5, 64, 1}[seed%4]
-		w := newLogWorld(t, 100+seed, capacity)
+		w := newLogWorld(t, 100+seed, capacity, seed >= 20)
 		e, rng := w.e, w.rng
-		type ledger struct{ delivered, drained, gap, lastDoc uint64 }
+		type ledger struct{ delivered, drained, gap, lastDoc, lastCursor uint64 }
 		books := map[uint64]*ledger{}
 		for _, id := range w.ids {
 			books[id] = &ledger{}
 		}
-		var moved, goneDropped uint64
-		drain := func(id uint64, max int, at string) {
+		var moved, movedLeased, goneDropped uint64
+		drain := func(id uint64, max int, at string) DrainResult {
 			r, err := e.DrainBatch(id, max, 0)
 			if err != nil {
 				t.Fatalf("%s: %v", at, err)
 			}
 			b := books[id]
 			for _, d := range r.Deliveries {
-				if d.Doc <= b.lastDoc {
+				switch {
+				case r.Mode == AtLeastOnce && d.Redelivered:
+					if d.Cursor > b.lastCursor || d.Cursor <= r.Committed {
+						t.Fatalf("%s: subscription %d redelivered cursor %d, handed out up to %d, committed %d", at, id, d.Cursor, b.lastCursor, r.Committed)
+					}
+					continue
+				case r.Mode == AtLeastOnce && d.Cursor <= b.lastCursor:
+					t.Fatalf("%s: subscription %d handed out cursor %d after %d", at, id, d.Cursor, b.lastCursor)
+				case d.Doc <= b.lastDoc:
 					t.Fatalf("%s: subscription %d drained document %d after %d", at, id, d.Doc, b.lastDoc)
 				}
-				b.lastDoc = d.Doc
+				b.lastDoc, b.lastCursor = d.Doc, d.Cursor
 			}
 			b.drained += uint64(len(r.Deliveries))
 			b.gap += r.Gap
+			return r
+		}
+		// closed checks an at-least-once subscription's ledger.
+		closed := func(si SubscriptionInfo, at string) {
+			if b := books[si.ID]; si.Delivered != b.delivered || si.Delivered != si.Acked+si.Shed+uint64(si.Pending+si.InFlight) {
+				t.Fatalf("%s: subscription %d: publishes claimed %d, it counts %d delivered = %d acked + %d shed + %d pending + %d in flight",
+					at, si.ID, b.delivered, si.Delivered, si.Acked, si.Shed, si.Pending, si.InFlight)
+			}
+		}
+		ops := 40
+		if w.mixed {
+			ops = 46
 		}
 		for step := 0; step < steps; step++ {
 			at := fmt.Sprintf("seed %d step %d", seed, step)
-			switch op := rng.Intn(40); {
+			switch op := rng.Intn(ops); {
+			case op >= 44:
+				e.SweepLeases(time.Now().Add(2 * logLease))
+			case op >= 40:
+				if id := w.ids[rng.Intn(len(w.ids))]; e.byID[id].mode == AtLeastOnce {
+					if r := drain(id, randomMax(rng), at); len(r.Deliveries) > 0 {
+						first := r.Deliveries[0].Cursor
+						if _, err := e.Ack(id, first-1+uint64(rng.Int63n(int64(r.Cursor-first)+2))); err != nil {
+							t.Fatalf("%s: %v", at, err)
+						}
+					}
+				}
 			case op < 18:
 				res, ex := w.publish()
 				n := 0
@@ -287,23 +498,31 @@ func TestCommunityLogAcrossRebuilds(t *testing.T) {
 			case op < 30:
 				drain(w.ids[rng.Intn(len(w.ids))], randomMax(rng), at)
 			case op < 33 && len(w.ids) < 60:
-				books[w.subscribe(rng.Intn(logLabels))] = &ledger{}
+				books[w.subscribe(rng.Intn(logLabels), w.mode())] = &ledger{}
 			case op < 36 && len(w.ids) > 20:
 				k := rng.Intn(len(w.ids))
 				id := w.ids[k]
+				si := describe(e.byID[id].cur)
+				si.ID = id
+				if e.byID[id].mode == AtLeastOnce {
+					closed(si, at)
+					goneDropped += si.Shed
+					w.unsubscribe(k)
+					delete(books, id)
+					break
+				}
 				drain(id, 0, at) // so that its ledger closes
-				_, d := e.byID[id].cur.info()
-				goneDropped += d
+				goneDropped += describe(e.byID[id].cur).Dropped
 				w.unsubscribe(k)
 				if b := books[id]; b.drained+b.gap != b.delivered {
 					t.Fatalf("%s: subscription %d left with %d delivered, %d drained, %d lost", at, id, b.delivered, b.drained, b.gap)
 				}
 				delete(books, id)
 			case op < 38:
-				before := map[uint64]*commLog{}
+				before, leased := map[uint64]*commLog{}, map[uint64]bool{}
 				for _, s := range e.byID {
-					if n, _ := s.cur.info(); n > 0 {
-						before[s.id] = s.cur.log
+					if si := describe(s.cur); si.Pending+si.InFlight > 0 {
+						before[s.id], leased[s.id] = s.cur.log, si.Pending > 0 && si.InFlight > 0
 					}
 				}
 				if op == 36 {
@@ -314,20 +533,41 @@ func TestCommunityLogAcrossRebuilds(t *testing.T) {
 				for _, s := range e.byID {
 					if l := before[s.id]; l != nil && l != s.cur.log {
 						moved++
+						if leased[s.id] {
+							movedLeased++
+						}
 					}
 				}
 			}
-			for _, id := range w.ids {
-				if n := e.Pending(id); n > 2*capacity {
-					t.Fatalf("%s: subscription %d has %d pending, capacity %d", at, id, n, capacity)
+			for _, si := range e.IntrospectSubscriptions() {
+				bound := 2 * capacity
+				if si.Mode == AtLeastOnce.String() {
+					closed(si, at)
+					bound = 4 * capacity
+					_, _, held := e.byID[si.ID].cur.snapshotEntries()
+					for _, qd := range held {
+						if e.PackedDocument(qd.Doc) == nil {
+							t.Fatalf("%s: subscription %d holds cursor %d, but document %d is gone", at, si.ID, qd.Cursor, qd.Doc)
+						}
+					}
+				}
+				if n := si.Pending + si.InFlight; n > bound {
+					t.Fatalf("%s: subscription %d (%s) holds %d, capacity %d", at, si.ID, si.Mode, n, capacity)
 				}
 			}
 		}
-		if moved == 0 {
-			t.Fatalf("seed %d: no subscription was moved with deliveries pending", seed)
+		if moved == 0 || w.mixed && movedLeased == 0 {
+			t.Fatalf("seed %d: %d subscriptions moved with deliveries pending, %d of them with deliveries both leased and not", seed, moved, movedLeased)
 		}
 		dropped := goneDropped
 		for _, si := range e.IntrospectSubscriptions() {
+			if si.Mode == AtLeastOnce.String() {
+				if _, err := e.Ack(si.ID, si.LastCursor); err != nil {
+					t.Fatal(err)
+				}
+				dropped += si.Shed
+				continue
+			}
 			// Dropped counts what no drain has reported yet, too.
 			b := books[si.ID]
 			if b.drained+si.Dropped+uint64(si.Pending) != b.delivered {
@@ -339,8 +579,8 @@ func TestCommunityLogAcrossRebuilds(t *testing.T) {
 			}
 			dropped += si.Dropped
 		}
-		if st := e.Stats(); st.Dropped != dropped {
-			t.Errorf("seed %d: engine counted %d drops, its subscriptions %d", seed, st.Dropped, dropped)
+		if st := e.Stats(); st.Dropped != dropped || st.PinnedDocs != 0 {
+			t.Errorf("seed %d: engine counted %d drops, its subscriptions %d; %d documents pinned with everything acked", seed, st.Dropped, dropped, st.PinnedDocs)
 		}
 		e.Close()
 	}
@@ -354,7 +594,7 @@ func TestCommunityLogAcrossRebuilds(t *testing.T) {
 // and the ledger closes exactly: every delivery a publish claimed was
 // drained, reported in a gap, or is pending at the end.
 func TestConcurrentLogRebuildLedger(t *testing.T) {
-	w := newLogWorld(t, 7, 8)
+	w := newLogWorld(t, 7, 8, false)
 	e := w.e
 	var (
 		wg                         sync.WaitGroup

@@ -147,9 +147,10 @@ type CommunityInfo struct {
 	RepExpr string `json:"rep"`
 	// MemberIDs are the member subscription ids, sorted ascending.
 	MemberIDs []uint64 `json:"members"`
-	// LogEntries is what the community's at-most-once delivery log holds
-	// (at most the queue capacity), SlowestLag how many of them its
-	// furthest-behind member has yet to drain.
+	// LogEntries is what the community's delivery log holds: the queue
+	// capacity's at-most-once window and, past it, its at-least-once
+	// members' unacked backlog (up to four capacities); SlowestLag how
+	// many of them its furthest-behind member has yet to drain or ack.
 	LogEntries int `json:"log_entries"`
 	SlowestLag int `json:"slowest_lag"`
 }
@@ -182,9 +183,8 @@ type SubscriptionInfo struct {
 	Shard int `json:"shard"`
 	// Mode is the delivery contract ("at-most-once" / "at-least-once").
 	Mode string `json:"mode"`
-	// Pending is the subscription's current delivery-queue depth: what
-	// its cursor has yet to read, or redeliverable (unleased) cursor-log
-	// entries.
+	// Pending is the subscription's current delivery depth: what its
+	// cursor has yet to read, or its redeliverable (unleased) entries.
 	Pending int `json:"pending"`
 	// Dropped is the subscription's lifetime drop-oldest evictions
 	// (at-most-once) — the per-consumer attribution of the aggregate
@@ -218,13 +218,7 @@ func (e *Engine) IntrospectSubscriptions() []SubscriptionInfo {
 	out := make([]SubscriptionInfo, 0, len(e.byID))
 	for _, s := range e.registryLocked() {
 		si := SubscriptionInfo{ID: s.id, Pattern: s.expr, Community: community[s.group], Mode: s.mode.String()}
-		if s.q == nil {
-			si.Pending, si.Dropped = s.cur.info()
-		} else {
-			var st ackStats
-			si.Pending, si.InFlight, si.Committed, si.LastCursor, st = s.q.info()
-			si.Delivered, si.Acked, si.Redelivered, si.Shed, si.LeaseExpiries = st.delivered, st.acked, st.redelivered, st.shed, st.expired
-		}
+		s.cur.describe(&si)
 		out = append(out, si)
 	}
 	return out

@@ -57,10 +57,10 @@ func checkForests(t testing.TB, e *Engine, probes ...*xmltree.Tree) {
 					t.Errorf("community %d: member %d is not live", g, s.id)
 				case s.group != rg:
 					t.Errorf("community %d: member %d points at another record", g, s.id)
-				case amo != (s.q == nil):
+				case amo != (s.mode == AtMostOnce):
 					t.Errorf("community %d: member %d (%s) is on the other mode's list", g, s.id, s.mode)
-				case amo && s.cur.log != rg.log:
-					t.Errorf("community %d: at-most-once member %d's cursor is not on the community's log", g, s.id)
+				case s.cur.log != rg.log:
+					t.Errorf("community %d: member %d's cursor is not on the community's log", g, s.id)
 				}
 			}
 		}

@@ -140,12 +140,12 @@ func TestJournalReplaysConcurrentChurn(t *testing.T) {
 	applyRecords(t, rec, recs)
 	live := 0
 	for _, si := range e.IntrospectSubscriptions() {
-		_, _, committed, _, _ := e.byID[si.ID].q.info()
+		committed := e.byID[si.ID].cur.ack.committed
 		s := rec.byID[si.ID]
 		if s == nil {
 			t.Fatalf("subscription %d is live but not replayed", si.ID)
 		}
-		_, _, got, _, _ := s.q.info()
+		got := s.cur.ack.committed
 		if pending := s.pending(); pending != e.Pending(si.ID) || got != committed {
 			t.Errorf("subscription %d: replay holds %d pending, committed cursor %d; the live engine %d, %d",
 				si.ID, pending, got, e.Pending(si.ID), committed)

@@ -143,7 +143,7 @@ func DecodeState(data []byte) (*State, error) {
 // which is exactly what an ordered shutdown wants for its final
 // snapshot — close the engine first, then snapshot what it settled on.
 func (e *Engine) State() (*State, error) {
-	// The watermark is read under the registry lock and before any queue
+	// The watermark is read under the registry lock and before any cursor
 	// is copied, which is what makes it exact (see Journal).
 	e.mu.RLock()
 	subs := e.registryLocked()
@@ -161,7 +161,7 @@ func (e *Engine) State() (*State, error) {
 		index[s] = i
 		se := SubEntry{ID: s.id, Expr: s.expr, Mode: uint8(s.mode)}
 		if s.mode == AtLeastOnce {
-			se.Committed, se.LastCursor, se.Queued = s.q.snapshotEntries()
+			se.Committed, se.LastCursor, se.Queued = s.cur.snapshotEntries()
 			for _, qd := range se.Queued {
 				docSeqs = append(docSeqs, qd.Doc)
 			}
@@ -270,14 +270,12 @@ func Restore(cfg Config, st *State) (_ *Engine, err error) {
 			return nil, fmt.Errorf("broker: restore: duplicate subscription id %d", se.ID)
 		}
 		s := e.newSubscriber(se.ID, p, se.Expr, DeliveryMode(se.Mode))
-		if q := s.q; q != nil {
-			// The engine is not shared yet; fields are set directly. All
-			// recovered entries are redeliverable (no surviving leases).
-			q.committed = se.Committed
-			q.lastCursor, q.floor = se.LastCursor, se.LastCursor
+		if a := s.cur.ack; a != nil {
+			// The engine is not shared yet; fields are set directly. The
+			// cursor carries its entries, all redeliverable, onto its log.
+			a.committed, a.floor, a.off, a.delivered = se.Committed, se.LastCursor, se.LastCursor+1, uint64(len(se.Queued))
 			for _, qd := range se.Queued {
-				q.entries = append(q.entries, ackEntry{cursor: qd.Cursor, doc: qd.Doc, comm: qd.Community, attempts: qd.Attempts})
-				q.stats.delivered++
+				s.cur.carry = append(s.cur.carry, carried{cursor: qd.Cursor, doc: qd.Doc, comm: int32(qd.Community), attempts: int32(qd.Attempts)})
 				e.docs.pin(qd.Doc, docs[qd.Doc])
 			}
 		}
@@ -366,10 +364,10 @@ func Recover(cfg Config, store *persist.Store) (*Engine, uint64, error) {
 // appended inside its registry critical section, before the table edit
 // that makes its effect visible to publishes — so a delivery to a new
 // subscription is always logged after the subscription. A delivery
-// record (OpDeliver, OpAck, OpDrained) is appended after its queue
-// effect. The engine keeps the highest LSN Append returned as one
-// watermark, and State reads it under the registry lock before copying
-// any queue: a record at or below it has its effect in the cut; a
+// record (OpDeliver, OpAck, OpDrained) is appended after its effect on
+// the log or cursor. The engine keeps the highest LSN Append returned as
+// one watermark, and State reads it under the registry lock before copying
+// any cursor: a record at or below it has its effect in the cut; a
 // registry record above it cannot, since its critical section excludes
 // the read; a delivery record above it replays idempotently by cursor.
 // No registry record is appended under the routing lock, so a slow
@@ -445,7 +443,7 @@ func (e *Engine) partitionIDsLocked() (groups [][]uint64, reps []uint64) {
 //   - OpRebuild replaces the partition wholesale with the recorded one,
 //     keyed by subscription ids, exactly as the original rebuild did.
 //   - OpDeliver re-enters each (subscription, cursor) pair into that
-//     subscription's cursor log, in cursor order, unless the cursor was
+//     subscription's cursor, in cursor order, unless the cursor was
 //     already seen — cursors are never reused — and repins the document
 //     the record carries (packed, or the XML text of a log written
 //     before records carried it packed). Unknown and at-most-once ids
@@ -488,6 +486,10 @@ func (e *Engine) Apply(rec persist.Record) error {
 	if e.closed {
 		return ErrClosed
 	}
+	if rec.Op == persist.OpDeliver || rec.Op == persist.OpAck || rec.Op == persist.OpDrained {
+		e.routeMu.Lock() // publishes read a cursor's numbering under it
+		defer e.routeMu.Unlock()
+	}
 	switch rec.Op {
 	case persist.OpSubscribe:
 		if e.byID[rec.ID] != nil {
@@ -511,39 +513,20 @@ func (e *Engine) Apply(rec persist.Record) error {
 		// a recovered engine never reassigns a pinned sequence.
 		storeMax(&e.pubSeq, rec.Seq)
 		for i, id := range rec.Subs {
-			q := e.ackedQueueLocked(id)
-			if q == nil {
-				continue
-			}
-			shedDoc, shed, inserted := q.restore(rec.Cursors[i], rec.Seq, rec.Comms[i], 1)
-			if shed {
-				e.docs.unpin(shedDoc)
-			}
-			if inserted {
-				e.docs.pin(rec.Seq, doc)
+			if s := e.byID[id]; s != nil && s.mode == AtLeastOnce {
+				s.cur.restore(rec.Cursors[i], rec.Seq, rec.Comms[i], doc)
 			}
 		}
 	case persist.OpAck:
-		if q := e.ackedQueueLocked(rec.ID); q != nil {
-			_, _, unpin, _ := q.ack(rec.Cursor, false)
-			e.docs.unpin(unpin...)
+		if s := e.byID[rec.ID]; s != nil && s.mode == AtLeastOnce {
+			s.cur.ackUpto(rec.Cursor, false)
 		}
 	case persist.OpDrained:
-		if q := e.ackedQueueLocked(rec.ID); q != nil {
-			q.markDrained(rec.Cursor)
+		if s := e.byID[rec.ID]; s != nil && s.mode == AtLeastOnce {
+			s.cur.markDrained(rec.Cursor)
 		}
 	default:
 		return fmt.Errorf("broker: unknown wal op %q", rec.Op)
-	}
-	return nil
-}
-
-// ackedQueueLocked is subscription id's cursor log, nil when the id is
-// not live or the subscription is at-most-once. Caller holds the
-// registry lock.
-func (e *Engine) ackedQueueLocked(id uint64) *queue {
-	if s := e.byID[id]; s != nil {
-		return s.q
 	}
 	return nil
 }

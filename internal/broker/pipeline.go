@@ -52,8 +52,8 @@ func deeper(n *xmltree.Node, room int) bool {
 // Publish routes one document: it is queued for synopsis ingestion
 // (blocking only if the ingest pipeline is full — backpressure), loaded
 // once into a pooled flat arena, then matched against the forest in one
-// pass on this goroutine; communities that hit receive the document on
-// every member's delivery queue. Matching per representative rather than per consumer
+// pass on this goroutine; communities that hit receive the document in
+// their delivery log. Matching per representative rather than per consumer
 // is the whole point: filter evaluations scale with the number of
 // communities, not subscriptions.
 func (e *Engine) Publish(t *xmltree.Tree) (PublishResult, error) {
@@ -223,11 +223,11 @@ func (e *Engine) Flush() {
 // as its parse tree, which lives only until routing and the synopsis
 // are done with it. On top of the fixed-size ring sits the pin map:
 // documents referenced by unacked at-least-once deliveries are pinned
-// (refcounted, one reference per queued entry) and stay retrievable
+// (refcounted: once per log entry, once per carried one) and stay retrievable
 // however far the ring advances — GET /doc/{seq} must not 404 a
 // document a consumer can still legally be redelivered. Pins are
-// bounded by the cursor logs' capacity, so the map cannot grow without
-// bound.
+// bounded by four capacities per log and cursor, so the map cannot grow
+// without bound.
 type docRing struct {
 	mu     sync.Mutex
 	buf    []docEntry

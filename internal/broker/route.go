@@ -40,10 +40,10 @@ import (
 // The registry lock is always acquired first when both are held.
 
 // routeGroup is one community: the forest handle of its representative's
-// pattern, its at-most-once delivery log, its representative, its
-// at-most-once (amo) and at-least-once (alo) members, each list in id
-// order, and the key it is indexed under in Engine.bySample, if
-// bySample[key] is this record. Every member's group points back at it.
+// pattern, its delivery log, its representative, its at-most-once (amo)
+// and at-least-once (alo) members, each list in id order, and the key it
+// is indexed under in Engine.bySample, if bySample[key] is this record.
+// Every member's group points back at it, and its cursor is on the log.
 type routeGroup struct {
 	fh       int
 	log      *commLog
@@ -58,21 +58,21 @@ func idOrder(a, b *subscriber) int { return cmp.Compare(a.id, b.id) }
 
 // list is the member list s belongs on.
 func (g *routeGroup) list(s *subscriber) *[]*subscriber {
-	if s.q != nil {
+	if s.mode == AtLeastOnce {
 		return &g.alo
 	}
 	return &g.amo
 }
 
-// add enters s into g in id order and puts an at-most-once cursor on g's
-// log, returning how many pending deliveries the move lost (only a
-// re-clustered subscription carries any).
+// add enters s into g in id order and puts its cursor on g's log,
+// returning how many deliveries the move lost (only a re-clustered or
+// recovered subscription carries any).
 func (g *routeGroup) add(s *subscriber) int {
 	l := g.list(s)
 	i, _ := slices.BinarySearchFunc(*l, s, idOrder)
 	*l = slices.Insert(*l, i, s)
 	s.group = g
-	if s.cur != nil && s.cur.log != g.log {
+	if s.cur.log != g.log {
 		return s.cur.move(g.log)
 	}
 	return 0
@@ -93,8 +93,8 @@ func (g *routeGroup) members() []*subscriber {
 }
 
 // routeScratch is the pooled per-publish scratch: the flattened
-// document and the at-least-once enqueues the fan-out committed —
-// receiving subscription, cursor assigned and community matched, in the
+// document and the at-least-once deliveries the fan-out committed —
+// receiving subscription, its cursor and community matched, in the
 // parallel arrays the publish journals (OpDeliver) so the deliveries
 // survive a crash.
 type routeScratch struct {
@@ -139,14 +139,14 @@ func memberMatches(fm *pattern.FlatMatcher, p *pattern.Pattern) (ok bool) {
 // routeDoc matches one document against the forest — once, on the
 // calling goroutine — and delivers it to every community whose
 // representative matched, tallying into res: one append to the
-// community's log for all its at-most-once members, and for each
-// at-least-once member a cursor-log push — the document is pinned in
-// retention until acked, the assigned cursors are journaled as one
-// OpDeliver record before the publish returns, and a full log sheds its
-// oldest entry, counted, and its pin released. Every sample-th delivery
-// is checked exactly, against the receiving member's own pattern. doc is
-// t packed, as retention just stored it (nil when retention is off).
-// Caller holds routeMu shared.
+// community's log for all its members, whatever their modes. For
+// at-least-once members the log pins the document until they ack it, and
+// their cursors — the entry's position plus each one's offset — are
+// journaled as one OpDeliver record before the publish returns. Every
+// sample-th delivery is checked exactly, against the receiving member's
+// own pattern. doc is t packed, as retention just stored it (nil when
+// retention is off). Caller holds routeMu shared, which keeps every
+// cursor's numbering still.
 func (e *Engine) routeDoc(t *xmltree.Tree, doc []byte, res *PublishResult) {
 	if len(e.groups) == 0 {
 		return
@@ -162,6 +162,9 @@ func (e *Engine) routeDoc(t *xmltree.Tree, doc []byte, res *PublishResult) {
 	// counter numbers with a multiple of the sample interval.
 	delivered := func(to []*subscriber) {
 		n := len(to)
+		if n == 0 {
+			return
+		}
 		res.Deliveries += n
 		last := c.delivered.Add(uint64(n))
 		if sample := uint64(e.cfg.PrecisionSample); e.cfg.PrecisionSample > 0 {
@@ -177,38 +180,26 @@ func (e *Engine) routeDoc(t *xmltree.Tree, doc []byte, res *PublishResult) {
 			}
 		}
 	}
-	// Evictions charge the publish that forced them; the lost delivery
-	// belongs to an older document.
-	dropped := func(n int) {
-		if n > 0 {
-			res.Dropped += n
-			c.dropped.Add(uint64(n))
-		}
-	}
 	for comm, g := range e.groups {
 		if !ms.Has(g.fh) {
 			continue
 		}
 		res.Matched++
-		if len(g.amo) > 0 {
-			dropped(g.log.append(seq, comm))
-			delivered(g.amo)
+		// Evictions and sheds charge the publish that forced them; the
+		// lost delivery belongs to an older document.
+		p, evicted, shed := g.log.append(seq, doc, comm)
+		if n := evicted + shed; n > 0 {
+			res.Dropped += n
+			c.dropped.Add(uint64(n))
 		}
-		for i, m := range g.alo {
-			cursor, shedDoc, shed, enqueued := m.q.pushAcked(seq, comm)
-			if shed {
-				c.ackShed.Add(1)
-				e.docs.unpin(shedDoc)
-			}
-			if shed || !enqueued {
-				dropped(1)
-			}
-			if enqueued {
-				e.docs.pin(seq, doc)
-				sc.subs, sc.cursors, sc.comms = append(sc.subs, m.id), append(sc.cursors, cursor), append(sc.comms, comm)
-				delivered(g.alo[i : i+1])
-			}
+		if shed > 0 {
+			c.ackShed.Add(uint64(shed))
 		}
+		delivered(g.amo)
+		for _, m := range g.alo {
+			sc.subs, sc.cursors, sc.comms = append(sc.subs, m.id), append(sc.cursors, p+m.cur.ack.off), append(sc.comms, comm)
+		}
+		delivered(g.alo)
 	}
 	if fm != nil {
 		memberMatchers.Put(fm)
@@ -219,7 +210,7 @@ func (e *Engine) routeDoc(t *xmltree.Tree, doc []byte, res *PublishResult) {
 	// before the publish returns: once the publisher sees success, the
 	// acked-mode fan-out is durable (the record carries the document as
 	// retention holds it, so recovery can repin content the ring lost
-	// with the process). The queue appends already happened — effects
+	// with the process). The log appends already happened — effects
 	// precede appends, the invariant the snapshot watermark proof rests
 	// on — so a crash in between loses only publishes whose callers never
 	// saw success.

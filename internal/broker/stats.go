@@ -39,7 +39,7 @@ func newCounters(reg *telemetry.Registry) counters {
 	return counters{
 		published:      reg.Counter("treesim_broker_published_total", "Documents routed (local publishes plus overlay injections)."),
 		delivered:      reg.Counter("treesim_broker_deliveries_total", "Deliveries enqueued onto consumer queues."),
-		dropped:        reg.Counter("treesim_broker_dropped_total", "Deliveries evicted from full consumer queues (drop-oldest) or lost to closed queues."),
+		dropped:        reg.Counter("treesim_broker_dropped_total", "Deliveries pushed out by newer ones: at-most-once evictions past the queue capacity (drop-oldest) and at-least-once sheds past four times it."),
 		drained:        reg.Counter("treesim_broker_drained_total", "Deliveries handed to consumers by Drain."),
 		filterEvals:    reg.Counter("treesim_broker_filter_evals_total", "Community-representative match tests (the clustered routing cost): per publish, exactly the patterns the forest holds and evaluates."),
 		subscribes:     reg.Counter("treesim_broker_subscribes_total", "Committed subscriptions."),
@@ -74,7 +74,7 @@ func (e *Engine) registerGauges() {
 	e.tel.GaugeFunc("treesim_broker_ingest_pending", "Synopsis ingest pipeline backlog.", func() float64 {
 		return float64(e.ingestPending())
 	})
-	e.tel.GaugeFunc("treesim_broker_delivery_ring_occupancy", "Total deliveries waiting across consumer queues.", func() float64 {
+	e.tel.GaugeFunc("treesim_broker_delivery_ring_occupancy", "Total deliveries waiting across consumers, at-least-once ones in flight included.", func() float64 {
 		e.mu.RLock()
 		defer e.mu.RUnlock()
 		total := 0
@@ -83,7 +83,7 @@ func (e *Engine) registerGauges() {
 		}
 		return float64(total)
 	})
-	e.tel.GaugeFunc("treesim_broker_delivery_log_entries", "Deliveries the communities' at-most-once logs hold: one per matched community and publish, up to the queue capacity each, however many members read it.", func() float64 {
+	e.tel.GaugeFunc("treesim_broker_delivery_log_entries", "Deliveries the communities' logs hold: one per matched community and publish, however many members read it, up to the queue capacity each and, for at-least-once members' unacked backlog, four times it.", func() float64 {
 		e.mu.RLock()
 		defer e.mu.RUnlock()
 		total := 0
