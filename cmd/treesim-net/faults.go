@@ -7,8 +7,10 @@ package main
 // duplicate, reorder and delay every message (fault.Transport), and
 // checks the federation's contract (federation.go) after every step.
 //
-// Any failure prints the seed; rerunning with -faults -seed N replays
-// the identical schedule, message for message. Drops are deliberately
+// Any failure prints the seed. Rerunning with -faults -seed N replays the
+// crash plan, the publish stream and the per-link seeds, not the link
+// draws: which message a link duplicates or reorders follows message
+// timing, until the federation runs on one clock. Drops are deliberately
 // excluded here: with synchronous gossip and explicit advertisement
 // rounds, a dropped message makes recall 1.0 unsound to assert. The
 // drop fault is exercised by the fault package's own tests.
@@ -170,7 +172,7 @@ func runFaults(o options) (tally, error) {
 		name, t.published, elapsed.Nanoseconds()/int64(t.published), t.delivered, t.faults, t.crashes, t.recoveries, t.redelivered, dups, reorders, 1.0)
 	fmt.Printf("# faults: seed %d ran %d rounds clean — %d docs, %d deliveries, %d disk faults, %d crashes, %d recoveries, %d redelivered; links injected %d duplicates and %d reorders\n",
 		o.seed, rounds, t.published, t.delivered, t.faults, t.crashes, t.recoveries, t.redelivered, dups, reorders)
-	fmt.Printf("# replay this exact schedule: treesim-net -faults -seed %d -nodes %d -topology %s -subs %d\n",
+	fmt.Printf("# rerun the crash plan and publish stream (link draws follow timing): treesim-net -faults -seed %d -nodes %d -topology %s -subs %d\n",
 		o.seed, o.nodes, o.topology, o.subs)
 	return t, nil
 }

@@ -180,9 +180,9 @@ func (f *federation) close() {
 // up reports whether node i is running.
 func (f *federation) up(i int) bool { return i != victim || f.victimUp }
 
-// failf is a contract violation, with the command that replays it.
+// failf is a contract violation, with the command that reruns it.
 func (f *federation) failf(format string, args ...any) error {
-	return fmt.Errorf(format+" — reproduce with: %s -seed %d", append(args, f.mode, f.o.seed)...)
+	return fmt.Errorf(format+" — rerun with: %s -seed %d", append(args, f.mode, f.o.seed)...)
 }
 
 // wire (re)connects topology edge ei through a fresh pair of transports

@@ -111,7 +111,7 @@ func parseArgs(args []string) (options, error) {
 	fs.Float64Var(&o.valueProb, "value-prob", 0.6, "probability a text-bearing pattern element gains a value constraint")
 	fs.StringVar(&o.placement, "placement", "clustered", "subscriber placement: clustered|roundrobin")
 	fs.BoolVar(&o.chaos, "chaos", false, "run the fixed fault schedule (kill consumers, crash+recover a broker, sever+heal a link) instead of the steady-state benchmark")
-	fs.BoolVar(&o.faults, "faults", false, "run the seeded fault schedule (randomized churn/publish/disk-fault/crash/recover interleavings over duplicating+reordering links); failures reproduce with the same -seed")
+	fs.BoolVar(&o.faults, "faults", false, "run the seeded fault schedule (randomized churn/publish/disk-fault/crash/recover interleavings over duplicating+reordering links); a failure's crash plan and publish stream rerun with the same -seed")
 	if err := fs.Parse(args); err != nil {
 		return o, err
 	}

@@ -3,6 +3,7 @@ package broker
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -299,6 +300,48 @@ func BenchmarkBrokerSubscribePopulation(b *testing.B) {
 			b.ReportMetric(float64(st.Communities), "communities")
 		})
 	}
+}
+
+// BenchmarkBrokerViewColdPass prices what a re-bucket pays at the
+// daemon's defaults (Hashes of 1000) once the stream is long: 1000
+// patterns evaluated cold on a fresh view of a synopsis that has seen
+// 80,000 documents (the workload's 500, cycled). Each op takes the view
+// after one more document is observed, untimed, so it is never the
+// last op's. view-MB is what one such view keeps alive once its pass
+// is done — the frozen synopsis, its Full sets and the 1000 SEL values
+// — measured once, before the timed ops.
+func BenchmarkBrokerViewColdPass(b *testing.B) {
+	docs, subs := benchWorkload(500, 1000)
+	est := core.NewEstimator(core.Config{Representation: core.Hashes, HashCapacity: 1000, Seed: 1})
+	for est.DocsObserved() < 80000 {
+		est.ObserveTrees(docs)
+	}
+	heap := func() uint64 {
+		var m runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	before := heap()
+	v := est.View()
+	for _, p := range subs {
+		v.Eval(p)
+	}
+	retained := int64(heap()) - int64(before)
+	runtime.KeepAlive(v)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		est.ObserveTrees(docs[i%len(docs) : i%len(docs)+1])
+		b.StartTimer()
+		v := est.View()
+		for _, p := range subs {
+			v.Eval(p)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed())/1e6/float64(b.N), "ms/op")
+	b.ReportMetric(float64(retained)/(1<<20), "view-MB")
 }
 
 // BenchmarkBrokerSubscribeBesideStream is the churn case the benchmark

@@ -124,3 +124,55 @@ func TestLiveHeapBudget(t *testing.T) {
 		t.Errorf("live heap %.1f MB, budget %d MB", float64(m.HeapAlloc)/(1<<20), budget>>20)
 	}
 }
+
+// TestSteadyStateHeapBudget holds a saturated engine to a live-heap
+// budget: 1000 subscriptions at Hashes of 1000 and threshold 0.99 on a
+// synopsis that has seen 80,000 documents (the 500 of the workload,
+// cycled), one forced re-bucket whose view keeps its Full sets and SEL
+// values, then 5000 publishes parsed from text. The distinct samples
+// dominated it: it read 20.7 MB with every sample and Hashes value a
+// sorted []uint64, and reads 8.3 MB with them packed as uvarint gaps.
+func TestSteadyStateHeapBudget(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("feeds a 1000-subscription engine 80,000 documents and reads the heap; not under -short or -race")
+	}
+	docs, subs := benchWorkload(500, 1000)
+	xml := make([]string, len(docs))
+	for i, d := range docs {
+		s, err := xmltree.XMLString(d, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		xml[i] = s
+	}
+	e := New(Config{Estimator: core.Config{Representation: core.Hashes, HashCapacity: 1000, Seed: 1}, Threshold: 0.99})
+	defer e.Close()
+	for e.est.DocsObserved() < 80000 {
+		e.est.ObserveTrees(docs)
+	}
+	docs = nil
+	for _, p := range subs {
+		if _, err := e.SubscribePattern(p, ""); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e.Rebuild()
+	for i := 0; i < 5000; i++ {
+		d, err := xmltree.ParseString(xml[i%len(xml)], e.cfg.Estimator.ParseOptions)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.Publish(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e.Flush()
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	const budget = 10<<20 + 512<<10
+	t.Logf("live heap %.1f MB, %d objects", float64(m.HeapAlloc)/(1<<20), m.HeapObjects)
+	if m.HeapAlloc > budget {
+		t.Errorf("live heap %.1f MB, budget %.1f MB", float64(m.HeapAlloc)/(1<<20), float64(budget)/(1<<20))
+	}
+}

@@ -8,15 +8,17 @@ import (
 	"treesim/internal/sampling"
 )
 
-// Sorted-slice set algebra. Sets and Hashes values hold their document
-// identifiers as immutable sorted []uint64 slices: unions are linear
+// Sorted-slice set algebra. Sets values hold their document identifiers
+// as immutable sorted []uint64 slices, and Hashes values decode their
+// packed ones into pooled scratch slices (hash.go): unions are linear
 // merges, intersections are merges or galloping binary searches when the
 // operand sizes are skewed, and cardinalities are slice lengths. This
 // keeps the SEL inner loop free of map allocation and per-element
 // hashing, with cache-friendly sequential access.
 //
 // All operations write into pooled scratch buffers first; only results
-// that do not alias an operand are copied out into exactly-sized slices.
+// that do not alias an operand are copied out into exactly-sized slices
+// (Sets) or packed (Hashes).
 // The pooling matters because SEL builds many short-lived intermediate
 // values (running unions over synopsis children) whose buffers would
 // otherwise churn the allocator.
@@ -44,32 +46,21 @@ func scratchPut(p *[]uint64) {
 	scratchPool.Put(p)
 }
 
-// aliasOf reports whether the first n scratch elements equal operand a
-// (1) or operand b (2), or neither (0). When a merge result is identical
-// to an operand the caller returns that operand's value unchanged —
-// values are immutable, so aliasing is safe and saves both the copy and
-// the result allocation.
-func aliasOf(buf []uint64, n int, a, b []uint64) int {
-	if n == len(a) && prefixEqual(buf[:n], a) {
+// aliasOf reports whether an n-element merge result of operands with
+// na and nb elements is operand a (1), operand b (2), or neither (0). A
+// union contains both operands and an intersection lies in both, so the
+// result is an operand exactly when it has that operand's count. When it
+// is, the caller returns that operand's value unchanged — values are
+// immutable, so aliasing is safe and saves both the copy and the result
+// allocation.
+func aliasOf(n, na, nb int) int {
+	switch n {
+	case na:
 		return 1
-	}
-	if n == len(b) && prefixEqual(buf[:n], b) {
+	case nb:
 		return 2
 	}
 	return 0
-}
-
-// prefixEqual reports whether two equal-length sorted slices are equal.
-// For merge results a simple length check almost suffices (a union of
-// size len(a) is a itself), but keeping the explicit comparison makes
-// aliasOf safe for any merge kind at negligible cost.
-func prefixEqual(s, t []uint64) bool {
-	for i := range s {
-		if s[i] != t[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // materialize copies the first n scratch elements into an exactly-sized

@@ -72,7 +72,7 @@ func valueIDs(t *testing.T, v Value) []uint64 {
 	case *setValue:
 		return x.ids
 	case *hashValue:
-		return x.ids
+		return x.ids.AppendTo(nil)
 	default:
 		t.Fatalf("unexpected value type %T", v)
 		return nil
@@ -155,7 +155,7 @@ func TestHashAlgebraDifferential(t *testing.T) {
 		if u.level != wl && len(wu) > 0 {
 			return false
 		}
-		if !sameSet(u.ids, wu) {
+		if !sameSet(valueIDs(t, u), wu) {
 			return false
 		}
 		xl, xi := refHashIntersect(h, la, am, lb, bm)
@@ -163,7 +163,7 @@ func TestHashAlgebraDifferential(t *testing.T) {
 		if x.level != xl {
 			return false
 		}
-		if !sameSet(x.ids, xi) {
+		if !sameSet(valueIDs(t, x), xi) {
 			return false
 		}
 		// Card must be |ids|·2^level.

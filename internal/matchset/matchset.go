@@ -21,6 +21,7 @@ package matchset
 
 import (
 	"fmt"
+	"iter"
 	"slices"
 
 	"treesim/internal/sampling"
@@ -89,30 +90,25 @@ func IntersectCard(a, b Value) float64 {
 	return a.Intersect(b).Card()
 }
 
-// sample is the sample v carries: a Hashes value's level and ids, a Sets
-// value's ids at level 0. ok is false for a value that carries none — an
-// empty one, a Counters one, or nil.
-func sample(v Value) (level int, ids []uint64, ok bool) {
+// SampleKey hashes the sample v carries — a Hashes value's level and
+// ids, a Sets value's ids at level 0 — (FNV-1a, word by word, over its
+// level and ids), so that values with equal samples get equal keys; ok
+// is false when v carries none: an empty value, a Counters one, or nil.
+// Keys can collide: SameSample tells them apart.
+func SampleKey(v Value) (key uint64, ok bool) {
+	var level int
+	var ids iter.Seq[uint64]
 	switch v := v.(type) {
 	case *hashValue:
-		return v.level, v.ids, len(v.ids) > 0
+		level, ids, ok = v.level, v.ids.All(), v.ids.Len() > 0
 	case *setValue:
-		return 0, v.ids, len(v.ids) > 0
+		ids, ok = slices.Values(v.ids), len(v.ids) > 0
 	}
-	return 0, nil, false
-}
-
-// SampleKey hashes the sample v carries (FNV-1a, word by word, over its
-// level and ids), so that values with equal samples get equal keys; ok
-// is false when v carries none. Keys can collide: SameSample tells them
-// apart.
-func SampleKey(v Value) (key uint64, ok bool) {
-	level, ids, ok := sample(v)
 	if !ok {
 		return 0, false
 	}
 	key = (14695981039346656037 ^ uint64(level)) * 1099511628211
-	for _, id := range ids {
+	for id := range ids {
 		key = (key ^ id) * 1099511628211
 	}
 	return key, true
@@ -121,9 +117,15 @@ func SampleKey(v Value) (key uint64, ok bool) {
 // SameSample reports whether a and b both carry a sample and it is the
 // same one: one kind, equal levels and equal ids.
 func SameSample(a, b Value) bool {
-	la, ia, oka := sample(a)
-	lb, ib, okb := sample(b)
-	return oka && okb && a.Kind() == b.Kind() && la == lb && slices.Equal(ia, ib)
+	switch a := a.(type) {
+	case *hashValue:
+		b, ok := b.(*hashValue)
+		return ok && a.ids.Len() > 0 && a.level == b.level && a.ids.Equal(b.ids)
+	case *setValue:
+		b, ok := b.(*setValue)
+		return ok && len(a.ids) > 0 && slices.Equal(a.ids, b.ids)
+	}
+	return false
 }
 
 // Store is the mutable matching-set state attached to a synopsis node.
@@ -277,7 +279,7 @@ func (s frozenStore) Dump() Dump {
 	case *setValue:
 		return Dump{Kind: KindSets, IDs: slices.Clone(v.ids)}
 	case *hashValue:
-		return Dump{Kind: KindHashes, Level: v.level, IDs: slices.Clone(v.ids)}
+		return Dump{Kind: KindHashes, Level: v.level, IDs: v.ids.AppendTo(nil)}
 	}
 	return Dump{Kind: KindCounters, Counter: s.v.Card()}
 }

@@ -237,7 +237,7 @@ func TestHashUnionLevelIsMax(t *testing.T) {
 		t.Errorf("union level = %d, want 2", u.level)
 	}
 	// All retained elements must satisfy the level constraint.
-	for _, x := range u.ids {
+	for x := range u.ids.All() {
 		if h.Level(x) < 2 {
 			t.Errorf("element %d below union level", x)
 		}

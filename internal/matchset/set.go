@@ -94,7 +94,7 @@ func (v *setValue) Union(o Value) Value {
 	}
 	buf := scratchGet(len(v.ids) + len(ov.ids))
 	n := mergeUnion(*buf, v.ids, ov.ids)
-	switch aliasOf(*buf, n, v.ids, ov.ids) {
+	switch aliasOf(n, len(v.ids), len(ov.ids)) {
 	case 1:
 		scratchPut(buf)
 		return v
@@ -120,7 +120,7 @@ func (v *setValue) Intersect(o Value) Value {
 		scratchPut(buf)
 		return emptySetValue
 	}
-	switch aliasOf(*buf, n, v.ids, ov.ids) {
+	switch aliasOf(n, len(v.ids), len(ov.ids)) {
 	case 1:
 		scratchPut(buf)
 		return v

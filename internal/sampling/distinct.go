@@ -15,16 +15,18 @@ import "slices"
 // level is exactly the distinct sample of the union (intersection) of the
 // underlying sets at that level — this is what makes the set-expression
 // estimators of Ganguly et al. work.
+//
+// The retained identifiers are held sorted as uvarint gaps (Packed):
+// about 1.5 bytes per id on a document stream, against 8 as a []uint64.
 type DistinctSample struct {
 	h     *Hasher
 	cap   int
 	level int
-	// ids is sorted ascending and duplicate-free. Sorted hands it out
-	// without copying, so no index below the length of a slice ever
-	// handed out is written again: an in-order Add appends past that
-	// length, Remove of the smallest element reslices, and every other
-	// mutation builds a fresh slice.
-	ids []uint64
+	// ids is handed out by Packed without copying, so no byte below the
+	// length of a list ever handed out is written again: an in-order Add
+	// appends a gap past that length, Remove of the smallest element
+	// reslices, and every other mutation builds a fresh list.
+	ids Packed
 }
 
 // NewDistinctSample returns an empty sample with the given capacity
@@ -42,14 +44,17 @@ func (s *DistinctSample) Add(x uint64) {
 	if s.h.Level(x) < s.level {
 		return
 	}
-	if n := len(s.ids); n == 0 || x > s.ids[n-1] {
-		s.ids = append(s.ids, x)
-	} else if i, found := slices.BinarySearch(s.ids, x); found {
-		return
+	if s.ids.n == 0 || x > s.ids.last {
+		s.ids.Append(x)
 	} else {
-		s.ids = slices.Concat(s.ids[:i], []uint64{x}, s.ids[i:])
+		ids := s.ids.AppendTo(make([]uint64, 0, s.ids.n+1))
+		i, found := slices.BinarySearch(ids, x)
+		if found {
+			return
+		}
+		s.ids = Pack(slices.Insert(ids, i, x))
 	}
-	for len(s.ids) > s.cap {
+	for s.ids.n > s.cap {
 		s.raise(s.level + 1)
 	}
 }
@@ -58,33 +63,24 @@ func (s *DistinctSample) Add(x uint64) {
 // distinct sample is best-effort: if x was subsampled away earlier it is
 // simply absent.
 func (s *DistinctSample) Remove(x uint64) {
-	switch i, found := slices.BinarySearch(s.ids, x); {
-	case !found:
-	case i == 0: // a sliding window expires the oldest id first
-		s.ids = s.ids[1:]
+	switch {
+	case !s.ids.Contains(x):
+	case s.ids.first() == x: // a sliding window expires the oldest id first
+		s.ids = s.ids.DropFirst()
 	default:
-		s.ids = slices.Concat(s.ids[:i], s.ids[i+1:])
+		s.ids = s.ids.Filter(func(y uint64) bool { return y != x })
 	}
 }
 
 // raise moves to level l > s.level, dropping elements whose hash level
-// is below it. The fresh slice has room for the sample to fill up again,
-// so the appends until the next overflow never reallocate.
+// is below it.
 func (s *DistinctSample) raise(l int) {
 	s.level = l
-	s.ids = s.appendAtLevel(make([]uint64, 0, s.cap+1), s.ids)
+	s.ids = s.ids.Filter(s.atLevel)
 }
 
-// appendAtLevel appends to dst the elements of src that survive at s's
-// current level.
-func (s *DistinctSample) appendAtLevel(dst, src []uint64) []uint64 {
-	for _, x := range src {
-		if s.h.Level(x) >= s.level {
-			dst = append(dst, x)
-		}
-	}
-	return dst
-}
+// atLevel reports whether x survives at s's current level.
+func (s *DistinctSample) atLevel(x uint64) bool { return s.h.Level(x) >= s.level }
 
 // Level returns the current sampling level (sampling probability 2^-level).
 func (s *DistinctSample) Level() int { return s.level }
@@ -100,7 +96,7 @@ func (s *DistinctSample) ForceLevel(l int) {
 }
 
 // Size returns the number of identifiers currently retained.
-func (s *DistinctSample) Size() int { return len(s.ids) }
+func (s *DistinctSample) Size() int { return s.ids.n }
 
 // Capacity returns the maximum number of retained identifiers.
 func (s *DistinctSample) Capacity() int { return s.cap }
@@ -108,27 +104,28 @@ func (s *DistinctSample) Capacity() int { return s.cap }
 // Estimate returns the estimated cardinality of the underlying set:
 // |sample| · 2^level.
 func (s *DistinctSample) Estimate() float64 {
-	return float64(len(s.ids)) * float64(uint64(1)<<uint(s.level))
+	return float64(s.ids.n) * float64(uint64(1)<<uint(s.level))
 }
 
 // Contains reports whether x is currently retained in the sample.
-func (s *DistinctSample) Contains(x uint64) bool {
-	_, found := slices.BinarySearch(s.ids, x)
-	return found
+func (s *DistinctSample) Contains(x uint64) bool { return s.ids.Contains(x) }
+
+// Packed returns the retained identifiers without copying them. The
+// result stays valid — and unchanged — however the sample is mutated
+// afterwards (its capacity is clipped, so appending to it copies).
+func (s *DistinctSample) Packed() Packed {
+	p := s.ids
+	p.b = slices.Clip(p.b)
+	return p
 }
 
-// Sorted returns the retained identifiers in ascending order without
-// copying them. The result stays valid — and unchanged — however the
-// sample is mutated afterwards; the caller must not write to it (its
-// capacity is clipped, so appending to it copies).
-func (s *DistinctSample) Sorted() []uint64 { return slices.Clip(s.ids) }
-
 // IDs returns a copy of the retained identifiers in ascending order.
-func (s *DistinctSample) IDs() []uint64 { return slices.Clone(s.ids) }
+func (s *DistinctSample) IDs() []uint64 { return s.ids.AppendTo(nil) }
 
-// Clone returns a deep copy of the sample.
+// Clone returns an independent copy of the sample; the two share the
+// bytes neither rewrites.
 func (s *DistinctSample) Clone() *DistinctSample {
-	return &DistinctSample{h: s.h, cap: s.cap, level: s.level, ids: s.IDs()}
+	return &DistinctSample{h: s.h, cap: s.cap, level: s.level, ids: s.Packed()}
 }
 
 // UnionInto merges other into s (s ← sample of union): the level becomes
@@ -139,11 +136,10 @@ func (s *DistinctSample) UnionInto(other *DistinctSample) {
 		panic("sampling: union of samples with different hashers")
 	}
 	s.level = max(s.level, other.level)
-	merged := s.appendAtLevel(make([]uint64, 0, len(s.ids)+len(other.ids)), s.ids)
-	merged = s.appendAtLevel(merged, other.ids)
+	merged := slices.DeleteFunc(other.ids.AppendTo(s.IDs()), func(x uint64) bool { return !s.atLevel(x) })
 	slices.Sort(merged)
-	s.ids = slices.Compact(merged)
-	for len(s.ids) > s.cap {
+	s.ids = Pack(slices.Compact(merged))
+	for s.ids.n > s.cap {
 		s.raise(s.level + 1)
 	}
 }
@@ -164,18 +160,10 @@ func (s *DistinctSample) Intersect(other *DistinctSample) *DistinctSample {
 		panic("sampling: intersection of samples with different hashers")
 	}
 	out := &DistinctSample{h: s.h, cap: s.cap, level: max(s.level, other.level)}
-	a, b := s.ids, other.ids
-	for len(a) > 0 && len(b) > 0 {
-		switch {
-		case a[0] < b[0]:
-			a = a[1:]
-		case a[0] > b[0]:
-			b = b[1:]
-		default:
-			if s.h.Level(a[0]) >= out.level {
-				out.ids = append(out.ids, a[0])
-			}
-			a, b = a[1:], b[1:]
+	b := other.IDs()
+	for x := range s.ids.All() {
+		if _, found := slices.BinarySearch(b, x); found && out.atLevel(x) {
+			out.ids.Append(x)
 		}
 	}
 	return out

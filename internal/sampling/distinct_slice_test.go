@@ -7,7 +7,7 @@ import (
 )
 
 // refSample is the map-backed distinct sample DistinctSample was before
-// it became a sorted slice; the differential test holds the slice to it.
+// it became sorted; the differential test holds the packed list to it.
 type refSample struct {
 	h     *Hasher
 	cap   int
@@ -51,12 +51,12 @@ func (r *refSample) sorted() []uint64 {
 	return out
 }
 
-// TestDistinctSliceDifferentialAndAliasing drives the slice-backed sample
+// TestDistinctSliceDifferentialAndAliasing drives the packed sample
 // and the map reference through the same random operations — in-order
 // and out-of-order Add, Remove of the first, a middle and an absent
 // element, ForceLevel, UnionInto — and checks after every step that they
-// hold the same set at the same level, and at the end that every slice
-// Sorted ever handed out still reads exactly what it read when taken.
+// hold the same set at the same level, and at the end that every list
+// Packed ever handed out still reads exactly what it read when taken.
 func TestDistinctSliceDifferentialAndAliasing(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -64,12 +64,15 @@ func TestDistinctSliceDifferentialAndAliasing(t *testing.T) {
 		capacity := 4 + rng.Intn(60)
 		s := NewDistinctSample(h, capacity)
 		ref := &refSample{h: h, cap: capacity, ids: map[uint64]struct{}{}}
-		type snapshot struct{ shared, copied []uint64 }
+		type snapshot struct {
+			shared Packed
+			copied []uint64
+		}
 		var snaps []snapshot
 		next := uint64(1000)
 		for step := 0; step < 600; step++ {
-			shared := s.Sorted()
-			snaps = append(snaps, snapshot{shared, slices.Clone(shared)})
+			shared := s.Packed()
+			snaps = append(snaps, snapshot{shared, shared.AppendTo(nil)})
 			op := rng.Intn(10)
 			switch {
 			case op < 4: // the stream: ids in increasing order
@@ -106,17 +109,17 @@ func TestDistinctSliceDifferentialAndAliasing(t *testing.T) {
 				s.UnionInto(o)
 				ref.unionInto(oref)
 			}
-			if s.Level() != ref.level || !slices.Equal(s.Sorted(), ref.sorted()) {
-				t.Fatalf("seed %d step %d: slice sample level %d %v, reference level %d %v",
-					seed, step, s.Level(), s.Sorted(), ref.level, ref.sorted())
+			if s.Level() != ref.level || !slices.Equal(s.IDs(), ref.sorted()) {
+				t.Fatalf("seed %d step %d: packed sample level %d %v, reference level %d %v",
+					seed, step, s.Level(), s.IDs(), ref.level, ref.sorted())
 			}
-			if got := s.Sorted(); cap(got) != len(got) {
-				t.Fatalf("seed %d step %d: Sorted leaves %d spare capacity", seed, step, cap(got)-len(got))
+			if got := s.Packed(); cap(got.b) != len(got.b) {
+				t.Fatalf("seed %d step %d: Packed leaves %d spare capacity", seed, step, cap(got.b)-len(got.b))
 			}
 		}
 		for i, sn := range snaps {
-			if !slices.Equal(sn.shared, sn.copied) {
-				t.Fatalf("seed %d: slice handed out before step %d was rewritten: %v, was %v", seed, i, sn.shared, sn.copied)
+			if got := sn.shared.AppendTo(nil); !slices.Equal(got, sn.copied) {
+				t.Fatalf("seed %d: list handed out before step %d was rewritten: %v, was %v", seed, i, got, sn.copied)
 			}
 		}
 	}
@@ -124,7 +127,7 @@ func TestDistinctSliceDifferentialAndAliasing(t *testing.T) {
 
 // TestDistinctAddInOrderDoesNotAllocate: the streaming path — ids in
 // increasing order — amortises to an append; the only allocations are the
-// slice's growth and one fresh slice per level.
+// list's growth and one fresh list per level.
 func TestDistinctAddInOrderDoesNotAllocate(t *testing.T) {
 	s := NewDistinctSample(NewHasher(3), 1000)
 	x := uint64(0)

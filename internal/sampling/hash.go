@@ -5,6 +5,8 @@
 // (SIGMOD'03) for per-node hash samples.
 package sampling
 
+import "math/bits"
+
 // Hasher maps document identifiers to sampling levels such that
 // Pr[Level(x) ≥ l] = 2^-l. All hash samples participating in union or
 // intersection estimation must share the same Hasher; the paper's
@@ -29,16 +31,7 @@ func (h *Hasher) Hash(x uint64) uint64 {
 // bits of Hash(x). Levels follow a geometric distribution:
 // Pr[Level ≥ l] = 2^-l for l ≤ 63.
 func (h *Hasher) Level(x uint64) int {
-	v := h.Hash(x)
-	if v == 0 {
-		return 64
-	}
-	l := 0
-	for v&1 == 0 {
-		l++
-		v >>= 1
-	}
-	return l
+	return bits.TrailingZeros64(h.Hash(x))
 }
 
 // splitmix64 is the SplitMix64 finalizer: a fast, well-distributed
