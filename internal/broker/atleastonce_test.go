@@ -327,19 +327,7 @@ func TestCrashPointMatrix(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		blob, err := EncodeState(st)
-		if err != nil {
-			t.Fatal(err)
-		}
-		st2, err := DecodeState(blob)
-		if err != nil {
-			t.Fatal(err)
-		}
-		e2, err := Restore(cfg, st2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { e2.Close() })
+		e2 := streamState(t, cfg, e, st)
 		r, err := e2.DrainBatch(id, 0, 0)
 		if err != nil {
 			t.Fatal(err)

@@ -1,9 +1,12 @@
 package broker
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"io"
+	"maps"
 	"slices"
 	"sync/atomic"
 
@@ -30,8 +33,30 @@ import (
 // verbatim. A restored broker therefore routes exactly like the broker
 // that crashed, whatever the estimator drift.
 
-// stateFormat versions State for gob compatibility checks.
-const stateFormat = 1
+// A snapshot payload (format 2) is a stream of small gob messages
+// written straight into the store's file: a snapHeader, Subs SubEntry
+// messages, a State holding only the partition, Docs snapDoc messages
+// (pinned documents, packed), then core.Estimator.Save's own stream. A
+// format-1 payload (decodeSnapshotV1) is read, never written.
+const (
+	stateFormat    = 1 // State, the whole of a format-1 payload
+	snapshotFormat = 2
+)
+
+// snapHeader opens a format-2 payload: the engine's and the overlay's
+// watermarks and the section counts.
+type snapHeader struct {
+	Format                       int
+	NextID, PubSeq, WalLSN       uint64
+	AdvertVersion, OverlayPubSeq uint64
+	Subs, Docs                   int
+}
+
+// snapDoc is one entry of State.Packed.
+type snapDoc struct {
+	Seq uint64
+	Doc []byte
+}
 
 // SubEntry is one subscription in a State, identified by its stable id
 // and pattern expression (State.Subs lists the registry in id order).
@@ -68,10 +93,11 @@ type QueuedDelivery struct {
 
 // State is a point-in-time snapshot of the engine's durable state:
 // the subscription registry, the community partition, the id/sequence
-// watermarks, and the estimator synopsis. (Snapshots written by the
-// sharded layout also carry Shards and CommShard; gob drops fields the
-// struct no longer has, and that layout re-balances a snapshot without
-// them, so both directions recover.)
+// watermarks and the pinned documents; WriteSnapshot streams the
+// estimator synopsis after it. (Snapshots written by the sharded layout
+// also carry Shards and CommShard; gob drops fields the struct no longer
+// has, and that layout re-balances a snapshot without them, so both
+// directions recover.)
 // At-most-once delivery-ring contents are deliberately excluded —
 // queued-but-undrained best-effort deliveries die with the process
 // (documented loss window, surfaced to consumers as a gap marker).
@@ -105,20 +131,13 @@ type State struct {
 	// snapshot written before Packed existed: read, never written.
 	Packed map[uint64][]byte
 	Docs   map[uint64]string
-	// Estimator is the synopsis serialization (core.Estimator.Save).
+	// Estimator is core.Estimator.Save's bytes in a format-1 payload
+	// (read, never written); est is a format-2 payload's estimator.
 	Estimator []byte
+	est       *core.Estimator
 }
 
-// EncodeState serializes a State.
-func EncodeState(st *State) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
-		return nil, fmt.Errorf("broker: encode state: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// DecodeState parses a State produced by EncodeState.
+// DecodeState parses the State of a format-1 payload.
 func DecodeState(data []byte) (*State, error) {
 	var st State
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
@@ -130,13 +149,9 @@ func DecodeState(data []byte) (*State, error) {
 	return &st, nil
 }
 
-// State snapshots the engine's durable state. The registry/clustering
-// part is one consistent cut (taken under the registry lock); the
-// estimator serialization follows outside it, so documents ingested
-// concurrently may or may not be included — harmless skew, since the
-// estimator only steers future clustering decisions and those are
-// journaled as outcomes anyway. Call Flush first for a deterministic
-// synopsis (tests do).
+// State snapshots the engine's durable state but the estimator: one
+// consistent cut of the registry and clustering, then the documents it
+// references.
 //
 // Unlike the mutating entry points, State works on a closed engine: a
 // closed engine is quiescent (no further commits can race the cut),
@@ -188,11 +203,6 @@ func (e *Engine) State() (*State, error) {
 			}
 		}
 	}
-	var buf bytes.Buffer
-	if err := e.est.Save(&buf); err != nil {
-		return nil, fmt.Errorf("broker: save estimator: %w", err)
-	}
-	st.Estimator = buf.Bytes()
 	return st, nil
 }
 
@@ -200,25 +210,79 @@ func (e *Engine) State() (*State, error) {
 // snapshot, stamped with the overlay's epoch watermarks (zero for a
 // broker outside a federation) and covering exactly the journal records
 // the cut includes (State.WalLSN): records committed between the cut and
-// the write stay above the watermark and replay over it.
+// the write stay above the watermark and replay over it. The estimator
+// streams last, under its read lock, and may hold documents ingested
+// after the cut — harmless skew: it only steers future clustering, whose
+// decisions are journaled. Call Flush first for a deterministic synopsis.
 func (e *Engine) WriteSnapshot(store *persist.Store, advertVersion, pubSeq uint64) error {
 	st, err := e.State()
 	if err != nil {
 		return err
 	}
-	data, err := EncodeState(st)
-	if err != nil {
-		return err
-	}
-	payload, err := (&persist.Snapshot{Broker: data, AdvertVersion: advertVersion, PubSeq: pubSeq}).Encode()
-	if err != nil {
-		return err
-	}
-	return store.WriteSnapshot(payload, st.WalLSN)
+	return store.WriteSnapshot(st.WalLSN, func(w io.Writer) error {
+		return e.encodeSnapshot(w, st, advertVersion, pubSeq)
+	})
 }
 
-// Restore starts an engine from a snapshot: the estimator is loaded
-// from the saved synopsis, every subscription re-enters its snapshotted
+// encodeSnapshot writes st and the estimator to w as a format-2
+// payload.
+func (e *Engine) encodeSnapshot(w io.Writer, st *State, advertVersion, pubSeq uint64) error {
+	enc := gob.NewEncoder(w)
+	err := enc.Encode(&snapHeader{snapshotFormat, st.NextID, st.PubSeq, st.WalLSN, advertVersion, pubSeq, len(st.Subs), len(st.Packed)})
+	for i := 0; i < len(st.Subs) && err == nil; i++ {
+		err = enc.Encode(&st.Subs[i])
+	}
+	if err == nil {
+		err = enc.Encode(&State{Groups: st.Groups, Reps: st.Reps})
+	}
+	for _, seq := range slices.Sorted(maps.Keys(st.Packed)) {
+		if err == nil {
+			err = enc.Encode(&snapDoc{seq, st.Packed[seq]})
+		}
+	}
+	if err != nil {
+		return fmt.Errorf("broker: encode snapshot: %w", err)
+	}
+	return e.est.Save(w)
+}
+
+// decodeSnapshot reads a format-2 payload into a State and the overlay
+// epoch floor.
+func decodeSnapshot(r io.Reader) (*State, uint64, error) {
+	br := bufio.NewReader(r) // a ByteReader: gob reads no further than each message
+	dec := gob.NewDecoder(br)
+	var hdr snapHeader
+	err := dec.Decode(&hdr)
+	if err == nil && hdr.Format != snapshotFormat {
+		err = fmt.Errorf("format %d, want %d", hdr.Format, snapshotFormat)
+	}
+	st := &State{Format: stateFormat, Packed: map[uint64][]byte{}}
+	for i := 0; i < hdr.Subs && err == nil; i++ {
+		var se SubEntry
+		err = dec.Decode(&se)
+		st.Subs = append(st.Subs, se)
+	}
+	if err == nil {
+		err = dec.Decode(st)
+	}
+	for i := 0; i < hdr.Docs && err == nil; i++ {
+		var d snapDoc
+		err = dec.Decode(&d)
+		st.Packed[d.Seq] = d.Doc
+	}
+	if err == nil {
+		st.est, err = core.LoadEstimator(br)
+	}
+	if err != nil {
+		return nil, 0, fmt.Errorf("broker: decode snapshot: %w", err)
+	}
+	st.NextID, st.PubSeq, st.WalLSN = hdr.NextID, hdr.PubSeq, hdr.WalLSN
+	return st, max(hdr.AdvertVersion, hdr.OverlayPubSeq), nil
+}
+
+// Restore starts an engine from a snapshot: the estimator is the one
+// the snapshot saved (State.Estimator, or streamed in a format-2
+// payload), every subscription re-enters its snapshotted
 // community, and the forest and routing table are rebuilt directly from
 // the saved partition — no similarity computation and no greedy
 // re-clustering on the recovery path.
@@ -227,12 +291,13 @@ func Restore(cfg Config, st *State) (_ *Engine, err error) {
 	if st == nil {
 		return nil, fmt.Errorf("broker: restore: nil state")
 	}
-	var est *core.Estimator
+	est := st.est
 	if len(st.Estimator) > 0 {
-		est, err = core.LoadEstimator(bytes.NewReader(st.Estimator))
-		if err != nil {
+		if est, err = core.LoadEstimator(bytes.NewReader(st.Estimator)); err != nil {
 			return nil, fmt.Errorf("broker: restore estimator: %w", err)
 		}
+	}
+	if est != nil {
 		est.SetStreamConfig(cfg.Estimator.ParseOptions, cfg.Estimator.DTD)
 	} else {
 		est = core.NewEstimator(cfg.Estimator)
@@ -319,29 +384,9 @@ func Restore(cfg Config, st *State) (_ *Engine, err error) {
 //
 // On error the store is left open for the caller to close.
 func Recover(cfg Config, store *persist.Store) (*Engine, uint64, error) {
-	var (
-		e     *Engine
-		floor uint64
-	)
-	payload, ok, err := store.LoadSnapshot()
+	e, floor, err := restoreSnapshot(cfg, store)
 	if err != nil {
 		return nil, 0, err
-	}
-	if ok {
-		env, err := persist.DecodeSnapshot(payload)
-		if err != nil {
-			return nil, 0, err
-		}
-		st, err := DecodeState(env.Broker)
-		if err != nil {
-			return nil, 0, err
-		}
-		if e, err = Restore(cfg, st); err != nil {
-			return nil, 0, err
-		}
-		floor = max(env.AdvertVersion, env.PubSeq)
-	} else {
-		e = New(cfg)
 	}
 	if err := store.Replay(func(rec persist.Record) error {
 		if rec.Op == persist.OpBootEpoch {
@@ -355,6 +400,41 @@ func Recover(cfg Config, store *persist.Store) (*Engine, uint64, error) {
 	e.lsn.Store(store.LastLSN())
 	e.SetJournal(store)
 	return e, floor, nil
+}
+
+// restoreSnapshot restores store's snapshot (a fresh engine without
+// one) and returns the engine with the overlay epoch floor.
+func restoreSnapshot(cfg Config, store *persist.Store) (e *Engine, floor uint64, err error) {
+	ok, err := store.LoadSnapshot(func(r io.Reader, format int) error {
+		decode := decodeSnapshot
+		if format == 1 {
+			decode = decodeSnapshotV1
+		}
+		st, fl, err := decode(r)
+		if err == nil {
+			floor = fl
+			e, err = Restore(cfg, st)
+		}
+		return err
+	})
+	if err == nil && !ok {
+		e = New(cfg)
+	}
+	return e, floor, err
+}
+
+// decodeSnapshotV1 reads a format-1 payload: an envelope holding the
+// gob State and the overlay's watermarks.
+func decodeSnapshotV1(r io.Reader) (*State, uint64, error) {
+	var env struct {
+		Broker                []byte
+		AdvertVersion, PubSeq uint64
+	}
+	if err := gob.NewDecoder(r).Decode(&env); err != nil {
+		return nil, 0, fmt.Errorf("broker: decode snapshot envelope: %w", err)
+	}
+	st, err := DecodeState(env.Broker)
+	return st, max(env.AdvertVersion, env.PubSeq), err
 }
 
 // Journal is the engine's write-ahead log: each mutation arrives as one

@@ -3,6 +3,10 @@ package broker
 import (
 	"bytes"
 	"encoding/gob"
+	"hash/crc32"
+	"io"
+	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"sort"
@@ -22,6 +26,69 @@ func replayStore(t *testing.T, s *persist.Store, e *Engine) {
 		return e.Apply(rec)
 	}); err != nil {
 		t.Fatalf("replay: %v", err)
+	}
+}
+
+// streamState restores st, with e's estimator, through the format-2
+// snapshot payload.
+func streamState(t *testing.T, cfg Config, e *Engine, st *State) *Engine {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := e.encodeSnapshot(&buf, st, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	st2, _, err := decodeSnapshot(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := Restore(cfg, st2)
+	if err != nil {
+		t.Fatalf("restore: %v", err)
+	}
+	t.Cleanup(func() { rec.Close() })
+	return rec
+}
+
+// loadSnapshot restores store's snapshot, without replaying the WAL.
+func loadSnapshot(t *testing.T, cfg Config, store *persist.Store) *Engine {
+	t.Helper()
+	rec, _, err := restoreSnapshot(cfg, store)
+	if err != nil {
+		t.Fatalf("restore snapshot: %v", err)
+	}
+	t.Cleanup(func() { rec.Close() })
+	return rec
+}
+
+// writeV1Snapshot writes st, with e's estimator, as dir's snapshot in
+// format 1: a gob snapFile around a gob envelope around a gob State
+// holding the estimator's saved bytes, covering the WAL up to st.WalLSN.
+// Reopen the store to read it.
+func writeV1Snapshot(t *testing.T, dir string, e *Engine, st *State) {
+	t.Helper()
+	var est, state, env, file bytes.Buffer
+	v1 := *st
+	err := e.est.Save(&est)
+	v1.Estimator = est.Bytes()
+	if err == nil {
+		err = gob.NewEncoder(&state).Encode(&v1)
+	}
+	if err == nil {
+		err = gob.NewEncoder(&env).Encode(struct{ Broker []byte }{state.Bytes()})
+	}
+	if err == nil {
+		err = gob.NewEncoder(&file).Encode(struct {
+			Format  int
+			LastLSN uint64
+			CRC     uint32
+			Payload []byte
+		}{1, st.WalLSN, crc32.ChecksumIEEE(env.Bytes()), env.Bytes()})
+	}
+	if err == nil {
+		err = os.WriteFile(filepath.Join(dir, "snapshot.snap"), file.Bytes(), 0o644)
+	}
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -212,23 +279,7 @@ func TestRecoveryEquivalence(t *testing.T) {
 	checkForests(t, e)
 
 	// "Crash" and recover: snapshot + WAL tail.
-	snap, ok, err := store.LoadSnapshot()
-	if err != nil || !ok {
-		t.Fatalf("LoadSnapshot: ok=%v err=%v", ok, err)
-	}
-	env2, err := persist.DecodeSnapshot(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st2, err := DecodeState(env2.Broker)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec, err := Restore(cfg, st2)
-	if err != nil {
-		t.Fatalf("Restore: %v", err)
-	}
-	t.Cleanup(func() { rec.Close() })
+	rec := loadSnapshot(t, cfg, store)
 	checkForests(t, rec)
 	replayStore(t, store, rec)
 
@@ -312,37 +363,12 @@ func TestSnapshotWatermarkExcludesConcurrentChurn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := EncodeState(st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	env := persist.Snapshot{Broker: data}
-	payload, err := env.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := store.WriteSnapshot(payload, st.WalLSN); err != nil {
+	if err := store.WriteSnapshot(st.WalLSN, func(w io.Writer) error { return e.encodeSnapshot(w, st, 0, 0) }); err != nil {
 		t.Fatal(err)
 	}
 
 	// Crash + recover: the straggler's WAL record must replay.
-	snap, ok, err := store.LoadSnapshot()
-	if err != nil || !ok {
-		t.Fatalf("LoadSnapshot: ok=%v err=%v", ok, err)
-	}
-	env2, err := persist.DecodeSnapshot(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st2, err := DecodeState(env2.Broker)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec, err := Restore(cfg, st2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { rec.Close() })
+	rec := loadSnapshot(t, cfg, store)
 	if rec.Live() != 1 {
 		t.Fatalf("restored snapshot holds %d subscriptions, want 1 (straggler excluded)", rec.Live())
 	}
@@ -430,15 +456,15 @@ func TestRestoreShardSkew(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	current, err := EncodeState(st)
-	if err != nil {
+	var est bytes.Buffer
+	if err := e.est.Save(&est); err != nil {
 		t.Fatal(err)
 	}
 	old := legacyState{
 		Format: st.Format, Shards: 2, Subs: st.Subs, Groups: st.Groups, Reps: st.Reps,
 		CommShard: make([]int, len(st.Groups)),
 		NextID:    st.NextID, Stale: 3, PubSeq: st.PubSeq, WalLSN: st.WalLSN,
-		Docs: st.Docs, Estimator: st.Estimator,
+		Docs: st.Docs, Estimator: est.Bytes(),
 	}
 	for g := range old.CommShard {
 		old.CommShard[g] = g % 2
@@ -448,9 +474,9 @@ func TestRestoreShardSkew(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for name, data := range map[string][]byte{"sharded": legacy.Bytes(), "current": current} {
-		t.Run(name, func(t *testing.T) {
-			st2, err := DecodeState(data)
+	for name, restored := range map[string]func(t *testing.T) *Engine{
+		"sharded": func(t *testing.T) *Engine {
+			st2, err := DecodeState(legacy.Bytes())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -458,7 +484,13 @@ func TestRestoreShardSkew(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer rec.Close()
+			t.Cleanup(func() { rec.Close() })
+			return rec
+		},
+		"current": func(t *testing.T) *Engine { return streamState(t, cfg, e, st) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			rec := restored(t)
 			checkForests(t, rec)
 			if !partitionsEqual(e.CommunityIDs(), rec.CommunityIDs()) {
 				t.Fatal("partitions differ")
@@ -598,7 +630,8 @@ func TestRecoveryFromOlderFormats(t *testing.T) {
 		docs   map[uint64]string // canonical text by sequence
 	}
 	run := func(older bool) outcome {
-		store, err := persist.Open(t.TempDir(), persist.Options{})
+		dir := t.TempDir()
+		store, err := persist.Open(dir, persist.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -639,16 +672,14 @@ func TestRecoveryFromOlderFormats(t *testing.T) {
 				st.Docs[seq] = textOf(t, doc)
 			}
 			st.Packed = nil
-		}
-		data, err := EncodeState(st)
-		if err != nil {
-			t.Fatal(err)
-		}
-		payload, err := (&persist.Snapshot{Broker: data}).Encode()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := store.WriteSnapshot(payload, st.WalLSN); err != nil {
+			writeV1Snapshot(t, dir, e, st)
+			store.Close()
+			if store, err = persist.Open(dir, persist.Options{}); err != nil {
+				t.Fatal(err)
+			}
+			defer store.Close()
+			e.SetJournal(olderJournal{store, t})
+		} else if err := store.WriteSnapshot(st.WalLSN, func(w io.Writer) error { return e.encodeSnapshot(w, st, 0, 0) }); err != nil {
 			t.Fatal(err)
 		}
 		publishAll(t, e) // the WAL tail: sequences 9–16, odd ones as text when older
@@ -658,26 +689,21 @@ func TestRecoveryFromOlderFormats(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		snap, ok, err := store.LoadSnapshot()
-		if err != nil || !ok {
-			t.Fatalf("LoadSnapshot: ok=%v err=%v", ok, err)
-		}
-		env, err := persist.DecodeSnapshot(snap)
-		if err != nil {
-			t.Fatal(err)
-		}
-		st2, err := DecodeState(env.Broker)
-		if err != nil {
-			t.Fatal(err)
+		var st2 *State
+		if _, err := store.LoadSnapshot(func(r io.Reader, format int) (err error) {
+			if format == 1 {
+				st2, _, err = decodeSnapshotV1(r)
+			} else {
+				st2, _, err = decodeSnapshot(r)
+			}
+			return err
+		}); err != nil || st2 == nil {
+			t.Fatalf("LoadSnapshot: %v", err)
 		}
 		if older != (st2.Packed == nil && len(st2.Docs) > 0) {
 			t.Fatalf("older=%v directory decoded %d packed and %d text documents", older, len(st2.Packed), len(st2.Docs))
 		}
-		rec, err := Restore(cfg, st2)
-		if err != nil {
-			t.Fatalf("Restore: %v", err)
-		}
-		t.Cleanup(func() { rec.Close() })
+		rec := loadSnapshot(t, cfg, store)
 		text, binary := 0, 0
 		if err := store.Replay(func(r persist.Record) error {
 			if r.Op == persist.OpDeliver && r.XML != "" {
@@ -830,4 +856,24 @@ func TestRecoveryEpochFloor(t *testing.T) {
 			t.Fatalf("floors %d then %d from one snapshot, want 50 then above it", first, second)
 		}
 	})
+}
+
+// TestSnapshotEnvelope reads a format-1 payload: the envelope around a
+// gob State, whose overlay watermarks floor the epoch.
+func TestSnapshotEnvelope(t *testing.T) {
+	var state, env bytes.Buffer
+	in := State{Format: stateFormat, NextID: 3, PubSeq: 9, WalLSN: 4}
+	if err := gob.NewEncoder(&state).Encode(&in); err != nil {
+		t.Fatal(err)
+	}
+	if err := gob.NewEncoder(&env).Encode(struct {
+		Broker                []byte
+		AdvertVersion, PubSeq uint64
+	}{state.Bytes(), 7, 42}); err != nil {
+		t.Fatal(err)
+	}
+	st, floor, err := decodeSnapshotV1(&env)
+	if err != nil || floor != 42 || st.NextID != 3 || st.PubSeq != 9 || st.WalLSN != 4 {
+		t.Fatalf("decodeSnapshotV1 = %+v, floor %d, %v; want the state and floor 42", st, floor, err)
+	}
 }

@@ -9,20 +9,25 @@ import (
 
 // Failpoint names fired by FS. The WAL points fire on the store's log
 // file, the snapshot points on the temp file a snapshot is staged in
-// and the rename that publishes it.
+// and the rename that publishes it, and the wal.rewrite points on the
+// temp file a partial snapshot's rewrite of the log is staged in and the
+// rename that puts it in the log's place.
 const (
-	PointWALWrite    = "wal.write"
-	PointWALSync     = "wal.sync"
-	PointWALTruncate = "wal.truncate"
-	PointSnapWrite   = "snapshot.write"
-	PointSnapSync    = "snapshot.sync"
-	PointSnapRename  = "snapshot.rename"
+	PointWALWrite         = "wal.write"
+	PointWALSync          = "wal.sync"
+	PointWALTruncate      = "wal.truncate"
+	PointSnapWrite        = "snapshot.write"
+	PointSnapSync         = "snapshot.sync"
+	PointSnapRename       = "snapshot.rename"
+	PointWALRewriteWrite  = "wal.rewrite.write"
+	PointWALRewriteSync   = "wal.rewrite.sync"
+	PointWALRewriteRename = "wal.rewrite.rename"
 )
 
 // FS is a persist.FS that consults an Injector before touching the real
 // filesystem. Files are classified by name — the store's WAL by its
-// fixed basename, snapshot staging files by their temp pattern — so a
-// rule armed on a wal.* point never trips a snapshot write.
+// fixed basename, staging files by their temp pattern — so a rule armed
+// on a wal.* point never trips a snapshot write.
 type FS struct {
 	inner persist.FS
 	inj   *Injector
@@ -46,18 +51,23 @@ func (f *FS) OpenFile(name string, flag int, perm os.FileMode) (persist.File, er
 
 func (f *FS) Open(name string) (persist.File, error) { return f.inner.Open(name) }
 
-func (f *FS) ReadFile(name string) ([]byte, error) { return f.inner.ReadFile(name) }
-
 func (f *FS) CreateTemp(dir, pattern string) (persist.File, error) {
 	file, err := f.inner.CreateTemp(dir, pattern)
 	if err != nil {
 		return nil, err
 	}
+	if strings.HasPrefix(pattern, ".wal") {
+		return &faultFile{File: file, inj: f.inj, kind: "wal.rewrite"}, nil
+	}
 	return &faultFile{File: file, inj: f.inj, kind: "snapshot"}, nil
 }
 
 func (f *FS) Rename(oldpath, newpath string) error {
-	if _, ok := f.inj.fire(PointSnapRename); ok {
+	point := PointSnapRename
+	if strings.HasSuffix(newpath, "wal.log") {
+		point = PointWALRewriteRename
+	}
+	if _, ok := f.inj.fire(point); ok {
 		return ErrInjected
 	}
 	return f.inner.Rename(oldpath, newpath)
@@ -69,7 +79,7 @@ func (f *FS) Remove(name string) error { return f.inner.Remove(name) }
 type faultFile struct {
 	persist.File
 	inj  *Injector
-	kind string // "wal" or "snapshot"
+	kind string // "wal", "snapshot" or "wal.rewrite"
 }
 
 func (f *faultFile) Write(p []byte) (int, error) {

@@ -2,6 +2,7 @@ package fault_test
 
 import (
 	"errors"
+	"io"
 	"os"
 	"strings"
 	"testing"
@@ -26,6 +27,23 @@ func appendN(t *testing.T, s *persist.Store, n int) {
 			t.Fatalf("Append %d: %v", i+1, err)
 		}
 	}
+}
+
+// payloadOf is a snapshot writer of a fixed payload.
+func payloadOf(b []byte) func(io.Writer) error {
+	return func(w io.Writer) error {
+		_, err := w.Write(b)
+		return err
+	}
+}
+
+// loadPayload reads the latest snapshot's payload whole.
+func loadPayload(s *persist.Store) (payload []byte, ok bool, err error) {
+	ok, err = s.LoadSnapshot(func(r io.Reader, _ int) error {
+		payload, err = io.ReadAll(r)
+		return err
+	})
+	return payload, ok, err
 }
 
 // replayIDs reopens dir with a clean FS and returns the IDs of every
@@ -74,7 +92,7 @@ func TestFailStopShortWrite(t *testing.T) {
 			if _, err := s.Append(persist.Record{Op: persist.OpSubscribe, ID: 100}); !errors.Is(err, persist.ErrStoreFailed) {
 				t.Fatalf("append after fault err = %v, want ErrStoreFailed", err)
 			}
-			if err := s.WriteSnapshot([]byte("x"), 3); !errors.Is(err, persist.ErrStoreFailed) {
+			if err := s.WriteSnapshot(3, payloadOf([]byte("x"))); !errors.Is(err, persist.ErrStoreFailed) {
 				t.Fatalf("snapshot after fault err = %v, want ErrStoreFailed", err)
 			}
 			s.Close()
@@ -125,7 +143,7 @@ func TestENOSPCMidSnapshot(t *testing.T) {
 	appendN(t, s, 3)
 
 	inj.Arm(fault.PointSnapWrite, fault.Rule{Mode: fault.NoSpace})
-	err := s.WriteSnapshot([]byte("state"), 3)
+	err := s.WriteSnapshot(3, payloadOf([]byte("state")))
 	if !errors.Is(err, persist.ErrStoreFailed) || !errors.Is(err, fault.ErrNoSpace) {
 		t.Fatalf("snapshot err = %v, want ErrStoreFailed wrapping ErrNoSpace", err)
 	}
@@ -139,7 +157,7 @@ func TestENOSPCMidSnapshot(t *testing.T) {
 		t.Fatalf("reopen: %v", err)
 	}
 	defer s2.Close()
-	if _, ok, err := s2.LoadSnapshot(); err != nil || ok {
+	if _, ok, err := loadPayload(s2); err != nil || ok {
 		t.Fatalf("LoadSnapshot after failed publish: ok=%v err=%v, want no snapshot", ok, err)
 	}
 	if ids := replayIDs(t, dir); len(ids) != 3 {
@@ -154,7 +172,7 @@ func TestSnapshotRenameFailure(t *testing.T) {
 	inj := fault.NewInjector()
 	s := openStore(t, dir, fault.NewFS(inj), false)
 	appendN(t, s, 2)
-	if err := s.WriteSnapshot([]byte("v1"), 2); err != nil {
+	if err := s.WriteSnapshot(2, payloadOf([]byte("v1"))); err != nil {
 		t.Fatalf("first snapshot: %v", err)
 	}
 	appendN2 := func(id uint64) {
@@ -165,7 +183,7 @@ func TestSnapshotRenameFailure(t *testing.T) {
 	appendN2(7)
 
 	inj.Arm(fault.PointSnapRename, fault.Rule{Mode: fault.Fail})
-	if err := s.WriteSnapshot([]byte("v2"), 3); !errors.Is(err, persist.ErrStoreFailed) {
+	if err := s.WriteSnapshot(3, payloadOf([]byte("v2"))); !errors.Is(err, persist.ErrStoreFailed) {
 		t.Fatalf("snapshot err = %v, want ErrStoreFailed", err)
 	}
 	s.Close()
@@ -175,7 +193,7 @@ func TestSnapshotRenameFailure(t *testing.T) {
 		t.Fatalf("reopen: %v", err)
 	}
 	defer s2.Close()
-	payload, ok, err := s2.LoadSnapshot()
+	payload, ok, err := loadPayload(s2)
 	if err != nil || !ok || string(payload) != "v1" {
 		t.Fatalf("LoadSnapshot = %q ok=%v err=%v, want the v1 snapshot", payload, ok, err)
 	}
@@ -202,6 +220,50 @@ func TestSnapshotRenameFailure(t *testing.T) {
 	}
 }
 
+// TestWALRewriteFaults: a partial snapshot — its cut at record 3 of 5 —
+// publishes, then rewrites the log to hold records 4 and 5 alone. A
+// fault at each filesystem step of that rewrite (the temp file's write,
+// its fsync, the rename over wal.log) fails the store after the
+// snapshot's rename, the crash the LSN watermark covers: the directory
+// recovers to the snapshot and exactly records 4 and 5, as it does
+// without a fault.
+func TestWALRewriteFaults(t *testing.T) {
+	for _, c := range []struct {
+		point string
+		mode  fault.Mode
+	}{{"none", fault.Fail}, {fault.PointWALRewriteWrite, fault.Short}, {fault.PointWALRewriteWrite, fault.NoSpace},
+		{fault.PointWALRewriteSync, fault.Fail}, {fault.PointWALRewriteRename, fault.Fail}} {
+		t.Run(c.point+":"+c.mode.String(), func(t *testing.T) {
+			dir := t.TempDir()
+			inj := fault.NewInjector()
+			s := openStore(t, dir, fault.NewFS(inj), false)
+			appendN(t, s, 5)
+			inj.Arm(c.point, fault.Rule{Mode: c.mode})
+			err := s.WriteSnapshot(3, payloadOf([]byte("covers-3")))
+			if fired := !inj.Armed(); fired != (err != nil) || fired && !errors.Is(err, persist.ErrStoreFailed) {
+				t.Fatalf("snapshot err = %v with the fault fired %v, want ErrStoreFailed exactly when it fired", err, fired)
+			}
+			if c.point != "none" && inj.Armed() {
+				t.Fatalf("%s never fired", c.point)
+			}
+			s.Close()
+
+			s2, err := persist.Open(dir, persist.Options{})
+			if err != nil {
+				t.Fatalf("reopen: %v", err)
+			}
+			payload, ok, err := loadPayload(s2)
+			s2.Close()
+			if err != nil || !ok || string(payload) != "covers-3" {
+				t.Fatalf("LoadSnapshot = %q ok=%v err=%v, want covers-3", payload, ok, err)
+			}
+			if ids := replayIDs(t, dir); len(ids) != 2 || ids[0] != 4 || ids[1] != 5 {
+				t.Fatalf("replayed %v over the snapshot, want [4 5]", ids)
+			}
+		})
+	}
+}
+
 // TestWALTruncateFailure: a snapshot that publishes but cannot truncate
 // the covered WAL prefix latches the store; the stale records are
 // skipped by the watermark on replay, so the state is still exact.
@@ -212,7 +274,7 @@ func TestWALTruncateFailure(t *testing.T) {
 	appendN(t, s, 3)
 
 	inj.Arm(fault.PointWALTruncate, fault.Rule{Mode: fault.Fail})
-	if err := s.WriteSnapshot([]byte("covers-3"), 3); !errors.Is(err, persist.ErrStoreFailed) {
+	if err := s.WriteSnapshot(3, payloadOf([]byte("covers-3"))); !errors.Is(err, persist.ErrStoreFailed) {
 		t.Fatalf("snapshot err = %v, want ErrStoreFailed", err)
 	}
 	s.Close()
@@ -222,7 +284,7 @@ func TestWALTruncateFailure(t *testing.T) {
 		t.Fatalf("reopen: %v", err)
 	}
 	defer s2.Close()
-	payload, ok, err := s2.LoadSnapshot()
+	payload, ok, err := loadPayload(s2)
 	if err != nil || !ok || string(payload) != "covers-3" {
 		t.Fatalf("LoadSnapshot = %q ok=%v err=%v", payload, ok, err)
 	}

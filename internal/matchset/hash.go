@@ -194,20 +194,14 @@ func (v *hashValue) Intersect(o Value) Value {
 // intersectCard mirrors Intersect + Card without building the value:
 // the intersection keeps the raw common identifiers at level
 // max(v.level, ov.level), so its cardinality is the common count scaled
-// by 2^level.
+// by 2^level. The count merges the two gap lists as they decode, with
+// no scratch.
 func (v *hashValue) intersectCard(o Value) float64 {
 	ov, ok := o.(*hashValue)
 	if !ok {
 		panic(kindMismatch(v, o))
 	}
-	if v.ids.Len() == 0 || ov.ids.Len() == 0 {
-		return 0
-	}
-	fa, _ := v.decode(nil, v.level)
-	fb, _ := ov.decode(nil, ov.level)
-	n := intersectCount(*fa, *fb)
-	scratchPut(fa)
-	scratchPut(fb)
+	n := v.ids.CountCommon(ov.ids)
 	return float64(n) * float64(uint64(1)<<uint(max(v.level, ov.level)))
 }
 

@@ -159,8 +159,24 @@ type Dump struct {
 	Counter float64
 	// Level is the distinct-sampling level (Hashes only).
 	Level int
-	// IDs are the retained document identifiers (Sets and Hashes).
-	IDs []uint64
+	// IDs are the retained document identifiers (Sets and Hashes); N,
+	// Base and Gaps hold a Hashes sample packed instead (PackedDump).
+	IDs  []uint64
+	N    int
+	Base uint64
+	Gaps []byte
+}
+
+// PackedDump is s's Dump with a Hashes sample as its packed bytes
+// (shared, not copied) in place of IDs: the form an encoder writes.
+func PackedDump(s Store) Dump {
+	if s.Kind() != KindHashes {
+		return s.Dump()
+	}
+	v := s.Value().(*hashValue)
+	d := Dump{Kind: KindHashes, Level: v.level}
+	d.N, d.Base, d.Gaps = v.ids.Raw()
+	return d
 }
 
 // Factory builds stores and empty values for one representation with
@@ -222,7 +238,8 @@ func (f *Factory) NewStore() Store {
 }
 
 // Restore rebuilds a store from a Dump produced by a store of the same
-// kind. It panics on kind mismatch.
+// kind, by Dump or PackedDump. It panics on kind mismatch. Packed ids
+// are trusted: a decoder checks them first (sampling.Unpack).
 func (f *Factory) Restore(d Dump) Store {
 	if d.Kind != f.kind {
 		panic(fmt.Sprintf("matchset: restore kind %s into factory of kind %s", d.Kind, f.kind))
@@ -236,16 +253,20 @@ func (f *Factory) Restore(d Dump) Store {
 			s.ids[x] = struct{}{}
 		}
 		return s
-	default:
-		// A dump written by an older version lists ids in map order:
-		// sorted first, every Add below is an append.
-		hs := &hashStore{f: f, s: sampling.NewDistinctSample(f.hasher, f.capacity)}
-		for _, x := range sortIDs(slices.Clone(d.IDs)) {
-			hs.s.Add(x)
-		}
-		hs.s.ForceLevel(d.Level)
-		return hs
 	}
+	// A dump written by an older version lists ids in map order: sorted
+	// first, every Add below is an append.
+	ids := slices.Values(sortIDs(slices.Clone(d.IDs)))
+	if d.IDs == nil {
+		p, _ := sampling.Unpack(d.N, d.Base, d.Gaps)
+		ids = p.All()
+	}
+	hs := &hashStore{f: f, s: sampling.NewDistinctSample(f.hasher, f.capacity)}
+	for x := range ids {
+		hs.s.Add(x)
+	}
+	hs.s.ForceLevel(d.Level)
+	return hs
 }
 
 // Freeze returns a read-only store fixed at s's current contents: its

@@ -32,7 +32,6 @@ type FS interface {
 	OpenFile(name string, flag int, perm os.FileMode) (File, error)
 	// Open opens for reading only; also used to fsync directories.
 	Open(name string) (File, error)
-	ReadFile(name string) ([]byte, error)
 	CreateTemp(dir, pattern string) (File, error)
 	Rename(oldpath, newpath string) error
 	Remove(name string) error
@@ -48,8 +47,6 @@ func (OSFS) OpenFile(name string, flag int, perm os.FileMode) (File, error) {
 }
 
 func (OSFS) Open(name string) (File, error) { return os.Open(name) }
-
-func (OSFS) ReadFile(name string) ([]byte, error) { return os.ReadFile(name) }
 
 func (OSFS) CreateTemp(dir, pattern string) (File, error) { return os.CreateTemp(dir, pattern) }
 

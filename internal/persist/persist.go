@@ -14,9 +14,10 @@
 // Records are LSN-numbered; the snapshot stamps the last LSN it covers,
 // and replay skips records at or below that watermark, which makes
 // recovery idempotent under every crash interleaving — including a
-// crash between the snapshot rename and the WAL truncation that
-// normally follows it (the stale records are simply skipped on the next
-// boot).
+// crash between the snapshot rename and the cut of the WAL that
+// follows it (the stale records are simply skipped on the next boot).
+// The cut truncates the log, or, when records landed after the
+// snapshot's state cut, rewrites it to hold only those.
 //
 // The WAL is length-prefixed and CRC-checked per record. A torn final
 // record — the expected artifact of crashing mid-append — is detected,
@@ -26,7 +27,8 @@
 // The package is deliberately ignorant of broker internals: a record
 // carries enough to replay one decision (a subscribe, for instance, its
 // expression and the community placement the broker chose), and the
-// snapshot payload is an opaque byte slice the broker encodes itself.
+// snapshot payload is an opaque stream the broker writes into the file
+// and reads back out of it (snapshot.go has the file format).
 package persist
 
 // Record operation kinds.

@@ -23,6 +23,23 @@ func openT(t *testing.T, dir string) *Store {
 	return s
 }
 
+// payloadOf is a snapshot writer of a fixed payload.
+func payloadOf(b []byte) func(io.Writer) error {
+	return func(w io.Writer) error {
+		_, err := w.Write(b)
+		return err
+	}
+}
+
+// loadPayload reads the latest snapshot's payload whole.
+func loadPayload(s *Store) (payload []byte, ok bool, err error) {
+	ok, err = s.LoadSnapshot(func(r io.Reader, _ int) error {
+		payload, err = io.ReadAll(r)
+		return err
+	})
+	return payload, ok, err
+}
+
 func replayAll(t *testing.T, s *Store) []Record {
 	t.Helper()
 	var recs []Record
@@ -360,7 +377,7 @@ func TestSnapshotRoundTripAndWatermark(t *testing.T) {
 		}
 	}
 	payload := []byte("state-at-lsn-2")
-	if err := s.WriteSnapshot(payload, s.LastLSN()); err != nil {
+	if err := s.WriteSnapshot(s.LastLSN(), payloadOf(payload)); err != nil {
 		t.Fatalf("WriteSnapshot: %v", err)
 	}
 	if s.Pending() != 0 {
@@ -375,7 +392,7 @@ func TestSnapshotRoundTripAndWatermark(t *testing.T) {
 
 	s2 := openT(t, dir)
 	defer s2.Close()
-	got, ok, err := s2.LoadSnapshot()
+	got, ok, err := loadPayload(s2)
 	if err != nil || !ok {
 		t.Fatalf("LoadSnapshot: ok=%v err=%v", ok, err)
 	}
@@ -404,7 +421,7 @@ func TestSnapshotPartialCoverageKeepsTail(t *testing.T) {
 	if _, err := s.Append(Record{Op: OpSubscribe, ID: 3, Expr: "/y"}); err != nil { // ...then churn lands (LSN 3)...
 		t.Fatal(err)
 	}
-	if err := s.WriteSnapshot([]byte("covers-1-2"), 2); err != nil { // ...and only then the snapshot writes.
+	if err := s.WriteSnapshot(2, payloadOf([]byte("covers-1-2"))); err != nil { // ...and only then the snapshot writes.
 		t.Fatalf("WriteSnapshot: %v", err)
 	}
 	if got := s.Pending(); got != 1 {
@@ -418,7 +435,7 @@ func TestSnapshotPartialCoverageKeepsTail(t *testing.T) {
 		t.Fatalf("replayed %+v, want just the uncovered LSN 3", recs)
 	}
 	// A fully covering snapshot then truncates as usual.
-	if err := s2.WriteSnapshot([]byte("covers-1-2-3"), s2.LastLSN()); err != nil {
+	if err := s2.WriteSnapshot(s2.LastLSN(), payloadOf([]byte("covers-1-2-3"))); err != nil {
 		t.Fatal(err)
 	}
 	if got := s2.Pending(); got != 0 {
@@ -432,7 +449,7 @@ func TestSnapshotPartialCoverageKeepsTail(t *testing.T) {
 	}
 	// Watermarks above the tail are clamped, never claiming coverage of
 	// records that do not exist yet.
-	if err := s3.WriteSnapshot([]byte("clamped"), 999); err != nil {
+	if err := s3.WriteSnapshot(999, payloadOf([]byte("clamped"))); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s3.Append(Record{Op: OpSubscribe, ID: 4, Expr: "/z"}); err != nil {
@@ -459,7 +476,7 @@ func TestReplaySkipsStaleRecordsAfterSkewedCrash(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.WriteSnapshot([]byte("covers-1-2-3"), 3); err != nil {
+	if err := s.WriteSnapshot(3, payloadOf([]byte("covers-1-2-3"))); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.Append(Record{Op: OpUnsubscribe, ID: 2}); err != nil { // LSN 4
@@ -494,10 +511,10 @@ func TestReplaySkipsStaleRecordsAfterSkewedCrash(t *testing.T) {
 func TestSnapshotAtomicOverwrite(t *testing.T) {
 	dir := t.TempDir()
 	s := openT(t, dir)
-	if err := s.WriteSnapshot([]byte("v1"), 0); err != nil {
+	if err := s.WriteSnapshot(0, payloadOf([]byte("v1"))); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.WriteSnapshot([]byte("v2"), 0); err != nil {
+	if err := s.WriteSnapshot(0, payloadOf([]byte("v2"))); err != nil {
 		t.Fatal(err)
 	}
 	s.Close()
@@ -513,23 +530,8 @@ func TestSnapshotAtomicOverwrite(t *testing.T) {
 	}
 	s2 := openT(t, dir)
 	defer s2.Close()
-	got, ok, err := s2.LoadSnapshot()
+	got, ok, err := loadPayload(s2)
 	if err != nil || !ok || string(got) != "v2" {
 		t.Fatalf("LoadSnapshot = %q ok=%v err=%v, want v2", got, ok, err)
-	}
-}
-
-func TestSnapshotEnvelope(t *testing.T) {
-	in := &Snapshot{Broker: []byte("engine"), AdvertVersion: 7, PubSeq: 42}
-	data, err := in.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := DecodeSnapshot(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(out.Broker, in.Broker) || out.AdvertVersion != 7 || out.PubSeq != 42 {
-		t.Fatalf("round trip = %+v, want %+v", out, in)
 	}
 }

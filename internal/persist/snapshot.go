@@ -1,20 +1,35 @@
 package persist
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
-	"path/filepath"
 )
 
-// snapshotFormat versions the on-disk snapshot file. Decoders reject
-// other versions rather than guess.
-const snapshotFormat = 1
+// A snapshot file (format 2) is written in one pass, the payload
+// streamed by its writer:
+//
+//	[8] snapMagic: "\x89TSSNAP" and the format byte, 2
+//	[8] LastLSN, the WAL watermark the payload covers (little-endian)
+//	[N] payload
+//	[8] N, then [4] the CRC32 (IEEE) of LastLSN and the payload
+//
+// A reader checks the length and the CRC over the whole file before it
+// hands out a byte of the payload. 0x89 never opens a gob stream, which
+// tells a format-1 file apart: a gob snapFile holding the payload as one
+// []byte, read and never written.
+const snapshotFormat = 2
 
-// snapFile is the on-disk snapshot container: an opaque payload plus
-// the WAL watermark it covers, CRC-protected.
+var snapMagic = [8]byte{0x89, 'T', 'S', 'S', 'N', 'A', 'P', snapshotFormat}
+
+// snapFile is a format-1 snapshot: an opaque payload plus the WAL
+// watermark it covers, CRC-protected.
 type snapFile struct {
 	Format  int
 	LastLSN uint64
@@ -22,61 +37,104 @@ type snapFile struct {
 	Payload []byte
 }
 
-// writeSnapshotFile atomically replaces path with a snapshot covering
-// records up to lastLSN: write to a temp file in the same directory,
-// fsync it, rename over the target, fsync the directory. A crash at any
-// point leaves either the old snapshot or the new one, never a hybrid.
-func writeSnapshotFile(fsys FS, path string, payload []byte, lastLSN uint64) error {
-	var buf bytes.Buffer
-	sf := snapFile{Format: snapshotFormat, LastLSN: lastLSN, CRC: crc32.ChecksumIEEE(payload), Payload: payload}
-	if err := gob.NewEncoder(&buf).Encode(sf); err != nil {
-		return fmt.Errorf("persist: encode snapshot: %w", err)
-	}
-	dir := filepath.Dir(path)
+// writeSnapshotTemp streams a snapshot covering records up to lastLSN
+// into a fresh, fsynced temp file in dir, for the caller to rename over
+// the snapshot or remove.
+func writeSnapshotTemp(fsys FS, dir string, lastLSN uint64, write func(io.Writer) error) (name string, size int64, err error) {
 	tmp, err := fsys.CreateTemp(dir, ".snapshot-*")
 	if err != nil {
-		return fmt.Errorf("persist: snapshot temp: %w", err)
+		return "", 0, err
 	}
-	tmpName := tmp.Name()
-	defer fsys.Remove(tmpName) // no-op after a successful rename
-	if _, err := tmp.Write(buf.Bytes()); err != nil {
-		tmp.Close()
-		return fmt.Errorf("persist: write snapshot: %w", err)
+	defer tmp.Close() // a second Close, after a good one, errs unread
+	bw, crc := bufio.NewWriterSize(tmp, 64<<10), crc32.NewIEEE()
+	bw.Write(snapMagic[:]) // bufio keeps a write's error for Flush
+	w := io.MultiWriter(bw, crc)
+	binary.Write(w, binary.LittleEndian, lastLSN)
+	if err = write(w); err == nil {
+		err = bw.Flush()
 	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("persist: sync snapshot: %w", err)
+	if err == nil {
+		size, err = tmp.Seek(0, io.SeekCurrent)
 	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("persist: close snapshot: %w", err)
+	if err == nil {
+		binary.Write(bw, binary.LittleEndian, struct {
+			N   uint64
+			CRC uint32
+		}{uint64(size) - 16, crc.Sum32()})
+		err = bw.Flush()
 	}
-	if err := fsys.Rename(tmpName, path); err != nil {
-		return fmt.Errorf("persist: publish snapshot: %w", err)
+	if err == nil {
+		err = tmp.Sync()
 	}
-	return syncDir(fsys, dir)
+	if err == nil {
+		err = tmp.Close()
+	}
+	return tmp.Name(), size + 12, err
 }
 
-// readSnapshotFile loads and verifies the snapshot at path. A missing
+// readSnapshot verifies the snapshot at path and, when read is not nil,
+// streams its payload through read with the file's format. A missing
 // file returns ok=false with no error.
-func readSnapshotFile(fsys FS, path string) (payload []byte, lastLSN uint64, ok bool, err error) {
-	data, err := fsys.ReadFile(path)
+func readSnapshot(fsys FS, path string, read func(payload io.Reader, format int) error) (lastLSN uint64, ok bool, err error) {
+	f, err := fsys.Open(path)
 	if os.IsNotExist(err) {
-		return nil, 0, false, nil
+		return 0, false, nil
 	}
 	if err != nil {
-		return nil, 0, false, fmt.Errorf("persist: read snapshot: %w", err)
+		return 0, false, fmt.Errorf("persist: read snapshot: %w", err)
 	}
+	defer f.Close()
+	var hdr [16]byte
+	if _, err := io.ReadFull(f, hdr[:]); err != nil || !bytes.Equal(hdr[:7], snapMagic[:7]) {
+		return readSnapshotV1(f, read)
+	}
+	crc, n := crc32.NewIEEE(), int64(-1)
+	crc.Write(hdr[8:])
+	var tr [12]byte
+	fi, err := f.Stat()
+	if err == nil {
+		n = fi.Size() - 16 - 12
+		_, err = io.CopyN(crc, f, n)
+	}
+	if err == nil {
+		_, err = io.ReadFull(f, tr[:])
+	}
+	switch {
+	case hdr[7] != snapshotFormat:
+		return 0, false, fmt.Errorf("persist: snapshot format %d, want %d", hdr[7], snapshotFormat)
+	case err != nil:
+		return 0, false, fmt.Errorf("persist: read snapshot: %w", err)
+	case n < 0:
+		return 0, false, errors.New("persist: snapshot truncated")
+	case int64(binary.LittleEndian.Uint64(tr[:8])) != n || binary.LittleEndian.Uint32(tr[8:]) != crc.Sum32():
+		return 0, false, errors.New("persist: snapshot length or checksum mismatch")
+	}
+	lastLSN = binary.LittleEndian.Uint64(hdr[8:])
+	if read == nil {
+		return lastLSN, true, nil
+	}
+	if _, err := f.Seek(16, io.SeekStart); err != nil {
+		return 0, false, fmt.Errorf("persist: read snapshot: %w", err)
+	}
+	return lastLSN, true, read(bufio.NewReaderSize(io.LimitReader(f, n), 64<<10), snapshotFormat)
+}
+
+// readSnapshotV1 is readSnapshot for a format-1 file.
+func readSnapshotV1(f File, read func(io.Reader, int) error) (uint64, bool, error) {
 	var sf snapFile
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&sf); err != nil {
-		return nil, 0, false, fmt.Errorf("persist: decode snapshot: %w", err)
+	_, err := f.Seek(0, io.SeekStart)
+	if err == nil {
+		err = gob.NewDecoder(f).Decode(&sf)
 	}
-	if sf.Format != snapshotFormat {
-		return nil, 0, false, fmt.Errorf("persist: snapshot format %d, want %d", sf.Format, snapshotFormat)
+	switch {
+	case err != nil:
+		return 0, false, fmt.Errorf("persist: decode snapshot: %w", err)
+	case sf.Format != 1 || crc32.ChecksumIEEE(sf.Payload) != sf.CRC:
+		return 0, false, fmt.Errorf("persist: snapshot format %d or checksum mismatch", sf.Format)
+	case read == nil:
+		return sf.LastLSN, true, nil
 	}
-	if crc32.ChecksumIEEE(sf.Payload) != sf.CRC {
-		return nil, 0, false, fmt.Errorf("persist: snapshot checksum mismatch")
-	}
-	return sf.Payload, sf.LastLSN, true, nil
+	return sf.LastLSN, true, read(bytes.NewReader(sf.Payload), 1)
 }
 
 func syncDir(fsys FS, dir string) error {
@@ -89,36 +147,4 @@ func syncDir(fsys FS, dir string) error {
 		return fmt.Errorf("persist: sync dir: %w", err)
 	}
 	return nil
-}
-
-// Snapshot is the envelope brokers persist as the snapshot payload: the
-// engine's encoded state plus the overlay's epoch watermarks, so a
-// restarted node resumes its advert version and publication sequence
-// above every value peers may already have seen — even if the wall
-// clock regressed across the restart.
-type Snapshot struct {
-	// Broker is the engine state (broker.EncodeState).
-	Broker []byte
-	// AdvertVersion is the overlay node's advert version at save time.
-	AdvertVersion uint64
-	// PubSeq is the overlay node's publication sequence at save time.
-	PubSeq uint64
-}
-
-// Encode serializes the envelope.
-func (s *Snapshot) Encode() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(s); err != nil {
-		return nil, fmt.Errorf("persist: encode snapshot envelope: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// DecodeSnapshot parses an envelope produced by Encode.
-func DecodeSnapshot(data []byte) (*Snapshot, error) {
-	var s Snapshot
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&s); err != nil {
-		return nil, fmt.Errorf("persist: decode snapshot envelope: %w", err)
-	}
-	return &s, nil
 }

@@ -3,6 +3,7 @@ package persist
 import (
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -67,8 +68,8 @@ func newStoreMetrics(reg *telemetry.Registry) storeMetrics {
 		fsyncNS:     reg.Histogram("treesim_wal_fsync_ns", "WAL fsync latency, nanoseconds.", lb),
 		replayed:    reg.Counter("treesim_wal_replayed_records_total", "WAL records replayed into the engine during recovery."),
 		snapWrites:  reg.Counter("treesim_snapshot_writes_total", "Snapshots published."),
-		snapBytes:   reg.Counter("treesim_snapshot_bytes_total", "Snapshot payload bytes written."),
-		snapNS:      reg.Histogram("treesim_snapshot_write_ns", "Snapshot publish latency (sync + write + rename), nanoseconds.", lb),
+		snapBytes:   reg.Counter("treesim_snapshot_bytes_total", "Snapshot file bytes written."),
+		snapNS:      reg.Histogram("treesim_snapshot_write_ns", "Snapshot write latency (encode + write + sync + rename), nanoseconds.", lb),
 		snapLoads:   reg.Counter("treesim_snapshot_loads_total", "Snapshot payloads loaded at recovery."),
 	}
 }
@@ -91,6 +92,12 @@ type Store struct {
 	pending int    // records appended since the last snapshot
 	closed  bool
 	failed  bool // fail-stop latch; see ErrStoreFailed
+
+	// Offsets in the log as appended since Open: walEnd is past the last
+	// record, walBase where the file now starts, and ends[lsn%len] past
+	// each of the last len records (0 before Open), where a cut falls.
+	walEnd, walBase int64
+	ends            [4096]int64
 }
 
 // Open opens (creating if needed) the data directory and its WAL. A
@@ -118,7 +125,7 @@ func Open(dir string, opts Options) (*Store, error) {
 		}
 		return 0
 	})
-	_, snapLSN, ok, err := readSnapshotFile(fsys, s.snapshotPath())
+	snapLSN, ok, err := readSnapshot(fsys, s.snapshotPath(), nil)
 	if err != nil {
 		return nil, err
 	}
@@ -145,22 +152,25 @@ func Open(dir string, opts Options) (*Store, error) {
 		return nil, fmt.Errorf("persist: seek wal: %w", err)
 	}
 	s.wal = f
-	s.lastLSN = max64(lastLSN, s.snapLSN)
+	s.lastLSN = max(lastLSN, s.snapLSN)
 	s.nextLSN = s.lastLSN + 1
+	s.walEnd = goodEnd
+	s.ends[s.lastLSN%uint64(len(s.ends))] = goodEnd
 	return s, nil
 }
 
 // Dir returns the data directory path.
 func (s *Store) Dir() string { return s.dir }
 
-// LoadSnapshot returns the latest snapshot payload, or ok=false when
-// none has been written yet.
-func (s *Store) LoadSnapshot() (payload []byte, ok bool, err error) {
-	payload, _, ok, err = readSnapshotFile(s.fs, s.snapshotPath())
+// LoadSnapshot streams the latest snapshot's payload through read with
+// its file's format, once the whole file has passed its length and CRC
+// checks; ok=false when none has been written yet.
+func (s *Store) LoadSnapshot(read func(payload io.Reader, format int) error) (ok bool, err error) {
+	_, ok, err = readSnapshot(s.fs, s.snapshotPath(), read)
 	if err == nil && ok {
 		s.met.snapLoads.Inc()
 	}
-	return payload, ok, err
+	return ok, err
 }
 
 // Replay streams the WAL records not covered by the snapshot (LSN above
@@ -204,11 +214,8 @@ func (s *Store) Replay(fn func(Record) error) error {
 func (s *Store) Append(rec Record) (uint64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return 0, fmt.Errorf("persist: store closed")
-	}
-	if s.failed {
-		return 0, ErrStoreFailed
+	if err := s.usableLocked(); err != nil {
+		return 0, err
 	}
 	lsn := s.nextLSN
 	n, err := appendWAL(s.wal, lsn, rec)
@@ -225,6 +232,8 @@ func (s *Store) Append(rec Record) (uint64, error) {
 	s.nextLSN++
 	s.lastLSN = lsn
 	s.pending++
+	s.walEnd += int64(n)
+	s.ends[lsn%uint64(len(s.ends))] = s.walEnd
 	return lsn, nil
 }
 
@@ -245,58 +254,122 @@ func (s *Store) Pending() int {
 }
 
 // WriteSnapshot atomically publishes a snapshot covering every record
-// up to and including LSN upto, then drops the WAL records the payload
-// covers. The caller must pass the watermark its payload actually
-// reflects — the LSN of the last journaled record included in the
-// state cut — NOT the store's current tail: records appended between
-// the cut and this call are newer than the payload, and stamping them
-// as covered would silently drop committed churn on replay. When upto
-// equals the tail the WAL is truncated; when records have landed past
-// it they are preserved (still pending) and replayed over the new
-// snapshot on recovery.
+// up to and including LSN upto, its payload streamed by write, then cuts
+// the covered records from the WAL. The caller must pass the watermark
+// its payload actually reflects — the LSN of the last journaled record
+// included in the state cut — NOT the store's current tail: records
+// appended between the cut and this call are newer than the payload, and
+// stamping them as covered would silently drop committed churn on
+// replay. The file is written and fsynced without the store's lock, so
+// appends go on meanwhile; a snapshot whose watermark fell below one
+// published meanwhile is dropped.
 //
 // The snapshot rename is the commit point: a crash before it keeps the
-// old snapshot + full WAL, a crash after it but before the truncation
+// old snapshot + full WAL, a crash after it but before the WAL is cut
 // leaves stale WAL records that the LSN watermark skips on replay.
-func (s *Store) WriteSnapshot(payload []byte, upto uint64) error {
+func (s *Store) WriteSnapshot(upto uint64, write func(io.Writer) error) error {
+	s.mu.Lock()
+	err := s.usableLocked()
+	upto = min(upto, s.lastLSN) // never claim records not yet written
+	s.mu.Unlock()
+	if err != nil {
+		return err
+	}
+	snapStart := time.Now()
+	tmp, size, err := writeSnapshotTemp(s.fs, s.dir, upto, write)
+	defer s.fs.Remove(tmp) // no-op after a successful rename
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if uerr := s.usableLocked(); uerr != nil {
+		return uerr
+	}
+	if err != nil {
+		return s.failLocked(fmt.Errorf("persist: write snapshot: %w", err))
+	}
+	if upto < s.snapLSN {
+		return nil // a later cut was published meanwhile
+	}
+	if err := s.syncWALTimed(); err != nil {
+		return s.failLocked(err)
+	}
+	if err := s.publish(tmp, s.snapshotPath()); err != nil {
+		return s.failLocked(err)
+	}
+	s.met.snapWrites.Inc()
+	s.met.snapBytes.Add(uint64(size))
+	s.met.snapNS.ObserveDuration(time.Since(snapStart).Nanoseconds())
+	s.snapLSN = upto
+	s.pending = int(s.lastLSN - upto)
+	if err := s.cutWALLocked(upto); err != nil {
+		return s.failLocked(err)
+	}
+	return nil
+}
+
+// cutWALLocked drops the records up to upto from the log: it truncates
+// the file when that is all of them and otherwise, for a recent upto,
+// rewrites it to hold the records above (copy, fsync, rename, reopen).
+// An older upto keeps the log, whose covered records the watermark skips
+// on replay until a later snapshot cuts them. Caller holds s.mu.
+func (s *Store) cutWALLocked(upto uint64) error {
+	if upto == s.lastLSN {
+		s.walBase = s.walEnd
+		if err := s.wal.Truncate(0); err != nil {
+			return fmt.Errorf("persist: truncate wal: %w", err)
+		}
+		_, err := s.wal.Seek(0, io.SeekStart)
+		return err
+	}
+	cut := s.ends[upto%uint64(len(s.ends))]
+	if s.lastLSN-upto >= uint64(len(s.ends)) || cut <= s.walBase {
+		return nil
+	}
+	tmp, err := s.fs.CreateTemp(s.dir, ".wal-*")
+	if err != nil {
+		return fmt.Errorf("persist: rewrite wal: %w", err)
+	}
+	defer s.fs.Remove(tmp.Name()) // no-op after a successful rename
+	defer tmp.Close()             // a second Close, after a good one, errs unread
+	var f File
+	if _, err = s.wal.Seek(cut-s.walBase, io.SeekStart); err == nil {
+		_, err = io.Copy(tmp, s.wal)
+	}
+	if err == nil {
+		err = tmp.Sync()
+	}
+	if err == nil {
+		err = tmp.Close()
+	}
+	if err == nil {
+		err = s.publish(tmp.Name(), s.walPath())
+	}
+	if err == nil {
+		f, err = s.fs.OpenFile(s.walPath(), os.O_RDWR|os.O_APPEND, 0o644)
+	}
+	if err != nil {
+		return fmt.Errorf("persist: rewrite wal: %w", err)
+	}
+	s.wal.Close()
+	s.wal, s.walBase = f, cut
+	return nil
+}
+
+// publish renames tmp over path and fsyncs the directory.
+func (s *Store) publish(tmp, path string) error {
+	if err := s.fs.Rename(tmp, path); err != nil {
+		return fmt.Errorf("persist: publish %s: %w", filepath.Base(path), err)
+	}
+	return syncDir(s.fs, s.dir)
+}
+
+// usableLocked is the error of a closed or failed store. Caller holds
+// s.mu.
+func (s *Store) usableLocked() error {
 	if s.closed {
 		return fmt.Errorf("persist: store closed")
 	}
 	if s.failed {
 		return ErrStoreFailed
-	}
-	if upto > s.lastLSN {
-		// A watermark above the tail would mark records not yet written
-		// as covered; clamp to what the log actually holds.
-		upto = s.lastLSN
-	}
-	snapStart := time.Now()
-	if err := s.syncWALTimed(); err != nil {
-		return s.failLocked(err)
-	}
-	if err := writeSnapshotFile(s.fs, s.snapshotPath(), payload, upto); err != nil {
-		return s.failLocked(err)
-	}
-	s.met.snapWrites.Inc()
-	s.met.snapBytes.Add(uint64(len(payload)))
-	s.met.snapNS.ObserveDuration(time.Since(snapStart).Nanoseconds())
-	s.snapLSN = upto
-	if upto < s.lastLSN {
-		// Records landed after the caller's state cut: keep the whole
-		// log (LSNs are dense, so the uncovered tail is countable) and
-		// let the watermark skip the covered prefix on replay. The next
-		// fully-covering snapshot truncates.
-		s.pending = int(s.lastLSN - upto)
-		return nil
-	}
-	s.pending = 0
-	if err := s.wal.Truncate(0); err != nil {
-		return s.failLocked(fmt.Errorf("persist: truncate wal: %w", err))
-	}
-	if _, err := s.wal.Seek(0, 0); err != nil {
-		return s.failLocked(fmt.Errorf("persist: seek wal: %w", err))
 	}
 	return nil
 }
@@ -354,10 +427,3 @@ func (s *Store) syncWALTimed() error {
 
 func (s *Store) snapshotPath() string { return filepath.Join(s.dir, snapshotName) }
 func (s *Store) walPath() string      { return filepath.Join(s.dir, walName) }
-
-func max64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
-}

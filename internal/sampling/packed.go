@@ -3,6 +3,7 @@ package sampling
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"iter"
 	"slices"
 	"sync"
@@ -52,6 +53,28 @@ func (p *Packed) Append(x uint64) {
 	p.last = x
 }
 
+// Raw returns p as it rests, for a codec: its count, the value its
+// first gap counts from, and its gaps (shared, not copied).
+func (p Packed) Raw() (n int, base uint64, gaps []byte) { return p.n, p.base, p.b }
+
+// Unpack is the list Raw returned, checked before it is trusted: every
+// gap a canonical uvarint, every gap after the first nonzero (strictly
+// ascending ids), no id past 2^64-1, and n ids. gaps is shared.
+func Unpack(n int, base uint64, gaps []byte) (Packed, error) {
+	p := Packed{b: gaps, base: base, last: base}
+	for i := 0; i < len(gaps); p.n++ {
+		g, k := binary.Uvarint(gaps[i:])
+		if k <= 0 || k > 1 && gaps[i+k-1] == 0 || g == 0 && p.n > 0 || p.last+g < p.last {
+			return Packed{}, errors.New("sampling: packed ids malformed or not ascending")
+		}
+		i, p.last = i+k, p.last+g
+	}
+	if p.n != n {
+		return Packed{}, errors.New("sampling: packed ids miscounted")
+	}
+	return p, nil
+}
+
 // Len returns the number of ids.
 func (p Packed) Len() int { return p.n }
 
@@ -96,6 +119,29 @@ func (p Packed) All() iter.Seq[uint64] {
 			}
 		}
 	}
+}
+
+// CountCommon returns how many ids p and q share, merging their gap
+// lists as they decode.
+func (p Packed) CountCommon(q Packed) (k int) {
+	if p.n == 0 || q.n == 0 {
+		return 0
+	}
+	if q.last < p.last {
+		p, q = q, p
+	}
+	g, j := gap(q.b, 0)
+	x, y := p.base, q.base+g
+	for i := 0; i < len(p.b); {
+		g, i = gap(p.b, i)
+		for x += g; y < x; y += g { // q outlasts every x ≤ p.last
+			g, j = gap(q.b, j)
+		}
+		if x == y {
+			k++
+		}
+	}
+	return k
 }
 
 // Contains reports whether x is in p.

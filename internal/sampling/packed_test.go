@@ -187,3 +187,69 @@ func FuzzPackedSample(f *testing.F) {
 		runSampleOps(t, binary.LittleEndian.Uint64(data), 1+int(data[8]%64), data[9:])
 	})
 }
+
+// TestUnpackRoundTripAndRejects: what Raw hands out Unpack takes back,
+// DropFirst's nonzero base included; a malformed list is refused.
+func TestUnpackRoundTripAndRejects(t *testing.T) {
+	p := Pack([]uint64{3, 5, 300, 1 << 40}).DropFirst()
+	n, base, gaps := p.Raw()
+	q, err := Unpack(n, base, gaps)
+	if err != nil || !q.Equal(p) || !slices.Equal(q.AppendTo(nil), []uint64{5, 300, 1 << 40}) {
+		t.Fatalf("Unpack(Raw) = %v, %v", q.AppendTo(nil), err)
+	}
+	if q, err := Unpack(0, 0, nil); err != nil || q.Len() != 0 {
+		t.Fatalf("Unpack of the empty list = %v, %v", q, err)
+	}
+	for name, c := range map[string]struct {
+		n    int
+		base uint64
+		gaps []byte
+	}{
+		"truncated uvarint": {1, 0, []byte{0x80}},
+		"non-canonical":     {1, 0, []byte{0x85, 0x00}},
+		"too long":          {1, 0, []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}},
+		"repeated id":       {2, 0, []byte{4, 0}},
+		"past 2^64-1":       {2, math.MaxUint64 - 1, []byte{1, 1}},
+		"count":             {3, 0, []byte{4, 1}},
+	} {
+		if _, err := Unpack(c.n, c.base, c.gaps); err == nil {
+			t.Errorf("%s: Unpack accepted %v", name, c.gaps)
+		}
+	}
+}
+
+// TestCountCommonAgainstSlices holds the merged count of two gap lists to
+// the count over their ids, on lists that overlap in runs, interleave,
+// and end on either side.
+func TestCountCommonAgainstSlices(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for i := 0; i < 2000; i++ {
+		var a, b []uint64
+		for x := uint64(rng.Intn(3)); len(a)+len(b) < rng.Intn(60); x += uint64(1 + rng.Intn(4)) {
+			switch rng.Intn(3) {
+			case 0:
+				a = append(a, x)
+			case 1:
+				b = append(b, x)
+			default:
+				a, b = append(a, x), append(b, x)
+			}
+		}
+		pa, pb := Pack(a), Pack(b)
+		if len(a) > 1 && rng.Intn(2) == 0 { // a nonzero base
+			pa, a = pa.DropFirst(), a[1:]
+		}
+		want := 0
+		for _, x := range a {
+			if _, ok := slices.BinarySearch(b, x); ok {
+				want++
+			}
+		}
+		if got := pa.CountCommon(pb); got != want {
+			t.Fatalf("CountCommon(%v, %v) = %d, want %d", a, b, got, want)
+		}
+		if got := pb.CountCommon(pa); got != want {
+			t.Fatalf("CountCommon(%v, %v) = %d, want %d", b, a, got, want)
+		}
+	}
+}

@@ -28,7 +28,7 @@ func NewReservoir(seed int64, capacity int) *Reservoir {
 	return &Reservoir{
 		rng: rand.New(rand.NewSource(seed)),
 		cap: capacity,
-		pos: make(map[uint64]int, capacity),
+		pos: make(map[uint64]int, min(capacity, 1<<12)), // a capacity may come from a file
 	}
 }
 

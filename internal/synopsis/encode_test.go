@@ -2,6 +2,10 @@ package synopsis
 
 import (
 	"bytes"
+	"encoding/gob"
+	"os"
+	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -189,5 +193,89 @@ func TestFreezeSetsReservoirRootCard(t *testing.T) {
 	buildCorpus(t, s, corpus6)
 	if f.RootCard() != 3 || s.RootCard() != 8 {
 		t.Errorf("RootCard frozen/live = %v/%v, want 3/8", f.RootCard(), s.RootCard())
+	}
+}
+
+// TestDecodeVersion1 loads synopses the version-1 encoder wrote
+// (testdata/v1-*.gob: corpus6 five times over, Sets of 4, Hashes of 2,
+// seed 9, each sample as its ids inside one gob value) and holds them to
+// the same synopsis built afresh: the same answer at every node, and the
+// same version-2 bytes.
+func TestDecodeVersion1(t *testing.T) {
+	for _, kind := range []matchset.Kind{matchset.KindCounters, matchset.KindSets, matchset.KindHashes} {
+		t.Run(kind.String(), func(t *testing.T) {
+			data, err := os.ReadFile(filepath.Join("testdata", "v1-"+strings.ToLower(kind.String())+".gob"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			old, err := Decode(bytes.NewReader(data))
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := New(Options{Kind: kind, SetCapacity: 4, HashCapacity: 2, Seed: 9})
+			for range 5 {
+				buildCorpus(t, s, corpus6)
+			}
+			a, b := s.Nodes(), old.Nodes()
+			if len(a) != len(b) || s.Stats() != old.Stats() || s.RootCard() != old.RootCard() {
+				t.Fatalf("version 1 decodes to %d nodes, %+v, root %v; want %d, %+v, %v",
+					len(b), old.Stats(), old.RootCard(), len(a), s.Stats(), s.RootCard())
+			}
+			for i := range a {
+				if a[i].ID() != b[i].ID() || s.Full(a[i]).Card() != old.Full(b[i]).Card() {
+					t.Errorf("node %d: full card %v, want %v", b[i].ID(), old.Full(b[i]).Card(), s.Full(a[i]).Card())
+				}
+			}
+			var want, got bytes.Buffer
+			if err := s.Encode(&want); err != nil {
+				t.Fatal(err)
+			}
+			if err := old.Encode(&got); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got.Bytes(), want.Bytes()) {
+				t.Error("a version-1 synopsis re-encodes unlike the same synopsis built afresh")
+			}
+		})
+	}
+}
+
+// TestDecodeRejectsCorruptSamples: a version-2 stream whose packed
+// sample does not decode — a non-canonical uvarint, a repeated id, a
+// count off by one — is an error; the same stream uncorrupted decodes.
+func TestDecodeRejectsCorruptSamples(t *testing.T) {
+	s := New(Options{Kind: matchset.KindHashes, HashCapacity: 100, Seed: 9})
+	buildCorpus(t, s, corpus6)
+	for name, corrupt := range map[string]func(d *matchset.Dump){
+		"none":          func(*matchset.Dump) {},
+		"non-canonical": func(d *matchset.Dump) { d.Gaps = append([]byte{0x81, 0x00}, d.Gaps[1:]...) },
+		"repeated id":   func(d *matchset.Dump) { d.Gaps, d.N = append(d.Gaps, 0), d.N+1 },
+		"count":         func(d *matchset.Dump) { d.N++ },
+	} {
+		t.Run(name, func(t *testing.T) {
+			var buf bytes.Buffer
+			enc := gob.NewEncoder(&buf)
+			nodes := s.Nodes()
+			hdr := encSynopsis{FormatVersion: 2, Kind: int(matchset.KindHashes), HashCapacity: 100, Seed: 9, RootID: s.root.id, NodeCount: len(nodes)}
+			if err := enc.Encode(&hdr); err != nil {
+				t.Fatal(err)
+			}
+			for i, n := range nodes {
+				en := encNode{ID: n.id, Label: encodeLabel(n.label), Store: matchset.PackedDump(n.store)}
+				for _, c := range n.children {
+					en.Children = append(en.Children, c.id)
+				}
+				if i == len(nodes)-1 {
+					en.Store.Gaps = slices.Clone(en.Store.Gaps)
+					corrupt(&en.Store)
+				}
+				if err := enc.Encode(&en); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := Decode(&buf); (err == nil) != (name == "none") {
+				t.Fatalf("Decode = %v", err)
+			}
+		})
 	}
 }
