@@ -56,28 +56,13 @@ import (
 type options struct {
 	nodes     int
 	topology  string
-	degree    int
 	subs      int
 	publish   int
 	seed      int64
 	dtdName   string
 	threshold float64
 	ttl       int
-	maxPat    int
 	check     bool
-	minSave   float64
-
-	// Workload shape. The paper's querygen defaults produce very broad
-	// subscriptions (every document matches ~half of them), a regime
-	// where flooding is near-optimal and no router can save much; the
-	// harness defaults are tuned toward selective interests, where
-	// content-based forwarding earns its keep.
-	stopProb  float64
-	branch    float64
-	wildcard  float64
-	desc      float64
-	values    int
-	valueProb float64
 	placement string
 
 	// The fault schedules, exclusive (federation.go): -chaos plays the
@@ -86,46 +71,55 @@ type options struct {
 	faults bool
 }
 
-// parseArgs reads a command line into options. -chaos and -faults pick
-// exclusive schedules; asking for both is a usage error.
-func parseArgs(args []string) (options, error) {
+// The workload's shape. The paper's querygen defaults produce very broad
+// subscriptions (every document matches ~half of them), a regime where
+// flooding is near-optimal and no router can save much; the harness is
+// tuned toward selective interests, where content-based forwarding earns
+// its keep: deeper chains, and leaf values from a vocabulary shared with
+// the documents.
+const (
+	degree    = 3    // average degree of -topology random
+	minSave   = 0.30 // required forward savings vs flooding (with -check)
+	stopProb  = 0.05 // querygen chain stop probability (lower = deeper, more selective)
+	branch    = 0.3  // querygen branching probability
+	wildcard  = 0.05 // querygen wildcard probability
+	desc      = 0.05 // querygen descendant probability
+	values    = 40   // shared text-value vocabulary size
+	valueProb = 0.6  // probability a text-bearing pattern element gains a value constraint
+)
+
+// parseArgs reads a command line into options, through the flag set it
+// returns. -chaos and -faults pick exclusive schedules; asking for both
+// is a usage error.
+func parseArgs(args []string) (options, *flag.FlagSet, error) {
 	var o options
 	fs := flag.NewFlagSet("treesim-net", flag.ContinueOnError)
 	fs.IntVar(&o.nodes, "nodes", 8, "number of brokers")
 	fs.StringVar(&o.topology, "topology", "random", "line|star|ring|random")
-	fs.IntVar(&o.degree, "degree", 3, "average degree for -topology random")
 	fs.IntVar(&o.subs, "subs", 256, "total subscriptions (spread round-robin)")
 	fs.IntVar(&o.publish, "publish", 2000, "documents to publish (round-robin origin)")
 	fs.Int64Var(&o.seed, "seed", 1, "workload and topology seed")
 	fs.StringVar(&o.dtdName, "dtd", "media", "workload DTD: media|news|business")
 	fs.Float64Var(&o.threshold, "threshold", 2, "community similarity threshold (2 = exact mode)")
 	fs.IntVar(&o.ttl, "ttl", 16, "forwarding hop budget")
-	fs.IntVar(&o.maxPat, "advert-max-nodes", 0, "coarsen advertised patterns to N nodes (0: exact covers)")
-	fs.BoolVar(&o.check, "check", true, "exit nonzero unless recall is 1.0 and savings beat -min-savings")
-	fs.Float64Var(&o.minSave, "min-savings", 0.30, "required forward savings vs flooding (with -check)")
-	fs.Float64Var(&o.stopProb, "stop-prob", 0.05, "querygen chain stop probability (lower = deeper, more selective)")
-	fs.Float64Var(&o.branch, "branch-prob", 0.3, "querygen branching probability")
-	fs.Float64Var(&o.wildcard, "wildcard-prob", 0.05, "querygen wildcard probability")
-	fs.Float64Var(&o.desc, "descendant-prob", 0.05, "querygen descendant probability")
-	fs.IntVar(&o.values, "values", 40, "shared text-value vocabulary size (0 disables value constraints)")
-	fs.Float64Var(&o.valueProb, "value-prob", 0.6, "probability a text-bearing pattern element gains a value constraint")
+	fs.BoolVar(&o.check, "check", true, "exit nonzero unless recall is 1.0 and forwards save 30% vs flooding")
 	fs.StringVar(&o.placement, "placement", "clustered", "subscriber placement: clustered|roundrobin")
 	fs.BoolVar(&o.chaos, "chaos", false, "run the fixed fault schedule (kill consumers, crash+recover a broker, sever+heal a link) instead of the steady-state benchmark")
 	fs.BoolVar(&o.faults, "faults", false, "run the seeded fault schedule (randomized churn/publish/disk-fault/crash/recover interleavings over duplicating+reordering links); a failure's crash plan and publish stream rerun with the same -seed")
 	if err := fs.Parse(args); err != nil {
-		return o, err
+		return o, fs, err
 	}
 	if o.chaos && o.faults {
 		err := errors.New("-chaos and -faults are exclusive schedules; pick one")
 		fmt.Fprintln(fs.Output(), err)
 		fs.Usage()
-		return o, err
+		return o, fs, err
 	}
-	return o, nil
+	return o, fs, nil
 }
 
 func main() {
-	o, err := parseArgs(os.Args[1:])
+	o, _, err := parseArgs(os.Args[1:])
 	if errors.Is(err, flag.ErrHelp) {
 		os.Exit(0)
 	}
@@ -182,24 +176,20 @@ func buildWorkload(o options) (*workload, error) {
 	}
 
 	qopts := querygen.Defaults(o.seed)
-	qopts.StopProb = o.stopProb
-	qopts.BranchProb = o.branch
-	qopts.WildcardProb = o.wildcard
-	qopts.DescendantProb = o.desc
-	xopts := xmlgen.Options{Seed: o.seed + 1}
-	if o.values > 0 {
-		// A shared text vocabulary: subscriptions constrain leaf values
-		// (the paper's Figure 1 "Mozart"), documents draw from the same
-		// pool — the workload's main selectivity lever.
-		vocab := make([]string, o.values)
-		for i := range vocab {
-			vocab[i] = fmt.Sprintf("v%03d", i)
-		}
-		qopts.ValueProb = o.valueProb
-		qopts.Values = vocab
-		xopts.EmitText = true
-		xopts.Values = vocab
+	qopts.StopProb = stopProb
+	qopts.BranchProb = branch
+	qopts.WildcardProb = wildcard
+	qopts.DescendantProb = desc
+	// A shared text vocabulary: subscriptions constrain leaf values (the
+	// paper's Figure 1 "Mozart"), documents draw from the same pool — the
+	// workload's main selectivity lever.
+	vocab := make([]string, values)
+	for i := range vocab {
+		vocab[i] = fmt.Sprintf("v%03d", i)
 	}
+	qopts.ValueProb = valueProb
+	qopts.Values = vocab
+	xopts := xmlgen.Options{Seed: o.seed + 1, EmitText: true, Values: vocab}
 	w := &workload{d: d, qg: querygen.New(d, qopts)}
 	w.subs = make([]*pattern.Pattern, o.subs)
 	w.exprs = make([]string, o.subs)
@@ -254,7 +244,7 @@ func buildEdges(o options) ([][2]int, error) {
 		for i := 1; i < k; i++ {
 			add(i, rng.Intn(i)) // random spanning tree: always connected
 		}
-		want := k * o.degree / 2
+		want := k * degree / 2
 		if max := k * (k - 1) / 2; want > max {
 			want = max
 		}
@@ -289,17 +279,16 @@ func brokerConfig(o options) broker.Config {
 // node's epoch boots above.
 func nodeConfig(o options, i int, minEpoch uint64) overlay.Config {
 	cfg := overlay.Config{
-		ID:              fmt.Sprintf("n%02d", i),
-		TTL:             o.ttl,
-		SeenCapacity:    2 * (o.publish + 16),
-		AdvertPolicy:    broker.Never{}, // explicit rounds; refresh keepalives still run
-		MaxPatternNodes: o.maxPat,
-		AdvertTTL:       time.Second,
-		Maintenance:     50 * time.Millisecond,
-		RetryBase:       50 * time.Millisecond,
-		RetryMax:        500 * time.Millisecond,
-		TraceCapacity:   o.publish + 16,
-		MinEpoch:        minEpoch,
+		ID:            fmt.Sprintf("n%02d", i),
+		TTL:           o.ttl,
+		SeenCapacity:  2 * (o.publish + 16),
+		AdvertPolicy:  broker.Never{}, // explicit rounds; refresh keepalives still run
+		AdvertTTL:     time.Second,
+		Maintenance:   50 * time.Millisecond,
+		RetryBase:     50 * time.Millisecond,
+		RetryMax:      500 * time.Millisecond,
+		TraceCapacity: o.publish + 16,
+		MinEpoch:      minEpoch,
 	}
 	if !o.chaos && !o.faults {
 		// Steady heals nothing, and a keepalive refresh landing mid-run can

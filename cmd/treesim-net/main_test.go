@@ -1,8 +1,11 @@
 package main
 
 import (
+	"flag"
 	"fmt"
 	"math"
+	"os"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -10,7 +13,7 @@ import (
 // args parses a command line the way main does.
 func args(t *testing.T, cmdline string) options {
 	t.Helper()
-	o, err := parseArgs(strings.Fields(cmdline))
+	o, _, err := parseArgs(strings.Fields(cmdline))
 	if err != nil {
 		t.Fatalf("parse %q: %v", cmdline, err)
 	}
@@ -20,8 +23,53 @@ func args(t *testing.T, cmdline string) options {
 // TestChaosAndFaultsAreExclusive: asking for both fault schedules is a
 // usage error, not one of them silently ignored.
 func TestChaosAndFaultsAreExclusive(t *testing.T) {
-	if _, err := parseArgs([]string{"-chaos", "-faults"}); err == nil {
+	if _, _, err := parseArgs([]string{"-chaos", "-faults"}); err == nil {
 		t.Fatal("-chaos -faults parsed; want a usage error")
+	}
+}
+
+// TestDocsNameLiveFlags: the README and CI run treesim-net with flags
+// it defines.
+func TestDocsNameLiveFlags(t *testing.T) {
+	_, fs, err := parseArgs(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkDocFlags(t, "treesim-net", fs)
+}
+
+// checkDocFlags fails for every flag that a command line in the README
+// or the CI workflow passes to cmd and fs does not define. A command
+// line is a line that starts by running cmd (go run ./cmd/cmd, a built
+// /path/cmd or bare cmd); its flags are the -name and -name=value tokens
+// before the first |, &, ; or \.
+func checkDocFlags(t *testing.T, cmd string, fs *flag.FlagSet) {
+	t.Helper()
+	invocation := regexp.MustCompile(`^\s*(?:go run\s+)?(?:\S*/)?` + regexp.QuoteMeta(cmd) + `(?:\s|$)`)
+	flagName := regexp.MustCompile(`^--?([A-Za-z][\w-]*)(?:=|$)`)
+	for _, doc := range []string{"../../README.md", "../../.github/workflows/ci.yml"} {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := 0
+		for i, line := range strings.Split(string(text), "\n") {
+			if !invocation.MatchString(line) {
+				continue
+			}
+			lines++
+			if end := strings.IndexAny(line, `|&;\`); end >= 0 {
+				line = line[:end]
+			}
+			for _, tok := range strings.Fields(line) {
+				if m := flagName.FindStringSubmatch(tok); m != nil && fs.Lookup(m[1]) == nil {
+					t.Errorf("%s:%d: %s has no flag -%s", doc, i+1, cmd, m[1])
+				}
+			}
+		}
+		if lines == 0 {
+			t.Errorf("%s runs %s nowhere; the check is vacuous", doc, cmd)
+		}
 	}
 }
 

@@ -68,9 +68,6 @@ func run(o options) (runResult, error) {
 	if o.threshold != 2 {
 		name += fmt.Sprintf("/threshold=%g", o.threshold)
 	}
-	if o.maxPat > 0 {
-		name += fmt.Sprintf("/coarse=%d", o.maxPat)
-	}
 	if o.placement != "clustered" {
 		name += "/placement=" + o.placement
 	}
@@ -98,8 +95,8 @@ func run(o options) (runResult, error) {
 			return res, fmt.Errorf("lost %d deliveries vs pattern.Matches ground truth (recall %.4f)", res.lost, res.recall())
 		case res.extra != 0:
 			return res, fmt.Errorf("%d extra deliveries vs pattern.Matches ground truth", res.extra)
-		case savings < o.minSave:
-			return res, fmt.Errorf("savings %.1f%% below required %.1f%%", savings*100, o.minSave*100)
+		case savings < minSave:
+			return res, fmt.Errorf("savings %.1f%% below required %.1f%%", savings*100, minSave*100)
 		case len(res.traceProblems) > 0:
 			return res, fmt.Errorf("%d of %d publication traces inconsistent: %s", len(res.traceProblems), checked, res.traceProblems[0])
 		case res.tracesOK != res.docs:

@@ -8,6 +8,8 @@ import (
 	"flag"
 	"io"
 	"net/http"
+	"os"
+	"regexp"
 	"runtime"
 	"slices"
 	"strconv"
@@ -40,7 +42,7 @@ func TestNewDaemonFlags(t *testing.T) {
 	var got []string
 	fs.VisitAll(func(f *flag.Flag) { got = append(got, f.Name+"="+f.DefValue) })
 	want := []string{
-		"ack-lease=30s", "addr=127.0.0.1:8690", "advert-max-nodes=0", "advert-stale=0",
+		"ack-lease=30s", "addr=127.0.0.1:8690", "advert-stale=0",
 		"advert-ttl=1m0s", "data-dir=", "debug-addr=", "delivery-mode=at-most-once",
 		"event-capacity=0", "fault-disk=", "federate=false", "hash-capacity=1000",
 		"id=", "ingest-queue=1024", "log-format=text", "log-level=info",
@@ -206,6 +208,51 @@ func waitParked(t *testing.T) {
 		}
 	}
 	t.Fatal("the long-poll never parked")
+}
+
+// TestDocsNameLiveFlags: the README and CI run treesimd with flags it
+// defines.
+func TestDocsNameLiveFlags(t *testing.T) {
+	_, fs, err := parseFlags()
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkDocFlags(t, "treesimd", fs)
+}
+
+// checkDocFlags fails for every flag that a command line in the README
+// or the CI workflow passes to cmd and fs does not define. A command
+// line is a line that starts by running cmd (go run ./cmd/cmd, a built
+// /path/cmd or bare cmd); its flags are the -name and -name=value tokens
+// before the first |, &, ; or \.
+func checkDocFlags(t *testing.T, cmd string, fs *flag.FlagSet) {
+	t.Helper()
+	invocation := regexp.MustCompile(`^\s*(?:go run\s+)?(?:\S*/)?` + regexp.QuoteMeta(cmd) + `(?:\s|$)`)
+	flagName := regexp.MustCompile(`^--?([A-Za-z][\w-]*)(?:=|$)`)
+	for _, doc := range []string{"../../README.md", "../../.github/workflows/ci.yml"} {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := 0
+		for i, line := range strings.Split(string(text), "\n") {
+			if !invocation.MatchString(line) {
+				continue
+			}
+			lines++
+			if end := strings.IndexAny(line, `|&;\`); end >= 0 {
+				line = line[:end]
+			}
+			for _, tok := range strings.Fields(line) {
+				if m := flagName.FindStringSubmatch(tok); m != nil && fs.Lookup(m[1]) == nil {
+					t.Errorf("%s:%d: %s has no flag -%s", doc, i+1, cmd, m[1])
+				}
+			}
+		}
+		if lines == 0 {
+			t.Errorf("%s runs %s nowhere; the check is vacuous", doc, cmd)
+		}
+	}
 }
 
 // TestDaemonLifecycle drives run end to end: readiness, an ordered

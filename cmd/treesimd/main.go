@@ -187,7 +187,6 @@ func newDaemon(fs *flag.FlagSet, args []string) (*daemon, error) {
 	fs.StringVar(&o.Addr, "peer-addr", "", "callback base URL advertised to peers (default: http://<listen address>)")
 	fs.IntVar(&o.TTL, "ttl", 16, "forwarding hop budget for locally published documents")
 	advStale := fs.Int("advert-stale", 0, "re-advertise after N subscription mutations (0: 10% churn, min 1)")
-	fs.IntVar(&o.MaxPatternNodes, "advert-max-nodes", 0, "coarsen advertised patterns to at most N nodes (0: exact covers)")
 	fs.DurationVar(&o.AdvertTTL, "advert-ttl", time.Minute, "soft-state TTL for peer adverts (negative disables expiry and keepalive refresh)")
 	fs.DurationVar(&d.peerTimeout, "peer-timeout", 5*time.Second, "bound on a peer link's handshake, writes, and each frame's wait for its ack (on expiry the link is marked down and probed)")
 

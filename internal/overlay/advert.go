@@ -10,9 +10,9 @@ import (
 
 // buildAdvertLocked aggregates the engine's live subscriptions into the
 // node's local advert under the given version. What is advertised is
-// the antichain of the whole population under pattern containment
-// (after MaxPatternNodes truncation): a pattern contained in any other
-// advertised pattern — whatever community either sits in — is not sent.
+// the antichain of the whole population under pattern containment: a
+// pattern contained in any other advertised pattern — whatever
+// community either sits in — is not sent.
 // The kept patterns are subscriptions and the union of their match sets
 // is the population's, so a peer's forwarding decision is the one it
 // would make on the full set. A wire community is emitted per engine
@@ -28,7 +28,7 @@ import (
 // while the node lock is taken.
 func (n *Node) buildAdvertLocked(version uint64) wire.Advert {
 	views := n.eng.CommunityViews()
-	n.cover.update(views, n.cfg.MaxPatternNodes)
+	n.cover.update(views)
 	adv := wire.Advert{Origin: n.cfg.ID, Version: version}
 	slot := make(map[int]int, len(n.cover.kept)) // engine community → wire community
 	for _, k := range n.cover.kept {
@@ -105,8 +105,8 @@ type advertCover struct {
 
 type coverEntry struct {
 	src  *pattern.Pattern  // the registry's pattern, the key in entries
-	prep *pattern.Prepared // its advertised form, ready for containment
-	expr string            // and that form's canonical expression, once kept
+	prep *pattern.Prepared // the pattern ready for containment
+	expr string            // and its canonical expression, once kept
 	kept bool
 	by   *coverEntry // covering entry (nil: kept, or not placed yet)
 
@@ -131,7 +131,7 @@ func (e *coverEntry) root() *coverEntry {
 	return r
 }
 
-func (c *advertCover) update(views []broker.CommunityView, maxNodes int) {
+func (c *advertCover) update(views []broker.CommunityView) {
 	if c.entries == nil {
 		c.entries = make(map[*pattern.Pattern]*coverEntry)
 	}
@@ -141,7 +141,7 @@ func (c *advertCover) update(views []broker.CommunityView, maxNodes int) {
 		for _, p := range v.Members {
 			e := c.entries[p]
 			if e == nil {
-				e = &coverEntry{src: p, prep: pattern.Prepare(advertForm(p, maxNodes))}
+				e = &coverEntry{src: p, prep: pattern.Prepare(p)}
 				c.entries[p] = e
 			}
 			if e.build != c.build {
@@ -163,7 +163,7 @@ func (c *advertCover) update(views []broker.CommunityView, maxNodes int) {
 	for _, e := range c.live {
 		if !e.kept && (e.by == nil || departed(e.root())) {
 			e.by = nil
-			c.place(e, maxNodes)
+			c.place(e)
 		}
 	}
 }
@@ -171,7 +171,7 @@ func (c *advertCover) update(views []broker.CommunityView, maxNodes int) {
 // place files a new or orphaned entry: under the first kept pattern
 // that contains it, else as kept, taking over the kept patterns it
 // contains (what they covered stays covered: containment is transitive).
-func (c *advertCover) place(e *coverEntry, maxNodes int) {
+func (c *advertCover) place(e *coverEntry) {
 	for _, k := range c.kept {
 		if k.prep.Contains(e.prep) {
 			e.by = k
@@ -191,63 +191,6 @@ func (c *advertCover) place(e *coverEntry, maxNodes int) {
 		// Canonicalize sorts child lists in place and the pattern may be
 		// the live registry's, which concurrent publishes are matching
 		// against — canonicalize a clone.
-		e.expr = advertForm(e.src, maxNodes).Clone().Canonicalize().String()
+		e.expr = e.src.Clone().Canonicalize().String()
 	}
-}
-
-// advertForm is p as it is advertised: coarsened to maxNodes when set.
-func advertForm(p *pattern.Pattern, maxNodes int) *pattern.Pattern {
-	if maxNodes > 0 {
-		return truncatePattern(p, maxNodes)
-	}
-	return p
-}
-
-// truncatePattern generalizes p to at most maxNodes non-root nodes by
-// dropping whole subtrees, depth-first. Removing a subtree removes a
-// constraint, so the result always contains p — documents matching p
-// still match it — which is exactly the trade an advertisement wants:
-// smaller aggregates at the cost of forwarding precision, never recall.
-// Descendant-operator nodes are kept only together with their single
-// child (a dangling "//" is not a valid pattern).
-func truncatePattern(p *pattern.Pattern, maxNodes int) *pattern.Pattern {
-	if p == nil || p.Root == nil || p.Size() <= maxNodes {
-		return p
-	}
-	budget := maxNodes
-	root := &pattern.Node{Label: pattern.Root}
-	for _, c := range p.Root.Children {
-		if k := truncateNode(c, &budget); k != nil {
-			root.Children = append(root.Children, k)
-		}
-	}
-	return &pattern.Pattern{Root: root}
-}
-
-func truncateNode(c *pattern.Node, budget *int) *pattern.Node {
-	if c.Label == pattern.Descendant {
-		// "//" has exactly one child (pattern.Validate); keeping it
-		// costs at least the operator node plus one child node.
-		if *budget < 2 {
-			return nil
-		}
-		*budget--
-		child := truncateNode(c.Children[0], budget)
-		if child == nil {
-			*budget++
-			return nil
-		}
-		return &pattern.Node{Label: pattern.Descendant, Children: []*pattern.Node{child}}
-	}
-	if *budget < 1 {
-		return nil
-	}
-	*budget--
-	out := &pattern.Node{Label: c.Label}
-	for _, cc := range c.Children {
-		if k := truncateNode(cc, budget); k != nil {
-			out.Children = append(out.Children, k)
-		}
-	}
-	return out
 }

@@ -1,15 +1,12 @@
 package overlay
 
 import (
-	"math/rand"
 	"testing"
 
 	"treesim/internal/broker"
 	"treesim/internal/core"
 	"treesim/internal/dtd"
 	"treesim/internal/pattern"
-	"treesim/internal/querygen"
-	"treesim/internal/xmlgen"
 	"treesim/internal/xmltree"
 )
 
@@ -80,53 +77,6 @@ func TestAdvertMemberCountsSurviveCovering(t *testing.T) {
 	}
 	if members != 3 {
 		t.Fatalf("advert reports %d members, want 3", members)
-	}
-}
-
-// TestTruncatePreservesContainment: for random DTD-derived patterns and
-// documents, a document matching the original pattern always matches
-// the truncated one (generalization never loses recall), and the
-// truncated pattern respects the node budget and stays valid.
-func TestTruncatePreservesContainment(t *testing.T) {
-	d := dtd.Media()
-	qg := querygen.New(d, querygen.Defaults(11))
-	dg := xmlgen.New(d, xmlgen.Options{Seed: 12})
-	docs := dg.GenerateN(60)
-	rng := rand.New(rand.NewSource(13))
-	checked := 0
-	for i := 0; i < 300; i++ {
-		p := qg.Generate()
-		budget := 1 + rng.Intn(6)
-		tr := truncatePattern(p, budget)
-		if err := tr.Validate(); err != nil {
-			t.Fatalf("truncate(%s, %d) invalid: %v", p, budget, err)
-		}
-		if tr.Size() > budget {
-			t.Fatalf("truncate(%s, %d) has %d nodes", p, budget, tr.Size())
-		}
-		for _, dc := range docs {
-			if pattern.Matches(dc, p) {
-				checked++
-				if !pattern.Matches(dc, tr) {
-					t.Fatalf("doc matches %s but not its truncation %s (budget %d)", p, tr, budget)
-				}
-			}
-		}
-	}
-	if checked == 0 {
-		t.Fatal("workload produced no matching (doc, pattern) pairs; test is vacuous")
-	}
-}
-
-// TestTruncateKeepsDescendantsPaired: "//" never survives without its
-// child.
-func TestTruncateKeepsDescendantsPaired(t *testing.T) {
-	p := pattern.MustParse("/a//b[c]//d")
-	for budget := 1; budget <= p.Size(); budget++ {
-		tr := truncatePattern(p, budget)
-		if err := tr.Validate(); err != nil {
-			t.Fatalf("budget %d: %v (pattern %s)", budget, err, tr)
-		}
 	}
 }
 

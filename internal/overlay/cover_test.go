@@ -82,17 +82,11 @@ func matchesAnyDoc(p *pattern.Pattern, docs []*xmltree.Tree) bool {
 	return false
 }
 
-// livePatterns is the population the node's advert stands for, each
-// pattern truncated as the advert builder would.
+// livePatterns is the population the node's advert stands for.
 func livePatterns(n *Node) []*pattern.Pattern {
 	var out []*pattern.Pattern
 	for _, v := range n.Engine().CommunityViews() {
-		for _, p := range v.Members {
-			if n.cfg.MaxPatternNodes > 0 {
-				p = truncatePattern(p, n.cfg.MaxPatternNodes)
-			}
-			out = append(out, p)
-		}
+		out = append(out, v.Members...)
 	}
 	return out
 }
@@ -109,11 +103,7 @@ func perCommunityAdvert(n *Node, version uint64) wire.Advert {
 		seen := make(map[string]bool, len(kept))
 		var pats []string
 		for _, k := range kept {
-			p := v.Members[k]
-			if n.cfg.MaxPatternNodes > 0 {
-				p = truncatePattern(p, n.cfg.MaxPatternNodes)
-			}
-			if s := p.Clone().Canonicalize().String(); !seen[s] {
+			if s := v.Members[k].Clone().Canonicalize().String(); !seen[s] {
 				seen[s] = true
 				pats = append(pats, s)
 			}
@@ -128,9 +118,9 @@ func perCommunityAdvert(n *Node, version uint64) wire.Advert {
 }
 
 // checkCover asserts the advert's invariants against the engine's live
-// population: Σ Members == Live, advertised ⊆ live (as truncated), no
-// advertised pattern contains another, every live pattern is contained
-// by an advertised one — and that cluster.Cover from scratch over the
+// population: Σ Members == Live, advertised ⊆ live, no advertised
+// pattern contains another, every live pattern is contained by an
+// advertised one — and that cluster.Cover from scratch over the
 // same population has the same properties and keeps the same patterns
 // up to equivalence (the maximal classes of a preorder are unique).
 func checkCover(t *testing.T, n *Node) {
@@ -202,61 +192,55 @@ func seq(n int) []int {
 
 // TestAdvertCoverDifferential: over both DTD generators, several seeds,
 // community and exact mode, a document matches some live subscription
-// exactly when it matches some advertised pattern; with truncation the
-// advert may match more, never less.
+// exactly when it matches some advertised pattern.
 func TestAdvertCoverDifferential(t *testing.T) {
 	for _, d := range []*dtd.DTD{dtd.NITFLike(), dtd.XCBLLike()} {
 		for seed := int64(1); seed <= 3; seed++ {
 			docs := genDocs(d, 60, seed)
 			for _, threshold := range []float64{0.5, 2} {
-				for _, maxNodes := range []int{0, 3} {
-					name := fmt.Sprintf("%s/seed=%d/threshold=%v/maxnodes=%d", d.Name, seed, threshold, maxNodes)
-					t.Run(name, func(t *testing.T) {
-						n := coverNode(t, "x", threshold, Config{MaxPatternNodes: maxNodes, AdvertPolicy: broker.Never{}})
-						for _, dc := range docs[:30] { // a warm synopsis, so 0.5 forms communities
-							if _, _, err := n.Publish(dc); err != nil {
-								t.Fatal(err)
-							}
-						}
-						n.Engine().Flush()
-						pats := genPatterns(d, 150, seed+100)
-						for _, p := range pats {
-							if _, err := n.Engine().SubscribePattern(p, p.String()); err != nil {
-								t.Fatal(err)
-							}
-						}
-						if err := n.Advertise(); err != nil {
+				name := fmt.Sprintf("%s/seed=%d/threshold=%v", d.Name, seed, threshold)
+				t.Run(name, func(t *testing.T) {
+					n := coverNode(t, "x", threshold, Config{AdvertPolicy: broker.Never{}})
+					for _, dc := range docs[:30] { // a warm synopsis, so 0.5 forms communities
+						if _, _, err := n.Publish(dc); err != nil {
 							t.Fatal(err)
 						}
-						if st := n.Engine().Stats(); threshold < 1 && st.Communities >= st.Live {
-							t.Fatalf("%d communities for %d subscriptions at threshold %v", st.Communities, st.Live, threshold)
+					}
+					n.Engine().Flush()
+					pats := genPatterns(d, 150, seed+100)
+					for _, p := range pats {
+						if _, err := n.Engine().SubscribePattern(p, p.String()); err != nil {
+							t.Fatal(err)
 						}
-						adv := n.Info().LocalAdvert
-						if got := advertMembers(adv); got != len(pats) {
-							t.Fatalf("Σ Members = %d, want %d", got, len(pats))
+					}
+					if err := n.Advertise(); err != nil {
+						t.Fatal(err)
+					}
+					if st := n.Engine().Stats(); threshold < 1 && st.Communities >= st.Live {
+						t.Fatalf("%d communities for %d subscriptions at threshold %v", st.Communities, st.Live, threshold)
+					}
+					adv := n.Info().LocalAdvert
+					if got := advertMembers(adv); got != len(pats) {
+						t.Fatalf("Σ Members = %d, want %d", got, len(pats))
+					}
+					kept := advertised(t, adv)
+					if len(kept) >= len(pats) {
+						t.Fatalf("cover kept %d of %d generated patterns: nothing aggregated", len(kept), len(pats))
+					}
+					hits := 0
+					for i, dc := range docs {
+						want, got := matchesAny(dc, pats), matchesAny(dc, kept)
+						if want {
+							hits++
 						}
-						kept := advertised(t, adv)
-						if len(kept) >= len(pats) {
-							t.Fatalf("cover kept %d of %d generated patterns: nothing aggregated", len(kept), len(pats))
+						if want != got {
+							t.Fatalf("doc %d: matches a live subscription %v, an advertised pattern %v", i, want, got)
 						}
-						hits := 0
-						for i, dc := range docs {
-							want, got := matchesAny(dc, pats), matchesAny(dc, kept)
-							if want {
-								hits++
-							}
-							if want && !got {
-								t.Fatalf("doc %d matches a live subscription and no advertised pattern", i)
-							}
-							if got && !want && maxNodes == 0 {
-								t.Fatalf("doc %d matches an advertised pattern and no live subscription", i)
-							}
-						}
-						if hits == 0 {
-							t.Fatal("no document matched any subscription; the check is vacuous")
-						}
-					})
-				}
+					}
+					if hits == 0 {
+						t.Fatal("no document matched any subscription; the check is vacuous")
+					}
+				})
 			}
 		}
 	}
@@ -265,56 +249,51 @@ func TestAdvertCoverDifferential(t *testing.T) {
 // TestAdvertCoverInvariantsUnderChurn replays BenchmarkForestChurn's
 // shape — a populated registry, then one subscribe and the oldest
 // unsubscribed per step, with a full re-clustering now and then — and
-// checks every cover invariant after every step, with and without
-// truncation.
+// checks every cover invariant after every step.
 func TestAdvertCoverInvariantsUnderChurn(t *testing.T) {
-	for _, maxNodes := range []int{0, 4} {
-		t.Run(fmt.Sprintf("maxnodes=%d", maxNodes), func(t *testing.T) {
-			d := dtd.NITFLike()
-			n := coverNode(t, "x", 0.5, Config{MaxPatternNodes: maxNodes})
-			for _, dc := range genDocs(d, 30, 5) {
-				if _, _, err := n.Publish(dc); err != nil {
-					t.Fatal(err)
-				}
-			}
-			n.Engine().Flush()
-			pats := genPatterns(d, 200, 6)
-			rng := rand.New(rand.NewSource(7))
-			var ids []uint64
-			subscribe := func(p *pattern.Pattern) {
-				id, err := n.Engine().SubscribePattern(p, p.String())
-				if err != nil {
-					t.Fatal(err)
-				}
-				ids = append(ids, id)
-			}
-			for _, p := range pats[:100] {
-				subscribe(p)
-			}
-			if st := n.Engine().Stats(); st.Communities >= st.Live {
-				t.Fatalf("%d communities for %d subscriptions", st.Communities, st.Live)
-			}
+	d := dtd.NITFLike()
+	n := coverNode(t, "x", 0.5, Config{})
+	for _, dc := range genDocs(d, 30, 5) {
+		if _, _, err := n.Publish(dc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	n.Engine().Flush()
+	pats := genPatterns(d, 200, 6)
+	rng := rand.New(rand.NewSource(7))
+	var ids []uint64
+	subscribe := func(p *pattern.Pattern) {
+		id, err := n.Engine().SubscribePattern(p, p.String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+	}
+	for _, p := range pats[:100] {
+		subscribe(p)
+	}
+	if st := n.Engine().Stats(); st.Communities >= st.Live {
+		t.Fatalf("%d communities for %d subscriptions", st.Communities, st.Live)
+	}
+	checkCover(t, n)
+	for step, p := range pats[100:] {
+		subscribe(p)
+		checkCover(t, n)
+		// Mostly the oldest leaves; sometimes a random one, so kept
+		// and covered patterns both depart.
+		i := 0
+		if rng.Intn(3) == 0 {
+			i = rng.Intn(len(ids))
+		}
+		if !n.Engine().Unsubscribe(ids[i]) {
+			t.Fatalf("step %d: unsubscribe %d failed", step, ids[i])
+		}
+		ids = append(ids[:i], ids[i+1:]...)
+		checkCover(t, n)
+		if step%40 == 39 {
+			n.Engine().Rebuild()
 			checkCover(t, n)
-			for step, p := range pats[100:] {
-				subscribe(p)
-				checkCover(t, n)
-				// Mostly the oldest leaves; sometimes a random one, so kept
-				// and covered patterns both depart.
-				i := 0
-				if rng.Intn(3) == 0 {
-					i = rng.Intn(len(ids))
-				}
-				if !n.Engine().Unsubscribe(ids[i]) {
-					t.Fatalf("step %d: unsubscribe %d failed", step, ids[i])
-				}
-				ids = append(ids[:i], ids[i+1:]...)
-				checkCover(t, n)
-				if step%40 == 39 {
-					n.Engine().Rebuild()
-					checkCover(t, n)
-				}
-			}
-		})
+		}
 	}
 }
 

@@ -1,45 +1,3 @@
-// Package overlay federates broker engines into a routed multi-broker
-// topology — the network layer of the paper's scalable content-based
-// routing story. Brokers do not exchange raw subscription tables:
-// each node advertises the containment antichain of its live
-// subscriptions (the patterns no other subscription's pattern contains,
-// optionally coarsened by truncation, grouped by owning community with
-// a selectivity digest; see advert.go), and gossips versioned
-// advertisements to its peers.
-// Every node keeps a routing table mapping each origin's advertised
-// aggregates to the next hop toward it, indexed by one forest of every
-// origin's patterns: a publication is matched against that forest once
-// and forwarded over a link only when it matches some aggregate of an
-// origin routed via that link — cheap, coarse, recall-preserving
-// matching that happens before any peer does exact local matching.
-// TTL and a seen-set suppress duplicates on cyclic topologies, so
-// inter-broker traffic shrinks versus flooding while no delivery is
-// lost.
-//
-// Advertisement propagation is origin-versioned gossip: an advert
-// carries (origin, version, aggregates); a node accepts it if the
-// version is new for that origin, records the arrival link as the next
-// hop toward the origin, and re-gossips to its other links. Each
-// version thus spans the network along its own broadcast tree, and
-// publications flow down the reverse edges. A node whose subscriptions
-// churn past its advertisement policy (a broker.RebuildPolicy)
-// re-advertises under the next version; an origin with no
-// subscriptions advertises an empty aggregate (a tombstone), closing
-// the routes toward it.
-//
-// Trust and delivery model. Peer messages are validated (bounded,
-// parseable) but not authenticated — like the daemon's subscribe and
-// publish endpoints, the federation assumes a trusted network: any
-// reachable sender could advertise aggregates under another node's
-// origin and divert its traffic. Deploy peers on an isolated network
-// or behind an authenticating proxy. Transport sends are synchronous
-// and best-effort: an unreachable peer costs its transport timeout on
-// the goroutine that advertises or forwards (publication forwarding
-// chains block the upstream hop until the chain completes; between
-// daemons a send is a frame that returns with the peer's ack, see
-// stream.go), and a failed send is counted, not retried — the next
-// advert version resyncs routing state. Asynchronous per-link
-// coalescing is a ROADMAP item.
 package overlay
 
 import (
@@ -90,12 +48,6 @@ type Config struct {
 	// registry batches 10% of churn per advert). A re-bucketing of the
 	// registry (broker.ChurnEvent.Rebuilt) always re-advertises.
 	AdvertPolicy broker.RebuildPolicy
-	// MaxPatternNodes, when positive, coarsens advertised patterns to at
-	// most that many nodes by dropping whole subtrees — the truncated
-	// pattern contains the original, so recall is preserved and only
-	// forwarding precision is traded for smaller adverts. 0 advertises
-	// exact covering patterns.
-	MaxPatternNodes int
 
 	// Telemetry is the metrics registry the node reports forwarding,
 	// gossip, liveness, and per-link counters into (nil: a private

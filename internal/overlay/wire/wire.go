@@ -1,6 +1,6 @@
 // Package wire is the codec for the overlay federation's protocol.
 // Brokers exchange three message kinds: advertisement batches
-// (similarity-coarsened subscription aggregates, versioned per origin),
+// (containment covers of the subscriptions, versioned per origin),
 // publications (documents forwarded hop-by-hop with a TTL), and a node
 // info snapshot (GET /peer/info). Adverts and publications travel as
 // frames on one long-lived stream per link direction (frame.go), each
