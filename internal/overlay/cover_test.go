@@ -249,52 +249,55 @@ func TestAdvertCoverDifferential(t *testing.T) {
 // TestAdvertCoverInvariantsUnderChurn replays BenchmarkForestChurn's
 // shape — a populated registry, then one subscribe and the oldest
 // unsubscribed per step, with a full re-clustering now and then — and
-// checks every cover invariant after every step.
+// checks every cover invariant after every step. Adverts are exact
+// covers, the only form there is.
 func TestAdvertCoverInvariantsUnderChurn(t *testing.T) {
-	d := dtd.NITFLike()
-	n := coverNode(t, "x", 0.5, Config{})
-	for _, dc := range genDocs(d, 30, 5) {
-		if _, _, err := n.Publish(dc); err != nil {
-			t.Fatal(err)
+	t.Run("exact", func(t *testing.T) {
+		d := dtd.NITFLike()
+		n := coverNode(t, "x", 0.5, Config{})
+		for _, dc := range genDocs(d, 30, 5) {
+			if _, _, err := n.Publish(dc); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	n.Engine().Flush()
-	pats := genPatterns(d, 200, 6)
-	rng := rand.New(rand.NewSource(7))
-	var ids []uint64
-	subscribe := func(p *pattern.Pattern) {
-		id, err := n.Engine().SubscribePattern(p, p.String())
-		if err != nil {
-			t.Fatal(err)
+		n.Engine().Flush()
+		pats := genPatterns(d, 200, 6)
+		rng := rand.New(rand.NewSource(7))
+		var ids []uint64
+		subscribe := func(p *pattern.Pattern) {
+			id, err := n.Engine().SubscribePattern(p, p.String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids = append(ids, id)
 		}
-		ids = append(ids, id)
-	}
-	for _, p := range pats[:100] {
-		subscribe(p)
-	}
-	if st := n.Engine().Stats(); st.Communities >= st.Live {
-		t.Fatalf("%d communities for %d subscriptions", st.Communities, st.Live)
-	}
-	checkCover(t, n)
-	for step, p := range pats[100:] {
-		subscribe(p)
+		for _, p := range pats[:100] {
+			subscribe(p)
+		}
+		if st := n.Engine().Stats(); st.Communities >= st.Live {
+			t.Fatalf("%d communities for %d subscriptions", st.Communities, st.Live)
+		}
 		checkCover(t, n)
-		// Mostly the oldest leaves; sometimes a random one, so kept
-		// and covered patterns both depart.
-		i := 0
-		if rng.Intn(3) == 0 {
-			i = rng.Intn(len(ids))
-		}
-		if !n.Engine().Unsubscribe(ids[i]) {
-			t.Fatalf("step %d: unsubscribe %d failed", step, ids[i])
-		}
-		ids = append(ids[:i], ids[i+1:]...)
-		checkCover(t, n)
-		if step%40 == 39 {
-			n.Engine().Rebuild()
+		for step, p := range pats[100:] {
+			subscribe(p)
 			checkCover(t, n)
+			// Mostly the oldest leaves; sometimes a random one, so kept
+			// and covered patterns both depart.
+			i := 0
+			if rng.Intn(3) == 0 {
+				i = rng.Intn(len(ids))
+			}
+			if !n.Engine().Unsubscribe(ids[i]) {
+				t.Fatalf("step %d: unsubscribe %d failed", step, ids[i])
+			}
+			ids = append(ids[:i], ids[i+1:]...)
+			checkCover(t, n)
+			if step%40 == 39 {
+				n.Engine().Rebuild()
+				checkCover(t, n)
+			}
 		}
-	}
+	})
 }
 
 // TestAdvertCoverChainDepartures: with /a, /a/b and /a/b/c subscribed,
