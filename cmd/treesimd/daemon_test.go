@@ -42,8 +42,8 @@ func TestNewDaemonFlags(t *testing.T) {
 	var got []string
 	fs.VisitAll(func(f *flag.Flag) { got = append(got, f.Name+"="+f.DefValue) })
 	want := []string{
-		"ack-lease=30s", "addr=127.0.0.1:8690", "advert-stale=0",
-		"advert-ttl=1m0s", "data-dir=", "debug-addr=", "delivery-mode=at-most-once",
+		"ack-lease=30s", "addr=127.0.0.1:8690",
+		"advert-ttl=1m0s", "data-dir=", "debug-addr=",
 		"event-capacity=0", "fault-disk=", "federate=false", "hash-capacity=1000",
 		"id=", "ingest-queue=1024", "log-format=text", "log-level=info",
 		"max-body=1048576", "peer-addr=", "peer-timeout=5s",
@@ -63,6 +63,8 @@ func TestNewDaemonFlags(t *testing.T) {
 		{"-representation", "bogus"},
 		{"-metric", "m3"},
 		{"-rebuild-fraction", "0.25"},
+		{"-advert-stale", "1"},
+		{"-delivery-mode", "at-least-once"},
 		{"-log-level", "loud"},
 		{"-fault-disk", "wal.sync:fail@2"}, // without -data-dir
 	} {
@@ -83,7 +85,6 @@ func TestNewDaemonFlags(t *testing.T) {
 		want broker.RebuildPolicy
 	}{
 		{[]string{"-rebuild-stale", "5"}, broker.Staleness{MaxStale: 5}},
-		{[]string{"-rebuild-stale", "5", "-advert-stale", "3"}, broker.Staleness{MaxStale: 3}},
 	} {
 		if d, _, err = parseFlags(c.args...); err != nil {
 			t.Fatal(err)

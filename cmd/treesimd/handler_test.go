@@ -29,7 +29,7 @@ func testHandler(t *testing.T) (http.Handler, *broker.Engine, *telemetry.EventRi
 	t.Cleanup(func() { eng.Close() })
 	events := telemetry.NewEventRing(16)
 	logger := slog.New(slog.DiscardHandler)
-	d := &daemon{eng: eng, reg: reg, events: events, logger: logger, maxBody: testMaxBody, peerTimeout: time.Second, mode: broker.AtMostOnce}
+	d := &daemon{eng: eng, reg: reg, events: events, logger: logger, maxBody: testMaxBody, peerTimeout: time.Second}
 	return d.handler(), eng, events
 }
 
@@ -531,7 +531,7 @@ func federatedDaemon(t *testing.T, id string) (*overlay.Node, string) {
 	})
 	t.Cleanup(node.Close)
 	logger := slog.New(slog.DiscardHandler)
-	d := &daemon{eng: eng, node: node, reg: reg, events: telemetry.NewEventRing(16), logger: logger, maxBody: testMaxBody, peerTimeout: time.Second, mode: broker.AtMostOnce}
+	d := &daemon{eng: eng, node: node, reg: reg, events: telemetry.NewEventRing(16), logger: logger, maxBody: testMaxBody, peerTimeout: time.Second}
 	gate.setReady(d.handler())
 	return node, srv.URL
 }

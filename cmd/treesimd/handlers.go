@@ -92,7 +92,7 @@ func (d *daemon) subscribe(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
-	mode := d.mode
+	var mode broker.DeliveryMode // at-most-once unless the request names one
 	if req.Mode != "" {
 		var err error
 		if mode, err = broker.ParseDeliveryMode(req.Mode); err != nil {

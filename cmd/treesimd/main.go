@@ -4,15 +4,15 @@
 // publishers POST XML documents, and the broker maintains semantic
 // communities incrementally so routing cost scales with the number of
 // communities rather than subscriptions. With -peers (or -federate) the
-// daemon joins a broker overlay: it gossips similarity-aggregated
-// subscription advertisements and forwards publications only toward
-// peers whose aggregates match.
+// daemon joins a broker overlay: it gossips the containment cover of
+// its subscriptions and forwards publications only toward peers whose
+// covers match.
 //
 // API (all bodies JSON unless noted):
 //
 //	POST   /subscribe          {"pattern": "/a/b[c]",
 //	                            "mode": "at-least-once"}  → {"id": 7, "mode": "..."}
-//	                           (mode optional; default from -delivery-mode)
+//	                           (mode optional; default at-most-once)
 //	DELETE /subscribe/{id}                                → 204
 //	POST   /publish            raw XML document           → routing summary
 //	POST   /publish            JSON ["<a/>", ...] or {"docs": [...]}
@@ -140,7 +140,6 @@ type daemon struct {
 	fsys                                persist.FS // nil: the real filesystem; -fault-disk arms failpoints
 	snapEvery, peerTimeout              time.Duration
 	maxBody                             int64
-	mode                                broker.DeliveryMode // for subscribes that name none
 
 	reg    *telemetry.Registry
 	logger *slog.Logger
@@ -175,10 +174,9 @@ func newDaemon(fs *flag.FlagSet, args []string) (*daemon, error) {
 	fs.Int64Var(&c.Estimator.Seed, "seed", 1, "sampling seed")
 	fs.Float64Var(&c.Threshold, "threshold", 0.99, "community rule: below 1, subscriptions with equal estimated samples share a community; 1 or above, every subscription is its own")
 	fs.IntVar(&c.QueueCapacity, "queue", 256, "per-consumer delivery capacity: an at-most-once consumer keeps the newest this many, an at-least-once one up to 4× this many unacked")
-	mode := fs.String("delivery-mode", "at-most-once", "default delivery contract for new subscriptions: at-most-once|at-least-once")
 	fs.DurationVar(&c.AckLease, "ack-lease", 30*time.Second, "redelivery lease for drained-but-unacked at-least-once deliveries")
 	fs.IntVar(&c.IngestQueue, "ingest-queue", 1024, "publish ingest pipeline depth")
-	maxStale := fs.Int("rebuild-stale", 0, "re-advertise after N subscription mutations when -advert-stale is unset (0: -advert-stale's default)")
+	maxStale := fs.Int("rebuild-stale", 0, "re-advertise after N subscription mutations (0: 10% churn, min 1)")
 	fs.Int64Var(&d.maxBody, "max-body", 1<<20, "maximum request body bytes; a larger publish or explain body answers 413")
 
 	fs.BoolVar(&d.federate, "federate", false, "serve overlay peer endpoints even with no -peers")
@@ -186,7 +184,6 @@ func newDaemon(fs *flag.FlagSet, args []string) (*daemon, error) {
 	fs.StringVar(&o.ID, "id", "", "overlay node id (default: the listen address)")
 	fs.StringVar(&o.Addr, "peer-addr", "", "callback base URL advertised to peers (default: http://<listen address>)")
 	fs.IntVar(&o.TTL, "ttl", 16, "forwarding hop budget for locally published documents")
-	advStale := fs.Int("advert-stale", 0, "re-advertise after N subscription mutations (0: 10% churn, min 1)")
 	fs.DurationVar(&o.AdvertTTL, "advert-ttl", time.Minute, "soft-state TTL for peer adverts (negative disables expiry and keepalive refresh)")
 	fs.DurationVar(&d.peerTimeout, "peer-timeout", 5*time.Second, "bound on a peer link's handshake, writes, and each frame's wait for its ack (on expiry the link is marked down and probed)")
 
@@ -209,14 +206,8 @@ func newDaemon(fs *flag.FlagSet, args []string) (*daemon, error) {
 	if c.Estimator.Representation, ok = representations[strings.ToLower(*rep)]; !ok {
 		return nil, fmt.Errorf("unknown representation %q", *rep)
 	}
-	if *advStale > 0 {
-		o.AdvertPolicy = broker.Staleness{MaxStale: *advStale}
-	} else if *maxStale > 0 {
+	if *maxStale > 0 {
 		o.AdvertPolicy = broker.Staleness{MaxStale: *maxStale}
-	}
-	var err error
-	if d.mode, err = broker.ParseDeliveryMode(*mode); err != nil {
-		return nil, err
 	}
 	d.peers = splitPeers(*peers)
 	if d.faultDisk != "" {

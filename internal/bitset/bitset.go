@@ -107,16 +107,6 @@ func (s *Set) And(t *Set) *Set {
 	return out
 }
 
-// Or returns the union of s and t as a new set.
-func (s *Set) Or(t *Set) *Set {
-	s.sameUniverse(t)
-	out := New(s.n)
-	for i := range s.words {
-		out.words[i] = s.words[i] | t.words[i]
-	}
-	return out
-}
-
 // AndCount returns |s ∩ t| without materializing the intersection.
 func (s *Set) AndCount(t *Set) int {
 	s.sameUniverse(t)
@@ -135,15 +125,6 @@ func (s *Set) OrCount(t *Set) int {
 		c += bits.OnesCount64(s.words[i] | t.words[i])
 	}
 	return c
-}
-
-// Jaccard returns |s∩t| / |s∪t|, and 0 when both sets are empty.
-func (s *Set) Jaccard(t *Set) float64 {
-	u := s.OrCount(t)
-	if u == 0 {
-		return 0
-	}
-	return float64(s.AndCount(t)) / float64(u)
 }
 
 // Elements returns the members of the set in increasing order.

@@ -50,36 +50,21 @@ func TestSetAlgebra(t *testing.T) {
 		b.Add(i)
 	}
 	and := a.And(b)
-	or := a.Or(b)
+	union := 0
 	for i := 0; i < 200; i++ {
 		wantAnd := i%2 == 0 && i%3 == 0
-		wantOr := i%2 == 0 || i%3 == 0
 		if and.Contains(i) != wantAnd {
 			t.Fatalf("And.Contains(%d) = %v", i, and.Contains(i))
 		}
-		if or.Contains(i) != wantOr {
-			t.Fatalf("Or.Contains(%d) = %v", i, or.Contains(i))
+		if i%2 == 0 || i%3 == 0 {
+			union++
 		}
 	}
 	if a.AndCount(b) != and.Count() {
 		t.Errorf("AndCount = %d, want %d", a.AndCount(b), and.Count())
 	}
-	if a.OrCount(b) != or.Count() {
-		t.Errorf("OrCount = %d, want %d", a.OrCount(b), or.Count())
-	}
-}
-
-func TestJaccard(t *testing.T) {
-	a, b := New(10), New(10)
-	if got := a.Jaccard(b); got != 0 {
-		t.Errorf("empty Jaccard = %v, want 0", got)
-	}
-	a.Add(1)
-	a.Add(2)
-	b.Add(2)
-	b.Add(3)
-	if got := a.Jaccard(b); got != 1.0/3 {
-		t.Errorf("Jaccard = %v, want 1/3", got)
+	if a.OrCount(b) != union {
+		t.Errorf("OrCount = %d, want %d", a.OrCount(b), union)
 	}
 }
 

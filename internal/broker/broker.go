@@ -529,16 +529,14 @@ func (e *Engine) Degraded() bool { return e.degraded.Load() }
 type ChurnEvent struct {
 	// Live is the number of live subscriptions after this event.
 	Live int
-	// Rebuilt marks a completed re-bucketing on a new view (community
-	// structure may have changed wholesale).
-	Rebuilt bool
 }
 
 // SetChurnHook installs f to be called after every committed registry
-// mutation (subscribe, unsubscribe) and every re-bucketing. f runs on
-// the mutating goroutine outside all engine locks, so it may call back
-// into the engine (e.g. CommunityViews); it must not block for long —
-// it stalls the mutator that triggered it. A nil f uninstalls the hook.
+// mutation (subscribe, unsubscribe); a re-bucketing moves no live
+// pattern and is none. f runs on the mutating goroutine outside all
+// engine locks, so it may call back into the engine (e.g.
+// LivePatterns); it must not block for long — it stalls the mutator
+// that triggered it. A nil f uninstalls the hook.
 func (e *Engine) SetChurnHook(f func(ChurnEvent)) {
 	if f == nil {
 		e.churnHook.Store(nil)
@@ -609,8 +607,7 @@ func (e *Engine) SubscribePatternOpts(p *pattern.Pattern, expr string, opt Subsc
 	}
 	start := time.Now()
 	e.keyMu.Lock()
-	view, rebuilt := e.keyedView()
-	val := view.Eval(p)
+	val := e.keyedView().Eval(p)
 	e.mu.Lock()
 	closed := e.closed
 	var id uint64
@@ -620,9 +617,6 @@ func (e *Engine) SubscribePatternOpts(p *pattern.Pattern, expr string, opt Subsc
 	ev := ChurnEvent{Live: len(e.byID)}
 	e.mu.Unlock()
 	e.keyMu.Unlock()
-	if rebuilt != nil {
-		e.notifyChurn(*rebuilt)
-	}
 	if closed {
 		return 0, ErrClosed
 	}
@@ -642,33 +636,17 @@ func (e *Engine) sample(val matchset.Value) matchset.Value {
 }
 
 // keyedView returns the view the communities are keyed on, first
-// re-bucketing the registry on a new one (rebucket, whose Rebuilt event
-// it returns) when one is due: there is none yet, or the stream has
-// doubled since it was taken. Reading the stream length is all it takes
-// of the estimator's lock. Caller holds keyMu.
-func (e *Engine) keyedView() (*core.View, *ChurnEvent) {
+// re-bucketing the registry on a new one (rebucket) when one is due:
+// there is none yet, or the stream has doubled since it was taken.
+// Reading the stream length is all it takes of the estimator's lock.
+// Caller holds keyMu.
+func (e *Engine) keyedView() *core.View {
 	if v := e.view.Load(); v != nil {
 		if docs := e.est.DocsObserved(); docs == 0 || docs < 2*v.Docs() {
-			return v, nil
+			return v
 		}
 	}
 	return e.rebucket(false)
-}
-
-// ViewSelectivity returns P(p) on the engine's similarity view: the
-// view its communities are keyed on, and for a live subscription a
-// cache hit on the evaluation its subscribe or the last re-bucket made.
-// Before the first subscribe it reads the estimator's current view
-// without keying anything on it. It never refreshes a view and holds no
-// engine lock while it reads, so a caller holding its own lock (an
-// overlay node building an advert) copies at most one synopsis and, on
-// a warm view, evaluates nothing under it.
-func (e *Engine) ViewSelectivity(p *pattern.Pattern) float64 {
-	v := e.view.Load()
-	if v == nil {
-		v = e.est.View()
-	}
-	return v.Selectivity(p)
 }
 
 // commitSubscribeLocked installs a new subscription in the community
@@ -796,10 +774,9 @@ func (e *Engine) removeSubLocked(id uint64) *subscriber {
 // journals the partition as one OpRebuild and installs it. Unless forced
 // (Rebuild), a partition that comes out as it was, community for
 // community (an empty registry; singletons at Threshold ≥ 1), is only
-// re-keyed, with nothing to journal. It returns the view and the
-// Rebuilt event to deliver once keyMu is released (nil when nothing was
-// journaled). Caller holds keyMu.
-func (e *Engine) rebucket(force bool) (*core.View, *ChurnEvent) {
+// re-keyed, with nothing to journal. It returns the view. Caller holds
+// keyMu.
+func (e *Engine) rebucket(force bool) *core.View {
 	start := time.Now()
 	v := e.est.View()
 	e.view.Store(v)
@@ -814,7 +791,7 @@ func (e *Engine) rebucket(force bool) (*core.View, *ChurnEvent) {
 	e.mu.Lock()
 	if e.closed {
 		e.mu.Unlock()
-		return v, nil
+		return v
 	}
 	subs = e.registryLocked()
 	var groups [][]*subscriber
@@ -844,7 +821,7 @@ func (e *Engine) rebucket(force bool) (*core.View, *ChurnEvent) {
 	if cur, curReps := e.partitionIDsLocked(); !force && slices.EqualFunc(rec.Groups, cur, slices.Equal) && slices.Equal(rec.Reps, curReps) {
 		e.keyLocked(samples)
 		e.mu.Unlock()
-		return v, nil
+		return v
 	}
 	e.journal(rec)
 	e.installLocked(groups, reps, samples)
@@ -853,18 +830,15 @@ func (e *Engine) rebucket(force bool) (*core.View, *ChurnEvent) {
 	e.mu.Unlock()
 	e.rebuildLat.ObserveDuration(time.Since(start).Nanoseconds())
 	e.cfg.Logger.Warn("registry reclustered", "live", live, "communities", communities, "view_docs", v.Docs())
-	return v, &ChurnEvent{Live: live, Rebuilt: true}
+	return v
 }
 
 // Rebuild re-buckets the registry on a new similarity view now (ops
 // escape hatch), after any subscribe or re-bucket in flight.
 func (e *Engine) Rebuild() {
 	e.keyMu.Lock()
-	_, ev := e.rebucket(true)
+	e.rebucket(true)
 	e.keyMu.Unlock()
-	if ev != nil {
-		e.notifyChurn(*ev)
-	}
 }
 
 // registryLocked is every live subscription in id order: the order a
@@ -983,38 +957,17 @@ func (e *Engine) Ack(id uint64, upto uint64) (int, error) {
 	return acked, nil
 }
 
-// CommunityView is a read-only snapshot of one community: the
-// representative (greedy seed) and every member's pattern, in id
-// order. Patterns are shared with the engine and must not be mutated.
-type CommunityView struct {
-	// Rep is the representative's pattern and RepExpr its subscription
-	// expression as registered.
-	Rep     *pattern.Pattern
-	RepExpr string
-	// Members holds every member pattern (including the representative);
-	// Exprs are the matching expressions, index-aligned.
-	Members []*pattern.Pattern
-	Exprs   []string
-}
-
-// CommunityViews snapshots the current clustering with full member
-// patterns — the export the overlay layer aggregates into
-// advertisements: the views together are the live population, whose
-// containment antichain the node advertises, and a view's index and Rep
-// say which community owns a pattern. A subscription's *pattern.Pattern
-// is the same value in every snapshot for as long as it is live; the
-// overlay keys its cover on that.
-func (e *Engine) CommunityViews() []CommunityView {
+// LivePatterns is every live subscription's pattern, in id order: the
+// population whose containment cover the overlay advertises. A
+// subscription's *pattern.Pattern is the same value in every call for
+// as long as it is live, and the overlay keys its cover on that.
+// Patterns are shared with the engine and must not be mutated.
+func (e *Engine) LivePatterns() []*pattern.Pattern {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	out := make([]CommunityView, 0, len(e.groups))
-	for _, g := range e.groups {
-		v := CommunityView{Rep: g.rep.pat, RepExpr: g.rep.expr}
-		for _, s := range g.members() {
-			v.Members = append(v.Members, s.pat)
-			v.Exprs = append(v.Exprs, s.expr)
-		}
-		out = append(out, v)
+	out := make([]*pattern.Pattern, 0, len(e.byID))
+	for _, s := range e.registryLocked() {
+		out = append(out, s.pat)
 	}
 	return out
 }

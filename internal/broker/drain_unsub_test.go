@@ -2,12 +2,14 @@ package broker
 
 import (
 	"errors"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"treesim/internal/core"
+	"treesim/internal/pattern"
 	"treesim/internal/xmltree"
 )
 
@@ -148,8 +150,9 @@ func TestConcurrentDrainUnsubscribe(t *testing.T) {
 	wg.Wait()
 }
 
-// TestChurnHookObservesMutations: the hook sees every commit with
-// consistent live numbers and a Rebuilt event for a re-bucket.
+// TestChurnHookObservesMutations: the hook sees every subscribe and
+// unsubscribe with the live count after it, and nothing else — a
+// re-bucket moves no live pattern, so Rebuild fires no event.
 func TestChurnHookObservesMutations(t *testing.T) {
 	e := New(Config{})
 	defer e.Close()
@@ -172,49 +175,37 @@ func TestChurnHookObservesMutations(t *testing.T) {
 	e.Rebuild()
 	mu.Lock()
 	defer mu.Unlock()
-	if len(events) < 4 {
-		t.Fatalf("saw %d events, want at least 4 (3 subscribes + 1 unsubscribe)", len(events))
-	}
-	if events[0].Live != 1 || events[0].Rebuilt {
-		t.Fatalf("first event %+v, want live=1", events[0])
-	}
-	rebuilt := false
-	for _, ev := range events {
-		rebuilt = rebuilt || ev.Rebuilt
-	}
-	if !rebuilt {
-		t.Fatal("Rebuild fired no Rebuilt event")
+	if want := []ChurnEvent{{Live: 1}, {Live: 2}, {Live: 3}, {Live: 2}}; !slices.Equal(events, want) {
+		t.Fatalf("events %+v, want %+v (3 subscribes, 1 unsubscribe, none for Rebuild)", events, want)
 	}
 }
 
-// TestCommunityViewsSnapshot: views expose representative and members
-// consistently with CommunityIDs.
-func TestCommunityViewsSnapshot(t *testing.T) {
+// TestLivePatterns: the live population in id order, each subscription's
+// own *pattern.Pattern across calls and re-buckets, and an unsubscribed
+// pattern gone.
+func TestLivePatterns(t *testing.T) {
 	e := New(Config{Estimator: core.Config{Representation: core.Sets, Seed: 1}})
 	defer e.Close()
 	if _, err := e.Publish(doc(t, "a(b)")); err != nil {
 		t.Fatal(err)
 	}
 	e.Flush()
-	for _, expr := range []string{"/a", "/a/b", "//b"} { // one match set: one community
-		if _, err := e.Subscribe(expr); err != nil {
+	var pats []*pattern.Pattern
+	var ids []uint64
+	for _, expr := range []string{"/a", "/a/b", "//b", "/z"} {
+		p := pattern.MustParse(expr)
+		id, err := e.SubscribePattern(p, expr)
+		if err != nil {
 			t.Fatal(err)
 		}
+		pats, ids = append(pats, p), append(ids, id)
 	}
-	views := e.CommunityViews()
-	if len(views) != 1 {
-		t.Fatalf("%d views, want 1 community", len(views))
+	if got := e.LivePatterns(); !slices.Equal(got, pats) {
+		t.Fatalf("live patterns %v, want %v in id order", got, pats)
 	}
-	v := views[0]
-	if len(v.Members) != 3 || len(v.Exprs) != 3 {
-		t.Fatalf("view has %d members / %d exprs, want 3/3", len(v.Members), len(v.Exprs))
-	}
-	if v.RepExpr != "/a" {
-		t.Fatalf("representative %q, want the first subscription /a", v.RepExpr)
-	}
-	for i, m := range v.Members {
-		if m.String() != v.Exprs[i] {
-			t.Fatalf("member %d pattern %q does not match expr %q", i, m.String(), v.Exprs[i])
-		}
+	e.Unsubscribe(ids[1])
+	e.Rebuild()
+	if got, want := e.LivePatterns(), []*pattern.Pattern{pats[0], pats[2], pats[3]}; !slices.Equal(got, want) {
+		t.Fatalf("after unsubscribing /a/b and a re-bucket: %v, want %v", got, want)
 	}
 }

@@ -1,11 +1,14 @@
 package overlay
 
 import (
+	"reflect"
+	"slices"
 	"testing"
 
 	"treesim/internal/broker"
 	"treesim/internal/core"
 	"treesim/internal/dtd"
+	"treesim/internal/overlay/wire"
 	"treesim/internal/pattern"
 	"treesim/internal/xmltree"
 )
@@ -65,7 +68,7 @@ func TestAdvertUsesCoveringSubset(t *testing.T) {
 }
 
 // TestAdvertMemberCountsSurviveCovering: covering shrinks patterns, not
-// the member census the digest reports.
+// the member census the advert reports.
 func TestAdvertMemberCountsSurviveCovering(t *testing.T) {
 	eng := sampleEngine(t, "<a><b><c/></b></a>")
 	n := New(eng, Config{ID: "x", AdvertPolicy: broker.Staleness{MaxStale: 1}})
@@ -80,46 +83,12 @@ func TestAdvertMemberCountsSurviveCovering(t *testing.T) {
 	}
 }
 
-// TestSelectivityDigestTracksStream: after observing a stream, the
-// advertised digest reflects the representative's selectivity estimate.
-func TestSelectivityDigestTracksStream(t *testing.T) {
-	eng := broker.New(broker.Config{Threshold: 2})
-	defer eng.Close()
-	n := New(eng, Config{ID: "x", AdvertPolicy: broker.Staleness{MaxStale: 1}})
-	defer n.Close()
-	for i := 0; i < 20; i++ {
-		s := "<a><b/></a>"
-		if i%2 == 0 {
-			s = "<z/>"
-		}
-		tr, err := xmltree.ParseString(s, xmltree.ParseOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, _, err := n.Publish(tr); err != nil {
-			t.Fatal(err)
-		}
-	}
-	eng.Flush()
-	if _, err := eng.Subscribe("/a/b"); err != nil {
-		t.Fatal(err)
-	}
-	comms := n.Info().LocalAdvert.Communities
-	if len(comms) != 1 {
-		t.Fatalf("%d communities, want 1", len(comms))
-	}
-	if sel := comms[0].Selectivity; sel < 0.2 || sel > 0.8 {
-		t.Fatalf("digest selectivity %v for a pattern matching half the stream", sel)
-	}
-}
-
-// TestAdvertSelectivityReadsWarmView: an advert built right after a
-// subscribe runs no SEL evaluation — each community's Selectivity is its
-// representative's P on the engine's similarity view, which that view
-// already evaluated for the subscribe rows — so a peer reads the figure
-// the engine clusters on, not the live estimator's, which has streamed
-// on since the view was taken.
-func TestAdvertSelectivityReadsWarmView(t *testing.T) {
+// TestAdvertRunsNoEvaluation: building an advert reads the registry's
+// live patterns only. It runs no SEL evaluation on the view the
+// communities are keyed on, nor on the estimator's current frame, which
+// has streamed on since that view was taken, so the node lock it holds
+// never waits on the estimator.
+func TestAdvertRunsNoEvaluation(t *testing.T) {
 	d := dtd.NITFLike()
 	eng := broker.New(broker.Config{
 		Estimator: core.Config{Representation: core.Hashes, HashCapacity: 1000, Seed: 3},
@@ -152,39 +121,78 @@ func TestAdvertSelectivityReadsWarmView(t *testing.T) {
 	view := eng.Estimator().View()
 	publish(docs[200:])
 	subscribe(pats[59:])
-	before := view.Evals()
+	current := eng.Estimator().View()
+	if current == view {
+		t.Fatal("the stream did not move the estimator past the keyed view")
+	}
+	before, currentBefore := view.Evals(), current.Evals()
 	if err := n.Advertise(); err != nil {
 		t.Fatal(err)
 	}
 	if got := view.Evals() - before; got != 0 {
-		t.Fatalf("advertising after a subscribe ran %d SEL evaluations on the view, want 0", got)
+		t.Fatalf("advertising ran %d SEL evaluations on the keyed view, want 0", got)
 	}
-	views := eng.CommunityViews()
-	comm := make(map[string]int) // member's canonical expression → engine community
-	for g, v := range views {
-		for _, p := range v.Members {
-			comm[p.Clone().Canonicalize().String()] = g
+	if got := current.Evals() - currentBefore; got != 0 {
+		t.Fatalf("advertising ran %d SEL evaluations on the current frame, want 0", got)
+	}
+	if st, got := eng.Stats(), advertMembers(n.Info().LocalAdvert); st.Communities >= st.Live || got != st.Live {
+		t.Fatalf("advert counts %d members; the engine holds %d subscriptions in %d communities", got, st.Live, st.Communities)
+	}
+}
+
+// TestAdvertIgnoresClustering: the advert is the cover of the live
+// patterns, whatever communities hold them. One population advertises
+// the same chunks in community mode (0.5) and exact mode (2), with the
+// live count as Members, and a forced re-bucket, which moves no live
+// pattern, leaves the advert as it was and sends none.
+func TestAdvertIgnoresClustering(t *testing.T) {
+	d := dtd.NITFLike()
+	docs := genDocs(d, 30, 5)
+	var pats []*pattern.Pattern
+	for _, p := range genPatterns(d, 150, 6) {
+		// Leave out the patterns (//* and the like) that match every
+		// document: one of those would be the whole cover.
+		if slices.ContainsFunc(docs, func(dc *xmltree.Tree) bool { return !pattern.Matches(dc, p) }) {
+			pats = append(pats, p)
 		}
 	}
-	adv := n.Info().LocalAdvert
-	moved := 0
-	for _, c := range adv.Communities {
-		g, ok := comm[c.Patterns[0]]
-		if !ok {
-			t.Fatalf("advertised %q is no member's canonical form", c.Patterns[0])
+	var adverts [2][]wire.Community
+	for i, threshold := range []float64{0.5, 2} {
+		n := coverNode(t, "x", threshold, Config{AdvertPolicy: broker.Never{}})
+		connect(t, n, coverNode(t, "y", 2, Config{}))
+		for _, dc := range docs { // a warm synopsis, so 0.5 forms communities
+			if _, err := n.Engine().Publish(dc); err != nil {
+				t.Fatal(err)
+			}
 		}
-		rep := views[g].Rep
-		if want := view.Selectivity(rep); c.Selectivity != want {
-			t.Errorf("community of %q advertises selectivity %v, its representative's view P is %v", c.Patterns[0], c.Selectivity, want)
+		n.Engine().Flush()
+		for _, p := range pats {
+			if _, err := n.Engine().SubscribePattern(p, p.String()); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if c.Selectivity != eng.Estimator().Selectivity(rep) {
-			moved++
+		if st := n.Engine().Stats(); threshold < 1 && st.Communities >= st.Live {
+			t.Fatalf("%d communities for %d subscriptions at threshold %v", st.Communities, st.Live, threshold)
 		}
+		if err := n.Advertise(); err != nil {
+			t.Fatal(err)
+		}
+		info := n.Info()
+		if got := advertMembers(info.LocalAdvert); got != n.Engine().Live() {
+			t.Fatalf("threshold %v: Σ Members = %d, Live() %d", threshold, got, n.Engine().Live())
+		}
+		if kept := len(advertised(t, info.LocalAdvert)); kept < 10 {
+			t.Fatalf("threshold %v: the cover keeps %d patterns; the comparison proves little", threshold, kept)
+		}
+		n.Engine().Rebuild()
+		after := n.Info()
+		if !reflect.DeepEqual(after.LocalAdvert, info.LocalAdvert) || after.AdvertsSent != info.AdvertsSent {
+			t.Fatalf("threshold %v: Rebuild changed the advert %+v → %+v, adverts sent %d → %d",
+				threshold, info.LocalAdvert, after.LocalAdvert, info.AdvertsSent, after.AdvertsSent)
+		}
+		adverts[i] = info.LocalAdvert.Communities
 	}
-	if got := view.Evals() - before; got != 0 {
-		t.Fatalf("reading the representatives' view P ran %d SEL evaluations, want 0", got)
-	}
-	if len(adv.Communities) < 2 || moved == 0 {
-		t.Fatalf("%d communities, %d whose live P moved off the view's: the comparison proves nothing", len(adv.Communities), moved)
+	if !reflect.DeepEqual(adverts[0], adverts[1]) {
+		t.Fatalf("threshold 0.5 advertises %v, threshold 2 %v", adverts[0], adverts[1])
 	}
 }

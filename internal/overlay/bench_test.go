@@ -51,7 +51,7 @@ func BenchmarkOverlayForwardPlan(b *testing.B) {
 				Origin:  fmt.Sprintf("origin-%d-%d", l, o),
 				Version: 1,
 				Communities: []wire.Community{
-					{Patterns: exprs, Members: patternsPerOrigin, Selectivity: 0.5},
+					{Patterns: exprs, Members: patternsPerOrigin},
 				},
 			})
 		}

@@ -82,37 +82,32 @@ func matchesAnyDoc(p *pattern.Pattern, docs []*xmltree.Tree) bool {
 	return false
 }
 
-// livePatterns is the population the node's advert stands for.
-func livePatterns(n *Node) []*pattern.Pattern {
-	var out []*pattern.Pattern
-	for _, v := range n.Engine().CommunityViews() {
-		out = append(out, v.Members...)
-	}
-	return out
-}
-
 // perCommunityAdvert is the advert build this package shipped before the
-// broker-wide cover: cluster.Cover within each community. The identity
-// tests hold the new build against it.
+// broker-wide cover: cluster.Cover within each engine community, one
+// wire community each. The identity tests hold the new build against it.
 func perCommunityAdvert(n *Node, version uint64) wire.Advert {
 	adv := wire.Advert{Origin: n.cfg.ID, Version: version}
-	for _, v := range n.eng.CommunityViews() {
-		kept := cluster.Cover(seq(len(v.Members)), func(a, b int) bool {
-			return pattern.Contains(v.Members[a], v.Members[b])
+	pat := make(map[uint64]*pattern.Pattern)
+	for _, s := range n.eng.IntrospectSubscriptions() {
+		pat[s.ID] = pattern.MustParse(s.Pattern)
+	}
+	for _, c := range n.eng.IntrospectCommunities() {
+		members := make([]*pattern.Pattern, len(c.MemberIDs))
+		for i, id := range c.MemberIDs {
+			members[i] = pat[id]
+		}
+		kept := cluster.Cover(seq(len(members)), func(a, b int) bool {
+			return pattern.Contains(members[a], members[b])
 		})
 		seen := make(map[string]bool, len(kept))
 		var pats []string
 		for _, k := range kept {
-			if s := v.Members[k].Clone().Canonicalize().String(); !seen[s] {
+			if s := members[k].Clone().Canonicalize().String(); !seen[s] {
 				seen[s] = true
 				pats = append(pats, s)
 			}
 		}
-		adv.Communities = append(adv.Communities, wire.Community{
-			Patterns:    pats,
-			Members:     len(v.Members),
-			Selectivity: n.eng.ViewSelectivity(v.Rep),
-		})
+		adv.Communities = append(adv.Communities, wire.Community{Patterns: pats, Members: len(members)})
 	}
 	return adv
 }
@@ -126,7 +121,7 @@ func perCommunityAdvert(n *Node, version uint64) wire.Advert {
 func checkCover(t *testing.T, n *Node) {
 	t.Helper()
 	adv := n.Info().LocalAdvert
-	live := livePatterns(n)
+	live := n.Engine().LivePatterns()
 	if got := advertMembers(adv); got != len(live) || got != n.Engine().Live() {
 		t.Fatalf("Σ Members = %d, population %d, Live() %d", got, len(live), n.Engine().Live())
 	}
@@ -443,10 +438,10 @@ func TestAdvertCoverIsIncremental(t *testing.T) {
 	checkCover(t, n)
 }
 
-// TestAdvertRepacksBeyondWireCaps: 5000 pairwise incomparable singleton
-// subscriptions are more communities than one advert may carry; the
-// builder regroups them so the advert encodes, the link stays up and
-// routing works. The population enters the way a restarted daemon's
+// TestAdvertRepacksBeyondWireCaps: 5000 pairwise incomparable
+// subscriptions are more patterns than one wire community may carry; the
+// builder chunks them so the advert encodes (two chunks, the first full,
+// the live count on the first), the link stays up and routing works. The population enters the way a restarted daemon's
 // does — the journal replay path, then a node over the recovered engine
 // — which spares the test 5000 similarity rows; the last subscription
 // takes the ordinary path through the churn hook.
@@ -472,6 +467,9 @@ func TestAdvertRepacksBeyondWireCaps(t *testing.T) {
 	if got := advertMembers(info.LocalAdvert); got != subs {
 		t.Fatalf("Σ Members = %d, want %d", got, subs)
 	}
+	if cs := info.LocalAdvert.Communities; len(cs) != 2 || len(cs[0].Patterns) != wire.MaxPatterns || cs[0].Members != subs {
+		t.Fatalf("%d chunks, the first of %d patterns and %d members; want 2, %d and %d", len(cs), len(cs[0].Patterns), cs[0].Members, wire.MaxPatterns, subs)
+	}
 	if got := len(advertised(t, info.LocalAdvert)); got != subs {
 		t.Fatalf("advert carries %d patterns, want %d", got, subs)
 	}
@@ -488,23 +486,6 @@ func TestAdvertRepacksBeyondWireCaps(t *testing.T) {
 	}
 	if _, sent, _ := a.Publish(doc(t, "<r><l5000/></r>")); sent != 0 {
 		t.Fatalf("non-matching document forwarded %d times", sent)
-	}
-}
-
-// TestPackCommunities: a community over MaxPatterns is split, its
-// members counted once.
-func TestPackCommunities(t *testing.T) {
-	big := wire.Community{Members: 7, Selectivity: 0.25, Patterns: make([]string, wire.MaxPatterns+10)}
-	small := wire.Community{Members: 2, Selectivity: 0.5, Patterns: []string{"/s"}}
-	out := packCommunities([]wire.Community{big, small})
-	if len(out) != 2 || len(out[0].Patterns) != wire.MaxPatterns || len(out[1].Patterns) != 11 {
-		t.Fatalf("packed into %d communities", len(out))
-	}
-	if out[0].Members != 7 || out[1].Members != 2 || out[1].Selectivity != 0.5 {
-		t.Fatalf("members %d/%d, selectivity %v", out[0].Members, out[1].Members, out[1].Selectivity)
-	}
-	if in := []wire.Community{small}; &packCommunities(in)[0] != &in[0] {
-		t.Fatal("an advert within the caps was regrouped")
 	}
 }
 

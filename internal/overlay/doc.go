@@ -17,9 +17,12 @@
 // Aggregation (advert.go). The kept patterns are subscriptions whose
 // match sets unite to the population's, so a peer forwards exactly what
 // it would on the full table: on exact-mode brokers ~60 patterns stand
-// for 500 subscriptions. The cover is edited by the churn since the last
-// advert, so BenchmarkAdvertBuild reads 1.1 ms at 8192 subscriptions
-// against 32 ms from scratch.
+// for 500 subscriptions. The advert is built from the engine's live
+// patterns alone, whatever communities its clustering put them in, so
+// no SEL evaluation runs on the advert path and a re-bucket owes no
+// advert. The cover is edited by the churn since the last advert, so
+// BenchmarkAdvertBuild reads 1.1 ms at 8192 subscriptions against 32 ms
+// from scratch.
 //
 // Gossip. Adverts carry (origin, version, aggregates). A node accepts a
 // version new for its origin, records the arrival link as the next hop

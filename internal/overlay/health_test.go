@@ -109,7 +109,7 @@ func TestExpiredOriginRevivesAtNextVersion(t *testing.T) {
 		if err := a.HandleAdvert(wire.AdvertBatch{From: "z", Adverts: []wire.Advert{{
 			Origin:      "z",
 			Version:     version,
-			Communities: []wire.Community{{Patterns: []string{"/x/y"}, Members: 1, Selectivity: 0.5}},
+			Communities: []wire.Community{{Patterns: []string{"/x/y"}, Members: 1}},
 		}}}); err != nil {
 			t.Fatalf("HandleAdvert v%d: %v", version, err)
 		}

@@ -45,8 +45,7 @@ type Config struct {
 	// since the last advertisement and the live subscription count
 	// (default broker.DirtyFraction{Fraction: 0.10, MinStale: 1}, so a
 	// lone first subscription advertises immediately while a big
-	// registry batches 10% of churn per advert). A re-bucketing of the
-	// registry (broker.ChurnEvent.Rebuilt) always re-advertises.
+	// registry batches 10% of churn per advert).
 	AdvertPolicy broker.RebuildPolicy
 
 	// Telemetry is the metrics registry the node reports forwarding,
@@ -375,7 +374,7 @@ func closeTransport(tr Transport) {
 }
 
 // onChurn is the engine hook: accumulate churn and re-advertise when
-// the policy (or a completed re-bucketing) says so.
+// the policy says so.
 func (n *Node) onChurn(ev broker.ChurnEvent) {
 	n.mu.Lock()
 	if n.closed {
@@ -383,7 +382,7 @@ func (n *Node) onChurn(ev broker.ChurnEvent) {
 		return
 	}
 	n.advStale++
-	should := ev.Rebuilt || n.cfg.AdvertPolicy.ShouldRebuild(n.advStale, ev.Live)
+	should := n.cfg.AdvertPolicy.ShouldRebuild(n.advStale, ev.Live)
 	n.mu.Unlock()
 	if should {
 		n.Advertise()

@@ -28,7 +28,7 @@ func forge(t *testing.T, n *Node, from string, version uint64, hops int) {
 		Origin:      "a",
 		Version:     version,
 		Hops:        hops,
-		Communities: []wire.Community{{Patterns: []string{"/x"}, Members: 1, Selectivity: 1}},
+		Communities: []wire.Community{{Patterns: []string{"/x"}, Members: 1}},
 	}}})
 	if err != nil {
 		t.Fatalf("forged advert from %s: %v", from, err)

@@ -69,7 +69,7 @@ func holdingNode(t *testing.T, timeout time.Duration) (*Node, string, *holdTrans
 	}
 	if err := b.HandleAdvert(wire.AdvertBatch{From: "c", Adverts: []wire.Advert{{
 		Origin: "c", Version: 1,
-		Communities: []wire.Community{{Patterns: []string{"/held"}, Members: 1, Selectivity: 0.5}},
+		Communities: []wire.Community{{Patterns: []string{"/held"}, Members: 1}},
 	}}}); err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestStreamAckStatusMapping(t *testing.T) {
 	}
 	if err := a.HandleAdvert(wire.AdvertBatch{From: "b", Adverts: []wire.Advert{{
 		Origin: "b", Version: 1,
-		Communities: []wire.Community{{Patterns: []string{"/x/y"}, Members: 1, Selectivity: 0.5}},
+		Communities: []wire.Community{{Patterns: []string{"/x/y"}, Members: 1}},
 	}}}); err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +251,7 @@ func TestStreamPeerClosedMidFrame(t *testing.T) {
 	}
 	if err := b.HandleAdvert(wire.AdvertBatch{From: "c", Adverts: []wire.Advert{{
 		Origin: "c", Version: 1,
-		Communities: []wire.Community{{Patterns: []string{"/held"}, Members: 1, Selectivity: 0.5}},
+		Communities: []wire.Community{{Patterns: []string{"/held"}, Members: 1}},
 	}}}); err != nil {
 		t.Fatal(err)
 	}

@@ -87,16 +87,10 @@ func (e *originEntry) advert(origin string) wire.Advert {
 
 // summary condenses the entry for Info.
 func (e *originEntry) summary(origin string) wire.OriginInfo {
-	s := wire.OriginInfo{Origin: origin, Version: e.version, Hops: e.hops, Via: e.via, MinSel: 1}
+	s := wire.OriginInfo{Origin: origin, Version: e.version, Hops: e.hops, Via: e.via}
 	for _, c := range e.advertised {
 		s.Patterns += len(c.Patterns)
 		s.Members += c.Members
-		if c.Selectivity < s.MinSel {
-			s.MinSel = c.Selectivity
-		}
-	}
-	if len(e.advertised) == 0 {
-		s.MinSel = 0
 	}
 	return s
 }

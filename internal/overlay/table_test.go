@@ -62,7 +62,7 @@ func TestForwardMatchesOtherOrigins(t *testing.T) {
 		t.Helper()
 		a := wire.Advert{Origin: origin, Version: version, Hops: hops}
 		if len(pats) > 0 {
-			a.Communities = []wire.Community{{Patterns: pats, Members: len(pats), Selectivity: 0.5}}
+			a.Communities = []wire.Community{{Patterns: pats, Members: len(pats)}}
 		}
 		if err := hub.HandleAdvert(wire.AdvertBatch{From: from, Adverts: []wire.Advert{a}}); err != nil {
 			t.Fatal(err)

@@ -1,6 +1,7 @@
 // Package wire is the codec for the overlay federation's protocol.
 // Brokers exchange three message kinds: advertisement batches
-// (containment covers of the subscriptions, versioned per origin),
+// (containment covers of the subscriptions, versioned per origin, in
+// chunks of at most MaxPatterns patterns and with no digests),
 // publications (documents forwarded hop-by-hop with a TTL), and a node
 // info snapshot (GET /peer/info). Adverts and publications travel as
 // frames on one long-lived stream per link direction (frame.go), each
@@ -12,7 +13,7 @@
 // refuses a version-2 frame, so upgrade downstream brokers first.
 //
 // The codec is strict on decode: every accepted message is validated
-// (protocol version, bounded sizes, parseable patterns, finite digests)
+// (protocol version, bounded sizes, parseable patterns)
 // and pattern expressions are canonicalized through the pattern parser,
 // so a decoded value always re-encodes, and decode∘encode is the
 // identity on decoded values — the invariant FuzzDecodeAdvert and
@@ -24,7 +25,6 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"math"
 
 	"treesim/internal/pattern"
 )
@@ -53,27 +53,21 @@ const (
 	MaxPatternLen = 1 << 16
 )
 
-// Community is one group of an advertised subscription aggregate. An
+// Community is one chunk of an advertised subscription aggregate. An
 // advert's patterns, over all its communities, are the containment
-// antichain of the origin's live subscriptions; the grouping says which
-// engine community owns each and is diagnostic — receivers match the
-// union.
+// antichain of the origin's live subscriptions, chunked to fit
+// MaxPatterns; receivers match the union. (Peers and tools read the
+// name, which predates chunking.)
 type Community struct {
 	// Patterns are canonical pattern expressions that jointly contain
-	// every subscription the community is counted for (a document
-	// matching any of those matches some listed pattern), so matching
-	// against them is coarse but recall-preserving.
+	// the origin's subscriptions (a document matching any subscription
+	// matches some advertised pattern), so matching against them is
+	// recall-preserving.
 	Patterns []string `json:"patterns"`
-	// Members is the number of subscriptions these patterns stand for —
-	// of whatever engine community, and of every community folded into
-	// this one when an advert is regrouped to fit the size caps. Over an
-	// advert they sum to the origin's live subscriptions.
+	// Members counts subscriptions: over an advert the chunks sum to the
+	// origin's live subscriptions (brokers put the whole count on the
+	// first).
 	Members int `json:"members"`
-	// Selectivity is P(representative) of the owning community on the
-	// advertising broker's similarity view — the estimate its clustering
-	// uses — in [0,1] (the largest such, for a folded community).
-	// Diagnostic: Info reports the minimum per origin.
-	Selectivity float64 `json:"selectivity"`
 }
 
 // Advert is one origin's versioned subscription aggregate. An advert
@@ -152,13 +146,12 @@ const (
 
 // OriginInfo summarizes one routing-table entry in Info.
 type OriginInfo struct {
-	Origin   string  `json:"origin"`
-	Version  uint64  `json:"version"`
-	Hops     int     `json:"hops"`
-	Via      string  `json:"via"` // next-hop peer id
-	Patterns int     `json:"patterns"`
-	Members  int     `json:"members"`
-	MinSel   float64 `json:"min_selectivity"`
+	Origin   string `json:"origin"`
+	Version  uint64 `json:"version"`
+	Hops     int    `json:"hops"`
+	Via      string `json:"via"` // next-hop peer id
+	Patterns int    `json:"patterns"`
+	Members  int    `json:"members"`
 }
 
 // Info is the body of GET /peer/info: a node's identity, links and
@@ -258,9 +251,6 @@ func validateAdvert(a *Advert, canonicalize bool) error {
 		c := &a.Communities[i]
 		if c.Members < 0 {
 			return fmt.Errorf("community %d: negative member count", i)
-		}
-		if math.IsNaN(c.Selectivity) || c.Selectivity < 0 || c.Selectivity > 1 {
-			return fmt.Errorf("community %d: selectivity %v outside [0,1]", i, c.Selectivity)
 		}
 		if len(c.Patterns) == 0 {
 			return fmt.Errorf("community %d: no covering patterns", i)

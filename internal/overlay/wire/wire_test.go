@@ -20,7 +20,7 @@ func validBatch() AdvertBatch {
 				Origin:  "node-a",
 				Version: 3,
 				Communities: []Community{
-					{Patterns: []string{"/media/CD[title]", "//Mozart"}, Members: 7, Selectivity: 0.25},
+					{Patterns: []string{"/media/CD[title]", "//Mozart"}, Members: 7},
 				},
 			},
 			{Origin: "node-b", Version: 1, Hops: 2}, // tombstone
@@ -55,7 +55,8 @@ func TestAdvertBatchRoundTrip(t *testing.T) {
 
 func TestDecodeCanonicalizesPatterns(t *testing.T) {
 	// Predicate order is semantically irrelevant; decode must normalize
-	// it so equal aggregates compare equal on the receiving side.
+	// it so equal aggregates compare equal on the receiving side. (The
+	// selectivity digest older brokers send is ignored.)
 	a := `{"proto":1,"from":"n","adverts":[{"origin":"n","version":1,
 		"communities":[{"patterns":["/a[c][b]"],"members":1,"selectivity":0}]}]}`
 	b := strings.Replace(a, "[c][b]", "[b][c]", 1)
@@ -79,7 +80,6 @@ func TestDecodeAdvertBatchRejects(t *testing.T) {
 		"empty from":       func(b *AdvertBatch) { b.From = "" },
 		"long origin":      func(b *AdvertBatch) { b.Adverts[0].Origin = strings.Repeat("x", MaxOriginLen+1) },
 		"negative members": func(b *AdvertBatch) { b.Adverts[0].Communities[0].Members = -1 },
-		"selectivity > 1":  func(b *AdvertBatch) { b.Adverts[0].Communities[0].Selectivity = 1.5 },
 		"bad pattern":      func(b *AdvertBatch) { b.Adverts[0].Communities[0].Patterns[0] = "/a[" },
 		"patternless aggr": func(b *AdvertBatch) { b.Adverts[0].Communities[0].Patterns = nil },
 		"negative hops":    func(b *AdvertBatch) { b.Adverts[0].Hops = -1 },

@@ -168,13 +168,3 @@ func (s *DistinctSample) Intersect(other *DistinctSample) *DistinctSample {
 	}
 	return out
 }
-
-// JaccardEstimate estimates |A∩B| / |A∪B| for the underlying sets.
-// Returns 0 when the union estimate is 0.
-func (s *DistinctSample) JaccardEstimate(other *DistinctSample) float64 {
-	u := s.Union(other).Estimate()
-	if u == 0 {
-		return 0
-	}
-	return s.Intersect(other).Estimate() / u
-}

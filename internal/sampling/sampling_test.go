@@ -270,26 +270,6 @@ func TestDistinctRemoveAndForceLevel(t *testing.T) {
 	}
 }
 
-func TestJaccardEstimate(t *testing.T) {
-	h := NewHasher(8)
-	a := NewDistinctSample(h, 1000)
-	b := NewDistinctSample(h, 1000)
-	for x := uint64(0); x < 200; x++ {
-		a.Add(x)
-	}
-	for x := uint64(100); x < 300; x++ {
-		b.Add(x)
-	}
-	// Exact below capacity: |∩| = 100, |∪| = 300.
-	if got := a.JaccardEstimate(b); math.Abs(got-1.0/3) > 1e-12 {
-		t.Errorf("Jaccard = %v, want 1/3", got)
-	}
-	empty := NewDistinctSample(h, 10)
-	if got := empty.JaccardEstimate(NewDistinctSample(h, 10)); got != 0 {
-		t.Errorf("empty Jaccard = %v, want 0", got)
-	}
-}
-
 func TestConstructorPanics(t *testing.T) {
 	h := NewHasher(1)
 	for _, f := range []func(){

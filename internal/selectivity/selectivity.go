@@ -51,8 +51,7 @@ func (e *Estimator) Evaluate(p *pattern.Pattern) matchset.Value {
 
 // Clamp01 clamps a probability estimate to [0, 1] — sampling noise in
 // the numerator and denominator estimates can otherwise push a ratio
-// slightly outside. Shared by every consumer of probability estimates
-// (the overlay's advertised selectivity digests included).
+// slightly outside. Shared by every consumer of probability estimates.
 func Clamp01(v float64) float64 {
 	if v < 0 {
 		return 0
@@ -95,11 +94,6 @@ func (e *Estimator) EvaluateCard(v matchset.Value) float64 {
 // algebra is likewise associative). Batch consumers exploit this: each
 // pattern is evaluated once and pairwise conjunctions reduce to
 // matching-set intersections — see core.SimilarityMatrix.
-
-// POr estimates P(p ∨ q) by inclusion–exclusion, clamped to [0, 1].
-func (e *Estimator) POr(p, q *pattern.Pattern) float64 {
-	return Clamp01(e.P(p) + e.P(q) - e.PAnd(p, q))
-}
 
 // pnode is a pattern node prepared for evaluation: the node itself plus
 // the evaluator-local indices of its children, so the hot recursion

