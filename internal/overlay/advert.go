@@ -14,9 +14,10 @@ import (
 // subscriptions and the union of their match sets is the population's,
 // so a peer's forwarding decision is the one it would make on the full
 // set. They travel in cover order, in wire communities of at most
-// wire.MaxPatterns each, so that what a node builds its own encoder
-// accepts (MaxCommunities×MaxPatterns incomparable patterns is the
-// format's ceiling); the first community's Members is the live count.
+// wire.MaxPatterns each (packCommunities), so that what a node builds
+// its own encoder accepts (MaxCommunities×MaxPatterns incomparable
+// patterns is the format's ceiling); the first community's Members is
+// the live count.
 // The build reads the registry only, never the clustering or the
 // estimator, so no SEL evaluation runs under the node lock, which
 // forward also takes. The cover is kept between builds (see
@@ -26,18 +27,27 @@ import (
 func (n *Node) buildAdvertLocked(version uint64) wire.Advert {
 	live := n.eng.LivePatterns()
 	n.cover.update(live)
-	adv := wire.Advert{Origin: n.cfg.ID, Version: version}
+	exprs := make([]string, len(n.cover.kept))
 	for i, k := range n.cover.kept {
-		if i%wire.MaxPatterns == 0 {
-			adv.Communities = append(adv.Communities, wire.Community{})
-		}
-		c := &adv.Communities[len(adv.Communities)-1]
-		c.Patterns = append(c.Patterns, k.expr)
+		exprs[i] = k.expr
 	}
-	if len(adv.Communities) > 0 {
-		adv.Communities[0].Members = len(live)
+	return wire.Advert{Origin: n.cfg.ID, Version: version, Communities: packCommunities(exprs, len(live))}
+}
+
+// packCommunities chunks exprs, in order, into wire communities of at
+// most wire.MaxPatterns patterns each, members counted once, on the
+// first; no patterns, no communities.
+func packCommunities(exprs []string, members int) []wire.Community {
+	var out []wire.Community
+	for len(exprs) > 0 {
+		k := min(len(exprs), wire.MaxPatterns)
+		out = append(out, wire.Community{Patterns: exprs[:k:k]})
+		exprs = exprs[k:]
 	}
-	return adv
+	if len(out) > 0 {
+		out[0].Members = members
+	}
+	return out
 }
 
 // advertCover is the containment cover of the live subscription set,

@@ -489,6 +489,26 @@ func TestAdvertRepacksBeyondWireCaps(t *testing.T) {
 	}
 }
 
+// TestPackCommunities: a pattern list over MaxPatterns is split in
+// order, its members counted once; a short list is one community.
+func TestPackCommunities(t *testing.T) {
+	exprs := make([]string, wire.MaxPatterns+11)
+	exprs[wire.MaxPatterns] = "/s"
+	out := packCommunities(exprs, 7)
+	if len(out) != 2 || len(out[0].Patterns) != wire.MaxPatterns || len(out[1].Patterns) != 11 || out[1].Patterns[0] != "/s" {
+		t.Fatalf("packed into %d communities", len(out))
+	}
+	if out[0].Members != 7 || out[1].Members != 0 {
+		t.Fatalf("members %d/%d, want 7/0", out[0].Members, out[1].Members)
+	}
+	if out := packCommunities([]string{"/s"}, 2); len(out) != 1 || out[0].Members != 2 || len(out[0].Patterns) != 1 {
+		t.Fatalf("a list within the caps was regrouped: %+v", out)
+	}
+	if out := packCommunities(nil, 0); out != nil {
+		t.Fatalf("no patterns packed into %+v", out)
+	}
+}
+
 // TestForwardingIdenticalToPerCommunityCover: one population routed
 // through a line A–B–C twice — B and C advertising the broker-wide
 // cover, and B and C advertising the per-community cover this package
