@@ -248,9 +248,10 @@ func BenchmarkSynopsisInsert(b *testing.B) {
 	}
 }
 
-// BenchmarkSkeleton measures skeleton-tree construction: over a fresh
-// scratch per document (xmltree.Skeleton) and over one reused scratch,
-// as synopsis.Insert builds it.
+// BenchmarkSkeleton measures skeleton-tree construction: the reference
+// coalescing over trees (xmltree.Skeleton) and the label-path trie over
+// packed documents in one reused scratch, as synopsis.InsertPacked
+// builds it.
 func BenchmarkSkeleton(b *testing.B) {
 	w, _ := benchWorkloads()
 	b.Run("fresh", func(b *testing.B) {
@@ -261,9 +262,14 @@ func BenchmarkSkeleton(b *testing.B) {
 	})
 	b.Run("scratch", func(b *testing.B) {
 		var s xmltree.SkeletonScratch
+		packed := make([][]byte, len(w.Docs))
+		for i, d := range w.Docs {
+			packed[i] = xmltree.Pack(d)
+		}
 		b.ReportAllocs()
+		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			_ = s.Build(w.Docs[i%len(w.Docs)])
+			_ = s.BuildPacked(packed[i%len(packed)])
 		}
 	})
 }

@@ -324,7 +324,7 @@ func (f *federation) publish(n int, ack func() bool, verify bool) (batch, error)
 	for i, d := range docs {
 		origin[i] = up[i%len(up)]
 		var err error
-		if _, _, trace[i], err = f.nodes[origin[i]].PublishTraced(d); err != nil {
+		if _, _, trace[i], err = f.nodes[origin[i]].PublishTraced(xmltree.Pack(d)); err != nil {
 			return batch{}, fmt.Errorf("publish via n%02d: %w", origin[i], err)
 		}
 	}

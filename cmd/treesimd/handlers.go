@@ -135,22 +135,27 @@ func (d *daemon) publish(w http.ResponseWriter, r *http.Request) {
 		d.publishBatch(w, r)
 		return
 	}
-	t, err := xmltree.Parse(d.body(r), d.eng.Estimator().Config().ParseOptions)
+	doc, err := xmltree.ParsePacked(d.body(r), d.eng.Estimator().Config().ParseOptions)
 	if err != nil {
 		httpError(w, status(err), "treesimd: publish: %v", err)
 		return
 	}
 	resp := publishResponse{}
-	if d.node != nil {
-		resp.PublishResult, resp.Forwarded, resp.Trace, err = d.node.PublishTraced(t)
-	} else {
-		resp.PublishResult, err = d.eng.Publish(t)
-	}
-	if err != nil {
+	if resp.PublishResult, resp.Forwarded, resp.Trace, err = d.route(doc); err != nil {
 		httpError(w, status(err), "%v", err)
 		return
 	}
 	writeJSON(w, http.StatusOK, resp)
+}
+
+// route publishes one packed document: through the overlay node when
+// federated, which also forwards it and traces it, else the engine.
+func (d *daemon) route(doc []byte) (broker.PublishResult, int, string, error) {
+	if d.node != nil {
+		return d.node.PublishTraced(doc)
+	}
+	res, err := d.eng.PublishPacked(doc)
+	return res, 0, "", err
 }
 
 // batchResponse summarizes a batched POST /publish: aggregate routing
@@ -198,20 +203,14 @@ func (d *daemon) publishBatch(w http.ResponseWriter, r *http.Request) {
 	resp := batchResponse{}
 	opts := d.eng.Estimator().Config().ParseOptions
 	for i, doc := range docs {
-		t, err := xmltree.ParseString(doc, opts)
+		packed, err := xmltree.ParsePacked(strings.NewReader(doc), opts)
 		if err != nil {
 			if resp.Errors++; resp.Errors == 1 {
 				resp.FirstError = fmt.Sprintf("doc %d: %v", i, err)
 			}
 			continue
 		}
-		var res broker.PublishResult
-		fwd := 0
-		if d.node != nil {
-			res, fwd, err = d.node.Publish(t)
-		} else {
-			res, err = d.eng.Publish(t)
-		}
+		res, fwd, _, err := d.route(packed)
 		if err != nil {
 			httpError(w, status(err), "%v", err)
 			return
@@ -317,7 +316,7 @@ func (d *daemon) doc(w http.ResponseWriter, r *http.Request) {
 // origin arriving on that link; a from without an origin, or naming no
 // attached link, answers 400 — on a standalone daemon every from does.
 func (d *daemon) explain(w http.ResponseWriter, r *http.Request) {
-	t, err := xmltree.Parse(d.body(r), d.eng.Estimator().Config().ParseOptions)
+	doc, err := xmltree.ParsePacked(d.body(r), d.eng.Estimator().Config().ParseOptions)
 	if err != nil {
 		httpError(w, status(err), "treesimd: explain: %v", err)
 		return
@@ -326,13 +325,13 @@ func (d *daemon) explain(w http.ResponseWriter, r *http.Request) {
 	var ex any
 	switch {
 	case d.node != nil:
-		ex, err = d.node.ExplainForward(t, origin, from)
+		ex, err = d.node.ExplainForward(doc, origin, from)
 	case from != "":
 		err = fmt.Errorf("%w: from %q names no attached link", overlay.ErrScenario, from)
 	default:
 		// Same envelope shape as the federated answer, minus the plan.
 		var local *broker.Explanation
-		local, err = d.eng.Explain(t)
+		local, err = d.eng.Explain(doc)
 		ex = map[string]any{"local": local}
 	}
 	if err != nil {

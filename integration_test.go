@@ -23,6 +23,7 @@ import (
 	"treesim/internal/selectivity"
 	"treesim/internal/synopsis"
 	"treesim/internal/xmlgen"
+	"treesim/internal/xmltree"
 )
 
 // TestEndToEndAccuracyPipeline drives the full estimation pipeline on a
@@ -270,7 +271,7 @@ func TestClusteringRoutingPipeline(t *testing.T) {
 	score := func() (recall, precision float64) {
 		tp, fp, fn := 0, 0, 0
 		for k, doc := range live {
-			ex, err := eng.Explain(doc)
+			ex, err := eng.Explain(xmltree.Pack(doc))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -143,9 +143,10 @@ func BenchmarkBrokerPublishAcked(b *testing.B) {
 }
 
 // BenchmarkBrokerPublishXML is a publish as the daemon sees it: XML
-// bytes in, 1000 subscriptions. Parse, flatten, match and fan-out are
-// one number here, so the engine-level benchmark no longer leaves out
-// what used to be the largest term of a publish.
+// bytes in, parsed straight to packed bytes, 1000 subscriptions. Parse,
+// load, match and fan-out are one number here, so the engine-level
+// benchmark no longer leaves out what used to be the largest term of a
+// publish.
 func BenchmarkBrokerPublishXML(b *testing.B) {
 	docs, subs := benchWorkload(200, 1000)
 	e := benchEngine(b, docs, subs)
@@ -162,11 +163,11 @@ func BenchmarkBrokerPublishXML(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		t, err := xmltree.Parse(bytes.NewReader(bodies[i%len(bodies)]), e.cfg.Estimator.ParseOptions)
+		doc, err := xmltree.ParsePacked(bytes.NewReader(bodies[i%len(bodies)]), e.cfg.Estimator.ParseOptions)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := e.Publish(t); err != nil {
+		if _, err := e.PublishPacked(doc); err != nil {
 			b.Fatal(err)
 		}
 		if i%1024 == 1023 {

@@ -78,6 +78,7 @@ import (
 	"time"
 
 	"treesim/internal/core"
+	"treesim/internal/intern"
 	"treesim/internal/matching"
 	"treesim/internal/matchset"
 	"treesim/internal/metrics"
@@ -452,6 +453,10 @@ func (e *Engine) SweepLeases(now time.Time) int {
 // Estimator exposes the underlying streaming estimator (shared; follow
 // its concurrency rules).
 func (e *Engine) Estimator() *core.Estimator { return e.est }
+
+// LabelTable is the forest's label table, for a forest that shares it
+// (matching.NewForestOver): a document resolved once serves both.
+func (e *Engine) LabelTable() *intern.Table { return e.forest.Table() }
 
 // Telemetry returns the engine's metrics registry — the configured one
 // or the private registry created when Config.Telemetry was nil.

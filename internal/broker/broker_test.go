@@ -289,7 +289,7 @@ func TestClosedEngineErrors(t *testing.T) {
 		t.Fatal("Drain on closed engine blocked")
 	}
 	e.Flush() // must not hang or panic
-	if _, err := e.Explain(doc(t, "a(b)")); err != ErrClosed {
+	if _, err := e.Explain(xmltree.Pack(doc(t, "a(b)"))); err != ErrClosed {
 		t.Fatalf("Explain after Close: %v, want ErrClosed", err)
 	}
 	// Unsubscribe is a mutation too: on a closed engine it commits

@@ -220,7 +220,7 @@ func (w *logWorld) publish() (PublishResult, *Explanation) {
 	if len(kids) > 0 {
 		d = doc(w.t, "r("+strings.Join(kids, ",")+")")
 	}
-	ex, err := w.e.Explain(d)
+	ex, err := w.e.Explain(xmltree.Pack(d))
 	if err != nil {
 		w.t.Fatal(err)
 	}
@@ -963,7 +963,7 @@ func TestPublishRefusesTreeDeeperThanUnpackReads(t *testing.T) {
 	if _, err := e.Publish(deep); !errors.Is(err, ErrTooDeep) {
 		t.Fatalf("Publish of a 3000-deep chain: %v, want ErrTooDeep", err)
 	}
-	if _, err := e.InjectRemote(deep, nil); !errors.Is(err, ErrTooDeep) {
+	if _, err := injectRemote(e, deep); !errors.Is(err, ErrTooDeep) {
 		t.Fatalf("InjectRemote of a 3000-deep chain: %v, want ErrTooDeep", err)
 	}
 	e.Flush()

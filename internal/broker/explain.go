@@ -1,10 +1,10 @@
 package broker
 
 import (
+	"fmt"
 	"slices"
 
 	"treesim/internal/pattern"
-	"treesim/internal/xmltree"
 )
 
 // This file is the broker's explainability and introspection surface:
@@ -83,23 +83,26 @@ type Explanation struct {
 	Shards []ShardExplainStats `json:"shards"`
 }
 
-// Explain is the decision a Publish of t would make, without its side
-// effects: no sequence number, no synopsis ingest, no deliveries, no
-// counter moves. It runs a publish's match step (matchDoc) and walks the
-// routing table a publish walks, under routeMu shared as a publish does,
-// and never takes the registry lock: it waits on no subscribe's or
-// rebuild's registry section, only on the table edits themselves.
-// Member verdicts (ExactIDs) come from the precision sample's evaluator,
-// applied to every member.
-func (e *Engine) Explain(t *xmltree.Tree) (*Explanation, error) {
+// Explain is the decision a publish of doc (xmltree.Pack's form) would
+// make, without its side effects: no sequence number, no synopsis
+// ingest, no deliveries, no counter moves. It runs a publish's load and
+// match steps (matchDoc) and walks the routing table a publish walks,
+// under routeMu shared as a publish does, and never takes the registry
+// lock: it waits on no subscribe's or rebuild's registry section, only
+// on the table edits themselves. Member verdicts (ExactIDs) come from
+// the precision sample's evaluator, applied to every member.
+func (e *Engine) Explain(doc []byte) (*Explanation, error) {
 	sc := e.getScratch()
-	defer e.scratchPool.Put(sc)
+	defer e.putScratch(sc)
+	if _, err := sc.flat.LoadPacked(doc, nil); err != nil {
+		return nil, fmt.Errorf("broker: explain: %w", err)
+	}
 	e.routeMu.RLock()
 	defer e.routeMu.RUnlock()
 	if e.routeClosed {
 		return nil, ErrClosed
 	}
-	ms := e.matchDoc(t, sc)
+	ms := e.matchDoc(&sc.flat)
 	defer ms.Release()
 	ex := &Explanation{
 		Communities: make([]CommunityVerdict, len(e.groups)),

@@ -10,6 +10,7 @@ import (
 	"treesim/internal/persist"
 	"treesim/internal/querygen"
 	"treesim/internal/xmlgen"
+	"treesim/internal/xmltree"
 )
 
 // TestExplainDifferentialSingleShard is the acceptance check for
@@ -41,7 +42,7 @@ func TestExplainDifferentialSingleShard(t *testing.T) {
 	preStats := e.Stats()
 	checked, matchedDocs := 0, 0
 	for _, doc := range docs[40:] {
-		ex, err := e.Explain(doc)
+		ex, err := e.Explain(xmltree.Pack(doc))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -141,7 +142,7 @@ func TestBatchInstallKeepsVerdicts(t *testing.T) {
 	verdicts := func() []verdict {
 		var vs []verdict
 		for _, doc := range docs[40:] {
-			ex, err := e.Explain(doc)
+			ex, err := e.Explain(xmltree.Pack(doc))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -186,7 +187,7 @@ func TestExplainStatsShape(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ex, err := e.Explain(doc(t, "a(b)"))
+	ex, err := e.Explain(xmltree.Pack(doc(t, "a(b)")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +282,7 @@ func TestExplainTakesNoRegistryLock(t *testing.T) {
 	done := make(chan *Explanation, 1)
 	e.mu.Lock()
 	go func() {
-		ex, _ := e.Explain(d)
+		ex, _ := e.Explain(xmltree.Pack(d))
 		done <- ex
 	}()
 	select {

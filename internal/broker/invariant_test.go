@@ -199,7 +199,7 @@ func TestRepresentativeUnsubscribeHandsOver(t *testing.T) {
 	if res, _ := e.Publish(both); res.Matched != 1 || res.Deliveries != 2 {
 		t.Fatalf("under /a/b[x]: a(b(x),c) matched %d communities, %d deliveries; want 1, 2", res.Matched, res.Deliveries)
 	}
-	ex, err := e.Explain(onlyB)
+	ex, err := e.Explain(xmltree.Pack(onlyB))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -223,7 +223,7 @@ func TestRebucketBesidePublishAndChurn(t *testing.T) {
 		for i := range 100 {
 			d := docs[i]
 			e.mu.RLock()
-			ex, err := e.Explain(d)
+			ex, err := e.Explain(xmltree.Pack(d))
 			res, perr := e.Publish(d)
 			e.mu.RUnlock()
 			if err != nil || perr != nil {

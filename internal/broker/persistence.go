@@ -8,6 +8,7 @@ import (
 	"io"
 	"maps"
 	"slices"
+	"strings"
 	"sync/atomic"
 
 	"treesim/internal/core"
@@ -314,7 +315,7 @@ func Restore(cfg Config, st *State) (_ *Engine, err error) {
 	if len(st.Docs) > 0 {
 		docs = make(map[uint64][]byte, len(st.Docs))
 		for seq, xml := range st.Docs {
-			doc, err := packXML(xml, cfg.Estimator.ParseOptions)
+			doc, err := xmltree.ParsePacked(strings.NewReader(xml), cfg.Estimator.ParseOptions)
 			if err != nil {
 				return nil, fmt.Errorf("broker: restore pinned doc %d: %w", seq, err)
 			}
@@ -553,7 +554,7 @@ func (e *Engine) Apply(rec persist.Record) error {
 		case len(rec.Subs) != len(rec.Cursors) || len(rec.Subs) != len(rec.Comms):
 			err = fmt.Errorf("%d subs, %d cursors, %d comms", len(rec.Subs), len(rec.Cursors), len(rec.Comms))
 		case rec.XML != "":
-			doc, err = packXML(rec.XML, e.cfg.Estimator.ParseOptions)
+			doc, err = xmltree.ParsePacked(strings.NewReader(rec.XML), e.cfg.Estimator.ParseOptions)
 		default:
 			_, err = xmltree.Unpack(doc)
 		}
@@ -609,12 +610,6 @@ func (e *Engine) Apply(rec persist.Record) error {
 		return fmt.Errorf("broker: unknown wal op %q", rec.Op)
 	}
 	return nil
-}
-
-// packXML is the packed form of a document persisted as text.
-func packXML(xml string, opts xmltree.ParseOptions) ([]byte, error) {
-	t, err := xmltree.ParseString(xml, opts)
-	return xmltree.Pack(t), err
 }
 
 // partition resolves a snapshotted or journaled partition — members and

@@ -14,50 +14,45 @@ import (
 // Routing state lives in route.go; the subscription registry in
 // broker.go.
 
-// ingestItem is one unit of the publish→synopsis pipeline: a document
-// to ingest, or a flush marker (nil tree) whose done channel is closed
-// once everything queued before it has been ingested. gate, when set,
-// stalls the ingester until the channel is closed — a test-only hook
-// for filling the pipeline deterministically.
+// ingestItem is one unit of the publish→synopsis pipeline: a packed
+// document to ingest, or a flush marker (no document) whose done
+// channel is closed once everything queued before it has been ingested.
+// gate, when set, stalls the ingester until the channel is closed — a
+// test-only hook for filling the pipeline deterministically.
 type ingestItem struct {
-	tree *xmltree.Tree
+	doc  []byte
 	done chan struct{}
 	gate chan struct{}
 }
 
-// ErrBusy is returned by InjectRemote when the ingest pipeline is full:
-// the overlay sheds remote traffic instead of blocking a peer's
+// ErrBusy is returned by a remote PublishFlat when the ingest pipeline
+// is full: the overlay sheds remote traffic instead of blocking a peer's
 // forwarding goroutine, and the peer backs off (a busy ack on the peer
-// stream). Local Publish keeps blocking semantics — backpressure on
+// stream). Local publishes keep blocking semantics — backpressure on
 // the local producer, load shedding across the federation boundary.
 var ErrBusy = fmt.Errorf("broker: ingest pipeline full")
 
-// ErrTooDeep is returned by the publish entry points for a tree with
-// more levels than xmltree.MaxDepth, which no parser hands out: Unpack
-// would not read it back from retention. It is refused whole — not
-// ingested, retained or routed.
-var ErrTooDeep = fmt.Errorf("broker: document nested deeper than %d", xmltree.MaxDepth)
+// ErrTooDeep is returned by the publish entry points for a document
+// with more levels than xmltree.MaxDepth, which no parser hands out and
+// xmltree.Unpack would not read back from retention. It is refused
+// whole — not ingested, retained or routed.
+var ErrTooDeep = xmltree.ErrTooDeep
 
-// deeper reports whether the subtree at n has more than room levels (at
-// least 1), descending no further; leaves, most nodes, cost no call.
-func deeper(n *xmltree.Node, room int) bool {
-	for _, c := range n.Children {
-		if room == 1 || (len(c.Children) > 0 && deeper(c, room-1)) {
-			return true
-		}
-	}
-	return false
+// Publish routes one document: it is PublishPacked of t packed.
+func (e *Engine) Publish(t *xmltree.Tree) (PublishResult, error) {
+	return e.PublishPacked(xmltree.Pack(t))
 }
 
-// Publish routes one document: it is queued for synopsis ingestion
-// (blocking only if the ingest pipeline is full — backpressure), loaded
-// once into a pooled flat arena, then matched against the forest in one
-// pass on this goroutine; communities that hit receive the document in
-// their delivery log. Matching per representative rather than per consumer
-// is the whole point: filter evaluations scale with the number of
-// communities, not subscriptions.
-func (e *Engine) Publish(t *xmltree.Tree) (PublishResult, error) {
-	return e.publish(t, nil, true)
+// PublishPacked routes one document, packed (xmltree.Pack's form): it
+// is loaded once into a pooled flat arena, which checks the bytes, and
+// published from there (PublishFlat).
+func (e *Engine) PublishPacked(doc []byte) (PublishResult, error) {
+	sc := e.getScratch()
+	defer e.putScratch(sc)
+	if _, err := sc.flat.LoadPacked(doc, nil); err != nil {
+		return PublishResult{}, fmt.Errorf("broker: publish: %w", err)
+	}
+	return e.PublishFlat(&sc.flat, false)
 }
 
 // logShed emits a remote-ingest shed event record, at most about one
@@ -74,48 +69,40 @@ func (e *Engine) logShed() {
 		"shed_total", e.counters.remoteShed.Load())
 }
 
-// InjectRemote routes a document that arrived from a peer broker in the
-// overlay. It behaves like Publish — the document feeds the synopsis
-// (remote traffic is part of the stream the estimator models), enters
-// the retention ring, and is delivered to matching local communities —
-// but is counted separately (Stats.RemoteInjected), and it never blocks
-// on a full ingest pipeline: a remote injection rides a peer's
-// forwarding goroutine, and stalling it would propagate one slow
-// broker's backlog through the overlay. When the pipeline is full the
-// document is shed (counted in Stats.RemoteShed) and ErrBusy returned,
-// so the peer stream can ack the frame busy and the upstream peer backs
-// off. doc is t as it arrived, packed (xmltree.Pack's form); retention
-// keeps that slice itself. nil has the engine pack t.
-func (e *Engine) InjectRemote(t *xmltree.Tree, doc []byte) (PublishResult, error) {
-	res, err := e.publish(t, doc, false)
-	if err == nil {
-		e.counters.remoteInjected.Add(1)
-	}
-	return res, err
-}
-
-// publish is Publish and InjectRemote: once accept has queued the
-// document for the synopsis, it gets its sequence number, enters
-// retention and is routed. The time accept took is ingest-queue wait,
-// the remainder routing; both land in the result and the latency
-// histograms.
-func (e *Engine) publish(t *xmltree.Tree, doc []byte, block bool) (PublishResult, error) {
+// PublishFlat routes one document loaded from its packed bytes
+// (xmltree.Flat.LoadPacked, which checked them): the bytes are queued
+// for synopsis ingestion, the document is matched against the forest in
+// one pass on this goroutine, its labels resolved against the forest's
+// table, and communities that hit receive it in their delivery log;
+// retention keeps the bytes themselves. Filter evaluations scale with
+// the number of communities, not subscriptions.
+//
+// A local publish waits out a full ingest pipeline (backpressure). A
+// remote one, forwarded by a peer broker, is counted apart
+// (Stats.RemoteInjected) and never blocks the peer's forwarding
+// goroutine: a full pipeline sheds it (Stats.RemoteShed) with ErrBusy,
+// which the peer stream acks busy. The time accept took is ingest-queue
+// wait, the remainder routing.
+func (e *Engine) PublishFlat(doc *xmltree.Flat, remote bool) (PublishResult, error) {
 	start := time.Now()
-	if err := e.accept(t, block); err != nil {
+	if err := e.accept(doc.Packed(), !remote); err != nil {
 		return PublishResult{}, err
 	}
 	enqueued := time.Now()
 	e.routeMu.RLock()
 	defer e.routeMu.RUnlock()
 	res := PublishResult{Seq: e.pubSeq.Add(1)}
-	doc = e.docs.put(res.Seq, t, doc)
+	retained := e.docs.put(res.Seq, doc.Packed())
 	// A publish that raced Close past the pipeline check was already
 	// accepted into the synopsis; it simply routes to nobody, keeping
 	// Published == documents ingested.
 	if !e.routeClosed {
-		e.routeDoc(t, doc, &res)
+		e.routeDoc(doc, retained, &res)
 	}
 	e.counters.published.Add(1)
+	if remote {
+		e.counters.remoteInjected.Add(1)
+	}
 	end := time.Now()
 	res.IngestWaitNS = enqueued.Sub(start).Nanoseconds()
 	res.MatchNS = end.Sub(enqueued).Nanoseconds()
@@ -125,15 +112,12 @@ func (e *Engine) publish(t *xmltree.Tree, doc []byte, block bool) (PublishResult
 }
 
 // accept is the ingest gate of every publish entry point: it refuses a
-// tree deeper than xmltree.MaxDepth and a closed engine, then queues t
-// for synopsis ingestion before any routing lock is taken, so a full
-// pipeline stalls only publishers (and Close), never Drain/Stats. With
-// block a full pipeline is waited out (backpressure); without, a
-// document that does not fit is shed, counted, and ErrBusy returned.
-func (e *Engine) accept(t *xmltree.Tree, block bool) error {
-	if t != nil && t.Root != nil && deeper(t.Root, xmltree.MaxDepth) {
-		return ErrTooDeep
-	}
+// closed engine, then queues doc for synopsis ingestion before any
+// routing lock is taken, so a full pipeline stalls only publishers (and
+// Close), never Drain/Stats. With block a full pipeline is waited out
+// (backpressure); without, a document that does not fit is shed,
+// counted, and ErrBusy returned.
+func (e *Engine) accept(doc []byte, block bool) error {
 	e.pipeMu.RLock()
 	defer e.pipeMu.RUnlock()
 	if e.pipeClosed {
@@ -141,11 +125,11 @@ func (e *Engine) accept(t *xmltree.Tree, block bool) error {
 	}
 	if block {
 		e.counters.ingestQueued.Add(1)
-		e.ingest <- ingestItem{tree: t}
+		e.ingest <- ingestItem{doc: doc}
 		return nil
 	}
 	select {
-	case e.ingest <- ingestItem{tree: t}:
+	case e.ingest <- ingestItem{doc: doc}:
 		e.counters.ingestQueued.Add(1)
 		return nil
 	default:
@@ -164,7 +148,7 @@ const ingestBatch = 32
 // instead of once per document.
 func (e *Engine) runIngest() {
 	defer e.ingestWG.Done()
-	batch := make([]*xmltree.Tree, 0, ingestBatch)
+	batch := make([][]byte, 0, ingestBatch)
 	var done []chan struct{}
 	for item := range e.ingest {
 		if item.gate != nil {
@@ -172,8 +156,8 @@ func (e *Engine) runIngest() {
 		}
 		batch, done = batch[:0], done[:0]
 		for {
-			if item.tree != nil {
-				batch = append(batch, item.tree)
+			if len(item.doc) > 0 {
+				batch = append(batch, item.doc)
 			}
 			if item.done != nil {
 				done = append(done, item.done)
@@ -190,11 +174,11 @@ func (e *Engine) runIngest() {
 			default:
 				more = false
 			}
-			if !more || (item.tree == nil && item.done == nil) {
+			if !more || (len(item.doc) == 0 && item.done == nil) {
 				break
 			}
 		}
-		e.est.ObserveTrees(batch)
+		e.est.ObservePacked(batch)
 		e.counters.ingested.Add(uint64(len(batch)))
 		for _, ch := range done {
 			close(ch)
@@ -220,8 +204,8 @@ func (e *Engine) Flush() {
 // docRing retains the most recent published documents keyed by publish
 // sequence, so a delivery's content is retrievable after routing. A
 // document is held packed (xmltree.Pack: one pointer-free []byte), not
-// as its parse tree, which lives only until routing and the synopsis
-// are done with it. On top of the fixed-size ring sits the pin map:
+// as a tree: the bytes the publish was parsed to, or arrived as, are the
+// bytes retained. On top of the fixed-size ring sits the pin map:
 // documents referenced by unacked at-least-once deliveries are pinned
 // (refcounted: once per log entry, once per carried one) and stay retrievable
 // however far the ring advances — GET /doc/{seq} must not 404 a
@@ -254,15 +238,11 @@ func (r *docRing) slot(seq uint64) (*docEntry, bool) {
 	return e, e.seq == seq && seq != 0
 }
 
-// put retains the document published as seq and returns its packed
-// bytes: doc when the caller has them (a forwarded publication), t
-// packed otherwise. Without a ring nothing is packed or retained.
-func (r *docRing) put(seq uint64, t *xmltree.Tree, doc []byte) []byte {
+// put retains the document published as seq and returns it, or nil
+// without a ring.
+func (r *docRing) put(seq uint64, doc []byte) []byte {
 	if r == nil {
 		return nil
-	}
-	if len(doc) == 0 {
-		doc = xmltree.Pack(t)
 	}
 	r.mu.Lock()
 	e, _ := r.slot(seq)

@@ -500,8 +500,18 @@ func TestRestoreShardSkew(t *testing.T) {
 	}
 }
 
+// injectRemote is a remote PublishFlat of t, loaded as the overlay loads
+// a forwarded publication.
+func injectRemote(e *Engine, t *xmltree.Tree) (PublishResult, error) {
+	var f xmltree.Flat
+	if _, err := f.LoadPacked(xmltree.Pack(t), nil); err != nil {
+		return PublishResult{}, err
+	}
+	return e.PublishFlat(&f, true)
+}
+
 // TestInjectRemoteShedsWhenFull pins the ingester behind a gate, fills
-// the one-slot pipeline, and verifies InjectRemote sheds with ErrBusy
+// the one-slot pipeline, and verifies a remote publish sheds with ErrBusy
 // (counted) instead of blocking, while the gated document still ingests
 // once released.
 func TestInjectRemoteShedsWhenFull(t *testing.T) {
@@ -515,10 +525,10 @@ func TestInjectRemoteShedsWhenFull(t *testing.T) {
 	}
 
 	d := doc(t, "a(b)")
-	if _, err := e.InjectRemote(d, nil); err != nil {
+	if _, err := injectRemote(e, d); err != nil {
 		t.Fatalf("InjectRemote into free slot: %v", err)
 	}
-	if _, err := e.InjectRemote(d, nil); err != ErrBusy {
+	if _, err := injectRemote(e, d); err != ErrBusy {
 		t.Fatalf("InjectRemote into full pipeline = %v, want ErrBusy", err)
 	}
 	st := e.Stats()

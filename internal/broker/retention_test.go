@@ -34,7 +34,7 @@ func TestDocRingHoldsPackedBytes(t *testing.T) {
 		}
 	}
 
-	r.put(1, a, nil)
+	r.put(1, xmltree.Pack(a))
 	held(size(a), "after put 1")
 	r.pin(1, nil) // a publish pins after it put: the ring's bytes are the pin's
 	r.pin(1, nil)
@@ -42,8 +42,8 @@ func TestDocRingHoldsPackedBytes(t *testing.T) {
 	if &r.get(1)[0] != &r.pinned[1].doc[0] {
 		t.Error("the pin packed its own copy of a document the ring holds")
 	}
-	r.put(2, b, nil)
-	r.put(3, c, nil) // evicts 1 from the ring; the pin keeps it
+	r.put(2, xmltree.Pack(b))
+	r.put(3, xmltree.Pack(c)) // evicts 1 from the ring; the pin keeps it
 	held(size(a)+size(b)+size(c), "after the ring moved past a pinned document")
 	if got := e.Document(1); got == nil || !got.Root.Equal(a.Root) {
 		t.Errorf("pinned document past the ring = %v, want %v", got, a)
@@ -59,13 +59,13 @@ func TestDocRingHoldsPackedBytes(t *testing.T) {
 	r.pin(9, xmltree.Pack(a)) // recovery: nothing in the ring to reuse
 	r.pin(8, nil)             // recovery of a delivery journaled without content
 	held(size(a)+size(b)+size(c), "after a recovery pin")
-	r.put(4, nil, nil) // the empty document evicts 2
+	r.put(4, xmltree.Pack(nil)) // the empty document evicts 2
 	held(size(a)+size(c), "after an empty put")
 	if e.Document(4) != nil || e.Document(0) != nil {
 		t.Error("the empty document or sequence 0 reads as a tree")
 	}
 	r.unpin(9)
-	r.put(5, b, nil)
+	r.put(5, xmltree.Pack(b))
 	held(size(b), "at the end")
 
 	var gauge strings.Builder

@@ -92,8 +92,8 @@ func (g *routeGroup) members() []*subscriber {
 	return out
 }
 
-// routeScratch is the pooled per-publish scratch: the flattened
-// document and the at-least-once deliveries the fan-out committed —
+// routeScratch is the pooled per-publish scratch: an arena to load the
+// document in, and the at-least-once deliveries the fan-out committed —
 // receiving subscription, its cursor and community matched, in the
 // parallel arrays the publish journals (OpDeliver) so the deliveries
 // survive a crash.
@@ -110,12 +110,19 @@ func (e *Engine) getScratch() *routeScratch {
 	return &routeScratch{}
 }
 
-// matchDoc flattens t into sc and walks it once through the forest: the
-// step a publish and Explain share. Caller holds routeMu shared and
+// putScratch pools sc, emptied of the document it last held.
+func (e *Engine) putScratch(sc *routeScratch) {
+	sc.flat.LoadPacked(nil, nil)
+	e.scratchPool.Put(sc)
+}
+
+// matchDoc resolves doc's labels against the forest's table and walks
+// it once through the forest: the step a publish and Explain share.
+// Caller holds routeMu shared, under which the table only grows, and
 // releases the set.
-func (e *Engine) matchDoc(t *xmltree.Tree, sc *routeScratch) *matching.MatchSet {
-	sc.flat.Load(t, e.forest.Table())
-	return e.forest.MatchFlat(t, &sc.flat)
+func (e *Engine) matchDoc(doc *xmltree.Flat) *matching.MatchSet {
+	doc.Resolve(e.forest.Table())
+	return e.forest.MatchFlat(nil, doc)
 }
 
 // memberMatchers pools the evaluators behind member verdicts (a
@@ -144,16 +151,16 @@ func memberMatches(fm *pattern.FlatMatcher, p *pattern.Pattern) (ok bool) {
 // their cursors — the entry's position plus each one's offset — are
 // journaled as one OpDeliver record before the publish returns. Every
 // sample-th delivery is checked exactly, against the receiving member's
-// own pattern. doc is t packed, as retention just stored it (nil when
-// retention is off). Caller holds routeMu shared, which keeps every
-// cursor's numbering still.
-func (e *Engine) routeDoc(t *xmltree.Tree, doc []byte, res *PublishResult) {
+// own pattern. retained is doc's bytes as retention just stored them
+// (nil when retention is off). Caller holds routeMu shared, which keeps
+// every cursor's numbering still.
+func (e *Engine) routeDoc(doc *xmltree.Flat, retained []byte, res *PublishResult) {
 	if len(e.groups) == 0 {
 		return
 	}
 	matchStart := time.Now()
+	ms := e.matchDoc(doc)
 	sc := e.getScratch()
-	ms := e.matchDoc(t, sc)
 	c, seq := &e.counters, res.Seq
 	c.filterEvals.Add(uint64(len(e.groups)))
 	sc.subs, sc.cursors, sc.comms = sc.subs[:0], sc.cursors[:0], sc.comms[:0]
@@ -171,7 +178,7 @@ func (e *Engine) routeDoc(t *xmltree.Tree, doc []byte, res *PublishResult) {
 			for i := n - 1 - int(last%sample); i >= 0; i -= int(sample) {
 				if fm == nil {
 					fm = memberMatchers.Get().(*pattern.FlatMatcher)
-					fm.LoadFlat(&sc.flat)
+					fm.LoadFlat(doc)
 				}
 				c.sampled.Add(1)
 				if memberMatches(fm, to[i].pat) {
@@ -187,7 +194,7 @@ func (e *Engine) routeDoc(t *xmltree.Tree, doc []byte, res *PublishResult) {
 		res.Matched++
 		// Evictions and sheds charge the publish that forced them; the
 		// lost delivery belongs to an older document.
-		p, evicted, shed := g.log.append(seq, doc, comm)
+		p, evicted, shed := g.log.append(seq, retained, comm)
 		if n := evicted + shed; n > 0 {
 			res.Dropped += n
 			c.dropped.Add(uint64(n))
@@ -215,7 +222,7 @@ func (e *Engine) routeDoc(t *xmltree.Tree, doc []byte, res *PublishResult) {
 	// on — so a crash in between loses only publishes whose callers never
 	// saw success.
 	if len(sc.subs) > 0 {
-		e.journal(persist.Record{Op: persist.OpDeliver, Seq: seq, Doc: doc, Subs: sc.subs, Cursors: sc.cursors, Comms: sc.comms})
+		e.journal(persist.Record{Op: persist.OpDeliver, Seq: seq, Doc: retained, Subs: sc.subs, Cursors: sc.cursors, Comms: sc.comms})
 	}
 	e.scratchPool.Put(sc)
 }

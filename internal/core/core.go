@@ -168,6 +168,16 @@ func (e *Estimator) ObserveTrees(ts []*xmltree.Tree) []uint64 {
 	return ids
 }
 
+// ObservePacked is ObserveTrees for documents packed (xmltree.Pack's
+// form), the batches the broker's publish ingester feeds.
+func (e *Estimator) ObservePacked(docs [][]byte) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	for _, b := range docs {
+		e.syn.InsertPacked(b)
+	}
+}
+
 // ObserveXML parses one XML document from r and feeds it in.
 func (e *Estimator) ObserveXML(r io.Reader) (uint64, error) {
 	t, err := xmltree.Parse(r, e.cfg.ParseOptions)

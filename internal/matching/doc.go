@@ -16,8 +16,8 @@
 //     is bounded by the live subscription set), document labels are
 //     resolved read-only and unknown ones collapse to a sentinel, so
 //     document traffic (which may promote unbounded text values to
-//     labels) never grows the table. Documents are flattened once per
-//     match into a pooled BFS arena (xmltree.Flat) carrying the symbols.
+//     labels) never grows the table. A document is loaded once from its
+//     packed bytes into an arena (xmltree.Flat), one lookup per label.
 //   - A hash-consed pattern forest: every registered pattern is merged
 //     into one DAG with common-subtree sharing (structurally equal
 //     subtrees get one node and one bit, reference-counted under

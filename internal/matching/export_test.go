@@ -96,7 +96,7 @@ func (f *Forest) CandidateWork(t *xmltree.Tree) (accepted, kidRejected, labelRej
 			for _, id := range ids {
 				n := &f.nodes[id]
 				switch {
-				case n.kind == kindTag && n.sym != doc.Syms[i]:
+				case n.kind == kindTag && n.sym != doc.Sym(int32(i)):
 					labelRejected++
 					continue
 				case allIn(n.kids[1:], &root.sat):

@@ -265,9 +265,13 @@ func (e *patEntry) holdsAt(root *frameSlot) bool {
 }
 
 // NewForest returns an empty forest with its own label table.
-func NewForest() *Forest {
+func NewForest() *Forest { return NewForestOver(intern.NewTable()) }
+
+// NewForestOver is NewForest interning its labels into tbl, which other
+// forests may share: a document resolved against it serves them all.
+func NewForestOver(tbl *intern.Table) *Forest {
 	return &Forest{
-		tbl:         intern.NewTable(),
+		tbl:         tbl,
 		index:       make(map[string]uint32),
 		ordered:     true,
 		wildLeaf:    noNode,
@@ -479,11 +483,12 @@ func (f *Forest) renumber() {
 	// Sort keys: (kind, label) slot, then id — tag labels first, then
 	// the other kinds, each above every symbol.
 	var order []uint64
+	syms := uint64(f.tbl.Len()) // once: another forest may share the table
 	for id := range f.nodes {
 		if n := &f.nodes[id]; n.refs > 0 {
 			slot := uint64(n.sym)
 			if n.kind != kindTag {
-				slot = uint64(f.tbl.Len()) + uint64(n.kind)
+				slot = syms + uint64(n.kind)
 			}
 			order = append(order, slot<<32|uint64(id))
 		}
@@ -743,9 +748,6 @@ func (f *Forest) Table() *intern.Table { return f.tbl }
 // Match evaluates the document against every registered pattern in one
 // post-order traversal and returns the set of matching handles.
 func (f *Forest) Match(t *xmltree.Tree) *MatchSet {
-	if t == nil || t.Root == nil {
-		return f.MatchFlat(t, nil)
-	}
 	doc, _ := f.docPool.Get().(*xmltree.Flat)
 	if doc == nil {
 		doc = &xmltree.Flat{}
@@ -758,9 +760,9 @@ func (f *Forest) Match(t *xmltree.Tree) *MatchSet {
 
 // MatchFlat is Match over a document already loaded into a Flat arena
 // with the forest's Table (the caller keeps the arena, e.g. to evaluate
-// other patterns on it). t is the original tree, consulted only by the
-// oracle fallback for non-compiled patterns. A nil or empty doc matches
-// nothing.
+// other patterns on it). t is the document as a tree, or nil: only the
+// oracle fallback for non-compiled patterns reads it, and when it must,
+// it unpacks the arena's bytes. A nil or empty doc matches nothing.
 func (f *Forest) MatchFlat(t *xmltree.Tree, doc *xmltree.Flat) *MatchSet {
 	fr := f.frames.Get().(*frameStack)
 	ms := f.matchFlat(t, doc, fr)
@@ -793,7 +795,11 @@ func (f *Forest) matchFlat(t *xmltree.Tree, doc *xmltree.Flat, fr *frameStack) *
 	// Verdicts, found like every other constraint: through the root
 	// kids that fired at the document root.
 	for _, h := range f.unindexed {
-		if e := &f.pats[h]; !e.isOracle || oracleMatches(t, e.oracle) {
+		e := &f.pats[h]
+		if e.isOracle && t == nil {
+			t, _ = xmltree.Unpack(doc.Packed())
+		}
+		if !e.isOracle || oracleMatches(t, e.oracle) {
 			ms.bits.Add(int(h))
 		}
 	}
@@ -820,7 +826,7 @@ func (f *Forest) eval(doc *xmltree.Flat, fr *frameStack, i int32, d int) {
 	if f.wildLeaf != noNode {
 		N.add(f.wildLeaf)
 	}
-	sym := doc.Syms[i]
+	sym := doc.Sym(i)
 	if sym != intern.NoSym && int(sym) < len(f.leafTag) {
 		// The bounds check matters: the table may hold symbols no leaf
 		// of this forest carries (interned for inner nodes).

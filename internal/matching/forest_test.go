@@ -110,11 +110,18 @@ func TestForestOracleFallback(t *testing.T) {
 		doc  *xmltree.Tree
 		want bool
 	}{{hit, true}, {miss, pattern.Matches(miss, p)}} {
-		ms := f.Match(tc.doc)
-		if got := ms.Has(h); got != tc.want {
-			t.Errorf("doc %s: got %v, want %v", tc.doc, got, tc.want)
+		// As a tree, and as packed bytes with no tree: the oracle then
+		// unpacks the arena's bytes.
+		var doc xmltree.Flat
+		if _, err := doc.LoadPacked(xmltree.Pack(tc.doc), f.Table()); err != nil {
+			t.Fatal(err)
 		}
-		ms.Release()
+		for _, ms := range []*MatchSet{f.Match(tc.doc), f.MatchFlat(nil, &doc)} {
+			if got := ms.Has(h); got != tc.want {
+				t.Errorf("doc %s: got %v, want %v", tc.doc, got, tc.want)
+			}
+			ms.Release()
+		}
 	}
 	f.Remove(h)
 	if f.Live() != 0 {

@@ -16,7 +16,8 @@ import (
 // (exercising the forest's hash-cons reference counting). One of the
 // three steps — install, removal, re-add — is a batch install
 // (Replace), chosen by the pattern text's length, so the renumbering
-// runs on fresh, shrunk and regrown forests.
+// runs on fresh, shrunk and regrown forests. Each check matches the
+// document as a tree and as packed bytes loaded with Flat.LoadPacked.
 func FuzzEngineVsMatches(f *testing.F) {
 	seeds := [][2]string{
 		{"a(b,c)", "/a/b\n//c\n/a[b][c]\n/x\n/*"},
@@ -103,18 +104,21 @@ func FuzzEngineVsMatches(f *testing.F) {
 			}
 		}
 		edit(0, false)
+		var flat xmltree.Flat
 		check := func(stage string) {
 			checkIndex(t, forest)
-			ms := forest.Match(doc)
-			defer ms.Release()
-			for i := range pats {
-				if hs[i] < 0 {
-					continue
+			// As a tree, and as the packed bytes a publish loads.
+			if _, err := flat.LoadPacked(xmltree.Pack(doc), forest.Table()); err != nil {
+				t.Fatal(err)
+			}
+			for _, ms := range []*MatchSet{forest.Match(doc), forest.MatchFlat(nil, &flat)} {
+				for i := range pats {
+					if got := hs[i] >= 0 && ms.Has(hs[i]); hs[i] >= 0 && got != want[i] {
+						t.Fatalf("%s: doc %q pattern %q: forest = %v, oracle = %v",
+							stage, docStr, pats[i], got, want[i])
+					}
 				}
-				if got := ms.Has(hs[i]); got != want[i] {
-					t.Fatalf("%s: doc %q pattern %q: forest = %v, oracle = %v",
-						stage, docStr, pats[i], got, want[i])
-				}
+				ms.Release()
 			}
 		}
 		check("initial")

@@ -11,6 +11,7 @@ import (
 	"treesim/internal/persist"
 	"treesim/internal/querygen"
 	"treesim/internal/xmlgen"
+	"treesim/internal/xmltree"
 )
 
 // BenchmarkOverlayForwardPlan measures the per-publication forwarding
@@ -25,7 +26,12 @@ func BenchmarkOverlayForwardPlan(b *testing.B) {
 		patternsPerOrigin = 64
 	)
 	d := dtd.NITFLike()
-	docs := xmlgen.New(d, xmlgen.Calibrate(d, 100, 41)).GenerateN(64)
+	var docs []*xmltree.Flat
+	for _, t := range xmlgen.New(d, xmlgen.Calibrate(d, 100, 41)).GenerateN(64) {
+		var f xmltree.Flat
+		f.Load(t, nil)
+		docs = append(docs, &f)
+	}
 	pats := querygen.New(d, querygen.Defaults(43)).
 		GenerateDistinct(links * originsPerLink * patternsPerOrigin)
 
@@ -153,5 +159,71 @@ func BenchmarkAdvertBuild(b *testing.B) {
 			}
 			b.ReportMetric(float64(patterns), "kept")
 		})
+	}
+}
+
+// middleNode is b of a line a–b–c in flight: an exact-mode engine (every
+// subscription its own community) over 200 NITF subscriptions, warmed
+// with 200 documents, which has learned c's advert of 200 more; both
+// links swallow what is sent. Its publications are NITF documents as a
+// arrives with them: packed, with fresh sequence numbers.
+func middleNode(tb testing.TB) (*Node, func(i int) wire.Publication) {
+	d := dtd.NITFLike()
+	pats := querygen.New(d, querygen.Defaults(43)).GenerateDistinct(400)
+	docs := xmlgen.New(d, xmlgen.Calibrate(d, 100, 41)).GenerateN(200)
+	eng := broker.New(broker.Config{Threshold: 2})
+	tb.Cleanup(func() { eng.Close() })
+	b := New(eng, Config{ID: "b", AdvertTTL: -1})
+	tb.Cleanup(b.Close)
+	packed := make([][]byte, len(docs))
+	for i, t := range docs {
+		packed[i] = xmltree.Pack(t)
+		if _, err := eng.Publish(t); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	exprs := make([]string, 0, 200)
+	for i, p := range pats {
+		if i < 200 {
+			if _, err := eng.SubscribePattern(p, p.String()); err != nil {
+				tb.Fatal(err)
+			}
+		} else {
+			exprs = append(exprs, p.String())
+		}
+	}
+	for _, peer := range []string{"a", "c"} {
+		if err := b.addPeerLink(peer, nopTransport{}); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	advert := wire.Advert{Origin: "c", Version: 1, Communities: []wire.Community{{Patterns: exprs, Members: len(exprs)}}}
+	if err := b.HandleAdvert(wire.AdvertBatch{From: "c", Adverts: []wire.Advert{advert}}); err != nil {
+		tb.Fatal(err)
+	}
+	eng.Flush()
+	seq := uint64(0)
+	return b, func(i int) wire.Publication {
+		seq++
+		return wire.Publication{From: "a", Origin: "a", Seq: seq, TTL: 4, Doc: packed[i%len(packed)]}
+	}
+}
+
+// BenchmarkNodeHandlePublish is one forwarded publication through a warm
+// middle node: local injection, the remote-forest match and the forward
+// to c, from the packed bytes alone.
+func BenchmarkNodeHandlePublish(b *testing.B) {
+	n, next := middleNode(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := n.HandlePublish(next(i)); err != nil {
+			b.Fatal(err)
+		}
+		if i%1024 == 1023 {
+			b.StopTimer()
+			n.Engine().Flush()
+			b.StartTimer()
+		}
 	}
 }

@@ -3,6 +3,7 @@ package overlay
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -250,13 +251,39 @@ func TestAdvertCoverInvariantsUnderChurn(t *testing.T) {
 	t.Run("exact", func(t *testing.T) {
 		d := dtd.NITFLike()
 		n := coverNode(t, "x", 0.5, Config{})
-		for _, dc := range genDocs(d, 30, 5) {
+		docs := genDocs(d, 30, 5)
+		for _, dc := range docs {
 			if _, _, err := n.Publish(dc); err != nil {
 				t.Fatal(err)
 			}
 		}
 		n.Engine().Flush()
-		pats := genPatterns(d, 200, 6)
+		// Leave out the patterns (//* and /* among them) that match every
+		// warm document: one of those would be the whole cover for most of
+		// the run, and no eviction or re-placement would be exercised.
+		var pats []*pattern.Pattern
+		for _, p := range genPatterns(d, 260, 6) {
+			if len(pats) < 200 && slices.ContainsFunc(docs, func(dc *xmltree.Tree) bool { return !pattern.Matches(dc, p) }) {
+				pats = append(pats, p)
+			}
+		}
+		if len(pats) < 200 {
+			t.Fatalf("%d patterns left of 260; want 200", len(pats))
+		}
+		checks, several := 0, 0
+		checkCover := func(t *testing.T, n *Node) {
+			t.Helper()
+			checkCover(t, n)
+			if checks++; len(advertised(t, n.Info().LocalAdvert)) >= 2 {
+				several++
+			}
+		}
+		defer func() {
+			t.Logf("the advert held two or more patterns on %d of %d checks", several, checks)
+			if 2*several <= checks {
+				t.Errorf("the advert held two or more patterns on %d of %d checks; the churn exercised little", several, checks)
+			}
+		}()
 		rng := rand.New(rand.NewSource(7))
 		var ids []uint64
 		subscribe := func(p *pattern.Pattern) {
@@ -573,7 +600,7 @@ func TestForwardingIdenticalToPerCommunityCover(t *testing.T) {
 			for i, dc := range docs {
 				var hops [2][]string
 				for v, pair := range [2][2]*Node{{oldA, oldB}, {newA, newB}} {
-					_, _, trace, err := pair[0].PublishTraced(dc)
+					_, _, trace, err := pair[0].PublishTraced(xmltree.Pack(dc))
 					if err != nil {
 						t.Fatal(err)
 					}

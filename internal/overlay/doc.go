@@ -39,8 +39,8 @@
 // are package wire's). A broker acks a publication only after its own
 // injection and downstream forwards have returned, so when POST /publish
 // answers at the first broker every broker the document reached holds
-// its deliveries; past the first broker a document travels as its
-// xmltree.Pack bytes, unpacked once per hop.
+// its deliveries; a document travels as its xmltree.Pack bytes, which
+// each hop loads once for its engine and its forest, and never unpacks.
 //
 // Trust and delivery model. Peer messages are validated (bounded,
 // parseable) but not authenticated: any reachable sender could advertise

@@ -86,7 +86,7 @@ type ForwardExplanation struct {
 var ErrScenario = errors.New("overlay: impossible explain scenario")
 
 // ExplainForward runs the forwarding decision (forward, as a publish
-// does) for a document without sending it: which links would receive a
+// does) for a document, packed, without sending it: which links would receive a
 // forward and why the others would not, plus the local engine's
 // delivery explanation. origin and from parameterize the scenario —
 // empty origin means "published locally at this node" (from must then
@@ -94,7 +94,7 @@ var ErrScenario = errors.New("overlay: impossible explain scenario")
 // link); a non-empty origin with a from link explains a forwarded
 // publication's next hop (TTL and duplicate suppression excluded: they
 // depend on per-publication state, not routing state).
-func (n *Node) ExplainForward(t *xmltree.Tree, origin, from string) (*ForwardExplanation, error) {
+func (n *Node) ExplainForward(doc []byte, origin, from string) (*ForwardExplanation, error) {
 	n.mu.Lock()
 	closed, arrival := n.closed, n.links[from]
 	n.mu.Unlock()
@@ -109,13 +109,18 @@ func (n *Node) ExplainForward(t *xmltree.Tree, origin, from string) (*ForwardExp
 	if origin == "" {
 		origin = n.cfg.ID
 	}
+	f := docArenas.Get().(*xmltree.Flat)
+	defer releaseDoc(f)
+	if _, err := f.LoadPacked(doc, nil); err != nil {
+		return nil, fmt.Errorf("overlay: explain: %w", err)
+	}
 	ex := &ForwardExplanation{Node: n.cfg.ID, Origin: origin, From: from}
-	for _, l := range n.forward(t, origin, from, ex) {
+	for _, l := range n.forward(f, origin, from, ex) {
 		ex.ForwardTo = append(ex.ForwardTo, l.id)
 	}
 	sort.Slice(ex.Links, func(i, j int) bool { return ex.Links[i].Peer < ex.Links[j].Peer })
 
-	local, err := n.eng.Explain(t)
+	local, err := n.eng.Explain(doc)
 	if err != nil {
 		return nil, err
 	}

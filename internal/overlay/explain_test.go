@@ -4,6 +4,8 @@ import (
 	"errors"
 	"reflect"
 	"testing"
+
+	"treesim/internal/xmltree"
 )
 
 // TestExplainForwardMatchesTracedPublish is the overlay half of the
@@ -24,14 +26,14 @@ func TestExplainForwardMatchesTracedPublish(t *testing.T) {
 
 	for _, xml := range []string{"<x><y/></x>", "<z/>", "<q/>", "<x><y><w/></y></x>"} {
 		d := doc(t, xml)
-		ex, err := a.ExplainForward(d, "", "")
+		ex, err := a.ExplainForward(xmltree.Pack(d), "", "")
 		if err != nil {
 			t.Fatal(err)
 		}
 		if ex.Node != "a" || ex.Origin != "a" || ex.From != "" {
 			t.Fatalf("doc %s: explanation identity wrong: %+v", xml, ex)
 		}
-		res, sent, id, err := a.PublishTraced(d)
+		res, sent, id, err := a.PublishTraced(xmltree.Pack(d))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -85,7 +87,7 @@ func TestExplainForwardArrivalScenario(t *testing.T) {
 	connect(t, b, c)
 	mustSubscribe(t, c, "/x/y")
 
-	ex, err := b.ExplainForward(doc(t, "<x><y/></x>"), "a", "a")
+	ex, err := b.ExplainForward(xmltree.Pack(doc(t, "<x><y/></x>")), "a", "a")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +120,7 @@ func TestExplainForwardArrivalScenario(t *testing.T) {
 		t.Fatalf("advert version %d in verdict, routing table holds %d", v.Matched[0].Version, want)
 	}
 	// A no-match document still refuses the arrival link.
-	ex2, err := b.ExplainForward(doc(t, "<q/>"), "a", "a")
+	ex2, err := b.ExplainForward(xmltree.Pack(doc(t, "<q/>")), "a", "a")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,15 +199,15 @@ func TestExplainForwardRejectsImpossibleScenarios(t *testing.T) {
 		{"", "b"},
 		{"b", "nowhere"},
 	} {
-		if _, err := a.ExplainForward(d, c.origin, c.from); !errors.Is(err, ErrScenario) {
+		if _, err := a.ExplainForward(xmltree.Pack(d), c.origin, c.from); !errors.Is(err, ErrScenario) {
 			t.Errorf("ExplainForward(origin %q, from %q) = %v, want ErrScenario", c.origin, c.from, err)
 		}
 	}
-	if _, err := a.ExplainForward(d, "b", "b"); err != nil {
+	if _, err := a.ExplainForward(xmltree.Pack(d), "b", "b"); err != nil {
 		t.Fatalf("a forwarded publication from b's origin on b's link: %v", err)
 	}
 	a.Close()
-	if _, err := a.ExplainForward(d, "", ""); !errors.Is(err, ErrClosed) {
+	if _, err := a.ExplainForward(xmltree.Pack(d), "", ""); !errors.Is(err, ErrClosed) {
 		t.Fatalf("ExplainForward on a closed node = %v, want ErrClosed", err)
 	}
 }

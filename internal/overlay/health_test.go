@@ -364,28 +364,28 @@ func TestBusyAfterClassification(t *testing.T) {
 // the ring-slot integrity it must preserve.
 func TestSeenSetRemove(t *testing.T) {
 	s := newSeenSet(3)
-	s.add("a")
-	s.add("b")
-	s.remove("a")
-	if s.has("a") {
+	s.add(pubID{origin: "a"})
+	s.add(pubID{origin: "b"})
+	s.remove(pubID{origin: "a"})
+	if s.has(pubID{origin: "a"}) {
 		t.Fatal("removed key still present")
 	}
-	if !s.has("b") {
+	if !s.has(pubID{origin: "b"}) {
 		t.Fatal("unrelated key lost")
 	}
-	s.remove("zzz") // unknown: no-op
+	s.remove(pubID{origin: "zzz"}) // unknown: no-op
 	// Re-add after remove, then push the set past capacity: the re-added
 	// key must be evicted exactly once, never double-counted via a stale
 	// ring slot.
-	s.add("a")
-	s.add("c") // ring full: ["", "b", "a"]? slots hold b, a and one blank
-	s.add("d")
-	s.add("e")
-	s.add("f")
-	if s.has("a") && s.has("b") && s.has("c") && s.has("d") && s.has("e") && s.has("f") {
+	s.add(pubID{origin: "a"})
+	s.add(pubID{origin: "c"}) // ring full: ["", "b", "a"]? slots hold b, a and one blank
+	s.add(pubID{origin: "d"})
+	s.add(pubID{origin: "e"})
+	s.add(pubID{origin: "f"})
+	if s.has(pubID{origin: "a"}) && s.has(pubID{origin: "b"}) && s.has(pubID{origin: "c"}) && s.has(pubID{origin: "d"}) && s.has(pubID{origin: "e"}) && s.has(pubID{origin: "f"}) {
 		t.Fatal("seen set failed to evict past capacity")
 	}
-	if !s.has("f") {
+	if !s.has(pubID{origin: "f"}) {
 		t.Fatal("most recent key evicted")
 	}
 	if len(s.m) > 3 {

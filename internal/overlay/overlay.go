@@ -1,6 +1,7 @@
 package overlay
 
 import (
+	"cmp"
 	"crypto/rand"
 	"encoding/hex"
 	"errors"
@@ -10,7 +11,7 @@ import (
 	"net"
 	"slices"
 	"sort"
-	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -273,7 +274,7 @@ func New(eng *broker.Engine, cfg Config) *Node {
 		eng:     eng,
 		links:   make(map[string]*link),
 		table:   make(map[string]*originEntry),
-		remote:  matching.NewForest(),
+		remote:  matching.NewForestOver(eng.LabelTable()),
 		inbound: make(map[net.Conn]chan struct{}),
 		stop:    make(chan struct{}),
 	}
@@ -616,20 +617,20 @@ func (n *Node) viaSticksLocked(cur *originEntry, a wire.Advert, now time.Time) b
 	return true
 }
 
-// Publish routes a locally published document: exact local matching
-// through the engine first, then one coarse aggregate match (forward)
-// to decide which peers receive a forward. It returns the local routing
-// result and the number of links the document was forwarded on.
+// Publish routes a locally published document: it is PublishTraced of
+// t packed, without the trace ID.
 func (n *Node) Publish(t *xmltree.Tree) (broker.PublishResult, int, error) {
-	res, sent, _, err := n.PublishTraced(t)
+	res, sent, _, err := n.PublishTraced(xmltree.Pack(t))
 	return res, sent, err
 }
 
-// PublishTraced is Publish returning the publication's trace ID as
-// well: a fresh random ID stamped into the wire frame, under which
-// this node and every forwarding hop append a span (Node.TraceSpans;
-// the daemon's GET /trace/{id}). Empty when tracing is disabled.
-func (n *Node) PublishTraced(t *xmltree.Tree) (broker.PublishResult, int, string, error) {
+// PublishTraced routes a locally published document, packed
+// (xmltree.Pack's form): exact local matching through the engine first,
+// then one coarse aggregate match (forward) to decide which peers
+// receive the bytes. It returns the local routing result, the number of
+// links forwarded on, and the publication's trace ID (empty when tracing
+// is disabled), under which every hop appends a span (TraceSpans).
+func (n *Node) PublishTraced(doc []byte) (broker.PublishResult, int, string, error) {
 	n.mu.Lock()
 	if n.closed {
 		n.mu.Unlock()
@@ -637,7 +638,12 @@ func (n *Node) PublishTraced(t *xmltree.Tree) (broker.PublishResult, int, string
 	}
 	n.mu.Unlock()
 	start := time.Now()
-	res, err := n.eng.Publish(t)
+	f := docArenas.Get().(*xmltree.Flat)
+	defer releaseDoc(f)
+	if _, err := f.LoadPacked(doc, nil); err != nil {
+		return broker.PublishResult{}, 0, "", fmt.Errorf("overlay: publish: %w", err)
+	}
+	res, err := n.eng.PublishFlat(f, false)
 	if err != nil {
 		return res, 0, "", err
 	}
@@ -648,14 +654,15 @@ func (n *Node) PublishTraced(t *xmltree.Tree) (broker.PublishResult, int, string
 		traceID = telemetry.NewTraceID()
 	}
 	n.mu.Lock()
-	n.seen.add(seenKey(n.cfg.ID, seq))
+	n.seen.add(pubID{n.cfg.ID, seq})
 	n.mu.Unlock()
-	sent, sentTo := n.sendPublication(n.forward(t, n.cfg.ID, "", nil), wire.Publication{
+	sent, sentTo := n.sendPublication(n.forward(f, n.cfg.ID, "", nil), wire.Publication{
 		Origin: n.cfg.ID,
 		Seq:    seq,
 		TTL:    n.cfg.TTL,
 		Trace:  traceID,
-	}, t, res.Seq)
+		Doc:    doc,
+	})
 	if n.traces != nil {
 		n.traces.Add(telemetry.Span{
 			Trace:       traceID,
@@ -686,8 +693,9 @@ func (n *Node) TraceSpans(id string) []telemetry.Span {
 // topologies suppressed duplicates are routine and must stay cheap),
 // then local delivery through the engine's remote-injection hook, then
 // TTL-decremented coarse forwarding to further links. The document
-// arrives packed: it is unpacked once for matching, and the bytes
-// themselves go into the engine's retention and on to the next link. A
+// arrives packed and stays so: it is loaded once, which checks the
+// bytes before the synopsis sees them, for the engine's forest and the
+// remote one, and the same bytes go to retention and the next link. A
 // publication whose payload turns out not to unpack (or parse) stays
 // marked seen: its origin assigned that sequence to a malformed
 // document, and replaying it cannot improve.
@@ -702,7 +710,7 @@ func (n *Node) HandlePublish(pub wire.Publication) error {
 		return fmt.Errorf("overlay: publication from unknown peer %q", pub.From)
 	}
 	n.counters.forwardsRecv.Add(1)
-	key := seenKey(pub.Origin, pub.Seq)
+	key := pubID{pub.Origin, pub.Seq}
 	if n.seen.has(key) {
 		n.counters.duplicates.Add(1)
 		n.mu.Unlock()
@@ -712,12 +720,15 @@ func (n *Node) HandlePublish(pub wire.Publication) error {
 	ttl := pub.TTL - 1
 	n.mu.Unlock()
 	start := time.Now()
-	t, err := xmltree.Unpack(pub.Doc)
-	if len(pub.Doc) == 0 { // a sender not yet upgraded: XML text
-		t, err = xmltree.ParseString(pub.XML, n.eng.Estimator().Config().ParseOptions)
+	var err error
+	if len(pub.Doc) == 0 { // a sender not yet upgraded: XML text, forwarded packed
+		pub.Doc, err = xmltree.ParsePacked(strings.NewReader(pub.XML), n.eng.Estimator().Config().ParseOptions)
+		pub.XML = ""
 	}
-	if err != nil {
-		return fmt.Errorf("overlay: forwarded document from %q: %w", pub.From, err)
+	f := docArenas.Get().(*xmltree.Flat)
+	defer releaseDoc(f)
+	if _, lerr := f.LoadPacked(pub.Doc, nil); err != nil || lerr != nil {
+		return fmt.Errorf("overlay: forwarded document from %q: %w", pub.From, cmp.Or(err, lerr))
 	}
 	// Local injection happens BEFORE any forwarding: when the engine
 	// sheds under backpressure the publication is unmarked from the seen
@@ -725,7 +736,7 @@ func (n *Node) HandlePublish(pub wire.Publication) error {
 	// suppressed as a duplicate and cannot leave a permanent local hole.
 	// No span is recorded for a shed publication — the upstream retry
 	// that eventually lands writes this node's single span.
-	res, err := n.eng.InjectRemote(t, pub.Doc)
+	res, err := n.eng.PublishFlat(f, true)
 	if err != nil {
 		if errors.Is(err, broker.ErrBusy) {
 			n.mu.Lock()
@@ -738,12 +749,12 @@ func (n *Node) HandlePublish(pub wire.Publication) error {
 	n.counters.injected.Add(1)
 	var targets []*link
 	if ttl > 0 {
-		targets = n.forward(t, pub.Origin, pub.From, nil)
+		targets = n.forward(f, pub.Origin, pub.From, nil)
 	} else {
 		n.counters.ttlDrops.Add(1)
 	}
 	pub.TTL = ttl
-	_, sentTo := n.sendPublication(targets, pub, t, res.Seq)
+	_, sentTo := n.sendPublication(targets, pub)
 	if n.traces != nil && pub.Trace != "" {
 		n.traces.Add(telemetry.Span{
 			Trace:       pub.Trace,
@@ -768,14 +779,15 @@ func (n *Node) HandlePublish(pub wire.Publication) error {
 // forest is matched once, under fmu shared, and only if some link
 // carries another origin's aggregates; the node lock is taken before
 // the match (links) and after it (routes), never with fmu.
-func (n *Node) forward(t *xmltree.Tree, origin, from string, ex *ForwardExplanation) []*link {
+func (n *Node) forward(doc *xmltree.Flat, origin, from string, ex *ForwardExplanation) []*link {
 	n.mu.Lock()
 	links := n.linksLocked(from)
 	worth := slices.ContainsFunc(links, func(l *link) bool { return n.carriesLocked(l.id, origin) })
 	n.mu.Unlock()
 	var hits []originHit
 	if worth {
-		hits = n.matchOrigins(t, origin)
+		var buf [4]originHit
+		hits = n.matchOrigins(doc, origin, buf[:0])
 	}
 	if len(hits) > 0 || ex != nil {
 		n.mu.Lock()
@@ -804,17 +816,18 @@ type originHit struct {
 	via string
 }
 
-// matchOrigins matches t against the remote forest once and returns the
-// origins other than exclude that own a matching pattern.
-func (n *Node) matchOrigins(t *xmltree.Tree, exclude string) []originHit {
+// matchOrigins matches doc against the remote forest once, its labels
+// resolved against the forest's table, and appends to hits the origins
+// other than exclude that own a matching pattern.
+func (n *Node) matchOrigins(doc *xmltree.Flat, exclude string, hits []originHit) []originHit {
 	n.fmu.RLock()
 	defer n.fmu.RUnlock()
-	ms := n.remote.Match(t)
+	doc.Resolve(n.remote.Table())
+	ms := n.remote.MatchFlat(nil, doc)
 	defer ms.Release()
 	if ms.Count() == 0 {
-		return nil // the common case: nothing to attribute
+		return hits // the common case: nothing to attribute
 	}
-	var hits []originHit
 	for h, o := range n.owner {
 		if o == "" || o == exclude || !ms.Has(h) {
 			continue
@@ -853,7 +866,7 @@ func (n *Node) linksLocked(exclude string) []*link {
 			out = append(out, l)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
+	slices.SortFunc(out, func(a, b *link) int { return strings.Compare(a.id, b.id) })
 	return out
 }
 
@@ -877,23 +890,14 @@ func (n *Node) sendAdverts(targets []*link, adverts []wire.Advert) {
 	}
 }
 
-// sendPublication forwards one document to the given links, packed. A
-// publication that arrived packed goes on as it came; otherwise the
-// bytes are those the engine's retention holds for seq, the sequence
-// the engine just gave the document — or t packed, when retention is
-// off or already past seq. Returns the number of successful sends and,
-// for traced publications, the ids of the links that accepted one (nil
-// when the frame is untraced — the span is the only consumer, no need
-// to allocate on every forward).
-func (n *Node) sendPublication(targets []*link, pub wire.Publication, t *xmltree.Tree, seq uint64) (int, []string) {
+// sendPublication forwards one publication, packed, to the given links.
+// Returns the number of successful sends and, for traced publications,
+// the ids of the links that accepted one (nil when the frame is
+// untraced — the span is the only consumer, no need to allocate on every
+// forward).
+func (n *Node) sendPublication(targets []*link, pub wire.Publication) (int, []string) {
 	if len(targets) == 0 {
 		return 0, nil
-	}
-	if pub.Doc == nil {
-		pub.XML = ""
-		if pub.Doc = n.eng.PackedDocument(seq); pub.Doc == nil {
-			pub.Doc = xmltree.Pack(t)
-		}
 	}
 	pub.From = n.cfg.ID
 	pub.Addr = n.cfg.Addr
@@ -968,6 +972,13 @@ func (n *Node) Info() wire.Info {
 	return info
 }
 
-func seenKey(origin string, seq uint64) string {
-	return origin + "\x00" + strconv.FormatUint(seq, 10)
+// docArenas pools the arenas a publication is loaded into, once per hop:
+// the engine's forest and the remote one share a label table, so its
+// labels resolve once.
+var docArenas = sync.Pool{New: func() any { return new(xmltree.Flat) }}
+
+// releaseDoc pools f, emptied of its document.
+func releaseDoc(f *xmltree.Flat) {
+	f.LoadPacked(nil, nil)
+	docArenas.Put(f)
 }

@@ -6,24 +6,31 @@ package overlay
 // how long a publication can keep circulating. Callers hold the node
 // lock.
 type seenSet struct {
-	m    map[string]struct{}
-	ring []string
+	m    map[pubID]struct{}
+	ring []pubID
 	next int
+}
+
+// pubID names a publication: its origin and the sequence number the
+// origin gave it.
+type pubID struct {
+	origin string
+	seq    uint64
 }
 
 func newSeenSet(capacity int) *seenSet {
 	return &seenSet{
-		m:    make(map[string]struct{}, capacity),
-		ring: make([]string, 0, capacity),
+		m:    make(map[pubID]struct{}, capacity),
+		ring: make([]pubID, 0, capacity),
 	}
 }
 
-func (s *seenSet) has(key string) bool {
+func (s *seenSet) has(key pubID) bool {
 	_, ok := s.m[key]
 	return ok
 }
 
-func (s *seenSet) add(key string) {
+func (s *seenSet) add(key pubID) {
 	if _, ok := s.m[key]; ok {
 		return
 	}
@@ -44,14 +51,14 @@ func (s *seenSet) add(key string) {
 // and the first slot's eviction would then delete the map entry while
 // the key is still recent, silently re-admitting true duplicates.
 // Removals are rare (sheds only), so the linear slot scan is fine.
-func (s *seenSet) remove(key string) {
+func (s *seenSet) remove(key pubID) {
 	if _, ok := s.m[key]; !ok {
 		return
 	}
 	delete(s.m, key)
 	for i, k := range s.ring {
 		if k == key {
-			s.ring[i] = "" // evicting "" later is a harmless map no-op
+			s.ring[i] = pubID{} // evicting it later is a harmless map no-op
 			break
 		}
 	}

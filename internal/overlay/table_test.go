@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"treesim/internal/overlay/wire"
+	"treesim/internal/xmltree"
 )
 
 // checkIndex asserts that n's remote forest and routing table agree:
@@ -71,7 +72,9 @@ func TestForwardMatchesOtherOrigins(t *testing.T) {
 	}
 	forwardTo := func(xml, origin, from string) []string {
 		var ids []string
-		for _, l := range hub.forward(doc(t, xml), origin, from, nil) {
+		var f xmltree.Flat
+		f.Load(doc(t, xml), nil)
+		for _, l := range hub.forward(&f, origin, from, nil) {
 			ids = append(ids, l.id)
 		}
 		return ids

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"treesim/internal/telemetry"
+	"treesim/internal/xmltree"
 )
 
 // collectSpans gathers every node's retained spans for one trace ID —
@@ -35,7 +36,7 @@ func TestPublicationTraceAcrossHops(t *testing.T) {
 	subB := mustSubscribe(t, b, "//y")
 	subC := mustSubscribe(t, c, "/x/y")
 
-	res, sent, id, err := a.PublishTraced(doc(t, "<x><y/></x>"))
+	res, sent, id, err := a.PublishTraced(xmltree.Pack(doc(t, "<x><y/></x>")))
 	if err != nil || sent != 1 {
 		t.Fatalf("traced publish: sent=%d err=%v", sent, err)
 	}
@@ -96,7 +97,7 @@ func TestPublicationTraceAcrossHops(t *testing.T) {
 	drainAll(t, c, subC)
 
 	// A second publication gets a distinct ID and its own span set.
-	_, _, id2, err := a.PublishTraced(doc(t, "<x><y/></x>"))
+	_, _, id2, err := a.PublishTraced(xmltree.Pack(doc(t, "<x><y/></x>")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +120,7 @@ func TestTraceDisabled(t *testing.T) {
 	connect(t, a, b)
 	mustSubscribe(t, b, "//y")
 
-	_, sent, id, err := a.PublishTraced(doc(t, "<x><y/></x>"))
+	_, sent, id, err := a.PublishTraced(xmltree.Pack(doc(t, "<x><y/></x>")))
 	if err != nil || sent != 1 {
 		t.Fatalf("publish with tracing off: sent=%d err=%v", sent, err)
 	}

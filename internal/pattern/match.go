@@ -153,7 +153,7 @@ func (m *matcher) rootConstraint(ti, vi int32) bool {
 	case Wildcard:
 		return m.allKidsSat(ti, vi)
 	default: // tag
-		if m.doc.Labels[ti] != m.plabels[vi] {
+		if m.doc.Label(ti) != m.plabels[vi] {
 			return false
 		}
 		return m.allKidsSat(ti, vi)
@@ -197,7 +197,7 @@ func (m *matcher) sat(ti, vi int32) bool {
 	default: // tag
 		s, c := m.doc.ChildStart[ti], m.doc.ChildCount[ti]
 		for k := s; k < s+c; k++ {
-			if m.doc.Labels[k] == m.plabels[vi] && m.allKidsSat(k, vi) {
+			if m.doc.Label(k) == m.plabels[vi] && m.allKidsSat(k, vi) {
 				res = true
 				break
 			}

@@ -116,9 +116,9 @@ type Synopsis struct {
 	version int64
 	cache   atomic.Pointer[fullCache]
 
-	// skel is the storage Insert builds each skeleton in. Insert is the
-	// only user (mutators have exclusive access) and nothing it stores
-	// points into a skeleton: insertChild copies labels, never nodes.
+	// skel is the storage InsertPacked, its only user (mutators have
+	// exclusive access), builds each skeleton in. Nothing stored points
+	// into one: insertChild copies labels, never nodes.
 	skel xmltree.SkeletonScratch
 }
 
@@ -268,16 +268,22 @@ func (s *Synopsis) releaseSlot(n *Node) {
 	s.freeSlots = append(s.freeSlots, n.slot)
 }
 
-// Insert observes one document: builds its skeleton and records its
-// paths and identifier in the synopsis. It returns the document
-// identifier assigned to the document (identifiers increase from 0).
-func (s *Synopsis) Insert(t *xmltree.Tree) uint64 {
+// Insert observes one document: it is InsertPacked of t packed.
+func (s *Synopsis) Insert(t *xmltree.Tree) uint64 { return s.InsertPacked(xmltree.Pack(t)) }
+
+// InsertPacked observes one document, packed (xmltree.Pack's form):
+// builds its skeleton from the bytes and records its paths and
+// identifier in the synopsis. It returns the document identifier
+// assigned to the document (identifiers increase from 0). Bytes that
+// xmltree.Unpack refuses are observed as the empty document.
+func (s *Synopsis) InsertPacked(b []byte) uint64 {
 	id := s.nextDocID
 	s.nextDocID++
 	s.docs++
 	s.version++
 
-	if t == nil || t.Root == nil {
+	sk := s.skel.BuildPacked(b)
+	if sk == nil {
 		return id
 	}
 	if s.opts.Kind == matchset.KindSets && s.reservoir != nil {
@@ -290,7 +296,6 @@ func (s *Synopsis) Insert(t *xmltree.Tree) uint64 {
 		}
 	}
 	s.liveDocs++
-	sk := s.skel.Build(t)
 	counters := s.opts.Kind == matchset.KindCounters
 	if counters {
 		s.root.store.Add(id)
@@ -329,7 +334,7 @@ func (s *Synopsis) insertChild(sn *Node, c *xmltree.Node, id uint64, counters bo
 				return
 			}
 		}
-		child = s.newNode(NewLabel(c.Label))
+		child = s.newNode(NewLabel(strings.Clone(c.Label))) // c's label aliases the document
 		child.parents = append(child.parents, sn)
 		sn.children = append(sn.children, child)
 	}

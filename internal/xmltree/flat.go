@@ -1,80 +1,115 @@
 package xmltree
 
-import "treesim/internal/intern"
+import (
+	"cmp"
+	"slices"
 
-// Flat is a reusable arena view of a tree: nodes in BFS order with
-// contiguous child ranges, labels, and (when built with an intern
-// table) dense label symbols. Matching hot paths work over Flat so a
-// document is walked with integer indices instead of pointer chasing,
-// and label comparisons become symbol comparisons.
+	"treesim/internal/intern"
+)
+
+// Flat is a reusable arena view of a packed document: nodes indexed by
+// slot with contiguous child ranges, labels, and (when resolved against
+// an intern table) dense label symbols. Matching hot paths work over
+// Flat so a document is walked with integer indices instead of pointer
+// chasing, and label comparisons become symbol comparisons.
 //
 // Node 0 is the root; the children of node i are the index range
-// [ChildStart[i], ChildStart[i]+ChildCount[i]). A Flat is reloaded in
-// place (Load), so one pooled instance serves many documents without
-// reallocating.
+// [ChildStart[i], ChildStart[i]+ChildCount[i]), in document order. A
+// Flat is reloaded in place (LoadPacked, Load), so one pooled instance
+// serves many documents without reallocating.
 type Flat struct {
-	// Labels[i] is node i's label string.
-	Labels []string
-	// Syms[i] is the interned symbol of Labels[i], or intern.NoSym for
-	// labels unknown to the table. Nil when Load was given no table.
-	Syms []uint32
 	// ChildStart / ChildCount delimit each node's children.
 	ChildStart []int32
 	ChildCount []int32
 	// MaxDepth is the deepest node's depth (root = 0); -1 when empty.
 	MaxDepth int
 
-	depths []int32
-	nodes  []*Node
+	src    []byte   // the bytes loaded
+	lab    []uint32 // node i's dictionary index
+	dict   []string // the document's labels by dictionary index, aliasing src
+	dsym   []uint32 // a dictionary label's symbol
+	tbl    *intern.Table
+	tblLen int // the labels tbl held when dsym was resolved
+	rd     packedReader
+	buf    []byte // Load's packing of its tree
 }
 
 // Len returns the number of nodes loaded.
-func (f *Flat) Len() int { return len(f.Labels) }
+func (f *Flat) Len() int { return len(f.lab) }
 
-// Load fills f from t, reusing f's storage. Document labels are
-// resolved with tbl.Lookup — never interned — so the table only ever
-// holds pattern vocabulary; a nil tbl skips symbol resolution. It
-// returns the node count (0 for a nil or empty tree).
+// Label is node i's label. It aliases the loaded bytes: it holds while
+// they stay unchanged, and not past the next load.
+func (f *Flat) Label(i int32) string { return f.dict[f.lab[i]] }
+
+// Sym is the interned symbol of node i's label, or intern.NoSym for a
+// label unknown to the table last resolved against (or without one).
+func (f *Flat) Sym(i int32) uint32 { return f.dsym[f.lab[i]] }
+
+// Packed returns the bytes f was loaded from (Pack's form), for a caller
+// that needs the document itself: the oracle of a pattern no arena
+// matcher compiles.
+func (f *Flat) Packed() []byte { return f.src }
+
+// Load fills f from t, reusing f's storage: it packs t and loads the
+// bytes (LoadPacked). It returns the node count: 0 for a nil or empty
+// tree, and for one deeper than MaxDepth, which loads as the empty
+// document.
 func (f *Flat) Load(t *Tree, tbl *intern.Table) int {
-	// Zero the label tail too: after a huge document, entries past the
-	// next document's length would otherwise pin its strings.
-	clear(f.Labels)
-	f.Labels = f.Labels[:0]
-	f.Syms = f.Syms[:0]
-	f.ChildStart = f.ChildStart[:0]
-	f.ChildCount = f.ChildCount[:0]
-	f.depths = f.depths[:0]
-	f.MaxDepth = -1
-	if t == nil || t.Root == nil {
-		return 0
+	f.buf = appendPack(f.buf[:0], t)
+	n, _ := f.LoadPacked(f.buf, tbl)
+	return n
+}
+
+// LoadPacked fills f from b, Pack's bytes, in one pass, reusing f's
+// storage: it accepts and refuses what Unpack does, and a refused
+// document leaves f empty. Labels are resolved against tbl (Resolve).
+// It returns the node count (0 for empty b).
+func (f *Flat) LoadPacked(b []byte, tbl *intern.Table) (int, error) {
+	f.reset()
+	r := &f.rd
+	dict, err := r.start(b, f.dict, aliasString)
+	n := int(r.nodes)
+	f.dict, f.lab = dict, slices.Grow(f.lab, n)[:n]
+	f.ChildStart, f.ChildCount = slices.Grow(f.ChildStart, n)[:n], slices.Grow(f.ChildCount, n)[:n]
+	for err == nil && r.next() {
+		f.lab[r.slot], f.ChildStart[r.slot], f.ChildCount[r.slot] = uint32(r.label), int32(r.first), int32(r.kids)
+		f.MaxDepth = max(f.MaxDepth, r.depth)
 	}
-	// BFS: appending every node's children consecutively makes each
-	// child range contiguous by construction.
-	nodes := f.nodes[:0]
-	nodes = append(nodes, t.Root)
-	f.depths = append(f.depths, 0)
-	for i := 0; i < len(nodes); i++ {
-		n := nodes[i]
-		f.Labels = append(f.Labels, n.Label)
+	if err = cmp.Or(err, r.err); err != nil {
+		f.reset()
+		return 0, err
+	}
+	f.src = b
+	f.Resolve(tbl)
+	return n, nil
+}
+
+// Resolve sets the symbols Sym reads from tbl, one tbl.Lookup per
+// distinct label — never interning, so the table only ever holds
+// pattern vocabulary; a nil tbl resolves every label to intern.NoSym. A
+// caller matching against a forest whose table grows under a lock
+// resolves under that lock.
+func (f *Flat) Resolve(tbl *intern.Table) {
+	n := 0
+	if tbl != nil {
+		if n = tbl.Len(); tbl == f.tbl && n == f.tblLen {
+			return // resolved against tbl, which has not grown since
+		}
+	}
+	f.tbl, f.tblLen, f.dsym = tbl, n, f.dsym[:0]
+	for _, l := range f.dict {
+		sym := intern.NoSym
 		if tbl != nil {
-			f.Syms = append(f.Syms, tbl.Lookup(n.Label))
+			sym = tbl.Lookup(l)
 		}
-		f.ChildStart = append(f.ChildStart, int32(len(nodes)))
-		f.ChildCount = append(f.ChildCount, int32(len(n.Children)))
-		d := f.depths[i]
-		if int(d) > f.MaxDepth {
-			f.MaxDepth = int(d)
-		}
-		for _, c := range n.Children {
-			nodes = append(nodes, c)
-			f.depths = append(f.depths, d+1)
-		}
+		f.dsym = append(f.dsym, sym)
 	}
-	// Keep the arena but drop node pointers, so a pooled Flat does not
-	// pin the last document it saw.
-	for i := range nodes {
-		nodes[i] = nil
-	}
-	f.nodes = nodes[:0]
-	return len(f.Labels)
+}
+
+// reset empties f, keeping its storage.
+func (f *Flat) reset() {
+	clear(f.dict) // past the next document's length they would pin the bytes they alias
+	f.lab, f.dict, f.dsym = f.lab[:0], f.dict[:0], f.dsym[:0]
+	f.ChildStart, f.ChildCount = f.ChildStart[:0], f.ChildCount[:0]
+	f.MaxDepth, f.src, f.tbl = -1, nil, nil
 }

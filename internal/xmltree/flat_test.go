@@ -22,15 +22,15 @@ func TestFlatLoad(t *testing.T) {
 	// BFS order: a, b, c, d, e.
 	wantLabels := []string{"a", "b", "c", "d", "e"}
 	for i, w := range wantLabels {
-		if f.Labels[i] != w {
-			t.Fatalf("Labels[%d] = %q, want %q", i, f.Labels[i], w)
+		if f.Label(int32(i)) != w {
+			t.Fatalf("Label(%d) = %q, want %q", i, f.Label(int32(i)), w)
 		}
 	}
-	if f.Syms[0] != symA || f.Syms[3] != symD {
-		t.Errorf("Syms = %v, want a=%d at 0, d=%d at 3", f.Syms, symA, symD)
+	if f.Sym(0) != symA || f.Sym(3) != symD {
+		t.Errorf("Sym(0), Sym(3) = %d, %d, want a=%d, d=%d", f.Sym(0), f.Sym(3), symA, symD)
 	}
-	if f.Syms[1] != intern.NoSym || f.Syms[2] != intern.NoSym {
-		t.Errorf("unknown labels must map to NoSym, got %v", f.Syms)
+	if f.Sym(1) != intern.NoSym || f.Sym(2) != intern.NoSym {
+		t.Errorf("unknown labels must map to NoSym, got %d, %d", f.Sym(1), f.Sym(2))
 	}
 	if tbl.Len() != 2 {
 		t.Errorf("Load interned document labels: table Len = %d, want 2", tbl.Len())
@@ -54,8 +54,8 @@ func TestFlatLoad(t *testing.T) {
 	if n := f.Load(tr2, nil); n != 1 {
 		t.Fatalf("reload = %d nodes, want 1", n)
 	}
-	if len(f.Syms) != 0 || f.Labels[0] != "x" || f.MaxDepth != 0 {
-		t.Errorf("reload state: labels=%v syms=%v depth=%d", f.Labels, f.Syms, f.MaxDepth)
+	if f.Sym(0) != intern.NoSym || f.Label(0) != "x" || f.MaxDepth != 0 {
+		t.Errorf("reload state: label=%q sym=%d depth=%d", f.Label(0), f.Sym(0), f.MaxDepth)
 	}
 
 	if n := f.Load(nil, nil); n != 0 || f.MaxDepth != -1 {

@@ -1,6 +1,7 @@
 package xmltree
 
 import (
+	"bytes"
 	"encoding/xml"
 	"errors"
 	"strings"
@@ -18,18 +19,18 @@ var allParseOptions = []ParseOptions{
 // diffReference fails t unless Parse and the encoding/xml reference
 // agree on s under every ParseOptions combination: both accept or both
 // reject, and accepted trees are Equal. The one disagreement allowed is
-// depth: Parse refuses errTooDeep what the reference accepts, provided
+// depth: Parse refuses ErrTooDeep what the reference accepts, provided
 // the reference's tree really has more than MaxDepth-2 levels.
 func diffReference(t *testing.T, s string) {
 	t.Helper()
 	for _, opts := range allParseOptions {
 		want, wantErr := referenceParse(strings.NewReader(s), opts)
 		got, err := ParseString(s, opts)
-		if errors.Is(err, errTooDeep) {
+		if errors.Is(err, ErrTooDeep) {
 			if wantErr == nil && want.Depth() <= MaxDepth-2 {
 				t.Fatalf("Parse(%d bytes, %+v) refused as too deep a tree of depth %d", len(s), opts, want.Depth())
 			}
-			if _, rerr := Parse(strings.NewReader(s), opts); !errors.Is(rerr, errTooDeep) {
+			if _, rerr := Parse(strings.NewReader(s), opts); !errors.Is(rerr, ErrTooDeep) {
 				t.Fatalf("Parse(%d bytes, %+v) over a reader = %v; ParseString = %v", len(s), opts, rerr, err)
 			}
 			continue
@@ -78,7 +79,7 @@ func TestDeepNestingVsReference(t *testing.T) {
 		diffReference(t, strings.Repeat("<a>", depth)+strings.Repeat("</a>", depth-1))
 		diffReference(t, strings.Repeat("<a b='1'>t", depth)+strings.Repeat("</a>", depth))
 		_, err := ParseString(strings.Repeat("<a b='1'>t", depth)+strings.Repeat("</a>", depth), ParseOptions{TextAsNodes: true, AttributesAsNodes: true})
-		if tooDeep := depth > MaxDepth-2; errors.Is(err, errTooDeep) != tooDeep || (err != nil) != tooDeep {
+		if tooDeep := depth > MaxDepth-2; errors.Is(err, ErrTooDeep) != tooDeep || (err != nil) != tooDeep {
 			t.Errorf("%d elements deep: err = %v", depth, err)
 		}
 	}
@@ -172,6 +173,28 @@ func FuzzParseXMLString(f *testing.F) {
 		}
 		if tr.String() != tr2.String() {
 			t.Fatalf("round trip changed %q:\n  %s\n  %s", s, tr, tr2)
+		}
+	})
+}
+
+// FuzzParsePacked: ParsePacked(x) is Pack(Parse(x)) byte for byte and
+// refuses what Parse refuses, under every ParseOptions combination; and
+// where the encoding/xml reference accepts x within the depth bound, it
+// is Pack of the reference's tree too.
+func FuzzParsePacked(f *testing.F) {
+	for _, seed := range referenceSeeds {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		for _, opts := range allParseOptions {
+			got, err := ParsePacked(strings.NewReader(s), opts)
+			tr, perr := Parse(strings.NewReader(s), opts)
+			if (err == nil) != (perr == nil) || err == nil && !bytes.Equal(got, Pack(tr)) {
+				t.Fatalf("ParsePacked(%q, %+v) = %v, %v; Parse = %v, %v", s, opts, got, err, tr, perr)
+			}
+			if ref, rerr := referenceParse(strings.NewReader(s), opts); rerr == nil && ref.Depth() <= MaxDepth-2 && !bytes.Equal(got, Pack(ref)) {
+				t.Fatalf("ParsePacked(%q, %+v) = %v, %v; the reference's tree packs to %v", s, opts, got, err, Pack(ref))
+			}
 		}
 	})
 }

@@ -2,6 +2,7 @@ package xmltree_test
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"runtime"
 	"strings"
@@ -160,4 +161,85 @@ func FuzzPackRoundTrip(f *testing.F) {
 			roundTrip(t, tr)
 		}
 	})
+}
+
+// flatNode rebuilds the subtree at node i of a loaded Flat.
+func flatNode(f *xmltree.Flat, i int32) *xmltree.Node {
+	n := &xmltree.Node{Label: f.Label(i)}
+	for k := f.ChildStart[i]; k < f.ChildStart[i]+f.ChildCount[i]; k++ {
+		n.Children = append(n.Children, flatNode(f, k))
+	}
+	return n
+}
+
+// FuzzLoadPacked holds the two other readers of packed bytes to Unpack:
+// for any bytes, Flat.LoadPacked errs exactly when Unpack does, with the
+// same error, and on success holds the unpacked tree's labels, child
+// lists (in order) and depth; SkeletonScratch.BuildPacked builds Skeleton
+// of that tree, or nothing when Unpack errs.
+func FuzzLoadPacked(f *testing.F) {
+	good := xmltree.Pack(xmlgen.New(dtd.XCBLLike(), xmlgen.Options{Seed: 2}).Generate())
+	for _, seed := range [][]byte{
+		[]byte(`<a x="1"><b>t</b><c><b/></c></a>`),
+		xmltree.Pack(chain(40)),
+		good,
+		{2, 1, 1, 'a', 0, 1, 0, 0},
+		xmltree.Pack(chain(xmltree.MaxDepth)),
+		xmltree.Pack(chain(xmltree.MaxDepth + 1)),
+		good[:len(good)/2],
+		good[:len(good)-1],
+		nil,
+	} {
+		f.Add(seed)
+	}
+	var flat xmltree.Flat
+	var skel xmltree.SkeletonScratch
+	f.Fuzz(func(t *testing.T, b []byte) {
+		want, err := xmltree.Unpack(b)
+		n, lerr := flat.LoadPacked(b, nil)
+		if (err == nil) != (lerr == nil) || errors.Is(err, xmltree.ErrTooDeep) != errors.Is(lerr, xmltree.ErrTooDeep) {
+			t.Fatalf("LoadPacked err = %v, Unpack err = %v", lerr, err)
+		}
+		sk := skel.BuildPacked(b)
+		if err != nil || want == nil {
+			if n != 0 || flat.Len() != 0 || flat.MaxDepth != -1 || sk != nil {
+				t.Fatalf("no document, yet LoadPacked holds %d nodes at depth %d, BuildPacked %v", flat.Len(), flat.MaxDepth, sk)
+			}
+			return
+		}
+		if n != want.Size() || flat.MaxDepth != want.Depth()-1 || !flatNode(&flat, 0).Equal(want.Root) {
+			t.Fatalf("LoadPacked: %d nodes at depth %d, want %d at %d, or its tree differs", n, flat.MaxDepth, want.Size(), want.Depth()-1)
+		}
+		if !sk.Equal(xmltree.Skeleton(want).Root) {
+			t.Fatalf("BuildPacked = %s, Skeleton = %s", &xmltree.Tree{Root: sk}, xmltree.Skeleton(want))
+		}
+	})
+}
+
+// TestPackedSkeletonIsSkeleton: over NITF and xCBL streams, with text
+// promoted and not, the skeleton built from a document's packed bytes
+// is Skeleton of its tree, child order included.
+func TestPackedSkeletonIsSkeleton(t *testing.T) {
+	var s xmltree.SkeletonScratch
+	for name, d := range map[string]*dtd.DTD{"nitf": dtd.NITFLike(), "xcbl": dtd.XCBLLike()} {
+		for _, tr := range xmlgen.New(d, xmlgen.Options{Seed: 33, EmitText: true}).GenerateN(200) {
+			x, err := xmltree.XMLString(tr, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, opts := range []xmltree.ParseOptions{{}, {TextAsNodes: true}} {
+				b, err := xmltree.ParsePacked(strings.NewReader(x), opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				doc, err := xmltree.ParseString(x, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got, want := s.BuildPacked(b), xmltree.Skeleton(doc); !got.Equal(want.Root) {
+					t.Fatalf("%s, %+v: BuildPacked = %s, Skeleton = %s", name, opts, &xmltree.Tree{Root: got}, want)
+				}
+			}
+		}
+	}
 }

@@ -1,16 +1,33 @@
 package xmltree
 
+import "slices"
+
 // Skeleton builds the skeleton tree Ts of a document T (paper, Section
-// 3.1): in Ts each node has at most one child with a given tag. It is
-// constructed top-down by coalescing children of a node that share a tag;
-// the coalesced node inherits the union of the children of the merged
-// nodes, and coalescing continues recursively.
-//
-// The skeleton preserves the set of root-to-node label paths of the
-// document, and it is the unit of insertion into the document synopsis.
+// 3.1): in Ts each node has at most one child with a given tag. Children
+// of a node that share a tag are coalesced, the coalesced node inherits
+// the union of their children, and coalescing continues recursively: Ts
+// is the trie of T's root-to-node label paths, children in first-seen
+// order. It is the unit of insertion into the document synopsis, which
+// builds it from the packed document (SkeletonScratch.BuildPacked); this
+// is the reference that builder is held to.
 func Skeleton(t *Tree) *Tree {
-	var s SkeletonScratch
-	return &Tree{Root: s.Build(t)}
+	if t == nil || t.Root == nil {
+		return &Tree{}
+	}
+	var add func(sk, n *Node)
+	add = func(sk, n *Node) {
+		for _, c := range n.Children {
+			i := slices.IndexFunc(sk.Children, func(k *Node) bool { return k.Label == c.Label })
+			if i < 0 {
+				i = len(sk.Children)
+				sk.Children = append(sk.Children, &Node{Label: c.Label})
+			}
+			add(sk.Children[i], c)
+		}
+	}
+	root := &Node{Label: t.Root.Label}
+	add(root, t.Root)
+	return &Tree{Root: root}
 }
 
 // SkeletonScratch is the reusable storage a skeleton is built in: once
@@ -20,45 +37,92 @@ func Skeleton(t *Tree) *Tree {
 type SkeletonScratch struct {
 	chunks [][]Node // the node arena; chunks are never reallocated
 	used   int      // arena nodes handed out by the current build
-	links  []skeletonLink
-	groups []skeletonGroup
+	rd     packedReader
+	dict   []string // the document's labels by dictionary index
+	path   []*Node  // the skeleton nodes of the current node's ancestors
+	wide   map[wideKey]*Node
+}
+
+// wideKey finds a child of a skeleton node with more than skeletonScan
+// children by label.
+type wideKey struct {
+	parent *Node
+	label  string
 }
 
 // The arena grows skeletonChunk nodes at a time, and a scratch whose
 // last build needed more than skeletonKeep nodes (some forty times a
 // workload skeleton) starts over empty, so one huge document does not
-// stay resident.
+// stay resident. A node's children are found by a scan up to
+// skeletonScan of them — their count is bounded by the distinct child
+// labels, small in practice, and the scan beats a map on the ingest hot
+// path — and through wide past it, so a hostile wide document with
+// thousands of distinct tags cannot make the build quadratic.
 const (
 	skeletonChunk = 64
 	skeletonKeep  = 4096
+	skeletonScan  = 32
 )
 
-// skeletonLink is one document node in the list of nodes a skeleton
-// node coalesces; next indexes links, -1 ends the list.
-type skeletonLink struct {
-	src  *Node
-	next int
-}
-
-// skeletonGroup is such a list, in first-seen order; head is -1 while
-// it is empty.
-type skeletonGroup struct{ head, tail int }
-
-// Build returns the root of t's skeleton (nil for an empty tree). The
-// skeleton lives in s and is valid until the next Build.
-func (s *SkeletonScratch) Build(t *Tree) *Node {
+// BuildPacked returns the root of the skeleton of the document b packs
+// (Pack's form; nil for the empty document, and for bytes Unpack
+// refuses). It reads b once, in pre-order, into a label-path trie: each
+// node joins the child with its label under its parent's skeleton node,
+// or starts it. That is Skeleton's tree, child order included. The
+// skeleton lives in s and its labels alias b: it is valid while b is
+// unchanged, until the next build.
+func (s *SkeletonScratch) BuildPacked(b []byte) *Node {
 	if s.used > skeletonKeep {
 		*s = SkeletonScratch{}
 	}
 	s.used = 0
-	if t == nil || t.Root == nil {
+	clear(s.wide)
+	r := &s.rd
+	var err error
+	if s.dict, err = r.start(b, s.dict[:0], aliasString); err != nil || r.nodes == 0 {
 		return nil
 	}
-	root := s.newNode(t.Root.Label)
-	s.links = append(s.links[:0], skeletonLink{src: t.Root, next: -1})
-	s.coalesce(root, 0)
-	s.links[0] = skeletonLink{} // coalesce cleared the rest: do not pin the document
-	return root
+	for r.next() {
+		if r.depth == 0 {
+			s.path = append(s.path[:0], s.newNode(s.dict[r.label]))
+		} else {
+			s.path = append(s.path[:r.depth], s.child(s.path[r.depth-1], s.dict[r.label]))
+		}
+	}
+	if r.err != nil {
+		return nil
+	}
+	return s.path[0]
+}
+
+// child returns p's child labelled label, adding it if p has none.
+func (s *SkeletonScratch) child(p *Node, label string) *Node {
+	if len(p.Children) > skeletonScan {
+		if c := s.wide[wideKey{p, label}]; c != nil {
+			return c
+		}
+	} else {
+		for _, c := range p.Children {
+			if c.Label == label {
+				return c
+			}
+		}
+	}
+	c := s.newNode(label)
+	p.Children = append(p.Children, c)
+	if n := len(p.Children); n > skeletonScan {
+		if s.wide == nil {
+			s.wide = make(map[wideKey]*Node)
+		}
+		from := n - 1
+		if n == skeletonScan+1 {
+			from = 0 // p just outgrew the scan: index all its children
+		}
+		for _, k := range p.Children[from:] {
+			s.wide[wideKey{p, k.Label}] = k
+		}
+	}
+	return c
 }
 
 // newNode takes the next arena node. A reused node keeps its child
@@ -71,89 +135,4 @@ func (s *SkeletonScratch) newNode(label string) *Node {
 	s.used++
 	n.Label, n.Children = label, n.Children[:0]
 	return n
-}
-
-// coalesce populates dst.Children from the union of the children of the
-// document nodes in the list at links[head], grouping by tag (first-seen
-// order, for determinism). Each group becomes one skeleton child whose
-// own children are recursively coalesced from the whole group. Groups
-// are found by scanning the skeleton children built so far — their
-// count is bounded by the distinct child labels, small in practice, and
-// the scan beats a per-node map on the ingest hot path (Skeleton runs
-// per observed document) — with a map fallback past a threshold so a
-// hostile wide document with thousands of distinct tags cannot make
-// this quadratic. The lists live on two stacks shared by the whole
-// build, popped when dst is done.
-func (s *SkeletonScratch) coalesce(dst *Node, head int) {
-	linkBase, groupBase := len(s.links), len(s.groups)
-	var byLabel map[string]int
-	for l := head; l >= 0; l = s.links[l].next {
-		for _, c := range s.links[l].src.Children {
-			idx := -1
-			if byLabel != nil {
-				if i, ok := byLabel[c.Label]; ok {
-					idx = i
-				}
-			} else {
-				for i, d := range dst.Children {
-					if d.Label == c.Label {
-						idx = i
-						break
-					}
-				}
-			}
-			if idx < 0 {
-				dst.Children = append(dst.Children, s.newNode(c.Label))
-				s.groups = append(s.groups, skeletonGroup{head: -1})
-				idx = len(dst.Children) - 1
-				if byLabel != nil {
-					byLabel[c.Label] = idx
-				} else if len(dst.Children) > 32 {
-					byLabel = make(map[string]int, 2*len(dst.Children))
-					for i, d := range dst.Children {
-						byLabel[d.Label] = i
-					}
-				}
-			}
-			if len(c.Children) == 0 {
-				continue // a leaf adds nothing below its skeleton node
-			}
-			g := &s.groups[groupBase+idx]
-			if g.head < 0 {
-				g.head = len(s.links)
-			} else {
-				s.links[g.tail].next = len(s.links)
-			}
-			g.tail = len(s.links)
-			s.links = append(s.links, skeletonLink{src: c, next: -1})
-		}
-	}
-	for i, child := range dst.Children {
-		if head := s.groups[groupBase+i].head; head >= 0 {
-			s.coalesce(child, head)
-		}
-	}
-	clear(s.links[linkBase:])
-	s.links, s.groups = s.links[:linkBase], s.groups[:groupBase]
-}
-
-// IsSkeleton reports whether no node of the tree has two children with
-// the same tag, i.e. whether the tree is its own skeleton.
-func IsSkeleton(t *Tree) bool {
-	if t == nil || t.Root == nil {
-		return true
-	}
-	ok := true
-	t.Root.Walk(func(n *Node) bool {
-		seen := make(map[string]struct{}, len(n.Children))
-		for _, c := range n.Children {
-			if _, dup := seen[c.Label]; dup {
-				ok = false
-				return false
-			}
-			seen[c.Label] = struct{}{}
-		}
-		return ok
-	})
-	return ok
 }

@@ -85,7 +85,7 @@ func TestParsedTreeBehavesLikeBuiltTree(t *testing.T) {
 		var fa, fb Flat
 		fa.Load(parsed, nil)
 		fb.Load(built, nil)
-		if fmt.Sprint(fa.Labels, fa.ChildStart, fa.ChildCount, fa.MaxDepth) != fmt.Sprint(fb.Labels, fb.ChildStart, fb.ChildCount, fb.MaxDepth) {
+		if flatString(&fa) != flatString(&fb) {
 			t.Fatalf("Flat.Load differs for %s", src)
 		}
 		// Canonicalize sorts child lists in place, inside the slab.
@@ -93,6 +93,15 @@ func TestParsedTreeBehavesLikeBuiltTree(t *testing.T) {
 			t.Fatalf("Canonicalize: parsed %s, built %s", a, b)
 		}
 	}
+}
+
+// flatString lists f's labels, child ranges and depth.
+func flatString(f *Flat) string {
+	var labels []string
+	for i := range f.Len() {
+		labels = append(labels, f.Label(int32(i)))
+	}
+	return fmt.Sprint(labels, f.ChildStart, f.ChildCount, f.MaxDepth)
 }
 
 // TestParsedLabelsDoNotAliasInput: Parse's read buffer is pooled, so a
@@ -162,15 +171,19 @@ func TestParseAllocatesPerDocument(t *testing.T) {
 		}
 
 		var s SkeletonScratch
-		want := Skeleton(tr)
-		if !(&Tree{Root: s.Build(tr)}).Root.Equal(want.Root) {
+		want, packed := Skeleton(tr), Pack(tr)
+		if !s.BuildPacked(packed).Equal(want.Root) {
 			t.Fatalf("scratch skeleton differs from Skeleton")
 		}
-		if allocs := testing.AllocsPerRun(100, func() { s.Build(tr) }); allocs != 0 {
-			t.Errorf("warm SkeletonScratch.Build of a %d-node document: %.1f allocations, want 0", n, allocs)
+		if allocs := testing.AllocsPerRun(100, func() { s.BuildPacked(packed) }); allocs != 0 {
+			t.Errorf("warm SkeletonScratch.BuildPacked of a %d-node document: %.1f allocations, want 0", n, allocs)
 		}
-		if got := s.Build(tr); !got.Equal(want.Root) {
+		if got := s.BuildPacked(packed); !got.Equal(want.Root) {
 			t.Fatalf("reused scratch built %s, want %s", &Tree{Root: got}, want)
+		}
+		var f Flat
+		if allocs := testing.AllocsPerRun(100, func() { f.LoadPacked(packed, nil) }); allocs != 0 {
+			t.Errorf("warm Flat.LoadPacked of a %d-node document: %.1f allocations, want 0", n, allocs)
 		}
 
 		// Retention costs a publish exactly the packed bytes.
@@ -181,30 +194,33 @@ func TestParseAllocatesPerDocument(t *testing.T) {
 }
 
 // TestSkeletonScratchAcrossDocuments reuses one scratch over documents
-// of changing shape and size, including one past skeletonKeep.
+// of changing shape and size, including one past skeletonKeep and one
+// whose nodes outgrow the child scan.
 func TestSkeletonScratchAcrossDocuments(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	var s SkeletonScratch
 	for round := 0; round < 200; round++ {
 		doc := randomTree(rng, 1+rng.Intn(6), 1+rng.Intn(5))
-		if round == 100 {
+		switch round {
+		case 100:
 			doc = New("wide")
 			for i := 0; i < 2*skeletonKeep; i++ {
 				doc.Root.AddChild(fmt.Sprintf("c%d", i)).AddChild("leaf")
 			}
-		}
-		want := Skeleton(doc)
-		if got := s.Build(doc); !got.Equal(want.Root) {
-			t.Fatalf("round %d: scratch built %s, want %s", round, &Tree{Root: got}, want)
-		}
-		for _, l := range s.links[:cap(s.links)] {
-			if l.src != nil {
-				t.Fatalf("round %d: scratch still points into the document", round)
+		case 101:
+			doc = New("wide")
+			for i := 0; i < 4*skeletonScan; i++ {
+				c := doc.Root.AddChild(fmt.Sprintf("c%d", i%(2*skeletonScan)))
+				c.AddChild(fmt.Sprintf("d%d", i%3))
 			}
 		}
+		want := Skeleton(doc)
+		if got := s.BuildPacked(Pack(doc)); !got.Equal(want.Root) {
+			t.Fatalf("round %d: scratch built %s, want %s", round, &Tree{Root: got}, want)
+		}
 	}
-	if s.Build(nil) != nil || s.Build(&Tree{}) != nil {
-		t.Fatal("empty tree must build a nil skeleton")
+	if s.BuildPacked(nil) != nil || s.BuildPacked(Pack(&Tree{})) != nil {
+		t.Fatal("empty document must build a nil skeleton")
 	}
 }
 

@@ -1,12 +1,12 @@
-// Package xmltree provides node-labeled tree representations of XML
-// documents, a parser, and skeleton-tree construction.
-//
-// The parser (Parse, ParseString) is a hand-written single-pass scanner
-// over the whole document that accepts what encoding/xml's strict
-// decoder accepts and allocates per document, not per node: a parsed
-// tree is two exactly sized slabs (nodes, child pointers) whose labels
-// come from a bounded cache shared across documents. The skeleton is
-// likewise built into reusable storage (SkeletonScratch).
+// Package xmltree provides the forms of an XML document, a parser, and
+// skeleton-tree construction. Packed bytes (Pack) are the document from
+// the parser to its deliveries: ParsePacked scans XML straight to them,
+// and the broker queues, retains, journals and forwards them as they
+// are. A Flat (LoadPacked) reads them in one pass into the arena of
+// child ranges and label symbols that matching walks; the synopsis
+// builds each skeleton from them (SkeletonScratch.BuildPacked). A Tree
+// (Parse, Unpack) is for callers that build, edit or print documents:
+// generators, tests, GET /doc.
 //
 // Trees in this package are purely structural: each node carries a label
 // (an element tag name or, optionally, a text value promoted to a label)

@@ -293,3 +293,24 @@ func TestWalkPruning(t *testing.T) {
 		t.Errorf("Walk visited %v", visited)
 	}
 }
+
+// IsSkeleton reports whether no node of the tree has two children with
+// the same tag, i.e. whether the tree is its own skeleton.
+func IsSkeleton(t *Tree) bool {
+	if t == nil || t.Root == nil {
+		return true
+	}
+	ok := true
+	t.Root.Walk(func(n *Node) bool {
+		seen := make(map[string]struct{}, len(n.Children))
+		for _, c := range n.Children {
+			if _, dup := seen[c.Label]; dup {
+				ok = false
+				return false
+			}
+			seen[c.Label] = struct{}{}
+		}
+		return ok
+	})
+	return ok
+}

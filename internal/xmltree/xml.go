@@ -11,7 +11,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"unicode/utf8"
-	"unsafe"
 )
 
 // ParseOptions controls how raw XML is mapped onto the structural tree
@@ -34,18 +33,20 @@ type ParseOptions struct {
 // Generated NITF and xCBL documents are about 10 deep.
 const MaxDepth = 2048
 
-var errTooDeep = fmt.Errorf("xmltree: document nested deeper than %d", MaxDepth)
+// ErrTooDeep is the error for a document nested deeper than MaxDepth.
+var ErrTooDeep = fmt.Errorf("xmltree: document nested deeper than %d", MaxDepth)
 
 // Parse reads the whole of r, which must hold one XML document, and
-// returns its tree. MaxDepth apart, it accepts and rejects exactly what
-// encoding/xml's strict decoder does (FuzzParseVsReference): elements
-// and attributes with valid XML 1.0 names, character data with the five predefined
-// entities and numeric character references, CDATA sections, comments,
-// processing instructions, an XML declaration naming version 1.0 and
-// UTF-8, and <!DOCTYPE …> with a nested internal subset; input must be
-// UTF-8. Prefixes are stripped to local names (an end tag must repeat
-// its start tag's full name); comments, processing instructions and
-// directives are ignored, as is text outside the root element.
+// returns its tree: Unpack of ParsePacked. MaxDepth apart, it accepts
+// and rejects exactly what encoding/xml's strict decoder does
+// (FuzzParseVsReference): elements and attributes with valid XML 1.0
+// names, character data with the five predefined entities and numeric
+// character references, CDATA sections, comments, processing
+// instructions, an XML declaration naming version 1.0 and UTF-8, and
+// <!DOCTYPE …> with a nested internal subset; input must be UTF-8.
+// Prefixes are stripped to local names (an end tag must repeat its start
+// tag's full name); comments, processing instructions and directives are
+// ignored, as is text outside the root element.
 //
 // The tree is built into two slabs sized exactly for the document, one
 // of nodes and one of child pointers, so holding any node keeps all of
@@ -53,49 +54,72 @@ var errTooDeep = fmt.Errorf("xmltree: document nested deeper than %d", MaxDepth)
 // appending to it reallocates that list and touches no sibling. Labels
 // never alias the input.
 func Parse(r io.Reader, opts ParseOptions) (*Tree, error) {
+	b, err := ParsePacked(r, opts)
+	if err != nil {
+		return nil, err
+	}
+	return Unpack(b)
+}
+
+// ParseString is Parse over a string.
+func ParseString(s string, opts ParseOptions) (*Tree, error) {
+	return Parse(strings.NewReader(s), opts)
+}
+
+// ParsePacked is Parse straight to Pack's bytes, byte for byte
+// Pack(Parse(r)), with no tree in between: the scanner records the
+// nodes in pre-order, so they are encoded as they stand.
+func ParsePacked(r io.Reader, opts ParseOptions) ([]byte, error) {
 	sc := scanners.Get().(*scanner)
 	defer sc.release()
 	sc.body.Reset()
 	if _, err := sc.body.ReadFrom(r); err != nil {
 		return nil, fmt.Errorf("xmltree: parse: %w", err)
 	}
-	return sc.parse(sc.body.Bytes(), opts)
-}
-
-// ParseString is Parse over a string, scanned in place.
-func ParseString(s string, opts ParseOptions) (*Tree, error) {
-	sc := scanners.Get().(*scanner)
-	defer sc.release()
-	// A read-only view: the scanner never writes to its input.
-	return sc.parse(unsafe.Slice(unsafe.StringData(s), len(s)), opts)
+	if err := sc.scan(sc.body.Bytes(), opts); err != nil {
+		return nil, err
+	}
+	p := packers.Get().(*packer)
+	for i, n := range sc.nodes {
+		// The key aliases sc.labels, which finish outlives unchanged.
+		p.add(aliasString(sc.label(i)), int(n.kids))
+	}
+	return p.finish(nil), nil
 }
 
 // scanner is a single-pass XML scanner. It records the tree in pooled
-// scratch — labels and child ranges by node index — and only then
-// allocates the two slabs, exactly sized.
+// scratch, each node's label and child count in pre-order.
 type scanner struct {
 	b    []byte // the document; read-only, dropped on release
 	pos  int    // start of the construct being scanned
 	opts ParseOptions
 
-	nodes   []protoNode // in document order; the root is nodes[0]
-	kids    []int32     // child lists of finished nodes, back to back
-	pending []int32     // finished children of the still-open elements
-	open    []openElem
-	text    []byte       // expanded character data
-	key     []byte       // "@name"
-	body    bytes.Buffer // Parse's read buffer
+	nodes  []protoNode // in document order; the root is nodes[0]
+	open   []openElem
+	text   []byte       // expanded character data
+	key    []byte       // "@name"
+	labels []byte       // every node's label, back to back
+	body   bytes.Buffer // ParsePacked's read buffer
 }
 
 type protoNode struct {
-	label           string
-	kidOff, kidsLen int32
+	labelEnd int32 // its label is labels[previous node's labelEnd:labelEnd]
+	kids     int32
+}
+
+// label is node i's label, aliasing sc.labels.
+func (sc *scanner) label(i int) []byte {
+	start := int32(0)
+	if i > 0 {
+		start = sc.nodes[i-1].labelEnd
+	}
+	return sc.labels[start:sc.nodes[i].labelEnd]
 }
 
 type openElem struct {
 	node             int32
-	base             int // its children are pending[base:]
-	nameOff, nameEnd int // full start-tag name, for the end tag
+	kids             int32 // children so far
+	nameOff, nameEnd int   // full start-tag name, for the end tag
 }
 
 var scanners = sync.Pool{New: func() any { return new(scanner) }}
@@ -109,10 +133,9 @@ const (
 )
 
 func (sc *scanner) release() {
-	if sc.body.Cap() > maxPooledBody || cap(sc.nodes) > maxPooledNodes {
+	if sc.body.Cap() > maxPooledBody || cap(sc.labels) > maxPooledBody || cap(sc.nodes) > maxPooledNodes {
 		return
 	}
-	clear(sc.nodes) // uncached labels must not outlive their document here
 	sc.b = nil
 	scanners.Put(sc)
 }
@@ -121,9 +144,10 @@ func (sc *scanner) errorf(format string, args ...any) error {
 	return fmt.Errorf("xmltree: parse: offset %d: %s", sc.pos, fmt.Sprintf(format, args...))
 }
 
-func (sc *scanner) parse(b []byte, opts ParseOptions) (*Tree, error) {
+// scan records the document b holds.
+func (sc *scanner) scan(b []byte, opts ParseOptions) error {
 	sc.b, sc.pos, sc.opts = b, 0, opts
-	sc.nodes, sc.kids, sc.pending, sc.open = sc.nodes[:0], sc.kids[:0], sc.pending[:0], sc.open[:0]
+	sc.nodes, sc.open, sc.labels = sc.nodes[:0], sc.open[:0], sc.labels[:0]
 	for sc.pos < len(b) {
 		var err error
 		switch {
@@ -146,46 +170,34 @@ func (sc *scanner) parse(b []byte, opts ParseOptions) (*Tree, error) {
 			err = sc.startTag()
 		}
 		if err != nil {
-			return nil, err
+			return err
 		}
 	}
 	if len(sc.nodes) == 0 {
-		return nil, sc.errorf("no root element")
+		return sc.errorf("no root element")
 	}
 	if len(sc.open) != 0 {
-		return nil, sc.errorf("unexpected EOF inside element %q", sc.nodes[sc.open[len(sc.open)-1].node].label)
+		return sc.errorf("unexpected EOF inside element %q", sc.label(int(sc.open[len(sc.open)-1].node)))
 	}
-
-	nodes := make([]Node, len(sc.nodes))
-	ptrs := make([]*Node, len(sc.kids))
-	for i, k := range sc.kids {
-		ptrs[i] = &nodes[k]
-	}
-	for i, p := range sc.nodes {
-		nodes[i].Label = p.label
-		if p.kidsLen > 0 {
-			// cap == len: AddChild must not grow into the next list.
-			nodes[i].Children = ptrs[p.kidOff : p.kidOff+p.kidsLen : p.kidOff+p.kidsLen]
-		}
-	}
-	return &Tree{Root: &nodes[0]}, nil
+	return nil
 }
 
-// add records a node and returns its index.
-func (sc *scanner) add(label string) int32 {
-	sc.nodes = append(sc.nodes, protoNode{label: label})
+// add records a node with the given child count under the innermost
+// open element (when parent) and returns its index.
+func (sc *scanner) add(label []byte, kids int32, parent bool) int32 {
+	if n := len(sc.open); parent && n > 0 {
+		sc.open[n-1].kids++
+	}
+	sc.labels = append(sc.labels, label...)
+	sc.nodes = append(sc.nodes, protoNode{labelEnd: int32(len(sc.labels)), kids: kids})
 	return int32(len(sc.nodes) - 1)
 }
 
-// finish closes the innermost open element: its pending children become
-// its child list and it becomes a pending child of its parent.
+// finish closes the innermost open element, its child count now known.
 func (sc *scanner) finish() {
 	e := sc.open[len(sc.open)-1]
 	sc.open = sc.open[:len(sc.open)-1]
-	n := &sc.nodes[e.node]
-	n.kidOff, n.kidsLen = int32(len(sc.kids)), int32(len(sc.pending)-e.base)
-	sc.kids = append(sc.kids, sc.pending[e.base:]...)
-	sc.pending = append(sc.pending[:e.base], e.node)
+	sc.nodes[e.node].kids = e.kids
 }
 
 func (sc *scanner) startTag() error {
@@ -198,9 +210,9 @@ func (sc *scanner) startTag() error {
 		return sc.errorf("multiple root elements")
 	}
 	if len(sc.open) == MaxDepth-2 {
-		return errTooDeep
+		return ErrTooDeep
 	}
-	sc.open = append(sc.open, openElem{node: sc.add(cachedLabel(local)), base: len(sc.pending), nameOff: sc.pos + 1, nameEnd: nameEnd})
+	sc.open = append(sc.open, openElem{node: sc.add(local, 0, true), nameOff: sc.pos + 1, nameEnd: nameEnd})
 	for i := nameEnd; ; {
 		i = skipSpace(b, i)
 		switch {
@@ -234,12 +246,12 @@ func (sc *scanner) startTag() error {
 			continue
 		}
 		sc.key = append(append(sc.key[:0], '@'), attr...)
-		a := sc.add(cachedLabel(sc.key))
 		if sc.opts.TextAsNodes && len(val) > 0 {
-			sc.nodes[a].kidOff, sc.nodes[a].kidsLen = int32(len(sc.kids)), 1
-			sc.kids = append(sc.kids, sc.add(cachedLabel(val)))
+			sc.add(sc.key, 1, true)
+			sc.add(val, 0, false)
+		} else {
+			sc.add(sc.key, 0, true)
 		}
-		sc.pending = append(sc.pending, a)
 	}
 }
 
@@ -383,7 +395,7 @@ func (sc *scanner) charData(raw []byte, where int) error {
 	}
 	if sc.opts.TextAsNodes && len(sc.open) > 0 {
 		if val = bytes.TrimSpace(val); len(val) > 0 {
-			sc.pending = append(sc.pending, sc.add(cachedLabel(val)))
+			sc.add(val, 0, true)
 		}
 	}
 	return nil
