@@ -394,6 +394,39 @@ func TestHammerChurnPublish(t *testing.T) {
 	}
 }
 
+// TestPublishEmptyDocument: the empty document is a document — queued,
+// ingested and counted like any other — not a pipeline marker.
+func TestPublishEmptyDocument(t *testing.T) {
+	e := newTestEngine(t, Config{})
+	if _, err := e.Publish(&xmltree.Tree{}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.PublishPacked(nil); err != nil {
+		t.Fatal(err)
+	}
+	e.Flush()
+	st := e.Stats()
+	if st.IngestPending != 0 || st.DocsObserved != 2 || st.Published != 2 {
+		t.Fatalf("after two empty publishes and Flush: IngestPending %d, DocsObserved %d, Published %d; want 0, 2, 2",
+			st.IngestPending, st.DocsObserved, st.Published)
+	}
+}
+
+// TestPublishFlatRefusesLoadedTree: an arena Flat.Load filled packs
+// into its own buffer, which its next Load overwrites, so a publish
+// must not retain or queue those bytes.
+func TestPublishFlatRefusesLoadedTree(t *testing.T) {
+	e := newTestEngine(t, Config{})
+	var f xmltree.Flat
+	f.Load(doc(t, "a(b)"), nil)
+	if _, err := e.PublishFlat(&f, false); err == nil {
+		t.Fatal("PublishFlat of a Flat.Load arena succeeded")
+	}
+	if st := e.Stats(); st.Published != 0 || st.IngestPending != 0 {
+		t.Fatalf("a refused publish counted: Published %d, IngestPending %d", st.Published, st.IngestPending)
+	}
+}
+
 func TestPolicyTable(t *testing.T) {
 	cases := []struct {
 		name  string

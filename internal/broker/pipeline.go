@@ -15,10 +15,10 @@ import (
 // broker.go.
 
 // ingestItem is one unit of the publish→synopsis pipeline: a packed
-// document to ingest, or a flush marker (no document) whose done
-// channel is closed once everything queued before it has been ingested.
-// gate, when set, stalls the ingester until the channel is closed — a
-// test-only hook for filling the pipeline deterministically.
+// document to ingest (possibly the empty one), or a marker. A flush
+// marker's done channel is closed once everything queued before it has
+// been ingested; a gate marker stalls the ingester until gate is closed
+// — a test-only hook for filling the pipeline deterministically.
 type ingestItem struct {
 	doc  []byte
 	done chan struct{}
@@ -70,7 +70,8 @@ func (e *Engine) logShed() {
 }
 
 // PublishFlat routes one document loaded from its packed bytes
-// (xmltree.Flat.LoadPacked, which checked them): the bytes are queued
+// (xmltree.Flat.LoadPacked, which checked them; an arena filled by
+// Flat.Load is refused, as its bytes are its own): the bytes are queued
 // for synopsis ingestion, the document is matched against the forest in
 // one pass on this goroutine, its labels resolved against the forest's
 // table, and communities that hit receive it in their delivery log;
@@ -85,6 +86,9 @@ func (e *Engine) logShed() {
 // wait, the remainder routing.
 func (e *Engine) PublishFlat(doc *xmltree.Flat, remote bool) (PublishResult, error) {
 	start := time.Now()
+	if doc.Len() > 0 && doc.Packed() == nil {
+		return PublishResult{}, fmt.Errorf("broker: publish: document not loaded from packed bytes")
+	}
 	if err := e.accept(doc.Packed(), !remote); err != nil {
 		return PublishResult{}, err
 	}
@@ -156,11 +160,10 @@ func (e *Engine) runIngest() {
 		}
 		batch, done = batch[:0], done[:0]
 		for {
-			if len(item.doc) > 0 {
-				batch = append(batch, item.doc)
-			}
 			if item.done != nil {
 				done = append(done, item.done)
+			} else if item.gate == nil {
+				batch = append(batch, item.doc)
 			}
 			if len(batch) >= ingestBatch {
 				break
@@ -174,7 +177,7 @@ func (e *Engine) runIngest() {
 			default:
 				more = false
 			}
-			if !more || (len(item.doc) == 0 && item.done == nil) {
+			if !more || item.gate != nil {
 				break
 			}
 		}

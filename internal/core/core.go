@@ -152,20 +152,13 @@ func (e *Estimator) ObserveTree(t *xmltree.Tree) uint64 {
 }
 
 // ObserveTrees feeds a batch of documents under a single exclusive
-// lock acquisition and returns their stream identifiers. Batching
-// pipelines (the broker's publish ingester) use this to amortize lock
-// traffic against concurrent queries.
-func (e *Estimator) ObserveTrees(ts []*xmltree.Tree) []uint64 {
-	if len(ts) == 0 {
-		return nil
-	}
-	ids := make([]uint64, len(ts))
+// lock acquisition, amortizing lock traffic against concurrent queries.
+func (e *Estimator) ObserveTrees(ts []*xmltree.Tree) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	for i, t := range ts {
-		ids[i] = e.syn.Insert(t)
+	for _, t := range ts {
+		e.syn.Insert(t)
 	}
-	return ids
 }
 
 // ObservePacked is ObserveTrees for documents packed (xmltree.Pack's

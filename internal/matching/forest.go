@@ -760,9 +760,10 @@ func (f *Forest) Match(t *xmltree.Tree) *MatchSet {
 
 // MatchFlat is Match over a document already loaded into a Flat arena
 // with the forest's Table (the caller keeps the arena, e.g. to evaluate
-// other patterns on it). t is the document as a tree, or nil: only the
-// oracle fallback for non-compiled patterns reads it, and when it must,
-// it unpacks the arena's bytes. A nil or empty doc matches nothing.
+// other patterns on it). t is the document as a tree, or nil for an
+// arena filled by LoadPacked: only the oracle fallback for non-compiled
+// patterns reads it, and when it must, it unpacks the arena's bytes. A
+// nil or empty doc matches nothing.
 func (f *Forest) MatchFlat(t *xmltree.Tree, doc *xmltree.Flat) *MatchSet {
 	fr := f.frames.Get().(*frameStack)
 	ms := f.matchFlat(t, doc, fr)

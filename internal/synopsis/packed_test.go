@@ -2,8 +2,10 @@ package synopsis
 
 import (
 	"bytes"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"treesim/internal/dtd"
 	"treesim/internal/matchset"
@@ -83,4 +85,29 @@ func TestInsertPackedEncodesAsTrees(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestInsertPackedDoesNotPinDocument: the skeleton scratch a synopsis
+// keeps between documents aliases the bytes it was built from, and
+// InsertPacked releases it, so the last document ingested can be
+// collected as soon as its publisher lets go of it.
+func TestInsertPackedDoesNotPinDocument(t *testing.T) {
+	tr := xmlgen.New(dtd.NITFLike(), xmlgen.Options{Seed: 3}).GenerateN(1)[0]
+	s := New(Options{Kind: matchset.KindHashes, HashCapacity: 64, Seed: 5})
+	freed := make(chan struct{})
+	func() {
+		b := xmltree.Pack(tr)
+		runtime.SetFinalizer(&b[0], func(*byte) { close(freed) })
+		s.InsertPacked(b)
+	}()
+	for range 20 {
+		runtime.GC()
+		select {
+		case <-freed:
+			runtime.KeepAlive(s)
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	t.Fatal("the synopsis still holds the last document's bytes")
 }

@@ -116,9 +116,9 @@ type Synopsis struct {
 	version int64
 	cache   atomic.Pointer[fullCache]
 
-	// skel is the storage InsertPacked, its only user (mutators have
-	// exclusive access), builds each skeleton in. Nothing stored points
-	// into one: insertChild copies labels, never nodes.
+	// skel is where InsertPacked, its only user, builds and releases
+	// each skeleton. Nothing stored points into one: insertChild copies
+	// labels, never nodes.
 	skel xmltree.SkeletonScratch
 }
 
@@ -283,6 +283,7 @@ func (s *Synopsis) InsertPacked(b []byte) uint64 {
 	s.version++
 
 	sk := s.skel.BuildPacked(b)
+	defer s.skel.Release()
 	if sk == nil {
 		return id
 	}

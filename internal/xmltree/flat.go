@@ -45,18 +45,19 @@ func (f *Flat) Label(i int32) string { return f.dict[f.lab[i]] }
 // label unknown to the table last resolved against (or without one).
 func (f *Flat) Sym(i int32) uint32 { return f.dsym[f.lab[i]] }
 
-// Packed returns the bytes f was loaded from (Pack's form), for a caller
-// that needs the document itself: the oracle of a pattern no arena
-// matcher compiles.
+// Packed returns the bytes LoadPacked loaded f from (Pack's form), for a
+// caller that needs the document itself: the oracle of a pattern no
+// arena matcher compiles, or a publish that keeps the bytes. It is nil
+// after Load, whose bytes are f's own and overwritten by its next Load.
 func (f *Flat) Packed() []byte { return f.src }
 
-// Load fills f from t, reusing f's storage: it packs t and loads the
-// bytes (LoadPacked). It returns the node count: 0 for a nil or empty
-// tree, and for one deeper than MaxDepth, which loads as the empty
-// document.
+// Load fills f from t, reusing f's storage: it packs t into f's own
+// buffer and loads that (LoadPacked). It returns the node count, 0 for
+// a nil or empty tree or one deeper than MaxDepth (loaded as empty).
 func (f *Flat) Load(t *Tree, tbl *intern.Table) int {
 	f.buf = appendPack(f.buf[:0], t)
 	n, _ := f.LoadPacked(f.buf, tbl)
+	f.src = nil // f's buffer: no caller may keep it (Packed)
 	return n
 }
 

@@ -32,8 +32,9 @@ func Skeleton(t *Tree) *Tree {
 
 // SkeletonScratch is the reusable storage a skeleton is built in: once
 // it has seen a document of a given shape, building another allocates
-// nothing. The zero value is ready to use; it is not safe for
-// concurrent use.
+// nothing. A build's skeleton aliases its document's bytes until
+// Release, which its user calls once done with it. The zero value is
+// ready to use; it is not safe for concurrent use.
 type SkeletonScratch struct {
 	chunks [][]Node // the node arena; chunks are never reallocated
 	used   int      // arena nodes handed out by the current build
@@ -70,7 +71,7 @@ const (
 // node joins the child with its label under its parent's skeleton node,
 // or starts it. That is Skeleton's tree, child order included. The
 // skeleton lives in s and its labels alias b: it is valid while b is
-// unchanged, until the next build.
+// unchanged, until the next build or Release.
 func (s *SkeletonScratch) BuildPacked(b []byte) *Node {
 	if s.used > skeletonKeep {
 		*s = SkeletonScratch{}
@@ -93,6 +94,18 @@ func (s *SkeletonScratch) BuildPacked(b []byte) *Node {
 		return nil
 	}
 	return s.path[0]
+}
+
+// Release drops every reference the last build holds into its
+// document's bytes, so a scratch kept between documents does not pin
+// the last one. The skeleton it returned is invalid after.
+func (s *SkeletonScratch) Release() {
+	for i := range s.used {
+		s.chunks[i/skeletonChunk][i%skeletonChunk].Label = ""
+	}
+	clear(s.dict[:cap(s.dict)])
+	clear(s.wide)
+	s.rd.b = nil
 }
 
 // child returns p's child labelled label, adding it if p has none.

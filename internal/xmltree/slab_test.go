@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -218,10 +219,28 @@ func TestSkeletonScratchAcrossDocuments(t *testing.T) {
 		if got := s.BuildPacked(Pack(doc)); !got.Equal(want.Root) {
 			t.Fatalf("round %d: scratch built %s, want %s", round, &Tree{Root: got}, want)
 		}
+		s.Release()
+		if s.pinsDocument() {
+			t.Fatalf("round %d: scratch still points into the document", round)
+		}
 	}
 	if s.BuildPacked(nil) != nil || s.BuildPacked(Pack(&Tree{})) != nil {
 		t.Fatal("empty document must build a nil skeleton")
 	}
+}
+
+// pinsDocument reports whether s holds anything that could alias the
+// bytes of a document it was built from.
+func (s *SkeletonScratch) pinsDocument() bool {
+	for _, c := range s.chunks {
+		for i := range c {
+			if c[i].Label != "" {
+				return true
+			}
+		}
+	}
+	return slices.ContainsFunc(s.dict[:cap(s.dict)], func(l string) bool { return l != "" }) ||
+		len(s.wide) != 0 || s.rd.b != nil
 }
 
 // labelCacheLoad counts the cache's entries and their bytes.

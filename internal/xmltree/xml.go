@@ -103,18 +103,12 @@ type scanner struct {
 }
 
 type protoNode struct {
-	labelEnd int32 // its label is labels[previous node's labelEnd:labelEnd]
-	kids     int32
+	labelOff, labelEnd int32 // its label is labels[labelOff:labelEnd]
+	kids               int32
 }
 
 // label is node i's label, aliasing sc.labels.
-func (sc *scanner) label(i int) []byte {
-	start := int32(0)
-	if i > 0 {
-		start = sc.nodes[i-1].labelEnd
-	}
-	return sc.labels[start:sc.nodes[i].labelEnd]
-}
+func (sc *scanner) label(i int) []byte { return sc.labels[sc.nodes[i].labelOff:sc.nodes[i].labelEnd] }
 
 type openElem struct {
 	node             int32
@@ -188,8 +182,9 @@ func (sc *scanner) add(label []byte, kids int32, parent bool) int32 {
 	if n := len(sc.open); parent && n > 0 {
 		sc.open[n-1].kids++
 	}
+	off := int32(len(sc.labels))
 	sc.labels = append(sc.labels, label...)
-	sc.nodes = append(sc.nodes, protoNode{labelEnd: int32(len(sc.labels)), kids: kids})
+	sc.nodes = append(sc.nodes, protoNode{off, int32(len(sc.labels)), kids})
 	return int32(len(sc.nodes) - 1)
 }
 
